@@ -17,15 +17,20 @@ geometric accumulation ratio at unitarity) rather than asserted.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 import scipy.integrate
+import scipy.optimize
 from scipy.special import roots_legendre
 
 from .linop import SymOperator
 
 EQUAL_MASS_TOL = 1e-12
 UNITARITY_RTOL = 1e-8
+# widest gap between the c_i, relative to the largest, below which J takes
+# its confluent limit
+CONFLUENT_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -153,8 +158,112 @@ def dimer_energy(model: SeparableModel) -> float:
     return -float(kappa**2)
 
 
-def three_boson_kernel(model: SeparableModel, energy: float, *,
-                       n_angle: int = 48) -> SymOperator:
+class _AngleTerms(NamedTuple):
+    """Energy-independent terms of the angular integral ``J`` on an ``s x q`` grid.
+
+    ``J`` is the second divided difference ``F[c1, c2, c3]`` of
+    ``F(c) = Int_-1^1 du / (c + b u)``; each ``c_i`` is carried as
+    ``c_i - b``, written as a sum of positive terms so that it keeps full
+    relative accuracy where ``b / c_i -> 1``.
+    """
+
+    b: np.ndarray    # -2 a11 s q >= 0
+    m1: np.ndarray   # c1 - b = (q + a11 s)^2 + a12^2 beta^2
+    m2: np.ndarray   # c2 - b = (s + a11 q)^2 + a12^2 beta^2
+    m3: np.ndarray   # c3 - b without its energy term: s^2 + q^2 - b
+    f12: np.ndarray  # F[c1, c2]
+
+
+def _angle_terms(s: np.ndarray, q: np.ndarray, a11: float, beta2: float) -> _AngleTerms:
+    """Terms of ``J`` for spectator momenta ``s`` (rows) and ``q`` (columns);
+    ``beta2`` is ``a12^2 beta^2``."""
+    b = (-2.0 * a11) * np.outer(s, q)
+    m1 = (q[None, :] + a11 * s[:, None]) ** 2 + beta2
+    m2 = (s[:, None] + a11 * q[None, :]) ** 2 + beta2
+    m3 = (s[:, None] ** 2 + q[None, :] ** 2) - b
+    return _AngleTerms(b, m1, m2, m3, _first_difference(m1, m2, b))
+
+
+def _first_difference(mx: np.ndarray, my: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``F[x, y]`` from ``mx = x - b`` and ``my = y - b``.
+
+    ``F[x, y] = -2/((x-b)(y+b)) log1p(t)/t`` with
+    ``t = 2b(y-x)/((x-b)(y+b))`` has no cancellation and is exact at
+    ``t = 0``, i.e. at ``x = y`` and as ``b -> 0``.
+    """
+    scale = -2.0 / (mx * (my + 2.0 * b))
+    t = -b * (my - mx) * scale
+    return scale * np.divide(np.log1p(t), t, out=np.ones_like(t), where=t != 0.0)
+
+
+def _angular_integral(terms: _AngleTerms, e_term: float) -> np.ndarray:
+    """``J = F[c1, c2, c3]`` in closed form; ``e_term`` is ``a12^2 |E|``.
+
+    As for sorted ``x1 <= x2 <= x3``, the second difference is
+    ``(F[x2, x3] - F[x1, x2]) / (x3 - x1)``: it divides by the widest gap,
+    which spans the two ``c_i`` on either side of the middle one.  Where that
+    gap is at most ``CONFLUENT_RTOL`` of the largest ``c_i`` (the triple
+    point ``s^2 + |E| = beta^2`` on the diagonal) the confluent limit
+    ``Int du / (m + b u)^3 = 2m / (m^2 - b^2)^2`` at the mean ``m`` is used.
+    """
+    b, m1, m2, m3, f12 = terms
+    m3 = m3 + e_term
+    f13 = _first_difference(m1, m3, b)
+    f23 = _first_difference(m2, m3, b)
+    g12, g13, g23 = m2 - m1, m3 - m1, m3 - m2
+    # which c_i is the middle one
+    mid3 = g13 * g23 <= 0.0
+    mid1 = ~mid3 & (g12 * g13 <= 0.0)
+    gap = np.where(mid3, g12, np.where(mid1, g23, g13))
+    numerator = np.where(mid3, f23 - f13, np.where(mid1, f13 - f12, f23 - f12))
+    confluent = np.abs(gap) <= CONFLUENT_RTOL * (np.maximum(np.maximum(m1, m2), m3) + b)
+    j = numerator / np.where(confluent, 1.0, gap)
+    if confluent.any():
+        m = (m1[confluent] + m2[confluent] + m3[confluent]) / 3.0
+        bc = b[confluent]
+        j[confluent] = 2.0 * (m + bc) / (m * (m + 2.0 * bc)) ** 2
+    return j
+
+
+class _KernelParts(NamedTuple):
+    """Everything in ``three_boson_kernel`` that does not depend on the energy."""
+
+    model: SeparableModel
+    p: np.ndarray       # momentum nodes
+    ws2: np.ndarray     # w_i p_i^2
+    a12_sq: float       # multiplies |E| in c3
+    constant: float     # C = 4 pi lam a12^3
+    terms: _AngleTerms
+
+
+def _kernel_parts(model: SeparableModel) -> _KernelParts:
+    if max(model.masses) - min(model.masses) > EQUAL_MASS_TOL:
+        raise ValueError("the symmetrized one-channel kernel needs equal masses")
+    coeffs = jacobi_pair_coeffs(model.masses).a
+    a11, a12 = float(coeffs[0, 0]), float(coeffs[0, 1])
+    p, w = model.momentum_grid()
+    return _KernelParts(
+        model=model, p=p, ws2=w * p**2, a12_sq=a12**2,
+        constant=4.0 * np.pi * model.lam * a12**3,
+        terms=_angle_terms(p, p, a11, a12**2 * model.beta**2))
+
+
+def _assemble(parts: _KernelParts, energy: float) -> SymOperator:
+    """The kernel of ``three_boson_kernel`` at ``energy`` from prebuilt parts."""
+    if not energy < 0:
+        raise ValueError(f"trimer search needs energy < 0, got {energy}")
+    abs_e = -float(energy)
+    d = _pair_amplitude_denominator(parts.model, parts.p, abs_e)
+    if np.any(d <= 0):
+        raise ValueError(
+            "pair amplitude denominator vanishes: energy is above the "
+            "two-body threshold for this coupling")
+    prefactor = np.sqrt(parts.ws2 / d)  # sqrt(w_i) p_i / sqrt(D_i)
+    j = _angular_integral(parts.terms, parts.a12_sq * abs_e)
+    return SymOperator(parts.constant * (prefactor[:, None] * j * prefactor[None, :]))
+
+
+def three_boson_kernel(model: SeparableModel, energy: float) -> SymOperator:
     """Spectator-momentum kernel whose unit eigenvalues mark trimer energies.
 
     Weight-symmetrized s-wave kernel at total energy ``energy < 0``:
@@ -166,51 +275,20 @@ def three_boson_kernel(model: SeparableModel, energy: float, *,
                            (s^2 + q^2 - 2 a11 s q u + a12^2 |E|)]
 
     where (a11, a12) is the orthogonal Jacobi rotation of the equal-mass
-    system and ``D`` the two-body pair amplitude denominator.
+    system and ``D`` the two-body pair amplitude denominator.  ``J`` is
+    evaluated in closed form as a divided difference (see
+    docs/three_boson_kernel.md).
     """
-    if not energy < 0:
-        raise ValueError(f"trimer search needs energy < 0, got {energy}")
-    if max(model.masses) - min(model.masses) > EQUAL_MASS_TOL:
-        raise ValueError("the symmetrized one-channel kernel needs equal masses")
-    abs_e = -float(energy)
-    coeffs = jacobi_pair_coeffs(model.masses).a
-    a11, a12 = float(coeffs[0, 0]), float(coeffs[0, 1])
-    beta2 = a12**2 * model.beta**2
+    return _assemble(_kernel_parts(model), energy)
 
-    p, w = model.momentum_grid()
-    d = _pair_amplitude_denominator(model, p, abs_e)
-    if np.any(d <= 0):
-        raise ValueError(
-            "pair amplitude denominator vanishes: energy is above the "
-            "two-body threshold for this coupling")
 
-    u, wu = roots_legendre(n_angle)
-    s2 = p**2
-    constant = 4.0 * np.pi * model.lam * a12**3
-    prefactor = np.sqrt(w * s2 / d)  # sqrt(w_i) p_i / sqrt(D_i)
-
-    out = np.empty((model.n_p, model.n_p))
-    chunk = max(1, int(2e6 / (model.n_p * n_angle)))
-    for lo in range(0, model.n_p, chunk):
-        hi = min(lo + chunk, model.n_p)
-        si2 = s2[lo:hi, None, None]
-        qj2 = s2[None, :, None]
-        cross = (-2.0 * a11) * p[lo:hi, None, None] * p[None, :, None] * u[None, None, :]
-        f1 = qj2 + cross + a11**2 * si2 + beta2
-        f2 = si2 + cross + a11**2 * qj2 + beta2
-        f3 = si2 + qj2 + cross + a12**2 * abs_e
-        out[lo:hi, :] = np.einsum("ijk,k->ij", 1.0 / (f1 * f2 * f3), wu)
-    kernel = constant * (prefactor[:, None] * out * prefactor[None, :])
-    return SymOperator(0.5 * (kernel + kernel.T))
+def _kernel_eigenvalues(parts: _KernelParts, energy: float) -> np.ndarray:
+    """Ascending eigenvalues of the kernel at ``energy``."""
+    return np.linalg.eigvalsh(_assemble(parts, energy).entries)
 
 
 def kernel_top_eigenvalue(model: SeparableModel, energy: float) -> float:
-    return float(np.linalg.eigvalsh(three_boson_kernel(model, energy).entries)[-1])
-
-
-def _count_at_or_above_one(model: SeparableModel, energy: float) -> int:
-    lam = np.linalg.eigvalsh(three_boson_kernel(model, energy).entries)
-    return int(np.sum(lam >= 1.0))
+    return float(_kernel_eigenvalues(_kernel_parts(model), energy)[-1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,22 +299,41 @@ class TrimerLevel:
     cutoff_stable: bool
 
 
+def _crossing(parts: _KernelParts, level: int, lo, hi, rel_tol: float) -> float:
+    """Energy where eigenvalue ``level`` (0 = largest) crosses 1.
+
+    ``lo`` and ``hi`` are ``(log|E|, eigenvalues)`` at the bracket ends from
+    the scan; their eigenvalues are reused, not recomputed.
+    """
+    known = dict([lo, hi])
+
+    def excess(log_abs_e):
+        ev = known.get(log_abs_e)
+        if ev is None:
+            ev = _kernel_eigenvalues(parts, -np.exp(log_abs_e))
+        return ev[-1 - level] - 1.0
+
+    return -float(np.exp(scipy.optimize.brentq(excess, lo[0], hi[0], xtol=rel_tol)))
+
+
 def trimer_spectrum(model: SeparableModel, e_floor: float, *,
                     rel_tol: float = 1e-10,
                     points_per_decade: int = 4) -> list[TrimerLevel]:
     """All kernel-eigenvalue-1 crossings between ``e_floor`` and the grid floor.
 
     Scans ``|E|`` downward from ``|e_floor|`` on a logarithmic ladder, using
-    the eigenvalue count at-or-above 1 (each trimer adds one), and bisects
-    every count change in ``log |E|`` to ``rel_tol`` relative.  The scan
-    stops where the momentum grid can no longer resolve the states (binding
-    momentum within a decade of the smallest node) or, above the two-body
-    binding coupling, at the dimer threshold; levels below ten times the
-    infrared node are flagged cutoff-unstable.
+    the eigenvalue count at-or-above 1 (each trimer adds one) to bracket
+    every crossing, and refines each bracket with ``brentq`` on the
+    crossing eigenvalue minus 1 in ``log |E|`` to ``rel_tol`` relative.  The
+    scan stops where the momentum grid can no longer resolve the states
+    (binding momentum within a decade of the smallest node) or, above the
+    two-body binding coupling, at the dimer threshold; levels below ten
+    times the infrared node are flagged cutoff-unstable.
     """
     if not e_floor < 0:
         raise ValueError(f"e_floor must be negative, got {e_floor}")
-    p_min = float(model.momentum_grid()[0][0])
+    parts = _kernel_parts(model)
+    p_min = float(parts.p[0])
     # above two-body binding, stop 1% above the dimer threshold: the pair
     # amplitude denominator vanishes there and eigenvalues pile up
     e_stop = max((10.0 * p_min) ** 2, abs(e_floor) * 1e-18,
@@ -244,7 +341,8 @@ def trimer_spectrum(model: SeparableModel, e_floor: float, *,
     if e_stop >= abs(e_floor):
         raise ValueError("e_floor is already inside the grid-limited region; "
                          "raise n_p or lower |e_floor|")
-    if _count_at_or_above_one(model, e_floor) != 0:
+    ev_hi = _kernel_eigenvalues(parts, e_floor)
+    if np.any(ev_hi >= 1.0):
         raise ValueError(
             f"levels exist below e_floor = {e_floor:g}; deepen the floor")
 
@@ -254,21 +352,14 @@ def trimer_spectrum(model: SeparableModel, e_floor: float, *,
     count_hi = 0
     while abs_hi > e_stop * (1.0 + 1e-9):
         abs_lo = max(abs_hi / ratio, e_stop)
-        count_lo = _count_at_or_above_one(model, -abs_lo)
+        ev_lo = _kernel_eigenvalues(parts, -abs_lo)
+        count_lo = int(np.sum(ev_lo >= 1.0))
         for level in range(count_hi, count_lo):
-            # bisect in log|E| for the crossing of level index `level`
-            lo, hi = np.log(abs_lo), np.log(abs_hi)
-            while hi - lo > rel_tol:
-                mid = 0.5 * (lo + hi)
-                if _count_at_or_above_one(model, -np.exp(mid)) > level:
-                    lo = mid
-                else:
-                    hi = mid
-            energies.append(-np.exp(0.5 * (lo + hi)))
-        count_hi = count_lo
-        abs_hi = abs_lo
+            energies.append(_crossing(parts, level, (np.log(abs_lo), ev_lo),
+                                      (np.log(abs_hi), ev_hi), rel_tol))
+        count_hi, abs_hi, ev_hi = count_lo, abs_lo, ev_lo
     stable_floor = (10.0 * p_min) ** 2
-    return [TrimerLevel(energy=e, cutoff_stable=abs(e) >= stable_floor * 1.0)
+    return [TrimerLevel(energy=e, cutoff_stable=abs(e) >= stable_floor)
             for e in sorted(energies)]
 
 

@@ -1,10 +1,14 @@
 """Tests for the three-boson separable-force solver."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 import scipy.integrate
 from hypothesis import given, settings, strategies as st
+from scipy.special import roots_legendre
 
+from bscount import efimov
 from bscount.bsengine import BsProblem, count_bs
 from bscount.efimov import (
     SeparableModel,
@@ -23,8 +27,77 @@ from bscount.linop import sym
 LAM_U = lambda_unitary(1.0)
 
 
+A11, A12 = -0.5, np.sqrt(3.0) / 2.0  # equal-mass Jacobi rotation
+
+
 def unitary_model(n_p=256, p_max=40.0, grid_c=300.0, lam=LAM_U):
     return SeparableModel(beta=1.0, lam=lam, p_max=p_max, n_p=n_p, grid_c=grid_c)
+
+
+def angular_integrand(s, q, abs_e, u, beta=1.0):
+    """The integrand of J(s, q; E) at angle cosines ``u``, as written out in
+    ``three_boson_kernel``'s docstring."""
+    cross = -2.0 * A11 * s * q * u
+    beta2 = A12**2 * beta**2
+    return 1.0 / ((q * q + cross + A11**2 * s * s + beta2)
+                  * (s * s + cross + A11**2 * q * q + beta2)
+                  * (s * s + q * q + cross + A12**2 * abs_e))
+
+
+def reference_j(s, q, abs_e, nodes=30, panels=60):
+    """J by composite Gauss-Legendre on panels that halve toward u = -1,
+    where the integrand peaks."""
+    x, w = roots_legendre(nodes)
+    edges = np.concatenate([[-1.0], -1.0 + 2.0 * 0.5 ** np.arange(panels, -1, -1)])
+    half = 0.5 * np.diff(edges)[:, None]
+    u = (edges[:-1, None] + half * (x + 1.0)).ravel()
+    return float(np.sum((half * w).ravel() * angular_integrand(s, q, abs_e, u)))
+
+
+def closed_form_j(s, q, abs_e):
+    terms = efimov._angle_terms(np.array([s]), np.array([q]), A11, A12**2)
+    return float(efimov._angular_integral(terms, A12**2 * abs_e)[0, 0])
+
+
+def quadrature_kernel(model, energy, n_angle):
+    """The kernel with J from an ``n_angle``-node Gauss-Legendre rule."""
+    p, w = model.momentum_grid()
+    d = 1.0 - model.lam * two_body_loop(np.sqrt(p**2 - energy), model.beta)
+    j = np.zeros((model.n_p, model.n_p))
+    for u, wu in zip(*roots_legendre(n_angle)):
+        j += wu * angular_integrand(p[:, None], p[None, :], -energy, u)
+    prefactor = np.sqrt(w * p**2 / d)
+    return (4.0 * np.pi * model.lam * A12**3
+            * prefactor[:, None] * j * prefactor[None, :])
+
+
+def count_bisection_spectrum(model, e_floor, rel_tol=1e-10, points_per_decade=4):
+    """Trimer energies by bisecting the eigenvalue count at-or-above 1 in
+    log|E| over the same ladder ``trimer_spectrum`` scans: the route it
+    replaced, kept as the oracle for its roots (unbound pair only)."""
+
+    def count(abs_e):
+        lam = np.linalg.eigvalsh(three_boson_kernel(model, -abs_e).entries)
+        return int(np.sum(lam >= 1.0))
+
+    e_stop = (10.0 * model.momentum_grid()[0][0]) ** 2
+    ratio = 10.0 ** (1.0 / points_per_decade)
+    energies = []
+    abs_hi, count_hi = abs(e_floor), 0
+    while abs_hi > e_stop * (1.0 + 1e-9):
+        abs_lo = max(abs_hi / ratio, e_stop)
+        count_lo = count(abs_lo)
+        for level in range(count_hi, count_lo):
+            lo, hi = np.log(abs_lo), np.log(abs_hi)
+            while hi - lo > rel_tol:
+                mid = 0.5 * (lo + hi)
+                if count(np.exp(mid)) > level:
+                    lo = mid
+                else:
+                    hi = mid
+            energies.append(-np.exp(0.5 * (lo + hi)))
+        count_hi, abs_hi = count_lo, abs_lo
+    return sorted(energies)
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +198,37 @@ def test_kernel_requires_equal_masses():
         three_boson_kernel(m, -1.0)
 
 
+TRIPLE_S = 0.5  # s = q with s^2 + |E| = beta^2: all three c_i coincide
+
+
+@pytest.mark.parametrize("s, q, abs_e", [
+    # generic off-diagonal entries
+    (0.3, 2.0, 0.5), (5.0, 0.7, 1e-3), (12.0, 30.0, 2.0), (0.02, 0.05, 1e-8),
+    # the diagonal, c1 = c2
+    (0.1, 0.1, 0.01), (3.0, 3.0, 0.2), (40.0, 40.0, 1e-6),
+    # the triple-confluent point and offsets from it
+    *[(TRIPLE_S, TRIPLE_S, 1.0 - TRIPLE_S**2 + sign * off)
+      for off in (0.0, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3)
+      for sign in ((1,) if off == 0.0 else (1, -1))],
+    # b/c -> 0: tiny s or q
+    (1e-7, 2.0, 0.3), (1.5, 1e-9, 1e-4), (1e-6, 1e-6, 1e-10),
+    # b/c1 -> 1: q near s/2 with s >> beta
+    (40.0, 20.0, 0.1), (400.0, 200.0, 1.0), (2000.0, 1000.0, 1e-4),
+    (1000.0, 500.0005, 0.5), (300.0, 600.0, 1e-3),
+])
+def test_angular_closed_form_matches_graded_quadrature(s, q, abs_e):
+    assert closed_form_j(s, q, abs_e) == pytest.approx(reference_j(s, q, abs_e),
+                                                       rel=1e-9, abs=0.0)
+
+
+def test_kernel_matches_fine_angular_quadrature():
+    m = unitary_model(n_p=256)
+    for energy in (-1.0, -1e-3, -1e-7):
+        reference = quadrature_kernel(m, energy, n_angle=400)
+        k = three_boson_kernel(m, energy).entries
+        assert np.max(np.abs(k / reference - 1.0)) < 1e-8
+
+
 def test_weak_coupling_no_trimers():
     m = unitary_model(n_p=128, lam=0.2 * LAM_U)
     for energy in (-3.0, -0.3, -0.03, -0.003):
@@ -199,6 +303,39 @@ def test_detuned_spectrum_is_finite():
     m = unitary_model(n_p=256, lam=0.9 * LAM_U)
     levels = trimer_spectrum(m, -1.0)
     assert 1 <= len(levels) <= 2  # no accumulation away from unitarity
+
+
+def test_roots_match_count_bisection():
+    m = unitary_model(n_p=128, lam=0.9 * LAM_U)
+    energies = [l.energy for l in trimer_spectrum(m, -1.0)]
+    oracle = count_bisection_spectrum(m, -1.0)
+    assert len(energies) == len(oracle) >= 1
+    np.testing.assert_allclose(energies, oracle, rtol=1e-9, atol=0.0)
+
+
+def test_kernel_builds_per_level(monkeypatch):
+    builds = 0
+    assemble = efimov._assemble
+
+    def counted(*args):
+        nonlocal builds
+        builds += 1
+        return assemble(*args)
+
+    monkeypatch.setattr(efimov, "_assemble", counted)
+    levels = efimov_spectrum(unitary_model(n_p=256), -1.0)
+    assert builds <= 30 * len(levels)
+
+
+def test_trimer_spectrum_thread_safe():
+    m = unitary_model(n_p=128, lam=0.9 * LAM_U)
+    serial = trimer_spectrum(m, -1.0)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        futures = [pool.submit(trimer_spectrum, m, -1.0) for _ in range(2)]
+        results = [f.result(timeout=300) for f in futures]
+    for levels in results:
+        assert [l.energy for l in levels] == [l.energy for l in serial]
+        assert [l.cutoff_stable for l in levels] == [l.cutoff_stable for l in serial]
 
 
 def test_efimov_spectrum_rejects_detuned_coupling():
