@@ -66,7 +66,8 @@ from .radial import (
     PotentialSpec,
     RadialGrid,
     bs_kernel_radial,
-    reduced_hamiltonian,
+    bs_top_eigenvalue,
+    negative_count,
     resolvent_power_kernel,
 )
 
@@ -384,17 +385,10 @@ def _run_twobody(cfg, jobs):
     if not epsilons:
         raise ValueError("scan.epsilons is empty")
 
-    import warnings
-
     def one(eps):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            h = reduced_hamiltonian(pot, grid)
-            k = bs_kernel_radial(pot, grid, eps)
-        direct = count_evs(h, "<", -eps)
-        via_kernel = count_evs(k, ">", 1.0)
-        mu = float(np.linalg.eigvalsh(k.entries)[-1])
-        return direct, via_kernel, mu
+        direct = negative_count(pot, grid, eps)
+        via_kernel = count_evs(bs_kernel_radial(pot, grid, eps), ">", 1.0)
+        return direct, via_kernel, bs_top_eigenvalue(pot, grid, eps)
 
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         results = list(pool.map(one, epsilons))

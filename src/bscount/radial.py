@@ -28,8 +28,8 @@ import scipy.linalg
 from scipy.special import gamma as gamma_fn
 from scipy.special import roots_legendre
 
-from .bsengine import CriticalCouplingResult
-from .linop import SymOperator, op_function
+from .bsengine import LAMBDA_CAP, CriticalCouplingResult, NeverBindsError
+from .linop import SymOperator
 
 POTENTIAL_KINDS = ("yukawa", "exponential", "gaussian", "square_well", "table")
 
@@ -242,11 +242,27 @@ def _lowest_eigenvalue(pot: PotentialSpec, grid: RadialGrid) -> float:
     return float(lam[0])
 
 
-def _negative_count(pot: PotentialSpec, grid: RadialGrid) -> int:
+def negative_count(pot: PotentialSpec, grid: RadialGrid, eps: float = 0.0) -> int:
+    """Number of eigenvalues of the reduced operator below ``-eps``.
+
+    Counts by Sturm sequence on the tridiagonal matrix, with the guard band
+    of ``count_evs``: eigenvalues within ``1e-10 * (1 + |H|_F)`` of ``-eps``
+    are not counted.
+    """
     diag, off = _fd_diagonals(pot, grid)
-    lam = scipy.linalg.eigvalsh_tridiagonal(diag, off)
-    eta = 1e-10 * (1.0 + float(np.linalg.norm(lam)))
-    return int(np.sum(lam < -eta))
+    eta = 1e-10 * (1.0 + float(np.sqrt(diag @ diag + 2.0 * (off @ off))))
+    lam = scipy.linalg.eigvalsh_tridiagonal(diag, off, select="v",
+                                            select_range=(-np.inf, -eps - eta))
+    return int(lam.size)
+
+
+def _banded_hamiltonian(grid: RadialGrid, v_plus, eps: float) -> np.ndarray:
+    """``H_0 + v_+ + eps`` on the uniform mesh, in ``solveh_banded`` storage."""
+    diag, off = _fd_diagonals(None, grid)
+    ab = np.zeros((2, grid.n))
+    ab[0, 1:] = off
+    ab[1, :] = diag + v_plus + eps
+    return ab
 
 
 # ---------------------------------------------------------------------------
@@ -291,11 +307,8 @@ def green_kernel(eps: float, grid: RadialGrid) -> SymOperator:
         raise ValueError(
             "ell > 0 kernels are computed by inverting the discretized operator, "
             "which needs the uniform_fd2 scheme")
-    diag, off = _fd_diagonals(None, grid)
-    ab = np.zeros((2, grid.n))
-    ab[0, 1:] = off
-    ab[1, :] = diag + eps
-    inv = scipy.linalg.solveh_banded(ab, np.eye(grid.n))
+    inv = scipy.linalg.solveh_banded(_banded_hamiltonian(grid, 0.0, eps),
+                                     np.eye(grid.n))
     return SymOperator(0.5 * (inv + inv.T))
 
 
@@ -303,114 +316,59 @@ def green_kernel(eps: float, grid: RadialGrid) -> SymOperator:
 # the radial Birman-Schwinger kernel
 
 
-def _resolvent_halfspace_kernel(pot, grid, eps):
-    """sqrt(v-) (H_w + eps)^-1 sqrt(v-) via the closed-form s-wave kernel."""
-    r = grid.nodes
-    if np.any(pot.v_plus(r) > 0):
-        raise ValueError(
-            "the gauss_legendre route absorbs no repulsive part; "
-            "use the uniform_fd2 scheme for potentials with v_+ > 0")
-    root_vw = np.sqrt(pot.v_minus(r) * grid.weights)
-    g = _green_swave(eps, r) if eps > 0 else _green_swave_zero(r)
-    return root_vw[:, None] * g * root_vw[None, :]
+def _bs_block(pot: PotentialSpec, grid: RadialGrid, eps: float):
+    """``sqrt(v_-) (H_0 + v_+ + eps)^-1 sqrt(v_-)`` on the support of v_-.
 
-
-def _resolvent_box_kernel(pot, grid, eps):
-    """sqrt(v-) (H_w + eps)^-1 sqrt(v-) via banded solves on the box."""
+    Returns the support indices and the block, for ``eps >= 0``.  On
+    gauss_legendre the closed-form half-space s-wave kernel is used, which
+    leaves no room for a repulsive part; on uniform_fd2 the box operator
+    is inverted by banded solves.
+    """
     r = grid.nodes
-    v_plus = pot.v_plus(r)
-    diag, off = _fd_diagonals(None, grid)
-    ab = np.zeros((2, grid.n))
-    ab[0, 1:] = off
-    ab[1, :] = diag + v_plus + eps
-    root_v = np.sqrt(pot.v_minus(r))
-    supp = np.nonzero(root_v > 0)[0]
+    v_minus = pot.v_minus(r)
+    supp = np.nonzero(v_minus > 0)[0]
+    if grid.scheme == "gauss_legendre":
+        if grid.ell != 0:
+            raise ValueError("gauss_legendre kernels are s-wave only")
+        if np.any(pot.v_plus(r) > 0):
+            raise ValueError(
+                "the gauss_legendre route absorbs no repulsive part; "
+                "use the uniform_fd2 scheme for potentials with v_+ > 0")
+        root_vw = np.sqrt(v_minus[supp] * grid.weights[supp])
+        rs = r[supp]
+        g = _green_swave(eps, rs) if eps > 0 else _green_swave_zero(rs)
+        return supp, root_vw[:, None] * g * root_vw[None, :]
+    root_v = np.sqrt(v_minus[supp])
     rhs = np.zeros((grid.n, supp.size))
-    rhs[supp, np.arange(supp.size)] = root_v[supp]
-    x = scipy.linalg.solveh_banded(ab, rhs)
-    out = np.zeros((grid.n, grid.n))
-    out[:, supp] = root_v[:, None] * x
-    return 0.5 * (out + out.T)
+    rhs[supp, np.arange(supp.size)] = root_v
+    x = scipy.linalg.solveh_banded(_banded_hamiltonian(grid, pot.v_plus(r), eps), rhs)
+    block = root_v[:, None] * x[supp, :]
+    return supp, 0.5 * (block + block.T)
 
 
-def bs_kernel_radial(pot: PotentialSpec, grid: RadialGrid, eps: float, *,
-                     form: str = "calculus", verify: bool = False) -> SymOperator:
+def bs_kernel_radial(pot: PotentialSpec, grid: RadialGrid, eps: float) -> SymOperator:
     """Birman-Schwinger kernel of the radial problem at spectral shift eps.
 
     The repulsive part of the potential is absorbed into the reference
     operator ``H_w = H_0 + v_+``, so the kernel is built from the attractive
-    part only:
-
-    * ``form="calculus"``: ``(H_w+eps)^(-1/2) v_- (H_w+eps)^(-1/2)`` by
-      matrix functional calculus;
-    * ``form="similarity"``: ``sqrt(v_-) (H_w+eps)^(-1) sqrt(v_-)``, a
-      similarity with the same nonzero spectrum.
-
-    ``verify=True`` checks the two spectra against each other to 1e-8.
+    part only: ``sqrt(v_-) (H_w + eps)^-1 sqrt(v_-)``, an n x n matrix that
+    vanishes outside the support of v_-.  Its nonzero spectrum is that of
+    ``(H_w + eps)^(-1/2) v_- (H_w + eps)^(-1/2)``.
     """
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    if form not in ("calculus", "similarity"):
-        raise ValueError(f"unknown form {form!r}")
-    r = grid.nodes
-
-    if grid.scheme == "gauss_legendre":
-        if grid.ell != 0:
-            raise ValueError("gauss_legendre kernels are s-wave only")
-        sim = _resolvent_halfspace_kernel(pot, grid, eps)
-        if form == "similarity" and not verify:
-            return SymOperator(sim)
-        g = green_kernel(eps, grid)
-        root_g = op_function(g, lambda x: np.sqrt(max(x, 0.0)))
-        calc = root_g.entries @ np.diag(pot.v_minus(r)) @ root_g.entries
-        calc = 0.5 * (calc + calc.T)
-    else:
+    if grid.scheme == "uniform_fd2":
         _warn_if_box_small(pot, grid)
-        sim = _resolvent_box_kernel(pot, grid, eps)
-        if form == "similarity" and not verify:
-            return SymOperator(sim)
-        diag, off = _fd_diagonals(None, grid)
-        hw = np.diag(diag + pot.v_plus(r))
-        idx = np.arange(grid.n - 1)
-        hw[idx, idx + 1] = off
-        hw[idx + 1, idx] = off
-        lam, vec = np.linalg.eigh(hw)
-        if lam[0] + eps <= 0:
-            raise ValueError(
-                f"H_0 + v_+ + eps is not positive definite "
-                f"(min eigenvalue {lam[0]:.3e}, eps {eps:g})")
-        s = (vec * (lam + eps) ** -0.5) @ vec.T
-        calc = s @ np.diag(pot.v_minus(r)) @ s
-        calc = 0.5 * (calc + calc.T)
-
-    if verify:
-        rank = int(np.sum(pot.v_minus(r) > 0))
-        top_calc = np.sort(np.linalg.eigvalsh(calc))[-max(rank, 1):]
-        top_sim = np.sort(np.linalg.eigvalsh(sim))[-max(rank, 1):]
-        scale = 1.0 + float(np.max(np.abs(top_calc)))
-        gap = float(np.max(np.abs(top_calc - top_sim)))
-        if gap > 1e-8 * scale:
-            raise RuntimeError(
-                f"calculus and similarity spectra disagree by {gap:.3e}")
-    return SymOperator(calc if form == "calculus" else sim)
+    supp, block = _bs_block(pot, grid, eps)
+    out = np.zeros((grid.n, grid.n))
+    out[np.ix_(supp, supp)] = block
+    return SymOperator(out)
 
 
 def bs_top_eigenvalue(pot: PotentialSpec, grid: RadialGrid, eps: float) -> float:
-    """Largest Birman-Schwinger eigenvalue, via the support-restricted block.
-
-    Equal to the top eigenvalue of ``bs_kernel_radial`` (the nonzero spectra
-    of the two kernel forms coincide); restricting to the support of v_-
-    keeps scans cheap.
-    """
-    r = grid.nodes
-    supp = np.nonzero(pot.v_minus(r) > 0)[0]
-    if supp.size == 0:
-        return 0.0
-    if grid.scheme == "gauss_legendre":
-        block = _resolvent_halfspace_kernel(pot, grid, eps)[np.ix_(supp, supp)]
-    else:
-        block = _resolvent_box_kernel(pot, grid, eps)[np.ix_(supp, supp)]
-    return float(np.linalg.eigvalsh(block)[-1])
+    """Largest Birman-Schwinger eigenvalue (0 when v_- vanishes on the grid)."""
+    _, block = _bs_block(pot, grid, eps)
+    return float(np.linalg.eigvalsh(block)[-1]) if block.size else 0.0
 
 
 def kernel_critical_strength(pot: PotentialSpec, grid: RadialGrid) -> float:
@@ -418,27 +376,11 @@ def kernel_critical_strength(pot: PotentialSpec, grid: RadialGrid) -> float:
 
     The kernel is linear in the attractive coupling, so the strength that
     makes the discretized operator exactly critical is
-    ``strength / mu_0(strength)``.  Uses the zero-energy closed form on the
-    gauss_legendre scheme and the box inverse on uniform_fd2.
+    ``strength / mu_0(strength)``.
     """
-    r = grid.nodes
-    if not np.any(pot.v_minus(r) > 0):
+    _, block = _bs_block(pot, grid, 0.0)
+    if not block.size:
         raise ValueError("potential has no attractive part on the grid")
-    supp = np.nonzero(pot.v_minus(r) > 0)[0]
-    if grid.scheme == "gauss_legendre":
-        block = _resolvent_halfspace_kernel(pot, grid, 0.0)[np.ix_(supp, supp)]
-    else:
-        v_plus = pot.v_plus(r)
-        diag, off = _fd_diagonals(None, grid)
-        ab = np.zeros((2, grid.n))
-        ab[0, 1:] = off
-        ab[1, :] = diag + v_plus
-        root_v = np.sqrt(pot.v_minus(r))
-        rhs = np.zeros((grid.n, supp.size))
-        rhs[supp, np.arange(supp.size)] = root_v[supp]
-        x = scipy.linalg.solveh_banded(ab, rhs)
-        block = root_v[supp, None] * x[supp, :]
-        block = 0.5 * (block + block.T)
     mu0 = float(np.linalg.eigvalsh(block)[-1])
     if mu0 <= 0:
         raise ValueError("zero-shift kernel has no positive eigenvalue")
@@ -563,10 +505,7 @@ def schwinger_bound_check(pot: PotentialSpec, *, n: int = 1500,
         r_max = max(25.0 * pot.range, 12.0)
     total = 0
     for ell in range(ell_max + 1):
-        grid = RadialGrid(ell=ell, r_max=r_max, n=n)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            count = _negative_count(pot, grid)
+        count = negative_count(pot, RadialGrid(ell=ell, r_max=r_max, n=n))
         if count == 0:
             break
         total += (2 * ell + 1) * count
@@ -641,61 +580,51 @@ def resolvent_power_kernel(gamma: float, eps: float, r_dist: float, *,
 
 
 def find_critical_coupling_radial(pot_shape: PotentialSpec, grid: RadialGrid,
-                                  tol: float, *, refine: int = 2,
-                                  mode: str = "box",
-                                  extrapolate: bool = True) -> CriticalCouplingResult:
+                                  tol: float) -> CriticalCouplingResult:
     """Coupling at which the first negative eigenvalue appears on the box.
 
     Bisects the coupling of the attractive shape (the strength field of
     ``pot_shape`` is treated as the unit of the family) against the lowest
-    eigenvalue of the discretized operator, on the given grid and on a
-    refinement of it; the two couplings must agree within ``tol / 2``.
-
-    ``mode`` picks the refinement family.  "box" (default) scales box and
-    point count together, keeping the mesh spacing fixed: the dominant error
-    for a threshold state is the 1/r_max truncation of its flat tail, and
-    ``extrapolate=True`` removes that leading term from the pair.  "mesh"
-    refines the mesh inside a fixed box and extrapolates the quadratic mesh
-    error instead.
+    eigenvalue of the discretized operator, on the given grid and on the
+    grid with box and point count both doubled (same mesh spacing); the two
+    couplings must agree within ``tol / 2``.  The dominant error for a
+    threshold state is the 1/r_max truncation of its flat tail, which the
+    pair removes by extrapolation.  ``iterations`` counts every bracketing
+    and bisection eigensolve; NeverBindsError is raised when no coupling up
+    to ``LAMBDA_CAP`` binds.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     if grid.scheme != "uniform_fd2":
         raise ValueError("critical couplings are located on the uniform_fd2 scheme")
-    if mode not in ("box", "mesh"):
-        raise ValueError(f"unknown refinement mode {mode!r}")
     shape = pot_shape.with_strength(1.0)
 
     iterations = 0
 
-    def locate(g: RadialGrid) -> tuple[float, float, float]:
+    def binds(lam: float, g: RadialGrid) -> bool:
         nonlocal iterations
+        iterations += 1
+        return _lowest_eigenvalue(shape.with_strength(lam), g) < 0.0
+
+    def locate(g: RadialGrid) -> tuple[float, float, float]:
         lo, hi = 0.0, 1.0
-        while _lowest_eigenvalue(shape.with_strength(hi), g) >= 0.0:
+        while not binds(hi, g):
             lo = hi
             hi *= 2.0
-            iterations += 1
-            if hi > 1e6:
-                raise RuntimeError("no binding up to coupling 1e6")
+            if hi > LAMBDA_CAP:
+                raise NeverBindsError(f"no binding up to coupling {LAMBDA_CAP:g}")
         # bisect far below tol so the refinement comparison is not noise-limited
         width_target = max(min(tol, 1e-4) * 1e-6, 1e-13 * hi)
         while hi - lo > width_target:
             mid = 0.5 * (lo + hi)
-            iterations += 1
-            if _lowest_eigenvalue(shape.with_strength(mid), g) >= 0.0:
-                lo = mid
-            else:
+            if binds(mid, g):
                 hi = mid
+            else:
+                lo = mid
         lam = 0.5 * (lo + hi)
         return lam, lo, hi
 
-    if mode == "box":
-        fine = grid.refined(refine, box_factor=refine)
-        weight = float(refine)          # error model c / r_max
-    else:
-        fine = grid.refined(refine)
-        weight = float(refine) ** 2     # error model c h^2
-
+    fine = grid.refined(2, box_factor=2)
     lam_coarse, _, _ = locate(grid)
     lam_fine, lo_f, hi_f = locate(fine)
     gap = abs(lam_fine - lam_coarse)
@@ -704,14 +633,9 @@ def find_critical_coupling_radial(pot_shape: PotentialSpec, grid: RadialGrid,
             f"grid refinements disagree: coupling {lam_coarse:.10g} on "
             f"(r_max={grid.r_max:g}, n={grid.n}) vs {lam_fine:.10g} on "
             f"(r_max={fine.r_max:g}, n={fine.n}); gap {gap:.3e} > tol/2")
-    if extrapolate:
-        lam_star = (weight * lam_fine - lam_coarse) / (weight - 1.0)
-    else:
-        lam_star = lam_fine
+    lam_star = 2.0 * lam_fine - lam_coarse  # error model c / r_max
     half = max(hi_f - lo_f, gap)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        residual = _lowest_eigenvalue(shape.with_strength(lam_star), fine)
+    residual = _lowest_eigenvalue(shape.with_strength(lam_star), fine)
     return CriticalCouplingResult(
         lambda_star=lam_star,
         bracket=(lam_star - half, lam_star + half),

@@ -174,6 +174,24 @@ def test_twobody_table_potential(tmp_path):
     assert int(cells[1]) >= 1    # the deep table well binds
 
 
+def test_twobody_jobs_invariant_and_box_warning(tmp_path):
+    cfg = write(tmp_path, "tb.conf",
+                'command = "twobody"\n'
+                "potential.strength = 10.0\n"
+                "grid.r_max = 10.0\n"   # at 10x the range: box effects warned
+                "grid.n = 300\n"
+                "scan.epsilons = [0.05, 0.2, 0.5, 1.0, 2.0]\n")
+    csv = []
+    for jobs in ("1", "4"):
+        out = tmp_path / jobs
+        with pytest.warns(UserWarning, match="box effects"):
+            status = main(["twobody", "--config", cfg, "--out", str(out),
+                           "--jobs", jobs])
+        assert status == EXIT_OK
+        csv.append((out / "twobody.csv").read_bytes())
+    assert csv[0] == csv[1]
+
+
 def test_iterbs_demo_columns_and_invariance(tmp_path):
     status = main(["iterbs-demo", "--out", str(tmp_path)])
     assert status == EXIT_OK

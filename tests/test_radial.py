@@ -5,8 +5,10 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
+from scipy.linalg import eigvalsh_tridiagonal
 
-from bscount.linop import count_evs
+from bscount.bsengine import NeverBindsError
+from bscount.linop import SymOperator, count_evs, op_function
 from bscount.radial import (
     MuScalingReport,
     PotentialSpec,
@@ -17,11 +19,13 @@ from bscount.radial import (
     green_kernel,
     kernel_critical_strength,
     mu_scan,
+    negative_count,
     reduced_hamiltonian,
     resolvent_power_kernel,
     rollnik_norm,
     schwinger_bound_check,
 )
+from bscount import radial
 from bscount.radial import _fd_diagonals
 
 DEFAULT_SEED = 0xB5C0
@@ -31,6 +35,30 @@ def quiet_hamiltonian(pot, grid):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return reduced_hamiltonian(pot, grid)
+
+
+def _calculus_kernel(pot, grid, eps):
+    """Oracle: ``(H_w+eps)^(-1/2) v_- (H_w+eps)^(-1/2)`` by dense functional
+    calculus, with ``H_w = H_0 + v_+`` (the Green function on gauss_legendre)."""
+    r = grid.nodes
+    if grid.scheme == "gauss_legendre":
+        root_g = op_function(green_kernel(eps, grid),
+                             lambda x: np.sqrt(max(x, 0.0))).entries
+    else:
+        diag, off = _fd_diagonals(None, grid)
+        hw = np.diag(diag + pot.v_plus(r)) + np.diag(off, 1) + np.diag(off, -1)
+        lam, vec = np.linalg.eigh(hw)
+        assert lam[0] + eps > 0
+        root_g = (vec * (lam + eps) ** -0.5) @ vec.T
+    calc = (root_g * pot.v_minus(r)) @ root_g
+    return SymOperator(0.5 * (calc + calc.T))
+
+
+def assert_top_spectra_agree(kernel, oracle, rank):
+    top = np.linalg.eigvalsh(kernel.entries)[-rank:]
+    top_oracle = np.linalg.eigvalsh(oracle.entries)[-rank:]
+    gap = np.max(np.abs(top - top_oracle))
+    assert gap <= 1e-8 * (1.0 + np.max(np.abs(top_oracle)))
 
 
 def shoot_zero_energy_coefficient(shape_fn, ell, lam, r_out=60.0):
@@ -231,24 +259,37 @@ def test_half_critical_depth_gives_half_mu():
 def test_kernel_count_matches_direct_count(kind, lam, ell, eps):
     pot = PotentialSpec(kind=kind, strength=lam, range=1.0)
     grid = RadialGrid(ell=ell, r_max=25.0, n=700)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        k = bs_kernel_radial(pot, grid, eps, form="calculus", verify=True)
-        h = reduced_hamiltonian(pot, grid)
-    assert count_evs(k, ">", 1.0) == count_evs(h, "<", -eps)
+    k = bs_kernel_radial(pot, grid, eps)
+    calc = _calculus_kernel(pot, grid, eps)
+    h = quiet_hamiltonian(pot, grid)
+    assert_top_spectra_agree(k, calc, max(int(np.sum(pot.v_minus(grid.nodes) > 0)), 1))
+    direct = count_evs(h, "<", -eps)
+    assert count_evs(k, ">", 1.0) == direct
+    assert count_evs(calc, ">", 1.0) == direct
+    assert negative_count(pot, grid, eps) == direct
 
 
 def test_kernel_forms_share_top_eigenvalue():
     pot = PotentialSpec(kind="gaussian", strength=12.0, range=1.0)
-    grid = RadialGrid(ell=0, r_max=25.0, n=500)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        calc = bs_kernel_radial(pot, grid, 0.4, form="calculus")
-        simi = bs_kernel_radial(pot, grid, 0.4, form="similarity")
-    top_c = np.linalg.eigvalsh(calc.entries)[-1]
-    top_s = np.linalg.eigvalsh(simi.entries)[-1]
-    assert top_c == pytest.approx(top_s, rel=1e-8)
-    assert bs_top_eigenvalue(pot, grid, 0.4) == pytest.approx(top_c, rel=1e-8)
+    for grid in (RadialGrid(ell=0, r_max=25.0, n=500),
+                 RadialGrid(ell=0, r_max=8.0, n=200, scheme="gauss_legendre")):
+        k = bs_kernel_radial(pot, grid, 0.4)
+        calc = _calculus_kernel(pot, grid, 0.4)
+        assert_top_spectra_agree(k, calc, 10)
+        top = np.linalg.eigvalsh(calc.entries)[-1]
+        assert bs_top_eigenvalue(pot, grid, 0.4) == pytest.approx(top, rel=1e-8)
+
+
+@pytest.mark.parametrize("level", [0, 1])
+def test_threshold_collision_excluded_from_counts(level):
+    # -eps sits exactly on a tridiagonal eigenvalue: the guard band drops it
+    pot = PotentialSpec(kind="square_well", strength=26.0, range=1.0)
+    grid = RadialGrid(ell=0, r_max=25.0, n=700)
+    lam = eigvalsh_tridiagonal(*_fd_diagonals(pot, grid))
+    eps = -lam[level]
+    assert eps > 0
+    assert negative_count(pot, grid, eps) == level
+    assert count_evs(quiet_hamiltonian(pot, grid), "<", -eps) == level
 
 
 def test_gauss_legendre_route_rejects_repulsion():
@@ -405,6 +446,29 @@ def test_critical_coupling_range_rescaling():
     r1 = find_critical_coupling_radial(shape1, g1, tol=0.05)
     r2 = find_critical_coupling_radial(shape2, g2, tol=0.05)
     assert r2.lambda_star == pytest.approx(r1.lambda_star / 4.0, rel=1e-9)
+
+
+def test_critical_coupling_counts_every_eigensolve(monkeypatch):
+    calls = []
+    original = radial._lowest_eigenvalue
+
+    def counted(pot, grid):
+        calls.append(grid.n)
+        return original(pot, grid)
+
+    monkeypatch.setattr(radial, "_lowest_eigenvalue", counted)
+    shape = PotentialSpec(kind="square_well", strength=1.0, range=1.0)
+    res = find_critical_coupling_radial(
+        shape, RadialGrid(ell=0, r_max=30.0, n=300), tol=0.1)
+    assert res.iterations == len(calls) - 1  # all but the final residual solve
+
+
+def test_critical_coupling_never_binds():
+    flat = PotentialSpec(kind="table", strength=1.0,
+                         table_r=np.array([0.5, 1.0]), table_v=np.zeros(2))
+    with pytest.raises(NeverBindsError, match="1e\\+06"):
+        find_critical_coupling_radial(flat, RadialGrid(ell=0, r_max=20.0, n=64),
+                                      tol=0.05)
 
 
 def test_critical_coupling_refinement_disagreement_raises():
