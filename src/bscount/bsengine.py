@@ -28,8 +28,8 @@ import numpy as np
 from .linop import (
     DEFAULT_SEED,
     SymOperator,
+    checked_eigenvalues,
     count_evs,
-    count_guard,
     hs_norm,
     rank_one_projection,
     spectral_decompose,
@@ -113,9 +113,7 @@ def count_bs(p: BsProblem) -> int:
     within the guard band of ``-eps``; the identity with count_direct is
     only asserted off thresholds, so the caller should perturb ``eps``.
     """
-    h = SymOperator(p.a.entries + p.b.entries)
-    lam = spectral_decompose(h).eigenvalues
-    eta = count_guard(h)
+    lam, eta = checked_eigenvalues(SymOperator(p.a.entries + p.b.entries))
     gap = np.min(np.abs(lam + p.epsilon))
     if gap < eta:
         raise ThresholdCollisionError(
@@ -127,7 +125,7 @@ def count_bs(p: BsProblem) -> int:
 
 def mu_max(p: BsProblem) -> float:
     """Largest eigenvalue of the Birman-Schwinger operator ``K(eps)``."""
-    return float(spectral_decompose(bs_operator(p)).eigenvalues[-1])
+    return float(checked_eigenvalues(bs_operator(p))[0][-1])
 
 
 def critical_coupling(a: SymOperator, b: SymOperator, tol: float) -> CriticalCouplingResult:
@@ -274,9 +272,7 @@ def random_problem(dim: int, rng=DEFAULT_SEED, *, singular_a: bool = False,
     b = SymOperator(0.5 * (b_mat + b_mat.T))
 
     eps = float(rng.uniform(0.05, 1.0)) if epsilon is None else float(epsilon)
-    h = SymOperator(a.entries + b.entries)
-    lam = spectral_decompose(h).eigenvalues
-    eta = count_guard(h)
+    lam, eta = checked_eigenvalues(SymOperator(a.entries + b.entries))
     for _ in range(64):
         if np.min(np.abs(lam + eps)) >= eta:
             break

@@ -65,8 +65,7 @@ from .linop import DEFAULT_SEED, SymOperator, count_evs, hs_norm
 from .radial import (
     PotentialSpec,
     RadialGrid,
-    bs_kernel_radial,
-    bs_top_eigenvalue,
+    bs_count_and_top,
     negative_count,
     resolvent_power_kernel,
 )
@@ -386,9 +385,7 @@ def _run_twobody(cfg, jobs):
         raise ValueError("scan.epsilons is empty")
 
     def one(eps):
-        direct = negative_count(pot, grid, eps)
-        via_kernel = count_evs(bs_kernel_radial(pot, grid, eps), ">", 1.0)
-        return direct, via_kernel, bs_top_eigenvalue(pot, grid, eps)
+        return (negative_count(pot, grid, eps), *bs_count_and_top(pot, grid, eps))
 
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         results = list(pool.map(one, epsilons))

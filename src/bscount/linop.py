@@ -1,10 +1,15 @@
 """Dense self-adjoint operator algebra on a finite-dimensional state space.
 
 Everything downstream (counting identities, projection subtraction, radial
-kernels) is built from the five primitives here: spectral decomposition,
-scalar functional calculus, guarded eigenvalue counting, Hilbert-Schmidt
-norms, and rank-one projections.  All values are immutable after
-construction and every operation is a pure function.
+kernels) is built from the primitives here: spectral decomposition, checked
+eigenvalues, scalar functional calculus, guarded eigenvalue counting,
+Hilbert-Schmidt norms, and rank-one projections.  All values are immutable
+after construction and every operation is a pure function.
+
+Counts need eigenvalues only: ``checked_eigenvalues`` runs ``eigvalsh`` and
+checks the result against the trace and Frobenius-norm invariants, both
+O(n^2).  ``spectral_decompose`` returns eigenvectors too and checks their
+residual and orthonormality; it serves the callers that use eigenvectors.
 """
 
 from __future__ import annotations
@@ -132,9 +137,41 @@ def op_function(a: SymOperator, f: Callable[[float], float]) -> SymOperator:
     return SymOperator(0.5 * (out + out.T))
 
 
+def _guard(fro: float) -> float:
+    return 1e-10 * (1.0 + fro)
+
+
 def count_guard(a: SymOperator) -> float:
     """Comparison guard band used by count_evs: 1e-10 * (1 + |A|_F)."""
-    return 1e-10 * (1.0 + float(np.linalg.norm(sym(a).entries)))
+    return _guard(hs_norm(a))
+
+
+def checked_eigenvalues(a: SymOperator) -> tuple[np.ndarray, float]:
+    """Ascending eigenvalues of ``a`` and its count guard band.
+
+    The eigenvalues come from ``eigvalsh`` and are checked against the two
+    invariants ``sum(lam) = tr A`` and ``sum(lam^2) = |A|_F^2``, within
+    ``eta`` and ``eta * (1 + |A|_F)`` for the guard ``eta = count_guard(a)``;
+    a failed check or a LAPACK failure raises RuntimeError.
+    """
+    a = sym(a)
+    try:
+        lam = np.linalg.eigvalsh(a.entries)
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError(f"eigenvalue solver did not converge: {exc}") from exc
+    fro = hs_norm(a)
+    eta = _guard(fro)
+    trace_defect = abs(float(np.sum(lam)) - float(np.trace(a.entries)))
+    if not trace_defect <= eta:
+        raise RuntimeError(
+            f"eigenvalue sum misses the trace by {trace_defect:.3e}, "
+            f"more than 1e-10*(1+|A|_F) = {eta:.3e}")
+    norm_defect = abs(float(lam @ lam) - fro**2)
+    if not norm_defect <= eta * (1.0 + fro):
+        raise RuntimeError(
+            f"eigenvalue square sum misses |A|_F^2 by {norm_defect:.3e}, "
+            f"more than 1e-10*(1+|A|_F)^2 = {eta * (1.0 + fro):.3e}")
+    return lam, eta
 
 
 def count_evs(a: SymOperator, relation: str, threshold: float,
@@ -143,14 +180,16 @@ def count_evs(a: SymOperator, relation: str, threshold: float,
 
     Strict relations exclude a guard band around the threshold and non-strict
     ones include it, so counts are exact whenever spectral gaps are large
-    compared to the band (default ``1e-10 * (1 + |A|_F)``).
+    compared to the band (default ``1e-10 * (1 + |A|_F)``).  The count needs
+    eigenvalues only; they come from ``checked_eigenvalues``, whose trace and
+    Frobenius-norm invariants stand in for eigenvector residual checks.
     """
-    a = sym(a)
     relation = _RELATION_ALIASES.get(relation, relation)
     if relation not in _RELATIONS:
         raise ValueError(f"unknown relation {relation!r}, expected one of {_RELATIONS}")
-    eta = count_guard(a) if guard is None else float(guard)
-    lam = spectral_decompose(a).eigenvalues
+    lam, eta = checked_eigenvalues(a)
+    if guard is not None:
+        eta = float(guard)
     if relation == ">":
         return int(np.count_nonzero(lam > threshold + eta))
     if relation == ">=":

@@ -29,7 +29,7 @@ from scipy.special import gamma as gamma_fn
 from scipy.special import roots_legendre
 
 from .bsengine import LAMBDA_CAP, CriticalCouplingResult, NeverBindsError
-from .linop import SymOperator
+from .linop import SymOperator, checked_eigenvalues
 
 POTENTIAL_KINDS = ("yukawa", "exponential", "gaussian", "square_well", "table")
 
@@ -371,6 +371,24 @@ def bs_top_eigenvalue(pot: PotentialSpec, grid: RadialGrid, eps: float) -> float
     return float(np.linalg.eigvalsh(block)[-1]) if block.size else 0.0
 
 
+def bs_count_and_top(pot: PotentialSpec, grid: RadialGrid, eps: float) -> tuple[int, float]:
+    """Kernel eigenvalues above 1 and the largest kernel eigenvalue at shift eps.
+
+    Both come from one checked eigensolve of the support block, which has
+    the nonzero spectrum and the Frobenius norm of ``bs_kernel_radial``, so
+    the count is ``count_evs(bs_kernel_radial(pot, grid, eps), ">", 1.0)``.
+    """
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps}")
+    if grid.scheme == "uniform_fd2":
+        _warn_if_box_small(pot, grid)
+    _, block = _bs_block(pot, grid, eps)
+    if not block.size:
+        return 0, 0.0
+    lam, eta = checked_eigenvalues(SymOperator(block))
+    return int(np.count_nonzero(lam > 1.0 + eta)), float(lam[-1])
+
+
 def kernel_critical_strength(pot: PotentialSpec, grid: RadialGrid) -> float:
     """Coupling at which the zero-shift kernel reaches eigenvalue one.
 
@@ -438,35 +456,43 @@ def _segment_edges(r_cut: float, breaks, per_unit: float) -> np.ndarray:
 
 
 def _rollnik_integral(pot: PotentialSpec, gamma: float, r_cut: float) -> float:
-    """(4 pi)^2 double radial integral of v_- v_- r r' <kernel> over [0, r_cut]^2."""
+    """(4 pi)^2 double radial integral of v_- v_- r r' <kernel> over [0, r_cut]^2.
+
+    The inner integral is split at the shape breaks and at the singular
+    diagonal point r' = r, with panels graded toward r on both sides.  Outer
+    nodes between the same breaks share that layout, so each such group gets
+    its inner nodes and weights as one (outer x inner) array, mapped from
+    unit-interval templates, and one vectorized integrand evaluation.
+    """
     t = 8.0 * gamma
     breaks = pot.breakpoints()
     per_unit = 24.0 / max(pot.support_radius(), 1e-12)
     r_out, w_out = _gl_on_panels(_segment_edges(r_cut, breaks, per_unit), m=12)
-    f_out = pot.v_minus(r_out) * r_out
+    wf_out = w_out * pot.v_minus(r_out) * r_out
+    cuts = np.unique([0.0, r_cut] + [b for b in breaks if 0.0 < b < r_cut])
+    x_uni, w_uni = _gl_on_panels(np.linspace(0.0, 1.0, 7))
+    x_up, w_up = _gl_on_panels(_graded_panels(0.0, 1.0, singular_at_a=False))
+    x_down, w_down = _gl_on_panels(_graded_panels(0.0, 1.0, singular_at_a=True))
+    # every segment on six uniform panels, used where it holds no diagonal point
+    width = np.diff(cuts)[:, None]
+    rp_seg = cuts[:-1, None] + width * x_uni
+    wp_seg = width * w_uni
     total = 0.0
-    inner_break = np.array([b for b in breaks if 0.0 < b < r_cut])
-    for r0, wf in zip(r_out, w_out * f_out):
-        if wf == 0.0:
+    for k, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
+        group = (r_out > a) & (r_out < b) & (wf_out != 0.0)
+        if not np.any(group):
             continue
-        # inner integral split at the singular diagonal point and shape breaks
-        cuts = np.unique(np.concatenate([[0.0, r0, r_cut], inner_break]))
-        rp_parts, wp_parts = [], []
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            if b == r0:
-                panel = _graded_panels(a, b, singular_at_a=False)
-            elif a == r0:
-                panel = _graded_panels(a, b, singular_at_a=True)
-            else:
-                panel = np.linspace(a, b, 7)
-            nodes, weights = _gl_on_panels(panel)
-            rp_parts.append(nodes)
-            wp_parts.append(weights)
-        rp = np.concatenate(rp_parts)
-        wp = np.concatenate(wp_parts)
-        inner = np.sum(wp * pot.v_minus(rp) * rp
-                       * _angular_reduced_kernel(r0, rp, t))
-        total += wf * inner
+        r0 = r_out[group][:, None]
+        rp_far = np.delete(rp_seg, k, axis=0).ravel()
+        wp_far = np.delete(wp_seg, k, axis=0).ravel()
+        shape = (r0.size, rp_far.size)
+        rp = np.concatenate([np.broadcast_to(rp_far, shape),
+                             a + (r0 - a) * x_up, r0 + (b - r0) * x_down], axis=1)
+        wp = np.concatenate([np.broadcast_to(wp_far, shape),
+                             (r0 - a) * w_up, (b - r0) * w_down], axis=1)
+        inner = np.sum(wp * pot.v_minus(rp) * rp * _angular_reduced_kernel(r0, rp, t),
+                       axis=1)
+        total += float(wf_out[group] @ inner)
     return (4.0 * np.pi) ** 2 * total
 
 
@@ -476,7 +502,10 @@ def rollnik_norm(pot: PotentialSpec, gamma: float = 0.0) -> float:
     Computes ``[iint v_-(x) v_-(y) / |x-y|^(2 - 8 gamma) d3x d3y]^(1/2)`` by
     reducing the angular integrals in closed form and integrating the
     remaining 2-d radial integrand with panels split at the (integrable)
-    diagonal singularity.
+    diagonal singularity.  The inner panels are batched: all outer nodes
+    between the same shape breaks are integrated in one vectorized pass.
+    The integral over ``[0, r_cut]^2`` is checked against the one over
+    ``[0, 2 r_cut]^2`` (tail fraction at most ``TAIL_LIMIT``).
     """
     if not 0.0 <= gamma < 0.125:
         raise ValueError(f"gamma must lie in [0, 1/8), got {gamma}")

@@ -143,6 +143,15 @@ def test_threshold_collision_detected():
         count_bs(p)
 
 
+@pytest.mark.parametrize("procedure", [count_bs, count_direct, mu_max])
+def test_eigenvalue_check_fires_in_counts(monkeypatch, procedure):
+    p = random_problem(8, rng=np.random.default_rng(11))
+    true_eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: true_eigvalsh(m) + 1e-6)
+    with pytest.raises(RuntimeError, match="trace"):
+        procedure(p)
+
+
 # ---------------------------------------------------------------------------
 # mu_max
 

@@ -1,5 +1,7 @@
 """Tests for the dense operator algebra primitives."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from bscount.linop import (
     DEFAULT_SEED,
     SymOperator,
+    checked_eigenvalues,
     count_evs,
     count_guard,
     hs_norm,
@@ -15,6 +18,8 @@ from bscount.linop import (
     spectral_decompose,
     sym,
 )
+from bscount.radial import PotentialSpec, RadialGrid, bs_kernel_radial, reduced_hamiltonian
+from test_acceptance import TWENTY_CASES
 
 
 def random_symmetric(rng, dim, scale=1.0):
@@ -163,6 +168,65 @@ def test_count_random_symmetric_vs_sorted_list():
         eta = count_guard(a)
         assert count_evs(a, ">", threshold) == int(np.sum(lam > threshold + eta))
         assert count_evs(a, "<=", threshold) == int(np.sum(lam <= threshold + eta))
+
+
+def _eigh_count(a, relation, threshold):
+    """Oracle: the count from the full ``eigh`` eigenvalues, same guard band."""
+    lam = np.linalg.eigh(a.entries)[0]
+    eta = count_guard(a)
+    return {">": int(np.sum(lam > threshold + eta)),
+            "<": int(np.sum(lam < threshold - eta))}[relation]
+
+
+def test_count_matches_eigh_count_on_radial_cases():
+    for kind, lam, ell, eps in TWENTY_CASES:
+        pot = PotentialSpec(kind=kind, strength=lam, range=1.0)
+        grid = RadialGrid(ell=ell, r_max=25.0, n=700)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            k = bs_kernel_radial(pot, grid, eps)
+            h = reduced_hamiltonian(pot, grid)
+        assert count_evs(k, ">", 1.0) == _eigh_count(k, ">", 1.0), (kind, lam, ell, eps)
+        assert count_evs(h, "<", -eps) == _eigh_count(h, "<", -eps), (kind, lam, ell, eps)
+
+
+def test_count_matches_eigh_count_on_random_corpus():
+    rng = np.random.default_rng(DEFAULT_SEED + 5)
+    for _ in range(200):
+        a = random_symmetric(rng, int(rng.integers(2, 40)), scale=2.0)
+        threshold = float(rng.uniform(-2, 2))
+        for relation in (">", "<"):
+            assert count_evs(a, relation, threshold) == _eigh_count(a, relation, threshold)
+
+
+def test_checked_eigenvalues_match_eigh_and_return_guard():
+    a = random_symmetric(np.random.default_rng(7), 30)
+    lam, eta = checked_eigenvalues(a)
+    np.testing.assert_allclose(lam, np.linalg.eigh(a.entries)[0], atol=1e-12)
+    assert np.all(np.diff(lam) >= 0)
+    assert eta == count_guard(a)
+
+
+@pytest.mark.parametrize("invariant,perturb", [
+    ("trace", lambda lam: lam + 1e-6),
+    # shifts two eigenvalues in opposite directions: the sum is unchanged
+    ("square sum", lambda lam: lam + 1e-4 * np.eye(lam.size)[0] - 1e-4 * np.eye(lam.size)[-1]),
+])
+def test_count_raises_on_eigenvalues_breaking_an_invariant(monkeypatch, invariant, perturb):
+    a = random_symmetric(np.random.default_rng(DEFAULT_SEED), 12)
+    true_eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: perturb(true_eigvalsh(m)))
+    with pytest.raises(RuntimeError, match=invariant):
+        count_evs(a, ">", 0.0)
+
+
+def test_count_turns_lapack_failure_into_runtime_error(monkeypatch):
+    def fail(m):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        count_evs(sym(np.eye(3)), ">", 0.0)
 
 
 # ---------------------------------------------------------------------------

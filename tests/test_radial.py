@@ -13,6 +13,7 @@ from bscount.radial import (
     MuScalingReport,
     PotentialSpec,
     RadialGrid,
+    bs_count_and_top,
     bs_kernel_radial,
     bs_top_eigenvalue,
     find_critical_coupling_radial,
@@ -26,7 +27,13 @@ from bscount.radial import (
     schwinger_bound_check,
 )
 from bscount import radial
-from bscount.radial import _fd_diagonals
+from bscount.radial import (
+    _angular_reduced_kernel,
+    _fd_diagonals,
+    _gl_on_panels,
+    _graded_panels,
+    _segment_edges,
+)
 
 DEFAULT_SEED = 0xB5C0
 
@@ -52,6 +59,38 @@ def _calculus_kernel(pot, grid, eps):
         root_g = (vec * (lam + eps) ** -0.5) @ vec.T
     calc = (root_g * pot.v_minus(r)) @ root_g
     return SymOperator(0.5 * (calc + calc.T))
+
+
+def _rollnik_integral_loop(pot, gamma, r_cut):
+    """Oracle: the Rollnik double integral with the inner panels laid out and
+    integrated one outer node at a time."""
+    t = 8.0 * gamma
+    breaks = pot.breakpoints()
+    per_unit = 24.0 / max(pot.support_radius(), 1e-12)
+    r_out, w_out = _gl_on_panels(_segment_edges(r_cut, breaks, per_unit), m=12)
+    f_out = pot.v_minus(r_out) * r_out
+    total = 0.0
+    inner_break = np.array([b for b in breaks if 0.0 < b < r_cut])
+    for r0, wf in zip(r_out, w_out * f_out):
+        if wf == 0.0:
+            continue
+        cuts = np.unique(np.concatenate([[0.0, r0, r_cut], inner_break]))
+        rp_parts, wp_parts = [], []
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            if b == r0:
+                panel = _graded_panels(a, b, singular_at_a=False)
+            elif a == r0:
+                panel = _graded_panels(a, b, singular_at_a=True)
+            else:
+                panel = np.linspace(a, b, 7)
+            nodes, weights = _gl_on_panels(panel)
+            rp_parts.append(nodes)
+            wp_parts.append(weights)
+        rp = np.concatenate(rp_parts)
+        wp = np.concatenate(wp_parts)
+        total += wf * np.sum(wp * pot.v_minus(rp) * rp
+                             * _angular_reduced_kernel(r0, rp, t))
+    return (4.0 * np.pi) ** 2 * total
 
 
 def assert_top_spectra_agree(kernel, oracle, rank):
@@ -292,6 +331,44 @@ def test_threshold_collision_excluded_from_counts(level):
     assert count_evs(quiet_hamiltonian(pot, grid), "<", -eps) == level
 
 
+@pytest.mark.parametrize("kind,lam,grid", [
+    ("square_well", 26.0, RadialGrid(ell=0, r_max=25.0, n=700)),
+    ("gaussian", 40.0, RadialGrid(ell=2, r_max=25.0, n=700)),
+    ("yukawa", 15.0, RadialGrid(ell=0, r_max=25.0, n=700)),
+    ("gaussian", 12.0, RadialGrid(ell=0, r_max=8.0, n=200, scheme="gauss_legendre")),
+])
+def test_bs_count_and_top_matches_kernel(kind, lam, grid):
+    pot = PotentialSpec(kind=kind, strength=lam, range=1.0)
+    for eps in (0.05, 0.5, 2.0):
+        count, top = bs_count_and_top(pot, grid, eps)
+        assert count == count_evs(bs_kernel_radial(pot, grid, eps), ">", 1.0)
+        # bs_count_and_top symmetrizes the block, which on gauss_legendre
+        # is symmetric only up to rounding
+        assert top == pytest.approx(bs_top_eigenvalue(pot, grid, eps), rel=1e-13)
+
+
+def test_bs_count_and_top_edge_cases():
+    grid = RadialGrid(ell=0, r_max=25.0, n=200)
+    repulsive = PotentialSpec(
+        kind="square_well", strength=0.0, range=1.0,
+        repulsive_part=PotentialSpec(kind="gaussian", strength=2.0, range=1.0))
+    assert bs_count_and_top(repulsive, grid, 0.5) == (0, 0.0)
+    well = PotentialSpec(kind="square_well", strength=26.0, range=1.0)
+    with pytest.raises(ValueError, match="eps"):
+        bs_count_and_top(well, grid, 0.0)
+    with pytest.warns(UserWarning, match="box effects"):
+        bs_count_and_top(well, RadialGrid(ell=0, r_max=5.0, n=200), 0.5)
+
+
+def test_bs_count_and_top_runs_the_eigenvalue_check(monkeypatch):
+    pot = PotentialSpec(kind="square_well", strength=26.0, range=1.0)
+    grid = RadialGrid(ell=0, r_max=25.0, n=700)
+    true_eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: true_eigvalsh(m) + 1e-6)
+    with pytest.raises(RuntimeError, match="trace"):
+        bs_count_and_top(pot, grid, 0.5)
+
+
 def test_gauss_legendre_route_rejects_repulsion():
     # strong core repulsion wins over the well near the origin, so v_+ > 0
     pot = PotentialSpec(
@@ -353,6 +430,40 @@ def test_rollnik_monte_carlo_oracle():
     mc = float(np.mean(w))
     pot = PotentialSpec(kind="yukawa", strength=1.0, range=1.0)
     assert rollnik_norm(pot, 0.0) ** 2 == pytest.approx(mc, rel=0.01)
+
+
+ROLLNIK_CASES = [
+    PotentialSpec(kind="square_well", strength=2.0, range=1.0),
+    PotentialSpec(kind="square_well", strength=8.0, range=1.0),
+    PotentialSpec(kind="square_well", strength=60.0, range=1.0),
+    PotentialSpec(kind="gaussian", strength=30.0, range=1.0),
+    PotentialSpec(kind="exponential", strength=18.0, range=1.0),
+    PotentialSpec(kind="yukawa", strength=8.0, range=1.0),
+    # a repulsive core puts a shape break at r = 0.4, inside r_cut = 1
+    PotentialSpec(kind="square_well", strength=5.0, range=1.0,
+                  repulsive_part=PotentialSpec(kind="square_well", strength=2.0,
+                                               range=0.4)),
+]
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.05])
+@pytest.mark.parametrize("pot", ROLLNIK_CASES, ids=lambda p: f"{p.kind}-{p.strength:g}")
+def test_rollnik_batched_matches_loop_oracle(pot, gamma):
+    r_cut = pot.support_radius()
+    for cut in (r_cut, 2.0 * r_cut):
+        oracle = _rollnik_integral_loop(pot, gamma, cut)
+        assert radial._rollnik_integral(pot, gamma, cut) == pytest.approx(oracle, rel=1e-12)
+    # rollnik_norm reports the integral over the doubled cut
+    assert rollnik_norm(pot, gamma) == pytest.approx(np.sqrt(oracle), rel=1e-12)
+
+
+def test_rollnik_batched_and_loop_vanish_on_pure_repulsion():
+    pot = PotentialSpec(
+        kind="square_well", strength=0.0, range=1.0,
+        repulsive_part=PotentialSpec(kind="gaussian", strength=2.0, range=1.0))
+    assert radial._rollnik_integral(pot, 0.05, pot.support_radius()) == 0.0
+    assert _rollnik_integral_loop(pot, 0.05, pot.support_radius()) == 0.0
+    assert rollnik_norm(pot, 0.05) == 0.0
 
 
 def test_rollnik_rejects_gamma_out_of_range():
