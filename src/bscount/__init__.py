@@ -16,7 +16,6 @@ The package has three layers:
 
 from .linop import (
     SymOperator,
-    SpectralDecomp,
     sym,
     spectral_decompose,
     op_function,
@@ -51,7 +50,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "SymOperator",
-    "SpectralDecomp",
     "sym",
     "spectral_decompose",
     "op_function",

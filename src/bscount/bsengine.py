@@ -87,17 +87,15 @@ class CriticalCouplingResult:
 
 def bs_operator(p: BsProblem) -> SymOperator:
     """The operator ``K(eps) = -(A+eps)^(-1/2) B (A+eps)^(-1/2)``, symmetrized."""
-    dec = spectral_decompose(p.a)
-    shifted = dec.eigenvalues + p.epsilon
+    lam, v = spectral_decompose(p.a)
+    shifted = lam + p.epsilon
     if np.min(shifted) <= 0:
         raise ValueError(
             f"A + eps*I is not positive definite: min shifted eigenvalue "
             f"{np.min(shifted):.3e} with eps={p.epsilon:g}"
         )
-    v = dec.eigenvectors
     s = (v * shifted**-0.5) @ v.T
-    k = -s @ p.b.entries @ s
-    return SymOperator(0.5 * (k + k.T))
+    return SymOperator(-s @ p.b.entries @ s)
 
 
 def count_direct(p: BsProblem) -> int:
@@ -128,6 +126,33 @@ def mu_max(p: BsProblem) -> float:
     return float(checked_eigenvalues(bs_operator(p))[0][-1])
 
 
+def _bisect_coupling(binds, tol: float, rel_tol: float) -> tuple[float, float, int]:
+    """Bracket ``(lo, hi]`` of the smallest coupling for which ``binds`` holds.
+
+    Doubles the coupling from 1 until ``binds`` holds, raising
+    NeverBindsError past ``LAMBDA_CAP``, then bisects until the bracket is
+    no wider than ``max(tol, rel_tol * hi)`` (``hi`` as found by doubling).
+    Returns ``(lo, hi, calls)``, ``calls`` counting every ``binds`` call.
+    """
+    calls = 1
+    lo, hi = 0.0, 1.0
+    while not binds(hi):
+        lo = hi
+        hi *= 2.0
+        if hi > LAMBDA_CAP:
+            raise NeverBindsError(f"no coupling up to {LAMBDA_CAP:g} binds")
+        calls += 1
+    width = max(tol, rel_tol * hi)
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        calls += 1
+        if binds(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi, calls
+
+
 def critical_coupling(a: SymOperator, b: SymOperator, tol: float) -> CriticalCouplingResult:
     """Largest coupling keeping ``A + lambda*B`` positive semidefinite.
 
@@ -146,27 +171,11 @@ def critical_coupling(a: SymOperator, b: SymOperator, tol: float) -> CriticalCou
         m = a.entries + lam * b.entries
         return float(np.linalg.eigvalsh(m)[0]), 1e-10 * (1.0 + np.linalg.norm(m))
 
-    iterations = 0
-    lo, hi = 0.0, 1.0
-    while True:
-        e, eta = min_eig(hi)
-        iterations += 1
-        if e < -eta:
-            break
-        lo = hi
-        hi *= 2.0
-        if hi > LAMBDA_CAP:
-            raise NeverBindsError(
-                f"A + lambda*B stays positive semidefinite up to lambda={LAMBDA_CAP:g}"
-            )
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        e, eta = min_eig(mid)
-        iterations += 1
-        if e >= -eta:
-            lo = mid
-        else:
-            hi = mid
+    def binds(lam: float) -> bool:
+        e, eta = min_eig(lam)
+        return e < -eta
+
+    lo, hi, iterations = _bisect_coupling(binds, tol, 0.0)
     lambda_star = 0.5 * (lo + hi)
     residual, _ = min_eig(lambda_star)
     return CriticalCouplingResult(
@@ -222,23 +231,23 @@ def rank_one_domination(f: np.ndarray, a: SymOperator, epsilon0: float, c: float
     if not c > 0:
         raise ValueError(f"c must be positive, got {c}")
     proj = rank_one_projection(f)  # validates and normalizes f
-    dec = spectral_decompose(a)
-    if dec.eigenvalues[0] < -1e-10 * (1.0 + np.linalg.norm(a.entries)):
+    lam, vec = spectral_decompose(a)
+    if lam[0] < -1e-10 * (1.0 + np.linalg.norm(a.entries)):
         raise ValueError(
-            f"A must be positive semidefinite: min eigenvalue {dec.eigenvalues[0]:.3e}"
+            f"A must be positive semidefinite: min eigenvalue {lam[0]:.3e}"
         )
     u = np.linalg.eigh(proj.entries)[1][:, -1]  # normalized copy of f
-    coeffs = dec.eigenvectors.T @ u
+    coeffs = vec.T @ u
     # tail norm above each candidate cutoff, scanning cutoffs in ascending order
     tail_sq = np.concatenate(([np.sum(coeffs**2)], np.sum(coeffs**2) - np.cumsum(coeffs**2)))
-    cutoffs = np.concatenate(([0.0], np.maximum(dec.eigenvalues, 0.0)))
+    cutoffs = np.concatenate(([0.0], np.maximum(lam, 0.0)))
     ok = np.sqrt(np.maximum(tail_sq, 0.0)) < c / 2.0
     if not np.any(ok):
         raise RuntimeError("no spectral cutoff keeps the tail below c/2")
     k0 = float(cutoffs[int(np.argmax(ok))])
     big_l = 2.0 * (k0 + epsilon0)
 
-    inv = (dec.eigenvectors / (dec.eigenvalues + epsilon0)) @ dec.eigenvectors.T
+    inv = (vec / (lam + epsilon0)) @ vec.T
     top = float(np.linalg.eigvalsh(proj.entries - big_l * inv)[-1])
     if top > c + 1e-10 * (1.0 + big_l):
         raise RuntimeError(
@@ -249,14 +258,14 @@ def rank_one_domination(f: np.ndarray, a: SymOperator, epsilon0: float, c: float
 
 
 def random_problem(dim: int, rng=DEFAULT_SEED, *, singular_a: bool = False,
-                   indefinite_b: bool = False, epsilon: float | None = None,
-                   noise: float = 0.3) -> BsProblem:
+                   indefinite_b: bool = False) -> BsProblem:
     """Seeded random counting problem for property corpora.
 
     ``A = Q^T D Q`` with ``D`` uniform on [0, 5] (first entry zeroed when
-    ``singular_a``), ``B = -G^T G`` with optional symmetric noise making it
-    sign-indefinite.  When a drawn ``eps`` collides with the spectrum of
-    ``A + B`` it is jittered by 1e-6 relative until the guard band clears.
+    ``singular_a``), ``B = -G^T G`` with optional symmetric noise of weight
+    0.3 making it sign-indefinite, and ``eps`` uniform on [0.05, 1].  When
+    ``eps`` collides with the spectrum of ``A + B`` it is jittered by 1e-6
+    relative until the guard band clears.
     """
     rng = np.random.default_rng(rng)
     q = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
@@ -268,10 +277,10 @@ def random_problem(dim: int, rng=DEFAULT_SEED, *, singular_a: bool = False,
     b_mat = -(g.T @ g)
     if indefinite_b:
         w = rng.standard_normal((dim, dim))
-        b_mat = b_mat + noise * 0.5 * (w + w.T) / np.sqrt(dim)
-    b = SymOperator(0.5 * (b_mat + b_mat.T))
+        b_mat = b_mat + 0.3 * 0.5 * (w + w.T) / np.sqrt(dim)
+    b = SymOperator(b_mat)
 
-    eps = float(rng.uniform(0.05, 1.0)) if epsilon is None else float(epsilon)
+    eps = float(rng.uniform(0.05, 1.0))
     lam, eta = checked_eigenvalues(SymOperator(a.entries + b.entries))
     for _ in range(64):
         if np.min(np.abs(lam + eps)) >= eta:

@@ -117,7 +117,6 @@ _COMMAND_KEYS = {
         "grid.ell": 0,
         "grid.r_max": 60.0,
         "grid.n": 1500,
-        "grid.scheme": "uniform_fd2",
         "scan.epsilons": [0.5],
     },
     "kernelcheck": {
@@ -379,7 +378,7 @@ def _load_potential(cfg) -> PotentialSpec:
 def _run_twobody(cfg, jobs):
     pot = _load_potential(cfg)
     grid = RadialGrid(ell=int(cfg["grid.ell"]), r_max=float(cfg["grid.r_max"]),
-                      n=int(cfg["grid.n"]), scheme=cfg["grid.scheme"])
+                      n=int(cfg["grid.n"]))
     epsilons = [float(e) for e in cfg["scan.epsilons"]]
     if not epsilons:
         raise ValueError("scan.epsilons is empty")

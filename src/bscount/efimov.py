@@ -26,8 +26,11 @@ from scipy.special import roots_legendre
 
 from .linop import SymOperator
 
-EQUAL_MASS_TOL = 1e-12
 UNITARITY_RTOL = 1e-8
+# trimer_spectrum: ladder points per decade of |E|, and the brentq tolerance
+# on log|E| (relative tolerance on the energy)
+POINTS_PER_DECADE = 4
+LEVEL_REL_TOL = 1e-10
 # widest gap between the c_i, relative to the largest, below which J takes
 # its confluent limit
 CONFLUENT_RTOL = 1e-6
@@ -55,7 +58,7 @@ class JacobiCoeffs:
 
 @dataclass(frozen=True, eq=False)
 class SeparableModel:
-    """Yamaguchi separable model: form-factor range, coupling, momentum grid.
+    """Yamaguchi model of three identical bosons: range, coupling, momentum grid.
 
     ``grid_c`` controls the node map ``p = p_max * t / (1 + c (1 - t))``
     concentrating Gauss-Legendre nodes at small momenta, where the trimer
@@ -66,7 +69,6 @@ class SeparableModel:
     lam: float
     p_max: float
     n_p: int
-    masses: tuple[float, float, float] = (1.0, 1.0, 1.0)
     grid_c: float = 3.0
 
     def __post_init__(self):
@@ -76,8 +78,6 @@ class SeparableModel:
             raise ValueError(f"coupling must be >= 0, got {self.lam}")
         if self.n_p < 64:
             raise ValueError(f"need n_p >= 64 quadrature points, got {self.n_p}")
-        if any(m <= 0 for m in self.masses):
-            raise ValueError("masses must be positive")
 
     def momentum_grid(self) -> tuple[np.ndarray, np.ndarray]:
         """Mapped Gauss-Legendre nodes and weights on (0, p_max)."""
@@ -237,9 +237,9 @@ class _KernelParts(NamedTuple):
 
 
 def _kernel_parts(model: SeparableModel) -> _KernelParts:
-    if max(model.masses) - min(model.masses) > EQUAL_MASS_TOL:
-        raise ValueError("the symmetrized one-channel kernel needs equal masses")
-    coeffs = jacobi_pair_coeffs(model.masses).a
+    # the one-channel kernel is the equal-mass one, and the Jacobi rotation
+    # does not depend on the mass scale
+    coeffs = jacobi_pair_coeffs((1.0, 1.0, 1.0)).a
     a11, a12 = float(coeffs[0, 0]), float(coeffs[0, 1])
     p, w = model.momentum_grid()
     return _KernelParts(
@@ -299,7 +299,7 @@ class TrimerLevel:
     cutoff_stable: bool
 
 
-def _crossing(parts: _KernelParts, level: int, lo, hi, rel_tol: float) -> float:
+def _crossing(parts: _KernelParts, level: int, lo, hi) -> float:
     """Energy where eigenvalue ``level`` (0 = largest) crosses 1.
 
     ``lo`` and ``hi`` are ``(log|E|, eigenvalues)`` at the bracket ends from
@@ -313,22 +313,22 @@ def _crossing(parts: _KernelParts, level: int, lo, hi, rel_tol: float) -> float:
             ev = _kernel_eigenvalues(parts, -np.exp(log_abs_e))
         return ev[-1 - level] - 1.0
 
-    return -float(np.exp(scipy.optimize.brentq(excess, lo[0], hi[0], xtol=rel_tol)))
+    return -float(np.exp(scipy.optimize.brentq(excess, lo[0], hi[0],
+                                               xtol=LEVEL_REL_TOL)))
 
 
-def trimer_spectrum(model: SeparableModel, e_floor: float, *,
-                    rel_tol: float = 1e-10,
-                    points_per_decade: int = 4) -> list[TrimerLevel]:
+def trimer_spectrum(model: SeparableModel, e_floor: float) -> list[TrimerLevel]:
     """All kernel-eigenvalue-1 crossings between ``e_floor`` and the grid floor.
 
-    Scans ``|E|`` downward from ``|e_floor|`` on a logarithmic ladder, using
-    the eigenvalue count at-or-above 1 (each trimer adds one) to bracket
-    every crossing, and refines each bracket with ``brentq`` on the
-    crossing eigenvalue minus 1 in ``log |E|`` to ``rel_tol`` relative.  The
-    scan stops where the momentum grid can no longer resolve the states
-    (binding momentum within a decade of the smallest node) or, above the
-    two-body binding coupling, at the dimer threshold; levels below ten
-    times the infrared node are flagged cutoff-unstable.
+    Scans ``|E|`` downward from ``|e_floor|`` on a logarithmic ladder of
+    ``POINTS_PER_DECADE`` points per decade, using the eigenvalue count
+    at-or-above 1 (each trimer adds one) to bracket every crossing, and
+    refines each bracket with ``brentq`` on the crossing eigenvalue minus 1
+    in ``log |E|`` to ``LEVEL_REL_TOL`` relative.  The scan stops where the
+    momentum grid can no longer resolve the states (binding momentum within
+    a decade of the smallest node) or, above the two-body binding coupling,
+    at the dimer threshold; levels below ten times the infrared node are
+    flagged cutoff-unstable.
     """
     if not e_floor < 0:
         raise ValueError(f"e_floor must be negative, got {e_floor}")
@@ -346,7 +346,7 @@ def trimer_spectrum(model: SeparableModel, e_floor: float, *,
         raise ValueError(
             f"levels exist below e_floor = {e_floor:g}; deepen the floor")
 
-    ratio = 10.0 ** (1.0 / points_per_decade)
+    ratio = 10.0 ** (1.0 / POINTS_PER_DECADE)
     energies: list[float] = []
     abs_hi = abs(e_floor)
     count_hi = 0
@@ -356,7 +356,7 @@ def trimer_spectrum(model: SeparableModel, e_floor: float, *,
         count_lo = int(np.sum(ev_lo >= 1.0))
         for level in range(count_hi, count_lo):
             energies.append(_crossing(parts, level, (np.log(abs_lo), ev_lo),
-                                      (np.log(abs_hi), ev_hi), rel_tol))
+                                      (np.log(abs_hi), ev_hi)))
         count_hi, abs_hi, ev_hi = count_lo, abs_lo, ev_lo
     stable_floor = (10.0 * p_min) ** 2
     return [TrimerLevel(energy=e, cutoff_stable=abs(e) >= stable_floor)

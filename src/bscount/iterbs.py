@@ -9,8 +9,10 @@ transform
 preserves the number of eigenvalues above 1 at every stage (a congruence,
 hence Sylvester inertia).  The same ``T_k`` admits the closed form
 ``K - sum_i mu_i P_i + M_k`` where ``M_k`` obeys a recurrence in the
-remainder operators ``R_j = (1 - mu_j P_j)^(-1/2) - 1``; this module runs
-both routes and checks them against each other.
+remainder operators ``R_j = (1 - mu_j P_j)^(-1/2) - 1``; ``iterate`` runs
+both and checks them against each other within ``CONSISTENCY_TOL``.
+``(1 - mu P)^(-1/2)`` has one route, its closed form for an orthogonal
+projection.
 """
 
 from __future__ import annotations
@@ -19,12 +21,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linop import SymOperator, op_function, sym
+from .linop import SymOperator, sym
 
 PROJECTION_TOL = 1e-10       # |P^2 - P|_F acceptance
 SPECTRAL_COMPAT_TOL = 1e-8   # |(K_part - mu P) P|_F at construction
 SPECTRAL_RUN_TOL = 1e-6      # |(K_part - mu P) R|_F allowed inside iterate
 CONSISTENCY_TOL = 1e-8       # recurrence vs conjugation residual
+
+
+def _check_projection(p: SymOperator) -> None:
+    """Reject ``p`` unless ``|P^2 - P|_F <= PROJECTION_TOL``."""
+    idem = float(np.linalg.norm(p.entries @ p.entries - p.entries))
+    if idem > PROJECTION_TOL:
+        raise ValueError(f"P is not a projection: |P^2 - P|_F = {idem:.3e}")
 
 
 @dataclass(frozen=True)
@@ -49,9 +58,7 @@ class ProjectionStep:
         object.__setattr__(self, "l_part", sym(self.l_part))
         if not 0.0 < self.mu < 1.0:
             raise ValueError(f"mu must lie in (0, 1), got {self.mu}")
-        idem = float(np.linalg.norm(p.entries @ p.entries - p.entries))
-        if idem > PROJECTION_TOL:
-            raise ValueError(f"P is not a projection: |P^2 - P|_F = {idem:.3e}")
+        _check_projection(p)
         if float(np.trace(p.entries)) < 0.5:
             raise ValueError("P must be a nonzero projection")
         compat = float(np.linalg.norm(
@@ -95,19 +102,18 @@ def step_from_top_eigenpair(k_total: SymOperator, k_part: SymOperator) -> Projec
     return projection_step(k_total, k_part, p, mu)
 
 
-def random_spectral_step(k_total: SymOperator, rng,
-                         mu_range: tuple[float, float] = (0.3, 0.95)) -> ProjectionStep:
+def random_spectral_step(k_total: SymOperator, rng) -> ProjectionStep:
     """Random subsystem split for property corpora.
 
     Draws ``K_part`` in a random orthonormal basis with a designated top
-    eigenvalue ``mu`` inside ``mu_range`` and its top eigenvector as the
+    eigenvalue ``mu`` uniform on [0.3, 0.95] and its top eigenvector as the
     rank-one channel; ``L_part`` is the remainder against ``k_total``.
     """
     rng = np.random.default_rng(rng)
     k_total = sym(k_total)
     dim = k_total.dim
     q = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
-    mu = float(rng.uniform(*mu_range))
+    mu = float(rng.uniform(0.3, 0.95))
     lam = rng.uniform(-0.5, mu - 0.1, size=dim)
     lam[0] = mu
     k_part = SymOperator((q * lam) @ q.T)
@@ -118,24 +124,17 @@ def random_spectral_step(k_total: SymOperator, rng,
 def inv_sqrt_one_minus(p: SymOperator, mu: float) -> SymOperator:
     """``(1 - mu P)^(-1/2)`` for a projection ``P`` and weight ``mu`` in (0, 1).
 
-    Rank-one projections use the closed form ``1 + (1/sqrt(1-mu) - 1) P``;
-    higher rank falls back to spectral functional calculus.  Both routes are
-    cross-checked against each other to 1e-10.
+    ``1 - mu P`` is ``1 - mu`` on the range of an orthogonal projection and
+    1 on its complement, so the closed form ``1 + (1/sqrt(1-mu) - 1) P`` is
+    exact at any rank.  ``P`` must pass the ``|P^2 - P|_F <= PROJECTION_TOL``
+    check of ``ProjectionStep``; otherwise ValueError.
     """
     p = sym(p)
     if not 0.0 < mu < 1.0:
         raise ValueError(f"mu must lie in (0, 1), got {mu}")
-    closed = SymOperator(
+    _check_projection(p)
+    return SymOperator(
         np.eye(p.dim) + (1.0 / np.sqrt(1.0 - mu) - 1.0) * p.entries)
-    spectral = op_function(SymOperator(np.eye(p.dim) - mu * p.entries),
-                           lambda x: x**-0.5)
-    gap = float(np.linalg.norm(closed.entries - spectral.entries))
-    if gap > 1e-10 * (1.0 + np.linalg.norm(closed.entries)):
-        raise RuntimeError(
-            f"closed form and spectral calculus disagree by {gap:.3e}")
-    if float(np.trace(p.entries)) <= 1.5:
-        return closed
-    return spectral
 
 
 def r_operator(p: SymOperator, mu: float) -> SymOperator:
@@ -149,12 +148,10 @@ def bs_step(t: SymOperator, step: ProjectionStep) -> SymOperator:
     """One conjugation stage: ``(1-muP)^(-1/2) (T - muP) (1-muP)^(-1/2)``."""
     t = sym(t)
     w = inv_sqrt_one_minus(step.p, step.mu).entries
-    out = w @ (t.entries - step.mu * step.p.entries) @ w
-    return SymOperator(0.5 * (out + out.T))
+    return SymOperator(w @ (t.entries - step.mu * step.p.entries) @ w)
 
 
-def iterate(k_total: SymOperator, steps: list[ProjectionStep], *,
-            consistency_tol: float = CONSISTENCY_TOL) -> list[StageResult]:
+def iterate(k_total: SymOperator, steps: list[ProjectionStep]) -> list[StageResult]:
     """Run the full subtraction pipeline, checking the remainder recurrence.
 
     Per stage the transform is computed twice: by direct conjugation and as
@@ -163,7 +160,7 @@ def iterate(k_total: SymOperator, steps: list[ProjectionStep], *,
         M_k = (1+R_k) M_{k-1} (1+R_k) + R_k C_k R_k + R_k C_k + C_k R_k,
         C_k = L_k - sum_{i<k} mu_i P_i,
 
-    (``M_0 = 0``).  The two must agree within ``consistency_tol`` in
+    (``M_0 = 0``).  The two must agree within ``CONSISTENCY_TOL`` in
     Frobenius norm; intermediate products are accumulated unsymmetrized and
     the symmetry of each ``M_k`` is itself checked when wrapping the result.
     """
@@ -195,9 +192,9 @@ def iterate(k_total: SymOperator, steps: list[ProjectionStep], *,
         t = bs_step(t, step)
         reconstructed = k_total.entries - p_sum + m
         residual = float(np.linalg.norm(t.entries - reconstructed))
-        if residual > consistency_tol:
+        if residual > CONSISTENCY_TOL:
             raise RuntimeError(
                 f"step {idx}: recurrence disagrees with conjugation by {residual:.3e} "
-                f"(allowed {consistency_tol:g})")
+                f"(allowed {CONSISTENCY_TOL:g})")
         out.append(StageResult(t=t, m=SymOperator(m), consistency_residual=residual))
     return out

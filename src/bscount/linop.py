@@ -68,14 +68,6 @@ class SymOperator:
         return f"SymOperator(dim={self.dim})"
 
 
-@dataclass(frozen=True)
-class SpectralDecomp:
-    """Eigenvalues (ascending) and orthonormal eigenvectors of a SymOperator."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 def sym(entries) -> SymOperator:
     """Shorthand constructor, accepting anything array-like."""
     if isinstance(entries, SymOperator):
@@ -83,12 +75,13 @@ def sym(entries) -> SymOperator:
     return SymOperator(np.asarray(entries, dtype=float))
 
 
-def spectral_decompose(a: SymOperator) -> SpectralDecomp:
+def spectral_decompose(a: SymOperator) -> tuple[np.ndarray, np.ndarray]:
     """Full eigendecomposition of a symmetric operator.
 
-    Returns eigenvalues in ascending order with orthonormal eigenvector
-    columns.  The residual invariants ``|A V - V diag(lam)|_F`` and
-    ``|V^T V - I|_F`` are checked before returning.
+    Returns ``(eigenvalues, eigenvectors)``: eigenvalues in ascending order
+    and orthonormal eigenvector columns.  The residual invariants
+    ``|A V - V diag(lam)|_F`` and ``|V^T V - I|_F`` are checked before
+    returning.
     """
     a = sym(a)
     try:
@@ -106,7 +99,7 @@ def spectral_decompose(a: SymOperator) -> SpectralDecomp:
         raise RuntimeError(f"eigenvector orthonormality defect {ortho:.3e} exceeds 1e-10")
     lam.setflags(write=False)
     vec.setflags(write=False)
-    return SpectralDecomp(eigenvalues=lam, eigenvectors=vec)
+    return lam, vec
 
 
 def op_function(a: SymOperator, f: Callable[[float], float]) -> SymOperator:
@@ -117,10 +110,10 @@ def op_function(a: SymOperator, f: Callable[[float], float]) -> SymOperator:
     offending eigenvalue.
     """
     a = sym(a)
-    dec = spectral_decompose(a)
+    eigenvalues, v = spectral_decompose(a)
     values = np.empty(a.dim)
     with np.errstate(all="ignore"):
-        for i, lam in enumerate(dec.eigenvalues):
+        for i, lam in enumerate(eigenvalues):
             try:
                 y = float(f(lam))
             except (ValueError, ZeroDivisionError, OverflowError) as exc:
@@ -132,9 +125,7 @@ def op_function(a: SymOperator, f: Callable[[float], float]) -> SymOperator:
                     f"function value {y!r} at eigenvalue {lam!r} is not finite"
                 )
             values[i] = y
-    v = dec.eigenvectors
-    out = (v * values) @ v.T
-    return SymOperator(0.5 * (out + out.T))
+    return SymOperator((v * values) @ v.T)
 
 
 def _guard(fro: float) -> float:
@@ -174,13 +165,12 @@ def checked_eigenvalues(a: SymOperator) -> tuple[np.ndarray, float]:
     return lam, eta
 
 
-def count_evs(a: SymOperator, relation: str, threshold: float,
-              guard: float | None = None) -> int:
+def count_evs(a: SymOperator, relation: str, threshold: float) -> int:
     """Count eigenvalues satisfying ``relation threshold``, with multiplicities.
 
     Strict relations exclude a guard band around the threshold and non-strict
     ones include it, so counts are exact whenever spectral gaps are large
-    compared to the band (default ``1e-10 * (1 + |A|_F)``).  The count needs
+    compared to the band ``1e-10 * (1 + |A|_F)``.  The count needs
     eigenvalues only; they come from ``checked_eigenvalues``, whose trace and
     Frobenius-norm invariants stand in for eigenvector residual checks.
     """
@@ -188,8 +178,6 @@ def count_evs(a: SymOperator, relation: str, threshold: float,
     if relation not in _RELATIONS:
         raise ValueError(f"unknown relation {relation!r}, expected one of {_RELATIONS}")
     lam, eta = checked_eigenvalues(a)
-    if guard is not None:
-        eta = float(guard)
     if relation == ">":
         return int(np.count_nonzero(lam > threshold + eta))
     if relation == ">=":

@@ -28,13 +28,17 @@ import scipy.linalg
 from scipy.special import gamma as gamma_fn
 from scipy.special import roots_legendre
 
-from .bsengine import LAMBDA_CAP, CriticalCouplingResult, NeverBindsError
+from .bsengine import CriticalCouplingResult, _bisect_coupling
 from .linop import SymOperator, checked_eigenvalues
 
 POTENTIAL_KINDS = ("yukawa", "exponential", "gaussian", "square_well", "table")
 
 # tail fraction above which a radial quadrature is declared divergent
 TAIL_LIMIT = 1e-3
+
+# schwinger_bound_check's grid size and the highest partial wave it visits
+SCHWINGER_N = 1500
+SCHWINGER_ELL_MAX = 25
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,16 +175,6 @@ class RadialGrid:
             return np.full(self.n, self.h)
         _, w = roots_legendre(self.n)
         return 0.5 * self.r_max * w
-
-    def refined(self, factor: int = 2, *, box_factor: int = 1) -> "RadialGrid":
-        """Refined copy: ``factor`` scales n, ``box_factor`` scales r_max too.
-
-        ``refined(2)`` halves the mesh at fixed box; ``refined(2, box_factor=2)``
-        doubles the box at fixed mesh spacing (the converging family for
-        threshold quantities whose error is dominated by the box).
-        """
-        return replace(self, n=self.n * factor,
-                       r_max=self.r_max * box_factor)
 
 
 @dataclass(frozen=True, eq=False)
@@ -521,26 +515,26 @@ def rollnik_norm(pot: PotentialSpec, gamma: float = 0.0) -> float:
     return float(np.sqrt(extended))
 
 
-def schwinger_bound_check(pot: PotentialSpec, *, n: int = 1500,
-                          r_max: float | None = None,
-                          ell_max: int = 25) -> tuple[int, float]:
+def schwinger_bound_check(pot: PotentialSpec) -> tuple[int, float]:
     """Total bound-state count against the Rollnik-norm counting bound.
 
     Sums ``(2 ell + 1) x (negative eigenvalues at wave ell)`` over partial
     waves until a wave carries none, and checks the total against
-    ``(4 pi)^-2 c_0^2`` with ``c_0`` the Rollnik norm of ``v_-``.
+    ``(4 pi)^-2 c_0^2`` with ``c_0`` the Rollnik norm of ``v_-``.  Each wave
+    is counted on ``SCHWINGER_N`` points in a box of radius
+    ``max(25 range, 12)``; bound states still present at
+    ``SCHWINGER_ELL_MAX`` raise RuntimeError.
     """
-    if r_max is None:
-        r_max = max(25.0 * pot.range, 12.0)
+    r_max = max(25.0 * pot.range, 12.0)
     total = 0
-    for ell in range(ell_max + 1):
-        count = negative_count(pot, RadialGrid(ell=ell, r_max=r_max, n=n))
+    for ell in range(SCHWINGER_ELL_MAX + 1):
+        count = negative_count(pot, RadialGrid(ell=ell, r_max=r_max, n=SCHWINGER_N))
         if count == 0:
             break
         total += (2 * ell + 1) * count
     else:
         raise RuntimeError(
-            f"bound states persist at ell = {ell_max}; raise ell_max or "
+            f"bound states persist at ell = {SCHWINGER_ELL_MAX}; "
             f"check the potential")
     c0 = rollnik_norm(pot, 0.0)
     bound = c0**2 / (4.0 * np.pi) ** 2
@@ -555,8 +549,7 @@ def schwinger_bound_check(pot: PotentialSpec, *, n: int = 1500,
 # resolvent-power kernel
 
 
-def resolvent_power_kernel(gamma: float, eps: float, r_dist: float, *,
-                           method: str = "log") -> float:
+def resolvent_power_kernel(gamma: float, eps: float, r_dist: float) -> float:
     """Diagonal-distance kernel of ``(-Laplacian + eps)^(-(1+2 gamma))`` in 3-d.
 
     Evaluates
@@ -565,8 +558,8 @@ def resolvent_power_kernel(gamma: float, eps: float, r_dist: float, *,
                     * Int_0^inf t^(-3/(2p)) exp(-eps t^(1/p) - R^2 t^(-1/p)/4) dt
 
     with ``p = 1 + 2 gamma in [1, 3/2)`` by adaptive quadrature after the
-    substitution ``u = t^(1/p)`` (``method="log"`` additionally maps
-    ``u = e^x``; ``method="direct"`` integrates in u).  The closed-form
+    substitutions ``u = t^(1/p)`` and ``u = e^x``, over 60 units of ``x``
+    on either side of the integrand's peak.  The closed-form
     upper bound ``2^(-2p) Gamma(3/2-p) / (pi^(3/2) Gamma(p)) R^(2p-3)``
     is asserted before returning.
     """
@@ -576,24 +569,15 @@ def resolvent_power_kernel(gamma: float, eps: float, r_dist: float, *,
     if not (eps > 0 and r_dist > 0):
         raise ValueError("eps and R must be positive")
 
-    def integrand_u(u):
-        return p * u ** (p - 2.5) * np.exp(-eps * u - r_dist**2 / (4.0 * u))
+    # u = e^x turns the endpoint singularity into double-exponential decay
+    def integrand_x(x):
+        u = np.exp(x)
+        return p * u ** (p - 1.5) * np.exp(-eps * u - r_dist**2 / (4.0 * u))
 
-    if method == "log":
-        # u = e^x turns the endpoint singularity into double-exponential decay
-        def integrand_x(x):
-            u = np.exp(x)
-            return p * u ** (p - 1.5) * np.exp(-eps * u - r_dist**2 / (4.0 * u))
-
-        x_peak = np.log(r_dist / (2.0 * np.sqrt(eps)))
-        integral, _ = scipy.integrate.quad(
-            integrand_x, x_peak - 60.0, x_peak + 60.0, epsabs=0.0,
-            epsrel=1e-12, limit=400)
-    elif method == "direct":
-        integral, _ = scipy.integrate.quad(
-            integrand_u, 0.0, np.inf, epsabs=0.0, epsrel=1e-12, limit=400)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    x_peak = np.log(r_dist / (2.0 * np.sqrt(eps)))
+    integral, _ = scipy.integrate.quad(
+        integrand_x, x_peak - 60.0, x_peak + 60.0, epsabs=0.0,
+        epsrel=1e-12, limit=400)
 
     value = (4.0 * np.pi) ** -1.5 / (p * gamma_fn(p)) * integral
     bound = (2.0 ** (-2.0 * p) * gamma_fn(1.5 - p)
@@ -619,8 +603,8 @@ def find_critical_coupling_radial(pot_shape: PotentialSpec, grid: RadialGrid,
     couplings must agree within ``tol / 2``.  The dominant error for a
     threshold state is the 1/r_max truncation of its flat tail, which the
     pair removes by extrapolation.  ``iterations`` counts every bracketing
-    and bisection eigensolve; NeverBindsError is raised when no coupling up
-    to ``LAMBDA_CAP`` binds.
+    and bisection eigensolve; ``bsengine.NeverBindsError`` is raised when
+    no coupling up to ``bsengine.LAMBDA_CAP`` binds.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -628,34 +612,16 @@ def find_critical_coupling_radial(pot_shape: PotentialSpec, grid: RadialGrid,
         raise ValueError("critical couplings are located on the uniform_fd2 scheme")
     shape = pot_shape.with_strength(1.0)
 
-    iterations = 0
-
-    def binds(lam: float, g: RadialGrid) -> bool:
-        nonlocal iterations
-        iterations += 1
-        return _lowest_eigenvalue(shape.with_strength(lam), g) < 0.0
-
-    def locate(g: RadialGrid) -> tuple[float, float, float]:
-        lo, hi = 0.0, 1.0
-        while not binds(hi, g):
-            lo = hi
-            hi *= 2.0
-            if hi > LAMBDA_CAP:
-                raise NeverBindsError(f"no binding up to coupling {LAMBDA_CAP:g}")
+    def locate(g: RadialGrid) -> tuple[float, float, int]:
         # bisect far below tol so the refinement comparison is not noise-limited
-        width_target = max(min(tol, 1e-4) * 1e-6, 1e-13 * hi)
-        while hi - lo > width_target:
-            mid = 0.5 * (lo + hi)
-            if binds(mid, g):
-                hi = mid
-            else:
-                lo = mid
-        lam = 0.5 * (lo + hi)
-        return lam, lo, hi
+        return _bisect_coupling(
+            lambda lam: _lowest_eigenvalue(shape.with_strength(lam), g) < 0.0,
+            min(tol, 1e-4) * 1e-6, 1e-13)
 
-    fine = grid.refined(2, box_factor=2)
-    lam_coarse, _, _ = locate(grid)
-    lam_fine, lo_f, hi_f = locate(fine)
+    fine = replace(grid, n=2 * grid.n, r_max=2.0 * grid.r_max)
+    lo_c, hi_c, calls_c = locate(grid)
+    lo_f, hi_f, calls_f = locate(fine)
+    lam_coarse, lam_fine = 0.5 * (lo_c + hi_c), 0.5 * (lo_f + hi_f)
     gap = abs(lam_fine - lam_coarse)
     if gap > tol / 2.0:
         raise RuntimeError(
@@ -668,7 +634,7 @@ def find_critical_coupling_radial(pot_shape: PotentialSpec, grid: RadialGrid,
     return CriticalCouplingResult(
         lambda_star=lam_star,
         bracket=(lam_star - half, lam_star + half),
-        iterations=iterations,
+        iterations=calls_c + calls_f,
         residual_min_eig=residual,
     )
 

@@ -95,6 +95,21 @@ def test_unknown_key_exits_2_without_outputs(tmp_path, capsys):
     assert not out.exists() or not list(out.iterdir())
 
 
+def test_twobody_grid_scheme_is_an_unknown_key(tmp_path, capsys):
+    # twobody counts on the finite-difference grid only, so it takes no scheme
+    cfg = write(tmp_path, "tb.conf",
+                'command = "twobody"\n'
+                "grid.n = 600\n"
+                '  grid.scheme = "gauss_legendre"\n')
+    out = tmp_path / "out"
+    status = main(["twobody", "--config", cfg, "--out", str(out)])
+    assert status == EXIT_PARSE_ERROR
+    err = capsys.readouterr().err
+    assert "unknown key 'grid.scheme'" in err
+    assert "line 3, column 3" in err
+    assert not out.exists() or not list(out.iterdir())
+
+
 def test_verify_small_run_writes_reports(tmp_path):
     cfg = write(tmp_path, "v.conf",
                 'command = "verify"\n'

@@ -191,13 +191,6 @@ def test_kernel_rejects_nonnegative_energy():
         three_boson_kernel(unitary_model(n_p=128), 0.0)
 
 
-def test_kernel_requires_equal_masses():
-    m = SeparableModel(beta=1.0, lam=LAM_U, p_max=40.0, n_p=128,
-                       masses=(1.0, 1.0, 2.0))
-    with pytest.raises(ValueError, match="equal masses"):
-        three_boson_kernel(m, -1.0)
-
-
 TRIPLE_S = 0.5  # s = q with s^2 + |E| = beta^2: all three c_i coincide
 
 

@@ -73,6 +73,27 @@ def test_inv_sqrt_higher_rank_projection():
     np.testing.assert_allclose(product, np.eye(5), atol=1e-12)
 
 
+def inv_sqrt_spectral(p, mu):
+    """Oracle: ``(1 - mu P)^(-1/2)`` by spectral calculus on ``1 - mu P``."""
+    lam, vec = np.linalg.eigh(np.eye(p.dim) - mu * p.entries)
+    return (vec * lam**-0.5) @ vec.T
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_inv_sqrt_matches_spectral_calculus(rank):
+    rng = np.random.default_rng(20 + rank)
+    for mu in (1e-6, 0.3, 0.75, 0.99):
+        q = np.linalg.qr(rng.standard_normal((6, 6)))[0][:, :rank]
+        p = SymOperator(q @ q.T)
+        np.testing.assert_allclose(inv_sqrt_one_minus(p, mu).entries,
+                                   inv_sqrt_spectral(p, mu), rtol=0.0, atol=1e-12)
+
+
+def test_inv_sqrt_rejects_non_projection():
+    with pytest.raises(ValueError, match="not a projection"):
+        inv_sqrt_one_minus(sym(0.5 * np.eye(3)), 0.5)
+
+
 def test_inv_sqrt_rejects_bad_mu():
     p = rank_one_projection(np.array([1.0, 0.0]))
     for mu in (0.0, 1.0, 1.5, -0.2):

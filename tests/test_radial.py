@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
 from scipy.linalg import eigvalsh_tridiagonal
+from scipy.special import gamma as gamma_fn
 
 from bscount.bsengine import NeverBindsError
 from bscount.linop import SymOperator, count_evs, op_function
@@ -516,10 +517,23 @@ def test_resolvent_kernel_bound_at_gamma_zero():
     assert value <= 1.0 / (4 * np.pi * 1.5)
 
 
+def _resolvent_kernel_direct(gamma, eps, r_dist):
+    """Oracle: the resolvent-power integral in ``u = t^(1/p)`` over (0, inf)."""
+    p = 1.0 + 2.0 * gamma
+
+    def integrand_u(u):
+        return p * u ** (p - 2.5) * np.exp(-eps * u - r_dist**2 / (4.0 * u))
+
+    integral, _ = quad(integrand_u, 0.0, np.inf, epsabs=0.0, epsrel=1e-12, limit=400)
+    return (4.0 * np.pi) ** -1.5 / (p * gamma_fn(p)) * integral
+
+
 def test_resolvent_kernel_two_substitutions_agree():
-    a = resolvent_power_kernel(0.2, 1.0, 2.0, method="log")
-    b = resolvent_power_kernel(0.2, 1.0, 2.0, method="direct")
-    assert a == pytest.approx(b, rel=1e-8)
+    points = [(g, e, r) for g in (0.0, 0.1, 0.2, 0.24)
+              for e in (0.01, 1.0, 10.0) for r in (0.2, 2.0, 5.0)]
+    for gamma, eps, r_dist in points:
+        assert resolvent_power_kernel(gamma, eps, r_dist) == pytest.approx(
+            _resolvent_kernel_direct(gamma, eps, r_dist), rel=1e-8)
 
 
 def test_resolvent_kernel_rejects_large_power():
