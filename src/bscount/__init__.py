@@ -3,7 +3,7 @@
 The package has three layers:
 
 * ``linop`` / ``bsengine`` / ``iterbs`` -- exact finite-dimensional operator
-  algebra: spectral calculus, the Birman-Schwinger counting identity, and the
+  algebra: checked spectra, the Birman-Schwinger counting identity, and the
   iterated projection-subtraction transform with its recurrence.
 * ``radial`` -- two-body continuum experiments on radial grids: bound-state
   counts two ways, critical couplings, Rollnik/Schwinger bounds, and
@@ -18,7 +18,6 @@ from .linop import (
     SymOperator,
     sym,
     spectral_decompose,
-    op_function,
     count_evs,
     hs_norm,
     rank_one_projection,
@@ -43,7 +42,6 @@ from .iterbs import (
     r_operator,
     bs_step,
     iterate,
-    step_from_top_eigenpair,
 )
 
 __version__ = "0.1.0"
@@ -52,7 +50,6 @@ __all__ = [
     "SymOperator",
     "sym",
     "spectral_decompose",
-    "op_function",
     "count_evs",
     "hs_norm",
     "rank_one_projection",
@@ -73,6 +70,5 @@ __all__ = [
     "r_operator",
     "bs_step",
     "iterate",
-    "step_from_top_eigenpair",
     "__version__",
 ]

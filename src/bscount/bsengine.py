@@ -12,6 +12,11 @@ merely has a kernel).  This module realizes the operator, both counts, the
 critical-coupling locator, and the Hilbert-Schmidt and rank-one-domination
 bounds as checkable procedures.
 
+A ``BsProblem`` owns the two spectra every count reads, each computed once:
+the checked eigendecomposition of ``A`` (its positivity check, and the
+square root in ``bs_operator``) at construction, and the checked
+eigenvalues of ``A + B`` (``h_spectrum``) on first use.
+
 Sign convention: the leading minus is part of the definition here, so
 attractive perturbations ``B <= 0`` give ``K(eps) >= 0`` and binding shows
 up as eigenvalues crossing +1.  A common variant absorbs the sign into the
@@ -22,12 +27,14 @@ signed form everywhere, including the ``eps = 0`` bounded case.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .linop import (
     DEFAULT_SEED,
     SymOperator,
+    _checked_eigenvalues,
     checked_eigenvalues,
     count_evs,
     hs_norm,
@@ -49,7 +56,11 @@ class NeverBindsError(RuntimeError):
 
 @dataclass(frozen=True)
 class BsProblem:
-    """A counting problem ``(A, B, eps)`` with ``A >= 0`` and ``eps > 0``."""
+    """A counting problem ``(A, B, eps)`` with ``A >= 0`` and ``eps > 0``.
+
+    Construction runs one checked eigendecomposition of ``A``: it serves as
+    the positivity check and is kept for ``bs_operator``.
+    """
 
     a: SymOperator
     b: SymOperator
@@ -63,16 +74,27 @@ class BsProblem:
             raise ValueError(f"dimension mismatch: A is {a.dim}, B is {b.dim}")
         if not self.epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        min_eig = float(np.linalg.eigvalsh(a.entries)[0])
-        floor = -1e-10 * (1.0 + np.linalg.norm(a.entries))
-        if min_eig < floor:
+        lam, vec = spectral_decompose(a)
+        if lam[0] < -1e-10 * (1.0 + np.linalg.norm(a.entries)):
             raise ValueError(
-                f"A must be positive semidefinite: min eigenvalue {min_eig:.3e}"
+                f"A must be positive semidefinite: min eigenvalue {lam[0]:.3e}"
             )
+        object.__setattr__(self, "_a_eigh", (lam, vec))
 
     @property
     def dim(self) -> int:
         return self.a.dim
+
+    @cached_property
+    def h_spectrum(self) -> tuple[np.ndarray, float]:
+        """Checked ascending eigenvalues of ``A + B`` and their guard band.
+
+        Computed on first use and kept.  The sum of two symmetric operators'
+        entries is exactly symmetric, so it is not wrapped and checked again.
+        """
+        lam, eta = _checked_eigenvalues(self.a.entries + self.b.entries)
+        lam.setflags(write=False)
+        return lam, eta
 
 
 @dataclass(frozen=True)
@@ -87,7 +109,7 @@ class CriticalCouplingResult:
 
 def bs_operator(p: BsProblem) -> SymOperator:
     """The operator ``K(eps) = -(A+eps)^(-1/2) B (A+eps)^(-1/2)``, symmetrized."""
-    lam, v = spectral_decompose(p.a)
+    lam, v = p._a_eigh
     shifted = lam + p.epsilon
     if np.min(shifted) <= 0:
         raise ValueError(
@@ -99,9 +121,13 @@ def bs_operator(p: BsProblem) -> SymOperator:
 
 
 def count_direct(p: BsProblem) -> int:
-    """Number of eigenvalues of ``A + B`` below ``-eps``, multiplicities included."""
-    h = SymOperator(p.a.entries + p.b.entries)
-    return count_evs(h, "<", -p.epsilon)
+    """Number of eigenvalues of ``A + B`` below ``-eps``, multiplicities included.
+
+    The strict count of ``count_evs``: eigenvalues within the guard band of
+    ``-eps`` are not counted.
+    """
+    lam, eta = p.h_spectrum
+    return int(np.count_nonzero(lam < -p.epsilon - eta))
 
 
 def count_bs(p: BsProblem) -> int:
@@ -111,7 +137,7 @@ def count_bs(p: BsProblem) -> int:
     within the guard band of ``-eps``; the identity with count_direct is
     only asserted off thresholds, so the caller should perturb ``eps``.
     """
-    lam, eta = checked_eigenvalues(SymOperator(p.a.entries + p.b.entries))
+    lam, eta = p.h_spectrum
     gap = np.min(np.abs(lam + p.epsilon))
     if gap < eta:
         raise ThresholdCollisionError(
@@ -230,13 +256,13 @@ def rank_one_domination(f: np.ndarray, a: SymOperator, epsilon0: float, c: float
         raise ValueError(f"epsilon0 must be positive, got {epsilon0}")
     if not c > 0:
         raise ValueError(f"c must be positive, got {c}")
-    proj = rank_one_projection(f)  # validates and normalizes f
+    proj = rank_one_projection(f)  # rejects |f| < MIN_PROJECTION_NORM
     lam, vec = spectral_decompose(a)
     if lam[0] < -1e-10 * (1.0 + np.linalg.norm(a.entries)):
         raise ValueError(
             f"A must be positive semidefinite: min eigenvalue {lam[0]:.3e}"
         )
-    u = np.linalg.eigh(proj.entries)[1][:, -1]  # normalized copy of f
+    u = np.ravel(f) / np.linalg.norm(f)  # f normalized, as proj = u u^T
     coeffs = vec.T @ u
     # tail norm above each candidate cutoff, scanning cutoffs in ascending order
     tail_sq = np.concatenate(([np.sum(coeffs**2)], np.sum(coeffs**2) - np.cumsum(coeffs**2)))
@@ -265,7 +291,8 @@ def random_problem(dim: int, rng=DEFAULT_SEED, *, singular_a: bool = False,
     ``singular_a``), ``B = -G^T G`` with optional symmetric noise of weight
     0.3 making it sign-indefinite, and ``eps`` uniform on [0.05, 1].  When
     ``eps`` collides with the spectrum of ``A + B`` it is jittered by 1e-6
-    relative until the guard band clears.
+    relative until the guard band clears.  The returned problem has that
+    spectrum computed already; a jittered ``eps`` builds it anew.
     """
     rng = np.random.default_rng(rng)
     q = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
@@ -280,10 +307,11 @@ def random_problem(dim: int, rng=DEFAULT_SEED, *, singular_a: bool = False,
         b_mat = b_mat + 0.3 * 0.5 * (w + w.T) / np.sqrt(dim)
     b = SymOperator(b_mat)
 
-    eps = float(rng.uniform(0.05, 1.0))
-    lam, eta = checked_eigenvalues(SymOperator(a.entries + b.entries))
+    p = BsProblem(a=a, b=b, epsilon=float(rng.uniform(0.05, 1.0)))
+    lam, eta = p.h_spectrum
+    eps = p.epsilon
     for _ in range(64):
         if np.min(np.abs(lam + eps)) >= eta:
             break
         eps *= 1.0 + 1e-6
-    return BsProblem(a=a, b=b, epsilon=eps)
+    return p if eps == p.epsilon else BsProblem(a=a, b=b, epsilon=eps)

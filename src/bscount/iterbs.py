@@ -12,7 +12,9 @@ hence Sylvester inertia).  The same ``T_k`` admits the closed form
 remainder operators ``R_j = (1 - mu_j P_j)^(-1/2) - 1``; ``iterate`` runs
 both and checks them against each other within ``CONSISTENCY_TOL``.
 ``(1 - mu P)^(-1/2)`` has one route, its closed form for an orthogonal
-projection.
+projection.  A ``ProjectionStep`` checks its projection once, at
+construction, and builds that closed form there; ``bs_step`` and
+``iterate`` read it from the step instead of checking ``P`` again.
 """
 
 from __future__ import annotations
@@ -43,7 +45,8 @@ class ProjectionStep:
     ``p`` must be an orthogonal projection that is spectral for ``k_part``
     at eigenvalue ``mu`` (the finite-dimensional stand-in for a subsystem
     threshold channel); ``l_part`` is the remainder, with
-    ``k_part + l_part`` equal to the parent operator.
+    ``k_part + l_part`` equal to the parent operator.  Construction also
+    builds ``(1 - mu P)^(-1/2)``, which every stage of ``iterate`` uses.
     """
 
     p: SymOperator
@@ -68,6 +71,9 @@ class ProjectionStep:
                 f"P is not a spectral projection of K_part at mu={self.mu:g}: "
                 f"|(K_part - mu P) P|_F = {compat:.3e}"
             )
+        w = _inv_sqrt_closed_form(p.entries, self.mu)
+        w.setflags(write=False)
+        object.__setattr__(self, "_inv_sqrt", w)
 
 
 @dataclass(frozen=True)
@@ -85,21 +91,6 @@ def projection_step(k_total: SymOperator, k_part: SymOperator,
     k_total, k_part = sym(k_total), sym(k_part)
     return ProjectionStep(p=p, mu=mu, k_part=k_part,
                           l_part=SymOperator(k_total.entries - k_part.entries))
-
-
-def step_from_top_eigenpair(k_total: SymOperator, k_part: SymOperator) -> ProjectionStep:
-    """Step whose projection is onto the top eigenvector of ``k_part``.
-
-    The top eigenvalue of ``k_part`` must lie in (0, 1) to serve as the
-    subtraction weight.
-    """
-    k_part = sym(k_part)
-    lam, vec = np.linalg.eigh(k_part.entries)
-    mu = float(lam[-1])
-    if not 0.0 < mu < 1.0:
-        raise ValueError(f"top eigenvalue of K_part is {mu:g}, not in (0, 1)")
-    p = SymOperator(np.outer(vec[:, -1], vec[:, -1]))
-    return projection_step(k_total, k_part, p, mu)
 
 
 def random_spectral_step(k_total: SymOperator, rng) -> ProjectionStep:
@@ -133,8 +124,12 @@ def inv_sqrt_one_minus(p: SymOperator, mu: float) -> SymOperator:
     if not 0.0 < mu < 1.0:
         raise ValueError(f"mu must lie in (0, 1), got {mu}")
     _check_projection(p)
-    return SymOperator(
-        np.eye(p.dim) + (1.0 / np.sqrt(1.0 - mu) - 1.0) * p.entries)
+    return SymOperator(_inv_sqrt_closed_form(p.entries, mu))
+
+
+def _inv_sqrt_closed_form(p: np.ndarray, mu: float) -> np.ndarray:
+    """``1 + (1/sqrt(1-mu) - 1) P``, exactly symmetric for a symmetric ``P``."""
+    return np.eye(p.shape[0]) + (1.0 / np.sqrt(1.0 - mu) - 1.0) * p
 
 
 def r_operator(p: SymOperator, mu: float) -> SymOperator:
@@ -147,7 +142,7 @@ def r_operator(p: SymOperator, mu: float) -> SymOperator:
 def bs_step(t: SymOperator, step: ProjectionStep) -> SymOperator:
     """One conjugation stage: ``(1-muP)^(-1/2) (T - muP) (1-muP)^(-1/2)``."""
     t = sym(t)
-    w = inv_sqrt_one_minus(step.p, step.mu).entries
+    w = step._inv_sqrt
     return SymOperator(w @ (t.entries - step.mu * step.p.entries) @ w)
 
 
@@ -176,7 +171,7 @@ def iterate(k_total: SymOperator, steps: list[ProjectionStep]) -> list[StageResu
         if split_gap > 1e-10 * (1.0 + np.linalg.norm(k_total.entries)):
             raise ValueError(
                 f"step {idx}: K_part + L_part differs from K_total by {split_gap:.3e}")
-        r = r_operator(step.p, step.mu).entries
+        r = step._inv_sqrt - np.eye(dim)
         script_p = step.mu * step.p.entries
         spectral_defect = float(np.linalg.norm((step.k_part.entries - script_p) @ r))
         if spectral_defect > SPECTRAL_RUN_TOL:

@@ -2,9 +2,14 @@
 
 Everything downstream (counting identities, projection subtraction, radial
 kernels) is built from the primitives here: spectral decomposition, checked
-eigenvalues, scalar functional calculus, guarded eigenvalue counting,
-Hilbert-Schmidt norms, and rank-one projections.  All values are immutable
-after construction and every operation is a pure function.
+eigenvalues, guarded eigenvalue counting, Hilbert-Schmidt norms, and rank-one
+projections.  All values are immutable after construction and every operation
+is a pure function.
+
+``SymOperator`` is the boundary type: it checks that its entries are finite
+and symmetric, once, when it is built.  Library code that forms a matrix it
+knows to be exactly symmetric (a sum of two operators' entries) passes the
+ndarray on without wrapping it again.
 
 Counts need eigenvalues only: ``checked_eigenvalues`` runs ``eigvalsh`` and
 checks the result against the trace and Frobenius-norm invariants, both
@@ -15,7 +20,6 @@ residual and orthonormality; it serves the callers that use eigenvectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -36,8 +40,8 @@ _RELATION_ALIASES = {"≥": ">=", "≤": "<="}  # accept the unicode forms
 class SymOperator:
     """A dense real symmetric matrix standing for a self-adjoint operator.
 
-    Entries are validated for symmetry at construction and frozen; use
-    ``entries`` for the raw ndarray and ``dim`` for the dimension.
+    Entries are validated at construction (finite, symmetric) and frozen;
+    use ``entries`` for the raw ndarray and ``dim`` for the dimension.
     """
 
     entries: np.ndarray
@@ -48,6 +52,12 @@ class SymOperator:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
         if a.shape[0] < 1:
             raise ValueError("operator dimension must be at least 1")
+        finite = np.isfinite(a)
+        if not finite.all():
+            i, j = np.argwhere(~finite)[0]
+            raise ValueError(
+                f"matrix has {a.size - int(finite.sum())} non-finite entries, "
+                f"the first A[{i}, {j}] = {a[i, j]}")
         asym = np.linalg.norm(a - a.T)
         scale = 1.0 + np.linalg.norm(a)
         if asym > SYMMETRY_RTOL * scale:
@@ -102,57 +112,26 @@ def spectral_decompose(a: SymOperator) -> tuple[np.ndarray, np.ndarray]:
     return lam, vec
 
 
-def op_function(a: SymOperator, f: Callable[[float], float]) -> SymOperator:
-    """Scalar functional calculus: apply ``f`` to the spectrum of ``a``.
-
-    Computes ``V diag(f(lam)) V^T`` from the spectral decomposition.  ``f``
-    must be finite at every eigenvalue; otherwise a ValueError names the
-    offending eigenvalue.
-    """
-    a = sym(a)
-    eigenvalues, v = spectral_decompose(a)
-    values = np.empty(a.dim)
-    with np.errstate(all="ignore"):
-        for i, lam in enumerate(eigenvalues):
-            try:
-                y = float(f(lam))
-            except (ValueError, ZeroDivisionError, OverflowError) as exc:
-                raise ValueError(
-                    f"function undefined at eigenvalue {lam!r}: {exc}"
-                ) from exc
-            if not np.isfinite(y):
-                raise ValueError(
-                    f"function value {y!r} at eigenvalue {lam!r} is not finite"
-                )
-            values[i] = y
-    return SymOperator((v * values) @ v.T)
-
-
-def _guard(fro: float) -> float:
-    return 1e-10 * (1.0 + fro)
-
-
-def count_guard(a: SymOperator) -> float:
-    """Comparison guard band used by count_evs: 1e-10 * (1 + |A|_F)."""
-    return _guard(hs_norm(a))
-
-
 def checked_eigenvalues(a: SymOperator) -> tuple[np.ndarray, float]:
     """Ascending eigenvalues of ``a`` and its count guard band.
 
     The eigenvalues come from ``eigvalsh`` and are checked against the two
     invariants ``sum(lam) = tr A`` and ``sum(lam^2) = |A|_F^2``, within
-    ``eta`` and ``eta * (1 + |A|_F)`` for the guard ``eta = count_guard(a)``;
+    ``eta`` and ``eta * (1 + |A|_F)`` for the guard ``eta = 1e-10 (1 + |A|_F)``;
     a failed check or a LAPACK failure raises RuntimeError.
     """
-    a = sym(a)
+    return _checked_eigenvalues(sym(a).entries)
+
+
+def _checked_eigenvalues(m: np.ndarray) -> tuple[np.ndarray, float]:
+    """``checked_eigenvalues`` of a matrix already known to be symmetric."""
     try:
-        lam = np.linalg.eigvalsh(a.entries)
+        lam = np.linalg.eigvalsh(m)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigenvalue solver did not converge: {exc}") from exc
-    fro = hs_norm(a)
-    eta = _guard(fro)
-    trace_defect = abs(float(np.sum(lam)) - float(np.trace(a.entries)))
+    fro = float(np.linalg.norm(m))
+    eta = 1e-10 * (1.0 + fro)
+    trace_defect = abs(float(np.sum(lam)) - float(np.trace(m)))
     if not trace_defect <= eta:
         raise RuntimeError(
             f"eigenvalue sum misses the trace by {trace_defect:.3e}, "

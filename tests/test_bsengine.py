@@ -17,7 +17,7 @@ from bscount.bsengine import (
     random_problem,
     rank_one_domination,
 )
-from bscount.linop import DEFAULT_SEED, count_guard, hs_norm, spectral_decompose, sym
+from bscount.linop import DEFAULT_SEED, checked_eigenvalues, hs_norm, spectral_decompose, sym
 
 
 def brute_force_count_below(a, b, eps):
@@ -129,7 +129,7 @@ def test_bounded_case_zero_shift():
         from bscount.linop import count_evs
         h = sym(a.entries + b.entries)
         lam_h = np.linalg.eigvalsh(h.entries)
-        if np.min(np.abs(lam_h)) < count_guard(h):
+        if np.min(np.abs(lam_h)) < checked_eigenvalues(h)[1]:
             continue  # eigenvalue at the threshold itself: identity not asserted
         assert count_evs(k0, ">", 1.0) == count_evs(h, "<", 0.0)
 
@@ -148,8 +148,24 @@ def test_eigenvalue_check_fires_in_counts(monkeypatch, procedure):
     p = random_problem(8, rng=np.random.default_rng(11))
     true_eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: true_eigvalsh(m) + 1e-6)
+    # a fresh problem: random_problem's one has its spectrum of A+B already
+    fresh = BsProblem(a=p.a, b=p.b, epsilon=p.epsilon)
     with pytest.raises(RuntimeError, match="trace"):
-        procedure(p)
+        procedure(fresh)
+
+
+def test_bs_equality_problem_costs_three_eigensolves(monkeypatch):
+    # eigh(A) at construction, eigvalsh(A+B) once for both counts, eigvalsh(K)
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        def counted(*args, _name=name, _solver=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _solver(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    p = random_problem(9, rng=np.random.default_rng(61), indefinite_b=True)
+    assert count_bs(p) == count_direct(p)
+    assert calls == {"eigh": 1, "eigvalsh": 2}
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from bscount import iterbs
 from bscount.iterbs import (
     ProjectionStep,
     bs_step,
@@ -10,7 +11,6 @@ from bscount.iterbs import (
     iterate,
     projection_step,
     r_operator,
-    step_from_top_eigenpair,
 )
 from bscount.linop import SymOperator, count_evs, rank_one_projection, sym
 
@@ -36,6 +36,13 @@ def split_with_spectral_projection(rng, k_total):
     k_part = sym((q * lam) @ q.T)
     p = SymOperator(np.outer(q[:, 0], q[:, 0]))
     return projection_step(k_total, k_part, p, mu)
+
+
+def step_from_top_eigenpair(k_total, k_part):
+    """Step whose projection is onto the top eigenvector of ``k_part``."""
+    lam, vec = np.linalg.eigh(k_part.entries)
+    p = SymOperator(np.outer(vec[:, -1], vec[:, -1]))
+    return projection_step(k_total, k_part, p, float(lam[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +268,16 @@ def test_iterate_rejects_wrong_split():
         iterate(other, [step])
 
 
-def test_step_from_top_eigenpair_requires_valid_mu():
-    k = sym(np.diag([1.4, 0.2]))
-    with pytest.raises(ValueError, match="not in"):
-        step_from_top_eigenpair(k, k)
+def test_iterate_checks_each_projection_once(monkeypatch):
+    # the step checks |P^2 - P| at construction; iterate does not repeat it
+    checked = []
+    true_check = iterbs._check_projection
+    monkeypatch.setattr(iterbs, "_check_projection",
+                        lambda p: checked.append(p) or true_check(p))
+    rng = np.random.default_rng(59)
+    k = random_k_total(rng, 10, top_scale=1.5)
+    steps = [split_with_spectral_projection(rng, k) for _ in range(3)]
+    assert len(checked) == 3
+    stages = iterate(k, steps)
+    assert len(stages) == 3
+    assert len(checked) == 3

@@ -11,14 +11,13 @@ from bscount.linop import (
     SymOperator,
     checked_eigenvalues,
     count_evs,
-    count_guard,
     hs_norm,
-    op_function,
     rank_one_projection,
     spectral_decompose,
     sym,
 )
 from bscount.radial import PotentialSpec, RadialGrid, bs_kernel_radial, reduced_hamiltonian
+from oracles import op_function
 from test_acceptance import TWENTY_CASES
 
 
@@ -43,6 +42,19 @@ def test_rejects_asymmetric_matrix():
 def test_rejects_non_square():
     with pytest.raises(ValueError, match="square"):
         sym(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_rejects_non_finite_entries(value):
+    with pytest.raises(ValueError, match=r"non-finite entries, the first A\[0, 0\]"):
+        sym([[value, 0.0], [0.0, 1.0]])
+
+
+def test_accepts_finite_entries_whose_norm_overflows():
+    # |A|_F overflows to inf, but every entry is finite
+    with np.errstate(over="ignore"):
+        a = sym(np.diag([1e200, 1e200]))
+    assert np.all(np.isfinite(a.entries))
 
 
 def test_entries_are_frozen():
@@ -144,7 +156,7 @@ def test_count_matches_brute_force_scan(seed, threshold):
     rng = np.random.default_rng(seed)
     diag = np.round(rng.uniform(-5, 5, size=9), 2)
     a = sym(np.diag(diag))
-    eta = count_guard(a)
+    eta = checked_eigenvalues(a)[1]
     lam = np.sort(diag)
     assert count_evs(a, ">", threshold) == int(np.sum(lam > threshold + eta))
     assert count_evs(a, "<", threshold) == int(np.sum(lam < threshold - eta))
@@ -163,7 +175,7 @@ def test_count_random_symmetric_vs_sorted_list():
         a = random_symmetric(rng, int(rng.integers(2, 12)), scale=2.0)
         threshold = float(rng.uniform(-2, 2))
         lam = np.sort(np.linalg.eigvalsh(a.entries))
-        eta = count_guard(a)
+        eta = checked_eigenvalues(a)[1]
         assert count_evs(a, ">", threshold) == int(np.sum(lam > threshold + eta))
         assert count_evs(a, "<=", threshold) == int(np.sum(lam <= threshold + eta))
 
@@ -171,7 +183,7 @@ def test_count_random_symmetric_vs_sorted_list():
 def _eigh_count(a, relation, threshold):
     """Oracle: the count from the full ``eigh`` eigenvalues, same guard band."""
     lam = np.linalg.eigh(a.entries)[0]
-    eta = count_guard(a)
+    eta = checked_eigenvalues(a)[1]
     return {">": int(np.sum(lam > threshold + eta)),
             "<": int(np.sum(lam < threshold - eta))}[relation]
 
@@ -202,7 +214,7 @@ def test_checked_eigenvalues_match_eigh_and_return_guard():
     lam, eta = checked_eigenvalues(a)
     np.testing.assert_allclose(lam, np.linalg.eigh(a.entries)[0], atol=1e-12)
     assert np.all(np.diff(lam) >= 0)
-    assert eta == count_guard(a)
+    assert eta == 1e-10 * (1.0 + hs_norm(a))
 
 
 @pytest.mark.parametrize("invariant,perturb", [

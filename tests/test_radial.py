@@ -9,7 +9,7 @@ from scipy.linalg import eigvalsh_tridiagonal
 from scipy.special import gamma as gamma_fn
 
 from bscount.bsengine import NeverBindsError
-from bscount.linop import SymOperator, count_evs, op_function
+from bscount.linop import SymOperator, count_evs
 from bscount.radial import (
     MuScalingReport,
     PotentialSpec,
@@ -35,6 +35,7 @@ from bscount.radial import (
     _graded_panels,
     _segment_edges,
 )
+from oracles import op_function
 
 DEFAULT_SEED = 0xB5C0
 
