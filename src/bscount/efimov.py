@@ -287,10 +287,6 @@ def _kernel_eigenvalues(parts: _KernelParts, energy: float) -> np.ndarray:
     return np.linalg.eigvalsh(_assemble(parts, energy).entries)
 
 
-def kernel_top_eigenvalue(model: SeparableModel, energy: float) -> float:
-    return float(_kernel_eigenvalues(_kernel_parts(model), energy)[-1])
-
-
 @dataclass(frozen=True, eq=False)
 class TrimerLevel:
     """One trimer root: energy, and whether it sits in the cutoff-stable zone."""

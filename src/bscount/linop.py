@@ -11,14 +11,19 @@ and symmetric, once, when it is built.  Library code that forms a matrix it
 knows to be exactly symmetric (a sum of two operators' entries) passes the
 ndarray on without wrapping it again.
 
-Counts need eigenvalues only: ``checked_eigenvalues`` runs ``eigvalsh`` and
-checks the result against the trace and Frobenius-norm invariants, both
-O(n^2).  ``spectral_decompose`` returns eigenvectors too and checks their
-residual and orthonormality; it serves the callers that use eigenvectors.
+Counts need eigenvalues only: ``checked_eigenvalues`` reads the structure
+of its matrix and checks the result against the trace and Frobenius-norm
+invariants of the full matrix, both O(n^2).  Exactly-zero rows and columns
+are deflated as exact zero eigenvalues; the rest come from ``eigvalsh`` on
+the live block, or from LAPACK ``sterf`` (``eigvalsh_tridiagonal``) when
+every entry off the three central diagonals is exactly zero.
+``spectral_decompose`` returns eigenvectors too and checks their residual
+and orthonormality; it serves the callers that use eigenvectors.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,7 +71,11 @@ class SymOperator:
                 f"matrix is not symmetric: max |A - A^T| entry = {max_asym:.3e}, "
                 f"Frobenius asymmetry {asym:.3e} exceeds {SYMMETRY_RTOL:g}*(1+|A|_F)"
             )
-        a = 0.5 * (a + a.T)  # kill representation-level rounding asymmetry
+        if math.isfinite(scale):  # then no entry is large enough for a + a.T to overflow
+            a = 0.5 * (a + a.T)  # kill representation-level rounding asymmetry
+        else:  # halving an entry above 1 first is exact and cannot overflow
+            with np.errstate(over="ignore"):
+                a = np.where(np.abs(a) > 1.0, 0.5 * a + 0.5 * a.T, 0.5 * (a + a.T))
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
 
@@ -115,10 +124,15 @@ def spectral_decompose(a: SymOperator) -> tuple[np.ndarray, np.ndarray]:
 def checked_eigenvalues(a: SymOperator) -> tuple[np.ndarray, float]:
     """Ascending eigenvalues of ``a`` and its count guard band.
 
-    The eigenvalues come from ``eigvalsh`` and are checked against the two
-    invariants ``sum(lam) = tr A`` and ``sum(lam^2) = |A|_F^2``, within
-    ``eta`` and ``eta * (1 + |A|_F)`` for the guard ``eta = 1e-10 (1 + |A|_F)``;
-    a failed check or a LAPACK failure raises RuntimeError.
+    Each exactly-zero row and column of ``a`` adds an exact zero eigenvalue;
+    the others come from ``eigvalsh`` on the block of live rows, or from
+    ``eigvalsh_tridiagonal`` (LAPACK ``sterf``, the routine dense
+    ``eigvalsh`` ends in) when every entry off the three central diagonals
+    is exactly zero.  Whatever the route, the eigenvalues are checked against
+    the invariants ``sum(lam) = tr A`` and ``sum(lam^2) = |A|_F^2`` of the
+    full matrix, within ``eta`` and ``eta * (1 + |A|_F)`` for the guard
+    ``eta = 1e-10 (1 + |A|_F)``; a failed check or a LAPACK failure raises
+    RuntimeError.
     """
     return _checked_eigenvalues(sym(a).entries)
 
@@ -126,7 +140,7 @@ def checked_eigenvalues(a: SymOperator) -> tuple[np.ndarray, float]:
 def _checked_eigenvalues(m: np.ndarray) -> tuple[np.ndarray, float]:
     """``checked_eigenvalues`` of a matrix already known to be symmetric."""
     try:
-        lam = np.linalg.eigvalsh(m)
+        lam = _eigenvalues(m)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigenvalue solver did not converge: {exc}") from exc
     fro = float(np.linalg.norm(m))
@@ -144,14 +158,35 @@ def _checked_eigenvalues(m: np.ndarray) -> tuple[np.ndarray, float]:
     return lam, eta
 
 
+def _eigenvalues(m: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a symmetric matrix, by the route its exact
+    zeros allow.  A matrix with no zero entry leaves at the first test."""
+    nonzero = np.count_nonzero(m)
+    if nonzero < m.size:
+        live = m.any(axis=0)
+        if not live.all():  # the live block's rows are all live: one level deep
+            block = _eigenvalues(m[np.ix_(live, live)])
+            return np.sort(np.concatenate([block, np.zeros(live.size - block.size)]))
+        # by symmetry, no nonzero lies off the three central diagonals when they
+        # hold all of them; below dimension 3 dense eigvalsh is the quicker call
+        band = np.count_nonzero(m.diagonal()) + 2 * np.count_nonzero(m.diagonal(-1))
+        if m.shape[0] > 2 and nonzero == band:
+            import scipy.linalg  # only here, so that importing bscount stays light
+
+            return scipy.linalg.eigvalsh_tridiagonal(m.diagonal(), m.diagonal(-1),
+                                                     lapack_driver="sterf")
+    return np.linalg.eigvalsh(m)
+
+
 def count_evs(a: SymOperator, relation: str, threshold: float) -> int:
     """Count eigenvalues satisfying ``relation threshold``, with multiplicities.
 
     Strict relations exclude a guard band around the threshold and non-strict
     ones include it, so counts are exact whenever spectral gaps are large
     compared to the band ``1e-10 * (1 + |A|_F)``.  The count needs
-    eigenvalues only; they come from ``checked_eigenvalues``, whose trace and
-    Frobenius-norm invariants stand in for eigenvector residual checks.
+    eigenvalues only; they come from ``checked_eigenvalues``, by its deflated,
+    tridiagonal or dense route, and its trace and Frobenius-norm invariants
+    stand in for eigenvector residual checks.
     """
     relation = _RELATION_ALIASES.get(relation, relation)
     if relation not in _RELATIONS:

@@ -280,32 +280,6 @@ def _green_swave_zero(r: np.ndarray) -> np.ndarray:
     return np.minimum(r[:, None], r[None, :])
 
 
-def green_kernel(eps: float, grid: RadialGrid) -> SymOperator:
-    """Weight-symmetrized matrix of the reduced free Green function.
-
-    For ell = 0 the semi-infinite closed form is evaluated on the nodes and
-    multiplied by sqrt(w_i w_j), so the matrix represents (kinetic + eps)^-1
-    in the weight-normalized basis.  For ell > 0 on the uniform scheme the
-    discretized kinetic-plus-centrifugal operator plus eps is inverted
-    directly (a banded solve).
-    """
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    if grid.ell == 0:
-        r = grid.nodes
-        w = grid.weights
-        g = _green_swave(eps, r)
-        root_w = np.sqrt(w)
-        return SymOperator(root_w[:, None] * g * root_w[None, :])
-    if grid.scheme != "uniform_fd2":
-        raise ValueError(
-            "ell > 0 kernels are computed by inverting the discretized operator, "
-            "which needs the uniform_fd2 scheme")
-    inv = scipy.linalg.solveh_banded(_banded_hamiltonian(grid, 0.0, eps),
-                                     np.eye(grid.n))
-    return SymOperator(0.5 * (inv + inv.T))
-
-
 # ---------------------------------------------------------------------------
 # the radial Birman-Schwinger kernel
 

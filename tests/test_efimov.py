@@ -15,7 +15,6 @@ from bscount.efimov import (
     dimer_energy,
     efimov_spectrum,
     jacobi_pair_coeffs,
-    kernel_top_eigenvalue,
     lambda_unitary,
     s0_oracle,
     three_boson_kernel,
@@ -28,6 +27,11 @@ LAM_U = lambda_unitary(1.0)
 
 
 A11, A12 = -0.5, np.sqrt(3.0) / 2.0  # equal-mass Jacobi rotation
+
+
+def kernel_top_eigenvalue(model, energy):
+    """Largest eigenvalue of the three-boson kernel at ``energy``."""
+    return float(efimov._kernel_eigenvalues(efimov._kernel_parts(model), energy)[-1])
 
 
 def unitary_model(n_p=256, p_max=40.0, grid_c=300.0, lam=LAM_U):

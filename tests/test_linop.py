@@ -4,7 +4,9 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from bscount.linop import (
     DEFAULT_SEED,
@@ -28,6 +30,61 @@ def random_symmetric(rng, dim, scale=1.0):
 
 def random_orthogonal(rng, dim):
     return np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+
+
+def random_tridiagonal(rng, dim, diagonal_only=False):
+    d = rng.standard_normal(dim)
+    e = np.zeros(dim - 1) if diagonal_only else rng.standard_normal(dim - 1)
+    return sym(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+
+
+def with_zero_rows(a, rows):
+    """``a`` with the given rows and columns set to exactly zero."""
+    m = a.entries.copy()
+    m[rows, :] = 0.0
+    m[:, rows] = 0.0
+    return sym(m)
+
+
+# the dense solver as imported, kept as the oracle while tests spy on the routes
+DENSE_EIGVALSH = np.linalg.eigvalsh
+
+
+def dense_count(lam, eta, relation, threshold):
+    """The count the dense route makes from eigenvalues ``lam``."""
+    return {">": int(np.sum(lam > threshold + eta)),
+            "<": int(np.sum(lam < threshold - eta))}[relation]
+
+
+def assert_matches_dense(a, rtol=1e-13):
+    """Checked eigenvalues agree with dense ``eigvalsh`` within ``rtol``
+    times the spectral radius, and every count equals the dense one."""
+    lam, eta = checked_eigenvalues(a)
+    ref = DENSE_EIGVALSH(a.entries)
+    assert np.all(np.diff(lam) >= 0)
+    assert np.max(np.abs(lam - ref), initial=0.0) <= rtol * np.max(np.abs(ref), initial=0.0)
+    for threshold in (-1.0, 0.0, 0.5, 1.0):
+        for relation in (">", "<"):
+            assert count_evs(a, relation, threshold) == dense_count(ref, eta, relation, threshold)
+
+
+@pytest.fixture
+def solver_dims(monkeypatch):
+    """Dimension of every matrix each eigenvalue route hands to LAPACK."""
+    dims = {"dense": [], "tridiagonal": []}
+    tridiagonal = scipy.linalg.eigvalsh_tridiagonal
+
+    def spy_dense(m):
+        dims["dense"].append(m.shape[0])
+        return DENSE_EIGVALSH(m)
+
+    def spy_tridiagonal(d, e, **kwargs):
+        dims["tridiagonal"].append(d.size)
+        return tridiagonal(d, e, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy_dense)
+    monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", spy_tridiagonal)
+    return dims
 
 
 # ---------------------------------------------------------------------------
@@ -55,6 +112,36 @@ def test_accepts_finite_entries_whose_norm_overflows():
     with np.errstate(over="ignore"):
         a = sym(np.diag([1e200, 1e200]))
     assert np.all(np.isfinite(a.entries))
+
+
+def test_symmetrizes_entries_near_the_float_limit_without_overflow():
+    big, other = 1e308, 1.7e308
+    with np.errstate(over="ignore"):  # |A|_F overflows
+        a = sym([[big, other], [np.nextafter(other, 0.0), 1.0]])
+    assert a.entries[0, 0] == big
+    assert a.entries[0, 1] == a.entries[1, 0] == 0.5 * other + 0.5 * np.nextafter(other, 0.0)
+    assert np.all(np.isfinite(a.entries))
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=arrays(np.float64, (4, 4), elements=st.floats(allow_nan=False, allow_infinity=False)))
+def test_symmetrized_bits_match_the_plain_mean_wherever_it_is_finite(g):
+    g[0, 0] = 1e300  # |A|_F overflows, so any asymmetry passes the check
+    with np.errstate(over="ignore"):
+        a = sym(g).entries
+        plain = 0.5 * (g + g.T)
+    finite = np.isfinite(plain)
+    assert np.array_equal(a[finite], plain[finite])
+    assert np.array_equal(a[~finite], (0.5 * g + 0.5 * g.T)[~finite])
+    assert np.array_equal(a, a.T)
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=arrays(np.float64, (5, 5), elements=st.floats(allow_nan=False, allow_infinity=False)))
+def test_exactly_symmetric_entries_are_stored_unchanged(g):
+    g = np.triu(g) + np.triu(g, 1).T
+    with np.errstate(over="ignore"):
+        assert np.array_equal(sym(g).entries, g)
 
 
 def test_entries_are_frozen():
@@ -183,21 +270,46 @@ def test_count_random_symmetric_vs_sorted_list():
 def _eigh_count(a, relation, threshold):
     """Oracle: the count from the full ``eigh`` eigenvalues, same guard band."""
     lam = np.linalg.eigh(a.entries)[0]
-    eta = checked_eigenvalues(a)[1]
-    return {">": int(np.sum(lam > threshold + eta)),
-            "<": int(np.sum(lam < threshold - eta))}[relation]
+    eta = 1e-10 * (1.0 + hs_norm(a))
+    return dense_count(lam, eta, relation, threshold)
 
 
-def test_count_matches_eigh_count_on_radial_cases():
+@pytest.fixture(scope="module")
+def radial_cases():
+    """The 40 matrices of acceptance criterion 5: for each case, the embedded
+    Birman-Schwinger kernel (counted above 1) and the tridiagonal reduced
+    Hamiltonian (counted below -eps), built once for the module."""
+    cases = []
     for kind, lam, ell, eps in TWENTY_CASES:
         pot = PotentialSpec(kind=kind, strength=lam, range=1.0)
         grid = RadialGrid(ell=ell, r_max=25.0, n=700)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            k = bs_kernel_radial(pot, grid, eps)
-            h = reduced_hamiltonian(pot, grid)
-        assert count_evs(k, ">", 1.0) == _eigh_count(k, ">", 1.0), (kind, lam, ell, eps)
-        assert count_evs(h, "<", -eps) == _eigh_count(h, "<", -eps), (kind, lam, ell, eps)
+            label = (kind, lam, ell, eps)
+            cases.append((label, bs_kernel_radial(pot, grid, eps), ">", 1.0))
+            cases.append((label, reduced_hamiltonian(pot, grid), "<", -eps))
+    return cases
+
+
+def test_count_matches_eigh_count_on_radial_cases(radial_cases):
+    for label, a, relation, threshold in radial_cases:
+        assert count_evs(a, relation, threshold) == _eigh_count(a, relation, threshold), label
+
+
+def test_radial_cases_take_the_structured_routes_and_match_dense(radial_cases, solver_dims):
+    for label, a, relation, threshold in radial_cases:
+        solver_dims["dense"].clear()
+        solver_dims["tridiagonal"].clear()
+        lam, eta = checked_eigenvalues(a)
+        ref = DENSE_EIGVALSH(a.entries)
+        assert np.max(np.abs(lam - ref)) <= 1e-13 * np.max(np.abs(ref)), label
+        assert dense_count(lam, eta, relation, threshold) == \
+            dense_count(ref, eta, relation, threshold), label
+        support = int(np.count_nonzero(a.entries.any(axis=0)))
+        if relation == "<":  # the Hamiltonian is tridiagonal
+            assert solver_dims == {"dense": [], "tridiagonal": [700]}, label
+        else:  # the kernel is solved on the support of v_-
+            assert solver_dims == {"dense": [support], "tridiagonal": []}, label
 
 
 def test_count_matches_eigh_count_on_random_corpus():
@@ -217,26 +329,99 @@ def test_checked_eigenvalues_match_eigh_and_return_guard():
     assert eta == 1e-10 * (1.0 + hs_norm(a))
 
 
+def test_zero_matrix_has_exact_zero_eigenvalues(solver_dims):
+    a = sym(np.zeros((6, 6)))
+    lam, eta = checked_eigenvalues(a)
+    assert np.array_equal(lam, np.zeros(6)) and eta == 1e-10
+    assert count_evs(a, ">", 0.0) == 0 and count_evs(a, ">=", 0.0) == 6
+    assert not any(sum(solver_dims.values(), []))  # only empty blocks reach LAPACK
+
+
+@pytest.mark.parametrize("tiny", [1e-300, 5e-324])
+@pytest.mark.parametrize("where", [(2, 2), (0, 2)])
+def test_row_with_one_tiny_entry_is_not_deflated(solver_dims, tiny, where):
+    m = np.diag([2.0, 3.0, 0.0, 5.0])
+    m[where] = m[where[::-1]] = tiny
+    lam, _ = checked_eigenvalues(sym(m))
+    np.testing.assert_array_equal(lam, DENSE_EIGVALSH(m))
+    assert sum(solver_dims.values(), []) == [4]
+    if where == (2, 2):
+        assert lam[0] == tiny
+
+
+def test_routes_follow_exact_zeros(solver_dims):
+    rng = np.random.default_rng(DEFAULT_SEED + 6)
+    checked_eigenvalues(random_symmetric(rng, 9))
+    checked_eigenvalues(with_zero_rows(random_symmetric(rng, 9), [0, 4, 8]))
+    checked_eigenvalues(random_tridiagonal(rng, 9))
+    checked_eigenvalues(with_zero_rows(random_tridiagonal(rng, 9), [3]))
+    checked_eigenvalues(random_symmetric(rng, 2))  # tridiagonal, but dense is quicker
+    wide = random_tridiagonal(rng, 9).entries.copy()
+    wide[5, 3] = wide[3, 5] = 0.5  # column 0 passes the quick test, row 5 fails the full one
+    assert_matches_dense(sym(wide))
+    assert solver_dims["tridiagonal"] == [9, 8]
+    assert solver_dims["dense"][:3] == [9, 6, 2] and set(solver_dims["dense"][3:]) == {9}
+
+
+def test_deflation_matches_dense_on_planted_zero_rows():
+    rng = np.random.default_rng(DEFAULT_SEED + 7)
+    for _ in range(150):
+        dim = int(rng.integers(1, 40))
+        rows = rng.choice(dim, size=int(rng.integers(0, dim + 1)), replace=False)
+        base = random_tridiagonal(rng, dim) if rng.random() < 0.3 else \
+            random_symmetric(rng, dim, scale=2.0)
+        assert_matches_dense(with_zero_rows(base, rows))
+
+
+def test_tridiagonal_route_matches_dense():
+    rng = np.random.default_rng(DEFAULT_SEED + 8)
+    for _ in range(100):
+        dim = int(rng.integers(3, 60))
+        a = random_tridiagonal(rng, dim, diagonal_only=rng.random() < 0.3)
+        if rng.random() < 0.3:  # split into unreduced blocks
+            m = a.entries.copy()
+            k = int(rng.integers(1, dim))
+            m[k, k - 1] = m[k - 1, k] = 0.0
+            a = sym(m)
+        assert_matches_dense(a)
+
+
+# each eigenvalue route: a matrix that takes it and the solver it ends in
+ROUTES = {
+    "dense": (lambda rng: random_symmetric(rng, 12), np.linalg, "eigvalsh"),
+    "deflated": (lambda rng: with_zero_rows(random_symmetric(rng, 12), [3, 7]),
+                 np.linalg, "eigvalsh"),
+    "tridiagonal": (lambda rng: random_tridiagonal(rng, 12),
+                    scipy.linalg, "eigvalsh_tridiagonal"),
+}
+
+
+@pytest.mark.parametrize("route", ROUTES)
 @pytest.mark.parametrize("invariant,perturb", [
     ("trace", lambda lam: lam + 1e-6),
     # shifts two eigenvalues in opposite directions: the sum is unchanged
     ("square sum", lambda lam: lam + 1e-4 * np.eye(lam.size)[0] - 1e-4 * np.eye(lam.size)[-1]),
 ])
-def test_count_raises_on_eigenvalues_breaking_an_invariant(monkeypatch, invariant, perturb):
-    a = random_symmetric(np.random.default_rng(DEFAULT_SEED), 12)
-    true_eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: perturb(true_eigvalsh(m)))
+def test_count_raises_on_eigenvalues_breaking_an_invariant(monkeypatch, invariant, perturb, route):
+    make, module, name = ROUTES[route]
+    a = make(np.random.default_rng(DEFAULT_SEED))
+    solver = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args, **kw: perturb(solver(*args, **kw)))
     with pytest.raises(RuntimeError, match=invariant):
         count_evs(a, ">", 0.0)
 
 
-def test_count_turns_lapack_failure_into_runtime_error(monkeypatch):
-    def fail(m):
+@pytest.mark.parametrize("route", ROUTES)
+def test_count_turns_lapack_failure_into_runtime_error(monkeypatch, route):
+    make, module, name = ROUTES[route]
+
+    def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    a = make(np.random.default_rng(DEFAULT_SEED))
+    monkeypatch.setattr(module, name, fail)
     with pytest.raises(RuntimeError, match="did not converge"):
-        count_evs(sym(np.eye(3)), ">", 0.0)
+        count_evs(a, ">", 0.0)
 
 
 # ---------------------------------------------------------------------------

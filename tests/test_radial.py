@@ -18,7 +18,6 @@ from bscount.radial import (
     bs_kernel_radial,
     bs_top_eigenvalue,
     find_critical_coupling_radial,
-    green_kernel,
     kernel_critical_strength,
     mu_scan,
     negative_count,
@@ -35,7 +34,7 @@ from bscount.radial import (
     _graded_panels,
     _segment_edges,
 )
-from oracles import op_function
+from oracles import green_kernel, op_function
 
 DEFAULT_SEED = 0xB5C0
 
