@@ -65,6 +65,7 @@ from .linop import DEFAULT_SEED, SymOperator, count_evs, hs_norm
 from .radial import (
     PotentialSpec,
     RadialGrid,
+    _resolvent_power_bound,
     bs_count_and_top,
     negative_count,
     resolvent_power_kernel,
@@ -264,13 +265,7 @@ def write_reports(out_dir: str, name: str, columns, rows, summary: dict) -> None
 
 
 def _json_default(obj):
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, (np.generic, np.ndarray)):  # numpy scalars become Python ones
         return obj.tolist()
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
@@ -405,10 +400,7 @@ def _run_kernelcheck(cfg, jobs):
     def one(point):
         gamma, eps, r_dist = point
         value = resolvent_power_kernel(gamma, eps, r_dist)
-        from scipy.special import gamma as gamma_fn
-        p = 1.0 + 2.0 * gamma
-        bound = (2.0 ** (-2 * p) * gamma_fn(1.5 - p)
-                 / (np.pi**1.5 * gamma_fn(p)) * r_dist ** (2 * p - 3))
+        bound = _resolvent_power_bound(1.0 + 2.0 * gamma, r_dist)
         closed = (np.exp(-np.sqrt(eps) * r_dist) / (4 * np.pi * r_dist)
                   if gamma == 0.0 else float("nan"))
         return value, bound, closed
@@ -582,10 +574,7 @@ def main(argv=None) -> int:
             if not 0 <= seed < 2**64:
                 raise ConfigError("seed flag out of 64-bit range", 0, 0)
             config["seed"] = seed
-    except ConfigError as exc:
-        print(f"bscount: config error: {exc}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"bscount: config error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
 

@@ -20,9 +20,6 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-import scipy.integrate
-import scipy.optimize
-from scipy.special import roots_legendre
 
 from .linop import SymOperator
 
@@ -81,6 +78,7 @@ class SeparableModel:
 
     def momentum_grid(self) -> tuple[np.ndarray, np.ndarray]:
         """Mapped Gauss-Legendre nodes and weights on (0, p_max)."""
+        from scipy.special import roots_legendre
         x, w = roots_legendre(self.n_p)
         t = 0.5 * (x + 1.0)
         wt = 0.5 * w
@@ -124,6 +122,7 @@ def lambda_unitary(beta: float) -> float:
     """
     if not beta > 0:
         raise ValueError(f"beta must be positive, got {beta}")
+    import scipy.integrate
     quadrature, _ = scipy.integrate.quad(
         lambda q: 1.0 / (q**2 + beta**2) ** 2, 0.0, np.inf,
         epsabs=0.0, epsrel=1e-13)
@@ -301,6 +300,7 @@ def _crossing(parts: _KernelParts, level: int, lo, hi) -> float:
     ``lo`` and ``hi`` are ``(log|E|, eigenvalues)`` at the bracket ends from
     the scan; their eigenvalues are reused, not recomputed.
     """
+    import scipy.optimize
     known = dict([lo, hi])
 
     def excess(log_abs_e):

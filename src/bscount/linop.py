@@ -63,14 +63,19 @@ class SymOperator:
             raise ValueError(
                 f"matrix has {a.size - int(finite.sum())} non-finite entries, "
                 f"the first A[{i}, {j}] = {a[i, j]}")
-        asym = np.linalg.norm(a - a.T)
         scale = 1.0 + np.linalg.norm(a)
-        if asym > SYMMETRY_RTOL * scale:
-            max_asym = float(np.max(np.abs(a - a.T)))
+        if math.isfinite(scale):
+            top, b, norm = 1.0, a, scale
+        else:  # the same test on a / max|A|, where neither norm can overflow
+            top = float(np.max(np.abs(a)))
+            b = a / top
+            norm = 1.0 / top + np.linalg.norm(b)
+        asym = np.linalg.norm(b - b.T)
+        if asym > SYMMETRY_RTOL * norm:
             raise ValueError(
-                f"matrix is not symmetric: max |A - A^T| entry = {max_asym:.3e}, "
-                f"Frobenius asymmetry {asym:.3e} exceeds {SYMMETRY_RTOL:g}*(1+|A|_F)"
-            )
+                f"matrix is not symmetric: max |A - A^T| entry = "
+                f"{top * float(np.max(np.abs(b - b.T))):.3e}, "
+                f"|A - A^T|_F / (1+|A|_F) = {asym / norm:.3e} exceeds {SYMMETRY_RTOL:g}")
         if math.isfinite(scale):  # then no entry is large enough for a + a.T to overflow
             a = 0.5 * (a + a.T)  # kill representation-level rounding asymmetry
         else:  # halving an entry above 1 first is exact and cannot overflow

@@ -23,10 +23,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.integrate
-import scipy.linalg
-from scipy.special import gamma as gamma_fn
-from scipy.special import roots_legendre
 
 from .bsengine import CriticalCouplingResult, _bisect_coupling
 from .linop import SymOperator, checked_eigenvalues
@@ -80,10 +76,10 @@ class PotentialSpec:
         # must carry a negligible fraction of what [0, 4R] carries
         probe_r = np.linspace(1e-9, 4.0 * self.support_radius(), 4097)
         mass = probe_r**2 * self.shape(probe_r)
-        total = scipy.integrate.trapezoid(mass, probe_r)
+        total = np.trapezoid(mass, probe_r)
         if total > 0:
             far = probe_r > 2.0 * self.support_radius()
-            tail = scipy.integrate.trapezoid(mass[far], probe_r[far])
+            tail = np.trapezoid(mass[far], probe_r[far])
             if tail > TAIL_LIMIT * total:
                 raise ValueError("r^2 * shape does not decay fast enough to integrate")
 
@@ -166,6 +162,7 @@ class RadialGrid:
     def nodes(self) -> np.ndarray:
         if self.scheme == "uniform_fd2":
             return (np.arange(1, self.n + 1) - 0.5) * self.h
+        from scipy.special import roots_legendre
         x, _ = roots_legendre(self.n)
         return 0.5 * self.r_max * (x + 1.0)
 
@@ -173,6 +170,7 @@ class RadialGrid:
     def weights(self) -> np.ndarray:
         if self.scheme == "uniform_fd2":
             return np.full(self.n, self.h)
+        from scipy.special import roots_legendre
         _, w = roots_legendre(self.n)
         return 0.5 * self.r_max * w
 
@@ -230,6 +228,7 @@ def reduced_hamiltonian(pot: PotentialSpec, grid: RadialGrid) -> SymOperator:
 
 
 def _lowest_eigenvalue(pot: PotentialSpec, grid: RadialGrid) -> float:
+    import scipy.linalg
     diag, off = _fd_diagonals(pot, grid)
     lam = scipy.linalg.eigvalsh_tridiagonal(diag, off, select="i",
                                             select_range=(0, 0))
@@ -243,6 +242,7 @@ def negative_count(pot: PotentialSpec, grid: RadialGrid, eps: float = 0.0) -> in
     of ``count_evs``: eigenvalues within ``1e-10 * (1 + |H|_F)`` of ``-eps``
     are not counted.
     """
+    import scipy.linalg
     diag, off = _fd_diagonals(pot, grid)
     eta = 1e-10 * (1.0 + float(np.sqrt(diag @ diag + 2.0 * (off @ off))))
     lam = scipy.linalg.eigvalsh_tridiagonal(diag, off, select="v",
@@ -306,6 +306,7 @@ def _bs_block(pot: PotentialSpec, grid: RadialGrid, eps: float):
         rs = r[supp]
         g = _green_swave(eps, rs) if eps > 0 else _green_swave_zero(rs)
         return supp, root_vw[:, None] * g * root_vw[None, :]
+    import scipy.linalg
     root_v = np.sqrt(v_minus[supp])
     rhs = np.zeros((grid.n, supp.size))
     rhs[supp, np.arange(supp.size)] = root_v
@@ -404,6 +405,7 @@ def _graded_panels(a, b, singular_at_a, levels=9):
 
 
 def _gl_on_panels(edges, m=10):
+    from scipy.special import roots_legendre
     x, w = roots_legendre(m)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
@@ -523,6 +525,13 @@ def schwinger_bound_check(pot: PotentialSpec) -> tuple[int, float]:
 # resolvent-power kernel
 
 
+def _resolvent_power_bound(p: float, r_dist: float) -> float:
+    """``2^(-2p) Gamma(3/2-p) / (pi^(3/2) Gamma(p)) R^(2p-3)``, the bound on
+    ``resolvent_power_kernel`` at power ``p`` and distance ``R``."""
+    from scipy.special import gamma
+    return 2.0 ** (-2.0 * p) * gamma(1.5 - p) / (np.pi**1.5 * gamma(p)) * r_dist ** (2.0 * p - 3.0)
+
+
 def resolvent_power_kernel(gamma: float, eps: float, r_dist: float) -> float:
     """Diagonal-distance kernel of ``(-Laplacian + eps)^(-(1+2 gamma))`` in 3-d.
 
@@ -542,6 +551,8 @@ def resolvent_power_kernel(gamma: float, eps: float, r_dist: float) -> float:
         raise ValueError(f"power p = 1 + 2*gamma = {p:g} outside [1, 3/2)")
     if not (eps > 0 and r_dist > 0):
         raise ValueError("eps and R must be positive")
+    import scipy.integrate
+    from scipy.special import gamma as gamma_fn
 
     # u = e^x turns the endpoint singularity into double-exponential decay
     def integrand_x(x):
@@ -554,8 +565,7 @@ def resolvent_power_kernel(gamma: float, eps: float, r_dist: float) -> float:
         epsrel=1e-12, limit=400)
 
     value = (4.0 * np.pi) ** -1.5 / (p * gamma_fn(p)) * integral
-    bound = (2.0 ** (-2.0 * p) * gamma_fn(1.5 - p)
-             / (np.pi**1.5 * gamma_fn(p)) * r_dist ** (2.0 * p - 3.0))
+    bound = _resolvent_power_bound(p, r_dist)
     if value > bound * (1.0 + 1e-9):
         raise RuntimeError(
             f"kernel value {value:.6e} violates the closed-form bound {bound:.6e}")

@@ -1,0 +1,57 @@
+"""Fresh-interpreter tests: what importing bscount loads, and first imports
+made inside the worker pool."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# runs `bscount <argv>` and prints whether scipy was first imported on the
+# main thread (None when it was never imported)
+RUN_CLI = """
+import sys, threading
+first = []
+
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" and not first:
+            first.append(threading.current_thread() is threading.main_thread())
+
+sys.meta_path.insert(0, Spy())
+from bscount.cli import main
+status = main(sys.argv[1:])
+print(first[0] if first else None)
+sys.exit(status)
+"""
+
+
+def python(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize("module", ["bscount", "bscount.cli"])
+def test_import_loads_no_scipy(module):
+    out = python("-c", f"import sys, {module}\n"
+                 "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    assert out.strip() == "[]"
+
+
+def test_twobody_csv_bytes_do_not_depend_on_jobs_in_fresh_interpreters(tmp_path):
+    csv = []
+    for jobs in ("1", "4"):
+        out = tmp_path / jobs
+        first_on_main = python("-c", RUN_CLI, "twobody", "--out", str(out), "--jobs", jobs)
+        # scipy's first import happens inside the pool's worker threads
+        assert first_on_main.strip() == "False"
+        csv.append((out / "twobody.csv").read_bytes())
+    assert csv[0] == csv[1]

@@ -114,6 +114,15 @@ def test_accepts_finite_entries_whose_norm_overflows():
     assert np.all(np.isfinite(a.entries))
 
 
+@pytest.mark.parametrize("entries", [
+    [[1e200, 1e308], [-1e308, 1.0]],
+    [[1e300, 1e308], [1e308 * (1.0 + 1e-10), 1.0]],
+])
+def test_rejects_asymmetry_when_the_norm_overflows(entries):
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="not symmetric"):
+        sym(entries)
+
+
 def test_symmetrizes_entries_near_the_float_limit_without_overflow():
     big, other = 1e308, 1.7e308
     with np.errstate(over="ignore"):  # |A|_F overflows
@@ -126,7 +135,8 @@ def test_symmetrizes_entries_near_the_float_limit_without_overflow():
 @settings(max_examples=60, deadline=None)
 @given(g=arrays(np.float64, (4, 4), elements=st.floats(allow_nan=False, allow_infinity=False)))
 def test_symmetrized_bits_match_the_plain_mean_wherever_it_is_finite(g):
-    g[0, 0] = 1e300  # |A|_F overflows, so any asymmetry passes the check
+    g = np.triu(g) + np.nextafter(np.triu(g, 1).T, 0.0)  # asymmetric by one ulp
+    g[0, 0] = 1e300  # |A|_F overflows
     with np.errstate(over="ignore"):
         a = sym(g).entries
         plain = 0.5 * (g + g.T)
