@@ -117,31 +117,16 @@ def lambda_unitary(beta: float) -> float:
     """Coupling at which the two-body subsystem reaches zero binding.
 
     The condition ``1 = lam * 4 pi Int g^2(q) dq`` gives ``lam = beta^3/pi^2``
-    in closed form; the quadrature evaluation of the integral is checked
-    against the closed form to 1e-10 before returning.
+    in closed form, from ``Int_0^inf dq / (q^2 + beta^2)^2 = pi / (4 beta^3)``.
     """
     if not beta > 0:
         raise ValueError(f"beta must be positive, got {beta}")
-    import scipy.integrate
-    quadrature, _ = scipy.integrate.quad(
-        lambda q: 1.0 / (q**2 + beta**2) ** 2, 0.0, np.inf,
-        epsabs=0.0, epsrel=1e-13)
-    closed = np.pi / (4.0 * beta**3)
-    if abs(quadrature / closed - 1.0) > 1e-10:
-        raise RuntimeError(
-            f"quadrature {quadrature!r} disagrees with the closed form {closed!r}")
     return beta**3 / np.pi**2
 
 
 def two_body_loop(c: float, beta: float) -> float:
     """``Int g^2(k) / (k^2 + c^2) d3k = pi^2 / (beta (beta + c)^2)``."""
     return np.pi**2 / (beta * (beta + c) ** 2)
-
-
-def _pair_amplitude_denominator(model: SeparableModel, q, abs_e):
-    """``D(q; E) = 1 - lam * two_body_loop(sqrt(q^2+|E|))`` on the grid."""
-    c = np.sqrt(q**2 + abs_e)
-    return 1.0 - model.lam * two_body_loop(c, model.beta)
 
 
 def dimer_energy(model: SeparableModel) -> float:
@@ -158,7 +143,8 @@ def dimer_energy(model: SeparableModel) -> float:
 
 
 class _AngleTerms(NamedTuple):
-    """Energy-independent terms of the angular integral ``J`` on an ``s x q`` grid.
+    """Energy-independent terms of the angular integral ``J`` at paired
+    spectator momenta ``(s_k, q_k)``.
 
     ``J`` is the second divided difference ``F[c1, c2, c3]`` of
     ``F(c) = Int_-1^1 du / (c + b u)``; each ``c_i`` is carried as
@@ -174,12 +160,12 @@ class _AngleTerms(NamedTuple):
 
 
 def _angle_terms(s: np.ndarray, q: np.ndarray, a11: float, beta2: float) -> _AngleTerms:
-    """Terms of ``J`` for spectator momenta ``s`` (rows) and ``q`` (columns);
-    ``beta2`` is ``a12^2 beta^2``."""
-    b = (-2.0 * a11) * np.outer(s, q)
-    m1 = (q[None, :] + a11 * s[:, None]) ** 2 + beta2
-    m2 = (s[:, None] + a11 * q[None, :]) ** 2 + beta2
-    m3 = (s[:, None] ** 2 + q[None, :] ** 2) - b
+    """Terms of ``J`` at the pairs ``(s[k], q[k])`` of two equal-length 1-D
+    arrays; ``beta2`` is ``a12^2 beta^2``."""
+    b = (-2.0 * a11) * (s * q)
+    m1 = (q + a11 * s) ** 2 + beta2
+    m2 = (s + a11 * q) ** 2 + beta2
+    m3 = (s**2 + q**2) - b
     return _AngleTerms(b, m1, m2, m3, _first_difference(m1, m2, b))
 
 
@@ -225,41 +211,57 @@ def _angular_integral(terms: _AngleTerms, e_term: float) -> np.ndarray:
 
 
 class _KernelParts(NamedTuple):
-    """Everything in ``three_boson_kernel`` that does not depend on the energy."""
+    """Everything in ``three_boson_kernel`` that does not depend on the energy.
+
+    ``J`` is symmetric in ``(s, q)``, so its terms are kept for the upper
+    triangle ``i <= j`` of the grid only, and each value is written to its
+    entry and to the mirror entry.
+    """
 
     model: SeparableModel
     p: np.ndarray       # momentum nodes
     ws2: np.ndarray     # w_i p_i^2
     a12_sq: float       # multiplies |E| in c3
     constant: float     # C = 4 pi lam a12^3
-    terms: _AngleTerms
+    pairs: np.ndarray   # (i, j) of each triangle entry, shape (2, m)
+    flat: np.ndarray    # (i n + j, j n + i): its flat n x n positions
+    terms: _AngleTerms  # at (p_i, p_j) on the triangle
 
 
 def _kernel_parts(model: SeparableModel) -> _KernelParts:
     # the one-channel kernel is the equal-mass one, and the Jacobi rotation
     # does not depend on the mass scale
-    coeffs = jacobi_pair_coeffs((1.0, 1.0, 1.0)).a
-    a11, a12 = float(coeffs[0, 0]), float(coeffs[0, 1])
+    a11, a12 = map(float, jacobi_pair_coeffs((1.0, 1.0, 1.0)).a[0])
     p, w = model.momentum_grid()
+    pairs = np.array(np.triu_indices(p.size))
     return _KernelParts(
         model=model, p=p, ws2=w * p**2, a12_sq=a12**2,
         constant=4.0 * np.pi * model.lam * a12**3,
-        terms=_angle_terms(p, p, a11, a12**2 * model.beta**2))
+        pairs=pairs, flat=pairs * p.size + pairs[::-1],
+        terms=_angle_terms(*p[pairs], a11, a12**2 * model.beta**2))
 
 
 def _assemble(parts: _KernelParts, energy: float) -> SymOperator:
-    """The kernel of ``three_boson_kernel`` at ``energy`` from prebuilt parts."""
+    """The kernel of ``three_boson_kernel`` at ``energy`` from prebuilt parts:
+    ``J`` on the upper triangle, scaled and mirrored into both halves."""
     if not energy < 0:
         raise ValueError(f"trimer search needs energy < 0, got {energy}")
     abs_e = -float(energy)
-    d = _pair_amplitude_denominator(parts.model, parts.p, abs_e)
+    # the pair amplitude denominator D(p_i; E) = 1 - lam two_body_loop(sqrt(p_i^2 + |E|))
+    d = 1.0 - parts.model.lam * two_body_loop(np.sqrt(parts.p**2 + abs_e), parts.model.beta)
     if np.any(d <= 0):
         raise ValueError(
             "pair amplitude denominator vanishes: energy is above the "
             "two-body threshold for this coupling")
     prefactor = np.sqrt(parts.ws2 / d)  # sqrt(w_i) p_i / sqrt(D_i)
     j = _angular_integral(parts.terms, parts.a12_sq * abs_e)
-    return SymOperator(parts.constant * (prefactor[:, None] * j * prefactor[None, :]))
+    pre_i, pre_j = prefactor[parts.pairs]
+    n = parts.p.size
+    values = parts.constant * (pre_i * j * pre_j)
+    k = np.empty(n * n)
+    k[parts.flat[0]] = values
+    k[parts.flat[1]] = values
+    return SymOperator(k.reshape(n, n))
 
 
 def three_boson_kernel(model: SeparableModel, energy: float) -> SymOperator:

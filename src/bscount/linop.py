@@ -63,7 +63,8 @@ class SymOperator:
             raise ValueError(
                 f"matrix has {a.size - int(finite.sum())} non-finite entries, "
                 f"the first A[{i}, {j}] = {a[i, j]}")
-        scale = 1.0 + np.linalg.norm(a)
+        with np.errstate(over="ignore"):  # an overflowing norm is handled below
+            scale = 1.0 + np.linalg.norm(a)
         if math.isfinite(scale):
             top, b, norm = 1.0, a, scale
         else:  # the same test on a / max|A|, where neither norm can overflow

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -158,21 +159,23 @@ class RadialGrid:
         """Mesh spacing of the uniform scheme; nodes sit at cell midpoints."""
         return self.r_max / self.n
 
+    @cached_property
+    def _legendre(self) -> tuple[np.ndarray, np.ndarray]:
+        """Gauss-Legendre nodes and weights on [-1, 1], computed once per grid."""
+        from scipy.special import roots_legendre
+        return roots_legendre(self.n)
+
     @property
     def nodes(self) -> np.ndarray:
         if self.scheme == "uniform_fd2":
             return (np.arange(1, self.n + 1) - 0.5) * self.h
-        from scipy.special import roots_legendre
-        x, _ = roots_legendre(self.n)
-        return 0.5 * self.r_max * (x + 1.0)
+        return 0.5 * self.r_max * (self._legendre[0] + 1.0)
 
     @property
     def weights(self) -> np.ndarray:
         if self.scheme == "uniform_fd2":
             return np.full(self.n, self.h)
-        from scipy.special import roots_legendre
-        _, w = roots_legendre(self.n)
-        return 0.5 * self.r_max * w
+        return 0.5 * self.r_max * self._legendre[1]
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,6 +3,7 @@
 import numpy as np
 import scipy.linalg
 
+from bscount import efimov
 from bscount.linop import SymOperator, spectral_decompose, sym
 from bscount.radial import RadialGrid, _banded_hamiltonian, _green_swave
 
@@ -55,3 +56,27 @@ def green_kernel(eps: float, grid: RadialGrid) -> SymOperator:
     inv = scipy.linalg.solveh_banded(_banded_hamiltonian(grid, 0.0, eps),
                                      np.eye(grid.n))
     return SymOperator(0.5 * (inv + inv.T))
+
+
+def full_three_boson_kernel(model, energy: float) -> SymOperator:
+    """``efimov.three_boson_kernel`` evaluated on the whole ``n x n`` grid.
+
+    ``J`` comes from ``efimov._angular_integral`` on the outer-product terms
+    of every ``(s_i, q_j)``, so ``J(i, j)`` and ``J(j, i)`` are computed
+    separately and ``SymOperator`` averages the two; the library evaluates
+    the upper triangle only and mirrors it.
+    """
+    a11, a12 = -0.5, np.sqrt(3.0) / 2.0  # the equal-mass Jacobi rotation
+    p, w = model.momentum_grid()
+    s, q = p[:, None], p[None, :]
+    b = (-2.0 * a11) * np.outer(p, p)
+    beta2 = a12**2 * model.beta**2
+    m1 = (q + a11 * s) ** 2 + beta2
+    m2 = (s + a11 * q) ** 2 + beta2
+    m3 = (s**2 + q**2) - b
+    terms = efimov._AngleTerms(b, m1, m2, m3, efimov._first_difference(m1, m2, b))
+    d = 1.0 - model.lam * efimov.two_body_loop(np.sqrt(p**2 - energy), model.beta)
+    prefactor = np.sqrt(w * p**2 / d)
+    j = efimov._angular_integral(terms, -a12**2 * energy)
+    return SymOperator(4.0 * np.pi * model.lam * a12**3
+                       * (prefactor[:, None] * j * prefactor[None, :]))

@@ -21,7 +21,8 @@ from bscount.efimov import (
     trimer_spectrum,
     two_body_loop,
 )
-from bscount.linop import sym
+from bscount.linop import SymOperator, sym
+from oracles import full_three_boson_kernel
 
 LAM_U = lambda_unitary(1.0)
 
@@ -60,7 +61,7 @@ def reference_j(s, q, abs_e, nodes=30, panels=60):
 
 def closed_form_j(s, q, abs_e):
     terms = efimov._angle_terms(np.array([s]), np.array([q]), A11, A12**2)
-    return float(efimov._angular_integral(terms, A12**2 * abs_e)[0, 0])
+    return float(efimov._angular_integral(terms, A12**2 * abs_e)[0])
 
 
 def quadrature_kernel(model, energy, n_angle):
@@ -147,6 +148,17 @@ def test_lambda_unitary_closed_form_and_scaling():
                                                     rel=1e-12)
 
 
+def test_lambda_unitary_radial_integral_against_quadrature():
+    # lam_u = beta^3 / pi^2 rests on Int_0^inf dq / (q^2 + beta^2)^2 = pi / (4 beta^3)
+    for beta in (0.5, 1.0, 2.0):
+        quadrature, _ = scipy.integrate.quad(
+            lambda q: 1.0 / (q**2 + beta**2) ** 2, 0.0, np.inf,
+            epsabs=0.0, epsrel=1e-13)
+        assert quadrature == pytest.approx(np.pi / (4.0 * beta**3), rel=1e-10)
+        assert 1.0 / (4.0 * np.pi * quadrature) == pytest.approx(lambda_unitary(beta),
+                                                                rel=1e-10)
+
+
 def test_two_body_loop_against_quadrature():
     for beta, c in [(1.0, 0.0), (1.0, 0.7), (2.0, 3.0)]:
         quadrature, _ = scipy.integrate.quad(
@@ -188,6 +200,31 @@ def test_kernel_is_symmetric():
     m = unitary_model(n_p=128)
     k = three_boson_kernel(m, -0.5)
     assert np.linalg.norm(k.entries - k.entries.T) <= 1e-10
+
+
+@pytest.mark.parametrize("n_p", [128, 256, 512])
+def test_triangle_kernel_matches_full_grid_assembly(n_p, monkeypatch):
+    handed = []  # the arrays _assemble hands to SymOperator, before its averaging
+    monkeypatch.setattr(efimov, "SymOperator", lambda a: handed.append(a) or SymOperator(a))
+    m = unitary_model(n_p=n_p)
+    parts = efimov._kernel_parts(m)
+    for energy in -np.geomspace(1.0, 1e-9, 10):
+        k = efimov._assemble(parts, float(energy)).entries
+        oracle = full_three_boson_kernel(m, float(energy)).entries
+        assert np.array_equal(handed[-1], handed[-1].T)
+        assert np.array_equal(k, handed[-1])
+        assert np.linalg.norm(k - oracle) <= 1e-13 * np.linalg.norm(oracle)
+        np.testing.assert_allclose(k, oracle, rtol=1e-9, atol=0.0)
+
+
+def test_ladder_matches_full_grid_assembly(monkeypatch):
+    m = unitary_model(n_p=256)
+    energies = [l.energy for l in efimov_spectrum(m, -1.0)]
+    monkeypatch.setattr(efimov, "_assemble",
+                        lambda parts, energy: full_three_boson_kernel(parts.model, energy))
+    oracle = [l.energy for l in efimov_spectrum(m, -1.0)]
+    assert len(energies) == len(oracle) >= 3
+    np.testing.assert_allclose(energies, oracle, rtol=efimov.LEVEL_REL_TOL, atol=0.0)
 
 
 def test_kernel_rejects_nonnegative_energy():

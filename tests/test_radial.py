@@ -651,6 +651,25 @@ def test_mu_scan_rejects_detuned_potential():
                 np.geomspace(1e-6, 1e-4, 5))
 
 
+def test_mu_scan_computes_the_legendre_rule_once_per_grid(monkeypatch):
+    import scipy.special
+
+    calls = []
+    rule = scipy.special.roots_legendre
+
+    def counted(n):
+        calls.append(n)
+        return rule(n)
+
+    monkeypatch.setattr(scipy.special, "roots_legendre", counted)
+    well = PotentialSpec(kind="square_well", strength=1.0, range=1.0)
+    grids = [RadialGrid(ell=0, r_max=1.0, n=n, scheme="gauss_legendre") for n in (96, 128)]
+    for grid in grids:
+        pot = well.with_strength(kernel_critical_strength(well, grid))
+        mu_scan(pot, grid, np.geomspace(1e-6, 1e-4, 5))
+    assert calls == [96, 128]
+
+
 def test_counts_stable_under_mesh_refinement():
     pot = PotentialSpec(kind="gaussian", strength=18.0, range=1.0)
     for eps in (0.1, 0.5):
