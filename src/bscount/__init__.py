@@ -38,8 +38,6 @@ from .bsengine import (
 from .iterbs import (
     ProjectionStep,
     StageResult,
-    inv_sqrt_one_minus,
-    r_operator,
     bs_step,
     iterate,
 )
@@ -66,8 +64,6 @@ __all__ = [
     "ThresholdCollisionError",
     "ProjectionStep",
     "StageResult",
-    "inv_sqrt_one_minus",
-    "r_operator",
     "bs_step",
     "iterate",
     "__version__",

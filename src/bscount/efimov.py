@@ -7,15 +7,17 @@ a flat Laplacian.  Projecting the bound-state problem on the form factor
 reduces it to a one-dimensional integral kernel in the spectator momentum;
 trimer energies are the points where an eigenvalue of that kernel crosses 1.
 
-The kernel's mass coefficients come from the orthogonal Jacobi rotation
-between spectator frames (see docs/three_boson_kernel.md for the full
-derivation); they are validated against independent oracles (weak-coupling
-absence of trimers, two-body counting at the unitarity coupling, and the
-geometric accumulation ratio at unitarity) rather than asserted.
+The kernel's mass coefficients ``A11``, ``A12`` come from the orthogonal
+Jacobi rotation between spectator frames (see docs/three_boson_kernel.md
+for the full derivation); they are validated against independent oracles
+(weak-coupling absence of trimers, two-body counting at the unitarity
+coupling, and the geometric accumulation ratio at unitarity) rather than
+asserted.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -24,6 +26,11 @@ import numpy as np
 from .linop import SymOperator
 
 UNITARITY_RTOL = 1e-8
+# a11 and a12 of the Jacobi rotation between the spectator frames of three
+# equal masses, the only masses the kernel takes (docs/three_boson_kernel.md
+# gives the general-mass formula)
+A11 = -0.5
+A12 = math.sqrt(0.75)
 # trimer_spectrum: ladder points per decade of |E|, and the brentq tolerance
 # on log|E| (relative tolerance on the energy)
 POINTS_PER_DECADE = 4
@@ -31,26 +38,6 @@ LEVEL_REL_TOL = 1e-10
 # widest gap between the c_i, relative to the largest, below which J takes
 # its confluent limit
 CONFLUENT_RTOL = 1e-6
-
-
-@dataclass(frozen=True)
-class JacobiCoeffs:
-    """2x2 orthogonal rotation between two spectator Jacobi frames."""
-
-    a: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        if a.shape != (2, 2):
-            raise ValueError(f"expected a 2x2 matrix, got shape {a.shape}")
-        defect = np.linalg.norm(a.T @ a - np.eye(2))
-        if defect > 1e-12:
-            raise ValueError(f"coefficient matrix is not orthogonal: defect {defect:.3e}")
-        if abs(a[1, 1] + a[0, 0]) > 1e-12 or abs(a[0, 1] - a[1, 0]) > 1e-12:
-            raise ValueError("expected the symmetric rotation structure "
-                             "a22 = -a11, a12 = a21")
-        a.setflags(write=False)
-        object.__setattr__(self, "a", a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,28 +76,6 @@ class SeparableModel:
 
     def with_lam(self, lam: float) -> "SeparableModel":
         return replace(self, lam=float(lam))
-
-
-def jacobi_pair_coeffs(masses) -> JacobiCoeffs:
-    """Rotation between the Jacobi frames of spectators 1 and 2.
-
-    For masses ``m_1 .. m_N`` (N >= 3) with total ``M``:
-
-        a11 = -sqrt(m1 m2 / ((M - m1)(M - m2)))
-        a12 =  sqrt(M (M - m1 - m2) / ((M - m1)(M - m2)))
-
-    with ``a21 = a12`` and ``a22 = -a11``; the matrix is orthogonal.
-    """
-    m = np.asarray(list(masses), dtype=float)
-    if m.size < 3:
-        raise ValueError(f"need at least three masses, got {m.size}")
-    if np.any(m <= 0):
-        raise ValueError("masses must be positive")
-    total = float(np.sum(m))
-    denom = (total - m[0]) * (total - m[1])
-    a11 = -np.sqrt(m[0] * m[1] / denom)
-    a12 = np.sqrt(total * (total - m[0] - m[1]) / denom)
-    return JacobiCoeffs(a=np.array([[a11, a12], [a12, -a11]]))
 
 
 def lambda_unitary(beta: float) -> float:
@@ -229,16 +194,13 @@ class _KernelParts(NamedTuple):
 
 
 def _kernel_parts(model: SeparableModel) -> _KernelParts:
-    # the one-channel kernel is the equal-mass one, and the Jacobi rotation
-    # does not depend on the mass scale
-    a11, a12 = map(float, jacobi_pair_coeffs((1.0, 1.0, 1.0)).a[0])
     p, w = model.momentum_grid()
     pairs = np.array(np.triu_indices(p.size))
     return _KernelParts(
-        model=model, p=p, ws2=w * p**2, a12_sq=a12**2,
-        constant=4.0 * np.pi * model.lam * a12**3,
+        model=model, p=p, ws2=w * p**2, a12_sq=A12**2,
+        constant=4.0 * np.pi * model.lam * A12**3,
         pairs=pairs, flat=pairs * p.size + pairs[::-1],
-        terms=_angle_terms(*p[pairs], a11, a12**2 * model.beta**2))
+        terms=_angle_terms(*p[pairs], A11, A12**2 * model.beta**2))
 
 
 def _assemble(parts: _KernelParts, energy: float) -> SymOperator:

@@ -71,7 +71,9 @@ class ProjectionStep:
                 f"P is not a spectral projection of K_part at mu={self.mu:g}: "
                 f"|(K_part - mu P) P|_F = {compat:.3e}"
             )
-        w = _inv_sqrt_closed_form(p.entries, self.mu)
+        # 1 - mu P is 1 - mu on ran(P) and 1 on its complement, so this closed
+        # form is exact at any rank, and exactly symmetric for a symmetric P
+        w = np.eye(p.dim) + (1.0 / np.sqrt(1.0 - self.mu) - 1.0) * p.entries
         w.setflags(write=False)
         object.__setattr__(self, "_inv_sqrt", w)
 
@@ -83,14 +85,6 @@ class StageResult:
     t: SymOperator
     m: SymOperator
     consistency_residual: float
-
-
-def projection_step(k_total: SymOperator, k_part: SymOperator,
-                    p: SymOperator, mu: float) -> ProjectionStep:
-    """Build a step from the parent operator, with ``l_part = k_total - k_part``."""
-    k_total, k_part = sym(k_total), sym(k_part)
-    return ProjectionStep(p=p, mu=mu, k_part=k_part,
-                          l_part=SymOperator(k_total.entries - k_part.entries))
 
 
 def random_spectral_step(k_total: SymOperator, rng) -> ProjectionStep:
@@ -109,34 +103,8 @@ def random_spectral_step(k_total: SymOperator, rng) -> ProjectionStep:
     lam[0] = mu
     k_part = SymOperator((q * lam) @ q.T)
     p = SymOperator(np.outer(q[:, 0], q[:, 0]))
-    return projection_step(k_total, k_part, p, mu)
-
-
-def inv_sqrt_one_minus(p: SymOperator, mu: float) -> SymOperator:
-    """``(1 - mu P)^(-1/2)`` for a projection ``P`` and weight ``mu`` in (0, 1).
-
-    ``1 - mu P`` is ``1 - mu`` on the range of an orthogonal projection and
-    1 on its complement, so the closed form ``1 + (1/sqrt(1-mu) - 1) P`` is
-    exact at any rank.  ``P`` must pass the ``|P^2 - P|_F <= PROJECTION_TOL``
-    check of ``ProjectionStep``; otherwise ValueError.
-    """
-    p = sym(p)
-    if not 0.0 < mu < 1.0:
-        raise ValueError(f"mu must lie in (0, 1), got {mu}")
-    _check_projection(p)
-    return SymOperator(_inv_sqrt_closed_form(p.entries, mu))
-
-
-def _inv_sqrt_closed_form(p: np.ndarray, mu: float) -> np.ndarray:
-    """``1 + (1/sqrt(1-mu) - 1) P``, exactly symmetric for a symmetric ``P``."""
-    return np.eye(p.shape[0]) + (1.0 / np.sqrt(1.0 - mu) - 1.0) * p
-
-
-def r_operator(p: SymOperator, mu: float) -> SymOperator:
-    """``R = (1 - mu P)^(-1/2) - 1``; commutes with P and kills ran(1-P)."""
-    p = sym(p)
-    shifted = inv_sqrt_one_minus(p, mu)
-    return SymOperator(shifted.entries - np.eye(p.dim))
+    return ProjectionStep(p=p, mu=mu, k_part=k_part,
+                          l_part=SymOperator(k_total.entries - k_part.entries))
 
 
 def bs_step(t: SymOperator, step: ProjectionStep) -> SymOperator:

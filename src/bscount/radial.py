@@ -538,41 +538,38 @@ def _resolvent_power_bound(p: float, r_dist: float) -> float:
 def resolvent_power_kernel(gamma: float, eps: float, r_dist: float) -> float:
     """Diagonal-distance kernel of ``(-Laplacian + eps)^(-(1+2 gamma))`` in 3-d.
 
-    Evaluates
+    With ``p = 1 + 2 gamma in [1, 3/2)`` this is the Bessel potential
 
-        G(eps; R) = (4 pi)^(-3/2) [p Gamma(p)]^(-1)
-                    * Int_0^inf t^(-3/(2p)) exp(-eps t^(1/p) - R^2 t^(-1/p)/4) dt
+        G(eps; R) = 2^(1-p) / ((2 pi)^(3/2) Gamma(p))
+                    * (sqrt(eps)/R)^(3/2-p) K_(3/2-p)(sqrt(eps) R),
 
-    with ``p = 1 + 2 gamma in [1, 3/2)`` by adaptive quadrature after the
-    substitutions ``u = t^(1/p)`` and ``u = e^x``, over 60 units of ``x``
-    on either side of the integrand's peak.  The closed-form
-    upper bound ``2^(-2p) Gamma(3/2-p) / (pi^(3/2) Gamma(p)) R^(2p-3)``
-    is asserted before returning.
+    evaluated as ``x^nu K_nu(x) R^(2p-3)`` with ``x = sqrt(eps) R`` and
+    ``nu = 3/2 - p``, so that no factor overflows where ``G`` is finite.  At
+    ``p = 1`` it is ``exp(-sqrt(eps) R) / (4 pi R)``.  ``eps`` and ``R`` must
+    be positive and finite (ValueError); a value that is not finite, or that
+    exceeds the closed-form upper bound
+    ``2^(-2p) Gamma(3/2-p) / (pi^(3/2) Gamma(p)) R^(2p-3)``, raises
+    RuntimeError.
     """
     p = 1.0 + 2.0 * gamma
     if not 1.0 <= p < 1.5:
         raise ValueError(f"power p = 1 + 2*gamma = {p:g} outside [1, 3/2)")
-    if not (eps > 0 and r_dist > 0):
-        raise ValueError("eps and R must be positive")
-    import scipy.integrate
-    from scipy.special import gamma as gamma_fn
+    if not (0 < eps < np.inf and 0 < r_dist < np.inf):
+        raise ValueError(f"eps and R must be positive and finite, got {eps}, {r_dist}")
+    from scipy.special import gamma as gamma_fn, kv
 
-    # u = e^x turns the endpoint singularity into double-exponential decay
-    def integrand_x(x):
-        u = np.exp(x)
-        return p * u ** (p - 1.5) * np.exp(-eps * u - r_dist**2 / (4.0 * u))
-
-    x_peak = np.log(r_dist / (2.0 * np.sqrt(eps)))
-    integral, _ = scipy.integrate.quad(
-        integrand_x, x_peak - 60.0, x_peak + 60.0, epsabs=0.0,
-        epsrel=1e-12, limit=400)
-
-    value = (4.0 * np.pi) ** -1.5 / (p * gamma_fn(p)) * integral
+    nu = 1.5 - p
+    x = np.sqrt(eps) * r_dist
+    with np.errstate(invalid="ignore"):  # 0 * inf when x underflows: raised below
+        value = float(2.0 ** (1.0 - p) / ((2.0 * np.pi) ** 1.5 * gamma_fn(p))
+                      * x**nu * kv(nu, x) * r_dist ** (2.0 * p - 3.0))
+    if not np.isfinite(value):
+        raise RuntimeError(f"kernel value {value} at eps={eps:g}, R={r_dist:g} is not finite")
     bound = _resolvent_power_bound(p, r_dist)
     if value > bound * (1.0 + 1e-9):
         raise RuntimeError(
             f"kernel value {value:.6e} violates the closed-form bound {bound:.6e}")
-    return float(value)
+    return value
 
 
 # ---------------------------------------------------------------------------

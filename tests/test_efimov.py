@@ -5,16 +5,16 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 import scipy.integrate
-from hypothesis import given, settings, strategies as st
 from scipy.special import roots_legendre
 
 from bscount import efimov
 from bscount.bsengine import BsProblem, count_bs
 from bscount.efimov import (
+    A11,
+    A12,
     SeparableModel,
     dimer_energy,
     efimov_spectrum,
-    jacobi_pair_coeffs,
     lambda_unitary,
     s0_oracle,
     three_boson_kernel,
@@ -25,9 +25,6 @@ from bscount.linop import SymOperator, sym
 from oracles import full_three_boson_kernel
 
 LAM_U = lambda_unitary(1.0)
-
-
-A11, A12 = -0.5, np.sqrt(3.0) / 2.0  # equal-mass Jacobi rotation
 
 
 def kernel_top_eigenvalue(model, energy):
@@ -110,30 +107,15 @@ def count_bisection_spectrum(model, e_floor, rel_tol=1e-10, points_per_decade=4)
 
 
 def test_equal_mass_coefficients():
-    c = jacobi_pair_coeffs([1.0, 1.0, 1.0])
-    assert c.a[0, 0] == pytest.approx(-0.5, abs=1e-14)
-    assert c.a[0, 1] == pytest.approx(np.sqrt(3.0) / 2.0, abs=1e-14)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.floats(0.05, 50.0), min_size=3, max_size=6))
-def test_jacobi_orthogonality_random_masses(masses):
-    c = jacobi_pair_coeffs(masses)
-    np.testing.assert_allclose(c.a.T @ c.a, np.eye(2), atol=1e-12)
-    assert c.a[1, 1] == -c.a[0, 0]
-    assert c.a[0, 1] == c.a[1, 0]
-
-
-def test_light_first_particle_limit():
-    c = jacobi_pair_coeffs([1e-10, 1.0, 1.0])
-    assert abs(c.a[0, 0]) < 1e-4
-
-
-def test_jacobi_rejects_bad_masses():
-    with pytest.raises(ValueError, match="positive"):
-        jacobi_pair_coeffs([1.0, -1.0, 1.0])
-    with pytest.raises(ValueError, match="three"):
-        jacobi_pair_coeffs([1.0, 1.0])
+    # docs/three_boson_kernel.md: a11 = -sqrt(m1 m2 / ((M - m1)(M - m2))),
+    # a12 = sqrt(M (M - m1 - m2) / ((M - m1)(M - m2))) at masses (1, 1, 1)
+    m1 = m2 = 1.0
+    total = 3.0
+    denom = (total - m1) * (total - m2)
+    assert A11 == -np.sqrt(m1 * m2 / denom)
+    assert A12 == np.sqrt(total * (total - m1 - m2) / denom)
+    a = np.array([[A11, A12], [A12, -A11]])
+    np.testing.assert_allclose(a.T @ a, np.eye(2), rtol=0.0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,14 @@ def test_import_loads_no_scipy(module):
     assert out.strip() == "[]"
 
 
+def test_kernelcheck_loads_no_scipy_integrate(tmp_path):
+    # the resolvent-power kernel is a closed form in scipy.special
+    out = python("-c", "import sys\nfrom bscount.cli import main\n"
+                 f"assert main(['kernelcheck', '--out', {str(tmp_path)!r}]) == 0\n"
+                 "print([m for m in sys.modules if m.startswith('scipy.integrate')])")
+    assert out.strip().splitlines()[-1] == "[]"
+
+
 def test_twobody_csv_bytes_do_not_depend_on_jobs_in_fresh_interpreters(tmp_path):
     csv = []
     for jobs in ("1", "4"):

@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 
 from bscount import iterbs
-from bscount.iterbs import (
-    ProjectionStep,
-    bs_step,
-    inv_sqrt_one_minus,
-    iterate,
-    projection_step,
-    r_operator,
-)
+from bscount.iterbs import ProjectionStep, bs_step, iterate
 from bscount.linop import SymOperator, count_evs, rank_one_projection, sym
+
+
+def projection_step(k_total, k_part, p, mu):
+    """Step with ``l_part = k_total - k_part``."""
+    return ProjectionStep(p=p, mu=mu, k_part=k_part,
+                          l_part=SymOperator(k_total.entries - k_part.entries))
 
 
 def random_k_total(rng, dim, top_scale=0.9):
@@ -46,7 +45,17 @@ def step_from_top_eigenpair(k_total, k_part):
 
 
 # ---------------------------------------------------------------------------
-# inv_sqrt_one_minus / r_operator
+# (1 - mu P)^(-1/2) and R = (1 - mu P)^(-1/2) - 1, as a ProjectionStep builds them
+
+
+def inv_sqrt_one_minus(p, mu):
+    step = ProjectionStep(p=p, mu=mu, k_part=SymOperator(mu * p.entries),
+                          l_part=SymOperator(0 * p.entries))
+    return SymOperator(step._inv_sqrt)
+
+
+def r_operator(p, mu):
+    return SymOperator(inv_sqrt_one_minus(p, mu).entries - np.eye(p.dim))
 
 
 def test_inv_sqrt_small_mu_is_near_identity():

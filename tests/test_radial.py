@@ -505,7 +505,8 @@ def test_schwinger_deep_well_multiple_waves():
 
 def test_resolvent_kernel_matches_free_resolvent():
     for eps in np.geomspace(0.01, 10.0, 5):
-        for r_dist in np.geomspace(0.1, 8.0, 5):
+        # R = 1e-300: 1/(4 pi R) ~ 8e298 is finite, and so must the kernel be
+        for r_dist in [*np.geomspace(0.1, 8.0, 5), 1e-300]:
             value = resolvent_power_kernel(0.0, eps, r_dist)
             exact = np.exp(-np.sqrt(eps) * r_dist) / (4 * np.pi * r_dist)
             assert value == pytest.approx(exact, rel=1e-6)
@@ -533,12 +534,22 @@ def test_resolvent_kernel_two_substitutions_agree():
               for e in (0.01, 1.0, 10.0) for r in (0.2, 2.0, 5.0)]
     for gamma, eps, r_dist in points:
         assert resolvent_power_kernel(gamma, eps, r_dist) == pytest.approx(
-            _resolvent_kernel_direct(gamma, eps, r_dist), rel=1e-8)
+            _resolvent_kernel_direct(gamma, eps, r_dist), rel=1e-12)
 
 
 def test_resolvent_kernel_rejects_large_power():
-    with pytest.raises(ValueError, match="3/2"):
-        resolvent_power_kernel(0.25, 1.0, 1.0)
+    for gamma, eps, r_dist, match in [
+            (0.25, 1.0, 1.0, "3/2"), (np.nan, 1.0, 1.0, "3/2"),
+            (0.0, np.inf, 1.0, "finite"), (0.0, 1.0, np.inf, "finite"),
+            (0.0, np.nan, 1.0, "finite"), (0.0, 1.0, np.nan, "finite")]:
+        with pytest.raises(ValueError, match=match):
+            resolvent_power_kernel(gamma, eps, r_dist)
+
+
+def test_resolvent_kernel_raises_on_non_finite_value():
+    # sqrt(eps) R underflows to 0, where x^nu K_nu(x) evaluates to 0 * inf
+    with pytest.raises(RuntimeError, match="not finite"):
+        resolvent_power_kernel(0.0, 1e-300, 1e-300)
 
 
 # ---------------------------------------------------------------------------
