@@ -15,7 +15,8 @@ bounds as checkable procedures.
 A ``BsProblem`` owns the two spectra every count reads, each computed once:
 the checked eigendecomposition of ``A`` (its positivity check, and the
 square root in ``bs_operator``) at construction, and the checked
-eigenvalues of ``A + B`` (``h_spectrum``) on first use.
+eigenvalues of ``A + B`` (``h_spectrum``) on first use.  linop runs every
+eigensolve, so each spectrum read here carries linop's checks.
 
 Sign convention: the leading minus is part of the definition here, so
 attractive perturbations ``B <= 0`` give ``K(eps) >= 0`` and binding shows
@@ -35,6 +36,7 @@ from .linop import (
     DEFAULT_SEED,
     SymOperator,
     _checked_eigenvalues,
+    _guard,
     checked_eigenvalues,
     count_evs,
     hs_norm,
@@ -74,12 +76,7 @@ class BsProblem:
             raise ValueError(f"dimension mismatch: A is {a.dim}, B is {b.dim}")
         if not self.epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        lam, vec = spectral_decompose(a)
-        if lam[0] < -1e-10 * (1.0 + np.linalg.norm(a.entries)):
-            raise ValueError(
-                f"A must be positive semidefinite: min eigenvalue {lam[0]:.3e}"
-            )
-        object.__setattr__(self, "_a_eigh", (lam, vec))
+        object.__setattr__(self, "_a_eigh", _psd_decompose(a))
 
     @property
     def dim(self) -> int:
@@ -95,6 +92,15 @@ class BsProblem:
         lam, eta = _checked_eigenvalues(self.a.entries + self.b.entries)
         lam.setflags(write=False)
         return lam, eta
+
+
+def _psd_decompose(a: SymOperator) -> tuple[np.ndarray, np.ndarray]:
+    """``spectral_decompose(a)``, after checking that ``a`` is positive
+    semidefinite up to the count guard band (ValueError otherwise)."""
+    lam, vec = spectral_decompose(a)
+    if lam[0] < -_guard(float(np.linalg.norm(a.entries))):
+        raise ValueError(f"A must be positive semidefinite: min eigenvalue {lam[0]:.3e}")
+    return lam, vec
 
 
 @dataclass(frozen=True)
@@ -194,8 +200,8 @@ def critical_coupling(a: SymOperator, b: SymOperator, tol: float) -> CriticalCou
         raise ValueError(f"tol must be positive, got {tol}")
 
     def min_eig(lam: float) -> tuple[float, float]:
-        m = a.entries + lam * b.entries
-        return float(np.linalg.eigvalsh(m)[0]), 1e-10 * (1.0 + np.linalg.norm(m))
+        ev, eta = _checked_eigenvalues(a.entries + lam * b.entries)
+        return float(ev[0]), eta
 
     def binds(lam: float) -> bool:
         e, eta = min_eig(lam)
@@ -257,11 +263,7 @@ def rank_one_domination(f: np.ndarray, a: SymOperator, epsilon0: float, c: float
     if not c > 0:
         raise ValueError(f"c must be positive, got {c}")
     proj = rank_one_projection(f)  # rejects |f| < MIN_PROJECTION_NORM
-    lam, vec = spectral_decompose(a)
-    if lam[0] < -1e-10 * (1.0 + np.linalg.norm(a.entries)):
-        raise ValueError(
-            f"A must be positive semidefinite: min eigenvalue {lam[0]:.3e}"
-        )
+    lam, vec = _psd_decompose(a)
     u = np.ravel(f) / np.linalg.norm(f)  # f normalized, as proj = u u^T
     coeffs = vec.T @ u
     # tail norm above each candidate cutoff, scanning cutoffs in ascending order
@@ -273,9 +275,10 @@ def rank_one_domination(f: np.ndarray, a: SymOperator, epsilon0: float, c: float
     k0 = float(cutoffs[int(np.argmax(ok))])
     big_l = 2.0 * (k0 + epsilon0)
 
-    inv = (vec / (lam + epsilon0)) @ vec.T
-    top = float(np.linalg.eigvalsh(proj.entries - big_l * inv)[-1])
-    if top > c + 1e-10 * (1.0 + big_l):
+    inv = (vec / (lam + epsilon0)) @ vec.T  # symmetric only up to rounding
+    ev, eta = checked_eigenvalues(proj.entries - big_l * inv)
+    top = float(ev[-1])
+    if top > c + eta:
         raise RuntimeError(
             f"verification failed: max eigenvalue {top:.6e} exceeds c={c:g} "
             f"for L={big_l:g} (guard-band misconfiguration?)"

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linop import SymOperator
+from .linop import SymOperator, _checked_eigenvalues
 
 UNITARITY_RTOL = 1e-8
 # a11 and a12 of the Jacobi rotation between the spectator frames of three
@@ -246,8 +246,8 @@ def three_boson_kernel(model: SeparableModel, energy: float) -> SymOperator:
 
 
 def _kernel_eigenvalues(parts: _KernelParts, energy: float) -> np.ndarray:
-    """Ascending eigenvalues of the kernel at ``energy``."""
-    return np.linalg.eigvalsh(_assemble(parts, energy).entries)
+    """Checked ascending eigenvalues of the kernel at ``energy``."""
+    return _checked_eigenvalues(_assemble(parts, energy).entries)[0]
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,6 +11,11 @@ and symmetric, once, when it is built.  Library code that forms a matrix it
 knows to be exactly symmetric (a sum of two operators' entries) passes the
 ndarray on without wrapping it again.
 
+linop runs every eigensolve in the package: no other module calls LAPACK
+for eigenvalues.  The solver choice, the count guard band
+``1e-10 (1 + |A|_F)``, the checks and the conversion of a LAPACK failure
+into RuntimeError live here.
+
 Counts need eigenvalues only: ``checked_eigenvalues`` reads the structure
 of its matrix and checks the result against the trace and Frobenius-norm
 invariants of the full matrix, both O(n^2).  Exactly-zero rows and columns
@@ -18,7 +23,10 @@ are deflated as exact zero eigenvalues; the rest come from ``eigvalsh`` on
 the live block, or from LAPACK ``sterf`` (``eigvalsh_tridiagonal``) when
 every entry off the three central diagonals is exactly zero.
 ``spectral_decompose`` returns eigenvectors too and checks their residual
-and orthonormality; it serves the callers that use eigenvectors.
+and orthonormality; it serves the callers that use eigenvectors.  The
+private ``_tridiagonal_eigenvalues`` selects eigenvalues of a tridiagonal
+matrix by index or by value, for the radial Sturm counts; a selection has
+no full-spectrum invariant to check.
 """
 
 from __future__ import annotations
@@ -113,9 +121,8 @@ def spectral_decompose(a: SymOperator) -> tuple[np.ndarray, np.ndarray]:
         lam, vec = np.linalg.eigh(a.entries)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigendecomposition did not converge: {exc}") from exc
-    scale = 1.0 + np.linalg.norm(a.entries)
     residual = np.linalg.norm(a.entries @ vec - vec * lam)
-    if residual > 1e-10 * scale:
+    if residual > _guard(float(np.linalg.norm(a.entries))):
         raise RuntimeError(
             f"eigendecomposition residual {residual:.3e} exceeds 1e-10*(1+|A|_F)"
         )
@@ -150,7 +157,7 @@ def _checked_eigenvalues(m: np.ndarray) -> tuple[np.ndarray, float]:
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigenvalue solver did not converge: {exc}") from exc
     fro = float(np.linalg.norm(m))
-    eta = 1e-10 * (1.0 + fro)
+    eta = _guard(fro)
     trace_defect = abs(float(np.sum(lam)) - float(np.trace(m)))
     if not trace_defect <= eta:
         raise RuntimeError(
@@ -177,11 +184,37 @@ def _eigenvalues(m: np.ndarray) -> np.ndarray:
         # hold all of them; below dimension 3 dense eigvalsh is the quicker call
         band = np.count_nonzero(m.diagonal()) + 2 * np.count_nonzero(m.diagonal(-1))
         if m.shape[0] > 2 and nonzero == band:
-            import scipy.linalg  # only here, so that importing bscount stays light
-
-            return scipy.linalg.eigvalsh_tridiagonal(m.diagonal(), m.diagonal(-1),
-                                                     lapack_driver="sterf")
+            return _tridiagonal_eigenvalues(m.diagonal(), m.diagonal(-1))
     return np.linalg.eigvalsh(m)
+
+
+def _tridiagonal_eigenvalues(diag, off, select="a", select_range=None) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric tridiagonal matrix ``T`` with
+    diagonal ``diag`` and off-diagonal ``off``.
+
+    ``select`` and ``select_range`` are those of
+    ``scipy.linalg.eigvalsh_tridiagonal``: all eigenvalues by LAPACK
+    ``sterf``, or a selection by index (``"i"``) or by value (``"v"``) by
+    Sturm bisection.  A value range keeps only the eigenvalues that lie more
+    than the guard band ``1e-10 (1 + |T|_F)`` inside it, the strict counts of
+    ``count_evs``.  A LAPACK failure raises RuntimeError.
+    """
+    import scipy.linalg  # only here, so that importing bscount stays light
+
+    if select == "v":
+        eta = _guard(float(np.sqrt(diag @ diag + 2.0 * (off @ off))))
+        select_range = (select_range[0] + eta, select_range[1] - eta)
+    try:
+        return scipy.linalg.eigvalsh_tridiagonal(
+            diag, off, select=select, select_range=select_range,
+            lapack_driver="sterf" if select == "a" else "auto")
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError(f"eigenvalue solver did not converge: {exc}") from exc
+
+
+def _guard(fro: float) -> float:
+    """Count guard band ``1e-10 (1 + |A|_F)`` of a matrix of Frobenius norm ``fro``."""
+    return 1e-10 * (1.0 + fro)
 
 
 def count_evs(a: SymOperator, relation: str, threshold: float) -> int:

@@ -15,6 +15,10 @@ Two discretization schemes coexist:
   closed-form s-wave Green function of the *semi-infinite* domain.  This is
   the route for near-threshold scaling, where any finite box would destroy
   the square-root law of the resonance channel.
+
+linop runs every eigensolve: the kernel's support-block spectrum is
+``linop``'s checked full spectrum, and the Sturm counts and lowest
+eigenvalues of the tridiagonal Hamiltonian are its tridiagonal selections.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .bsengine import CriticalCouplingResult, _bisect_coupling
-from .linop import SymOperator, checked_eigenvalues
+from .linop import SymOperator, _checked_eigenvalues, _tridiagonal_eigenvalues
 
 POTENTIAL_KINDS = ("yukawa", "exponential", "gaussian", "square_well", "table")
 
@@ -231,11 +235,7 @@ def reduced_hamiltonian(pot: PotentialSpec, grid: RadialGrid) -> SymOperator:
 
 
 def _lowest_eigenvalue(pot: PotentialSpec, grid: RadialGrid) -> float:
-    import scipy.linalg
-    diag, off = _fd_diagonals(pot, grid)
-    lam = scipy.linalg.eigvalsh_tridiagonal(diag, off, select="i",
-                                            select_range=(0, 0))
-    return float(lam[0])
+    return float(_tridiagonal_eigenvalues(*_fd_diagonals(pot, grid), "i", (0, 0))[0])
 
 
 def negative_count(pot: PotentialSpec, grid: RadialGrid, eps: float = 0.0) -> int:
@@ -245,12 +245,7 @@ def negative_count(pot: PotentialSpec, grid: RadialGrid, eps: float = 0.0) -> in
     of ``count_evs``: eigenvalues within ``1e-10 * (1 + |H|_F)`` of ``-eps``
     are not counted.
     """
-    import scipy.linalg
-    diag, off = _fd_diagonals(pot, grid)
-    eta = 1e-10 * (1.0 + float(np.sqrt(diag @ diag + 2.0 * (off @ off))))
-    lam = scipy.linalg.eigvalsh_tridiagonal(diag, off, select="v",
-                                            select_range=(-np.inf, -eps - eta))
-    return int(lam.size)
+    return int(_tridiagonal_eigenvalues(*_fd_diagonals(pot, grid), "v", (-np.inf, -eps)).size)
 
 
 def _banded_hamiltonian(grid: RadialGrid, v_plus, eps: float) -> np.ndarray:
@@ -293,7 +288,8 @@ def _bs_block(pot: PotentialSpec, grid: RadialGrid, eps: float):
     Returns the support indices and the block, for ``eps >= 0``.  On
     gauss_legendre the closed-form half-space s-wave kernel is used, which
     leaves no room for a repulsive part; on uniform_fd2 the box operator
-    is inverted by banded solves.
+    is inverted by banded solves.  Either block is symmetrized, so it is
+    exactly symmetric.
     """
     r = grid.nodes
     v_minus = pot.v_minus(r)
@@ -308,13 +304,14 @@ def _bs_block(pot: PotentialSpec, grid: RadialGrid, eps: float):
         root_vw = np.sqrt(v_minus[supp] * grid.weights[supp])
         rs = r[supp]
         g = _green_swave(eps, rs) if eps > 0 else _green_swave_zero(rs)
-        return supp, root_vw[:, None] * g * root_vw[None, :]
-    import scipy.linalg
-    root_v = np.sqrt(v_minus[supp])
-    rhs = np.zeros((grid.n, supp.size))
-    rhs[supp, np.arange(supp.size)] = root_v
-    x = scipy.linalg.solveh_banded(_banded_hamiltonian(grid, pot.v_plus(r), eps), rhs)
-    block = root_v[:, None] * x[supp, :]
+        block = root_vw[:, None] * g * root_vw[None, :]
+    else:
+        import scipy.linalg
+        root_v = np.sqrt(v_minus[supp])
+        rhs = np.zeros((grid.n, supp.size))
+        rhs[supp, np.arange(supp.size)] = root_v
+        x = scipy.linalg.solveh_banded(_banded_hamiltonian(grid, pot.v_plus(r), eps), rhs)
+        block = root_v[:, None] * x[supp, :]
     return supp, 0.5 * (block + block.T)
 
 
@@ -337,10 +334,10 @@ def bs_kernel_radial(pot: PotentialSpec, grid: RadialGrid, eps: float) -> SymOpe
     return SymOperator(out)
 
 
-def bs_top_eigenvalue(pot: PotentialSpec, grid: RadialGrid, eps: float) -> float:
-    """Largest Birman-Schwinger eigenvalue (0 when v_- vanishes on the grid)."""
-    _, block = _bs_block(pot, grid, eps)
-    return float(np.linalg.eigvalsh(block)[-1]) if block.size else 0.0
+def _block_spectrum(pot: PotentialSpec, grid: RadialGrid, eps: float):
+    """Checked ascending eigenvalues of the support block and their guard
+    band: the nonzero spectrum and the Frobenius norm of the kernel."""
+    return _checked_eigenvalues(_bs_block(pot, grid, eps)[1])
 
 
 def bs_count_and_top(pot: PotentialSpec, grid: RadialGrid, eps: float) -> tuple[int, float]:
@@ -349,15 +346,15 @@ def bs_count_and_top(pot: PotentialSpec, grid: RadialGrid, eps: float) -> tuple[
     Both come from one checked eigensolve of the support block, which has
     the nonzero spectrum and the Frobenius norm of ``bs_kernel_radial``, so
     the count is ``count_evs(bs_kernel_radial(pot, grid, eps), ">", 1.0)``.
+    The largest eigenvalue is 0 when v_- vanishes on the grid.
     """
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
     if grid.scheme == "uniform_fd2":
         _warn_if_box_small(pot, grid)
-    _, block = _bs_block(pot, grid, eps)
-    if not block.size:
+    lam, eta = _block_spectrum(pot, grid, eps)
+    if not lam.size:
         return 0, 0.0
-    lam, eta = checked_eigenvalues(SymOperator(block))
     return int(np.count_nonzero(lam > 1.0 + eta)), float(lam[-1])
 
 
@@ -368,10 +365,10 @@ def kernel_critical_strength(pot: PotentialSpec, grid: RadialGrid) -> float:
     makes the discretized operator exactly critical is
     ``strength / mu_0(strength)``.
     """
-    _, block = _bs_block(pot, grid, 0.0)
-    if not block.size:
+    lam, _ = _block_spectrum(pot, grid, 0.0)
+    if not lam.size:
         raise ValueError("potential has no attractive part on the grid")
-    mu0 = float(np.linalg.eigvalsh(block)[-1])
+    mu0 = float(lam[-1])
     if mu0 <= 0:
         raise ValueError("zero-shift kernel has no positive eigenvalue")
     return pot.strength / mu0
@@ -544,10 +541,12 @@ def resolvent_power_kernel(gamma: float, eps: float, r_dist: float) -> float:
                     * (sqrt(eps)/R)^(3/2-p) K_(3/2-p)(sqrt(eps) R),
 
     evaluated as ``x^nu K_nu(x) R^(2p-3)`` with ``x = sqrt(eps) R`` and
-    ``nu = 3/2 - p``, so that no factor overflows where ``G`` is finite.  At
-    ``p = 1`` it is ``exp(-sqrt(eps) R) / (4 pi R)``.  ``eps`` and ``R`` must
-    be positive and finite (ValueError); a value that is not finite, or that
-    exceeds the closed-form upper bound
+    ``nu = 3/2 - p``, so that no factor overflows where ``G`` is finite;
+    where ``x`` underflows to 0, ``x^nu K_nu(x)`` takes its limit
+    ``2^(nu-1) Gamma(nu)``.  At ``p = 1`` it is
+    ``exp(-sqrt(eps) R) / (4 pi R)``.  ``eps`` and ``R`` must be positive
+    and finite (ValueError); a value that is not finite, or that exceeds
+    the closed-form upper bound
     ``2^(-2p) Gamma(3/2-p) / (pi^(3/2) Gamma(p)) R^(2p-3)``, raises
     RuntimeError.
     """
@@ -560,9 +559,9 @@ def resolvent_power_kernel(gamma: float, eps: float, r_dist: float) -> float:
 
     nu = 1.5 - p
     x = np.sqrt(eps) * r_dist
-    with np.errstate(invalid="ignore"):  # 0 * inf when x underflows: raised below
-        value = float(2.0 ** (1.0 - p) / ((2.0 * np.pi) ** 1.5 * gamma_fn(p))
-                      * x**nu * kv(nu, x) * r_dist ** (2.0 * p - 3.0))
+    c = 2.0 ** (1.0 - p) / ((2.0 * np.pi) ** 1.5 * gamma_fn(p))
+    bessel = c * x**nu * kv(nu, x) if x > 0 else c * 2.0 ** (nu - 1.0) * gamma_fn(nu)
+    value = float(bessel * r_dist ** (2.0 * p - 3.0))
     if not np.isfinite(value):
         raise RuntimeError(f"kernel value {value} at eps={eps:g}, R={r_dist:g} is not finite")
     bound = _resolvent_power_bound(p, r_dist)
@@ -642,7 +641,7 @@ def mu_scan(pot: PotentialSpec, grid: RadialGrid, eps_list, *,
         raise ValueError(
             f"potential is off criticality by {detune:.3e} relative "
             f"(strength {pot.strength:.12g}, critical {lam_star:.12g})")
-    mus = np.array([bs_top_eigenvalue(pot, grid, float(e)) for e in eps_arr])
+    mus = np.array([_block_spectrum(pot, grid, float(e))[0][-1] for e in eps_arr])
     if np.any(mus >= 1.0):
         raise RuntimeError("mu(eps) >= 1 in the scan: supercritical tuning")
     if np.any(np.diff(mus) > 1e-12):

@@ -1,6 +1,8 @@
 """Tests for the dense operator algebra primitives."""
 
+import ast
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from bscount.linop import (
     spectral_decompose,
     sym,
 )
+from bscount import bsengine, efimov, radial
 from bscount.radial import PotentialSpec, RadialGrid, bs_kernel_radial, reduced_hamiltonian
 from oracles import op_function
 from test_acceptance import TWENTY_CASES
@@ -434,6 +437,90 @@ def test_count_turns_lapack_failure_into_runtime_error(monkeypatch, route):
     monkeypatch.setattr(module, name, fail)
     with pytest.raises(RuntimeError, match="did not converge"):
         count_evs(a, ">", 0.0)
+
+
+# ---------------------------------------------------------------------------
+# linop runs every eigensolve
+
+EIGENSOLVER_NAMES = {"eigh", "eigvalsh", "eigvalsh_tridiagonal", "lapack"}
+
+
+def test_no_module_but_linop_names_an_eigensolver():
+    package = Path(bsengine.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "linop.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else
+                    node.name.rpartition(".")[2] if isinstance(node, ast.alias) else None)
+            if name in EIGENSOLVER_NAMES:
+                found.append(f"{path.name}:{node.lineno} {name}")
+    assert not found
+
+
+def trimer_ladder():
+    model = efimov.SeparableModel(beta=1.0, lam=efimov.lambda_unitary(1.0), p_max=40.0,
+                                  n_p=64, grid_c=300.0)
+    efimov.trimer_spectrum(model, -1.0)
+
+
+def critical_square_well():
+    well = PotentialSpec(kind="square_well", strength=1.0, range=1.0)
+    grid = RadialGrid(ell=0, r_max=1.0, n=64, scheme="gauss_legendre")
+    return well.with_strength(radial.kernel_critical_strength(well, grid)), grid
+
+
+def rank_one_problem():
+    a = random_symmetric(np.random.default_rng(DEFAULT_SEED), 6)
+    a = sym(a.entries @ a.entries)
+    bsengine.rank_one_domination(np.arange(1.0, 7.0), a, epsilon0=0.5, c=0.5)
+
+
+# (run, eigvalsh calls left unshifted) per full-spectrum route that called
+# LAPACK outside linop; in the mu_scan case the first two solves find the
+# critical strength, in the test and again in mu_scan, so the scan is shifted
+FULL_SPECTRUM_ROUTES = {
+    "trimer_spectrum": (trimer_ladder, 0),
+    "kernel_critical_strength": (critical_square_well, 0),
+    "mu_scan": (lambda: radial.mu_scan(*critical_square_well(),
+                                       np.geomspace(1e-6, 1e-4, 5)), 2),
+    "critical_coupling": (lambda: bsengine.critical_coupling(
+        sym(np.diag([1.0, 2.0])), sym(-np.ones((2, 2))), tol=1e-6), 0),
+    "rank_one_domination": (rank_one_problem, 0),
+}
+
+
+@pytest.mark.parametrize("route", FULL_SPECTRUM_ROUTES)
+def test_eigenvalue_check_fires_on_every_full_spectrum_route(monkeypatch, route):
+    run, skip = FULL_SPECTRUM_ROUTES[route]
+    solves = 0
+
+    def shifted(m):
+        nonlocal solves
+        solves += 1
+        return DENSE_EIGVALSH(m) + (1e-6 if solves > skip else 0.0)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", shifted)
+    with pytest.raises(RuntimeError, match="trace"):
+        run()
+
+
+@pytest.mark.parametrize("run", [
+    lambda: radial.negative_count(PotentialSpec(kind="square_well", strength=26.0),
+                                  RadialGrid(ell=0, r_max=25.0, n=200)),
+    lambda: radial.find_critical_coupling_radial(
+        PotentialSpec(kind="square_well", strength=1.0), RadialGrid(ell=0, r_max=30.0, n=300),
+        tol=0.1),
+], ids=["negative_count", "find_critical_coupling_radial"])
+def test_tridiagonal_selections_turn_lapack_failure_into_runtime_error(monkeypatch, run):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", fail)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        run()
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from bscount.radial import (
     RadialGrid,
     bs_count_and_top,
     bs_kernel_radial,
-    bs_top_eigenvalue,
     find_critical_coupling_radial,
     kernel_critical_strength,
     mu_scan,
@@ -284,7 +283,7 @@ def test_half_critical_depth_gives_half_mu():
     well = PotentialSpec(kind="square_well", strength=1.0, range=1.0)
     grid = RadialGrid(ell=0, r_max=1.0, n=200, scheme="gauss_legendre")
     lam_c = kernel_critical_strength(well, grid)
-    mu = bs_top_eigenvalue(well.with_strength(lam_c / 2.0), grid, 1e-6)
+    mu = bs_count_and_top(well.with_strength(lam_c / 2.0), grid, 1e-6)[1]
     assert mu == pytest.approx(0.5, abs=5e-3)
 
 
@@ -317,7 +316,7 @@ def test_kernel_forms_share_top_eigenvalue():
         calc = _calculus_kernel(pot, grid, 0.4)
         assert_top_spectra_agree(k, calc, 10)
         top = np.linalg.eigvalsh(calc.entries)[-1]
-        assert bs_top_eigenvalue(pot, grid, 0.4) == pytest.approx(top, rel=1e-8)
+        assert bs_count_and_top(pot, grid, 0.4)[1] == pytest.approx(top, rel=1e-8)
 
 
 @pytest.mark.parametrize("level", [0, 1])
@@ -342,10 +341,9 @@ def test_bs_count_and_top_matches_kernel(kind, lam, grid):
     pot = PotentialSpec(kind=kind, strength=lam, range=1.0)
     for eps in (0.05, 0.5, 2.0):
         count, top = bs_count_and_top(pot, grid, eps)
-        assert count == count_evs(bs_kernel_radial(pot, grid, eps), ">", 1.0)
-        # bs_count_and_top symmetrizes the block, which on gauss_legendre
-        # is symmetric only up to rounding
-        assert top == pytest.approx(bs_top_eigenvalue(pot, grid, eps), rel=1e-13)
+        kernel = bs_kernel_radial(pot, grid, eps)
+        assert count == count_evs(kernel, ">", 1.0)
+        assert top == pytest.approx(np.linalg.eigvalsh(kernel.entries)[-1], rel=1e-13)
 
 
 def test_bs_count_and_top_edge_cases():
@@ -546,10 +544,16 @@ def test_resolvent_kernel_rejects_large_power():
             resolvent_power_kernel(gamma, eps, r_dist)
 
 
-def test_resolvent_kernel_raises_on_non_finite_value():
-    # sqrt(eps) R underflows to 0, where x^nu K_nu(x) evaluates to 0 * inf
-    with pytest.raises(RuntimeError, match="not finite"):
-        resolvent_power_kernel(0.0, 1e-300, 1e-300)
+@pytest.mark.parametrize("gamma", [0.0, 0.2, 0.249])
+def test_resolvent_kernel_limit_where_the_argument_underflows(gamma):
+    # sqrt(eps) R underflows to 0, where x^nu K_nu(x) -> 2^(nu-1) Gamma(nu) with
+    # nu = 3/2 - p; the kernel's x -> 0 limit then simplifies to this form
+    p, r_dist = 1.0 + 2.0 * gamma, 1e-300
+    limit = (2.0 ** (-2.0 * p) * gamma_fn(1.5 - p) / (np.pi**1.5 * gamma_fn(p))
+             * r_dist ** (2.0 * p - 3.0))
+    assert resolvent_power_kernel(gamma, 1e-300, r_dist) == pytest.approx(limit, rel=1e-13)
+    if gamma == 0.0:
+        assert limit == pytest.approx(1.0 / (4.0 * np.pi * r_dist), rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
