@@ -271,7 +271,8 @@ def _json_default(obj):
 
 
 # ---------------------------------------------------------------------------
-# pipelines: each returns (columns, rows, checks)
+# pipelines: each returns (columns, rows, checks); every check counts its
+# cases and failures, and ``run`` marks it passed when there are none
 
 
 def _run_verify(cfg, jobs):
@@ -349,8 +350,6 @@ def _run_verify(cfg, jobs):
     columns = ("check", "cases", "failures")
     rows = [(name, data["cases"], data["failures"])
             for name, data in checks.items()]
-    for data in checks.values():
-        data["pass"] = data["failures"] == 0
     return columns, rows, checks
 
 
@@ -383,8 +382,7 @@ def _run_twobody(cfg, jobs):
     rows = [(eps, direct, via_kernel, mu)
             for eps, (direct, via_kernel, mu) in zip(epsilons, results)]
     mismatches = sum(direct != via_kernel for _, direct, via_kernel, _ in rows)
-    checks = {"counts_agree": {"cases": len(rows), "failures": mismatches,
-                               "pass": mismatches == 0}}
+    checks = {"counts_agree": {"cases": len(rows), "failures": mismatches}}
     return ("epsilon", "count_direct", "count_bs", "mu_max"), rows, checks
 
 
@@ -394,33 +392,25 @@ def _run_kernelcheck(cfg, jobs):
     r_values = [float(r) for r in cfg["kernel.r_values"]]
     points = [(g, e, r) for g in gammas for e in epsilons for r in r_values]
 
-    def one(point):
-        gamma, eps, r_dist = point
-        value = resolvent_power_kernel(gamma, eps, r_dist)
-        bound = _resolvent_power_bound(1.0 + 2.0 * gamma, r_dist)
-        closed = (np.exp(-np.sqrt(eps) * r_dist) / (4 * np.pi * r_dist)
-                  if gamma == 0.0 else float("nan"))
-        return value, bound, closed
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        results = list(pool.map(one, points))
     rows = []
     bound_failures = 0
     closed_failures = 0
     closed_cases = 0
-    for (gamma, eps, r_dist), (value, bound, closed) in zip(points, results):
+    for gamma, eps, r_dist in points:
+        value = resolvent_power_kernel(gamma, eps, r_dist)
+        bound = _resolvent_power_bound(1.0 + 2.0 * gamma, r_dist)
         within = value <= bound * (1 + 1e-9)
         bound_failures += not within
+        closed = float("nan")
         if gamma == 0.0:
+            closed = np.exp(-np.sqrt(eps) * r_dist) / (4 * np.pi * r_dist)
             closed_cases += 1
             closed_failures += abs(value / closed - 1.0) > 1e-6
         rows.append((gamma, eps, r_dist, value, bound, closed, within))
     checks = {
-        "bound_holds": {"cases": len(rows), "failures": bound_failures,
-                        "pass": bound_failures == 0},
+        "bound_holds": {"cases": len(rows), "failures": bound_failures},
         "free_resolvent_match": {"cases": closed_cases,
-                                 "failures": closed_failures,
-                                 "pass": closed_failures == 0},
+                                 "failures": closed_failures},
     }
     return ("gamma", "epsilon", "r", "value", "bound", "closed_form",
             "within_bound"), rows, checks
@@ -442,8 +432,7 @@ def _run_iterbs_demo(cfg, jobs):
         cnt = count_evs(stage.t, ">", 1.0)
         failures += cnt != base
         rows.append((k, cnt, hs_norm(stage.m), stage.consistency_residual))
-    checks = {"count_invariant": {"cases": n_steps, "failures": failures,
-                                  "pass": failures == 0}}
+    checks = {"count_invariant": {"cases": n_steps, "failures": failures}}
     return ("k", "count", "hs_norm_Mk", "consistency_residual"), rows, checks
 
 
@@ -464,17 +453,16 @@ def _run_efimov(cfg, jobs):
     checks = {}
     if at_unitarity:
         enough = len(levels) >= 3
-        checks["levels_resolved"] = {"cases": 1, "failures": int(not enough),
-                                     "pass": enough}
+        checks["levels_resolved"] = {"cases": 1, "failures": int(not enough)}
         if enough:
             _, ratio_star = s0_oracle()
             last_ratio = levels[-2].energy / levels[-1].energy
             ok = abs(last_ratio / ratio_star - 1.0) < 0.1
             checks["accumulation_ratio"] = {
-                "cases": 1, "failures": int(not ok), "pass": ok,
+                "cases": 1, "failures": int(not ok),
                 "ratio": last_ratio, "oracle": ratio_star}
     else:
-        checks["scan_complete"] = {"cases": 1, "failures": 0, "pass": True,
+        checks["scan_complete"] = {"cases": 1, "failures": 0,
                                    "levels": len(levels)}
     return ("n", "E_n", "ratio_to_next", "cutoff_stable"), rows, checks
 
@@ -515,14 +503,16 @@ def run(config: dict, jobs: int | None = None, out_dir: str | None = None) -> in
         print(f"bscount {command}: numerical check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     elapsed = time.perf_counter() - t0
-    all_pass = all(data.get("pass", False) for data in checks.values())
+    for data in checks.values():
+        data["pass"] = data["failures"] == 0
+    failed = [name for name, data in checks.items() if not data["pass"]]
     summary = {
         "command": command,
         "config": {k: v for k, v in sorted(config.items())},
         "seed": config["seed"],
         "version": __version__,
         "checks": checks,
-        "status": EXIT_OK if all_pass else EXIT_CHECK_FAILED,
+        "status": EXIT_CHECK_FAILED if failed else EXIT_OK,
         "timing": {"seconds": elapsed},
     }
     try:
@@ -530,10 +520,8 @@ def run(config: dict, jobs: int | None = None, out_dir: str | None = None) -> in
     except OSError as exc:
         print(f"bscount {command}: cannot write reports: {exc}", file=sys.stderr)
         return EXIT_IO_ERROR
-    if not all_pass:
-        first = next(name for name, data in checks.items()
-                     if not data.get("pass", False))
-        print(f"bscount {command}: check failed: {first}", file=sys.stderr)
+    if failed:
+        print(f"bscount {command}: check failed: {failed[0]}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     return EXIT_OK
 

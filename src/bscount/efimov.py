@@ -203,9 +203,10 @@ def _kernel_parts(model: SeparableModel) -> _KernelParts:
         terms=_angle_terms(*p[pairs], A11, A12**2 * model.beta**2))
 
 
-def _assemble(parts: _KernelParts, energy: float) -> SymOperator:
+def _assemble(parts: _KernelParts, energy: float) -> np.ndarray:
     """The kernel of ``three_boson_kernel`` at ``energy`` from prebuilt parts:
-    ``J`` on the upper triangle, scaled and mirrored into both halves."""
+    ``J`` on the upper triangle, scaled and mirrored into both halves, so the
+    array is symmetric bit for bit and needs no ``SymOperator`` check."""
     if not energy < 0:
         raise ValueError(f"trimer search needs energy < 0, got {energy}")
     abs_e = -float(energy)
@@ -223,7 +224,7 @@ def _assemble(parts: _KernelParts, energy: float) -> SymOperator:
     k = np.empty(n * n)
     k[parts.flat[0]] = values
     k[parts.flat[1]] = values
-    return SymOperator(k.reshape(n, n))
+    return k.reshape(n, n)
 
 
 def three_boson_kernel(model: SeparableModel, energy: float) -> SymOperator:
@@ -242,12 +243,12 @@ def three_boson_kernel(model: SeparableModel, energy: float) -> SymOperator:
     evaluated in closed form as a divided difference (see
     docs/three_boson_kernel.md).
     """
-    return _assemble(_kernel_parts(model), energy)
+    return SymOperator(_assemble(_kernel_parts(model), energy))
 
 
 def _kernel_eigenvalues(parts: _KernelParts, energy: float) -> np.ndarray:
     """Checked ascending eigenvalues of the kernel at ``energy``."""
-    return _checked_eigenvalues(_assemble(parts, energy).entries)[0]
+    return _checked_eigenvalues(_assemble(parts, energy))[0]
 
 
 @dataclass(frozen=True, eq=False)

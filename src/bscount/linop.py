@@ -8,8 +8,10 @@ is a pure function.
 
 ``SymOperator`` is the boundary type: it checks that its entries are finite
 and symmetric, once, when it is built.  Library code that forms a matrix it
-knows to be exactly symmetric (a sum of two operators' entries) passes the
-ndarray on without wrapping it again.
+knows to be exactly symmetric passes the ndarray on without wrapping it
+again: bsengine's sums of two operators' entries, radial's symmetrized
+support block and efimov's three-boson kernel, mirrored from its upper
+triangle.
 
 linop runs every eigensolve in the package: no other module calls LAPACK
 for eigenvalues.  The solver choice, the count guard band
@@ -46,7 +48,6 @@ DEFAULT_SEED = 0xB5C0
 MIN_PROJECTION_NORM = 1e-8
 
 _RELATIONS = (">", ">=", "<", "<=")
-_RELATION_ALIASES = {"≥": ">=", "≤": "<="}  # accept the unicode forms
 
 
 @dataclass(frozen=True)
@@ -227,7 +228,6 @@ def count_evs(a: SymOperator, relation: str, threshold: float) -> int:
     tridiagonal or dense route, and its trace and Frobenius-norm invariants
     stand in for eigenvector residual checks.
     """
-    relation = _RELATION_ALIASES.get(relation, relation)
     if relation not in _RELATIONS:
         raise ValueError(f"unknown relation {relation!r}, expected one of {_RELATIONS}")
     lam, eta = checked_eigenvalues(a)

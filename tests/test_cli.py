@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from bscount import cli
 from bscount.cli import (
     ConfigError,
     EXIT_CHECK_FAILED,
@@ -244,6 +245,45 @@ def test_efimov_detuned_run(tmp_path):
     assert lines[1] == "n,E_n,ratio_to_next,cutoff_stable"
     summary = json.loads((tmp_path / "efimov.summary.json").read_text())
     assert summary["checks"]["scan_complete"]["pass"]
+
+
+SMALL_CONFIGS = {
+    "verify": "verify.bs_instances = 10\nverify.iterbs_instances = 2\n"
+              "verify.bound_instances = 2\n",
+    "twobody": "grid.n = 600\nscan.epsilons = [0.05, 0.5]\n",
+    "kernelcheck": "",
+    "iterbs-demo": "",
+    "efimov": "model.n_p = 128\n",
+}
+
+
+@pytest.mark.parametrize("command", sorted(SMALL_CONFIGS))
+def test_run_alone_marks_checks_passed(command, tmp_path):
+    text = f'command = "{command}"\n' + SMALL_CONFIGS[command]
+    cfg = write(tmp_path, "c.conf", text)
+    values, positions = parse_config_text(text)
+    _, _, checks = cli._PIPELINES[command](validate_config(values, positions, command), 1)
+    assert checks and all("pass" not in data for data in checks.values())
+    status = main([command, "--config", cfg, "--out", str(tmp_path), "--jobs", "1"])
+    summary = json.loads((tmp_path / f"{command}.summary.json").read_text())
+    assert summary["checks"].keys() == checks.keys()
+    for data in summary["checks"].values():
+        assert data["pass"] is (data["failures"] == 0)
+    all_pass = all(data["pass"] for data in summary["checks"].values())
+    assert status == summary["status"] == (EXIT_OK if all_pass else EXIT_CHECK_FAILED)
+
+
+def test_run_names_the_first_failed_check(tmp_path, monkeypatch, capsys):
+    checks = {"fine": {"cases": 2, "failures": 0}, "broken": {"cases": 2, "failures": 1},
+              "also_broken": {"cases": 1, "failures": 1}}
+    monkeypatch.setitem(cli._PIPELINES, "iterbs-demo",
+                        lambda cfg, jobs: (("k",), [(0,)], checks))
+    assert main(["iterbs-demo", "--out", str(tmp_path)]) == EXIT_CHECK_FAILED
+    summary = json.loads((tmp_path / "iterbs-demo.summary.json").read_text())
+    assert summary["status"] == EXIT_CHECK_FAILED
+    assert {name: data["pass"] for name, data in summary["checks"].items()} == {
+        "fine": True, "broken": False, "also_broken": False}
+    assert "check failed: broken" in capsys.readouterr().err
 
 
 def test_io_error_exits_3(tmp_path, capsys):

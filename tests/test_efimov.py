@@ -185,16 +185,15 @@ def test_kernel_is_symmetric():
 
 
 @pytest.mark.parametrize("n_p", [128, 256, 512])
-def test_triangle_kernel_matches_full_grid_assembly(n_p, monkeypatch):
-    handed = []  # the arrays _assemble hands to SymOperator, before its averaging
-    monkeypatch.setattr(efimov, "SymOperator", lambda a: handed.append(a) or SymOperator(a))
+def test_triangle_kernel_matches_full_grid_assembly(n_p):
     m = unitary_model(n_p=n_p)
     parts = efimov._kernel_parts(m)
     for energy in -np.geomspace(1.0, 1e-9, 10):
-        k = efimov._assemble(parts, float(energy)).entries
+        k = efimov._assemble(parts, float(energy))
         oracle = full_three_boson_kernel(m, float(energy)).entries
-        assert np.array_equal(handed[-1], handed[-1].T)
-        assert np.array_equal(k, handed[-1])
+        assert np.array_equal(k, k.T)
+        # so SymOperator's averaging, skipped on the trimer route, is the identity
+        assert np.array_equal(SymOperator(k).entries, k)
         assert np.linalg.norm(k - oracle) <= 1e-13 * np.linalg.norm(oracle)
         np.testing.assert_allclose(k, oracle, rtol=1e-9, atol=0.0)
 
@@ -202,11 +201,24 @@ def test_triangle_kernel_matches_full_grid_assembly(n_p, monkeypatch):
 def test_ladder_matches_full_grid_assembly(monkeypatch):
     m = unitary_model(n_p=256)
     energies = [l.energy for l in efimov_spectrum(m, -1.0)]
-    monkeypatch.setattr(efimov, "_assemble",
-                        lambda parts, energy: full_three_boson_kernel(parts.model, energy))
+    monkeypatch.setattr(
+        efimov, "_assemble",
+        lambda parts, energy: full_three_boson_kernel(parts.model, energy).entries)
     oracle = [l.energy for l in efimov_spectrum(m, -1.0)]
     assert len(energies) == len(oracle) >= 3
     np.testing.assert_allclose(energies, oracle, rtol=efimov.LEVEL_REL_TOL, atol=0.0)
+
+
+def test_trimer_route_builds_no_symoperator(monkeypatch):
+    built = []
+    validate = SymOperator.__post_init__
+    monkeypatch.setattr(SymOperator, "__post_init__",
+                        lambda self: built.append(self) or validate(self))
+    assert trimer_spectrum(unitary_model(n_p=128, lam=0.9 * LAM_U), -1.0)
+    assert len(efimov_spectrum(unitary_model(n_p=128), -1.0)) >= 3
+    assert built == []
+    assert isinstance(three_boson_kernel(unitary_model(n_p=128), -0.5), SymOperator)
+    assert len(built) == 1
 
 
 def test_kernel_rejects_nonnegative_energy():

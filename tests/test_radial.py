@@ -158,6 +158,22 @@ def test_potential_table_rejects_negative_shape():
                       table_v=np.array([1.0, -0.5]))
 
 
+@pytest.mark.parametrize("kind", ["yukawa", "exponential", "gaussian", "square_well", "table"])
+def test_potential_construction_evaluates_no_shape(kind, monkeypatch):
+    calls = []
+    shape = PotentialSpec.shape
+    monkeypatch.setattr(PotentialSpec, "shape",
+                        lambda self, r: calls.append(r) or shape(self, r))
+    table = ({"table_r": np.array([0.5, 1.0, 2.0]), "table_v": np.array([1.0, 0.5, 0.0])}
+             if kind == "table" else {})
+    rep = PotentialSpec(kind="gaussian", strength=4.0, range=0.5)
+    pot = PotentialSpec(kind=kind, strength=2.0, range=1.5, repulsive_part=rep, **table)
+    stronger = pot.with_strength(3.0)
+    assert calls == []
+    assert stronger.strength == 3.0 and stronger.kind == kind
+    assert stronger.v(1.0) == pytest.approx(-3.0 * shape(pot, 1.0) + 4.0 * shape(rep, 1.0))
+
+
 def test_potential_splits_signs():
     rep = PotentialSpec(kind="gaussian", strength=4.0, range=0.5)
     pot = PotentialSpec(kind="square_well", strength=2.0, range=1.0,
