@@ -7,8 +7,8 @@ exp(2 pi / s0) ~ 515, where s0 solves a transcendental equation computed
 here by an independent bisection oracle.  Detuning the pair force by ten
 percent destroys the ladder and leaves a single level.
 
-Uses a reduced grid (n_p = 256) to finish in about a minute; the package's
-acceptance suite runs the full n_p = 512 version.
+Uses a reduced grid (n_p = 256), which runs in a few seconds; the
+package's acceptance suite runs the full n_p = 512 version.
 """
 
 import numpy as np

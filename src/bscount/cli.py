@@ -335,6 +335,7 @@ def _run_verify(cfg, jobs):
         failures += (not holds) or abs(bound - r) > 1e-9 * r
     checks["hs_bound_extremal"] = {"cases": n_bound, "failures": failures}
 
+    failures = 0
     for _ in range(n_bound):
         dim = int(rng.integers(2, 12))
         g = rng.standard_normal((dim, dim))
@@ -344,8 +345,11 @@ def _run_verify(cfg, jobs):
         c = float(rng.uniform(0.05, 1.5))
         eps0 = float(rng.uniform(0.1, 2.0))
         # verifies its bound itself and raises RuntimeError when it fails
-        rank_one_domination(f, a, epsilon0=eps0, c=c)
-    checks["rank_one_domination"] = {"cases": n_bound, "failures": 0}
+        try:
+            rank_one_domination(f, a, epsilon0=eps0, c=c)
+        except RuntimeError:
+            failures += 1
+    checks["rank_one_domination"] = {"cases": n_bound, "failures": failures}
 
     columns = ("check", "cases", "failures")
     rows = [(name, data["cases"], data["failures"])

@@ -31,9 +31,8 @@ UNITARITY_RTOL = 1e-8
 # gives the general-mass formula)
 A11 = -0.5
 A12 = math.sqrt(0.75)
-# trimer_spectrum: ladder points per decade of |E|, and the brentq tolerance
-# on log|E| (relative tolerance on the energy)
-POINTS_PER_DECADE = 4
+# trimer_spectrum: the brentq tolerance on log|E| (relative tolerance on the
+# energy)
 LEVEL_REL_TOL = 1e-10
 # widest gap between the c_i, relative to the largest, below which J takes
 # its confluent limit
@@ -262,8 +261,8 @@ class TrimerLevel:
 def _crossing(parts: _KernelParts, level: int, lo, hi) -> float:
     """Energy where eigenvalue ``level`` (0 = largest) crosses 1.
 
-    ``lo`` and ``hi`` are ``(log|E|, eigenvalues)`` at the bracket ends from
-    the scan; their eigenvalues are reused, not recomputed.
+    ``lo`` and ``hi`` are ``(log|E|, eigenvalues)`` at the shallow and deep
+    ends of the bracket; their eigenvalues are reused, not recomputed.
     """
     import scipy.optimize
     known = dict([lo, hi])
@@ -281,47 +280,51 @@ def _crossing(parts: _KernelParts, level: int, lo, hi) -> float:
 def trimer_spectrum(model: SeparableModel, e_floor: float) -> list[TrimerLevel]:
     """All kernel-eigenvalue-1 crossings between ``e_floor`` and the grid floor.
 
-    Scans ``|E|`` downward from ``|e_floor|`` on a logarithmic ladder of
-    ``POINTS_PER_DECADE`` points per decade, using the eigenvalue count
-    at-or-above 1 (each trimer adds one) to bracket every crossing, and
-    refines each bracket with ``brentq`` on the crossing eigenvalue minus 1
-    in ``log |E|`` to ``LEVEL_REL_TOL`` relative.  The scan stops where the
-    momentum grid can no longer resolve the states (binding momentum within
-    a decade of the smallest node) or, above the two-body binding coupling,
-    at the dimer threshold; levels below ten times the infrared node are
-    flagged cutoff-unstable.
+    Eigenvalues of the kernel grow as ``|E|`` falls (the Birman-Schwinger
+    principle), so eigenvalue ``level`` crosses 1 once, and the count of
+    eigenvalues at or above 1 at the shallow end ``e_stop`` is the number of
+    levels.  Each crossing is found by ``brentq`` on that eigenvalue minus 1
+    in ``log |E|`` over the one bracket ``[e_stop, |e_floor|]``, to
+    ``LEVEL_REL_TOL`` relative, reusing the spectra at its ends.
+
+    The monotone count is checked, not assumed: the roots must grow shallower
+    with the level index, and at the log-midpoint between consecutive roots
+    the count must equal the shallower root's level; otherwise
+    ``RuntimeError`` names that level.
+
+    ``e_stop`` is where the momentum grid can no longer resolve the states
+    (binding momentum within a decade of the smallest node) or, above the
+    two-body binding coupling, the dimer threshold; levels below ten times the
+    infrared node are flagged cutoff-unstable.  Energies come back ascending
+    (deepest first).
     """
     if not e_floor < 0:
         raise ValueError(f"e_floor must be negative, got {e_floor}")
     parts = _kernel_parts(model)
-    p_min = float(parts.p[0])
+    stable_floor = (10.0 * float(parts.p[0])) ** 2
     # above two-body binding, stop 1% above the dimer threshold: the pair
     # amplitude denominator vanishes there and eigenvalues pile up
-    e_stop = max((10.0 * p_min) ** 2, abs(e_floor) * 1e-18,
+    e_stop = max(stable_floor, abs(e_floor) * 1e-18,
                  abs(dimer_energy(model)) * 1.01)
     if e_stop >= abs(e_floor):
         raise ValueError("e_floor is already inside the grid-limited region; "
                          "raise n_p or lower |e_floor|")
-    ev_hi = _kernel_eigenvalues(parts, e_floor)
-    if np.any(ev_hi >= 1.0):
+    ev_floor = _kernel_eigenvalues(parts, e_floor)
+    if np.any(ev_floor >= 1.0):
         raise ValueError(
             f"levels exist below e_floor = {e_floor:g}; deepen the floor")
-
-    ratio = 10.0 ** (1.0 / POINTS_PER_DECADE)
-    energies: list[float] = []
-    abs_hi = abs(e_floor)
-    count_hi = 0
-    while abs_hi > e_stop * (1.0 + 1e-9):
-        abs_lo = max(abs_hi / ratio, e_stop)
-        ev_lo = _kernel_eigenvalues(parts, -abs_lo)
-        count_lo = int(np.sum(ev_lo >= 1.0))
-        for level in range(count_hi, count_lo):
-            energies.append(_crossing(parts, level, (np.log(abs_lo), ev_lo),
-                                      (np.log(abs_hi), ev_hi)))
-        count_hi, abs_hi, ev_hi = count_lo, abs_lo, ev_lo
-    stable_floor = (10.0 * p_min) ** 2
+    ev_stop = _kernel_eigenvalues(parts, -e_stop)
+    lo, hi = (np.log(e_stop), ev_stop), (np.log(abs(e_floor)), ev_floor)
+    energies = [_crossing(parts, level, lo, hi)
+                for level in range(int(np.sum(ev_stop >= 1.0)))]
+    for level, (deeper, shallower) in enumerate(zip(energies, energies[1:]), 1):
+        if not (deeper < shallower and np.sum(_kernel_eigenvalues(
+                parts, -math.sqrt(deeper * shallower)) >= 1.0) == level):
+            raise RuntimeError(
+                f"trimer level {level}: the count of kernel eigenvalues >= 1 "
+                "is not monotone in |E|")
     return [TrimerLevel(energy=e, cutoff_stable=abs(e) >= stable_floor)
-            for e in sorted(energies)]
+            for e in energies]
 
 
 def efimov_spectrum(model: SeparableModel, e_floor: float) -> list[TrimerLevel]:

@@ -80,3 +80,31 @@ def full_three_boson_kernel(model, energy: float) -> SymOperator:
     j = efimov._angular_integral(terms, -a12**2 * energy)
     return SymOperator(4.0 * np.pi * model.lam * a12**3
                        * (prefactor[:, None] * j * prefactor[None, :]))
+
+
+def ladder_spectrum(model, e_floor: float) -> list[float]:
+    """Trimer energies of ``efimov.trimer_spectrum`` by the route it replaced.
+
+    Scans ``|E|`` down from ``|e_floor|`` on a quarter-decade ladder to the
+    same ``e_stop``; a rise in the count of kernel eigenvalues at or above 1
+    between two ladder points brackets a level, which ``efimov._crossing``
+    refines on that bracket alone.  Returns the energies ascending.
+    """
+    parts = efimov._kernel_parts(model)
+    e_stop = max((10.0 * parts.p[0]) ** 2, abs(e_floor) * 1e-18,
+                 abs(efimov.dimer_energy(model)) * 1.01)
+    ratio = 10.0 ** (1.0 / 4)
+    energies = []
+    abs_hi = abs(e_floor)
+    ev_hi = efimov._kernel_eigenvalues(parts, e_floor)
+    assert not np.any(ev_hi >= 1.0), "levels exist below e_floor"
+    count_hi = 0
+    while abs_hi > e_stop * (1.0 + 1e-9):
+        abs_lo = max(abs_hi / ratio, e_stop)
+        ev_lo = efimov._kernel_eigenvalues(parts, -abs_lo)
+        count_lo = int(np.sum(ev_lo >= 1.0))
+        for level in range(count_hi, count_lo):
+            energies.append(efimov._crossing(parts, level, (np.log(abs_lo), ev_lo),
+                                             (np.log(abs_hi), ev_hi)))
+        count_hi, abs_hi, ev_hi = count_lo, abs_lo, ev_lo
+    return sorted(energies)

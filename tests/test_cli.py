@@ -129,6 +129,25 @@ def test_verify_small_run_writes_reports(tmp_path):
     assert summary["version"]
 
 
+def test_verify_counts_a_failed_rank_one_bound(tmp_path, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise RuntimeError("rank-one domination bound violated")
+
+    monkeypatch.setattr(cli, "rank_one_domination", fail)
+    cfg = write(tmp_path, "v.conf",
+                'command = "verify"\n'
+                "verify.bs_instances = 10\n"
+                "verify.iterbs_instances = 2\n"
+                "verify.bound_instances = 3\n")
+    status = main(["verify", "--config", cfg, "--out", str(tmp_path)])
+    assert status == EXIT_CHECK_FAILED
+    lines = (tmp_path / "verify.csv").read_text().splitlines()
+    rows = {row[0]: row[1:] for row in (line.split(",") for line in lines[2:])}
+    assert rows["rank_one_domination"] == ["3", "3"]
+    assert rows["bs_equality"] == ["10", "0"]
+    assert "check failed: rank_one_domination" in capsys.readouterr().err
+
+
 def test_verify_deterministic_csv_bytes(tmp_path):
     cfg = write(tmp_path, "v.conf",
                 'command = "verify"\n'

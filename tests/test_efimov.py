@@ -1,6 +1,8 @@
 """Tests for the three-boson separable-force solver."""
 
+import functools
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from bscount.efimov import (
     two_body_loop,
 )
 from bscount.linop import SymOperator, sym
-from oracles import full_three_boson_kernel
+from oracles import full_three_boson_kernel, ladder_spectrum
 
 LAM_U = lambda_unitary(1.0)
 
@@ -75,8 +77,8 @@ def quadrature_kernel(model, energy, n_angle):
 
 def count_bisection_spectrum(model, e_floor, rel_tol=1e-10, points_per_decade=4):
     """Trimer energies by bisecting the eigenvalue count at-or-above 1 in
-    log|E| over the same ladder ``trimer_spectrum`` scans: the route it
-    replaced, kept as the oracle for its roots (unbound pair only)."""
+    log|E| over the ladder of ``oracles.ladder_spectrum``: the route that
+    preceded brentq, kept as the oracle for its roots (unbound pair only)."""
 
     def count(abs_e):
         lam = np.linalg.eigvalsh(three_boson_kernel(model, -abs_e).entries)
@@ -353,6 +355,54 @@ def test_kernel_builds_per_level(monkeypatch):
     monkeypatch.setattr(efimov, "_assemble", counted)
     levels = efimov_spectrum(unitary_model(n_p=256), -1.0)
     assert builds <= 30 * len(levels)
+
+
+@functools.cache
+def counted_spectrum(n_p, coupling):
+    """``trimer_spectrum`` energies of ``unitary_model(n_p, coupling * LAM_U)``
+    and the number of kernel eigensolves it made."""
+    model = unitary_model(n_p=n_p, lam=coupling * LAM_U)
+    with mock.patch.object(efimov, "_kernel_eigenvalues",
+                           wraps=efimov._kernel_eigenvalues) as solve:
+        energies = [l.energy for l in trimer_spectrum(model, -1.0)]
+    return energies, solve.call_count
+
+
+# 1.001 lam_u binds the pair, so the bracket stops at the dimer threshold
+@pytest.mark.parametrize("n_p, coupling", [
+    (128, 1.0), (128, 0.9), (256, 1.0), (256, 0.9), (512, 1.0), (256, 1.001)])
+def test_one_bracket_matches_ladder_oracle(n_p, coupling):
+    energies, _ = counted_spectrum(n_p, coupling)
+    oracle = ladder_spectrum(unitary_model(n_p=n_p, lam=coupling * LAM_U), -1.0)
+    assert len(energies) == len(oracle) >= 1
+    np.testing.assert_allclose(energies, oracle, rtol=efimov.LEVEL_REL_TOL, atol=0.0)
+
+
+# criterion 9's unitary model, and the detuned model of trimer_ladder
+@pytest.mark.parametrize("n_p, coupling, most", [(512, 1.0, 32), (256, 0.9, 12)])
+def test_kernel_eigensolves_per_spectrum(n_p, coupling, most):
+    assert counted_spectrum(n_p, coupling)[1] <= most
+
+
+@pytest.mark.parametrize("level", [1, 2])
+@pytest.mark.parametrize("miscount", [1, -1], ids=["gains", "loses"])
+def test_non_monotone_count_names_the_level(monkeypatch, level, miscount):
+    m = unitary_model(n_p=128)
+    energies = [l.energy for l in trimer_spectrum(m, -1.0)]
+    assert len(energies) >= 3
+    mid = -np.sqrt(energies[level - 1] * energies[level])
+    kernel_eigenvalues = efimov._kernel_eigenvalues
+
+    def miscounted(parts, energy):
+        ev = kernel_eigenvalues(parts, energy)
+        if abs(energy / mid - 1.0) > 1e-9:
+            return ev
+        # a spectrum whose count at or above 1 is off by one at the midpoint
+        return np.where(np.arange(ev.size) >= ev.size - (level + miscount), 1.5, 0.5)
+
+    monkeypatch.setattr(efimov, "_kernel_eigenvalues", miscounted)
+    with pytest.raises(RuntimeError, match=f"trimer level {level}:"):
+        trimer_spectrum(m, -1.0)
 
 
 def test_trimer_spectrum_thread_safe():
