@@ -2,9 +2,10 @@
 the kernel eigenvalue leaves 1.
 
 First the critical coupling of the s-wave square well is located by
-bisection against the lowest grid eigenvalue, with a box-doubling
-refinement removing the long 1/r_max tail error of the threshold state;
-the exact answer is lambda* a^2 = pi^2/4.
+bisection against a binding test (is the grid Hamiltonian no longer
+positive definite?), with a box-doubling refinement removing the long
+1/r_max tail error of the threshold state; the exact answer is
+lambda* a^2 = pi^2/4.
 
 Then the potential is tuned exactly to criticality of the discretized
 kernel and the largest Birman-Schwinger eigenvalue mu(eps) is scanned

@@ -7,11 +7,13 @@ projections.  All values are immutable after construction and every operation
 is a pure function.
 
 ``SymOperator`` is the boundary type: it checks that its entries are finite
-and symmetric, once, when it is built.  Library code that forms a matrix it
-knows to be exactly symmetric passes the ndarray on without wrapping it
-again: bsengine's sums of two operators' entries, radial's symmetrized
-support block and efimov's three-boson kernel, mirrored from its upper
-triangle.
+and symmetric, once, when it is built.  A finite Frobenius norm vouches for
+finite entries, and entries symmetric bit for bit are stored as a copy,
+without the averaging that would return the same bits.  Library code that
+forms a matrix it knows to be exactly symmetric passes the ndarray on
+without wrapping it again: bsengine's sums of two operators' entries,
+radial's symmetrized support block and efimov's three-boson kernel,
+mirrored from its upper triangle.
 
 linop runs every eigensolve in the package: no other module calls LAPACK
 for eigenvalues.  The solver choice, the count guard band
@@ -28,7 +30,10 @@ every entry off the three central diagonals is exactly zero.
 and orthonormality; it serves the callers that use eigenvectors.  The
 private ``_tridiagonal_eigenvalues`` selects eigenvalues of a tridiagonal
 matrix by index or by value, for the radial Sturm counts; a selection has
-no full-spectrum invariant to check.
+no full-spectrum invariant to check.  The private
+``_tridiagonal_positive_definite`` is the O(n) binding test of the radial
+critical-coupling search: LAPACK ``pttrf`` factors the tridiagonal matrix
+and reports whether every pivot is positive.
 """
 
 from __future__ import annotations
@@ -66,17 +71,25 @@ class SymOperator:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
         if a.shape[0] < 1:
             raise ValueError("operator dimension must be at least 1")
-        finite = np.isfinite(a)
-        if not finite.all():
-            i, j = np.argwhere(~finite)[0]
-            raise ValueError(
-                f"matrix has {a.size - int(finite.sum())} non-finite entries, "
-                f"the first A[{i}, {j}] = {a[i, j]}")
+        flat = a.ravel(order="K")  # np.linalg.norm's own Frobenius sum
         with np.errstate(over="ignore"):  # an overflowing norm is handled below
-            scale = 1.0 + np.linalg.norm(a)
-        if math.isfinite(scale):
+            scale = 1.0 + math.sqrt(flat @ flat)
+        if math.isfinite(scale):  # a finite norm leaves no entry non-finite
+            bits = a.view(np.uint64)
+            if (bits == bits.T).all():  # the mean below would return these bits
+                a = a.copy()
+                a.setflags(write=False)
+                object.__setattr__(self, "entries", a)
+                return
             top, b, norm = 1.0, a, scale
-        else:  # the same test on a / max|A|, where neither norm can overflow
+        else:
+            finite = np.isfinite(a)
+            if not finite.all():
+                i, j = np.argwhere(~finite)[0]
+                raise ValueError(
+                    f"matrix has {a.size - int(finite.sum())} non-finite entries, "
+                    f"the first A[{i}, {j}] = {a[i, j]}")
+            # the same test on a / max|A|, where neither norm can overflow
             top = float(np.max(np.abs(a)))
             b = a / top
             norm = 1.0 / top + np.linalg.norm(b)
@@ -211,6 +224,26 @@ def _tridiagonal_eigenvalues(diag, off, select="a", select_range=None) -> np.nda
             lapack_driver="sterf" if select == "a" else "auto")
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigenvalue solver did not converge: {exc}") from exc
+
+
+def _tridiagonal_positive_definite(diag, off) -> bool:
+    """Whether the symmetric tridiagonal matrix with diagonal ``diag`` and
+    off-diagonal ``off`` is positive definite.
+
+    LAPACK ``pttrf`` answers in O(n) by attempting the ``L D L^T``
+    factorization, which succeeds exactly when every pivot is positive.
+    Non-finite entries raise ValueError, since ``pttrf`` would report a NaN
+    diagonal as positive definite; an argument LAPACK rejects raises
+    RuntimeError.
+    """
+    from scipy.linalg import lapack  # only here, so that importing bscount stays light
+
+    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+        raise ValueError("tridiagonal matrix has non-finite entries")
+    info = lapack.dpttrf(diag, off)[2]
+    if info < 0:
+        raise RuntimeError(f"LAPACK pttrf rejected argument {-info}")
+    return info == 0
 
 
 def _guard(fro: float) -> float:

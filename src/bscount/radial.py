@@ -19,6 +19,8 @@ Two discretization schemes coexist:
 linop runs every eigensolve: the kernel's support-block spectrum is
 ``linop``'s checked full spectrum, and the Sturm counts and lowest
 eigenvalues of the tridiagonal Hamiltonian are its tridiagonal selections.
+The critical-coupling search asks only whether the Hamiltonian binds, which
+linop's O(n) positive-definiteness test of the tridiagonal matrix answers.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ from functools import cached_property
 import numpy as np
 
 from .bsengine import CriticalCouplingResult, _bisect_coupling
-from .linop import SymOperator, _checked_eigenvalues, _tridiagonal_eigenvalues
+from .linop import (SymOperator, _checked_eigenvalues, _tridiagonal_eigenvalues,
+                    _tridiagonal_positive_definite)
 
 POTENTIAL_KINDS = ("yukawa", "exponential", "gaussian", "square_well", "table")
 
@@ -304,11 +307,15 @@ def _bs_block(pot: PotentialSpec, grid: RadialGrid, eps: float):
     else:
         import scipy.linalg
         root_v = np.sqrt(v_minus[supp])
-        rhs = np.zeros((grid.n, supp.size))
+        rhs = np.zeros((grid.n, supp.size), order="F")  # solved in place
         rhs[supp, np.arange(supp.size)] = root_v
-        x = scipy.linalg.solveh_banded(_banded_hamiltonian(grid, pot.v_plus(r), eps), rhs)
-        block = root_v[:, None] * x[supp, :]
-    return supp, 0.5 * (block + block.T)
+        x = scipy.linalg.solveh_banded(_banded_hamiltonian(grid, pot.v_plus(r), eps), rhs,
+                                       overwrite_b=True)
+        block = x if supp.size == grid.n else x[supp, :]
+        block *= root_v[:, None]
+    block = block + block.T
+    block *= 0.5  # the bits of 0.5 * (block + block.T), without a second n x n array
+    return supp, block
 
 
 def bs_kernel_radial(pot: PotentialSpec, grid: RadialGrid, eps: float) -> SymOperator:
@@ -576,14 +583,17 @@ def find_critical_coupling_radial(pot_shape: PotentialSpec, grid: RadialGrid,
     """Coupling at which the first negative eigenvalue appears on the box.
 
     Bisects the coupling of the attractive shape (the strength field of
-    ``pot_shape`` is treated as the unit of the family) against the lowest
-    eigenvalue of the discretized operator, on the given grid and on the
-    grid with box and point count both doubled (same mesh spacing); the two
-    couplings must agree within ``tol / 2``.  The dominant error for a
-    threshold state is the 1/r_max truncation of its flat tail, which the
-    pair removes by extrapolation.  ``iterations`` counts every bracketing
-    and bisection eigensolve; ``bsengine.NeverBindsError`` is raised when
-    no coupling up to ``bsengine.LAMBDA_CAP`` binds.
+    ``pot_shape`` is treated as the unit of the family) against a binding
+    test: the discretized operator binds when its tridiagonal matrix is not
+    positive definite, which one O(n) factorization decides.  The search
+    runs on the given grid and on the grid with box and point count both
+    doubled (same mesh spacing); the two couplings must agree within
+    ``tol / 2``.  The dominant error for a threshold state is the 1/r_max
+    truncation of its flat tail, which the pair removes by extrapolation.
+    ``iterations`` counts every bracketing and bisection binding test;
+    ``residual_min_eig`` is the lowest eigenvalue of the fine-grid operator
+    at ``lambda_star``.  ``bsengine.NeverBindsError`` is raised when no
+    coupling up to ``bsengine.LAMBDA_CAP`` binds.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -594,7 +604,8 @@ def find_critical_coupling_radial(pot_shape: PotentialSpec, grid: RadialGrid,
     def locate(g: RadialGrid) -> tuple[float, float, int]:
         # bisect far below tol so the refinement comparison is not noise-limited
         return _bisect_coupling(
-            lambda lam: _lowest_eigenvalue(shape.with_strength(lam), g) < 0.0,
+            lambda lam: not _tridiagonal_positive_definite(
+                *_fd_diagonals(shape.with_strength(lam), g)),
             min(tol, 1e-4) * 1e-6, 1e-13)
 
     fine = replace(grid, n=2 * grid.n, r_max=2.0 * grid.r_max)

@@ -58,6 +58,15 @@ def green_kernel(eps: float, grid: RadialGrid) -> SymOperator:
     return SymOperator(0.5 * (inv + inv.T))
 
 
+def stebz_binds(diag, off) -> bool:
+    """The binding test ``find_critical_coupling_radial`` bisected against
+    before its O(n) factorization: is the lowest eigenvalue of the
+    tridiagonal matrix, selected by LAPACK ``stebz``, below 0?"""
+    lowest = scipy.linalg.eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0),
+                                               lapack_driver="stebz")[0]
+    return bool(lowest < 0.0)
+
+
 def full_three_boson_kernel(model, energy: float) -> SymOperator:
     """``efimov.three_boson_kernel`` evaluated on the whole ``n x n`` grid.
 

@@ -13,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 from bscount.linop import (
     DEFAULT_SEED,
     SymOperator,
+    _tridiagonal_positive_definite,
     checked_eigenvalues,
     count_evs,
     hs_norm,
@@ -163,6 +164,53 @@ def test_entries_are_frozen():
     a = sym(np.eye(2))
     with pytest.raises(ValueError):
         a.entries[0, 0] = 3.0
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+def one_ulp_pair(x):
+    """A 2x2 matrix whose off-diagonal entries differ by one ulp."""
+    return np.array([[1.0, x], [np.nextafter(x, 0.0), 1.0]])
+
+
+def test_one_ulp_asymmetry_is_averaged_where_the_asymmetry_norm_underflows():
+    g = one_ulp_pair(1e-170)  # |A - A^T|_F^2 ~ 1e-372 underflows to 0
+    assert np.linalg.norm(g - g.T) == 0.0
+    a = sym(g).entries
+    assert np.array_equal(bits(a), bits(0.5 * (g + g.T)))
+    assert bits(a)[0, 1] == bits(a)[1, 0]
+
+
+def test_one_ulp_asymmetry_is_averaged_where_the_norm_overflows():
+    g = one_ulp_pair(6e-307)
+    g[0, 0] = 1e300  # |A|_F overflows, and A / max|A| flushes the pair to 0
+    assert (g / 1e300)[0, 1] == (g / 1e300)[1, 0] == 0.0
+    with np.errstate(over="ignore"):
+        a = sym(g).entries
+    assert bits(a)[0, 1] == bits(a)[1, 0] == bits(0.5 * (g[0, 1] + g[1, 0]))
+
+
+def test_signed_zero_pair_is_stored_as_positive_zero():
+    a = sym([[1.0, -0.0], [0.0, 1.0]]).entries  # equal by value, not by bits
+    assert bits(a)[0, 1] == bits(a)[1, 0] == bits(0.0)
+
+
+def test_exactly_symmetric_entries_are_stored_bit_for_bit():
+    g = np.array([[-0.0, 5e-324, -1e-170],
+                  [5e-324, 1e154, -0.0],
+                  [-1e-170, -0.0, np.pi]])
+    assert np.array_equal(bits(sym(g).entries), bits(g))
+
+
+def test_stored_entries_do_not_alias_the_callers_array():
+    for g in (np.eye(3), one_ulp_pair(0.5)):  # stored as a copy, and averaged
+        op = sym(g)
+        assert g.flags.writeable
+        assert not np.shares_memory(op.entries, g)
+        g[0, 0] = 7.0
+        assert op.entries[0, 0] == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -522,6 +570,47 @@ def test_tridiagonal_selections_turn_lapack_failure_into_runtime_error(monkeypat
     monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", fail)
     with pytest.raises(RuntimeError, match="did not converge"):
         run()
+
+
+# ---------------------------------------------------------------------------
+# the tridiagonal binding test
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_positive_definite_matches_the_lowest_dense_eigenvalue(seed):
+    rng = np.random.default_rng(seed)
+    diag, off = rng.uniform(0.5, 3.0, 9), rng.normal(size=8)
+    lowest = DENSE_EIGVALSH(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))[0]
+    assert _tridiagonal_positive_definite(diag, off) == (lowest > 0.0)
+
+
+@pytest.mark.parametrize("diag,off,expected", [
+    ([2.0, 2.0, 2.0], [-1.0, -1.0], True),
+    ([1.0, 1.0, 1.0], [0.0, 1.0], False),  # singular: the last pivot is 0
+    ([1.0, -1.0, 1.0], [0.0, 0.0], False),  # a negative pivot in the middle
+    ([1.0, 1.0], [1.0 - 2.0**-52], True),  # the last pivot is 2^-51
+    ([1.0, 1.0], [1.0], False),
+])
+def test_positive_definite_on_small_matrices(diag, off, expected):
+    assert _tridiagonal_positive_definite(np.array(diag), np.array(off)) is expected
+
+
+@pytest.mark.parametrize("diag,off", [
+    ([np.nan, 2.0, 2.0], [-1.0, -1.0]),  # pttrf alone calls this positive definite
+    ([2.0, np.inf, 2.0], [-1.0, -1.0]),
+    ([2.0, 2.0, 2.0], [-1.0, np.nan]),
+    ([2.0, 2.0, 2.0], [-np.inf, -1.0]),
+])
+def test_positive_definite_rejects_non_finite_entries(diag, off):
+    with pytest.raises(ValueError, match="non-finite"):
+        _tridiagonal_positive_definite(np.array(diag), np.array(off))
+
+
+@pytest.mark.parametrize("info", [-1, -2])
+def test_positive_definite_turns_an_illegal_argument_into_runtime_error(monkeypatch, info):
+    monkeypatch.setattr(scipy.linalg.lapack, "dpttrf", lambda d, e: (d, e, info))
+    with pytest.raises(RuntimeError, match=f"rejected argument {-info}"):
+        _tridiagonal_positive_definite(np.full(3, 2.0), np.full(2, -1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from bscount.radial import (
     _graded_panels,
     _segment_edges,
 )
-from oracles import green_kernel, op_function
+from oracles import green_kernel, op_function, stebz_binds
 
 DEFAULT_SEED = 0xB5C0
 
@@ -605,18 +605,66 @@ def test_critical_coupling_range_rescaling():
 
 
 def test_critical_coupling_counts_every_eigensolve(monkeypatch):
-    calls = []
-    original = radial._lowest_eigenvalue
+    tests, solves = [], []
+    binding_test, lowest = radial._tridiagonal_positive_definite, radial._lowest_eigenvalue
 
-    def counted(pot, grid):
-        calls.append(grid.n)
-        return original(pot, grid)
+    def counted_test(diag, off):
+        tests.append(diag.size)
+        return binding_test(diag, off)
 
-    monkeypatch.setattr(radial, "_lowest_eigenvalue", counted)
+    def counted_solve(pot, grid):
+        solves.append(grid.n)
+        return lowest(pot, grid)
+
+    monkeypatch.setattr(radial, "_tridiagonal_positive_definite", counted_test)
+    monkeypatch.setattr(radial, "_lowest_eigenvalue", counted_solve)
     shape = PotentialSpec(kind="square_well", strength=1.0, range=1.0)
     res = find_critical_coupling_radial(
         shape, RadialGrid(ell=0, r_max=30.0, n=300), tol=0.1)
-    assert res.iterations == len(calls) - 1  # all but the final residual solve
+    assert res.iterations == len(tests)
+    assert solves == [600]  # one eigensolve, for the residual on the fine grid
+
+
+# (potential, grid) pairs whose critical coupling the oracle route re-derives
+CRITICAL_CASES = {
+    "criterion 5": (PotentialSpec(kind="square_well", strength=1.0),
+                    RadialGrid(ell=0, r_max=100.0, n=2000)),
+    "gaussian ell=0": (PotentialSpec(kind="gaussian", strength=1.0),
+                       RadialGrid(ell=0, r_max=80.0, n=1600)),
+    "yukawa ell=0": (PotentialSpec(kind="yukawa", strength=1.0),
+                     RadialGrid(ell=0, r_max=100.0, n=2000)),
+    "exponential ell=1": (PotentialSpec(kind="exponential", strength=1.0),
+                          RadialGrid(ell=1, r_max=60.0, n=1000)),
+    "square_well ell=2": (PotentialSpec(kind="square_well", strength=1.0),
+                          RadialGrid(ell=2, r_max=40.0, n=800)),
+}
+
+
+@pytest.mark.parametrize("case", CRITICAL_CASES)
+def test_critical_coupling_is_bit_identical_to_the_stebz_route(monkeypatch, case):
+    shape, grid = CRITICAL_CASES[case]
+    res = find_critical_coupling_radial(shape, grid, tol=0.05)
+    monkeypatch.setattr(radial, "_tridiagonal_positive_definite",
+                        lambda diag, off: not stebz_binds(diag, off))
+    old = find_critical_coupling_radial(shape, grid, tol=0.05)
+    assert res.lambda_star.hex() == old.lambda_star.hex()
+    assert [b.hex() for b in res.bracket] == [b.hex() for b in old.bracket]
+    assert res.iterations == old.iterations
+    assert res.residual_min_eig.hex() == old.residual_min_eig.hex()
+
+
+@pytest.mark.parametrize("case", CRITICAL_CASES)
+def test_binding_tests_agree_in_sign_through_the_critical_coupling(case):
+    shape, grid = CRITICAL_CASES[case]
+    lam_star = find_critical_coupling_radial(shape, grid, tol=0.05).lambda_star
+    offsets = np.geomspace(1e-12, 0.5, 23)
+    signs = []
+    for lam in lam_star * np.concatenate([1.0 - offsets, [1.0], 1.0 + offsets]):
+        diag, off = _fd_diagonals(shape.with_strength(lam), grid)
+        binds = stebz_binds(diag, off)
+        assert binds == (not radial._tridiagonal_positive_definite(diag, off)), lam
+        signs.append(binds)
+    assert signs[0] is False and signs[-1] is True  # the sweep crosses binding
 
 
 def test_critical_coupling_never_binds():
