@@ -13,27 +13,37 @@ without the averaging that would return the same bits.  Library code that
 forms a matrix it knows to be exactly symmetric passes the ndarray on
 without wrapping it again: bsengine's sums of two operators' entries,
 radial's symmetrized support block and efimov's three-boson kernel,
-mirrored from its upper triangle.
+mirrored from its upper triangle.  radial's two builders, the reduced
+Hamiltonian and the Birman-Schwinger kernel, hand their fresh arrays to the
+private ``SymOperator._built``, which freezes each in place with no copy and
+no check, and records what the builder knows: the diagonals of the
+tridiagonal Hamiltonian, the support outside which the kernel vanishes.
 
 linop runs every eigensolve in the package: no other module calls LAPACK
 for eigenvalues.  The solver choice, the count guard band
 ``1e-10 (1 + |A|_F)``, the checks and the conversion of a LAPACK failure
 into RuntimeError live here.
 
-Counts need eigenvalues only: ``checked_eigenvalues`` reads the structure
-of its matrix and checks the result against the trace and Frobenius-norm
-invariants of the full matrix, both O(n^2).  Exactly-zero rows and columns
-are deflated as exact zero eigenvalues; the rest come from ``eigvalsh`` on
-the live block, or from LAPACK ``sterf`` (``eigvalsh_tridiagonal``) when
-every entry off the three central diagonals is exactly zero.
-``spectral_decompose`` returns eigenvectors too and checks their residual
-and orthonormality; it serves the callers that use eigenvectors.  The
-private ``_tridiagonal_eigenvalues`` selects eigenvalues of a tridiagonal
-matrix by index or by value, for the radial Sturm counts; a selection has
-no full-spectrum invariant to check.  The private
-``_tridiagonal_positive_definite`` is the O(n) binding test of the radial
-critical-coupling search: LAPACK ``pttrf`` factors the tridiagonal matrix
-and reports whether every pivot is positive.
+``count_evs`` and ``checked_eigenvalues`` take the route of the recorded
+structure or, with none recorded, of the one the exact zeros of the entries
+allow.  A tridiagonal count is a Sturm count: LAPACK ``stebz`` counts the
+eigenvalues in the guarded range in O(n) and computes none, so the trace
+and Frobenius checks have no spectrum to test.  The Sturm count is exact
+for a matrix within a few ulps of ``T`` (Kahan 1966), far inside the guard
+band, and tests hold it to the count of the full ``sterf`` spectrum.  Every
+other count, and ``checked_eigenvalues`` itself, takes checked eigenvalues:
+exactly-zero rows and columns are deflated as exact zero eigenvalues, and
+the rest come from ``eigvalsh`` on the live block, or from LAPACK ``sterf``
+(``eigvalsh_tridiagonal``) on a tridiagonal one; they are checked against
+the trace and Frobenius-norm invariants of the full matrix, both O(n^2).  ``_selection`` turns a
+relation and threshold into the guarded eigenvalue range, once for every
+route, and rejects a threshold that is not finite.  ``spectral_decompose``
+returns eigenvectors too and checks their residual and orthonormality; it
+serves the callers that use eigenvectors.  The private
+``_tridiagonal_eigenvalues`` also selects the lowest eigenvalue of a
+tridiagonal matrix, and ``_tridiagonal_positive_definite`` is the O(n)
+binding test of the radial critical-coupling search: LAPACK ``pttrf``
+factors the tridiagonal matrix and reports whether every pivot is positive.
 """
 
 from __future__ import annotations
@@ -107,6 +117,29 @@ class SymOperator:
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
 
+    # the structure a builder recorded with ``_built``; None has the
+    # eigenvalue routes read it from the exact zeros of ``entries``
+    _structure = None
+
+    @classmethod
+    def _built(cls, entries: np.ndarray, *, tridiagonal: bool = False,
+               support: np.ndarray | None = None) -> "SymOperator":
+        """The operator of an array a library builder has just made, finite
+        and symmetric bit for bit, that no one else holds.
+
+        The array is frozen in place, with no copy and no check, and the
+        structure the builder knows is recorded: its three central diagonals
+        when ``tridiagonal``, else the indices ``support`` outside which its
+        rows and columns are exactly zero.
+        """
+        entries.setflags(write=False)
+        op = object.__new__(cls)
+        object.__setattr__(op, "entries", entries)
+        object.__setattr__(op, "_structure", (
+            ("tridiagonal", entries.diagonal(), entries.diagonal(-1)) if tridiagonal
+            else ("support", support)))
+        return op
+
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
@@ -151,23 +184,26 @@ def spectral_decompose(a: SymOperator) -> tuple[np.ndarray, np.ndarray]:
 def checked_eigenvalues(a: SymOperator) -> tuple[np.ndarray, float]:
     """Ascending eigenvalues of ``a`` and its count guard band.
 
-    Each exactly-zero row and column of ``a`` adds an exact zero eigenvalue;
-    the others come from ``eigvalsh`` on the block of live rows, or from
-    ``eigvalsh_tridiagonal`` (LAPACK ``sterf``, the routine dense
-    ``eigvalsh`` ends in) when every entry off the three central diagonals
-    is exactly zero.  Whatever the route, the eigenvalues are checked against
-    the invariants ``sum(lam) = tr A`` and ``sum(lam^2) = |A|_F^2`` of the
-    full matrix, within ``eta`` and ``eta * (1 + |A|_F)`` for the guard
-    ``eta = 1e-10 (1 + |A|_F)``; a failed check or a LAPACK failure raises
-    RuntimeError.
+    The route follows the structure ``a``'s builder recorded, or else the
+    structure its exact zeros allow: each exactly-zero row and column adds an
+    exact zero eigenvalue, and the others come from ``eigvalsh`` on the block
+    of live rows; a matrix whose every entry off the three central diagonals
+    is exactly zero goes to ``eigvalsh_tridiagonal`` (LAPACK ``sterf``, the
+    routine dense ``eigvalsh`` ends in).  Whatever the route, the eigenvalues
+    are checked against the invariants ``sum(lam) = tr A`` and
+    ``sum(lam^2) = |A|_F^2`` of the full matrix, within ``eta`` and
+    ``eta * (1 + |A|_F)`` for the guard ``eta = 1e-10 (1 + |A|_F)``; a failed
+    check or a LAPACK failure raises RuntimeError.
     """
-    return _checked_eigenvalues(sym(a).entries)
+    a = sym(a)
+    return _checked_eigenvalues(a.entries, a._structure)
 
 
-def _checked_eigenvalues(m: np.ndarray) -> tuple[np.ndarray, float]:
-    """``checked_eigenvalues`` of a matrix already known to be symmetric."""
+def _checked_eigenvalues(m: np.ndarray, structure=None) -> tuple[np.ndarray, float]:
+    """``checked_eigenvalues`` of a matrix already known to be symmetric, by
+    the route of ``structure`` (see ``_read_structure``), read from ``m`` when None."""
     try:
-        lam = _eigenvalues(m)
+        lam = _eigenvalues(m, structure or _read_structure(m))
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigenvalue solver did not converge: {exc}") from exc
     fro = float(np.linalg.norm(m))
@@ -185,45 +221,79 @@ def _checked_eigenvalues(m: np.ndarray) -> tuple[np.ndarray, float]:
     return lam, eta
 
 
-def _eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a symmetric matrix, by the route its exact
-    zeros allow.  A matrix with no zero entry leaves at the first test."""
+def _read_structure(m: np.ndarray) -> tuple:
+    """The structure the exact zeros of the symmetric matrix ``m`` allow:
+    ``("support", live)`` with the indices of its nonzero rows when a row is
+    exactly zero, ``("tridiagonal", diag, off)`` when every entry off the
+    three central diagonals is, and ``("dense",)`` otherwise.  A matrix with
+    no zero entry leaves at the first test."""
     nonzero = np.count_nonzero(m)
     if nonzero < m.size:
         live = m.any(axis=0)
-        if not live.all():  # the live block's rows are all live: one level deep
-            block = _eigenvalues(m[np.ix_(live, live)])
-            return np.sort(np.concatenate([block, np.zeros(live.size - block.size)]))
+        if not live.all():
+            return "support", np.flatnonzero(live)
         # by symmetry, no nonzero lies off the three central diagonals when they
         # hold all of them; below dimension 3 dense eigvalsh is the quicker call
         band = np.count_nonzero(m.diagonal()) + 2 * np.count_nonzero(m.diagonal(-1))
         if m.shape[0] > 2 and nonzero == band:
-            return _tridiagonal_eigenvalues(m.diagonal(), m.diagonal(-1))
+            return "tridiagonal", m.diagonal(), m.diagonal(-1)
+    return ("dense",)
+
+
+def _eigenvalues(m: np.ndarray, structure: tuple) -> np.ndarray:
+    """Ascending eigenvalues of a symmetric matrix of the given structure."""
+    kind = structure[0]
+    if kind == "tridiagonal":
+        return _tridiagonal_eigenvalues(*structure[1:])
+    if kind == "support" and structure[1].size < m.shape[0]:
+        live = structure[1]
+        block = m[np.ix_(live, live)]  # its rows are all live: one level deep
+        lam = _eigenvalues(block, _read_structure(block))
+        return np.sort(np.concatenate([lam, np.zeros(m.shape[0] - live.size)]))
     return np.linalg.eigvalsh(m)
 
 
-def _tridiagonal_eigenvalues(diag, off, select="a", select_range=None) -> np.ndarray:
+def _tridiagonal_eigenvalues(diag, off, select="a", select_range=None,
+                             tol=0.0) -> np.ndarray:
     """Ascending eigenvalues of the symmetric tridiagonal matrix ``T`` with
     diagonal ``diag`` and off-diagonal ``off``.
 
-    ``select`` and ``select_range`` are those of
+    ``select``, ``select_range`` and ``tol`` are those of
     ``scipy.linalg.eigvalsh_tridiagonal``: all eigenvalues by LAPACK
-    ``sterf``, or a selection by index (``"i"``) or by value (``"v"``) by
-    Sturm bisection.  A value range keeps only the eigenvalues that lie more
-    than the guard band ``1e-10 (1 + |T|_F)`` inside it, the strict counts of
-    ``count_evs``.  A LAPACK failure raises RuntimeError.
+    ``sterf``, or a selection by index (``"i"``) or by value (``"v"``, the
+    half-open range ``(lo, hi]``) by Sturm bisection to the absolute
+    tolerance ``tol``.  A LAPACK failure raises RuntimeError.
     """
     import scipy.linalg  # only here, so that importing bscount stays light
 
-    if select == "v":
-        eta = _guard(float(np.sqrt(diag @ diag + 2.0 * (off @ off))))
-        select_range = (select_range[0] + eta, select_range[1] - eta)
     try:
         return scipy.linalg.eigvalsh_tridiagonal(
-            diag, off, select=select, select_range=select_range,
+            diag, off, select=select, select_range=select_range, tol=tol,
             lapack_driver="sterf" if select == "a" else "auto")
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigenvalue solver did not converge: {exc}") from exc
+
+
+def _tridiagonal_count(diag, off, relation: str, threshold: float) -> int:
+    """``count_evs`` of the symmetric tridiagonal matrix ``T`` with diagonal
+    ``diag`` and off-diagonal ``off``, by Sturm count in O(n).
+
+    LAPACK ``stebz`` counts the eigenvalues in the guarded range of
+    ``_selection``, ``(edge, inf)`` or ``(-inf, edge]``, from the Sturm
+    sequences at its two ends, which are exact for a matrix within a few
+    ulps of ``T`` (Kahan 1966), far inside the guard band
+    ``1e-10 (1 + |T|_F)``.  The count needs no eigenvalue, so the bisection
+    tolerance is set wider than the spectrum (Gershgorin:
+    ``4 (1 + |T|_F)``), and ``stebz`` stops at those two counts.  A matrix
+    whose ``|T|_F`` is not finite has no guard band and raises ValueError.
+    """
+    with np.errstate(over="ignore"):  # an overflowing norm is reported below
+        fro = math.sqrt(diag @ diag + 2.0 * (off @ off))
+    if not math.isfinite(fro):
+        raise ValueError("|T|_F of the tridiagonal matrix is not finite: no finite guard band")
+    edge, above = _selection(relation, threshold, _guard(fro))
+    return _tridiagonal_eigenvalues(diag, off, "v", (edge, math.inf) if above else (-math.inf, edge),
+                                    tol=4.0 * (1.0 + fro)).size
 
 
 def _tridiagonal_positive_definite(diag, off) -> bool:
@@ -240,6 +310,8 @@ def _tridiagonal_positive_definite(diag, off) -> bool:
 
     if not (np.isfinite(diag).all() and np.isfinite(off).all()):
         raise ValueError("tridiagonal matrix has non-finite entries")
+    if len(diag) == 1:  # the one pivot; f2py rejects pttrf's empty off-diagonal
+        return bool(diag[0] > 0.0)
     info = lapack.dpttrf(diag, off)[2]
     if info < 0:
         raise RuntimeError(f"LAPACK pttrf rejected argument {-info}")
@@ -251,26 +323,43 @@ def _guard(fro: float) -> float:
     return 1e-10 * (1.0 + fro)
 
 
+def _selection(relation: str, threshold: float, eta: float) -> tuple[float, bool]:
+    """The eigenvalues that satisfy ``relation threshold`` outside the guard
+    band ``eta``, as ``(edge, above)``: those above ``edge`` when ``above``,
+    else those at most ``edge``.  Strict relations exclude the band around
+    the threshold and non-strict ones include it.  An unknown relation or a
+    threshold that is not finite raises ValueError.
+    """
+    if relation not in _RELATIONS:
+        raise ValueError(f"unknown relation {relation!r}, expected one of {_RELATIONS}")
+    if not math.isfinite(threshold):
+        raise ValueError(f"count threshold must be finite, got {threshold}")
+    edge = threshold + eta if relation in (">", "<=") else threshold - eta
+    return edge, relation[0] == ">"
+
+
 def count_evs(a: SymOperator, relation: str, threshold: float) -> int:
     """Count eigenvalues satisfying ``relation threshold``, with multiplicities.
 
     Strict relations exclude a guard band around the threshold and non-strict
     ones include it, so counts are exact whenever spectral gaps are large
-    compared to the band ``1e-10 * (1 + |A|_F)``.  The count needs
-    eigenvalues only; they come from ``checked_eigenvalues``, by its deflated,
-    tridiagonal or dense route, and its trace and Frobenius-norm invariants
-    stand in for eigenvector residual checks.
+    compared to the band ``1e-10 * (1 + |A|_F)``.  The route follows the
+    structure ``a``'s builder recorded, or else the one its exact zeros allow.
+    A tridiagonal matrix is counted by Sturm sequences (``stebz``), in O(n)
+    and with no eigenvalue computed, so there is no spectrum for the trace
+    and Frobenius-norm checks to test: the Sturm count is exact for a matrix
+    within a few ulps of ``A``, and tests hold it to the ``sterf`` count.
+    Every other matrix is counted from ``checked_eigenvalues``, by its
+    deflated or dense route, whose trace and Frobenius-norm invariants stand
+    in for eigenvector residual checks.
     """
-    if relation not in _RELATIONS:
-        raise ValueError(f"unknown relation {relation!r}, expected one of {_RELATIONS}")
-    lam, eta = checked_eigenvalues(a)
-    if relation == ">":
-        return int(np.count_nonzero(lam > threshold + eta))
-    if relation == ">=":
-        return int(np.count_nonzero(lam >= threshold - eta))
-    if relation == "<":
-        return int(np.count_nonzero(lam < threshold - eta))
-    return int(np.count_nonzero(lam <= threshold + eta))
+    a = sym(a)
+    structure = a._structure or _read_structure(a.entries)
+    if structure[0] == "tridiagonal":
+        return _tridiagonal_count(*structure[1:], relation, threshold)
+    lam, eta = _checked_eigenvalues(a.entries, structure)
+    edge, above = _selection(relation, threshold, eta)
+    return int(np.count_nonzero(lam > edge if above else lam <= edge))
 
 
 def hs_norm(a: SymOperator) -> float:

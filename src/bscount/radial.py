@@ -17,8 +17,10 @@ Two discretization schemes coexist:
   the square-root law of the resonance channel.
 
 linop runs every eigensolve: the kernel's support-block spectrum is
-``linop``'s checked full spectrum, and the Sturm counts and lowest
-eigenvalues of the tridiagonal Hamiltonian are its tridiagonal selections.
+``linop``'s checked full spectrum, the counts of the tridiagonal
+Hamiltonian are its Sturm counts, and its lowest eigenvalue is a
+tridiagonal selection.  The two operator builders hand their fresh arrays
+to linop with the structure they know, so counts need not scan for it.
 The critical-coupling search asks only whether the Hamiltonian binds, which
 linop's O(n) positive-definiteness test of the tridiagonal matrix answers.
 """
@@ -32,8 +34,8 @@ from functools import cached_property
 import numpy as np
 
 from .bsengine import CriticalCouplingResult, _bisect_coupling
-from .linop import (SymOperator, _checked_eigenvalues, _tridiagonal_eigenvalues,
-                    _tridiagonal_positive_definite)
+from .linop import (SymOperator, _checked_eigenvalues, _tridiagonal_count,
+                    _tridiagonal_eigenvalues, _tridiagonal_positive_definite)
 
 POTENTIAL_KINDS = ("yukawa", "exponential", "gaussian", "square_well", "table")
 
@@ -71,10 +73,10 @@ class PotentialSpec:
     def __post_init__(self):
         if self.kind not in POTENTIAL_KINDS:
             raise ValueError(f"unknown potential kind {self.kind!r}")
-        if not self.strength >= 0:
-            raise ValueError(f"strength must be >= 0, got {self.strength}")
-        if not self.range > 0:
-            raise ValueError(f"range must be positive, got {self.range}")
+        if not 0 <= self.strength < np.inf:
+            raise ValueError(f"strength must be finite and >= 0, got {self.strength}")
+        if not 0 < self.range < np.inf:
+            raise ValueError(f"range must be positive and finite, got {self.range}")
         if self.kind == "table":
             r = np.asarray(self.table_r, dtype=float)
             v = np.asarray(self.table_v, dtype=float)
@@ -150,8 +152,8 @@ class RadialGrid:
     def __post_init__(self):
         if self.ell < 0 or int(self.ell) != self.ell:
             raise ValueError(f"ell must be a nonnegative integer, got {self.ell}")
-        if not self.r_max > 0:
-            raise ValueError(f"r_max must be positive, got {self.r_max}")
+        if not 0 < self.r_max < np.inf:
+            raise ValueError(f"r_max must be positive and finite, got {self.r_max}")
         if self.n < 16:
             raise ValueError(f"need n >= 16 interior points, got {self.n}")
         if self.scheme not in ("uniform_fd2", "gauss_legendre"):
@@ -223,14 +225,18 @@ def _warn_if_box_small(pot: PotentialSpec, grid: RadialGrid):
 
 
 def reduced_hamiltonian(pot: PotentialSpec, grid: RadialGrid) -> SymOperator:
-    """Dense second-order discretization of the reduced radial operator."""
+    """Dense second-order discretization of the reduced radial operator.
+
+    The operator records that it is tridiagonal, so ``count_evs`` counts it
+    by Sturm sequences.
+    """
     _warn_if_box_small(pot, grid)
     diag, off = _fd_diagonals(pot, grid)
     m = np.diag(diag)
     idx = np.arange(grid.n - 1)
     m[idx, idx + 1] = off
     m[idx + 1, idx] = off
-    return SymOperator(m)
+    return SymOperator._built(m, tridiagonal=True)
 
 
 def _lowest_eigenvalue(pot: PotentialSpec, grid: RadialGrid) -> float:
@@ -240,11 +246,11 @@ def _lowest_eigenvalue(pot: PotentialSpec, grid: RadialGrid) -> float:
 def negative_count(pot: PotentialSpec, grid: RadialGrid, eps: float = 0.0) -> int:
     """Number of eigenvalues of the reduced operator below ``-eps``.
 
-    Counts by Sturm sequence on the tridiagonal matrix, with the guard band
-    of ``count_evs``: eigenvalues within ``1e-10 * (1 + |H|_F)`` of ``-eps``
-    are not counted.
+    Counts by Sturm sequence on the tridiagonal matrix, as ``count_evs``
+    counts ``reduced_hamiltonian(pot, grid)`` below ``-eps``: eigenvalues
+    within ``1e-10 * (1 + |H|_F)`` of ``-eps`` are not counted.
     """
-    return int(_tridiagonal_eigenvalues(*_fd_diagonals(pot, grid), "v", (-np.inf, -eps)).size)
+    return _tridiagonal_count(*_fd_diagonals(pot, grid), "<", -eps)
 
 
 def _banded_hamiltonian(grid: RadialGrid, v_plus, eps: float) -> np.ndarray:
@@ -325,16 +331,20 @@ def bs_kernel_radial(pot: PotentialSpec, grid: RadialGrid, eps: float) -> SymOpe
     operator ``H_w = H_0 + v_+``, so the kernel is built from the attractive
     part only: ``sqrt(v_-) (H_w + eps)^-1 sqrt(v_-)``, an n x n matrix that
     vanishes outside the support of v_-.  Its nonzero spectrum is that of
-    ``(H_w + eps)^(-1/2) v_- (H_w + eps)^(-1/2)``.
+    ``(H_w + eps)^(-1/2) v_- (H_w + eps)^(-1/2)``.  The operator records
+    that support, so ``count_evs`` solves the support block only; on full
+    support the block is the kernel itself.
     """
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not 0 < eps < np.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     if grid.scheme == "uniform_fd2":
         _warn_if_box_small(pot, grid)
     supp, block = _bs_block(pot, grid, eps)
+    if supp.size == grid.n:
+        return SymOperator._built(block, support=supp)
     out = np.zeros((grid.n, grid.n))
     out[np.ix_(supp, supp)] = block
-    return SymOperator(out)
+    return SymOperator._built(out, support=supp)
 
 
 def _block_spectrum(pot: PotentialSpec, grid: RadialGrid, eps: float):
@@ -351,8 +361,8 @@ def bs_count_and_top(pot: PotentialSpec, grid: RadialGrid, eps: float) -> tuple[
     the count is ``count_evs(bs_kernel_radial(pot, grid, eps), ">", 1.0)``.
     The largest eigenvalue is 0 when v_- vanishes on the grid.
     """
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not 0 < eps < np.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     if grid.scheme == "uniform_fd2":
         _warn_if_box_small(pot, grid)
     lam, eta = _block_spectrum(pot, grid, eps)

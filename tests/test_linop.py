@@ -50,8 +50,9 @@ def with_zero_rows(a, rows):
     return sym(m)
 
 
-# the dense solver as imported, kept as the oracle while tests spy on the routes
+# the solvers as imported, kept as oracles while tests spy on the routes
 DENSE_EIGVALSH = np.linalg.eigvalsh
+TRIDIAGONAL_EIGVALSH = scipy.linalg.eigvalsh_tridiagonal
 
 
 def dense_count(lam, eta, relation, threshold):
@@ -376,6 +377,33 @@ def test_radial_cases_take_the_structured_routes_and_match_dense(radial_cases, s
             assert solver_dims == {"dense": [support], "tridiagonal": []}, label
 
 
+def test_recorded_structure_gives_the_counts_and_spectra_of_the_bytes(radial_cases):
+    for label, a, relation, threshold in radial_cases:
+        plain = SymOperator(np.array(a.entries))
+        assert a._structure is not None and plain._structure is None
+        assert count_evs(a, relation, threshold) == count_evs(plain, relation, threshold), label
+        lam, eta = checked_eigenvalues(a)
+        lam_plain, eta_plain = checked_eigenvalues(plain)
+        assert np.max(np.abs(lam - lam_plain)) <= min(eta, eta_plain), label
+
+
+def test_recorded_structure_is_read_from_the_frozen_entries(radial_cases):
+    for label, a, relation, _ in radial_cases:
+        kind, *parts = a._structure
+        if relation == "<":
+            assert kind == "tridiagonal", label
+            for part in parts:  # the diagonals are views of the entries
+                assert np.shares_memory(part, a.entries) and not part.flags.writeable
+            assert np.array_equal(parts[0], np.diag(a.entries))
+            assert np.array_equal(parts[1], np.diag(a.entries, -1))
+        else:
+            assert kind == "support", label
+            live = np.flatnonzero(a.entries.any(axis=0))
+            assert np.array_equal(parts[0], live), label
+        with pytest.raises(ValueError, match="read-only"):
+            a.entries[0, 0] = 1.0
+
+
 def test_count_matches_eigh_count_on_random_corpus():
     rng = np.random.default_rng(DEFAULT_SEED + 5)
     for _ in range(200):
@@ -383,6 +411,59 @@ def test_count_matches_eigh_count_on_random_corpus():
         threshold = float(rng.uniform(-2, 2))
         for relation in (">", "<"):
             assert count_evs(a, relation, threshold) == _eigh_count(a, relation, threshold)
+
+
+@pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("route", ["dense", "tridiagonal"])
+def test_count_rejects_a_non_finite_threshold(threshold, route):
+    rng = np.random.default_rng(DEFAULT_SEED)
+    a = random_symmetric(rng, 5) if route == "dense" else random_tridiagonal(rng, 5)
+    for relation in (">", ">=", "<", "<="):
+        with pytest.raises(ValueError, match="threshold"):
+            count_evs(a, relation, threshold)
+
+
+def test_tridiagonal_count_rejects_a_norm_that_overflows():
+    a = sym(np.diag([1e200, -1e200, 1e200]))  # finite entries, |A|_F overflows
+    for relation in (">", ">=", "<", "<="):
+        with pytest.raises(ValueError, match="not finite"):
+            count_evs(a, relation, 0.0)
+
+
+def sterf_count(diag, off, relation, threshold):
+    """Oracle: the count from the full ``sterf`` spectrum, same guard band."""
+    lam = TRIDIAGONAL_EIGVALSH(diag, off, lapack_driver="sterf")
+    eta = 1e-10 * (1.0 + np.sqrt(diag @ diag + 2.0 * (off @ off)))
+    return int(np.sum({">": lam > threshold + eta, ">=": lam >= threshold - eta,
+                       "<": lam < threshold - eta, "<=": lam <= threshold + eta}[relation]))
+
+
+def test_sturm_count_matches_the_sterf_count_across_the_guard_band(monkeypatch):
+    # thresholds 2 eta and eta/2 on either side of an eigenvalue: the strict
+    # relations count it only when it lies outside the band, the others
+    # whenever it lies inside the band or beyond it
+    selections = []
+    monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", lambda d, e, **kw: (
+        selections.append(kw["select"]) or TRIDIAGONAL_EIGVALSH(d, e, **kw)))
+    rng = np.random.default_rng(DEFAULT_SEED + 9)
+    for _ in range(60):
+        dim = int(rng.integers(3, 60))
+        a = random_tridiagonal(rng, dim, diagonal_only=rng.random() < 0.2)
+        m = a.entries * 10.0 ** rng.uniform(-3, 3)
+        if rng.random() < 0.3:  # split into unreduced blocks
+            k = int(rng.integers(1, dim))
+            m[k, k - 1] = m[k - 1, k] = 0.0
+        a = sym(m)
+        diag, off = m.diagonal().copy(), m.diagonal(-1).copy()
+        lam = TRIDIAGONAL_EIGVALSH(diag, off, lapack_driver="sterf")
+        eta = 1e-10 * (1.0 + hs_norm(a))
+        for x in rng.choice(lam, size=min(dim, 4), replace=False):
+            for shift in (-2.0, -0.5, 0.5, 2.0):
+                threshold = x + shift * eta
+                for relation in (">", ">=", "<", "<="):
+                    expected = sterf_count(diag, off, relation, threshold)
+                    assert count_evs(a, relation, threshold) == expected, (dim, relation, shift)
+    assert set(selections) == {"v"}  # every count took the Sturm selection
 
 
 def test_checked_eigenvalues_match_eigh_and_return_guard():
@@ -471,8 +552,11 @@ def test_count_raises_on_eigenvalues_breaking_an_invariant(monkeypatch, invarian
     a = make(np.random.default_rng(DEFAULT_SEED))
     solver = getattr(module, name)
     monkeypatch.setattr(module, name, lambda *args, **kw: perturb(solver(*args, **kw)))
+    # a tridiagonal count is a Sturm count with no spectrum to check; the
+    # full tridiagonal spectrum is checked where checked_eigenvalues computes it
+    run = checked_eigenvalues if route == "tridiagonal" else lambda a: count_evs(a, ">", 0.0)
     with pytest.raises(RuntimeError, match=invariant):
-        count_evs(a, ">", 0.0)
+        run(a)
 
 
 @pytest.mark.parametrize("route", ROUTES)
@@ -590,9 +674,21 @@ def test_positive_definite_matches_the_lowest_dense_eigenvalue(seed):
     ([1.0, -1.0, 1.0], [0.0, 0.0], False),  # a negative pivot in the middle
     ([1.0, 1.0], [1.0 - 2.0**-52], True),  # the last pivot is 2^-51
     ([1.0, 1.0], [1.0], False),
+    ([3.0], [], True),  # one pivot, no off-diagonal
+    ([0.0], [], False),
+    ([-3.0], [], False),
 ])
 def test_positive_definite_on_small_matrices(diag, off, expected):
     assert _tridiagonal_positive_definite(np.array(diag), np.array(off)) is expected
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_positive_definite_matches_dense_eigvalsh_below_dimension_three(dim):
+    rng = np.random.default_rng(DEFAULT_SEED + dim)
+    for _ in range(50):
+        diag, off = rng.normal(size=dim), rng.normal(size=dim - 1)
+        lowest = DENSE_EIGVALSH(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))[0]
+        assert _tridiagonal_positive_definite(diag, off) == (lowest > 0.0)
 
 
 @pytest.mark.parametrize("diag,off", [

@@ -191,6 +191,17 @@ def test_grid_requires_enough_points():
         RadialGrid(ell=0, r_max=10.0, n=8)
 
 
+@pytest.mark.parametrize("field,build", [
+    ("r_max", lambda x: RadialGrid(ell=0, r_max=x, n=100)),
+    ("strength", lambda x: PotentialSpec(kind="gaussian", strength=x)),
+    ("range", lambda x: PotentialSpec(kind="gaussian", strength=1.0, range=x)),
+])
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_non_finite_radial_inputs_are_rejected_where_they_are_built(field, build, value):
+    with pytest.raises(ValueError, match=field):
+        build(value)
+
+
 def test_grid_small_box_warns():
     pot = PotentialSpec(kind="gaussian", strength=1.0, range=2.0)
     with pytest.warns(UserWarning, match="r_max"):
@@ -373,6 +384,17 @@ def test_bs_count_and_top_edge_cases():
         bs_count_and_top(well, grid, 0.0)
     with pytest.warns(UserWarning, match="box effects"):
         bs_count_and_top(well, RadialGrid(ell=0, r_max=5.0, n=200), 0.5)
+
+
+@pytest.mark.parametrize("eps", [np.nan, np.inf])
+def test_counts_reject_a_non_finite_eps(eps):
+    well = PotentialSpec(kind="square_well", strength=26.0, range=1.0)
+    grid = RadialGrid(ell=0, r_max=25.0, n=200)
+    with pytest.raises(ValueError, match="threshold"):
+        negative_count(well, grid, eps)
+    for kernel in (bs_kernel_radial, bs_count_and_top):
+        with pytest.raises(ValueError, match="eps"):
+            kernel(well, grid, eps)
 
 
 def test_bs_count_and_top_runs_the_eigenvalue_check(monkeypatch):
