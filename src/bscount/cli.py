@@ -25,7 +25,8 @@ CSV columns per command (every file starts with a ``# schema=1`` line):
 * verify:      check, cases, failures
 * twobody:     epsilon, count_direct, count_bs, mu_max
 * kernelcheck: gamma, epsilon, r, value, bound, closed_form, within_bound
-               (closed_form is nan except at gamma = 0; booleans are 0/1)
+               (closed_form is nan except at gamma = 0; value is nan where
+               the kernel failed its bound; booleans are 0/1)
 * iterbs-demo: k, count, hs_norm_Mk, consistency_residual
 * efimov:      n, E_n, ratio_to_next, cutoff_stable
                (ratio_to_next is nan on the last row)
@@ -46,11 +47,10 @@ import numpy as np
 
 from . import __version__
 from .bsengine import (
-    BsProblem,
-    count_bs,
-    count_direct,
+    corpus_counts,
     hs_count_bound_check,
     mu_max,
+    random_corpus,
     random_problem,
     rank_one_domination,
 )
@@ -280,27 +280,16 @@ def _run_verify(cfg, jobs):
     checks = {}
 
     n_bs = int(cfg["verify.bs_instances"])
-    failures = 0
-    for _ in range(n_bs):
-        dim = int(rng.integers(2, 21))
-        p = random_problem(dim, rng=rng, indefinite_b=bool(rng.integers(0, 2)))
-        failures += count_bs(p) != count_direct(p)
-    checks["bs_equality"] = {"cases": n_bs, "failures": failures}
-
-    failures = 0
-    for _ in range(n_bs):
-        dim = int(rng.integers(2, 21))
-        p = random_problem(dim, rng=rng, singular_a=True,
-                           indefinite_b=bool(rng.integers(0, 2)))
-        failures += count_bs(p) < count_direct(p)
-    checks["bs_inequality"] = {"cases": n_bs, "failures": failures}
+    for name, singular_a, fails in (("bs_equality", False, np.not_equal),
+                                    ("bs_inequality", True, np.less)):
+        direct, via_kernel = corpus_counts(random_corpus(n_bs, rng, singular_a=singular_a))
+        checks[name] = {"cases": n_bs, "failures": int(np.sum(fails(via_kernel, direct)))}
 
     n_mu = 20
     failures = 0
     for _ in range(n_mu):
         p = random_problem(int(rng.integers(2, 12)), rng=rng)
-        mus = [mu_max(BsProblem(a=p.a, b=p.b, epsilon=float(e)))
-               for e in np.linspace(0.05, 2.0, 10)]
+        mus = mu_max(p, np.linspace(0.05, 2.0, 10))
         failures += not np.all(np.diff(mus) <= 1e-12)
     checks["mu_monotone"] = {"cases": n_mu, "failures": failures}
 
@@ -397,24 +386,18 @@ def _run_kernelcheck(cfg, jobs):
     points = [(g, e, r) for g in gammas for e in epsilons for r in r_values]
 
     rows = []
-    bound_failures = 0
-    closed_failures = 0
-    closed_cases = 0
     for gamma, eps, r_dist in points:
-        value = resolvent_power_kernel(gamma, eps, r_dist)
-        bound = _resolvent_power_bound(1.0 + 2.0 * gamma, r_dist)
-        within = value <= bound * (1 + 1e-9)
-        bound_failures += not within
-        closed = float("nan")
-        if gamma == 0.0:
-            closed = np.exp(-np.sqrt(eps) * r_dist) / (4 * np.pi * r_dist)
-            closed_cases += 1
-            closed_failures += abs(value / closed - 1.0) > 1e-6
-        rows.append((gamma, eps, r_dist, value, bound, closed, within))
+        try:  # raises on a value that is not finite or exceeds the bound
+            value, within = resolvent_power_kernel(gamma, eps, r_dist), True
+        except RuntimeError:
+            value, within = float("nan"), False
+        closed = np.exp(-np.sqrt(eps) * r_dist) / (4 * np.pi * r_dist) if gamma == 0.0 else np.nan
+        rows.append((gamma, eps, r_dist, value, _resolvent_power_bound(1.0 + 2.0 * gamma, r_dist),
+                     closed, within))
+    mismatches = [not abs(row[3] / row[5] - 1.0) <= 1e-6 for row in rows if row[0] == 0.0]
     checks = {
-        "bound_holds": {"cases": len(rows), "failures": bound_failures},
-        "free_resolvent_match": {"cases": closed_cases,
-                                 "failures": closed_failures},
+        "bound_holds": {"cases": len(rows), "failures": sum(not row[-1] for row in rows)},
+        "free_resolvent_match": {"cases": len(mismatches), "failures": sum(mismatches)},
     }
     return ("gamma", "epsilon", "r", "value", "bound", "closed_form",
             "within_bound"), rows, checks

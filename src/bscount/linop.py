@@ -40,6 +40,11 @@ relation and threshold into the guarded eigenvalue range, once for every
 route, and rejects a threshold that is not finite.  ``spectral_decompose``
 returns eigenvectors too and checks their residual and orthonormality; it
 serves the callers that use eigenvectors.  The private
+``_checked_eigenvalues`` and ``_spectral_decompose`` also take a stack
+``(k, n, n)`` of matrices known to be symmetric, solved by one dense
+stacked LAPACK call, with every check run on each matrix and a failure
+naming the member; ``_symmetrized`` is ``SymOperator``'s check and
+average for a stack.  The private
 ``_tridiagonal_eigenvalues`` also selects the lowest eigenvalue of a
 tridiagonal matrix, and ``_tridiagonal_positive_definite`` is the O(n)
 binding test of the radial critical-coupling search: LAPACK ``pttrf``
@@ -130,14 +135,14 @@ class SymOperator:
         The array is frozen in place, with no copy and no check, and the
         structure the builder knows is recorded: its three central diagonals
         when ``tridiagonal``, else the indices ``support`` outside which its
-        rows and columns are exactly zero.
+        rows and columns are exactly zero, if given.
         """
         entries.setflags(write=False)
         op = object.__new__(cls)
         object.__setattr__(op, "entries", entries)
         object.__setattr__(op, "_structure", (
             ("tridiagonal", entries.diagonal(), entries.diagonal(-1)) if tridiagonal
-            else ("support", support)))
+            else None if support is None else ("support", support)))
         return op
 
     @property
@@ -163,19 +168,27 @@ def spectral_decompose(a: SymOperator) -> tuple[np.ndarray, np.ndarray]:
     ``|A V - V diag(lam)|_F`` and ``|V^T V - I|_F`` are checked before
     returning.
     """
-    a = sym(a)
+    return _spectral_decompose(sym(a).entries)
+
+
+def _spectral_decompose(m: np.ndarray, psd: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """``spectral_decompose`` of a matrix already known to be symmetric, or of
+    every matrix of a stack ``(k, n, n)`` of them by one stacked ``eigh``,
+    each matrix checked on its own.  With ``psd``, a matrix whose lowest
+    eigenvalue lies below minus the count guard band raises ValueError."""
     try:
-        lam, vec = np.linalg.eigh(a.entries)
+        lam, vec = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigendecomposition did not converge: {exc}") from exc
-    residual = np.linalg.norm(a.entries @ vec - vec * lam)
-    if residual > _guard(float(np.linalg.norm(a.entries))):
-        raise RuntimeError(
-            f"eigendecomposition residual {residual:.3e} exceeds 1e-10*(1+|A|_F)"
-        )
-    ortho = np.linalg.norm(vec.T @ vec - np.eye(a.dim))
-    if ortho > 1e-10:
-        raise RuntimeError(f"eigenvector orthonormality defect {ortho:.3e} exceeds 1e-10")
+    eta = _guard(_fro(m))
+    residual = _fro(m @ vec - vec * lam[..., None, :])
+    _require(residual <= eta, "eigendecomposition residual {:.3e} exceeds 1e-10*(1+|A|_F)",
+             residual)
+    ortho = _fro(vec.swapaxes(-1, -2) @ vec - np.eye(m.shape[-1]))
+    _require(ortho <= 1e-10, "eigenvector orthonormality defect {:.3e} exceeds 1e-10", ortho)
+    if psd:
+        _require(lam[..., 0] >= -eta, "A must be positive semidefinite: min eigenvalue {:.3e}",
+                 lam[..., 0], error=ValueError)
     lam.setflags(write=False)
     vec.setflags(write=False)
     return lam, vec
@@ -199,26 +212,61 @@ def checked_eigenvalues(a: SymOperator) -> tuple[np.ndarray, float]:
     return _checked_eigenvalues(a.entries, a._structure)
 
 
-def _checked_eigenvalues(m: np.ndarray, structure=None) -> tuple[np.ndarray, float]:
+def _checked_eigenvalues(m: np.ndarray, structure=None) -> tuple[np.ndarray, float | np.ndarray]:
     """``checked_eigenvalues`` of a matrix already known to be symmetric, by
-    the route of ``structure`` (see ``_read_structure``), read from ``m`` when None."""
+    the route of ``structure`` (see ``_read_structure``), read from ``m`` when
+    None; or of every matrix of a stack ``(k, n, n)`` of them by one dense
+    stacked ``eigvalsh``, each matrix checked on its own and with its own
+    guard band in the array ``eta``."""
     try:
-        lam = _eigenvalues(m, structure or _read_structure(m))
+        lam = (np.linalg.eigvalsh(m) if m.ndim == 3 else
+               _eigenvalues(m, structure or _read_structure(m)))
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigenvalue solver did not converge: {exc}") from exc
-    fro = float(np.linalg.norm(m))
+    fro = _fro(m)
     eta = _guard(fro)
-    trace_defect = abs(float(np.sum(lam)) - float(np.trace(m)))
-    if not trace_defect <= eta:
-        raise RuntimeError(
-            f"eigenvalue sum misses the trace by {trace_defect:.3e}, "
-            f"more than 1e-10*(1+|A|_F) = {eta:.3e}")
-    norm_defect = abs(float(lam @ lam) - fro**2)
-    if not norm_defect <= eta * (1.0 + fro):
-        raise RuntimeError(
-            f"eigenvalue square sum misses |A|_F^2 by {norm_defect:.3e}, "
-            f"more than 1e-10*(1+|A|_F)^2 = {eta * (1.0 + fro):.3e}")
+    trace_defect = np.abs(np.sum(lam, axis=-1) - np.trace(m, axis1=-2, axis2=-1))
+    _require(trace_defect <= eta, "eigenvalue sum misses the trace by {:.3e}, "
+             "more than 1e-10*(1+|A|_F) = {:.3e}", trace_defect, eta)
+    norm_defect = np.abs((lam[..., None, :] @ lam[..., None])[..., 0, 0] - fro**2)
+    _require(norm_defect <= eta * (1.0 + fro), "eigenvalue square sum misses |A|_F^2 by "
+             "{:.3e}, more than 1e-10*(1+|A|_F)^2 = {:.3e}", norm_defect, eta * (1.0 + fro))
     return lam, eta
+
+
+def _fro(m: np.ndarray):
+    """Frobenius norm of a matrix, or the array of those of a stack's
+    matrices, each bit for bit ``np.linalg.norm``'s: the root of one dot."""
+    if m.ndim == 2:
+        return float(np.linalg.norm(m))
+    flat = m.reshape(len(m), 1, -1)
+    return np.sqrt(flat @ flat.swapaxes(1, 2))[:, 0, 0]
+
+
+def _require(ok, message: str, *values, error=RuntimeError) -> None:
+    """Raise ``error`` unless ``ok`` holds for the matrix, or for every matrix
+    of a stack; ``message`` is formatted with the ``values`` of the first
+    matrix that fails, and names that matrix's index in a stack."""
+    ok = np.asarray(ok)
+    if not ok.all():
+        i = np.unravel_index(np.argmin(ok), ok.shape)  # () for one matrix
+        raise error(message.format(*(np.asarray(v)[i] for v in values))
+                    + (f" (stack member {i[0]})" if i else ""))
+
+
+def _symmetrized(m: np.ndarray) -> np.ndarray:
+    """The entries ``SymOperator`` makes of each matrix of the stack ``m``,
+    bit for bit, checked and averaged together.  Each matrix must have a
+    finite Frobenius norm and be symmetric within ``SYMMETRY_RTOL``; the
+    first that is not raises ValueError."""
+    scale = 1.0 + _fro(m)
+    _require(np.isfinite(scale), "matrix has Frobenius norm {}", scale - 1.0, error=ValueError)
+    asym = _fro(m - m.swapaxes(1, 2))
+    _require(asym <= SYMMETRY_RTOL * scale, "matrix is not symmetric: |A - A^T|_F / (1+|A|_F) = "
+             f"{{:.3e}} exceeds {SYMMETRY_RTOL:g}", asym / scale, error=ValueError)
+    out = 0.5 * (m + m.swapaxes(1, 2))
+    out.setflags(write=False)
+    return out
 
 
 def _read_structure(m: np.ndarray) -> tuple:

@@ -4,7 +4,8 @@ import numpy as np
 import scipy.linalg
 
 from bscount import efimov
-from bscount.linop import SymOperator, spectral_decompose, sym
+from bscount.bsengine import ThresholdCollisionError
+from bscount.linop import SymOperator, checked_eigenvalues, count_evs, spectral_decompose, sym
 from bscount.radial import RadialGrid, _banded_hamiltonian, _green_swave
 
 
@@ -117,3 +118,57 @@ def ladder_spectrum(model, e_floor: float) -> list[float]:
                                              (np.log(abs_hi), ev_hi)))
         count_hi, abs_hi, ev_hi = count_lo, abs_lo, ev_lo
     return sorted(energies)
+
+
+def random_problem_oracle(dim: int, rng, *, singular_a=False, indefinite_b=False):
+    """``bsengine.random_problem`` one problem at a time, by the route its
+    stacks replaced: the same draws in the same order, each operator checked
+    by ``SymOperator``.  Returns ``(a, b, eps)`` with ``eps`` jittered."""
+    q = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+    d = rng.uniform(0.0, 5.0, size=dim)
+    if singular_a:
+        d[0] = 0.0
+    a = SymOperator((q.T * d) @ q)
+    g = rng.standard_normal((dim, dim)) / np.sqrt(dim)
+    b_mat = -(g.T @ g)
+    if indefinite_b:
+        w = rng.standard_normal((dim, dim))
+        b_mat = b_mat + 0.3 * 0.5 * (w + w.T) / np.sqrt(dim)
+    b = SymOperator(b_mat)
+    return a, b, jittered_oracle(a, b, float(rng.uniform(0.05, 1.0)))
+
+
+def jittered_oracle(a, b, eps: float) -> float:
+    """``eps`` multiplied by 1 + 1e-6 while it collides with the spectrum of
+    ``A + B`` within the guard band, at most 64 times."""
+    lam, eta = checked_eigenvalues(a.entries + b.entries)
+    for _ in range(64):
+        if np.min(np.abs(lam + eps)) >= eta:
+            break
+        eps *= 1.0 + 1e-6
+    return eps
+
+
+def bs_kernel_oracle(a, b, eps: float) -> SymOperator:
+    """``K(eps)`` of one problem from the checked ``eigh`` of ``A``, after
+    its positivity check."""
+    lam, v = spectral_decompose(a)
+    assert lam[0] >= -1e-10 * (1.0 + np.linalg.norm(a.entries)), "A is not PSD"
+    s = (v * (lam + eps) ** -0.5) @ v.T
+    return SymOperator(-s @ b.entries @ s)
+
+
+def counts_oracle(a, b, eps: float) -> tuple[int, int]:
+    """``(count_direct, count_bs)`` of one problem by the per-problem route:
+    checked eigenvalues of ``A + B`` against ``-eps``, ``count_evs`` of
+    ``K(eps)`` against 1."""
+    lam, eta = checked_eigenvalues(a.entries + b.entries)
+    if np.min(np.abs(lam + eps)) < eta:
+        raise ThresholdCollisionError("an eigenvalue of A+B lies on -eps")
+    return (int(np.count_nonzero(lam < -eps - eta)),
+            count_evs(bs_kernel_oracle(a, b, eps), ">", 1.0))
+
+
+def mu_max_oracle(a, b, eps: float) -> float:
+    """Largest checked eigenvalue of ``K(eps)`` of one problem."""
+    return float(checked_eigenvalues(bs_kernel_oracle(a, b, eps))[0][-1])

@@ -4,20 +4,24 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from bscount import bsengine
 from bscount.bsengine import (
     BsProblem,
     NeverBindsError,
     ThresholdCollisionError,
     bs_operator,
+    corpus_counts,
     count_bs,
     count_direct,
     critical_coupling,
     hs_count_bound_check,
     mu_max,
+    random_corpus,
     random_problem,
     rank_one_domination,
 )
 from bscount.linop import DEFAULT_SEED, checked_eigenvalues, hs_norm, spectral_decompose, sym
+from oracles import counts_oracle, jittered_oracle, mu_max_oracle, random_problem_oracle
 
 
 def brute_force_count_below(a, b, eps):
@@ -38,6 +42,12 @@ def test_problem_rejects_negative_a():
 def test_problem_rejects_nonpositive_epsilon():
     with pytest.raises(ValueError, match="epsilon"):
         BsProblem(a=sym(np.eye(2)), b=sym(-np.eye(2)), epsilon=0.0)
+
+
+@pytest.mark.parametrize("epsilon", [np.inf, np.nan])
+def test_problem_rejects_non_finite_epsilon(epsilon):
+    with pytest.raises(ValueError, match="epsilon"):
+        BsProblem(a=sym(np.eye(2)), b=sym(-np.eye(2)), epsilon=epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +176,124 @@ def test_bs_equality_problem_costs_three_eigensolves(monkeypatch):
     p = random_problem(9, rng=np.random.default_rng(61), indefinite_b=True)
     assert count_bs(p) == count_direct(p)
     assert calls == {"eigh": 1, "eigvalsh": 2}
+
+
+# ---------------------------------------------------------------------------
+# stacks: verify's corpus solved per dimension
+
+
+@pytest.mark.parametrize("seed", [DEFAULT_SEED, 901])
+def test_corpus_matches_the_per_problem_oracle_bit_for_bit(seed):
+    # verify's bs_equality and bs_inequality sections, one after the other
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for singular_a in (False, True):
+        corpus = list(random_corpus(500, rng, singular_a=singular_a))
+        direct, via_kernel = corpus_counts(corpus)
+        problems = []
+        for _ in range(500):
+            dim = int(oracle_rng.integers(2, 21))
+            problems.append(random_problem_oracle(
+                dim, oracle_rng, singular_a=singular_a,
+                indefinite_b=bool(oracle_rng.integers(0, 2))))
+        # the corpus order: ascending dimension, then draw order
+        problems.sort(key=lambda problem: problem[0].dim)
+        members = [(s, j) for s in corpus for j in range(len(s.epsilon))]
+        assert len(members) == len(problems) == 500
+        for i, ((s, j), (a, b, eps)) in enumerate(zip(members, problems)):
+            assert s.a[j].tobytes() == a.entries.tobytes()
+            assert s.b[j].tobytes() == b.entries.tobytes()
+            assert s.epsilon[j] == eps
+            assert (direct[i], via_kernel[i]) == counts_oracle(a, b, eps)
+
+
+def test_empty_corpus_has_empty_counts():
+    direct, via_kernel = corpus_counts(random_corpus(0, np.random.default_rng(1)))
+    assert direct.shape == via_kernel.shape == (0,)
+
+
+def test_mu_max_over_shifts_matches_the_per_problem_oracle_bit_for_bit():
+    rng, oracle_rng = np.random.default_rng(DEFAULT_SEED), np.random.default_rng(DEFAULT_SEED)
+    eps_grid = np.linspace(0.05, 2.0, 10)
+    for _ in range(20):
+        p = random_problem(int(rng.integers(2, 12)), rng=rng)
+        a, b, _ = random_problem_oracle(int(oracle_rng.integers(2, 12)), oracle_rng)
+        expected = [mu_max_oracle(a, b, float(e)) for e in eps_grid]
+        assert mu_max(p, eps_grid).tolist() == expected
+        assert mu_max(p) == mu_max_oracle(a, b, p.epsilon)
+
+
+def three_problems(**bad):
+    """A stack of three 2x2 problems; ``bad`` replaces member 1's ``a``, ``b``
+    or ``eps``."""
+    a, b, eps = [np.eye(2)] * 3, [-0.5 * np.eye(2)] * 3, [1.0, 0.7, 0.4]
+    member = {"a": a, "b": b, "eps": eps}
+    for name, value in bad.items():
+        member[name][1] = value
+    return bsengine._Stack(np.array(a), np.array(b), eps)
+
+
+def test_stack_member_breaking_the_trace_check_fails_loudly(monkeypatch):
+    true_eigvalsh = np.linalg.eigvalsh
+
+    def off_in_member_one(m):
+        lam = true_eigvalsh(m)
+        lam[1] += 1e-6
+        return lam
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", off_in_member_one)
+    with pytest.raises(RuntimeError, match=r"trace.*\(stack member 1\)"):
+        bsengine._count_direct(three_problems())
+
+
+@pytest.mark.parametrize("gap", [0.0, 0.75])
+def test_stack_member_on_the_threshold_fails_loudly(gap):
+    # A + B = diag(-1.5 + gap * eta, 1) has an eigenvalue within the band of -eps
+    eta = 1e-10 * (1.0 + np.sqrt(1.5**2 + 1.0))
+    s = three_problems(a=np.diag([0.0, 1.0]), b=np.diag([-1.5 + gap * eta, 0.0]), eps=1.5)
+    assert bsengine._count_direct(s).tolist() == [0, 0, 0]
+    with pytest.raises(ThresholdCollisionError, match=r"\(stack member 1\)"):
+        bsengine._count_bs(s)
+
+
+def test_stack_kernel_eigenvalue_inside_the_band_of_one_is_not_counted():
+    # K = diag(1 + 1e-10, 0.5): inside the band of 1, while the eigenvalue
+    # -1 - 1e-4 of A + B lies clear of -eps = -1; both counts as count_evs has them
+    a, b = np.diag([1e6, 1.0]), np.diag([-(1.0 + 1e-10) * (1e6 + 1.0), -1.0])
+    s = three_problems(a=a, b=b, eps=1.0)
+    direct, via_kernel = bsengine._count_direct(s), bsengine._count_bs(s)
+    assert (direct[1], via_kernel[1]) == counts_oracle(sym(a), sym(b), 1.0) == (1, 0)
+
+
+def test_random_stack_jitters_a_colliding_eps_as_the_oracle_does():
+    # member 1's A + B = diag(-1e-4, 1) has the eigenvalue -eps; one jitter
+    # moves eps by about 1e-10, inside the guard band, so it takes more
+    d, b, eps = [[0.5, 1.0], [0.0, 1.0], [0.5, 1.0]], [-0.25, -1e-4, -0.25], [0.3, 1e-4, 0.7]
+    draws = [(np.eye(2), np.array(d[i]), np.diag([b[i], 0.0]), eps[i]) for i in range(3)]
+    s = bsengine._random_stack(draws)
+    expected = [jittered_oracle(sym(s.a[i]), sym(s.b[i]), eps[i]) for i in range(3)]
+    assert s.epsilon.tolist() == expected
+    assert expected[0] == 0.3 and expected[1] > 1e-4 * (1.0 + 1e-6)  # two jitters or more
+    oracle = [counts_oracle(sym(s.a[i]), sym(s.b[i]), expected[i]) for i in range(3)]
+    assert bsengine._count_bs(s).tolist() == [via_kernel for _, via_kernel in oracle]
+
+
+def test_stack_member_with_no_positive_shift_fails_loudly():
+    # A passes the positivity check inside its guard band, but eps does not
+    # lift its lowest eigenvalue above 0
+    s = three_problems(a=np.diag([-1e-11, 1.0]), eps=1e-12)
+    with pytest.raises(ValueError, match=r"not positive definite.*\(stack member 1\)"):
+        bsengine._count_bs(s)
+
+
+def test_stack_member_with_a_non_psd_a_fails_loudly():
+    with pytest.raises(ValueError, match=r"semidefinite.*\(stack member 1\)"):
+        three_problems(a=np.diag([-1.0, 2.0]))
+
+
+@pytest.mark.parametrize("eps", [0.0, np.inf, np.nan])
+def test_stack_member_with_a_bad_epsilon_fails_loudly(eps):
+    with pytest.raises(ValueError, match="epsilon"):
+        three_problems(eps=eps)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from bscount import cli
+from bscount import bsengine, cli, radial
 from bscount.cli import (
     ConfigError,
     EXIT_CHECK_FAILED,
@@ -249,6 +249,61 @@ def test_kernelcheck_reports_bound_and_match(tmp_path):
     summary = json.loads((tmp_path / "kernelcheck.summary.json").read_text())
     assert summary["checks"]["bound_holds"]["pass"]
     assert summary["checks"]["free_resolvent_match"]["pass"]
+
+
+def test_kernelcheck_counts_a_failed_bound_and_writes_reports(tmp_path, monkeypatch, capsys):
+    bound = radial._resolvent_power_bound
+    monkeypatch.setattr(radial, "_resolvent_power_bound", lambda p, r: 0.5 * bound(p, r))
+    status = main(["kernelcheck", "--out", str(tmp_path)])
+    assert status == EXIT_CHECK_FAILED
+    lines = (tmp_path / "kernelcheck.csv").read_text().splitlines()
+    rows = [dict(zip(lines[1].split(","), line.split(","))) for line in lines[2:]]
+    failed = [row for row in rows if row["within_bound"] == "0"]
+    assert 0 < len(failed) < len(rows) == 36
+    assert all(row["value"] == "nan" for row in failed)
+    summary = json.loads((tmp_path / "kernelcheck.summary.json").read_text())
+    assert summary["checks"]["bound_holds"]["failures"] == len(failed)
+    # a point with no value fails the closed-form match too
+    closed_failed = [row for row in failed if row["gamma"] == "0"]
+    assert closed_failed
+    assert summary["checks"]["free_resolvent_match"]["failures"] == len(closed_failed)
+    assert summary["status"] == EXIT_CHECK_FAILED
+    assert "check failed: bound_holds" in capsys.readouterr().err
+
+
+def test_verify_bs_sections_solve_one_stack_per_dimension(tmp_path, monkeypatch):
+    # building a stack decomposes each A and solves each A + B, counting it
+    # solves each K(eps): a fallback to solves per problem would multiply these
+    calls, stacks, counting = {"eigh": 0, "eigvalsh": 0}, [], [False]
+    for name in calls:
+        def counted(*args, _name=name, _solver=getattr(np.linalg, name), **kwargs):
+            calls[_name] += counting[0]
+            return _solver(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+
+    def corpus(*args, **kwargs):
+        for s in bsengine.random_corpus(*args, **kwargs):
+            stacks.append(s)
+            yield s
+
+    def corpus_counts(corpus):
+        counting[0] = True
+        try:
+            return bsengine.corpus_counts(corpus)
+        finally:
+            counting[0] = False
+
+    monkeypatch.setattr(cli, "random_corpus", corpus)
+    monkeypatch.setattr(cli, "corpus_counts", corpus_counts)
+    cfg = write(tmp_path, "v.conf",
+                'command = "verify"\n'
+                "verify.bs_instances = 40\n"
+                "verify.iterbs_instances = 2\n"
+                "verify.bound_instances = 2\n")
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+    assert sum(len(s.epsilon) for s in stacks) == 80 > len(stacks)
+    assert calls == {"eigh": len(stacks), "eigvalsh": 2 * len(stacks)}
 
 
 def test_efimov_detuned_run(tmp_path):

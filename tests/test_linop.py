@@ -13,6 +13,9 @@ from hypothesis.extra.numpy import arrays
 from bscount.linop import (
     DEFAULT_SEED,
     SymOperator,
+    _checked_eigenvalues,
+    _spectral_decompose,
+    _symmetrized,
     _tridiagonal_positive_definite,
     checked_eigenvalues,
     count_evs,
@@ -570,6 +573,101 @@ def test_count_turns_lapack_failure_into_runtime_error(monkeypatch, route):
     monkeypatch.setattr(module, name, fail)
     with pytest.raises(RuntimeError, match="did not converge"):
         count_evs(a, ">", 0.0)
+
+
+# ---------------------------------------------------------------------------
+# stacks: one LAPACK call, every check per matrix
+
+
+def random_stack(rng, dims=6, scales=(1.0, 100.0, 1.0)):
+    """Symmetric matrices of one dimension and different norms, stacked."""
+    return np.array([random_symmetric(rng, dims, scale).entries for scale in scales])
+
+
+def test_stack_spectra_equal_each_matrix_alone_bit_for_bit():
+    m = random_stack(np.random.default_rng(DEFAULT_SEED))
+    lam, eta = _checked_eigenvalues(m)
+    vals, vecs = _spectral_decompose(m)
+    for i, one in enumerate(m):
+        lam_1, eta_1 = _checked_eigenvalues(one)
+        vals_1, vecs_1 = _spectral_decompose(one)
+        assert lam[i].tobytes() == lam_1.tobytes() and eta[i] == eta_1
+        assert vals[i].tobytes() == vals_1.tobytes() and vecs[i].tobytes() == vecs_1.tobytes()
+
+
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_stack_trace_check_holds_each_member_to_its_own_band(monkeypatch, factor):
+    # member 1 has the widest band: a shift inside it passes though it would
+    # break the bands of members 0 and 2, and a shift beyond it raises
+    m = random_stack(np.random.default_rng(3))
+    eta = 1e-10 * (1.0 + np.linalg.norm(m[1]))
+    true_eigvalsh = np.linalg.eigvalsh
+
+    def shifted(a):
+        lam = true_eigvalsh(a)
+        lam[1, -1] += factor * eta
+        return lam
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", shifted)
+    if factor < 1.0:
+        _checked_eigenvalues(m)
+    else:
+        with pytest.raises(RuntimeError, match=r"trace.*\(stack member 1\)"):
+            _checked_eigenvalues(m)
+
+
+@pytest.mark.parametrize("invariant,perturb", [
+    ("residual", lambda lam, vec: (lam + 1e-6, vec)),
+    ("orthonormality", lambda lam, vec: (lam, vec * (1.0 + 1e-8))),
+])
+def test_stack_decomposition_checks_each_member(monkeypatch, invariant, perturb):
+    m = random_stack(np.random.default_rng(5))
+    true_eigh = np.linalg.eigh
+
+    def broken_member_two(a):
+        lam, vec = true_eigh(a)
+        lam[2], vec[2] = perturb(lam[2], vec[2])
+        return lam, vec
+
+    monkeypatch.setattr(np.linalg, "eigh", broken_member_two)
+    with pytest.raises(RuntimeError, match=rf"{invariant}.*\(stack member 2\)"):
+        _spectral_decompose(m)
+
+
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_stack_positivity_check_uses_the_guard_band(factor):
+    a = np.array([np.eye(3), np.diag([0.0, 1.0, 2.0]), np.eye(3)])
+    eta = 1e-10 * (1.0 + np.sqrt(5.0))
+    a[1, 0, 0] = -factor * eta
+    if factor < 1.0:
+        _spectral_decompose(a, psd=True)
+    else:
+        with pytest.raises(ValueError, match=r"semidefinite.*\(stack member 1\)"):
+            _spectral_decompose(a, psd=True)
+
+
+def test_symmetrized_stack_equals_sym_operator_entries_bit_for_bit():
+    rng = np.random.default_rng(7)
+    g = rng.standard_normal((4, 5, 5))
+    m = g.swapaxes(1, 2) @ g  # symmetric up to rounding
+    m[0] = 0.5 * (m[0] + m[0].T)  # and one symmetric bit for bit
+    out = _symmetrized(m)
+    for i, one in enumerate(m):
+        assert out[i].tobytes() == SymOperator(one).entries.tobytes()
+    assert not out.flags.writeable
+
+
+@pytest.mark.parametrize("bad,message", [
+    (lambda m: m[1].__setitem__((0, 1), m[1, 0, 1] + 1e-6), "not symmetric"),
+    (lambda m: m[1].__setitem__((2, 2), np.nan), "Frobenius norm"),
+    (lambda m: m[1].__imul__(1e200), "Frobenius norm"),  # finite entries, norm overflows
+])
+def test_symmetrized_stack_rejects_a_bad_member(bad, message):
+    m = np.array([np.eye(3)] * 3)
+    bad(m)
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match=rf"{message}.*\(stack member 1\)"):
+            _symmetrized(m)
 
 
 # ---------------------------------------------------------------------------
