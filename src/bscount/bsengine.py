@@ -28,9 +28,9 @@ drawing its problems one by one, then builds one stack per dimension, and
 ``corpus_counts`` counts it.  ``BsProblem``, ``count_bs``,
 ``count_direct``, ``mu_max`` and ``random_problem`` run the same code on a
 stack of one, so there is one route; the per-problem route it replaced is
-kept in the tests as the oracle.  Stacks take linop's dense route: the
-deflated and tridiagonal routes serve structured single matrices, and
-give the same counts.
+kept in the tests as the oracle.  Stacks take linop's dense route, as
+does any matrix whose builder recorded no structure: the deflated and
+tridiagonal routes serve only the radial builders' operators.
 
 Sign convention: the leading minus is part of the definition here, so
 attractive perturbations ``B <= 0`` give ``K(eps) >= 0`` and binding shows

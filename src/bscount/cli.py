@@ -513,6 +513,14 @@ def run(config: dict, jobs: int | None = None, out_dir: str | None = None) -> in
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of ``--jobs``: a positive integer."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def main(argv=None) -> int:
     _configure_logging()
     parser = argparse.ArgumentParser(
@@ -522,7 +530,7 @@ def main(argv=None) -> int:
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="flat dotted-key config file")
-        p.add_argument("--jobs", type=int, default=None,
+        p.add_argument("--jobs", type=_positive_int, default=None,
                        help="worker pool size for scan points (default: cores)")
         p.add_argument("--seed", default=None,
                        help="64-bit seed overriding the config")

@@ -242,7 +242,7 @@ def three_boson_kernel(model: SeparableModel, energy: float) -> SymOperator:
     evaluated in closed form as a divided difference (see
     docs/three_boson_kernel.md).
     """
-    return SymOperator(_assemble(_kernel_parts(model), energy))
+    return SymOperator._built(_assemble(_kernel_parts(model), energy))
 
 
 def _kernel_eigenvalues(parts: _KernelParts, energy: float) -> np.ndarray:

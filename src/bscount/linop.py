@@ -6,17 +6,21 @@ eigenvalues, guarded eigenvalue counting, Hilbert-Schmidt norms, and rank-one
 projections.  All values are immutable after construction and every operation
 is a pure function.
 
-``SymOperator`` is the boundary type: it checks that its entries are finite
-and symmetric, once, when it is built.  A finite Frobenius norm vouches for
-finite entries, and entries symmetric bit for bit are stored as a copy,
-without the averaging that would return the same bits.  Library code that
-forms a matrix it knows to be exactly symmetric passes the ndarray on
+``SymOperator`` is the boundary type: it checks its entries once, when it
+is built, by ``_symmetrized``, the one check for a matrix or a stack.  The
+Frobenius norm must be finite: it vouches for finite entries, and every
+count's guard band is made from it, so finite entries whose norm overflows
+are rejected too.  Entries symmetric within ``SYMMETRY_RTOL`` are averaged
+with their transpose, and entries symmetric bit for bit are stored as a
+copy, without the averaging that would return the same bits.  Library code
+that forms a matrix it knows to be exactly symmetric passes the ndarray on
 without wrapping it again: bsengine's sums of two operators' entries,
-radial's symmetrized support block and efimov's three-boson kernel,
-mirrored from its upper triangle.  radial's two builders, the reduced
-Hamiltonian and the Birman-Schwinger kernel, hand their fresh arrays to the
-private ``SymOperator._built``, which freezes each in place with no copy and
-no check, and records what the builder knows: the diagonals of the
+radial's symmetrized support block and efimov's trimer kernel, mirrored
+from its upper triangle.  Builders that return an operator of such a fresh
+array, radial's reduced Hamiltonian and Birman-Schwinger kernel and
+efimov's ``three_boson_kernel``, hand it to the private
+``SymOperator._built``, which freezes it in place with no copy and no
+check, and records what the builder knows: the diagonals of the
 tridiagonal Hamiltonian, the support outside which the kernel vanishes.
 
 linop runs every eigensolve in the package: no other module calls LAPACK
@@ -24,31 +28,32 @@ for eigenvalues.  The solver choice, the count guard band
 ``1e-10 (1 + |A|_F)``, the checks and the conversion of a LAPACK failure
 into RuntimeError live here.
 
-``count_evs`` and ``checked_eigenvalues`` take the route of the recorded
-structure or, with none recorded, of the one the exact zeros of the entries
-allow.  A tridiagonal count is a Sturm count: LAPACK ``stebz`` counts the
-eigenvalues in the guarded range in O(n) and computes none, so the trace
-and Frobenius checks have no spectrum to test.  The Sturm count is exact
-for a matrix within a few ulps of ``T`` (Kahan 1966), far inside the guard
-band, and tests hold it to the count of the full ``sterf`` spectrum.  Every
-other count, and ``checked_eigenvalues`` itself, takes checked eigenvalues:
-exactly-zero rows and columns are deflated as exact zero eigenvalues, and
-the rest come from ``eigvalsh`` on the live block, or from LAPACK ``sterf``
-(``eigvalsh_tridiagonal``) on a tridiagonal one; they are checked against
-the trace and Frobenius-norm invariants of the full matrix, both O(n^2).  ``_selection`` turns a
-relation and threshold into the guarded eigenvalue range, once for every
-route, and rejects a threshold that is not finite.  ``spectral_decompose``
-returns eigenvectors too and checks their residual and orthonormality; it
-serves the callers that use eigenvectors.  The private
-``_checked_eigenvalues`` and ``_spectral_decompose`` also take a stack
-``(k, n, n)`` of matrices known to be symmetric, solved by one dense
+``count_evs`` and ``checked_eigenvalues`` take the route of the structure
+a builder recorded; a matrix with none recorded, or a stack, is solved
+dense, whatever zeros its entries hold.  A tridiagonal count is a Sturm
+count: LAPACK ``stebz`` counts the eigenvalues in the guarded range in
+O(n) and computes none, so the trace and Frobenius checks have no spectrum
+to test.  The Sturm count is exact for a matrix within a few ulps of ``T``
+(Kahan 1966), far inside the guard band, and tests hold it to the count of
+the full ``sterf`` spectrum.  Every other count, and
+``checked_eigenvalues`` itself, takes checked eigenvalues: rows and
+columns outside a recorded support are deflated as exact zero eigenvalues
+and the rest come from ``eigvalsh`` on the support block, a recorded
+tridiagonal matrix goes to LAPACK ``sterf`` (``eigvalsh_tridiagonal``),
+and any other matrix to ``eigvalsh``; they are checked against the trace
+and Frobenius-norm invariants of the full matrix, both O(n^2).
+``_selection`` turns a relation and threshold into the guarded eigenvalue
+range, once for every route, and rejects a threshold that is not finite.
+``spectral_decompose`` returns eigenvectors too and checks their residual
+and orthonormality; it serves the callers that use eigenvectors.  The
+private ``_checked_eigenvalues`` and ``_spectral_decompose`` also take a
+stack ``(k, n, n)`` of matrices known to be symmetric, solved by one dense
 stacked LAPACK call, with every check run on each matrix and a failure
-naming the member; ``_symmetrized`` is ``SymOperator``'s check and
-average for a stack.  The private
-``_tridiagonal_eigenvalues`` also selects the lowest eigenvalue of a
-tridiagonal matrix, and ``_tridiagonal_positive_definite`` is the O(n)
-binding test of the radial critical-coupling search: LAPACK ``pttrf``
-factors the tridiagonal matrix and reports whether every pivot is positive.
+naming the member.  The private ``_tridiagonal_eigenvalues`` also selects
+the lowest eigenvalue of a tridiagonal matrix, and
+``_tridiagonal_positive_definite`` is the O(n) binding test of the radial
+critical-coupling search: LAPACK ``pttrf`` factors the tridiagonal matrix
+and reports whether every pivot is positive.
 """
 
 from __future__ import annotations
@@ -74,8 +79,9 @@ _RELATIONS = (">", ">=", "<", "<=")
 class SymOperator:
     """A dense real symmetric matrix standing for a self-adjoint operator.
 
-    Entries are validated at construction (finite, symmetric) and frozen;
-    use ``entries`` for the raw ndarray and ``dim`` for the dimension.
+    Entries are validated at construction (finite Frobenius norm,
+    symmetric) and frozen; use ``entries`` for the raw ndarray and ``dim``
+    for the dimension.
     """
 
     entries: np.ndarray
@@ -86,44 +92,10 @@ class SymOperator:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
         if a.shape[0] < 1:
             raise ValueError("operator dimension must be at least 1")
-        flat = a.ravel(order="K")  # np.linalg.norm's own Frobenius sum
-        with np.errstate(over="ignore"):  # an overflowing norm is handled below
-            scale = 1.0 + math.sqrt(flat @ flat)
-        if math.isfinite(scale):  # a finite norm leaves no entry non-finite
-            bits = a.view(np.uint64)
-            if (bits == bits.T).all():  # the mean below would return these bits
-                a = a.copy()
-                a.setflags(write=False)
-                object.__setattr__(self, "entries", a)
-                return
-            top, b, norm = 1.0, a, scale
-        else:
-            finite = np.isfinite(a)
-            if not finite.all():
-                i, j = np.argwhere(~finite)[0]
-                raise ValueError(
-                    f"matrix has {a.size - int(finite.sum())} non-finite entries, "
-                    f"the first A[{i}, {j}] = {a[i, j]}")
-            # the same test on a / max|A|, where neither norm can overflow
-            top = float(np.max(np.abs(a)))
-            b = a / top
-            norm = 1.0 / top + np.linalg.norm(b)
-        asym = np.linalg.norm(b - b.T)
-        if asym > SYMMETRY_RTOL * norm:
-            raise ValueError(
-                f"matrix is not symmetric: max |A - A^T| entry = "
-                f"{top * float(np.max(np.abs(b - b.T))):.3e}, "
-                f"|A - A^T|_F / (1+|A|_F) = {asym / norm:.3e} exceeds {SYMMETRY_RTOL:g}")
-        if math.isfinite(scale):  # then no entry is large enough for a + a.T to overflow
-            a = 0.5 * (a + a.T)  # kill representation-level rounding asymmetry
-        else:  # halving an entry above 1 first is exact and cannot overflow
-            with np.errstate(over="ignore"):
-                a = np.where(np.abs(a) > 1.0, 0.5 * a + 0.5 * a.T, 0.5 * (a + a.T))
-        a.setflags(write=False)
-        object.__setattr__(self, "entries", a)
+        object.__setattr__(self, "entries", _symmetrized(a))
 
-    # the structure a builder recorded with ``_built``; None has the
-    # eigenvalue routes read it from the exact zeros of ``entries``
+    # the structure a builder recorded with ``_built``; with None the
+    # eigenvalue routes solve the dense matrix
     _structure = None
 
     @classmethod
@@ -197,12 +169,12 @@ def _spectral_decompose(m: np.ndarray, psd: bool = False) -> tuple[np.ndarray, n
 def checked_eigenvalues(a: SymOperator) -> tuple[np.ndarray, float]:
     """Ascending eigenvalues of ``a`` and its count guard band.
 
-    The route follows the structure ``a``'s builder recorded, or else the
-    structure its exact zeros allow: each exactly-zero row and column adds an
-    exact zero eigenvalue, and the others come from ``eigvalsh`` on the block
-    of live rows; a matrix whose every entry off the three central diagonals
-    is exactly zero goes to ``eigvalsh_tridiagonal`` (LAPACK ``sterf``, the
-    routine dense ``eigvalsh`` ends in).  Whatever the route, the eigenvalues
+    The route follows the structure ``a``'s builder recorded: each row and
+    column outside a recorded support adds an exact zero eigenvalue, and the
+    others come from ``eigvalsh`` on the support block; a recorded
+    tridiagonal matrix goes to ``eigvalsh_tridiagonal`` (LAPACK ``sterf``,
+    the routine dense ``eigvalsh`` ends in); with nothing recorded the whole
+    matrix goes to ``eigvalsh``.  Whatever the route, the eigenvalues
     are checked against the invariants ``sum(lam) = tr A`` and
     ``sum(lam^2) = |A|_F^2`` of the full matrix, within ``eta`` and
     ``eta * (1 + |A|_F)`` for the guard ``eta = 1e-10 (1 + |A|_F)``; a failed
@@ -214,13 +186,12 @@ def checked_eigenvalues(a: SymOperator) -> tuple[np.ndarray, float]:
 
 def _checked_eigenvalues(m: np.ndarray, structure=None) -> tuple[np.ndarray, float | np.ndarray]:
     """``checked_eigenvalues`` of a matrix already known to be symmetric, by
-    the route of ``structure`` (see ``_read_structure``), read from ``m`` when
-    None; or of every matrix of a stack ``(k, n, n)`` of them by one dense
-    stacked ``eigvalsh``, each matrix checked on its own and with its own
-    guard band in the array ``eta``."""
+    the route of the ``structure`` its builder recorded; or of every matrix
+    of a stack ``(k, n, n)`` of them by one dense stacked ``eigvalsh``, each
+    matrix checked on its own and with its own guard band in the array
+    ``eta``."""
     try:
-        lam = (np.linalg.eigvalsh(m) if m.ndim == 3 else
-               _eigenvalues(m, structure or _read_structure(m)))
+        lam = _eigenvalues(m, structure)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigenvalue solver did not converge: {exc}") from exc
     fro = _fro(m)
@@ -238,7 +209,8 @@ def _fro(m: np.ndarray):
     """Frobenius norm of a matrix, or the array of those of a stack's
     matrices, each bit for bit ``np.linalg.norm``'s: the root of one dot."""
     if m.ndim == 2:
-        return float(np.linalg.norm(m))
+        flat = m.ravel(order="K")  # np.linalg.norm's own Frobenius sum
+        return math.sqrt(flat @ flat)
     flat = m.reshape(len(m), 1, -1)
     return np.sqrt(flat @ flat.swapaxes(1, 2))[:, 0, 0]
 
@@ -247,58 +219,60 @@ def _require(ok, message: str, *values, error=RuntimeError) -> None:
     """Raise ``error`` unless ``ok`` holds for the matrix, or for every matrix
     of a stack; ``message`` is formatted with the ``values`` of the first
     matrix that fails, and names that matrix's index in a stack."""
-    ok = np.asarray(ok)
-    if not ok.all():
-        i = np.unravel_index(np.argmin(ok), ok.shape)  # () for one matrix
-        raise error(message.format(*(np.asarray(v)[i] for v in values))
+    if ok is not True and not np.all(ok):
+        i = np.unravel_index(np.argmin(ok), np.shape(ok))  # () for one matrix
+        raise error(message.format(*(v[i] if np.ndim(v) else v for v in values))
                     + (f" (stack member {i[0]})" if i else ""))
 
 
 def _symmetrized(m: np.ndarray) -> np.ndarray:
-    """The entries ``SymOperator`` makes of each matrix of the stack ``m``,
-    bit for bit, checked and averaged together.  Each matrix must have a
-    finite Frobenius norm and be symmetric within ``SYMMETRY_RTOL``; the
-    first that is not raises ValueError."""
-    scale = 1.0 + _fro(m)
-    _require(np.isfinite(scale), "matrix has Frobenius norm {}", scale - 1.0, error=ValueError)
-    asym = _fro(m - m.swapaxes(1, 2))
-    _require(asym <= SYMMETRY_RTOL * scale, "matrix is not symmetric: |A - A^T|_F / (1+|A|_F) = "
-             f"{{:.3e}} exceeds {SYMMETRY_RTOL:g}", asym / scale, error=ValueError)
-    out = 0.5 * (m + m.swapaxes(1, 2))
+    """The checked, frozen entries of the square matrix ``m``, or of every
+    matrix of the stack ``(k, n, n)`` ``m``, as ``SymOperator`` stores them.
+
+    Each matrix must have a finite Frobenius norm, which vouches for finite
+    entries and gives every count its guard band, and be symmetric within
+    ``SYMMETRY_RTOL``; the first that is not raises ValueError, naming its
+    index in a stack.  Input symmetric bit for bit is stored as a copy, and
+    any other as the mean ``(A + A^T) / 2``, which kills rounding asymmetry.
+    """
+    with np.errstate(over="ignore"):  # an overflowing norm is rejected below
+        scale = 1.0 + _fro(m)
+        ok = scale < math.inf  # False where the norm overflows or is NaN
+        if ok is not True and not np.all(ok):
+            a = m[np.unravel_index(np.argmin(ok), np.shape(ok))]  # the first that fails
+            bad = np.argwhere(~np.isfinite(a))
+            cause = (f"{len(bad)} non-finite entries, the first A[{bad[0, 0]}, {bad[0, 1]}] = "
+                     f"{a[tuple(bad[0])]}" if len(bad) else "its entries are finite, its norm overflows")
+            _require(ok, f"matrix has no finite Frobenius norm: {cause}", error=ValueError)
+        # symmetric bit for bit, which the mean would return unchanged: a small
+        # array compares quickest as bytes, a large one entry by entry, with
+        # no transposed copy
+        bits = m.view(np.uint64)
+        if (m.tobytes() == m.mT.tobytes() if m.nbytes <= 1 << 16 else (bits == bits.mT).all()):
+            out = m.copy()
+        else:
+            asym = _fro(m - m.mT)
+            _require(asym <= SYMMETRY_RTOL * scale, "matrix is not symmetric: |A - A^T|_F / "
+                     "(1+|A|_F) = {:.3e} exceeds {:g}", asym / scale, SYMMETRY_RTOL, error=ValueError)
+            out = 0.5 * (m + m.mT)
     out.setflags(write=False)
     return out
 
 
-def _read_structure(m: np.ndarray) -> tuple:
-    """The structure the exact zeros of the symmetric matrix ``m`` allow:
-    ``("support", live)`` with the indices of its nonzero rows when a row is
-    exactly zero, ``("tridiagonal", diag, off)`` when every entry off the
-    three central diagonals is, and ``("dense",)`` otherwise.  A matrix with
-    no zero entry leaves at the first test."""
-    nonzero = np.count_nonzero(m)
-    if nonzero < m.size:
-        live = m.any(axis=0)
-        if not live.all():
-            return "support", np.flatnonzero(live)
-        # by symmetry, no nonzero lies off the three central diagonals when they
-        # hold all of them; below dimension 3 dense eigvalsh is the quicker call
-        band = np.count_nonzero(m.diagonal()) + 2 * np.count_nonzero(m.diagonal(-1))
-        if m.shape[0] > 2 and nonzero == band:
-            return "tridiagonal", m.diagonal(), m.diagonal(-1)
-    return ("dense",)
-
-
-def _eigenvalues(m: np.ndarray, structure: tuple) -> np.ndarray:
-    """Ascending eigenvalues of a symmetric matrix of the given structure."""
-    kind = structure[0]
+def _eigenvalues(m: np.ndarray, structure) -> np.ndarray:
+    """Ascending eigenvalues of a symmetric matrix, or of each matrix of a
+    stack, by the route of the recorded ``structure``: dense ``eigvalsh``
+    when None."""
+    if structure is None:
+        return np.linalg.eigvalsh(m)
+    kind, *parts = structure
     if kind == "tridiagonal":
-        return _tridiagonal_eigenvalues(*structure[1:])
-    if kind == "support" and structure[1].size < m.shape[0]:
-        live = structure[1]
-        block = m[np.ix_(live, live)]  # its rows are all live: one level deep
-        lam = _eigenvalues(block, _read_structure(block))
-        return np.sort(np.concatenate([lam, np.zeros(m.shape[0] - live.size)]))
-    return np.linalg.eigvalsh(m)
+        return _tridiagonal_eigenvalues(*parts)
+    live = parts[0]
+    if live.size == m.shape[0]:  # full support: the block is the matrix
+        return np.linalg.eigvalsh(m)
+    lam = np.linalg.eigvalsh(m[np.ix_(live, live)])
+    return np.sort(np.concatenate([lam, np.zeros(m.shape[0] - live.size)]))
 
 
 def _tridiagonal_eigenvalues(diag, off, select="a", select_range=None,
@@ -392,20 +366,19 @@ def count_evs(a: SymOperator, relation: str, threshold: float) -> int:
     Strict relations exclude a guard band around the threshold and non-strict
     ones include it, so counts are exact whenever spectral gaps are large
     compared to the band ``1e-10 * (1 + |A|_F)``.  The route follows the
-    structure ``a``'s builder recorded, or else the one its exact zeros allow.
-    A tridiagonal matrix is counted by Sturm sequences (``stebz``), in O(n)
-    and with no eigenvalue computed, so there is no spectrum for the trace
-    and Frobenius-norm checks to test: the Sturm count is exact for a matrix
-    within a few ulps of ``A``, and tests hold it to the ``sterf`` count.
-    Every other matrix is counted from ``checked_eigenvalues``, by its
-    deflated or dense route, whose trace and Frobenius-norm invariants stand
-    in for eigenvector residual checks.
+    structure ``a``'s builder recorded.  A recorded tridiagonal matrix is
+    counted by Sturm sequences (``stebz``), in O(n) and with no eigenvalue
+    computed, so there is no spectrum for the trace and Frobenius-norm
+    checks to test: the Sturm count is exact for a matrix within a few ulps
+    of ``A``, and tests hold it to the ``sterf`` count.  Every other matrix
+    is counted from ``checked_eigenvalues``, by the deflated route of a
+    recorded support or else the dense route, whose trace and
+    Frobenius-norm invariants stand in for eigenvector residual checks.
     """
     a = sym(a)
-    structure = a._structure or _read_structure(a.entries)
-    if structure[0] == "tridiagonal":
-        return _tridiagonal_count(*structure[1:], relation, threshold)
-    lam, eta = _checked_eigenvalues(a.entries, structure)
+    if a._structure is not None and a._structure[0] == "tridiagonal":
+        return _tridiagonal_count(*a._structure[1:], relation, threshold)
+    lam, eta = _checked_eigenvalues(a.entries, a._structure)
     edge, above = _selection(relation, threshold, eta)
     return int(np.count_nonzero(lam > edge if above else lam <= edge))
 

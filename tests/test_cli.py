@@ -360,6 +360,16 @@ def test_run_names_the_first_failed_check(tmp_path, monkeypatch, capsys):
     assert "check failed: broken" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1", "-3", "two"])
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_jobs_must_be_a_positive_integer(command, jobs, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--jobs", jobs, "--out", str(tmp_path)])
+    assert exit_info.value.code == EXIT_PARSE_ERROR
+    assert "--jobs" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_io_error_exits_3(tmp_path, capsys):
     target = tmp_path / "blocked"
     target.write_text("a file, not a directory")

@@ -12,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 from bscount.linop import (
     DEFAULT_SEED,
+    SYMMETRY_RTOL,
     SymOperator,
     _checked_eigenvalues,
     _spectral_decompose,
@@ -40,17 +41,20 @@ def random_orthogonal(rng, dim):
 
 
 def random_tridiagonal(rng, dim, diagonal_only=False):
+    """A random tridiagonal operator that records its structure, as the
+    reduced Hamiltonian's builder does."""
     d = rng.standard_normal(dim)
     e = np.zeros(dim - 1) if diagonal_only else rng.standard_normal(dim - 1)
-    return sym(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+    return SymOperator._built(np.diag(d) + np.diag(e, 1) + np.diag(e, -1), tridiagonal=True)
 
 
 def with_zero_rows(a, rows):
-    """``a`` with the given rows and columns set to exactly zero."""
+    """``a`` with the given rows and columns set to exactly zero, recording
+    the support of the others, as the radial kernel's builder does."""
     m = a.entries.copy()
     m[rows, :] = 0.0
     m[:, rows] = 0.0
-    return sym(m)
+    return SymOperator._built(m, support=np.setdiff1d(np.arange(len(m)), rows))
 
 
 # the solvers as imported, kept as oracles while tests spy on the routes
@@ -115,13 +119,13 @@ def test_rejects_non_finite_entries(value):
         sym([[value, 0.0], [0.0, 1.0]])
 
 
-def test_accepts_finite_entries_whose_norm_overflows():
-    # |A|_F overflows to inf, but every entry is finite; the overflow is
-    # handled inside, so no numpy warning reaches the caller
+def test_rejects_finite_entries_whose_norm_overflows():
+    # every entry is finite, but |A|_F overflows, so no count has a finite
+    # guard band; no numpy warning reaches the caller
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        a = sym(np.diag([1e200, 1e200]))
-    assert np.all(np.isfinite(a.entries))
+        with pytest.raises(ValueError, match="entries are finite, its norm overflows"):
+            sym(np.diag([1e200, 1e200]))
 
 
 @pytest.mark.parametrize("entries", [
@@ -129,39 +133,48 @@ def test_accepts_finite_entries_whose_norm_overflows():
     [[1e300, 1e308], [1e308 * (1.0 + 1e-10), 1.0]],
 ])
 def test_rejects_asymmetry_when_the_norm_overflows(entries):
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match="not symmetric"):
-        sym(entries)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="no finite Frobenius norm"):
+            sym(entries)
 
 
-def test_symmetrizes_entries_near_the_float_limit_without_overflow():
-    big, other = 1e308, 1.7e308
-    with np.errstate(over="ignore"):  # |A|_F overflows
-        a = sym([[big, other], [np.nextafter(other, 0.0), 1.0]])
-    assert a.entries[0, 0] == big
-    assert a.entries[0, 1] == a.entries[1, 0] == 0.5 * other + 0.5 * np.nextafter(other, 0.0)
-    assert np.all(np.isfinite(a.entries))
+@pytest.mark.parametrize("run", [
+    spectral_decompose, checked_eigenvalues, lambda a: count_evs(a, ">", 0.0),
+], ids=["spectral_decompose", "checked_eigenvalues", "count_evs"])
+def test_an_overflowing_norm_never_reaches_a_solver(monkeypatch, run):
+    # with |A|_F = inf the guard band is inf, and every residual check would
+    # pass an eigensolver that doubles each eigenvalue
+    g = np.random.default_rng(DEFAULT_SEED).standard_normal((4, 4))
+    true_eigh, true_eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+
+    def doubled_eigh(m):
+        lam, vec = true_eigh(m)
+        return 2.0 * lam, vec
+
+    monkeypatch.setattr(np.linalg, "eigh", doubled_eigh)
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: 2.0 * true_eigvalsh(m))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="its norm overflows"):
+            run(1e200 * (g + g.T))
 
 
 @settings(max_examples=60, deadline=None)
-@given(g=arrays(np.float64, (4, 4), elements=st.floats(allow_nan=False, allow_infinity=False)))
+@given(g=arrays(np.float64, (4, 4), elements=st.floats(-1e153, 1e153)))
 def test_symmetrized_bits_match_the_plain_mean_wherever_it_is_finite(g):
+    # entries below 1e153 keep |A|_F finite, and so the mean
     g = np.triu(g) + np.nextafter(np.triu(g, 1).T, 0.0)  # asymmetric by one ulp
-    g[0, 0] = 1e300  # |A|_F overflows
-    with np.errstate(over="ignore"):
-        a = sym(g).entries
-        plain = 0.5 * (g + g.T)
-    finite = np.isfinite(plain)
-    assert np.array_equal(a[finite], plain[finite])
-    assert np.array_equal(a[~finite], (0.5 * g + 0.5 * g.T)[~finite])
+    a = sym(g).entries
+    assert np.array_equal(bits(a), bits(0.5 * (g + g.T)))
     assert np.array_equal(a, a.T)
 
 
 @settings(max_examples=60, deadline=None)
-@given(g=arrays(np.float64, (5, 5), elements=st.floats(allow_nan=False, allow_infinity=False)))
+@given(g=arrays(np.float64, (5, 5), elements=st.floats(-1e153, 1e153)))
 def test_exactly_symmetric_entries_are_stored_unchanged(g):
     g = np.triu(g) + np.triu(g, 1).T
-    with np.errstate(over="ignore"):
-        assert np.array_equal(sym(g).entries, g)
+    assert np.array_equal(bits(sym(g).entries), bits(g))
 
 
 def test_entries_are_frozen():
@@ -187,13 +200,33 @@ def test_one_ulp_asymmetry_is_averaged_where_the_asymmetry_norm_underflows():
     assert bits(a)[0, 1] == bits(a)[1, 0]
 
 
-def test_one_ulp_asymmetry_is_averaged_where_the_norm_overflows():
-    g = one_ulp_pair(6e-307)
-    g[0, 0] = 1e300  # |A|_F overflows, and A / max|A| flushes the pair to 0
-    assert (g / 1e300)[0, 1] == (g / 1e300)[1, 0] == 0.0
-    with np.errstate(over="ignore"):
-        a = sym(g).entries
-    assert bits(a)[0, 1] == bits(a)[1, 0] == bits(0.5 * (g[0, 1] + g[1, 0]))
+@pytest.mark.parametrize("dim", [4, 100])  # below and above the size of the bytes compare
+def test_bit_symmetric_averaged_and_asymmetric_input_at_every_size(dim):
+    g = np.random.default_rng(DEFAULT_SEED + dim).standard_normal((dim, dim))
+    exact = g + g.T
+    exact[0, 0] = -0.0
+    assert np.array_equal(bits(sym(exact).entries), bits(exact))
+    ulp = exact.copy()
+    ulp[dim - 1, 0] = np.nextafter(ulp[dim - 1, 0], np.inf)
+    assert np.array_equal(bits(sym(ulp).entries), bits(0.5 * (ulp + ulp.T)))
+    far = exact.copy()
+    far[dim - 1, 0] += 1e-6
+    with pytest.raises(ValueError, match="not symmetric"):
+        sym(far)
+
+
+@pytest.mark.parametrize("norm", [0.0, 1e6])
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_symmetry_tolerance_is_relative_to_one_plus_the_norm(norm, factor):
+    # |A - A^T|_F = factor * SYMMETRY_RTOL * (1 + |A|_F), up to rounding
+    d = factor * SYMMETRY_RTOL * (1.0 + norm) / np.sqrt(2.0)
+    g = np.diag([norm, norm]) / np.sqrt(2.0)
+    g[1, 0] = d
+    if factor < 1.0:
+        assert sym(g).entries[0, 1] == 0.5 * d
+    else:
+        with pytest.raises(ValueError, match="not symmetric"):
+            sym(g)
 
 
 def test_signed_zero_pair_is_stored_as_positive_zero():
@@ -427,10 +460,18 @@ def test_count_rejects_a_non_finite_threshold(threshold, route):
 
 
 def test_tridiagonal_count_rejects_a_norm_that_overflows():
-    a = sym(np.diag([1e200, -1e200, 1e200]))  # finite entries, |A|_F overflows
-    for relation in (">", ">=", "<", "<="):
+    # the builders check nothing, so finite diagonals whose |T|_F overflows
+    # reach the Sturm count, which has no finite guard band for them
+    well = PotentialSpec(kind="square_well", strength=1e300, range=1.0)
+    grid = RadialGrid(ell=0, r_max=25.0, n=200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(ValueError, match="not finite"):
-            count_evs(a, relation, 0.0)
+            radial.negative_count(well, grid)
+        h = reduced_hamiltonian(well, grid)
+        for relation in (">", ">=", "<", "<="):
+            with pytest.raises(ValueError, match="not finite"):
+                count_evs(h, relation, 0.0)
 
 
 def sterf_count(diag, off, relation, threshold):
@@ -442,9 +483,9 @@ def sterf_count(diag, off, relation, threshold):
 
 
 def test_sturm_count_matches_the_sterf_count_across_the_guard_band(monkeypatch):
-    # thresholds 2 eta and eta/2 on either side of an eigenvalue: the strict
-    # relations count it only when it lies outside the band, the others
-    # whenever it lies inside the band or beyond it
+    # thresholds 2 eta, 0.8 eta and eta/2 on either side of an eigenvalue: the
+    # strict relations count it only when it lies outside the band, the
+    # others whenever it lies inside the band or beyond it
     selections = []
     monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", lambda d, e, **kw: (
         selections.append(kw["select"]) or TRIDIAGONAL_EIGVALSH(d, e, **kw)))
@@ -456,12 +497,12 @@ def test_sturm_count_matches_the_sterf_count_across_the_guard_band(monkeypatch):
         if rng.random() < 0.3:  # split into unreduced blocks
             k = int(rng.integers(1, dim))
             m[k, k - 1] = m[k - 1, k] = 0.0
-        a = sym(m)
+        a = SymOperator._built(m, tridiagonal=True)
         diag, off = m.diagonal().copy(), m.diagonal(-1).copy()
         lam = TRIDIAGONAL_EIGVALSH(diag, off, lapack_driver="sterf")
         eta = 1e-10 * (1.0 + hs_norm(a))
         for x in rng.choice(lam, size=min(dim, 4), replace=False):
-            for shift in (-2.0, -0.5, 0.5, 2.0):
+            for shift in (-2.0, -0.8, -0.5, 0.5, 0.8, 2.0):
                 threshold = x + shift * eta
                 for relation in (">", ">=", "<", "<="):
                     expected = sterf_count(diag, off, relation, threshold)
@@ -478,7 +519,7 @@ def test_checked_eigenvalues_match_eigh_and_return_guard():
 
 
 def test_zero_matrix_has_exact_zero_eigenvalues(solver_dims):
-    a = sym(np.zeros((6, 6)))
+    a = SymOperator._built(np.zeros((6, 6)), support=np.array([], dtype=int))
     lam, eta = checked_eigenvalues(a)
     assert np.array_equal(lam, np.zeros(6)) and eta == 1e-10
     assert count_evs(a, ">", 0.0) == 0 and count_evs(a, ">=", 0.0) == 6
@@ -490,25 +531,24 @@ def test_zero_matrix_has_exact_zero_eigenvalues(solver_dims):
 def test_row_with_one_tiny_entry_is_not_deflated(solver_dims, tiny, where):
     m = np.diag([2.0, 3.0, 0.0, 5.0])
     m[where] = m[where[::-1]] = tiny
-    lam, _ = checked_eigenvalues(sym(m))
+    lam, _ = checked_eigenvalues(SymOperator._built(m, support=np.flatnonzero(m.any(axis=0))))
     np.testing.assert_array_equal(lam, DENSE_EIGVALSH(m))
     assert sum(solver_dims.values(), []) == [4]
     if where == (2, 2):
         assert lam[0] == tiny
 
 
-def test_routes_follow_exact_zeros(solver_dims):
+def test_routes_follow_the_recorded_structure(solver_dims):
     rng = np.random.default_rng(DEFAULT_SEED + 6)
     checked_eigenvalues(random_symmetric(rng, 9))
     checked_eigenvalues(with_zero_rows(random_symmetric(rng, 9), [0, 4, 8]))
     checked_eigenvalues(random_tridiagonal(rng, 9))
     checked_eigenvalues(with_zero_rows(random_tridiagonal(rng, 9), [3]))
-    checked_eigenvalues(random_symmetric(rng, 2))  # tridiagonal, but dense is quicker
-    wide = random_tridiagonal(rng, 9).entries.copy()
-    wide[5, 3] = wide[3, 5] = 0.5  # column 0 passes the quick test, row 5 fails the full one
-    assert_matches_dense(sym(wide))
-    assert solver_dims["tridiagonal"] == [9, 8]
-    assert solver_dims["dense"][:3] == [9, 6, 2] and set(solver_dims["dense"][3:]) == {9}
+    checked_eigenvalues(with_zero_rows(random_symmetric(rng, 9), []))  # full support
+    # with nothing recorded, zeros and bands are not looked for
+    checked_eigenvalues(SymOperator(random_tridiagonal(rng, 9).entries))
+    checked_eigenvalues(SymOperator(with_zero_rows(random_symmetric(rng, 9), [2]).entries))
+    assert solver_dims == {"dense": [9, 6, 8, 9, 9, 9], "tridiagonal": [9]}
 
 
 def test_deflation_matches_dense_on_planted_zero_rows():
@@ -530,7 +570,7 @@ def test_tridiagonal_route_matches_dense():
             m = a.entries.copy()
             k = int(rng.integers(1, dim))
             m[k, k - 1] = m[k - 1, k] = 0.0
-            a = sym(m)
+            a = SymOperator._built(m, tridiagonal=True)
         assert_matches_dense(a)
 
 
@@ -665,8 +705,25 @@ def test_symmetrized_stack_equals_sym_operator_entries_bit_for_bit():
 def test_symmetrized_stack_rejects_a_bad_member(bad, message):
     m = np.array([np.eye(3)] * 3)
     bad(m)
-    with np.errstate(over="ignore"):
-        with pytest.raises(ValueError, match=rf"{message}.*\(stack member 1\)"):
+    with pytest.raises(ValueError, match=rf"{message}.*\(stack member 1\)"):
+        _symmetrized(m)
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+@pytest.mark.parametrize("bad,cause", [
+    (lambda a: a.__setitem__((2, 1), -np.inf), r"1 non-finite entries, the first A\[2, 1\] = -inf"),
+    (lambda a: a.__setitem__(([1, 2], [0, 2]), [np.nan, np.inf]),
+     r"2 non-finite entries, the first A\[1, 0\] = nan"),
+    (lambda a: a.__setitem__((1, 1), 2e154), "its entries are finite, its norm overflows"),
+], ids=["inf", "nan", "overflow"])
+def test_one_check_names_the_cause_of_a_norm_that_is_not_finite(bad, cause, stacked):
+    a = np.eye(3)
+    bad(a)
+    m = np.array([np.eye(3), a]) if stacked else a
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"no finite Frobenius norm: {cause}"
+                                             + (r" \(stack member 1\)$" if stacked else "$")):
             _symmetrized(m)
 
 
