@@ -10,10 +10,13 @@ is a pure function.
 is built, by ``_symmetrized``, the one check for a matrix or a stack.  The
 Frobenius norm must be finite: it vouches for finite entries, and every
 count's guard band is made from it, so finite entries whose norm overflows
-are rejected too.  Entries symmetric within ``SYMMETRY_RTOL`` are averaged
-with their transpose, and entries symmetric bit for bit are stored as a
-copy, without the averaging that would return the same bits.  Library code
-that forms a matrix it knows to be exactly symmetric passes the ndarray on
+are rejected too.  Checked eigenvalues and decompositions check the norm
+again, by the same ``_finite_fro``, before their solver runs, and the
+Sturm count checks ``|T|_F``, so an unchecked ``_built`` operator or a
+stack whose norm is not finite raises ValueError too.  Entries symmetric
+within ``SYMMETRY_RTOL`` are averaged with their transpose, and entries
+symmetric bit for bit are stored as a copy, without the averaging that
+would return the same bits.  Library code that forms a matrix it knows to be exactly symmetric passes the ndarray on
 without wrapping it again: bsengine's sums of two operators' entries,
 radial's symmetrized support block and efimov's trimer kernel, mirrored
 from its upper triangle.  Builders that return an operator of such a fresh
@@ -148,11 +151,11 @@ def _spectral_decompose(m: np.ndarray, psd: bool = False) -> tuple[np.ndarray, n
     every matrix of a stack ``(k, n, n)`` of them by one stacked ``eigh``,
     each matrix checked on its own.  With ``psd``, a matrix whose lowest
     eigenvalue lies below minus the count guard band raises ValueError."""
+    eta = _guard(_finite_fro(m))
     try:
         lam, vec = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigendecomposition did not converge: {exc}") from exc
-    eta = _guard(_fro(m))
     residual = _fro(m @ vec - vec * lam[..., None, :])
     _require(residual <= eta, "eigendecomposition residual {:.3e} exceeds 1e-10*(1+|A|_F)",
              residual)
@@ -178,7 +181,9 @@ def checked_eigenvalues(a: SymOperator) -> tuple[np.ndarray, float]:
     are checked against the invariants ``sum(lam) = tr A`` and
     ``sum(lam^2) = |A|_F^2`` of the full matrix, within ``eta`` and
     ``eta * (1 + |A|_F)`` for the guard ``eta = 1e-10 (1 + |A|_F)``; a failed
-    check or a LAPACK failure raises RuntimeError.
+    check or a LAPACK failure raises RuntimeError.  A matrix whose
+    ``|A|_F`` is not finite has no guard band and raises ValueError before
+    any solve.
     """
     a = sym(a)
     return _checked_eigenvalues(a.entries, a._structure)
@@ -190,11 +195,11 @@ def _checked_eigenvalues(m: np.ndarray, structure=None) -> tuple[np.ndarray, flo
     of a stack ``(k, n, n)`` of them by one dense stacked ``eigvalsh``, each
     matrix checked on its own and with its own guard band in the array
     ``eta``."""
+    fro = _finite_fro(m)
     try:
         lam = _eigenvalues(m, structure)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigenvalue solver did not converge: {exc}") from exc
-    fro = _fro(m)
     eta = _guard(fro)
     trace_defect = np.abs(np.sum(lam, axis=-1) - np.trace(m, axis1=-2, axis2=-1))
     _require(trace_defect <= eta, "eigenvalue sum misses the trace by {:.3e}, "
@@ -215,48 +220,59 @@ def _fro(m: np.ndarray):
     return np.sqrt(flat @ flat.swapaxes(1, 2))[:, 0, 0]
 
 
-def _require(ok, message: str, *values, error=RuntimeError) -> None:
+def _require(ok, message, *values, error=RuntimeError) -> None:
     """Raise ``error`` unless ``ok`` holds for the matrix, or for every matrix
-    of a stack; ``message`` is formatted with the ``values`` of the first
-    matrix that fails, and names that matrix's index in a stack."""
+    of a stack.  ``message`` is a format string for the ``values`` of the
+    first matrix that fails, or a function of that matrix's index, which
+    is ``()`` for one matrix; the error names the index in a stack."""
     if ok is not True and not np.all(ok):
         i = np.unravel_index(np.argmin(ok), np.shape(ok))  # () for one matrix
-        raise error(message.format(*(v[i] if np.ndim(v) else v for v in values))
-                    + (f" (stack member {i[0]})" if i else ""))
+        text = message(i) if callable(message) else message.format(
+            *(v[i] if np.ndim(v) else v for v in values))
+        raise error(text + (f" (stack member {i[0]})" if i else ""))
 
 
 def _symmetrized(m: np.ndarray) -> np.ndarray:
     """The checked, frozen entries of the square matrix ``m``, or of every
     matrix of the stack ``(k, n, n)`` ``m``, as ``SymOperator`` stores them.
 
-    Each matrix must have a finite Frobenius norm, which vouches for finite
-    entries and gives every count its guard band, and be symmetric within
-    ``SYMMETRY_RTOL``; the first that is not raises ValueError, naming its
-    index in a stack.  Input symmetric bit for bit is stored as a copy, and
-    any other as the mean ``(A + A^T) / 2``, which kills rounding asymmetry.
+    Each matrix must have a finite Frobenius norm (``_finite_fro``) and be
+    symmetric within ``SYMMETRY_RTOL``; the first that is not raises
+    ValueError, naming its index in a stack.  Input symmetric bit for bit is
+    stored as a copy, and any other as the mean ``(A + A^T) / 2``, which
+    kills rounding asymmetry.
     """
-    with np.errstate(over="ignore"):  # an overflowing norm is rejected below
-        scale = 1.0 + _fro(m)
-        ok = scale < math.inf  # False where the norm overflows or is NaN
-        if ok is not True and not np.all(ok):
-            a = m[np.unravel_index(np.argmin(ok), np.shape(ok))]  # the first that fails
-            bad = np.argwhere(~np.isfinite(a))
-            cause = (f"{len(bad)} non-finite entries, the first A[{bad[0, 0]}, {bad[0, 1]}] = "
-                     f"{a[tuple(bad[0])]}" if len(bad) else "its entries are finite, its norm overflows")
-            _require(ok, f"matrix has no finite Frobenius norm: {cause}", error=ValueError)
-        # symmetric bit for bit, which the mean would return unchanged: a small
-        # array compares quickest as bytes, a large one entry by entry, with
-        # no transposed copy
-        bits = m.view(np.uint64)
-        if (m.tobytes() == m.mT.tobytes() if m.nbytes <= 1 << 16 else (bits == bits.mT).all()):
-            out = m.copy()
-        else:
-            asym = _fro(m - m.mT)
-            _require(asym <= SYMMETRY_RTOL * scale, "matrix is not symmetric: |A - A^T|_F / "
-                     "(1+|A|_F) = {:.3e} exceeds {:g}", asym / scale, SYMMETRY_RTOL, error=ValueError)
-            out = 0.5 * (m + m.mT)
+    scale = 1.0 + _finite_fro(m)
+    if m.tobytes() == m.mT.tobytes():  # the mean would return these bits
+        out = m.copy()
+    else:
+        half = 0.5 * (m - m.mT)  # |half|_F <= |A|_F, so its norm is finite
+        half_asym = _fro(half)
+        _require(half_asym <= 0.5 * SYMMETRY_RTOL * scale, lambda i: (
+            f"matrix is not symmetric: max |A - A^T| entry = {2.0 * np.max(np.abs(half[i])):.3e}, "
+            f"|A - A^T|_F / (1+|A|_F) = {2.0 * np.asarray(half_asym / scale)[i]:.3e} exceeds "
+            f"{SYMMETRY_RTOL:g}"), error=ValueError)
+        out = 0.5 * (m + m.mT)
     out.setflags(write=False)
     return out
+
+
+def _finite_fro(m: np.ndarray):
+    """``_fro`` of a matrix or a stack, without a numpy warning, checked
+    finite: a norm that is not finite has no guard band, so the first matrix
+    whose norm is not raises ValueError, naming its first non-finite entry or
+    the overflow of its finite entries' norm, and its index in a stack."""
+    with np.errstate(over="ignore"):  # an overflowing norm is rejected below
+        fro = _fro(m)
+
+    def cause(i):
+        bad = np.argwhere(~np.isfinite(m[i]))
+        return "matrix has no finite Frobenius norm: " + (
+            f"{len(bad)} non-finite entries, the first A[{bad[0, 0]}, {bad[0, 1]}] = "
+            f"{m[i][tuple(bad[0])]}" if len(bad) else "its entries are finite, its norm overflows")
+
+    _require(fro < math.inf, cause, error=ValueError)  # False where it overflows or is NaN
+    return fro
 
 
 def _eigenvalues(m: np.ndarray, structure) -> np.ndarray:
@@ -374,6 +390,8 @@ def count_evs(a: SymOperator, relation: str, threshold: float) -> int:
     is counted from ``checked_eigenvalues``, by the deflated route of a
     recorded support or else the dense route, whose trace and
     Frobenius-norm invariants stand in for eigenvector residual checks.
+    On every route a matrix whose ``|A|_F`` is not finite raises
+    ValueError before any eigenvalue is counted.
     """
     a = sym(a)
     if a._structure is not None and a._structure[0] == "tridiagonal":

@@ -104,8 +104,18 @@ def solver_dims(monkeypatch):
 
 
 def test_rejects_asymmetric_matrix():
-    with pytest.raises(ValueError, match="not symmetric"):
+    with pytest.raises(ValueError, match=r"not symmetric: max \|A - A\^T\| entry = 1\.000e\+00, "
+                                         r"\|A - A\^T\|_F / \(1\+\|A\|_F\) = 7\.071e-01 exceeds 1e-12$"):
         sym([[0.0, 1.0], [0.0, 0.0]])
+
+
+def test_rejects_asymmetry_whose_norm_overflows_where_the_matrix_norm_does_not():
+    # |A|_F^2 = 2 a^2 is finite, |A - A^T|_F^2 = 8 a^2 is not
+    a = 9e153
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"not symmetric: max \|A - A\^T\| entry = 1\.800e\+154"):
+            sym([[0.0, a], [-a, 0.0]])
 
 
 def test_rejects_non_square():
@@ -139,12 +149,14 @@ def test_rejects_asymmetry_when_the_norm_overflows(entries):
             sym(entries)
 
 
+@pytest.mark.parametrize("built", [False, True], ids=["checked", "built"])
 @pytest.mark.parametrize("run", [
     spectral_decompose, checked_eigenvalues, lambda a: count_evs(a, ">", 0.0),
 ], ids=["spectral_decompose", "checked_eigenvalues", "count_evs"])
-def test_an_overflowing_norm_never_reaches_a_solver(monkeypatch, run):
+def test_an_overflowing_norm_never_reaches_a_solver(monkeypatch, run, built):
     # with |A|_F = inf the guard band is inf, and every residual check would
-    # pass an eigensolver that doubles each eigenvalue
+    # pass an eigensolver that doubles each eigenvalue; a checked build
+    # rejects the matrix, and the solvers reject an unchecked ``_built`` one
     g = np.random.default_rng(DEFAULT_SEED).standard_normal((4, 4))
     true_eigh, true_eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
 
@@ -157,7 +169,7 @@ def test_an_overflowing_norm_never_reaches_a_solver(monkeypatch, run):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="its norm overflows"):
-            run(1e200 * (g + g.T))
+            run(SymOperator._built(1e200 * (g + g.T)) if built else 1e200 * (g + g.T))
 
 
 @settings(max_examples=60, deadline=None)
@@ -200,7 +212,7 @@ def test_one_ulp_asymmetry_is_averaged_where_the_asymmetry_norm_underflows():
     assert bits(a)[0, 1] == bits(a)[1, 0]
 
 
-@pytest.mark.parametrize("dim", [4, 100])  # below and above the size of the bytes compare
+@pytest.mark.parametrize("dim", [4, 100])
 def test_bit_symmetric_averaged_and_asymmetric_input_at_every_size(dim):
     g = np.random.default_rng(DEFAULT_SEED + dim).standard_normal((dim, dim))
     exact = g + g.T
@@ -457,6 +469,25 @@ def test_count_rejects_a_non_finite_threshold(threshold, route):
     for relation in (">", ">=", "<", "<="):
         with pytest.raises(ValueError, match="threshold"):
             count_evs(a, relation, threshold)
+
+
+def test_kernel_whose_norm_overflows_is_rejected_before_its_solver():
+    # bs_kernel_radial hands its finite kernel to SymOperator._built, which
+    # checks nothing; every route that solves it rejects |K|_F = inf
+    well = PotentialSpec(kind="square_well", strength=1e300, range=1.0)
+    grid = RadialGrid(ell=0, r_max=25.0, n=200)
+    k = bs_kernel_radial(well, grid, 1.0)
+    assert np.isfinite(k.entries).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for run in (checked_eigenvalues, spectral_decompose, lambda k: count_evs(k, ">", 1.0),
+                    lambda k: radial.bs_count_and_top(well, grid, 1.0),
+                    lambda k: _checked_eigenvalues(np.stack([np.eye(200), k.entries])),
+                    lambda k: _spectral_decompose(np.stack([np.eye(200), k.entries]))):
+            with pytest.raises(ValueError, match="its norm overflows"):
+                run(k)
+    with pytest.raises(ValueError, match=r"\(stack member 1\)$"):
+        _checked_eigenvalues(np.stack([np.eye(200), k.entries]))
 
 
 def test_tridiagonal_count_rejects_a_norm_that_overflows():
