@@ -28,7 +28,11 @@ drawing its problems one by one, then builds one stack per dimension, and
 ``corpus_counts`` counts it.  ``BsProblem``, ``count_bs``,
 ``count_direct``, ``mu_max`` and ``random_problem`` run the same code on a
 stack of one, so there is one route; the per-problem route it replaced is
-kept in the tests as the oracle.  Stacks take linop's dense route, as
+kept in the tests as the oracle.  The Hilbert-Schmidt and rank-one bounds
+have stacked cores too, ``_hs_count_bound`` and ``_rank_one_domination``:
+the second returns each member's count of eigenvalues above ``c``, so a
+caller can count failed members, and ``hs_count_bound_check`` and
+``rank_one_domination`` are those cores on a stack of one.  Stacks take linop's dense route, as
 does any matrix whose builder recorded no structure: the deflated and
 tridiagonal routes serve only the radial builders' operators.
 
@@ -47,14 +51,14 @@ import numpy as np
 
 from .linop import (
     DEFAULT_SEED,
+    MIN_PROJECTION_NORM,
     SymOperator,
     _checked_eigenvalues,
+    _count_evs,
+    _fro,
     _require,
     _spectral_decompose,
     _symmetrized,
-    count_evs,
-    hs_norm,
-    rank_one_projection,
     sym,
 )
 
@@ -168,8 +172,7 @@ def _count_bs(s: _Stack) -> np.ndarray:
     _require(gap >= eta, "an eigenvalue of A+B lies within {:.3e} of -eps (guard {:.3e}); "
              "perturb eps (e.g. by a factor 1 +/- 1e-6) and retry", gap, eta,
              error=ThresholdCollisionError)
-    mu, eta_k = _checked_eigenvalues(_kernels(s))
-    return np.count_nonzero(mu > (1.0 + eta_k)[:, None], axis=1)
+    return _count_evs(_kernels(s), ">", 1.0)
 
 
 def bs_operator(p: BsProblem) -> SymOperator:
@@ -274,28 +277,39 @@ def hs_count_bound_check(a: SymOperator, delta: float, vectors: np.ndarray) -> t
     ``|(phi_i, A phi_i)| >= delta``.  Returns (holds, bound).
     """
     a = sym(a)
-    if not delta > 0:
-        raise ValueError(f"delta must be positive, got {delta}")
     v = np.asarray(vectors, dtype=float)
     if v.ndim == 1:
         v = v[:, None]
     if v.shape[0] != a.dim:
         raise ValueError(f"vectors have length {v.shape[0]}, operator dim is {a.dim}")
-    n = v.shape[1]
-    gram_defect = float(np.max(np.abs(v.T @ v - np.eye(n))))
-    if gram_defect > 1e-10:
-        raise ValueError(f"vector set is not orthonormal: Gram defect {gram_defect:.3e}")
-    expectations = np.einsum("ij,ij->j", v, a.entries @ v)
+    holds, bound = _hs_count_bound(a.entries[None], np.array([delta], dtype=float), v[None])
+    return bool(holds[0]), float(bound[0])
+
+
+def _hs_count_bound(a: np.ndarray, delta: np.ndarray, v: np.ndarray):
+    """``hs_count_bound_check`` of every member of a stack: ``a`` a
+    ``(k, n, n)`` stack of symmetric matrices, ``delta`` their ``(k,)``
+    bounds and ``v`` a ``(k, n, r)`` stack of test vector sets.  Returns the
+    arrays ``holds`` and ``bound``; a member that fails a check raises
+    ValueError with its index."""
+    _require(delta > 0, "delta must be positive, got {}", delta, error=ValueError)
+    r = v.shape[-1]
+    gram_defect = np.max(np.abs(v.mT @ v - np.eye(r)), axis=(1, 2))
+    _require(gram_defect <= 1e-10, "vector set is not orthonormal: Gram defect {:.3e}",
+             gram_defect, error=ValueError)
+    expectations = np.einsum("kij,kij->kj", v, a @ v)
+    fro = _fro(a)
     # boundary slack so the extremal equality family is not rejected by rounding
-    slack = 1e-12 * (1.0 + delta + np.linalg.norm(a.entries))
-    small = np.abs(expectations) < delta - slack
-    if np.any(small):
-        i = int(np.argmax(small))
-        raise ValueError(
-            f"|(phi_{i}, A phi_{i})| = {abs(expectations[i]):.6e} < delta = {delta:g}"
-        )
-    bound = hs_norm(a) ** 2 / delta**2
-    return n <= bound + 1e-9 * (1.0 + bound), bound
+    slack = 1e-12 * (1.0 + delta + fro)
+    small = np.abs(expectations) < (delta - slack)[:, None]
+
+    def first_small(i):
+        j = int(np.argmax(small[i]))
+        return f"|(phi_{j}, A phi_{j})| = {abs(expectations[i][j]):.6e} < delta = {delta[i]:g}"
+
+    _require(~small.any(axis=1), first_small, error=ValueError)
+    bound = fro**2 / delta**2
+    return r <= bound + 1e-9 * (1.0 + bound), bound
 
 
 def rank_one_domination(f: np.ndarray, a: SymOperator, epsilon0: float, c: float) -> float:
@@ -304,33 +318,47 @@ def rank_one_domination(f: np.ndarray, a: SymOperator, epsilon0: float, c: float
     Follows the spectral-cutoff construction: pick the smallest cutoff ``k0``
     in the spectrum of ``A`` with ``|f - P_[0,k0] f| < c/2`` and return
     ``L = 2 (k0 + eps0)``.  The bound is re-verified before returning, by
-    counting the eigenvalues above ``c``: any (RuntimeError) indicates a
-    guard-band misconfiguration.
+    counting the eigenvalues above ``c``; a count above 0 raises
+    RuntimeError, and so does a ``c`` too small for any cutoff.  Either
+    indicates a guard-band misconfiguration.
     """
     a = sym(a)
-    if not epsilon0 > 0:
-        raise ValueError(f"epsilon0 must be positive, got {epsilon0}")
-    if not c > 0:
-        raise ValueError(f"c must be positive, got {c}")
-    proj = rank_one_projection(f)  # rejects |f| < MIN_PROJECTION_NORM
-    lam, vec = _spectral_decompose(a.entries, psd=True)
-    u = np.ravel(f) / np.linalg.norm(f)  # f normalized, as proj = u u^T
-    coeffs = vec.T @ u
-    # tail norm above each candidate cutoff, scanning cutoffs in ascending order
-    tail_sq = np.concatenate(([np.sum(coeffs**2)], np.sum(coeffs**2) - np.cumsum(coeffs**2)))
-    cutoffs = np.concatenate(([0.0], np.maximum(lam, 0.0)))
-    ok = np.sqrt(np.maximum(tail_sq, 0.0)) < c / 2.0
-    if not np.any(ok):
-        raise RuntimeError("no spectral cutoff keeps the tail below c/2")
-    k0 = float(cutoffs[int(np.argmax(ok))])
-    big_l = 2.0 * (k0 + epsilon0)
+    big_l, above = _rank_one_domination(
+        np.asarray(f, dtype=float).reshape(1, -1), a.entries[None],
+        np.array([epsilon0], dtype=float), np.array([c], dtype=float))
+    if above[0]:
+        raise RuntimeError(f"verification failed: {above[0]} eigenvalues exceed c={c:g} "
+                           f"for L={big_l[0]:g} (guard-band misconfiguration?)")
+    return float(big_l[0])
 
-    inv = (vec / (lam + epsilon0)) @ vec.T  # symmetric only up to rounding
-    above = count_evs(sym(proj.entries - big_l * inv), ">", c)
-    if above:
-        raise RuntimeError(f"verification failed: {above} eigenvalues exceed c={c:g} "
-                           f"for L={big_l:g} (guard-band misconfiguration?)")
-    return big_l
+
+def _rank_one_domination(f: np.ndarray, a: np.ndarray, epsilon0: np.ndarray, c: np.ndarray):
+    """``rank_one_domination`` of every member of a stack: ``f`` the
+    ``(k, n)`` vectors, ``a`` a ``(k, n, n)`` stack of symmetric matrices,
+    ``epsilon0`` and ``c`` ``(k,)`` arrays.  Returns the arrays of ``L`` and
+    of the count of eigenvalues of ``f f^T / |f|^2 - L (A+eps0)^(-1)`` above
+    ``c``, which is 0 where the bound holds.  A member with bad input, or
+    with no cutoff keeping the tail below ``c/2``, raises with its index."""
+    _require(epsilon0 > 0, "epsilon0 must be positive, got {}", epsilon0, error=ValueError)
+    _require(c > 0, "c must be positive, got {}", c, error=ValueError)
+    norm = _fro(f[:, :, None])
+    _require(norm >= MIN_PROJECTION_NORM, "vector norm {:.3e} below "
+             f"{MIN_PROJECTION_NORM:g}; refusing to normalize", norm, error=ValueError)
+    u = f / norm[:, None]
+    lam, vec = _spectral_decompose(a, psd=True)
+    coeffs = (vec.mT @ u[:, :, None])[:, :, 0]
+    # tail norm above each candidate cutoff, scanning cutoffs in ascending order
+    sq = coeffs**2
+    total = np.sum(sq, axis=1)[:, None]
+    tail_sq = np.concatenate((total, total - np.cumsum(sq, axis=1)), axis=1)
+    cutoffs = np.concatenate((np.zeros_like(total), np.maximum(lam, 0.0)), axis=1)
+    ok = np.sqrt(np.maximum(tail_sq, 0.0)) < (c / 2.0)[:, None]
+    _require(ok.any(axis=1), "no spectral cutoff keeps the tail below c/2")
+    big_l = 2.0 * (cutoffs[np.arange(len(ok)), np.argmax(ok, axis=1)] + epsilon0)
+
+    inv = (vec / (lam + epsilon0[:, None])[:, None, :]) @ vec.mT  # symmetric up to rounding
+    proj = u[:, :, None] * u[:, None, :]
+    return big_l, _count_evs(_symmetrized(proj - big_l[:, None, None] * inv), ">", c)
 
 
 def _draw(rng, dim: int, singular_a: bool, indefinite_b: bool) -> tuple:
@@ -393,11 +421,24 @@ def random_corpus(size: int, rng, *, singular_a: bool = False):
     draws are freed then, so that a pass over the corpus holds the arrays
     of one dimension at a time.
     """
-    by_dim = {}
-    for _ in range(size):
+    def draw():
         dim = int(rng.integers(2, 21))
-        by_dim.setdefault(dim, []).append(_draw(rng, dim, singular_a, bool(rng.integers(0, 2))))
-    return (_random_stack(by_dim.pop(dim)) for dim in sorted(by_dim))
+        return dim, _draw(rng, dim, singular_a, bool(rng.integers(0, 2)))
+
+    return (_random_stack(draws) for _, draws in _grouped(size, draw))
+
+
+def _grouped(size: int, draw):
+    """``size`` problems drawn one at a time by ``draw()``, which returns a
+    problem's group key and its draws; every draw is made before this
+    returns.  Returns an iterator over the groups in ascending key order,
+    each as its key and the list of its members' draws in draw order, which
+    frees a group's draws when it reaches them."""
+    groups = {}
+    for _ in range(size):
+        key, member = draw()
+        groups.setdefault(key, []).append(member)
+    return ((key, groups.pop(key)) for key in sorted(groups))
 
 
 def corpus_counts(corpus) -> tuple[np.ndarray, np.ndarray]:

@@ -47,12 +47,13 @@ import numpy as np
 
 from . import __version__
 from .bsengine import (
+    _grouped,
+    _hs_count_bound,
+    _rank_one_domination,
     corpus_counts,
-    hs_count_bound_check,
     mu_max,
     random_corpus,
     random_problem,
-    rank_one_domination,
 )
 from .efimov import (
     SeparableModel,
@@ -60,8 +61,15 @@ from .efimov import (
     s0_oracle,
     trimer_spectrum,
 )
-from .iterbs import iterate, random_spectral_step
-from .linop import DEFAULT_SEED, SymOperator, count_evs, hs_norm
+from .iterbs import (
+    _draw_split,
+    _iterate,
+    _random_steps,
+    _spectral_stack,
+    iterate,
+    random_spectral_step,
+)
+from .linop import DEFAULT_SEED, SymOperator, _count_evs, _symmetrized, count_evs, hs_norm
 from .radial import (
     PotentialSpec,
     RadialGrid,
@@ -293,57 +301,78 @@ def _run_verify(cfg, jobs):
         failures += not np.all(np.diff(mus) <= 1e-12)
     checks["mu_monotone"] = {"cases": n_mu, "failures": failures}
 
-    n_iter = int(cfg["verify.iterbs_instances"])
-    failures = 0
-    max_residual = 0.0
-    for _ in range(n_iter):
-        dim = int(rng.integers(6, 16))
-        q = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
-        lam = rng.uniform(-0.8, 1.6, size=dim)
-        k_total = SymOperator((q * lam) @ q.T)
-        base = count_evs(k_total, ">", 1.0)
-        steps = [random_spectral_step(k_total, rng)
-                 for _ in range(int(rng.integers(1, 4)))]
-        stages = iterate(k_total, steps)
-        ok = all(count_evs(stage.t, ">", 1.0) == base for stage in stages)
-        max_residual = max(max_residual,
-                           max(s.consistency_residual for s in stages))
-        failures += not ok
-    checks["iterbs_invariance"] = {"cases": n_iter, "failures": failures,
-                                   "max_residual": max_residual}
-
+    checks["iterbs_invariance"] = _verify_iterbs(rng, int(cfg["verify.iterbs_instances"]))
     n_bound = int(cfg["verify.bound_instances"])
-    failures = 0
-    for _ in range(n_bound):
-        dim = int(rng.integers(3, 12))
-        r = int(rng.integers(1, dim))
-        q = np.linalg.qr(rng.standard_normal((dim, dim)))[0][:, :r]
-        delta = float(rng.uniform(0.5, 3.0))
-        holds, bound = hs_count_bound_check(
-            SymOperator(delta * q @ q.T), delta, q)
-        failures += (not holds) or abs(bound - r) > 1e-9 * r
-    checks["hs_bound_extremal"] = {"cases": n_bound, "failures": failures}
-
-    failures = 0
-    for _ in range(n_bound):
-        dim = int(rng.integers(2, 12))
-        g = rng.standard_normal((dim, dim))
-        a = SymOperator(g @ g.T)
-        f = rng.standard_normal(dim)
-        f /= np.linalg.norm(f)
-        c = float(rng.uniform(0.05, 1.5))
-        eps0 = float(rng.uniform(0.1, 2.0))
-        # verifies its bound itself and raises RuntimeError when it fails
-        try:
-            rank_one_domination(f, a, epsilon0=eps0, c=c)
-        except RuntimeError:
-            failures += 1
-    checks["rank_one_domination"] = {"cases": n_bound, "failures": failures}
+    checks["hs_bound_extremal"] = _verify_hs_bound(rng, n_bound)
+    checks["rank_one_domination"] = _verify_rank_one(rng, n_bound)
 
     columns = ("check", "cases", "failures")
     rows = [(name, data["cases"], data["failures"])
             for name, data in checks.items()]
     return columns, rows, checks
+
+
+# The three sections below draw every problem first, in the RNG order of
+# drawing them one at a time, then solve one stack per group of problems of
+# one shape, freeing each group's draws once it is solved.
+
+
+def _verify_iterbs(rng, size):
+    """Projection subtraction keeps the count above 1 at every stage."""
+    def draw():
+        dim = int(rng.integers(6, 16))
+        x = rng.standard_normal((dim, dim))
+        lam = rng.uniform(-0.8, 1.6, size=dim)
+        splits = [_draw_split(rng, dim) for _ in range(int(rng.integers(1, 4)))]
+        return (dim, len(splits)), (x, lam, splits)
+
+    failures, max_residual = 0, 0.0
+    for (_, n_steps), members in _grouped(size, draw):
+        x, lam, splits = zip(*members)
+        k_total = _spectral_stack(np.array(x), np.array(lam))[0]
+        base = _count_evs(k_total, ">", 1.0)
+        stages = _iterate(k_total, [_random_steps(k_total, [s[j] for s in splits])
+                                    for j in range(n_steps)])
+        broken = np.zeros(len(x), dtype=bool)
+        for t, _, residual in stages:
+            broken |= _count_evs(t, ">", 1.0) != base
+            max_residual = max(max_residual, float(np.max(residual)))
+        failures += int(np.count_nonzero(broken))
+    return {"cases": size, "failures": failures, "max_residual": max_residual}
+
+
+def _verify_hs_bound(rng, size):
+    """The Hilbert-Schmidt count bound is an equality on ``delta`` times a
+    rank-``r`` projection, tested on its ``r`` range vectors."""
+    def draw():
+        dim = int(rng.integers(3, 12))
+        r = int(rng.integers(1, dim))
+        return (dim, r), (rng.standard_normal((dim, dim)), float(rng.uniform(0.5, 3.0)))
+
+    failures = 0
+    for (_, r), members in _grouped(size, draw):
+        x, delta = map(np.array, zip(*members))
+        q = np.linalg.qr(x)[0][:, :, :r]
+        holds, bound = _hs_count_bound(_symmetrized(delta[:, None, None] * q @ q.mT), delta, q)
+        failures += int(np.count_nonzero(~holds | (np.abs(bound - r) > 1e-9 * r)))
+    return {"cases": size, "failures": failures}
+
+
+def _verify_rank_one(rng, size):
+    """The rank-one domination constant verifies its own bound."""
+    def draw():
+        dim = int(rng.integers(2, 12))
+        g = rng.standard_normal((dim, dim))
+        f = rng.standard_normal(dim)
+        f /= np.linalg.norm(f)
+        return dim, (g, f, float(rng.uniform(0.05, 1.5)), float(rng.uniform(0.1, 2.0)))
+
+    failures = 0
+    for _, members in _grouped(size, draw):
+        g, f, c, eps0 = map(np.array, zip(*members))
+        above = _rank_one_domination(f, _symmetrized(g @ g.mT), eps0, c)[1]
+        failures += int(np.count_nonzero(above))
+    return {"cases": size, "failures": failures}
 
 
 def _load_potential(cfg) -> PotentialSpec:
@@ -481,7 +510,12 @@ def _configure_logging():
 def run(config: dict, jobs: int | None = None, out_dir: str | None = None) -> int:
     """Execute a validated config; returns the process exit status."""
     command = config["command"]
-    jobs = jobs or os.cpu_count() or 1
+    if jobs is None:
+        jobs = os.cpu_count() or 1
+    elif not (isinstance(jobs, int) and jobs >= 1):
+        print(f"bscount {command}: --jobs must be a positive integer, got {jobs!r}",
+              file=sys.stderr)
+        return EXIT_PARSE_ERROR
     out_dir = out_dir or config.get("output_path", ".")
     t0 = time.perf_counter()
     try:

@@ -49,11 +49,13 @@ and Frobenius-norm invariants of the full matrix, both O(n^2).
 range, once for every route, and rejects a threshold that is not finite.
 ``spectral_decompose`` returns eigenvectors too and checks their residual
 and orthonormality; it serves the callers that use eigenvectors.  The
-private ``_checked_eigenvalues`` and ``_spectral_decompose`` also take a
-stack ``(k, n, n)`` of matrices known to be symmetric, solved by one dense
-stacked LAPACK call, with every check run on each matrix and a failure
-naming the member.  The private ``_tridiagonal_eigenvalues`` also selects
-the lowest eigenvalue of a tridiagonal matrix, and
+private ``_checked_eigenvalues``, ``_spectral_decompose`` and
+``_count_evs`` also take a stack ``(k, n, n)`` of matrices known to be
+symmetric, solved by one dense stacked LAPACK call, with every check run
+on each matrix and a failure naming the member; ``_count_evs`` takes one
+threshold per member or one for all.  The private
+``_tridiagonal_eigenvalues`` also selects the lowest eigenvalue of a
+tridiagonal matrix, and
 ``_tridiagonal_positive_definite`` is the O(n) binding test of the radial
 critical-coupling search: LAPACK ``pttrf`` factors the tridiagonal matrix
 and reports whether every pivot is positive.
@@ -365,13 +367,15 @@ def _selection(relation: str, threshold: float, eta: float) -> tuple[float, bool
     """The eigenvalues that satisfy ``relation threshold`` outside the guard
     band ``eta``, as ``(edge, above)``: those above ``edge`` when ``above``,
     else those at most ``edge``.  Strict relations exclude the band around
-    the threshold and non-strict ones include it.  An unknown relation or a
-    threshold that is not finite raises ValueError.
+    the threshold and non-strict ones include it.  ``threshold`` and ``eta``
+    may be arrays over a stack, giving an array ``edge``.  An unknown
+    relation or a threshold that is not finite raises ValueError, naming the
+    stack member.
     """
     if relation not in _RELATIONS:
         raise ValueError(f"unknown relation {relation!r}, expected one of {_RELATIONS}")
-    if not math.isfinite(threshold):
-        raise ValueError(f"count threshold must be finite, got {threshold}")
+    _require(np.isfinite(threshold), "count threshold must be finite, got {}", threshold,
+             error=ValueError)
     edge = threshold + eta if relation in (">", "<=") else threshold - eta
     return edge, relation[0] == ">"
 
@@ -396,9 +400,19 @@ def count_evs(a: SymOperator, relation: str, threshold: float) -> int:
     a = sym(a)
     if a._structure is not None and a._structure[0] == "tridiagonal":
         return _tridiagonal_count(*a._structure[1:], relation, threshold)
-    lam, eta = _checked_eigenvalues(a.entries, a._structure)
+    return int(_count_evs(a.entries, relation, threshold, a._structure))
+
+
+def _count_evs(m: np.ndarray, relation: str, threshold, structure=None):
+    """``count_evs`` of a matrix already known to be symmetric, by the
+    checked eigenvalues of the route of its recorded ``structure``; or the
+    array of the counts of every matrix of a stack ``(k, n, n)`` of them,
+    each against the same ``threshold`` or its own entry of the array
+    ``threshold``, from one stacked ``eigvalsh``."""
+    lam, eta = _checked_eigenvalues(m, structure)
     edge, above = _selection(relation, threshold, eta)
-    return int(np.count_nonzero(lam > edge if above else lam <= edge))
+    edge = np.expand_dims(edge, -1)
+    return np.count_nonzero(lam > edge if above else lam <= edge, axis=-1)
 
 
 def hs_norm(a: SymOperator) -> float:

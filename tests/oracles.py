@@ -172,3 +172,142 @@ def counts_oracle(a, b, eps: float) -> tuple[int, int]:
 def mu_max_oracle(a, b, eps: float) -> float:
     """Largest checked eigenvalue of ``K(eps)`` of one problem."""
     return float(checked_eigenvalues(bs_kernel_oracle(a, b, eps))[0][-1])
+
+
+# ---------------------------------------------------------------------------
+# the per-problem route of iterbs and of bsengine's two bounds, which their
+# stacked cores replaced
+
+
+def step_oracle(p, mu: float, k_part, l_part) -> dict:
+    """``iterbs.ProjectionStep`` of one stage by the per-step route: each
+    check on the one matrix, then ``(1 - mu P)^(-1/2)`` in closed form."""
+    p, k_part, l_part = sym(p), sym(k_part), sym(l_part)
+    if not 0.0 < mu < 1.0:
+        raise ValueError(f"mu must lie in (0, 1), got {mu}")
+    idem = float(np.linalg.norm(p.entries @ p.entries - p.entries))
+    if idem > 1e-10:
+        raise ValueError(f"P is not a projection: |P^2 - P|_F = {idem:.3e}")
+    if float(np.trace(p.entries)) < 0.5:
+        raise ValueError("P must be a nonzero projection")
+    compat = float(np.linalg.norm((k_part.entries - mu * p.entries) @ p.entries))
+    if compat > 1e-8:
+        raise ValueError(f"P is not a spectral projection of K_part: {compat:.3e}")
+    w = np.eye(p.dim) + (1.0 / np.sqrt(1.0 - mu) - 1.0) * p.entries
+    return {"p": p, "mu": mu, "k_part": k_part, "l_part": l_part, "inv_sqrt": w}
+
+
+def random_step_oracle(k_total, rng) -> dict:
+    """``iterbs.random_spectral_step`` by the per-step route."""
+    dim = k_total.dim
+    q = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+    mu = float(rng.uniform(0.3, 0.95))
+    lam = rng.uniform(-0.5, mu - 0.1, size=dim)
+    lam[0] = mu
+    k_part = SymOperator((q * lam) @ q.T)
+    return step_oracle(SymOperator(np.outer(q[:, 0], q[:, 0])), mu, k_part,
+                       SymOperator(k_total.entries - k_part.entries))
+
+
+def iterate_oracle(k_total, steps) -> list[tuple]:
+    """``iterbs.iterate`` by the per-problem route: ``(T_k, M_k, residual)``
+    of each stage, each a ``SymOperator`` checked on its own."""
+    dim = k_total.dim
+    t, m, p_sum = k_total, np.zeros((dim, dim)), np.zeros((dim, dim))
+    out = []
+    for step in steps:
+        split_gap = float(np.linalg.norm(
+            step["k_part"].entries + step["l_part"].entries - k_total.entries))
+        if split_gap > 1e-10 * (1.0 + np.linalg.norm(k_total.entries)):
+            raise ValueError(f"K_part + L_part differs from K_total by {split_gap:.3e}")
+        w = step["inv_sqrt"]
+        r = w - np.eye(dim)
+        script_p = step["mu"] * step["p"].entries
+        if float(np.linalg.norm((step["k_part"].entries - script_p) @ r)) > 1e-6:
+            raise ValueError("projection is not spectral for its subsystem part")
+        one_r = np.eye(dim) + r
+        corr = step["l_part"].entries - p_sum
+        m = one_r @ m @ one_r + r @ corr @ r + r @ corr + corr @ r
+        p_sum = p_sum + script_p
+        t = SymOperator(w @ (t.entries - step["mu"] * step["p"].entries) @ w)
+        residual = float(np.linalg.norm(t.entries - (k_total.entries - p_sum + m)))
+        if residual > 1e-8:
+            raise RuntimeError(f"recurrence disagrees with conjugation by {residual:.3e}")
+        out.append((t, SymOperator(m), residual))
+    return out
+
+
+def hs_count_bound_oracle(a, delta: float, v) -> tuple[bool, float]:
+    """``bsengine.hs_count_bound_check`` by the per-problem route."""
+    n = v.shape[1]
+    if float(np.max(np.abs(v.T @ v - np.eye(n)))) > 1e-10:
+        raise ValueError("vector set is not orthonormal")
+    expectations = np.einsum("ij,ij->j", v, a.entries @ v)
+    slack = 1e-12 * (1.0 + delta + np.linalg.norm(a.entries))
+    if np.any(np.abs(expectations) < delta - slack):
+        raise ValueError("an expectation is below delta")
+    bound = float(np.linalg.norm(a.entries)) ** 2 / delta**2
+    return n <= bound + 1e-9 * (1.0 + bound), bound
+
+
+def rank_one_domination_oracle(f, a, epsilon0: float, c: float) -> float:
+    """``bsengine.rank_one_domination`` by the per-problem route: the
+    spectral cutoff from the checked ``eigh`` of ``A``, verified by
+    ``count_evs``; a failed verification raises RuntimeError."""
+    lam, vec = spectral_decompose(a)
+    assert lam[0] >= -1e-10 * (1.0 + np.linalg.norm(a.entries)), "A is not PSD"
+    u = np.ravel(f) / np.linalg.norm(f)
+    coeffs = vec.T @ u
+    tail_sq = np.concatenate(([np.sum(coeffs**2)], np.sum(coeffs**2) - np.cumsum(coeffs**2)))
+    cutoffs = np.concatenate(([0.0], np.maximum(lam, 0.0)))
+    ok = np.sqrt(np.maximum(tail_sq, 0.0)) < c / 2.0
+    if not np.any(ok):
+        raise RuntimeError("no spectral cutoff keeps the tail below c/2")
+    big_l = 2.0 * (float(cutoffs[int(np.argmax(ok))]) + epsilon0)
+    inv = (vec / (lam + epsilon0)) @ vec.T
+    if count_evs(sym(np.outer(u, u) - big_l * inv), ">", c):
+        raise RuntimeError(f"verification failed for L={big_l:g}")
+    return big_l
+
+
+def verify_sections_oracle(rng, n_iter: int, n_bound: int) -> dict:
+    """``verify``'s iterbs_invariance, hs_bound_extremal and
+    rank_one_domination sections one problem at a time, in draw order, by
+    the oracles above.  Returns each section's failures, the largest
+    consistency residual, and per problem the key of its stack, with the
+    ``T_k`` of its stages or its ``L`` (None where the bound failed)."""
+    out = {"iterbs_failures": 0, "max_residual": 0.0, "stages": [],
+           "hs_failures": 0, "rank_one_failures": 0, "big_l": []}
+    for _ in range(n_iter):
+        dim = int(rng.integers(6, 16))
+        q = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+        lam = rng.uniform(-0.8, 1.6, size=dim)
+        k_total = SymOperator((q * lam) @ q.T)
+        base = count_evs(k_total, ">", 1.0)
+        steps = [random_step_oracle(k_total, rng) for _ in range(int(rng.integers(1, 4)))]
+        stages = iterate_oracle(k_total, steps)
+        out["iterbs_failures"] += not all(count_evs(t, ">", 1.0) == base for t, _, _ in stages)
+        out["max_residual"] = max(out["max_residual"], max(res for _, _, res in stages))
+        out["stages"].append(((dim, len(steps)), [t.entries for t, _, _ in stages]))
+    for _ in range(n_bound):
+        dim = int(rng.integers(3, 12))
+        r = int(rng.integers(1, dim))
+        q = np.linalg.qr(rng.standard_normal((dim, dim)))[0][:, :r]
+        delta = float(rng.uniform(0.5, 3.0))
+        holds, bound = hs_count_bound_oracle(SymOperator(delta * q @ q.T), delta, q)
+        out["hs_failures"] += (not holds) or abs(bound - r) > 1e-9 * r
+    for _ in range(n_bound):
+        dim = int(rng.integers(2, 12))
+        g = rng.standard_normal((dim, dim))
+        a = SymOperator(g @ g.T)
+        f = rng.standard_normal(dim)
+        f /= np.linalg.norm(f)
+        c = float(rng.uniform(0.05, 1.5))
+        eps0 = float(rng.uniform(0.1, 2.0))
+        try:
+            big_l = rank_one_domination_oracle(f, a, eps0, c)
+        except RuntimeError:
+            big_l = None
+            out["rank_one_failures"] += 1
+        out["big_l"].append((dim, big_l))
+    return out

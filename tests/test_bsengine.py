@@ -21,7 +21,14 @@ from bscount.bsengine import (
     rank_one_domination,
 )
 from bscount.linop import DEFAULT_SEED, checked_eigenvalues, hs_norm, spectral_decompose, sym
-from oracles import counts_oracle, jittered_oracle, mu_max_oracle, random_problem_oracle
+from oracles import (
+    counts_oracle,
+    hs_count_bound_oracle,
+    jittered_oracle,
+    mu_max_oracle,
+    random_problem_oracle,
+    rank_one_domination_oracle,
+)
 
 
 def brute_force_count_below(a, b, eps):
@@ -395,6 +402,62 @@ def test_hs_bound_single_vector():
     assert bound == pytest.approx((4.0 + 0.01) / 4.0, rel=1e-12)
 
 
+def test_hs_bound_takes_one_vector_as_a_1d_array():
+    a = sym(np.diag([2.0, 0.1]))
+    assert hs_count_bound_check(a, 2.0, np.array([1.0, 0.0])) == hs_count_bound_check(
+        a, 2.0, np.array([[1.0], [0.0]]))
+
+
+@pytest.mark.parametrize("delta", [0.0, -0.5, np.nan])
+def test_hs_bound_rejects_a_delta_that_is_not_positive(delta):
+    with pytest.raises(ValueError, match="delta must be positive"):
+        hs_count_bound_check(sym(np.eye(2)), delta, np.eye(2))
+
+
+@pytest.mark.parametrize("stretch, accepted", [(1.5e-11, True), (1.5e-10, False)])
+def test_hs_bound_orthonormality_check_fires_at_its_tolerance(stretch, accepted):
+    # the Gram defect of the one vector (1 + stretch) e1 is 2 stretch, against 1e-10
+    v = np.array([1.0 + stretch, 0.0, 0.0])
+    if accepted:
+        assert hs_count_bound_check(sym(np.eye(3)), 1.0, v)[0]
+    else:
+        with pytest.raises(ValueError, match="not orthonormal"):
+            hs_count_bound_check(sym(np.eye(3)), 1.0, v)
+
+
+@pytest.mark.parametrize("excess, accepted", [(2.5e-12, True), (5e-12, False)])
+def test_hs_bound_expectation_slack_is_relative_to_delta_and_the_norm(excess, accepted):
+    # (e1, A e1) = 1 = delta - excess, and the slack is 1e-12 (1 + delta + |A|_F) ~ 3e-12
+    a, delta = sym(np.diag([1.0, 0.0])), 1.0 + excess
+    if accepted:
+        assert hs_count_bound_check(a, delta, np.array([1.0, 0.0]))[0]
+    else:
+        with pytest.raises(ValueError, match="phi_0"):
+            hs_count_bound_check(a, delta, np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("shortfall, holds", [(1.5e-9, True), (3e-9, False)])
+def test_hs_bound_holds_within_its_tolerance_and_not_beyond(shortfall, holds):
+    # delta = 1e-12 puts the expectation slack at delta itself, so the one
+    # vector e1 is accepted with (e1, A e1) below delta and the bound below n
+    # = 1: it holds when 1 <= bound + 1e-9 (1 + bound), bound = 1 - shortfall
+    delta = 1e-12
+    a = sym(np.diag([delta * np.sqrt(1.0 - shortfall), 0.0]))
+    result, bound = hs_count_bound_check(a, delta, np.array([1.0, 0.0]))
+    assert bound == pytest.approx(1.0 - shortfall, rel=0, abs=1e-15)
+    assert result is holds
+
+
+def test_hs_bound_stack_names_the_member_that_fails_a_check():
+    v = np.zeros((3, 2, 1))
+    v[:, 0, 0] = [1.0, 1.0 + 1e-9, 1.0]
+    with pytest.raises(ValueError, match=r"not orthonormal.*\(stack member 1\)"):
+        bsengine._hs_count_bound(np.array([np.eye(2)] * 3), np.ones(3), v)
+    v[1, 0, 0] = 1.0
+    with pytest.raises(ValueError, match=r"phi_0.*\(stack member 2\)"):
+        bsengine._hs_count_bound(np.array([np.eye(2)] * 3), np.array([1.0, 1.0, 2.0]), v)
+
+
 def test_hs_bound_extremal_projection_family():
     # A = delta * (rank-r projection): n = r test vectors achieve equality
     rng = np.random.default_rng(23)
@@ -407,6 +470,7 @@ def test_hs_bound_extremal_projection_family():
         holds, bound = hs_count_bound_check(a, delta, q)
         assert holds
         assert bound == pytest.approx(r, rel=1e-9)
+        assert (holds, bound) == hs_count_bound_oracle(a, delta, q)
 
 
 def test_hs_bound_rejects_non_orthonormal():
@@ -445,6 +509,19 @@ def test_domination_large_c_returns_small_l():
     assert top <= 2.5 + 1e-12
 
 
+@pytest.mark.parametrize("name, value", [("epsilon0", 0.0), ("epsilon0", -0.5),
+                                         ("c", 0.0), ("c", -0.5)])
+def test_domination_rejects_a_shift_or_bound_that_is_not_positive(name, value):
+    args = {"epsilon0": 1.0, "c": 0.5, name: value}
+    with pytest.raises(ValueError, match=f"{name} must be positive"):
+        rank_one_domination(np.array([1.0, 0.0]), sym(np.eye(2)), **args)
+
+
+def test_domination_rejects_a_vector_too_small_to_normalize():
+    with pytest.raises(ValueError, match="refusing to normalize"):
+        rank_one_domination(np.array([1e-9, 0.0]), sym(np.eye(2)), epsilon0=1.0, c=0.5)
+
+
 def test_domination_property_run():
     rng = np.random.default_rng(29)
     for _ in range(200):
@@ -456,6 +533,7 @@ def test_domination_property_run():
         c = float(rng.uniform(0.05, 1.5))
         eps0 = float(rng.uniform(0.1, 2.0))
         big_l = rank_one_domination(f, a, epsilon0=eps0, c=c)
+        assert big_l == rank_one_domination_oracle(f, a, eps0, c)
         top = np.linalg.eigvalsh(
             np.outer(f, f) - big_l * np.linalg.inv(a.entries + eps0 * np.eye(dim)))[-1]
         assert top <= c + 1e-9

@@ -1,5 +1,6 @@
 """Tests for the command-line front end and its config format."""
 
+import copy
 import json
 import os
 
@@ -17,6 +18,8 @@ from bscount.cli import (
     parse_config_text,
     validate_config,
 )
+from bscount.linop import DEFAULT_SEED
+from oracles import verify_sections_oracle
 
 
 def write(tmp_path, name, text):
@@ -130,10 +133,11 @@ def test_verify_small_run_writes_reports(tmp_path):
 
 
 def test_verify_counts_a_failed_rank_one_bound(tmp_path, monkeypatch, capsys):
-    def fail(*args, **kwargs):
-        raise RuntimeError("rank-one domination bound violated")
+    def fail(f, *args):
+        big_l, above = bsengine._rank_one_domination(f, *args)
+        return big_l, above + 1  # one eigenvalue above c in every member
 
-    monkeypatch.setattr(cli, "rank_one_domination", fail)
+    monkeypatch.setattr(cli, "_rank_one_domination", fail)
     cfg = write(tmp_path, "v.conf",
                 'command = "verify"\n'
                 "verify.bs_instances = 10\n"
@@ -145,6 +149,32 @@ def test_verify_counts_a_failed_rank_one_bound(tmp_path, monkeypatch, capsys):
     rows = {row[0]: row[1:] for row in (line.split(",") for line in lines[2:])}
     assert rows["rank_one_domination"] == ["3", "3"]
     assert rows["bs_equality"] == ["10", "0"]
+    assert "check failed: rank_one_domination" in capsys.readouterr().err
+
+
+def test_verify_counts_a_failed_stack_member_as_one_failure(tmp_path, monkeypatch, capsys):
+    stacks = []
+
+    def fail_first_member(*args):
+        big_l, above = bsengine._rank_one_domination(*args)
+        stacks.append(len(above))
+        if len(stacks) == 1:
+            above = above + (np.arange(len(above)) == 0)
+        return big_l, above
+
+    monkeypatch.setattr(cli, "_rank_one_domination", fail_first_member)
+    cfg = write(tmp_path, "v.conf",
+                'command = "verify"\n'
+                "verify.bs_instances = 10\n"
+                "verify.iterbs_instances = 2\n"
+                "verify.bound_instances = 40\n")
+    status = main(["verify", "--config", cfg, "--out", str(tmp_path)])
+    assert status == EXIT_CHECK_FAILED
+    assert stacks[0] > 1 and sum(stacks) == 40  # a stack of several members, then the rest
+    lines = (tmp_path / "verify.csv").read_text().splitlines()
+    rows = {row[0]: row[1:] for row in (line.split(",") for line in lines[2:])}
+    assert rows["rank_one_domination"] == ["40", "1"]
+    assert rows["hs_bound_extremal"] == ["40", "0"]
     assert "check failed: rank_one_domination" in capsys.readouterr().err
 
 
@@ -306,6 +336,96 @@ def test_verify_bs_sections_solve_one_stack_per_dimension(tmp_path, monkeypatch)
     assert calls == {"eigh": len(stacks), "eigvalsh": 2 * len(stacks)}
 
 
+def test_verify_iterbs_and_bound_sections_solve_one_stack_per_group(tmp_path, monkeypatch):
+    # iterbs_invariance: one eigvalsh per group for its base count and one per
+    # stage; hs_bound_extremal: none; rank_one_domination: one eigh and one
+    # eigvalsh per dimension.  A fallback to solves per problem would multiply these
+    calls, section = [], [None]
+    for name in ("eigh", "eigvalsh", "qr"):
+        def counted(*args, _name=name, _solver=getattr(np.linalg, name), **kwargs):
+            if section[0]:
+                calls.append((section[0], _name))
+            return _solver(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    for name in ("_verify_iterbs", "_verify_hs_bound", "_verify_rank_one"):
+        def in_section(*args, _name=name, _run=getattr(cli, name)):
+            section[0] = _name
+            try:
+                return _run(*args)
+            finally:
+                section[0] = None
+
+        monkeypatch.setattr(cli, name, in_section)
+    groups = {"iterate": [], "hs": [], "rank_one": []}
+
+    def recorded(key, core):
+        def run(*args):
+            groups[key].append(args)
+            return core(*args)
+        return run
+
+    monkeypatch.setattr(cli, "_iterate", recorded("iterate", cli._iterate))
+    monkeypatch.setattr(cli, "_hs_count_bound", recorded("hs", cli._hs_count_bound))
+    monkeypatch.setattr(cli, "_rank_one_domination",
+                        recorded("rank_one", cli._rank_one_domination))
+    cfg = write(tmp_path, "v.conf",
+                'command = "verify"\n'
+                "verify.bs_instances = 2\n"
+                "verify.iterbs_instances = 60\n"
+                "verify.bound_instances = 60\n")
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+    iterbs_groups = [(len(k_total), len(steps)) for k_total, steps in groups["iterate"]]
+    assert sum(k for k, _ in iterbs_groups) == 60 > len(iterbs_groups)
+    assert sum(len(args[0]) for args in groups["hs"]) == 60 > len(groups["hs"])
+    assert sum(len(args[0]) for args in groups["rank_one"]) == 60 > len(groups["rank_one"])
+    expected = (
+        [("_verify_iterbs", "qr")] * sum(1 + n for _, n in iterbs_groups)
+        + [("_verify_iterbs", "eigvalsh")] * sum(1 + n for _, n in iterbs_groups)
+        + [("_verify_hs_bound", "qr")] * len(groups["hs"])
+        + [("_verify_rank_one", "eigh"), ("_verify_rank_one", "eigvalsh")]
+        * len(groups["rank_one"]))
+    assert sorted(calls) == sorted(expected)
+
+
+@pytest.mark.parametrize("seed", [DEFAULT_SEED, 901])
+def test_verify_stacked_sections_match_the_per_instance_oracle_bit_for_bit(seed, monkeypatch):
+    start, stages, big_l = [], [], []
+    verify_iterbs, iterate, rank_one = cli._verify_iterbs, cli._iterate, cli._rank_one_domination
+
+    def snapshot(rng, size):
+        start.append(copy.deepcopy(rng.bit_generator.state))
+        return verify_iterbs(rng, size)
+
+    def recorded_iterate(k_total, steps):
+        out = iterate(k_total, steps)
+        stages.extend(zip(*(t for t, _, _ in out)))  # each member's T_k, stage by stage
+        return out
+
+    def recorded_rank_one(*args):
+        out = rank_one(*args)
+        big_l.extend(out[0].tolist())
+        return out
+
+    monkeypatch.setattr(cli, "_verify_iterbs", snapshot)
+    monkeypatch.setattr(cli, "_iterate", recorded_iterate)
+    monkeypatch.setattr(cli, "_rank_one_domination", recorded_rank_one)
+    _, _, checks = cli._run_verify(validate_config({"seed": seed}, {}, "verify"), 1)
+    rng = np.random.default_rng()
+    rng.bit_generator.state = start[0]
+    oracle = verify_sections_oracle(rng, 200, 200)
+    assert checks["iterbs_invariance"] == {"cases": 200, "failures": oracle["iterbs_failures"],
+                                           "max_residual": oracle["max_residual"]}
+    assert checks["hs_bound_extremal"]["failures"] == oracle["hs_failures"]
+    assert checks["rank_one_domination"]["failures"] == oracle["rank_one_failures"]
+    # the stacks' order: by key (dimension, and stage count), then draw order
+    expected = sorted(oracle["stages"], key=lambda problem: problem[0])
+    assert len(stages) == len(expected) == 200
+    for got, (_, want) in zip(stages, expected):
+        assert [t.tobytes() for t in got] == [t.tobytes() for t in want]
+    assert big_l == [value for _, value in sorted(oracle["big_l"], key=lambda p: p[0])]
+
+
 def test_efimov_detuned_run(tmp_path):
     cfg = write(tmp_path, "e.conf",
                 'command = "efimov"\n'
@@ -367,6 +487,14 @@ def test_jobs_must_be_a_positive_integer(command, jobs, tmp_path, capsys):
         main([command, "--jobs", jobs, "--out", str(tmp_path)])
     assert exit_info.value.code == EXIT_PARSE_ERROR
     assert "--jobs" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_run_rejects_a_pool_size_below_one(jobs, tmp_path, capsys):
+    config = validate_config({"grid.n": 600}, {}, "twobody")
+    assert cli.run(config, jobs=jobs, out_dir=str(tmp_path)) == EXIT_PARSE_ERROR
+    assert f"--jobs must be a positive integer, got {jobs}" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 

@@ -1,11 +1,14 @@
 """Tests for the iterated projection-subtraction transform."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
 from bscount import iterbs
-from bscount.iterbs import ProjectionStep, bs_step, iterate
+from bscount.iterbs import ProjectionStep, bs_step, iterate, random_spectral_step
 from bscount.linop import SymOperator, count_evs, rank_one_projection, sym
+from oracles import iterate_oracle, random_step_oracle, step_oracle
 
 
 def projection_step(k_total, k_part, p, mu):
@@ -266,6 +269,25 @@ def test_iterate_three_spectral_steps_consistency_and_count():
         for stage in stages:
             assert stage.consistency_residual <= 1e-8
             assert count_evs(stage.t, ">", 1.0) == base
+        # the stack of one gives the per-step route's bits
+        oracle = iterate_oracle(k, [step_oracle(s.p, s.mu, s.k_part, s.l_part) for s in steps])
+        for stage, (t, m, residual) in zip(stages, oracle):
+            assert stage.t.entries.tobytes() == t.entries.tobytes()
+            assert stage.m.entries.tobytes() == m.entries.tobytes()
+            assert stage.consistency_residual == residual
+
+
+def test_random_spectral_step_matches_the_per_step_oracle_bit_for_bit():
+    rng, oracle_rng = np.random.default_rng(67), np.random.default_rng(67)
+    for dim in (1, 2, 7, 15):
+        k = sym(np.diag(np.linspace(-0.5, 1.5, dim)))
+        step, oracle = random_spectral_step(k, rng), random_step_oracle(k, oracle_rng)
+        assert step.mu == oracle["mu"]
+        for name in ("p", "k_part", "l_part"):
+            assert getattr(step, name).entries.tobytes() == oracle[name].entries.tobytes()
+        assert step._inv_sqrt.tobytes() == oracle["inv_sqrt"].tobytes()
+        t = iterate_oracle(k, [oracle])[0][0]
+        assert bs_step(k, step).entries.tobytes() == t.entries.tobytes()
 
 
 def test_iterate_rejects_wrong_split():
@@ -290,3 +312,65 @@ def test_iterate_checks_each_projection_once(monkeypatch):
     stages = iterate(k, steps)
     assert len(stages) == 3
     assert len(checked) == 3
+
+
+# ---------------------------------------------------------------------------
+# each check fires just above its tolerance and not just below
+
+
+def raises_unless(accepted, error, match):
+    return contextlib.nullcontext() if accepted else pytest.raises(error, match=match)
+
+
+@pytest.mark.parametrize("defect, accepted", [(3e-11, True), (3e-10, False)])
+def test_projection_check_fires_at_its_tolerance(defect, accepted):
+    # |P^2 - P|_F = defect (1 + defect) for P = diag(1 + defect, 0)
+    p = sym(np.diag([1.0 + defect, 0.0]))
+    with raises_unless(accepted, ValueError, "not a projection"):
+        ProjectionStep(p=p, mu=0.5, k_part=sym(0.5 * p.entries), l_part=sym(np.zeros((2, 2))))
+
+
+@pytest.mark.parametrize("gamma, accepted", [(3e-9, True), (3e-8, False)])
+def test_spectral_compatibility_check_fires_at_its_tolerance(gamma, accepted):
+    # (K_part - mu P) P = gamma e1 e1^T
+    with raises_unless(accepted, ValueError, "spectral projection"):
+        ProjectionStep(p=rank_one_projection(np.array([1.0, 0.0])), mu=0.5,
+                       k_part=sym(np.diag([0.5 + gamma, 0.0])), l_part=sym(np.zeros((2, 2))))
+
+
+@pytest.mark.parametrize("gap, accepted", [(3.5e-10, True), (8e-10, False)])
+def test_split_check_fires_at_its_tolerance(gap, accepted):
+    # |K_total|_F = 3, so the split may miss K_total by 1e-10 (1 + 3)
+    p = rank_one_projection(np.array([1.0, 0.0]))
+    step = ProjectionStep(p=p, mu=0.5, k_part=sym(0.5 * p.entries),
+                          l_part=sym(np.diag([2.5, gap])))
+    with raises_unless(accepted, ValueError, "K_part \\+ L_part differs"):
+        assert iterate(sym(np.diag([3.0, 0.0])), [step])[0].consistency_residual <= 1e-15
+
+
+def off_spectral_stage(gamma, c):
+    """``iterate`` of ``K = K_part = diag(mu + gamma, 0)`` through the channel
+    ``P = e1 e1^T`` at the ``mu`` with ``R = c P``: the spectral defect is
+    ``gamma c``, and the recurrence misses ``R D + D R + R D R = gamma (2c +
+    c^2) P`` of the conjugation, ``D = K_part - mu P``."""
+    mu = 1.0 - 1.0 / (1.0 + c) ** 2
+    k = sym(np.diag([mu + gamma, 0.0]))
+    step = ProjectionStep(p=rank_one_projection(np.array([1.0, 0.0])), mu=mu, k_part=k,
+                          l_part=sym(np.zeros((2, 2))))
+    return iterate(k, [step])
+
+
+@pytest.mark.parametrize("gamma, consistent", [(2e-9, True), (5e-9, False)])
+def test_consistency_check_fires_at_its_tolerance(gamma, consistent):
+    # c = 1: the residual is 3 gamma against CONSISTENCY_TOL = 1e-8
+    with raises_unless(consistent, RuntimeError, "recurrence disagrees"):
+        assert off_spectral_stage(gamma, 1.0)[0].consistency_residual == pytest.approx(3 * gamma)
+
+
+def test_spectral_defect_check_fires_at_its_tolerance():
+    # gamma = 5e-9 passes the construction check; the defect 5e-7 passes
+    # SPECTRAL_RUN_TOL = 1e-6 and fails the consistency check, 5e-6 fails it
+    with pytest.raises(RuntimeError, match="recurrence disagrees"):
+        off_spectral_stage(5e-9, 100.0)
+    with pytest.raises(ValueError, match="not spectral for its subsystem part"):
+        off_spectral_stage(5e-9, 1000.0)
