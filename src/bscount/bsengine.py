@@ -21,7 +21,8 @@ when the stack is built, the checked eigenvalues of every ``A + B`` on
 first use, and those of every ``K(eps)``.  The symmetry checks of the
 built ``A``, ``B`` and ``K(eps)`` run per matrix too.  The ``eps`` jitter,
 the threshold-collision check and both counts are array operations over
-the stack, and a failing member raises with its index.
+the stack, made by linop's ``_collides`` and ``_count``, which hold the
+guard-band rule, and a failing member raises with its index.
 
 ``random_corpus`` draws a property corpus first, in the RNG order of
 drawing its problems one by one, then builds one stack per dimension, and
@@ -32,9 +33,10 @@ kept in the tests as the oracle.  The Hilbert-Schmidt and rank-one bounds
 have stacked cores too, ``_hs_count_bound`` and ``_rank_one_domination``:
 the second returns each member's count of eigenvalues above ``c``, so a
 caller can count failed members, and ``hs_count_bound_check`` and
-``rank_one_domination`` are those cores on a stack of one.  Stacks take linop's dense route, as
-does any matrix whose builder recorded no structure: the deflated and
-tridiagonal routes serve only the radial builders' operators.
+``rank_one_domination`` are those cores on a stack of one.  Stacks take
+linop's dense route, as does any matrix whose builder recorded nothing:
+the deflated route and the Sturm count serve only the radial builders'
+operators.
 
 Sign convention: the leading minus is part of the definition here, so
 attractive perturbations ``B <= 0`` give ``K(eps) >= 0`` and binding shows
@@ -54,6 +56,8 @@ from .linop import (
     MIN_PROJECTION_NORM,
     SymOperator,
     _checked_eigenvalues,
+    _collides,
+    _count,
     _count_evs,
     _fro,
     _require,
@@ -162,15 +166,13 @@ def _kernels(s: _Stack) -> np.ndarray:
 
 
 def _count_direct(s: _Stack) -> np.ndarray:
-    lam, eta = s.h_spectrum()
-    return np.count_nonzero(lam < (-s.epsilon - eta)[:, None], axis=1)
+    return _count(*s.h_spectrum(), "<", -s.epsilon)
 
 
 def _count_bs(s: _Stack) -> np.ndarray:
     lam, eta = s.h_spectrum()
-    gap = np.min(np.abs(lam + s.epsilon[:, None]), axis=1)
-    _require(gap >= eta, "an eigenvalue of A+B lies within {:.3e} of -eps (guard {:.3e}); "
-             "perturb eps (e.g. by a factor 1 +/- 1e-6) and retry", gap, eta,
+    _require(~_collides(lam, eta, -s.epsilon), "an eigenvalue of A+B lies within the guard "
+             "band {:.3e} of -eps; perturb eps (e.g. by a factor 1 +/- 1e-6) and retry", eta,
              error=ThresholdCollisionError)
     return _count_evs(_kernels(s), ">", 1.0)
 
@@ -240,8 +242,9 @@ def _bisect_coupling(binds, tol: float, rel_tol: float) -> tuple[float, float, i
 def critical_coupling(a: SymOperator, b: SymOperator, tol: float) -> CriticalCouplingResult:
     """Largest coupling keeping ``A + lambda*B`` positive semidefinite.
 
-    Brackets by doubling lambda from 1 until the smallest eigenvalue drops
-    below the guard band, then bisects to a bracket of width <= tol.  Raises
+    Brackets by doubling lambda from 1 until ``A + lambda*B`` has an
+    eigenvalue below 0 outside the guard band (the strict count of
+    ``count_evs``), then bisects to a bracket of width <= tol.  Raises
     NeverBindsError if no coupling up to ``LAMBDA_CAP`` binds (which covers
     ``B >= 0``).
     """
@@ -251,22 +254,17 @@ def critical_coupling(a: SymOperator, b: SymOperator, tol: float) -> CriticalCou
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
 
-    def min_eig(lam: float) -> tuple[float, float]:
-        ev, eta = _checked_eigenvalues(a.entries + lam * b.entries)
-        return float(ev[0]), eta
+    def spectrum(lam: float) -> tuple[np.ndarray, float]:
+        return _checked_eigenvalues(a.entries + lam * b.entries)
 
-    def binds(lam: float) -> bool:
-        e, eta = min_eig(lam)
-        return e < -eta
-
-    lo, hi, iterations = _bisect_coupling(binds, tol, 0.0)
+    lo, hi, iterations = _bisect_coupling(lambda lam: _count(*spectrum(lam), "<", 0.0) > 0,
+                                          tol, 0.0)
     lambda_star = 0.5 * (lo + hi)
-    residual, _ = min_eig(lambda_star)
     return CriticalCouplingResult(
         lambda_star=lambda_star,
         bracket=(lo, hi),
         iterations=iterations,
-        residual_min_eig=residual,
+        residual_min_eig=float(spectrum(lambda_star)[0][0]),
     )
 
 
@@ -387,7 +385,7 @@ def _random_stack(draws: list) -> _Stack:
     s = _Stack(_symmetrized((q.swapaxes(1, 2) * d[:, None, :]) @ q), _symmetrized(b), eps)
     lam, eta = s.h_spectrum()
     for _ in range(64):
-        near = np.min(np.abs(lam + eps[:, None]), axis=1) < eta
+        near = _collides(lam, eta, -eps)
         if not near.any():
             break
         eps[near] *= 1.0 + 1e-6

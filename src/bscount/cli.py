@@ -61,15 +61,10 @@ from .efimov import (
     s0_oracle,
     trimer_spectrum,
 )
-from .iterbs import (
-    _draw_split,
-    _iterate,
-    _random_steps,
-    _spectral_stack,
-    iterate,
-    random_spectral_step,
-)
-from .linop import DEFAULT_SEED, SymOperator, _count_evs, _symmetrized, count_evs, hs_norm
+from .iterbs import _draw_split, _iterate, _random_steps, _spectral_stack
+from .linop import DEFAULT_SEED, _count_evs, _fro, _symmetrized
+# unused here; perfbench/tests/test_tracing.py patches and restores cli.count_evs
+from .linop import count_evs
 from .radial import (
     PotentialSpec,
     RadialGrid,
@@ -236,12 +231,16 @@ def validate_config(values: dict, positions: dict, command: str | None) -> dict:
     merged = {k: v for k, v in allowed.items() if v is not None}
     merged.update(values)
     merged["command"] = cfg_command
-    seed = merged.get("seed", DEFAULT_SEED)
-    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
+    if not _is_seed(merged["seed"]):
         line, col = positions.get("seed", (1, 1))
-        raise ConfigError(f"seed must be an unsigned 64-bit integer, got {seed!r}",
+        raise ConfigError(f"seed must be an unsigned 64-bit integer, got {merged['seed']!r}",
                           line, col)
     return merged
+
+
+def _is_seed(value) -> bool:
+    """Whether ``value`` is a seed: an unsigned 64-bit integer."""
+    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < 2**64
 
 
 # ---------------------------------------------------------------------------
@@ -433,21 +432,20 @@ def _run_kernelcheck(cfg, jobs):
 
 
 def _run_iterbs_demo(cfg, jobs):
+    """``verify``'s iterbs section on one problem, a stack of one, drawn in
+    its RNG order: ``K``, then each stage's split."""
     rng = np.random.default_rng(cfg["seed"])
     dim = int(cfg["iterbs.dim"])
     n_steps = int(cfg["iterbs.steps"])
-    q = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
-    lam = rng.uniform(-0.8, 1.6, size=dim)
-    k_total = SymOperator((q * lam) @ q.T)
-    base = count_evs(k_total, ">", 1.0)
-    steps = [random_spectral_step(k_total, rng) for _ in range(n_steps)]
-    stages = iterate(k_total, steps)
+    x = rng.standard_normal((dim, dim))
+    k_total = _spectral_stack(x[None], rng.uniform(-0.8, 1.6, size=(1, dim)))[0]
+    base = int(_count_evs(k_total, ">", 1.0)[0])
+    stages = _iterate(k_total, [_random_steps(k_total, [_draw_split(rng, dim)])
+                                for _ in range(n_steps)])
     rows = [(0, base, 0.0, 0.0)]
-    failures = 0
-    for k, stage in enumerate(stages, start=1):
-        cnt = count_evs(stage.t, ">", 1.0)
-        failures += cnt != base
-        rows.append((k, cnt, hs_norm(stage.m), stage.consistency_residual))
+    for k, (t, m, residual) in enumerate(stages, start=1):
+        rows.append((k, int(_count_evs(t, ">", 1.0)[0]), _fro(m[0]), residual[0]))
+    failures = sum(row[1] != base for row in rows[1:])
     checks = {"count_invariant": {"cases": n_steps, "failures": failures}}
     return ("k", "count", "hs_norm_Mk", "consistency_residual"), rows, checks
 
@@ -555,6 +553,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    """argparse type of ``--seed``: an integer literal, ``0x`` hex too, that
+    is a seed."""
+    value = int(text, 0)
+    if not _is_seed(value):
+        raise argparse.ArgumentTypeError(f"must be an unsigned 64-bit integer, got {text}")
+    return value
+
+
 def main(argv=None) -> int:
     _configure_logging()
     parser = argparse.ArgumentParser(
@@ -566,7 +573,7 @@ def main(argv=None) -> int:
         p.add_argument("--config", default=None, help="flat dotted-key config file")
         p.add_argument("--jobs", type=_positive_int, default=None,
                        help="worker pool size for scan points (default: cores)")
-        p.add_argument("--seed", default=None,
+        p.add_argument("--seed", type=_seed, default=None,
                        help="64-bit seed overriding the config")
         p.add_argument("--out", default=None, help="output directory")
     args = parser.parse_args(argv)
@@ -583,14 +590,11 @@ def main(argv=None) -> int:
         else:
             values, positions = {}, {}
         config = validate_config(values, positions, args.command)
-        if args.seed is not None:
-            seed = int(args.seed, 0)
-            if not 0 <= seed < 2**64:
-                raise ConfigError("seed flag out of 64-bit range", 0, 0)
-            config["seed"] = seed
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"bscount: config error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
+    if args.seed is not None:
+        config["seed"] = args.seed
 
     return run(config, jobs=args.jobs, out_dir=args.out)
 

@@ -23,42 +23,46 @@ from its upper triangle.  Builders that return an operator of such a fresh
 array, radial's reduced Hamiltonian and Birman-Schwinger kernel and
 efimov's ``three_boson_kernel``, hand it to the private
 ``SymOperator._built``, which freezes it in place with no copy and no
-check, and records what the builder knows: the diagonals of the
-tridiagonal Hamiltonian, the support outside which the kernel vanishes.
+check, and records one fact for each of its readers: that the
+Hamiltonian is tridiagonal, which ``count_evs`` reads, and the support
+outside which a kernel that does not fill the grid vanishes, which the
+eigenvalue solve reads.
 
-linop runs every eigensolve in the package: no other module calls LAPACK
-for eigenvalues.  The solver choice, the count guard band
-``1e-10 (1 + |A|_F)``, the checks and the conversion of a LAPACK failure
-into RuntimeError live here.
+linop runs every eigensolve in the package, and makes every guarded count
+of a spectrum: no other module calls LAPACK for eigenvalues or compares an
+eigenvalue with a guard band.  The solver choice, the count guard band
+``1e-10 (1 + |A|_F)``, the counting rule, the checks and the conversion of
+a LAPACK failure into RuntimeError live here.
 
-``count_evs`` and ``checked_eigenvalues`` take the route of the structure
-a builder recorded; a matrix with none recorded, or a stack, is solved
-dense, whatever zeros its entries hold.  A tridiagonal count is a Sturm
-count: LAPACK ``stebz`` counts the eigenvalues in the guarded range in
-O(n) and computes none, so the trace and Frobenius checks have no spectrum
-to test.  The Sturm count is exact for a matrix within a few ulps of ``T``
-(Kahan 1966), far inside the guard band, and tests hold it to the count of
-the full ``sterf`` spectrum.  Every other count, and
-``checked_eigenvalues`` itself, takes checked eigenvalues: rows and
-columns outside a recorded support are deflated as exact zero eigenvalues
-and the rest come from ``eigvalsh`` on the support block, a recorded
-tridiagonal matrix goes to LAPACK ``sterf`` (``eigvalsh_tridiagonal``),
-and any other matrix to ``eigvalsh``; they are checked against the trace
-and Frobenius-norm invariants of the full matrix, both O(n^2).
+A count of an operator recorded tridiagonal is a Sturm count: LAPACK
+``stebz`` counts the eigenvalues in the guarded range in O(n) and computes
+none, so the trace and Frobenius checks have no spectrum to test.  The
+Sturm count is exact for a matrix within a few ulps of ``T`` (Kahan 1966),
+far inside the guard band, and tests hold it to the count of the full
+spectrum.  Every other count, and ``checked_eigenvalues`` itself, takes
+checked eigenvalues: rows and columns outside a recorded support are
+deflated as exact zero eigenvalues and the rest come from ``eigvalsh`` on
+the support block, and any other matrix, or stack, goes to ``eigvalsh``
+whole, whatever zeros or band its entries hold; they are checked against
+the trace and Frobenius-norm invariants of the full matrix, both O(n^2).
 ``_selection`` turns a relation and threshold into the guarded eigenvalue
-range, once for every route, and rejects a threshold that is not finite.
+range and rejects a threshold that is not finite; ``_count`` applies it to
+a spectrum, for ``count_evs`` and for the callers that count a spectrum
+they also read, and ``_tridiagonal_count`` to a Sturm count.
+``_collides`` tells whether an eigenvalue lies within the guard band of a
+threshold, where a strict and a non-strict count differ.
 ``spectral_decompose`` returns eigenvectors too and checks their residual
 and orthonormality; it serves the callers that use eigenvectors.  The
 private ``_checked_eigenvalues``, ``_spectral_decompose`` and
 ``_count_evs`` also take a stack ``(k, n, n)`` of matrices known to be
 symmetric, solved by one dense stacked LAPACK call, with every check run
-on each matrix and a failure naming the member; ``_count_evs`` takes one
-threshold per member or one for all.  The private
-``_tridiagonal_eigenvalues`` also selects the lowest eigenvalue of a
-tridiagonal matrix, and
-``_tridiagonal_positive_definite`` is the O(n) binding test of the radial
-critical-coupling search: LAPACK ``pttrf`` factors the tridiagonal matrix
-and reports whether every pivot is positive.
+on each matrix and a failure naming the member; ``_count_evs`` and
+``_count`` take one threshold per member or one for all.  The private
+``_tridiagonal_eigenvalues`` is the Sturm bisection of a tridiagonal
+matrix, which serves the Sturm count and the selection of radial's lowest
+eigenvalue, and ``_tridiagonal_positive_definite`` is the O(n) binding
+test of the radial critical-coupling search: LAPACK ``pttrf`` factors the
+tridiagonal matrix and reports whether every pivot is positive.
 """
 
 from __future__ import annotations
@@ -99,9 +103,11 @@ class SymOperator:
             raise ValueError("operator dimension must be at least 1")
         object.__setattr__(self, "entries", _symmetrized(a))
 
-    # the structure a builder recorded with ``_built``; with None the
-    # eigenvalue routes solve the dense matrix
-    _structure = None
+    # what a builder recorded with ``_built``: that the matrix is
+    # tridiagonal, which ``count_evs`` reads, and the indices outside which
+    # its rows and columns are exactly zero, which ``_eigenvalues`` reads
+    _tridiagonal = False
+    _support = None
 
     @classmethod
     def _built(cls, entries: np.ndarray, *, tridiagonal: bool = False,
@@ -109,17 +115,17 @@ class SymOperator:
         """The operator of an array a library builder has just made, finite
         and symmetric bit for bit, that no one else holds.
 
-        The array is frozen in place, with no copy and no check, and the
-        structure the builder knows is recorded: its three central diagonals
-        when ``tridiagonal``, else the indices ``support`` outside which its
-        rows and columns are exactly zero, if given.
+        The array is frozen in place, with no copy and no check, and what
+        the builder knows is recorded: that the matrix is ``tridiagonal``,
+        so that ``count_evs`` makes a Sturm count of its diagonals, or the
+        indices ``support`` outside which its rows and columns are exactly
+        zero, so that its spectrum is solved on the support block.
         """
         entries.setflags(write=False)
         op = object.__new__(cls)
         object.__setattr__(op, "entries", entries)
-        object.__setattr__(op, "_structure", (
-            ("tridiagonal", entries.diagonal(), entries.diagonal(-1)) if tridiagonal
-            else None if support is None else ("support", support)))
+        object.__setattr__(op, "_tridiagonal", tridiagonal)
+        object.__setattr__(op, "_support", support)
         return op
 
     @property
@@ -174,12 +180,10 @@ def _spectral_decompose(m: np.ndarray, psd: bool = False) -> tuple[np.ndarray, n
 def checked_eigenvalues(a: SymOperator) -> tuple[np.ndarray, float]:
     """Ascending eigenvalues of ``a`` and its count guard band.
 
-    The route follows the structure ``a``'s builder recorded: each row and
-    column outside a recorded support adds an exact zero eigenvalue, and the
-    others come from ``eigvalsh`` on the support block; a recorded
-    tridiagonal matrix goes to ``eigvalsh_tridiagonal`` (LAPACK ``sterf``,
-    the routine dense ``eigvalsh`` ends in); with nothing recorded the whole
-    matrix goes to ``eigvalsh``.  Whatever the route, the eigenvalues
+    When ``a``'s builder recorded a support, each row and column outside it
+    adds an exact zero eigenvalue, and the others come from ``eigvalsh`` on
+    the support block; any other matrix, a recorded tridiagonal one too,
+    goes to ``eigvalsh`` whole.  Whatever the route, the eigenvalues
     are checked against the invariants ``sum(lam) = tr A`` and
     ``sum(lam^2) = |A|_F^2`` of the full matrix, within ``eta`` and
     ``eta * (1 + |A|_F)`` for the guard ``eta = 1e-10 (1 + |A|_F)``; a failed
@@ -188,18 +192,18 @@ def checked_eigenvalues(a: SymOperator) -> tuple[np.ndarray, float]:
     any solve.
     """
     a = sym(a)
-    return _checked_eigenvalues(a.entries, a._structure)
+    return _checked_eigenvalues(a.entries, a._support)
 
 
-def _checked_eigenvalues(m: np.ndarray, structure=None) -> tuple[np.ndarray, float | np.ndarray]:
-    """``checked_eigenvalues`` of a matrix already known to be symmetric, by
-    the route of the ``structure`` its builder recorded; or of every matrix
-    of a stack ``(k, n, n)`` of them by one dense stacked ``eigvalsh``, each
+def _checked_eigenvalues(m: np.ndarray, support=None) -> tuple[np.ndarray, float | np.ndarray]:
+    """``checked_eigenvalues`` of a matrix already known to be symmetric,
+    solved on the ``support`` its builder recorded; or of every matrix of a
+    stack ``(k, n, n)`` of them by one dense stacked ``eigvalsh``, each
     matrix checked on its own and with its own guard band in the array
     ``eta``."""
     fro = _finite_fro(m)
     try:
-        lam = _eigenvalues(m, structure)
+        lam = _eigenvalues(m, support)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigenvalue solver did not converge: {exc}") from exc
     eta = _guard(fro)
@@ -226,12 +230,13 @@ def _require(ok, message, *values, error=RuntimeError) -> None:
     """Raise ``error`` unless ``ok`` holds for the matrix, or for every matrix
     of a stack.  ``message`` is a format string for the ``values`` of the
     first matrix that fails, or a function of that matrix's index, which
-    is ``()`` for one matrix; the error names the index in a stack."""
+    is ``()`` for one matrix; the error names the index in a stack of more
+    than one matrix."""
     if ok is not True and not np.all(ok):
         i = np.unravel_index(np.argmin(ok), np.shape(ok))  # () for one matrix
         text = message(i) if callable(message) else message.format(
             *(v[i] if np.ndim(v) else v for v in values))
-        raise error(text + (f" (stack member {i[0]})" if i else ""))
+        raise error(text + (f" (stack member {i[0]})" if np.size(ok) > 1 else ""))
 
 
 def _symmetrized(m: np.ndarray) -> np.ndarray:
@@ -277,39 +282,29 @@ def _finite_fro(m: np.ndarray):
     return fro
 
 
-def _eigenvalues(m: np.ndarray, structure) -> np.ndarray:
+def _eigenvalues(m: np.ndarray, support) -> np.ndarray:
     """Ascending eigenvalues of a symmetric matrix, or of each matrix of a
-    stack, by the route of the recorded ``structure``: dense ``eigvalsh``
-    when None."""
-    if structure is None:
+    stack, by dense ``eigvalsh``, on the recorded ``support`` block unless
+    it is None."""
+    if support is None:
         return np.linalg.eigvalsh(m)
-    kind, *parts = structure
-    if kind == "tridiagonal":
-        return _tridiagonal_eigenvalues(*parts)
-    live = parts[0]
-    if live.size == m.shape[0]:  # full support: the block is the matrix
-        return np.linalg.eigvalsh(m)
-    lam = np.linalg.eigvalsh(m[np.ix_(live, live)])
-    return np.sort(np.concatenate([lam, np.zeros(m.shape[0] - live.size)]))
+    lam = np.linalg.eigvalsh(m[np.ix_(support, support)])
+    return np.sort(np.concatenate([lam, np.zeros(m.shape[0] - support.size)]))
 
 
-def _tridiagonal_eigenvalues(diag, off, select="a", select_range=None,
-                             tol=0.0) -> np.ndarray:
-    """Ascending eigenvalues of the symmetric tridiagonal matrix ``T`` with
-    diagonal ``diag`` and off-diagonal ``off``.
-
-    ``select``, ``select_range`` and ``tol`` are those of
-    ``scipy.linalg.eigvalsh_tridiagonal``: all eigenvalues by LAPACK
-    ``sterf``, or a selection by index (``"i"``) or by value (``"v"``, the
-    half-open range ``(lo, hi]``) by Sturm bisection to the absolute
+def _tridiagonal_eigenvalues(diag, off, select, select_range, tol=0.0) -> np.ndarray:
+    """The eigenvalues of the symmetric tridiagonal matrix ``T`` with
+    diagonal ``diag`` and off-diagonal ``off`` that ``select`` and
+    ``select_range`` pick, as ``scipy.linalg.eigvalsh_tridiagonal`` reads
+    them: by index (``"i"``) or by value (``"v"``, the half-open range
+    ``(lo, hi]``), by Sturm bisection (LAPACK ``stebz``) to the absolute
     tolerance ``tol``.  A LAPACK failure raises RuntimeError.
     """
     import scipy.linalg  # only here, so that importing bscount stays light
 
     try:
         return scipy.linalg.eigvalsh_tridiagonal(
-            diag, off, select=select, select_range=select_range, tol=tol,
-            lapack_driver="sterf" if select == "a" else "auto")
+            diag, off, select=select, select_range=select_range, tol=tol)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigenvalue solver did not converge: {exc}") from exc
 
@@ -363,6 +358,26 @@ def _guard(fro: float) -> float:
     return 1e-10 * (1.0 + fro)
 
 
+def _count(lam: np.ndarray, eta, relation: str, threshold):
+    """The number of the eigenvalues ``lam`` that satisfy ``relation
+    threshold`` outside the guard band ``eta``, by the rule of
+    ``_selection``; or, for the eigenvalues ``(k, n)`` of a stack, the array
+    of each member's count, against the same ``threshold`` or its own entry
+    of the array ``threshold``, with its own entry of the array ``eta``.
+    Every guarded count of a computed spectrum in the package is made
+    here."""
+    edge, above = _selection(relation, threshold, eta)
+    edge = np.expand_dims(edge, -1)
+    return np.count_nonzero(lam > edge if above else lam <= edge, axis=-1)
+
+
+def _collides(lam: np.ndarray, eta, threshold):
+    """Whether an eigenvalue of ``lam`` lies within the guard band ``eta`` of
+    ``threshold``, where a strict and a non-strict count disagree; for the
+    eigenvalues ``(k, n)`` of a stack, the array of it per member."""
+    return np.min(np.abs(lam - np.expand_dims(threshold, -1)), axis=-1) < eta
+
+
 def _selection(relation: str, threshold: float, eta: float) -> tuple[float, bool]:
     """The eigenvalues that satisfy ``relation threshold`` outside the guard
     band ``eta``, as ``(edge, above)``: those above ``edge`` when ``above``,
@@ -385,34 +400,31 @@ def count_evs(a: SymOperator, relation: str, threshold: float) -> int:
 
     Strict relations exclude a guard band around the threshold and non-strict
     ones include it, so counts are exact whenever spectral gaps are large
-    compared to the band ``1e-10 * (1 + |A|_F)``.  The route follows the
-    structure ``a``'s builder recorded.  A recorded tridiagonal matrix is
-    counted by Sturm sequences (``stebz``), in O(n) and with no eigenvalue
-    computed, so there is no spectrum for the trace and Frobenius-norm
-    checks to test: the Sturm count is exact for a matrix within a few ulps
-    of ``A``, and tests hold it to the ``sterf`` count.  Every other matrix
-    is counted from ``checked_eigenvalues``, by the deflated route of a
-    recorded support or else the dense route, whose trace and
-    Frobenius-norm invariants stand in for eigenvector residual checks.
-    On every route a matrix whose ``|A|_F`` is not finite raises
-    ValueError before any eigenvalue is counted.
+    compared to the band ``1e-10 * (1 + |A|_F)``.  A matrix whose builder
+    recorded it tridiagonal is counted by Sturm sequences (``stebz``) on its
+    diagonals, in O(n) and with no eigenvalue computed, so there is no
+    spectrum for the trace and Frobenius-norm checks to test: the Sturm
+    count is exact for a matrix within a few ulps of ``A``, and tests hold
+    it to the count of the full spectrum.  Every other matrix is counted
+    from ``checked_eigenvalues``, on a recorded support or else whole,
+    whose trace and Frobenius-norm invariants stand in for eigenvector
+    residual checks.  On every route a matrix whose ``|A|_F`` is not finite
+    raises ValueError before any eigenvalue is counted.
     """
     a = sym(a)
-    if a._structure is not None and a._structure[0] == "tridiagonal":
-        return _tridiagonal_count(*a._structure[1:], relation, threshold)
-    return int(_count_evs(a.entries, relation, threshold, a._structure))
+    if a._tridiagonal:
+        return _tridiagonal_count(a.entries.diagonal(), a.entries.diagonal(-1),
+                                  relation, threshold)
+    return int(_count_evs(a.entries, relation, threshold, a._support))
 
 
-def _count_evs(m: np.ndarray, relation: str, threshold, structure=None):
-    """``count_evs`` of a matrix already known to be symmetric, by the
-    checked eigenvalues of the route of its recorded ``structure``; or the
+def _count_evs(m: np.ndarray, relation: str, threshold, support=None):
+    """``count_evs`` of a matrix already known to be symmetric, by ``_count``
+    of its checked eigenvalues, solved on its recorded ``support``; or the
     array of the counts of every matrix of a stack ``(k, n, n)`` of them,
     each against the same ``threshold`` or its own entry of the array
     ``threshold``, from one stacked ``eigvalsh``."""
-    lam, eta = _checked_eigenvalues(m, structure)
-    edge, above = _selection(relation, threshold, eta)
-    edge = np.expand_dims(edge, -1)
-    return np.count_nonzero(lam > edge if above else lam <= edge, axis=-1)
+    return _count(*_checked_eigenvalues(m, support), relation, threshold)
 
 
 def hs_norm(a: SymOperator) -> float:

@@ -16,11 +16,12 @@ Two discretization schemes coexist:
   the route for near-threshold scaling, where any finite box would destroy
   the square-root law of the resonance channel.
 
-linop runs every eigensolve: the kernel's support-block spectrum is
-``linop``'s checked full spectrum, the counts of the tridiagonal
-Hamiltonian are its Sturm counts, and its lowest eigenvalue is a
-tridiagonal selection.  The two operator builders hand their fresh arrays
-to linop with the structure they know, so counts need not scan for it.
+linop runs every eigensolve and makes every count: the kernel's
+support-block spectrum is ``linop``'s checked full spectrum, counted above
+1 by its counting rule, the counts of the tridiagonal Hamiltonian are its
+Sturm counts, and its lowest eigenvalue is a tridiagonal selection.  The
+two operator builders hand their fresh arrays to linop with the structure
+they know, so counts need not scan for it.
 The critical-coupling search asks only whether the Hamiltonian binds, which
 linop's O(n) positive-definiteness test of the tridiagonal matrix answers.
 """
@@ -34,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from .bsengine import CriticalCouplingResult, _bisect_coupling
-from .linop import (SymOperator, _checked_eigenvalues, _tridiagonal_count,
+from .linop import (SymOperator, _checked_eigenvalues, _count, _tridiagonal_count,
                     _tridiagonal_eigenvalues, _tridiagonal_positive_definite)
 
 POTENTIAL_KINDS = ("yukawa", "exponential", "gaussian", "square_well", "table")
@@ -331,9 +332,9 @@ def bs_kernel_radial(pot: PotentialSpec, grid: RadialGrid, eps: float) -> SymOpe
     operator ``H_w = H_0 + v_+``, so the kernel is built from the attractive
     part only: ``sqrt(v_-) (H_w + eps)^-1 sqrt(v_-)``, an n x n matrix that
     vanishes outside the support of v_-.  Its nonzero spectrum is that of
-    ``(H_w + eps)^(-1/2) v_- (H_w + eps)^(-1/2)``.  The operator records
-    that support, so ``count_evs`` solves the support block only; on full
-    support the block is the kernel itself.
+    ``(H_w + eps)^(-1/2) v_- (H_w + eps)^(-1/2)``.  Where that support is
+    not the whole grid the operator records it, so ``count_evs`` solves the
+    support block only; on full support the block is the kernel itself.
     """
     if not 0 < eps < np.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
@@ -341,7 +342,7 @@ def bs_kernel_radial(pot: PotentialSpec, grid: RadialGrid, eps: float) -> SymOpe
         _warn_if_box_small(pot, grid)
     supp, block = _bs_block(pot, grid, eps)
     if supp.size == grid.n:
-        return SymOperator._built(block, support=supp)
+        return SymOperator._built(block)
     out = np.zeros((grid.n, grid.n))
     out[np.ix_(supp, supp)] = block
     return SymOperator._built(out, support=supp)
@@ -368,7 +369,7 @@ def bs_count_and_top(pot: PotentialSpec, grid: RadialGrid, eps: float) -> tuple[
     lam, eta = _block_spectrum(pot, grid, eps)
     if not lam.size:
         return 0, 0.0
-    return int(np.count_nonzero(lam > 1.0 + eta)), float(lam[-1])
+    return int(_count(lam, eta, ">", 1.0)), float(lam[-1])
 
 
 def kernel_critical_strength(pot: PotentialSpec, grid: RadialGrid) -> float:

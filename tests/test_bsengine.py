@@ -20,7 +20,8 @@ from bscount.bsengine import (
     random_problem,
     rank_one_domination,
 )
-from bscount.linop import DEFAULT_SEED, checked_eigenvalues, hs_norm, spectral_decompose, sym
+from bscount.linop import (DEFAULT_SEED, checked_eigenvalues, count_evs, hs_norm,
+                           spectral_decompose, sym)
 from oracles import (
     counts_oracle,
     hs_count_bound_oracle,
@@ -211,6 +212,16 @@ def test_corpus_matches_the_per_problem_oracle_bit_for_bit(seed):
             assert s.b[j].tobytes() == b.entries.tobytes()
             assert s.epsilon[j] == eps
             assert (direct[i], via_kernel[i]) == counts_oracle(a, b, eps)
+
+
+def test_count_direct_is_the_strict_count_of_a_plus_b_across_the_verify_corpus():
+    # verify's bs_equality and bs_inequality corpora, one after the other
+    rng = np.random.default_rng(DEFAULT_SEED)
+    for singular_a in (False, True):
+        for s in random_corpus(500, rng, singular_a=singular_a):
+            direct = bsengine._count_direct(s)
+            for j, eps in enumerate(s.epsilon):
+                assert direct[j] == count_evs(sym(s.a[j] + s.b[j]), "<", -eps)
 
 
 def test_empty_corpus_has_empty_counts():

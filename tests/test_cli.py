@@ -203,6 +203,17 @@ def test_seed_flag_overrides_config(tmp_path):
     assert summary["seed"] == 0x123
 
 
+@pytest.mark.parametrize("seed", ["-1", "0x10000000000000000"])
+def test_seed_flag_out_of_range_exits_2_naming_the_flag(seed, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["iterbs-demo", "--out", str(tmp_path), "--seed", seed])
+    assert exit_info.value.code == EXIT_PARSE_ERROR
+    err = capsys.readouterr().err
+    assert f"argument --seed: must be an unsigned 64-bit integer, got {seed}" in err
+    assert "line" not in err and "column" not in err
+    assert not any(tmp_path.iterdir())
+
+
 def test_twobody_subcritical_counts_all_zero(tmp_path):
     cfg = write(tmp_path, "tb.conf",
                 'command = "twobody"\n'

@@ -15,6 +15,8 @@ from bscount.linop import (
     SYMMETRY_RTOL,
     SymOperator,
     _checked_eigenvalues,
+    _collides,
+    _count,
     _spectral_decompose,
     _symmetrized,
     _tridiagonal_positive_definite,
@@ -25,7 +27,7 @@ from bscount.linop import (
     spectral_decompose,
     sym,
 )
-from bscount import bsengine, efimov, radial
+from bscount import bsengine, efimov, iterbs, radial
 from bscount.radial import PotentialSpec, RadialGrid, bs_kernel_radial, reduced_hamiltonian
 from oracles import op_function
 from test_acceptance import TWENTY_CASES
@@ -364,6 +366,42 @@ def test_count_matches_brute_force_scan(seed, threshold):
     assert count_evs(a, "<=", threshold) == int(np.sum(lam <= threshold + eta))
 
 
+def guard_band_edges(threshold, eta):
+    """Eigenvalues on both edges of the band around ``threshold`` and one ulp
+    to either side of each edge, with ``threshold`` itself."""
+    lo, hi = threshold - eta, threshold + eta
+    return np.array([np.nextafter(lo, -np.inf), lo, np.nextafter(lo, np.inf), threshold,
+                     np.nextafter(hi, -np.inf), hi, np.nextafter(hi, np.inf)])
+
+
+# the count of ``guard_band_edges`` per relation: the band is (t - eta, t + eta],
+# so each strict relation and its non-strict complement count all 7
+EDGE_COUNTS = {">": 1, ">=": 5, "<": 2, "<=": 6}
+
+
+@pytest.mark.parametrize("relation", EDGE_COUNTS)
+def test_count_applies_the_guard_band_rule_at_its_edges(relation):
+    threshold, eta = 0.7, 1e-10 * 4.0
+    assert _count(guard_band_edges(threshold, eta), eta, relation, threshold) == \
+        EDGE_COUNTS[relation]
+    # a stack, each member with its own threshold and band
+    thresholds, etas = np.array([0.7, -2.0, 5.0]), np.array([4e-10, 1e-10, 3e-9])
+    lam = np.array([guard_band_edges(t, e) for t, e in zip(thresholds, etas)])
+    assert _count(lam, etas, relation, thresholds).tolist() == [EDGE_COUNTS[relation]] * 3
+    # with one threshold for all, the members off it count by where they lie
+    assert _count(lam, etas, relation, 0.7).tolist() == \
+        [EDGE_COUNTS[relation], 0 if relation[0] == ">" else 7, 7 if relation[0] == ">" else 0]
+
+
+def test_collision_is_an_eigenvalue_strictly_inside_the_band():
+    threshold, eta = -1.5, 1e-10 * 4.0
+    edges = guard_band_edges(threshold, eta)
+    inside = [False, False, True, True, True, False, False]
+    assert [bool(_collides(edges[i:i + 1], eta, threshold)) for i in range(7)] == inside
+    assert _collides(np.array([edges[[0, 3]], edges[[0, 6]]]), np.full(2, eta),
+                     np.full(2, threshold)).tolist() == [True, False]
+
+
 def test_count_rejects_unknown_relation():
     with pytest.raises(ValueError, match="relation"):
         count_evs(sym(np.eye(2)), "!=", 0.0)
@@ -419,8 +457,8 @@ def test_radial_cases_take_the_structured_routes_and_match_dense(radial_cases, s
         assert dense_count(lam, eta, relation, threshold) == \
             dense_count(ref, eta, relation, threshold), label
         support = int(np.count_nonzero(a.entries.any(axis=0)))
-        if relation == "<":  # the Hamiltonian is tridiagonal
-            assert solver_dims == {"dense": [], "tridiagonal": [700]}, label
+        if relation == "<":  # the tridiagonal Hamiltonian's spectrum is solved dense
+            assert solver_dims == {"dense": [700], "tridiagonal": []}, label
         else:  # the kernel is solved on the support of v_-
             assert solver_dims == {"dense": [support], "tridiagonal": []}, label
 
@@ -428,7 +466,7 @@ def test_radial_cases_take_the_structured_routes_and_match_dense(radial_cases, s
 def test_recorded_structure_gives_the_counts_and_spectra_of_the_bytes(radial_cases):
     for label, a, relation, threshold in radial_cases:
         plain = SymOperator(np.array(a.entries))
-        assert a._structure is not None and plain._structure is None
+        assert not plain._tridiagonal and plain._support is None
         assert count_evs(a, relation, threshold) == count_evs(plain, relation, threshold), label
         lam, eta = checked_eigenvalues(a)
         lam_plain, eta_plain = checked_eigenvalues(plain)
@@ -437,17 +475,15 @@ def test_recorded_structure_gives_the_counts_and_spectra_of_the_bytes(radial_cas
 
 def test_recorded_structure_is_read_from_the_frozen_entries(radial_cases):
     for label, a, relation, _ in radial_cases:
-        kind, *parts = a._structure
         if relation == "<":
-            assert kind == "tridiagonal", label
-            for part in parts:  # the diagonals are views of the entries
-                assert np.shares_memory(part, a.entries) and not part.flags.writeable
-            assert np.array_equal(parts[0], np.diag(a.entries))
-            assert np.array_equal(parts[1], np.diag(a.entries, -1))
-        else:
-            assert kind == "support", label
+            assert a._tridiagonal and a._support is None, label
+        else:  # a support that is the whole grid is not recorded
             live = np.flatnonzero(a.entries.any(axis=0))
-            assert np.array_equal(parts[0], live), label
+            assert not a._tridiagonal, label
+            if live.size < a.dim:
+                assert np.array_equal(a._support, live), label
+            else:
+                assert a._support is None, label
         with pytest.raises(ValueError, match="read-only"):
             a.entries[0, 0] = 1.0
 
@@ -579,7 +615,15 @@ def test_routes_follow_the_recorded_structure(solver_dims):
     # with nothing recorded, zeros and bands are not looked for
     checked_eigenvalues(SymOperator(random_tridiagonal(rng, 9).entries))
     checked_eigenvalues(SymOperator(with_zero_rows(random_symmetric(rng, 9), [2]).entries))
-    assert solver_dims == {"dense": [9, 6, 8, 9, 9, 9], "tridiagonal": [9]}
+    # a recorded tridiagonal operator is solved dense: its flag serves counts only
+    assert solver_dims == {"dense": [9, 6, 9, 8, 9, 9, 9], "tridiagonal": []}
+
+
+def test_spectrum_of_a_tridiagonal_operator_is_one_dense_solve(solver_dims):
+    a = random_tridiagonal(np.random.default_rng(DEFAULT_SEED), 12)
+    lam, _ = checked_eigenvalues(a)
+    assert solver_dims == {"dense": [12], "tridiagonal": []}
+    assert lam.tobytes() == DENSE_EIGVALSH(a.entries).tobytes()
 
 
 def test_deflation_matches_dense_on_planted_zero_rows():
@@ -624,11 +668,14 @@ ROUTES = {
 def test_count_raises_on_eigenvalues_breaking_an_invariant(monkeypatch, invariant, perturb, route):
     make, module, name = ROUTES[route]
     a = make(np.random.default_rng(DEFAULT_SEED))
+    # a tridiagonal count is a Sturm count with no spectrum to check; the
+    # spectrum of a tridiagonal operator is checked where checked_eigenvalues
+    # computes it, by dense eigvalsh
+    if route == "tridiagonal":
+        module, name = np.linalg, "eigvalsh"
+    run = checked_eigenvalues if route == "tridiagonal" else lambda a: count_evs(a, ">", 0.0)
     solver = getattr(module, name)
     monkeypatch.setattr(module, name, lambda *args, **kw: perturb(solver(*args, **kw)))
-    # a tridiagonal count is a Sturm count with no spectrum to check; the
-    # full tridiagonal spectrum is checked where checked_eigenvalues computes it
-    run = checked_eigenvalues if route == "tridiagonal" else lambda a: count_evs(a, ">", 0.0)
     with pytest.raises(RuntimeError, match=invariant):
         run(a)
 
@@ -758,24 +805,65 @@ def test_one_check_names_the_cause_of_a_norm_that_is_not_finite(bad, cause, stac
             _symmetrized(m)
 
 
+# the four checks on a stack of one below, each with its offending value last
+ONE_PROBLEM_REJECTIONS = {
+    "BsProblem": (lambda: bsengine.BsProblem(sym(np.eye(2)), sym(-np.eye(2)), np.nan),
+                  "got nan"),
+    "ProjectionStep": (lambda: iterbs.ProjectionStep(
+        sym(np.diag([1.0, 0.0])), 1.5, sym(np.diag([1.5, 0.0])), sym(np.zeros((2, 2)))),
+        "got 1.5"),
+    "hs_count_bound_check": (lambda: bsengine.hs_count_bound_check(
+        sym(np.eye(2)), -1.0, np.eye(2)), "got -1.0"),
+    "rank_one_domination": (lambda: bsengine.rank_one_domination(
+        np.ones(2), sym(np.eye(2)), 0.5, -1.0), "got -1.0"),
+}
+
+
+@pytest.mark.parametrize("check", ONE_PROBLEM_REJECTIONS)
+def test_a_single_problem_error_names_no_stack_member(check):
+    run, ending = ONE_PROBLEM_REJECTIONS[check]
+    with pytest.raises(ValueError) as info:
+        run()
+    assert str(info.value).endswith(ending)
+
+
+def test_a_stack_of_two_error_names_its_member():
+    with pytest.raises(ValueError, match=r"got nan \(stack member 1\)$"):
+        bsengine._Stack(np.array([np.eye(2)] * 2), np.array([-np.eye(2)] * 2), [1.0, np.nan])
+
+
 # ---------------------------------------------------------------------------
 # linop runs every eigensolve
 
 EIGENSOLVER_NAMES = {"eigh", "eigvalsh", "eigvalsh_tridiagonal", "lapack"}
 
 
-def test_no_module_but_linop_names_an_eigensolver():
+def nodes_outside_linop():
+    """Every AST node of every package module but linop, with its file name."""
     package = Path(bsengine.__file__).parent
-    found = []
     for path in sorted(package.glob("*.py")):
-        if path.name == "linop.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            name = (node.id if isinstance(node, ast.Name) else
-                    node.attr if isinstance(node, ast.Attribute) else
-                    node.name.rpartition(".")[2] if isinstance(node, ast.alias) else None)
-            if name in EIGENSOLVER_NAMES:
-                found.append(f"{path.name}:{node.lineno} {name}")
+        if path.name != "linop.py":
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                yield path.name, node
+
+
+def test_no_module_but_linop_names_an_eigensolver():
+    found = []
+    for file, node in nodes_outside_linop():
+        name = (node.id if isinstance(node, ast.Name) else
+                node.attr if isinstance(node, ast.Attribute) else
+                node.name.rpartition(".")[2] if isinstance(node, ast.alias) else None)
+        if name in EIGENSOLVER_NAMES:
+            found.append(f"{file}:{node.lineno} {name}")
+    assert not found
+
+
+def test_no_module_but_linop_compares_with_a_guard_band():
+    # linop's _count and _collides hold the guard-band rule
+    found = [f"{file}:{node.lineno}" for file, node in nodes_outside_linop()
+             if isinstance(node, ast.Compare) and any(
+                 isinstance(name, ast.Name) and name.id == "eta"
+                 for operand in (node.left, *node.comparators) for name in ast.walk(operand))]
     assert not found
 
 
