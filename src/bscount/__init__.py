@@ -17,19 +17,14 @@ The package has three layers:
 from .linop import (
     SymOperator,
     sym,
-    spectral_decompose,
     count_evs,
     hs_norm,
-    rank_one_projection,
 )
 from .bsengine import (
     BsProblem,
-    CriticalCouplingResult,
-    bs_operator,
     count_direct,
     count_bs,
     mu_max,
-    critical_coupling,
     hs_count_bound_check,
     rank_one_domination,
     random_problem,
@@ -38,7 +33,6 @@ from .bsengine import (
 from .iterbs import (
     ProjectionStep,
     StageResult,
-    bs_step,
     iterate,
 )
 
@@ -47,24 +41,18 @@ __version__ = "0.1.0"
 __all__ = [
     "SymOperator",
     "sym",
-    "spectral_decompose",
     "count_evs",
     "hs_norm",
-    "rank_one_projection",
     "BsProblem",
-    "CriticalCouplingResult",
-    "bs_operator",
     "count_direct",
     "count_bs",
     "mu_max",
-    "critical_coupling",
     "hs_count_bound_check",
     "rank_one_domination",
     "random_problem",
     "ThresholdCollisionError",
     "ProjectionStep",
     "StageResult",
-    "bs_step",
     "iterate",
     "__version__",
 ]

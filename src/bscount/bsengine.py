@@ -8,9 +8,8 @@ For ``A >= 0`` self-adjoint, ``B`` symmetric and a spectral shift
 and the counting identity says the eigenvalues of ``A + B`` below ``-eps``
 are in bijection with the eigenvalues of ``K(eps)`` above 1 (an exact
 equality when ``A`` is strictly positive, an inequality ``>=`` when ``A``
-merely has a kernel).  This module realizes the operator, both counts, the
-critical-coupling locator, and the Hilbert-Schmidt and rank-one-domination
-bounds as checkable procedures.
+merely has a kernel).  This module realizes the operator, both counts, and
+the Hilbert-Schmidt and rank-one-domination bounds as checkable procedures.
 
 Every count runs on a stack: ``k`` problems of one dimension ``n``, with
 ``A`` and ``B`` as ``(k, n, n)`` arrays and the shifts as an array.  Each
@@ -53,7 +52,6 @@ import numpy as np
 
 from .linop import (
     DEFAULT_SEED,
-    MIN_PROJECTION_NORM,
     SymOperator,
     _checked_eigenvalues,
     _collides,
@@ -66,15 +64,12 @@ from .linop import (
     sym,
 )
 
-LAMBDA_CAP = 1e6  # largest coupling probed before declaring "never binds"
+# Smallest vector norm rank_one_domination will normalize away.
+MIN_PROJECTION_NORM = 1e-8
 
 
 class ThresholdCollisionError(RuntimeError):
     """An eigenvalue of ``A + B`` sits on the counting threshold ``-eps``."""
-
-
-class NeverBindsError(RuntimeError):
-    """``A + lambda*B`` stays positive semidefinite for all probed couplings."""
 
 
 @dataclass(frozen=True)
@@ -145,16 +140,6 @@ class _Stack:
         return self.h
 
 
-@dataclass(frozen=True)
-class CriticalCouplingResult:
-    """Location of the coupling at which ``A + lambda*B`` first loses positivity."""
-
-    lambda_star: float
-    bracket: tuple[float, float]
-    iterations: int
-    residual_min_eig: float
-
-
 def _kernels(s: _Stack) -> np.ndarray:
     """The stack of ``K(eps) = -(A+eps)^(-1/2) B (A+eps)^(-1/2)``, symmetrized."""
     lam, v = s.a_eigh
@@ -175,11 +160,6 @@ def _count_bs(s: _Stack) -> np.ndarray:
              "band {:.3e} of -eps; perturb eps (e.g. by a factor 1 +/- 1e-6) and retry", eta,
              error=ThresholdCollisionError)
     return _count_evs(_kernels(s), ">", 1.0)
-
-
-def bs_operator(p: BsProblem) -> SymOperator:
-    """The operator ``K(eps) = -(A+eps)^(-1/2) B (A+eps)^(-1/2)``, symmetrized."""
-    return SymOperator._built(_kernels(p._stack)[0])
 
 
 def count_direct(p: BsProblem) -> int:
@@ -212,67 +192,12 @@ def mu_max(p: BsProblem, epsilons=None):
     return float(top[0]) if epsilons is None else top
 
 
-def _bisect_coupling(binds, tol: float, rel_tol: float) -> tuple[float, float, int]:
-    """Bracket ``(lo, hi]`` of the smallest coupling for which ``binds`` holds.
-
-    Doubles the coupling from 1 until ``binds`` holds, raising
-    NeverBindsError past ``LAMBDA_CAP``, then bisects until the bracket is
-    no wider than ``max(tol, rel_tol * hi)`` (``hi`` as found by doubling).
-    Returns ``(lo, hi, calls)``, ``calls`` counting every ``binds`` call.
-    """
-    calls = 1
-    lo, hi = 0.0, 1.0
-    while not binds(hi):
-        lo = hi
-        hi *= 2.0
-        if hi > LAMBDA_CAP:
-            raise NeverBindsError(f"no coupling up to {LAMBDA_CAP:g} binds")
-        calls += 1
-    width = max(tol, rel_tol * hi)
-    while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        calls += 1
-        if binds(mid):
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi, calls
-
-
-def critical_coupling(a: SymOperator, b: SymOperator, tol: float) -> CriticalCouplingResult:
-    """Largest coupling keeping ``A + lambda*B`` positive semidefinite.
-
-    Brackets by doubling lambda from 1 until ``A + lambda*B`` has an
-    eigenvalue below 0 outside the guard band (the strict count of
-    ``count_evs``), then bisects to a bracket of width <= tol.  Raises
-    NeverBindsError if no coupling up to ``LAMBDA_CAP`` binds (which covers
-    ``B >= 0``).
-    """
-    a, b = sym(a), sym(b)
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: A is {a.dim}, B is {b.dim}")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-
-    def spectrum(lam: float) -> tuple[np.ndarray, float]:
-        return _checked_eigenvalues(a.entries + lam * b.entries)
-
-    lo, hi, iterations = _bisect_coupling(lambda lam: _count(*spectrum(lam), "<", 0.0) > 0,
-                                          tol, 0.0)
-    lambda_star = 0.5 * (lo + hi)
-    return CriticalCouplingResult(
-        lambda_star=lambda_star,
-        bracket=(lo, hi),
-        iterations=iterations,
-        residual_min_eig=float(spectrum(lambda_star)[0][0]),
-    )
-
-
 def hs_count_bound_check(a: SymOperator, delta: float, vectors: np.ndarray) -> tuple[bool, float]:
     """Check ``n <= |A|_HS^2 / delta^2`` for an orthonormal set of test vectors.
 
     ``vectors`` holds the set as columns; every vector must satisfy
-    ``|(phi_i, A phi_i)| >= delta``.  Returns (holds, bound).
+    ``|(phi_i, A phi_i)| >= delta``, for ``delta`` positive and finite.
+    Returns (holds, bound).
     """
     a = sym(a)
     v = np.asarray(vectors, dtype=float)
@@ -290,7 +215,8 @@ def _hs_count_bound(a: np.ndarray, delta: np.ndarray, v: np.ndarray):
     bounds and ``v`` a ``(k, n, r)`` stack of test vector sets.  Returns the
     arrays ``holds`` and ``bound``; a member that fails a check raises
     ValueError with its index."""
-    _require(delta > 0, "delta must be positive, got {}", delta, error=ValueError)
+    _require(np.isfinite(delta) & (delta > 0), "delta must be positive and finite, got {}",
+             delta, error=ValueError)
     r = v.shape[-1]
     gram_defect = np.max(np.abs(v.mT @ v - np.eye(r)), axis=(1, 2))
     _require(gram_defect <= 1e-10, "vector set is not orthonormal: Gram defect {:.3e}",
@@ -315,7 +241,8 @@ def rank_one_domination(f: np.ndarray, a: SymOperator, epsilon0: float, c: float
 
     Follows the spectral-cutoff construction: pick the smallest cutoff ``k0``
     in the spectrum of ``A`` with ``|f - P_[0,k0] f| < c/2`` and return
-    ``L = 2 (k0 + eps0)``.  The bound is re-verified before returning, by
+    ``L = 2 (k0 + eps0)``; ``eps0`` and ``c`` must be positive and finite.
+    The bound is re-verified before returning, by
     counting the eigenvalues above ``c``; a count above 0 raises
     RuntimeError, and so does a ``c`` too small for any cutoff.  Either
     indicates a guard-band misconfiguration.
@@ -337,8 +264,10 @@ def _rank_one_domination(f: np.ndarray, a: np.ndarray, epsilon0: np.ndarray, c: 
     of the count of eigenvalues of ``f f^T / |f|^2 - L (A+eps0)^(-1)`` above
     ``c``, which is 0 where the bound holds.  A member with bad input, or
     with no cutoff keeping the tail below ``c/2``, raises with its index."""
-    _require(epsilon0 > 0, "epsilon0 must be positive, got {}", epsilon0, error=ValueError)
-    _require(c > 0, "c must be positive, got {}", c, error=ValueError)
+    _require(np.isfinite(epsilon0) & (epsilon0 > 0), "epsilon0 must be positive and finite, "
+             "got {}", epsilon0, error=ValueError)
+    _require(np.isfinite(c) & (c > 0), "c must be positive and finite, got {}", c,
+             error=ValueError)
     norm = _fro(f[:, :, None])
     _require(norm >= MIN_PROJECTION_NORM, "vector norm {:.3e} below "
              f"{MIN_PROJECTION_NORM:g}; refusing to normalize", norm, error=ValueError)

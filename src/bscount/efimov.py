@@ -8,7 +8,7 @@ reduces it to a one-dimensional integral kernel in the spectator momentum;
 trimer energies are the points where an eigenvalue of that kernel crosses 1.
 
 The kernel's mass coefficients ``A11``, ``A12`` come from the orthogonal
-Jacobi rotation between spectator frames (see docs/three_boson_kernel.md
+Jacobi rotation between spectator frames (see docs/trimer_kernel.md
 for the full derivation); they are validated against independent oracles
 (weak-coupling absence of trimers, two-body counting at the unitarity
 coupling, and the geometric accumulation ratio at unitarity) rather than
@@ -23,11 +23,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linop import SymOperator, _checked_eigenvalues
+from .linop import _checked_eigenvalues
 
 UNITARITY_RTOL = 1e-8
 # a11 and a12 of the Jacobi rotation between the spectator frames of three
-# equal masses, the only masses the kernel takes (docs/three_boson_kernel.md
+# equal masses, the only masses the kernel takes (docs/trimer_kernel.md
 # gives the general-mass formula)
 A11 = -0.5
 A12 = math.sqrt(0.75)
@@ -175,7 +175,7 @@ def _angular_integral(terms: _AngleTerms, e_term: float) -> np.ndarray:
 
 
 class _KernelParts(NamedTuple):
-    """Everything in ``three_boson_kernel`` that does not depend on the energy.
+    """Everything in the kernel of ``_assemble`` that does not depend on the energy.
 
     ``J`` is symmetric in ``(s, q)``, so its terms are kept for the upper
     triangle ``i <= j`` of the grid only, and each value is written to its
@@ -203,9 +203,23 @@ def _kernel_parts(model: SeparableModel) -> _KernelParts:
 
 
 def _assemble(parts: _KernelParts, energy: float) -> np.ndarray:
-    """The kernel of ``three_boson_kernel`` at ``energy`` from prebuilt parts:
-    ``J`` on the upper triangle, scaled and mirrored into both halves, so the
-    array is symmetric bit for bit and needs no ``SymOperator`` check."""
+    """Spectator-momentum kernel whose unit eigenvalues mark trimer energies.
+
+    Weight-symmetrized s-wave kernel at total energy ``energy < 0``:
+
+        K(s,q) = C sqrt(w_s w_q) s q J(s,q) / sqrt(D(s) D(q)),
+        C = 4 pi lam a12^3,
+        J = Int_-1^1 du / [(q^2 - 2 a11 s q u + a11^2 s^2 + a12^2 beta^2)
+                           (s^2 - 2 a11 s q u + a11^2 q^2 + a12^2 beta^2)
+                           (s^2 + q^2 - 2 a11 s q u + a12^2 |E|)]
+
+    where (a11, a12) is the orthogonal Jacobi rotation of the equal-mass
+    system and ``D`` the two-body pair amplitude denominator.  ``J`` is
+    evaluated in closed form as a divided difference (see
+    docs/trimer_kernel.md), from the prebuilt ``parts``, on the upper
+    triangle; it is scaled and mirrored into both halves, so the array is
+    symmetric bit for bit and needs no ``SymOperator`` check.
+    """
     if not energy < 0:
         raise ValueError(f"trimer search needs energy < 0, got {energy}")
     abs_e = -float(energy)
@@ -224,25 +238,6 @@ def _assemble(parts: _KernelParts, energy: float) -> np.ndarray:
     k[parts.flat[0]] = values
     k[parts.flat[1]] = values
     return k.reshape(n, n)
-
-
-def three_boson_kernel(model: SeparableModel, energy: float) -> SymOperator:
-    """Spectator-momentum kernel whose unit eigenvalues mark trimer energies.
-
-    Weight-symmetrized s-wave kernel at total energy ``energy < 0``:
-
-        K(s,q) = C sqrt(w_s w_q) s q J(s,q) / sqrt(D(s) D(q)),
-        C = 4 pi lam a12^3,
-        J = Int_-1^1 du / [(q^2 - 2 a11 s q u + a11^2 s^2 + a12^2 beta^2)
-                           (s^2 - 2 a11 s q u + a11^2 q^2 + a12^2 beta^2)
-                           (s^2 + q^2 - 2 a11 s q u + a12^2 |E|)]
-
-    where (a11, a12) is the orthogonal Jacobi rotation of the equal-mass
-    system and ``D`` the two-body pair amplitude denominator.  ``J`` is
-    evaluated in closed form as a divided difference (see
-    docs/three_boson_kernel.md).
-    """
-    return SymOperator._built(_assemble(_kernel_parts(model), energy))
 
 
 def _kernel_eigenvalues(parts: _KernelParts, energy: float) -> np.ndarray:

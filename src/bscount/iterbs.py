@@ -13,8 +13,8 @@ remainder operators ``R_j = (1 - mu_j P_j)^(-1/2) - 1``; ``iterate`` runs
 both and checks them against each other within ``CONSISTENCY_TOL``.
 ``(1 - mu P)^(-1/2)`` has one route, its closed form for an orthogonal
 projection.  A ``ProjectionStep`` checks its projection once, at
-construction, and builds that closed form there; ``bs_step`` and
-``iterate`` read it from the step instead of checking ``P`` again.
+construction, and builds that closed form there; ``iterate`` reads it
+from the step instead of checking ``P`` again.
 
 Every stage runs on a stack: ``k`` problems of one dimension ``n``, with
 each operator a ``(k, n, n)`` array and the weights ``mu`` an array.  A
@@ -22,10 +22,10 @@ each operator a ``(k, n, n)`` array and the weights ``mu`` an array.  A
 construction; ``_iterate`` runs the subtraction on the stack with every
 check made per member, and a failing member raises with its index.  The
 symmetry checks of ``K_part``, ``P``, ``L_part``, ``T_k`` and ``M_k`` are
-linop's stacked ``_symmetrized``.  ``ProjectionStep``, ``bs_step``,
-``iterate`` and ``random_spectral_step`` run the same code on a stack of
-one, so there is one route; the per-problem route it replaced is kept in
-the tests as the oracle.
+linop's stacked ``_symmetrized``.  ``ProjectionStep``, ``iterate`` and
+``random_spectral_step`` run the same code on a stack of one, so there is
+one route; the per-problem route it replaced is kept in the tests as the
+oracle.
 """
 
 from __future__ import annotations
@@ -80,7 +80,8 @@ class _Steps:
         object.__setattr__(self, "inv_sqrt", w)
 
     def conjugate(self, t: np.ndarray) -> np.ndarray:
-        """The checked stack ``(1-muP)^(-1/2) (T - muP) (1-muP)^(-1/2)``."""
+        """One conjugation stage of each member: the checked stack
+        ``(1-muP)^(-1/2) (T - muP) (1-muP)^(-1/2)``."""
         w = self.inv_sqrt
         return _symmetrized(w @ (t - self.mu[:, None, None] * self.p) @ w)
 
@@ -168,11 +169,6 @@ def random_spectral_step(k_total: SymOperator, rng) -> ProjectionStep:
     k_total = sym(k_total)
     return ProjectionStep._of(_random_steps(k_total.entries[None],
                                             [_draw_split(rng, k_total.dim)]))
-
-
-def bs_step(t: SymOperator, step: ProjectionStep) -> SymOperator:
-    """One conjugation stage: ``(1-muP)^(-1/2) (T - muP) (1-muP)^(-1/2)``."""
-    return SymOperator._built(step._steps.conjugate(sym(t).entries[None])[0])
 
 
 def _iterate(k_total: np.ndarray, steps: list[_Steps]) -> list[tuple]:

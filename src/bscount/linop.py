@@ -2,9 +2,9 @@
 
 Everything downstream (counting identities, projection subtraction, radial
 kernels) is built from the primitives here: spectral decomposition, checked
-eigenvalues, guarded eigenvalue counting, Hilbert-Schmidt norms, and rank-one
-projections.  All values are immutable after construction and every operation
-is a pure function.
+eigenvalues, guarded eigenvalue counting and Hilbert-Schmidt norms.  All
+values are immutable after construction and every operation is a pure
+function.
 
 ``SymOperator`` is the boundary type: it checks its entries once, when it
 is built, by ``_symmetrized``, the one check for a matrix or a stack.  The
@@ -16,12 +16,12 @@ Sturm count checks ``|T|_F``, so an unchecked ``_built`` operator or a
 stack whose norm is not finite raises ValueError too.  Entries symmetric
 within ``SYMMETRY_RTOL`` are averaged with their transpose, and entries
 symmetric bit for bit are stored as a copy, without the averaging that
-would return the same bits.  Library code that forms a matrix it knows to be exactly symmetric passes the ndarray on
-without wrapping it again: bsengine's sums of two operators' entries,
-radial's symmetrized support block and efimov's trimer kernel, mirrored
-from its upper triangle.  Builders that return an operator of such a fresh
-array, radial's reduced Hamiltonian and Birman-Schwinger kernel and
-efimov's ``three_boson_kernel``, hand it to the private
+would return the same bits.  Library code that forms a matrix it knows to
+be exactly symmetric passes the ndarray on without wrapping it again:
+bsengine's sums of two operators' entries, radial's symmetrized support
+block and efimov's trimer kernel, mirrored from its upper triangle.
+Builders that return an operator of such a fresh array, radial's reduced
+Hamiltonian and Birman-Schwinger kernel, hand it to the private
 ``SymOperator._built``, which freezes it in place with no copy and no
 check, and records one fact for each of its readers: that the
 Hamiltonian is tridiagonal, which ``count_evs`` reads, and the support
@@ -39,7 +39,7 @@ A count of an operator recorded tridiagonal is a Sturm count: LAPACK
 none, so the trace and Frobenius checks have no spectrum to test.  The
 Sturm count is exact for a matrix within a few ulps of ``T`` (Kahan 1966),
 far inside the guard band, and tests hold it to the count of the full
-spectrum.  Every other count, and ``checked_eigenvalues`` itself, takes
+spectrum.  Every other count, and ``_checked_eigenvalues`` itself, takes
 checked eigenvalues: rows and columns outside a recorded support are
 deflated as exact zero eigenvalues and the rest come from ``eigvalsh`` on
 the support block, and any other matrix, or stack, goes to ``eigvalsh``
@@ -51,18 +51,19 @@ a spectrum, for ``count_evs`` and for the callers that count a spectrum
 they also read, and ``_tridiagonal_count`` to a Sturm count.
 ``_collides`` tells whether an eigenvalue lies within the guard band of a
 threshold, where a strict and a non-strict count differ.
-``spectral_decompose`` returns eigenvectors too and checks their residual
+``_spectral_decompose`` returns eigenvectors too and checks their residual
 and orthonormality; it serves the callers that use eigenvectors.  The
 private ``_checked_eigenvalues``, ``_spectral_decompose`` and
-``_count_evs`` also take a stack ``(k, n, n)`` of matrices known to be
-symmetric, solved by one dense stacked LAPACK call, with every check run
-on each matrix and a failure naming the member; ``_count_evs`` and
-``_count`` take one threshold per member or one for all.  The private
-``_tridiagonal_eigenvalues`` is the Sturm bisection of a tridiagonal
-matrix, which serves the Sturm count and the selection of radial's lowest
-eigenvalue, and ``_tridiagonal_positive_definite`` is the O(n) binding
-test of the radial critical-coupling search: LAPACK ``pttrf`` factors the
-tridiagonal matrix and reports whether every pivot is positive.
+``_count_evs`` take a matrix already known to be symmetric, or a stack
+``(k, n, n)`` of such matrices, solved by one dense stacked LAPACK call,
+with every check run on each matrix and a failure naming the member;
+``_count_evs`` and ``_count`` take one threshold per member or one for
+all.  The private ``_tridiagonal_eigenvalues`` is the Sturm bisection of a
+tridiagonal matrix, which serves the Sturm count and the selection of
+radial's lowest eigenvalue, and ``_tridiagonal_positive_definite`` is the
+O(n) binding test of the radial critical-coupling search: LAPACK
+``pttrf`` factors the tridiagonal matrix and reports whether every pivot
+is positive.
 """
 
 from __future__ import annotations
@@ -77,9 +78,6 @@ SYMMETRY_RTOL = 1e-12
 
 # Default 64-bit seed threaded through every randomized routine.
 DEFAULT_SEED = 0xB5C0
-
-# Smallest vector norm rank_one_projection will normalize away.
-MIN_PROJECTION_NORM = 1e-8
 
 _RELATIONS = (">", ">=", "<", "<=")
 
@@ -143,22 +141,18 @@ def sym(entries) -> SymOperator:
     return SymOperator(np.asarray(entries, dtype=float))
 
 
-def spectral_decompose(a: SymOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigendecomposition of a symmetric operator.
+def _spectral_decompose(m: np.ndarray, psd: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Full eigendecomposition of a matrix already known to be symmetric, or
+    of every matrix of a stack ``(k, n, n)`` of them by one stacked ``eigh``,
+    each matrix checked on its own.
 
     Returns ``(eigenvalues, eigenvectors)``: eigenvalues in ascending order
-    and orthonormal eigenvector columns.  The residual invariants
-    ``|A V - V diag(lam)|_F`` and ``|V^T V - I|_F`` are checked before
-    returning.
+    and orthonormal eigenvector columns.  The residual ``|A V - V diag(lam)|_F``
+    must be within the count guard band ``1e-10 (1 + |A|_F)`` and the
+    orthonormality defect ``|V^T V - I|_F`` within 1e-10, or RuntimeError is
+    raised; so is a LAPACK failure.  With ``psd``, a matrix whose lowest
+    eigenvalue lies below minus the guard band raises ValueError.
     """
-    return _spectral_decompose(sym(a).entries)
-
-
-def _spectral_decompose(m: np.ndarray, psd: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """``spectral_decompose`` of a matrix already known to be symmetric, or of
-    every matrix of a stack ``(k, n, n)`` of them by one stacked ``eigh``,
-    each matrix checked on its own.  With ``psd``, a matrix whose lowest
-    eigenvalue lies below minus the count guard band raises ValueError."""
     eta = _guard(_finite_fro(m))
     try:
         lam, vec = np.linalg.eigh(m)
@@ -177,30 +171,23 @@ def _spectral_decompose(m: np.ndarray, psd: bool = False) -> tuple[np.ndarray, n
     return lam, vec
 
 
-def checked_eigenvalues(a: SymOperator) -> tuple[np.ndarray, float]:
-    """Ascending eigenvalues of ``a`` and its count guard band.
+def _checked_eigenvalues(m: np.ndarray, support=None) -> tuple[np.ndarray, float | np.ndarray]:
+    """Ascending eigenvalues of a matrix already known to be symmetric and its
+    count guard band; or those of every matrix of a stack ``(k, n, n)`` of
+    them by one dense stacked ``eigvalsh``, each matrix checked on its own
+    and with its own guard band in the array ``eta``.
 
-    When ``a``'s builder recorded a support, each row and column outside it
-    adds an exact zero eigenvalue, and the others come from ``eigvalsh`` on
-    the support block; any other matrix, a recorded tridiagonal one too,
-    goes to ``eigvalsh`` whole.  Whatever the route, the eigenvalues
-    are checked against the invariants ``sum(lam) = tr A`` and
-    ``sum(lam^2) = |A|_F^2`` of the full matrix, within ``eta`` and
-    ``eta * (1 + |A|_F)`` for the guard ``eta = 1e-10 (1 + |A|_F)``; a failed
-    check or a LAPACK failure raises RuntimeError.  A matrix whose
+    When the builder of ``m`` recorded a ``support``, each row and column
+    outside it adds an exact zero eigenvalue, and the others come from
+    ``eigvalsh`` on the support block; any other matrix, a recorded
+    tridiagonal one too, goes to ``eigvalsh`` whole.  Whatever the route,
+    the eigenvalues are checked against the invariants ``sum(lam) = tr A``
+    and ``sum(lam^2) = |A|_F^2`` of the full matrix, within ``eta`` and
+    ``eta * (1 + |A|_F)`` for the guard ``eta = 1e-10 (1 + |A|_F)``; a
+    failed check or a LAPACK failure raises RuntimeError.  A matrix whose
     ``|A|_F`` is not finite has no guard band and raises ValueError before
     any solve.
     """
-    a = sym(a)
-    return _checked_eigenvalues(a.entries, a._support)
-
-
-def _checked_eigenvalues(m: np.ndarray, support=None) -> tuple[np.ndarray, float | np.ndarray]:
-    """``checked_eigenvalues`` of a matrix already known to be symmetric,
-    solved on the ``support`` its builder recorded; or of every matrix of a
-    stack ``(k, n, n)`` of them by one dense stacked ``eigvalsh``, each
-    matrix checked on its own and with its own guard band in the array
-    ``eta``."""
     fro = _finite_fro(m)
     try:
         lam = _eigenvalues(m, support)
@@ -406,7 +393,7 @@ def count_evs(a: SymOperator, relation: str, threshold: float) -> int:
     spectrum for the trace and Frobenius-norm checks to test: the Sturm
     count is exact for a matrix within a few ulps of ``A``, and tests hold
     it to the count of the full spectrum.  Every other matrix is counted
-    from ``checked_eigenvalues``, on a recorded support or else whole,
+    from ``_checked_eigenvalues``, on a recorded support or else whole,
     whose trace and Frobenius-norm invariants stand in for eigenvector
     residual checks.  On every route a matrix whose ``|A|_F`` is not finite
     raises ValueError before any eigenvalue is counted.
@@ -431,18 +418,3 @@ def hs_norm(a: SymOperator) -> float:
     """Hilbert-Schmidt (Frobenius) norm of the operator."""
     return float(np.linalg.norm(sym(a).entries))
 
-
-def rank_one_projection(f: np.ndarray) -> SymOperator:
-    """Orthogonal projection onto the span of a vector: ``P = f f^T``.
-
-    The input is normalized internally; vectors with norm below
-    ``MIN_PROJECTION_NORM`` are rejected rather than silently amplified.
-    """
-    f = np.asarray(f, dtype=float).reshape(-1)
-    norm = float(np.linalg.norm(f))
-    if norm < MIN_PROJECTION_NORM:
-        raise ValueError(
-            f"vector norm {norm:.3e} below {MIN_PROJECTION_NORM:g}; refusing to normalize"
-        )
-    u = f / norm
-    return SymOperator(np.outer(u, u))

@@ -34,7 +34,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .bsengine import CriticalCouplingResult, _bisect_coupling
 from .linop import (SymOperator, _checked_eigenvalues, _count, _tridiagonal_count,
                     _tridiagonal_eigenvalues, _tridiagonal_positive_definite)
 
@@ -46,6 +45,12 @@ TAIL_LIMIT = 1e-3
 # schwinger_bound_check's grid size and the highest partial wave it visits
 SCHWINGER_N = 1500
 SCHWINGER_ELL_MAX = 25
+
+LAMBDA_CAP = 1e6  # largest coupling probed before declaring "never binds"
+
+
+class NeverBindsError(RuntimeError):
+    """The Hamiltonian binds at no coupling up to ``LAMBDA_CAP``."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,6 +187,16 @@ class RadialGrid:
         if self.scheme == "uniform_fd2":
             return np.full(self.n, self.h)
         return 0.5 * self.r_max * self._legendre[1]
+
+
+@dataclass(frozen=True)
+class CriticalCouplingResult:
+    """Location of the coupling at which the Hamiltonian first binds."""
+
+    lambda_star: float
+    bracket: tuple[float, float]
+    iterations: int
+    residual_min_eig: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -589,6 +604,33 @@ def resolvent_power_kernel(gamma: float, eps: float, r_dist: float) -> float:
 # critical coupling and the near-threshold scan
 
 
+def _bisect_coupling(binds, tol: float, rel_tol: float) -> tuple[float, float, int]:
+    """Bracket ``(lo, hi]`` of the smallest coupling for which ``binds`` holds.
+
+    Doubles the coupling from 1 until ``binds`` holds, raising
+    NeverBindsError past ``LAMBDA_CAP``, then bisects until the bracket is
+    no wider than ``max(tol, rel_tol * hi)`` (``hi`` as found by doubling).
+    Returns ``(lo, hi, calls)``, ``calls`` counting every ``binds`` call.
+    """
+    calls = 1
+    lo, hi = 0.0, 1.0
+    while not binds(hi):
+        lo = hi
+        hi *= 2.0
+        if hi > LAMBDA_CAP:
+            raise NeverBindsError(f"no coupling up to {LAMBDA_CAP:g} binds")
+        calls += 1
+    width = max(tol, rel_tol * hi)
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        calls += 1
+        if binds(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi, calls
+
+
 def find_critical_coupling_radial(pot_shape: PotentialSpec, grid: RadialGrid,
                                   tol: float) -> CriticalCouplingResult:
     """Coupling at which the first negative eigenvalue appears on the box.
@@ -603,8 +645,8 @@ def find_critical_coupling_radial(pot_shape: PotentialSpec, grid: RadialGrid,
     truncation of its flat tail, which the pair removes by extrapolation.
     ``iterations`` counts every bracketing and bisection binding test;
     ``residual_min_eig`` is the lowest eigenvalue of the fine-grid operator
-    at ``lambda_star``.  ``bsengine.NeverBindsError`` is raised when no
-    coupling up to ``bsengine.LAMBDA_CAP`` binds.
+    at ``lambda_star``.  NeverBindsError is raised when no coupling up to
+    ``LAMBDA_CAP`` binds.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")

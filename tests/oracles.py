@@ -5,8 +5,28 @@ import scipy.linalg
 
 from bscount import efimov
 from bscount.bsengine import ThresholdCollisionError
-from bscount.linop import SymOperator, checked_eigenvalues, count_evs, spectral_decompose, sym
+from bscount.linop import (SymOperator, _checked_eigenvalues, _spectral_decompose, count_evs,
+                           sym)
 from bscount.radial import RadialGrid, _banded_hamiltonian, _green_swave
+
+
+def checked_eigenvalues(a):
+    """Checked ascending eigenvalues of an operator and its count guard band,
+    by linop's core, solved on the support its builder recorded."""
+    a = sym(a)
+    return _checked_eigenvalues(a.entries, a._support)
+
+
+def spectral_decompose(a):
+    """Checked eigendecomposition of an operator, by linop's core."""
+    return _spectral_decompose(sym(a).entries)
+
+
+def projection(f) -> SymOperator:
+    """Orthogonal projection ``u u^T`` onto the span of the vector ``f``,
+    with ``u = f / |f|``."""
+    u = np.ravel(f) / np.linalg.norm(f)
+    return SymOperator(np.outer(u, u))
 
 
 def op_function(a, f):
@@ -69,7 +89,7 @@ def stebz_binds(diag, off) -> bool:
 
 
 def full_three_boson_kernel(model, energy: float) -> SymOperator:
-    """``efimov.three_boson_kernel`` evaluated on the whole ``n x n`` grid.
+    """The kernel of ``efimov._assemble`` evaluated on the whole ``n x n`` grid.
 
     ``J`` comes from ``efimov._angular_integral`` on the outer-product terms
     of every ``(s_i, q_j)``, so ``J(i, j)`` and ``J(j, i)`` are computed

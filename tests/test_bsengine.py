@@ -4,31 +4,29 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from bscount import bsengine
+from bscount import bsengine, radial
 from bscount.bsengine import (
     BsProblem,
-    NeverBindsError,
     ThresholdCollisionError,
-    bs_operator,
     corpus_counts,
     count_bs,
     count_direct,
-    critical_coupling,
     hs_count_bound_check,
     mu_max,
     random_corpus,
     random_problem,
     rank_one_domination,
 )
-from bscount.linop import (DEFAULT_SEED, checked_eigenvalues, count_evs, hs_norm,
-                           spectral_decompose, sym)
+from bscount.linop import DEFAULT_SEED, count_evs, hs_norm, sym
 from oracles import (
+    checked_eigenvalues,
     counts_oracle,
     hs_count_bound_oracle,
     jittered_oracle,
     mu_max_oracle,
     random_problem_oracle,
     rank_one_domination_oracle,
+    spectral_decompose,
 )
 
 
@@ -59,24 +57,24 @@ def test_problem_rejects_non_finite_epsilon(epsilon):
 
 
 # ---------------------------------------------------------------------------
-# bs_operator
+# the Birman-Schwinger operator
 
 
 def test_bs_operator_scalar_case():
     p = BsProblem(a=sym(np.eye(3)), b=sym(-np.eye(3)), epsilon=1.0)
-    np.testing.assert_allclose(bs_operator(p).entries, 0.5 * np.eye(3), atol=1e-12)
+    np.testing.assert_allclose(bsengine._kernels(p._stack)[0], 0.5 * np.eye(3), atol=1e-12)
 
 
 def test_bs_operator_diagonal_case():
     p = BsProblem(a=sym(np.diag([0.0, 3.0])), b=sym(-2.0 * np.eye(2)), epsilon=1.0)
-    np.testing.assert_allclose(bs_operator(p).entries, np.diag([2.0, 0.5]), atol=1e-12)
+    np.testing.assert_allclose(bsengine._kernels(p._stack)[0], np.diag([2.0, 0.5]), atol=1e-12)
 
 
 def test_bs_eigenvalues_match_generalized_problem():
     # oracle: mu solves the generalized problem -B x = mu (A + eps) x
     rng = np.random.default_rng(7)
     p = random_problem(9, rng=rng)
-    k_eigs, _ = spectral_decompose(bs_operator(p))
+    k_eigs, _ = spectral_decompose(bsengine._kernels(p._stack)[0])
     gen = scipy.linalg.eigh(-p.b.entries,
                             p.a.entries + p.epsilon * np.eye(p.dim),
                             eigvals_only=True)
@@ -354,30 +352,37 @@ def test_inf_spec_monotone_in_coupling():
 
 
 # ---------------------------------------------------------------------------
-# critical_coupling
+# the critical-coupling bisection, on pencils A + lam*B with a dense binding test
+
+
+def coupling_bracket(a, b, tol):
+    """The bracket ``(lo, hi]`` that radial's bisection finds for the smallest
+    coupling at which ``A + lam*B`` has an eigenvalue below 0."""
+    lo, hi, _ = radial._bisect_coupling(
+        lambda lam: count_evs(sym(a.entries + lam * b.entries), "<", 0.0) > 0, tol, 0.0)
+    return lo, hi
 
 
 def test_critical_coupling_identity_pair():
-    res = critical_coupling(sym(np.eye(3)), sym(-np.eye(3)), tol=1e-8)
-    assert res.lambda_star == pytest.approx(1.0, abs=1e-7)
-    assert res.bracket[0] <= res.lambda_star <= res.bracket[1]
-    assert res.bracket[1] - res.bracket[0] <= 1e-8
+    lo, hi = coupling_bracket(sym(np.eye(3)), sym(-np.eye(3)), tol=1e-8)
+    lambda_star = 0.5 * (lo + hi)
+    assert lambda_star == pytest.approx(1.0, abs=1e-7)
+    assert lo <= lambda_star <= hi
+    assert hi - lo <= 1e-8
 
 
 def test_critical_coupling_quadratic_oracle_kernel_case():
     # A = diag(0, 1), B = -(1/2) ones: det(A + tB) = -t/2 is negative for
     # every t > 0, so the closed-form quadratic gives lambda* = 0 exactly.
-    res = critical_coupling(sym(np.diag([0.0, 1.0])),
-                            sym(-0.5 * np.ones((2, 2))), tol=1e-10)
-    assert res.lambda_star == pytest.approx(0.0, abs=1e-6)
+    lo, hi = coupling_bracket(sym(np.diag([0.0, 1.0])), sym(-0.5 * np.ones((2, 2))), tol=1e-10)
+    assert 0.5 * (lo + hi) == pytest.approx(0.0, abs=1e-6)
 
 
 def test_critical_coupling_quadratic_oracle():
     # A = diag(1, 2), B = -ones: det(A + tB) = 2 - 3t crosses zero at
     # t = 2/3 with positive trace, the closed-form quadratic root.
-    res = critical_coupling(sym(np.diag([1.0, 2.0])),
-                            sym(-np.ones((2, 2))), tol=1e-10)
-    assert res.lambda_star == pytest.approx(2.0 / 3.0, abs=1e-8)
+    lo, hi = coupling_bracket(sym(np.diag([1.0, 2.0])), sym(-np.ones((2, 2))), tol=1e-10)
+    assert 0.5 * (lo + hi) == pytest.approx(2.0 / 3.0, abs=1e-8)
 
 
 def test_critical_coupling_scaling_covariance():
@@ -386,14 +391,14 @@ def test_critical_coupling_scaling_covariance():
         dim = int(rng.integers(2, 10))
         p = random_problem(dim, rng=rng)
         c = float(rng.uniform(0.3, 4.0))
-        base = critical_coupling(p.a, p.b, tol=1e-11)
-        scaled = critical_coupling(p.a, sym(c * p.b.entries), tol=1e-11)
-        assert scaled.lambda_star == pytest.approx(base.lambda_star / c, rel=1e-6)
+        base = 0.5 * sum(coupling_bracket(p.a, p.b, tol=1e-11))
+        scaled = 0.5 * sum(coupling_bracket(p.a, sym(c * p.b.entries), tol=1e-11))
+        assert scaled == pytest.approx(base / c, rel=1e-6)
 
 
 def test_critical_coupling_never_binds():
-    with pytest.raises(NeverBindsError):
-        critical_coupling(sym(np.eye(2)), sym(np.eye(2)), tol=1e-6)
+    with pytest.raises(radial.NeverBindsError):
+        coupling_bracket(sym(np.eye(2)), sym(np.eye(2)), tol=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +424,7 @@ def test_hs_bound_takes_one_vector_as_a_1d_array():
         a, 2.0, np.array([[1.0], [0.0]]))
 
 
-@pytest.mark.parametrize("delta", [0.0, -0.5, np.nan])
+@pytest.mark.parametrize("delta", [0.0, -0.5, np.nan, np.inf])
 def test_hs_bound_rejects_a_delta_that_is_not_positive(delta):
     with pytest.raises(ValueError, match="delta must be positive"):
         hs_count_bound_check(sym(np.eye(2)), delta, np.eye(2))
@@ -521,7 +526,8 @@ def test_domination_large_c_returns_small_l():
 
 
 @pytest.mark.parametrize("name, value", [("epsilon0", 0.0), ("epsilon0", -0.5),
-                                         ("c", 0.0), ("c", -0.5)])
+                                         ("epsilon0", np.inf), ("c", 0.0), ("c", -0.5),
+                                         ("c", np.inf)])
 def test_domination_rejects_a_shift_or_bound_that_is_not_positive(name, value):
     args = {"epsilon0": 1.0, "c": 0.5, name: value}
     with pytest.raises(ValueError, match=f"{name} must be positive"):

@@ -19,7 +19,6 @@ from bscount.efimov import (
     efimov_spectrum,
     lambda_unitary,
     s0_oracle,
-    three_boson_kernel,
     trimer_spectrum,
     two_body_loop,
 )
@@ -27,6 +26,11 @@ from bscount.linop import SymOperator, sym
 from oracles import full_three_boson_kernel, ladder_spectrum
 
 LAM_U = lambda_unitary(1.0)
+
+
+def three_boson_kernel(model, energy):
+    """The trimer kernel at ``energy``, as ``trimer_spectrum`` assembles it."""
+    return efimov._assemble(efimov._kernel_parts(model), energy)
 
 
 def kernel_top_eigenvalue(model, energy):
@@ -40,7 +44,7 @@ def unitary_model(n_p=256, p_max=40.0, grid_c=300.0, lam=LAM_U):
 
 def angular_integrand(s, q, abs_e, u, beta=1.0):
     """The integrand of J(s, q; E) at angle cosines ``u``, as written out in
-    ``three_boson_kernel``'s docstring."""
+    ``efimov._assemble``'s docstring."""
     cross = -2.0 * A11 * s * q * u
     beta2 = A12**2 * beta**2
     return 1.0 / ((q * q + cross + A11**2 * s * s + beta2)
@@ -81,7 +85,7 @@ def count_bisection_spectrum(model, e_floor, rel_tol=1e-10, points_per_decade=4)
     preceded brentq, kept as the oracle for its roots (unbound pair only)."""
 
     def count(abs_e):
-        lam = np.linalg.eigvalsh(three_boson_kernel(model, -abs_e).entries)
+        lam = np.linalg.eigvalsh(three_boson_kernel(model, -abs_e))
         return int(np.sum(lam >= 1.0))
 
     e_stop = (10.0 * model.momentum_grid()[0][0]) ** 2
@@ -109,7 +113,7 @@ def count_bisection_spectrum(model, e_floor, rel_tol=1e-10, points_per_decade=4)
 
 
 def test_equal_mass_coefficients():
-    # docs/three_boson_kernel.md: a11 = -sqrt(m1 m2 / ((M - m1)(M - m2))),
+    # docs/trimer_kernel.md: a11 = -sqrt(m1 m2 / ((M - m1)(M - m2))),
     # a12 = sqrt(M (M - m1 - m2) / ((M - m1)(M - m2))) at masses (1, 1, 1)
     m1 = m2 = 1.0
     total = 3.0
@@ -183,7 +187,7 @@ def test_dimer_energy():
 def test_kernel_is_symmetric():
     m = unitary_model(n_p=128)
     k = three_boson_kernel(m, -0.5)
-    assert np.linalg.norm(k.entries - k.entries.T) <= 1e-10
+    assert np.linalg.norm(k - k.T) <= 1e-10
 
 
 @pytest.mark.parametrize("n_p", [128, 256, 512])
@@ -218,9 +222,7 @@ def test_trimer_route_builds_no_symoperator(monkeypatch):
                         lambda self: built.append(self) or validate(self))
     assert trimer_spectrum(unitary_model(n_p=128, lam=0.9 * LAM_U), -1.0)
     assert len(efimov_spectrum(unitary_model(n_p=128), -1.0)) >= 3
-    k = three_boson_kernel(unitary_model(n_p=128), -0.5)
-    assert isinstance(k, SymOperator) and not k.entries.flags.writeable
-    assert built == []  # the kernel, symmetric bit for bit, is handed to _built
+    assert built == []
 
 
 def test_kernel_rejects_nonnegative_energy():
@@ -255,7 +257,7 @@ def test_kernel_matches_fine_angular_quadrature():
     m = unitary_model(n_p=256)
     for energy in (-1.0, -1e-3, -1e-7):
         reference = quadrature_kernel(m, energy, n_angle=400)
-        k = three_boson_kernel(m, energy).entries
+        k = three_boson_kernel(m, energy)
         assert np.max(np.abs(k / reference - 1.0)) < 1e-8
 
 
@@ -281,7 +283,7 @@ def test_infrared_limit_matches_scale_free_kernel():
     for i, j in [(30, 42), (25, 55), (40, 40)]:
         s, q = p[i], p[j]
         assert max(s, q) < 2e-2  # both deep in the scale-free window
-        code = k.entries[i, j] / np.sqrt(w[i] * w[j])
+        code = k[i, j] / np.sqrt(w[i] * w[j])
         exact = (4.0 / (np.sqrt(3.0) * np.pi)) / np.sqrt(s * q) * np.log(
             (s * s + s * q + q * q) / (s * s - s * q + q * q))
         assert code == pytest.approx(exact, rel=0.03)

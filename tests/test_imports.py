@@ -1,6 +1,7 @@
 """Fresh-interpreter tests: what importing bscount loads, and first imports
-made inside the worker pool."""
+made inside the worker pool; and the package's public surface."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -63,3 +64,30 @@ def test_twobody_csv_bytes_do_not_depend_on_jobs_in_fresh_interpreters(tmp_path)
         assert first_on_main.strip() == "False"
         csv.append((out / "twobody.csv").read_bytes())
     assert csv[0] == csv[1]
+
+
+def referenced_names(path):
+    """Every name a ``Name`` or ``Attribute`` node of the file reads, leaving
+    out a module-level function or class's references to its own name."""
+    names = set()
+    for stmt in ast.parse(path.read_text()).body:
+        own = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(stmt):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute) else None)
+            if name is not None and name != own:
+                names.add(name)
+    return names
+
+
+def test_every_public_function_and_class_has_a_caller_outside_the_tests():
+    # a public name that only tests call is surface kept for the tests alone
+    library = sorted((ROOT / "src" / "bscount").glob("*.py"))
+    callers = [*library, *sorted((ROOT / "demos").glob("*.py")),
+               *sorted((ROOT / "perfbench").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]
+    used = set().union(*map(referenced_names, callers))
+    unused = [f"{path.stem}.{stmt.name}" for path in library
+              for stmt in ast.parse(path.read_text()).body
+              if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+              and not stmt.name.startswith("_") and stmt.name not in used]
+    assert unused == []

@@ -6,9 +6,14 @@ import numpy as np
 import pytest
 
 from bscount import iterbs
-from bscount.iterbs import ProjectionStep, bs_step, iterate, random_spectral_step
-from bscount.linop import SymOperator, count_evs, rank_one_projection, sym
-from oracles import iterate_oracle, random_step_oracle, step_oracle
+from bscount.iterbs import ProjectionStep, iterate, random_spectral_step
+from bscount.linop import SymOperator, count_evs, sym
+from oracles import iterate_oracle, projection, random_step_oracle, step_oracle
+
+
+def bs_step(t, step):
+    """One conjugation stage of ``t``, by the step's stacked core."""
+    return SymOperator._built(step._steps.conjugate(t.entries[None])[0])
 
 
 def projection_step(k_total, k_part, p, mu):
@@ -62,13 +67,13 @@ def r_operator(p, mu):
 
 
 def test_inv_sqrt_small_mu_is_near_identity():
-    p = rank_one_projection(np.array([1.0, 0.0, 0.0]))
+    p = projection(np.array([1.0, 0.0, 0.0]))
     out = inv_sqrt_one_minus(p, 1e-14)
     np.testing.assert_allclose(out.entries, np.eye(3), atol=1e-15 * 10)
 
 
 def test_inv_sqrt_rank_one_closed_form():
-    p = rank_one_projection(np.array([1.0, 0.0]))
+    p = projection(np.array([1.0, 0.0]))
     out = inv_sqrt_one_minus(p, 0.75)
     np.testing.assert_allclose(out.entries, np.diag([2.0, 1.0]), atol=1e-12)
 
@@ -76,7 +81,7 @@ def test_inv_sqrt_rank_one_closed_form():
 def test_inv_sqrt_algebraic_identity():
     rng = np.random.default_rng(5)
     f = rng.standard_normal(6)
-    p = rank_one_projection(f)
+    p = projection(f)
     mu = 0.5
     w = inv_sqrt_one_minus(p, mu).entries
     product = w @ w @ (np.eye(6) - mu * p.entries)
@@ -114,7 +119,7 @@ def test_inv_sqrt_rejects_non_projection():
 
 
 def test_inv_sqrt_rejects_bad_mu():
-    p = rank_one_projection(np.array([1.0, 0.0]))
+    p = projection(np.array([1.0, 0.0]))
     for mu in (0.0, 1.0, 1.5, -0.2):
         with pytest.raises(ValueError, match="mu"):
             inv_sqrt_one_minus(p, mu)
@@ -122,7 +127,7 @@ def test_inv_sqrt_rejects_bad_mu():
 
 def test_r_operator_is_projection_multiple():
     # mu = 0.75 makes 1/sqrt(1-mu) - 1 = 1, so R equals P itself
-    p = rank_one_projection(np.array([0.0, 1.0]))
+    p = projection(np.array([0.0, 1.0]))
     r = r_operator(p, 0.75)
     np.testing.assert_allclose(r.entries, p.entries, atol=1e-12)
 
@@ -130,7 +135,7 @@ def test_r_operator_is_projection_multiple():
 def test_r_operator_commutes_and_absorbs():
     rng = np.random.default_rng(8)
     f = rng.standard_normal(7)
-    p = rank_one_projection(f)
+    p = projection(f)
     r = r_operator(p, 0.6).entries
     np.testing.assert_allclose(r @ p.entries, r, atol=1e-12)
     np.testing.assert_allclose(p.entries @ r, r, atol=1e-12)
@@ -139,7 +144,7 @@ def test_r_operator_commutes_and_absorbs():
 
 
 def test_r_operator_vanishes_with_mu():
-    p = rank_one_projection(np.array([1.0, 0.0]))
+    p = projection(np.array([1.0, 0.0]))
     r = r_operator(p, 1e-15)
     assert np.linalg.norm(r.entries) <= 1e-12
 
@@ -161,14 +166,14 @@ def test_step_rejects_non_spectral_projection():
     q = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
     k_part = sym((q * [0.5, 0.1]) @ q.T)
     with pytest.raises(ValueError, match="spectral"):
-        ProjectionStep(p=rank_one_projection(np.array([1.0, 0.0])), mu=0.5,
+        ProjectionStep(p=projection(np.array([1.0, 0.0])), mu=0.5,
                        k_part=k_part, l_part=sym(np.zeros((2, 2))))
 
 
 def test_step_rejects_mu_out_of_range():
     k = sym(np.diag([1.2, 0.0]))
     with pytest.raises(ValueError, match="mu"):
-        ProjectionStep(p=rank_one_projection(np.array([1.0, 0.0])), mu=1.2,
+        ProjectionStep(p=projection(np.array([1.0, 0.0])), mu=1.2,
                        k_part=k, l_part=sym(np.zeros((2, 2))))
 
 
@@ -179,7 +184,7 @@ def test_step_rejects_mu_out_of_range():
 def test_bs_step_orthogonal_channel_preserves_count():
     # T acts on a block orthogonal to P: counts above 1 unchanged
     t = sym(np.diag([1.5, 1.2, 0.3, 0.0]))
-    p = rank_one_projection(np.array([0.0, 0.0, 0.0, 1.0]))
+    p = projection(np.array([0.0, 0.0, 0.0, 1.0]))
     step = ProjectionStep(p=p, mu=0.5, k_part=sym(0.5 * p.entries),
                           l_part=sym(t.entries - 0.5 * p.entries))
     t1 = bs_step(t, step)
@@ -235,7 +240,7 @@ def test_iterate_zero_weight_limit():
         e = np.zeros(8)
         e[j] = 1.0
         mu = 1e-12
-        p = rank_one_projection(e)
+        p = projection(e)
         steps.append(ProjectionStep(p=p, mu=mu, k_part=sym(mu * p.entries),
                                     l_part=sym(k.entries - mu * p.entries)))
     stages = iterate(k, steps)
@@ -334,14 +339,14 @@ def test_projection_check_fires_at_its_tolerance(defect, accepted):
 def test_spectral_compatibility_check_fires_at_its_tolerance(gamma, accepted):
     # (K_part - mu P) P = gamma e1 e1^T
     with raises_unless(accepted, ValueError, "spectral projection"):
-        ProjectionStep(p=rank_one_projection(np.array([1.0, 0.0])), mu=0.5,
+        ProjectionStep(p=projection(np.array([1.0, 0.0])), mu=0.5,
                        k_part=sym(np.diag([0.5 + gamma, 0.0])), l_part=sym(np.zeros((2, 2))))
 
 
 @pytest.mark.parametrize("gap, accepted", [(3.5e-10, True), (8e-10, False)])
 def test_split_check_fires_at_its_tolerance(gap, accepted):
     # |K_total|_F = 3, so the split may miss K_total by 1e-10 (1 + 3)
-    p = rank_one_projection(np.array([1.0, 0.0]))
+    p = projection(np.array([1.0, 0.0]))
     step = ProjectionStep(p=p, mu=0.5, k_part=sym(0.5 * p.entries),
                           l_part=sym(np.diag([2.5, gap])))
     with raises_unless(accepted, ValueError, "K_part \\+ L_part differs"):
@@ -355,7 +360,7 @@ def off_spectral_stage(gamma, c):
     c^2) P`` of the conjugation, ``D = K_part - mu P``."""
     mu = 1.0 - 1.0 / (1.0 + c) ** 2
     k = sym(np.diag([mu + gamma, 0.0]))
-    step = ProjectionStep(p=rank_one_projection(np.array([1.0, 0.0])), mu=mu, k_part=k,
+    step = ProjectionStep(p=projection(np.array([1.0, 0.0])), mu=mu, k_part=k,
                           l_part=sym(np.zeros((2, 2))))
     return iterate(k, [step])
 

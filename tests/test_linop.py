@@ -20,16 +20,13 @@ from bscount.linop import (
     _spectral_decompose,
     _symmetrized,
     _tridiagonal_positive_definite,
-    checked_eigenvalues,
     count_evs,
     hs_norm,
-    rank_one_projection,
-    spectral_decompose,
     sym,
 )
 from bscount import bsengine, efimov, iterbs, radial
 from bscount.radial import PotentialSpec, RadialGrid, bs_kernel_radial, reduced_hamiltonian
-from oracles import op_function
+from oracles import checked_eigenvalues, op_function, spectral_decompose
 from test_acceptance import TWENTY_CASES
 
 
@@ -669,7 +666,7 @@ def test_count_raises_on_eigenvalues_breaking_an_invariant(monkeypatch, invarian
     make, module, name = ROUTES[route]
     a = make(np.random.default_rng(DEFAULT_SEED))
     # a tridiagonal count is a Sturm count with no spectrum to check; the
-    # spectrum of a tridiagonal operator is checked where checked_eigenvalues
+    # spectrum of a tridiagonal operator is checked where _checked_eigenvalues
     # computes it, by dense eigvalsh
     if route == "tridiagonal":
         module, name = np.linalg, "eigvalsh"
@@ -893,8 +890,6 @@ FULL_SPECTRUM_ROUTES = {
     "kernel_critical_strength": (critical_square_well, 0),
     "mu_scan": (lambda: radial.mu_scan(*critical_square_well(),
                                        np.geomspace(1e-6, 1e-4, 5)), 2),
-    "critical_coupling": (lambda: bsengine.critical_coupling(
-        sym(np.diag([1.0, 2.0])), sym(-np.ones((2, 2))), tol=1e-6), 0),
     "rank_one_domination": (rank_one_problem, 0),
 }
 
@@ -1009,37 +1004,3 @@ def test_hs_norm_orthogonal_invariance(seed):
     u = random_orthogonal(rng, 6)
     rotated = sym(u @ a.entries @ u.T)
     assert hs_norm(rotated) == pytest.approx(hs_norm(a), rel=1e-9)
-
-
-# ---------------------------------------------------------------------------
-# rank_one_projection
-
-
-def test_projection_onto_first_basis_vector():
-    p = rank_one_projection(np.array([1.0, 0.0]))
-    np.testing.assert_allclose(p.entries, [[1.0, 0.0], [0.0, 0.0]])
-
-
-def test_projection_onto_diagonal_vector():
-    p = rank_one_projection(np.array([1.0, 1.0]) / np.sqrt(2.0))
-    np.testing.assert_allclose(p.entries, 0.5 * np.ones((2, 2)), atol=1e-12)
-
-
-def test_projection_idempotent_and_fixes_vector():
-    rng = np.random.default_rng(4)
-    f = rng.standard_normal(9)
-    f /= np.linalg.norm(f)
-    p = rank_one_projection(f)
-    np.testing.assert_allclose(p.entries @ p.entries, p.entries, atol=1e-12)
-    np.testing.assert_allclose(p.entries @ f, f, atol=1e-12)
-    assert np.trace(p.entries) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_projection_rejects_tiny_vector():
-    with pytest.raises(ValueError, match="norm"):
-        rank_one_projection(np.array([1e-9, 0.0]))
-
-
-def test_projection_normalizes_internally():
-    p = rank_one_projection(np.array([2.0, 0.0]))
-    np.testing.assert_allclose(p.entries, [[1.0, 0.0], [0.0, 0.0]], atol=1e-12)

@@ -8,10 +8,10 @@ from scipy.integrate import quad, solve_ivp
 from scipy.linalg import eigvalsh_tridiagonal
 from scipy.special import gamma as gamma_fn
 
-from bscount.bsengine import NeverBindsError
 from bscount.linop import SymOperator, count_evs
 from bscount.radial import (
     MuScalingReport,
+    NeverBindsError,
     PotentialSpec,
     RadialGrid,
     bs_count_and_top,
