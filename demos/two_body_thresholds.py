@@ -9,7 +9,10 @@ lambda* a^2 = pi^2/4.
 
 Then the potential is tuned exactly to criticality of the discretized
 kernel and the largest Birman-Schwinger eigenvalue mu(eps) is scanned
-toward threshold.  The decay of 1 - mu distinguishes the two kinds of
+toward threshold.  Each mu comes in O(n) from the tridiagonal inverse of
+the kernel's Green part, without a full spectrum: by bisection on a
+positive-definiteness test, then inverse iteration, checked by the
+eigenpair's residual.  The decay of 1 - mu distinguishes the two kinds of
 zero-energy states:
 
 * s-wave criticality leaves a zero-energy resonance (not square-integrable)

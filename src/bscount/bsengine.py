@@ -196,7 +196,9 @@ def hs_count_bound_check(a: SymOperator, delta: float, vectors: np.ndarray) -> t
     """Check ``n <= |A|_HS^2 / delta^2`` for an orthonormal set of test vectors.
 
     ``vectors`` holds the set as columns; every vector must satisfy
-    ``|(phi_i, A phi_i)| >= delta``, for ``delta`` positive and finite.
+    ``|(phi_i, A phi_i)| >= delta``, within the rounding slack
+    ``1e-12 (1 + delta + |A|_F)``, for ``delta`` finite and at least 1e-12,
+    the slack's floor; any other ``delta`` raises ValueError.
     Returns (holds, bound).
     """
     a = sym(a)
@@ -215,8 +217,10 @@ def _hs_count_bound(a: np.ndarray, delta: np.ndarray, v: np.ndarray):
     bounds and ``v`` a ``(k, n, r)`` stack of test vector sets.  Returns the
     arrays ``holds`` and ``bound``; a member that fails a check raises
     ValueError with its index."""
-    _require(np.isfinite(delta) & (delta > 0), "delta must be positive and finite, got {}",
-             delta, error=ValueError)
+    # below the slack's floor 1e-12 no expectation can be told from rounding,
+    # and delta**2 underflows from about 1e-162 on
+    _require(np.isfinite(delta) & (delta >= 1e-12), "delta must be positive and finite, "
+             "at least the expectation slack's floor 1e-12, got {}", delta, error=ValueError)
     r = v.shape[-1]
     gram_defect = np.max(np.abs(v.mT @ v - np.eye(r)), axis=(1, 2))
     _require(gram_defect <= 1e-10, "vector set is not orthonormal: Gram defect {:.3e}",

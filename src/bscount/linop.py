@@ -63,7 +63,12 @@ tridiagonal matrix, which serves the Sturm count and the selection of
 radial's lowest eigenvalue, and ``_tridiagonal_positive_definite`` is the
 O(n) binding test of the radial critical-coupling search: LAPACK
 ``pttrf`` factors the tridiagonal matrix and reports whether every pivot
-is positive.
+is positive.  ``_kernel_top_eigenvalue`` is the largest eigenvalue of a
+kernel ``S T^-1 S`` with ``T`` tridiagonal, which radial's
+``kernel_critical_strength`` and ``mu_scan`` read: it brackets by that
+same test, refines by inverse iteration, and stands an eigenpair residual
+against the kernel applied by the caller's other route, and a certificate
+that no eigenvalue lies above, in for the trace and Frobenius checks.
 """
 
 from __future__ import annotations
@@ -320,24 +325,92 @@ def _tridiagonal_count(diag, off, relation: str, threshold: float) -> int:
 
 def _tridiagonal_positive_definite(diag, off) -> bool:
     """Whether the symmetric tridiagonal matrix with diagonal ``diag`` and
-    off-diagonal ``off`` is positive definite.
+    off-diagonal ``off`` is positive definite, by ``_tridiagonal_factor``."""
+    return _tridiagonal_factor(diag, off) is not None
 
-    LAPACK ``pttrf`` answers in O(n) by attempting the ``L D L^T``
-    factorization, which succeeds exactly when every pivot is positive.
-    Non-finite entries raise ValueError, since ``pttrf`` would report a NaN
-    diagonal as positive definite; an argument LAPACK rejects raises
-    RuntimeError.
+
+def _tridiagonal_factor(diag, off):
+    """The ``L D L^T`` factors of the symmetric tridiagonal matrix with
+    diagonal ``diag`` and off-diagonal ``off``, or None where it is not
+    positive definite.
+
+    LAPACK ``pttrf`` answers in O(n) by attempting the factorization, which
+    succeeds exactly when every pivot is positive; the factors feed
+    ``pttrs``.  Non-finite entries raise ValueError, since ``pttrf`` would
+    report a NaN diagonal as positive definite; an argument LAPACK rejects
+    raises RuntimeError.
     """
     from scipy.linalg import lapack  # only here, so that importing bscount stays light
 
     if not (np.isfinite(diag).all() and np.isfinite(off).all()):
         raise ValueError("tridiagonal matrix has non-finite entries")
-    if len(diag) == 1:  # the one pivot; f2py rejects pttrf's empty off-diagonal
-        return bool(diag[0] > 0.0)
-    info = lapack.dpttrf(diag, off)[2]
+    # f2py wants one off-diagonal entry even at n = 1, where pttrf reads none
+    d, e, info = lapack.dpttrf(diag, off if len(off) else np.zeros(1))
     if info < 0:
         raise RuntimeError(f"LAPACK pttrf rejected argument {-info}")
-    return info == 0
+    return (d, e) if info == 0 else None
+
+
+def _kernel_top_eigenvalue(diag, off, weight, green) -> float:
+    """The largest eigenvalue ``mu`` of ``K = S T^-1 S``, for the positive
+    definite tridiagonal ``T`` with diagonal ``diag`` and off-diagonal
+    ``off`` and ``S = diag(sqrt(weight))``, ``weight > 0``, in O(n) per
+    step and without forming ``S^-1``, which overflows where the weight
+    underflows.
+
+    By Sylvester's law of inertia, ``K`` has an eigenvalue at or above
+    ``sigma > 0`` exactly when ``T - S^2 / sigma`` is not positive definite,
+    which ``_tridiagonal_factor`` decides.  The Rayleigh quotient of
+    ``S 1``, at most ``mu``, starts a bracket ``[lo, hi)``, bisected to
+    relative width 1e-8.  Inverse iteration with ``T - S^2 / hi``, factored
+    once, then converges to the top eigenvector ``x``, and ``mu`` is its
+    Rayleigh quotient.
+
+    ``green(u)`` applies ``T^-1`` by another route than ``T``, so
+    ``K x = S green(S x)`` tests the result in place of the trace and
+    Frobenius checks of a full spectrum: the residual ``|K x - mu x|`` must
+    be at most ``1e-10 (1 + mu)``, and ``T - S^2 / sigma`` must be positive
+    definite at ``sigma = mu + residual + 1e-10 (1 + mu)``, so that no
+    eigenvalue lies above the one selected.  Either failure raises
+    RuntimeError; a ``T`` that is not positive definite raises ValueError.
+    """
+    from scipy.linalg import lapack
+
+    def shifted(sigma):  # factors of T - S^2/sigma, None where mu >= sigma
+        return _tridiagonal_factor(diag - weight / sigma, off)
+
+    def solve(factors, b):
+        return lapack.dpttrs(*factors, b)[0]
+
+    factors = _tridiagonal_factor(diag, off)
+    if factors is None:
+        raise ValueError("the kernel's tridiagonal inverse T is not positive definite")
+    lo = hi = float(weight @ solve(factors, weight)) / float(np.sum(weight))
+    while (factors := shifted(hi)) is None:
+        hi *= 2.0
+    while hi - lo > 1e-8 * hi:
+        mid = 0.5 * (lo + hi)
+        if (mid_factors := shifted(mid)) is None:
+            lo = mid
+        else:
+            hi, factors = mid, mid_factors
+    root = np.sqrt(weight)
+    x = root / np.linalg.norm(root)
+    for _ in range(20):  # x <- S (T - S^2/hi)^-1 S x
+        new = root * solve(factors, root * x)
+        new /= np.linalg.norm(new)
+        step = np.linalg.norm(new - x)
+        x = new
+        if step <= 1e-12:
+            break
+    kx = root * green(root * x)
+    mu = float(x @ kx)
+    residual = float(np.linalg.norm(kx - mu * x))
+    _require(residual <= 1e-10 * (1.0 + mu),
+             "top kernel eigenpair residual {:.3e} exceeds 1e-10*(1+mu)", residual)
+    _require(shifted(mu + residual + 1e-10 * (1.0 + mu)) is not None,
+             "a kernel eigenvalue lies above the selected mu = {:.15g}", mu)
+    return mu
 
 
 def _guard(fro: float) -> float:

@@ -16,12 +16,17 @@ Two discretization schemes coexist:
   the route for near-threshold scaling, where any finite box would destroy
   the square-root law of the resonance channel.
 
-linop runs every eigensolve and makes every count: the kernel's
-support-block spectrum is ``linop``'s checked full spectrum, counted above
-1 by its counting rule, the counts of the tridiagonal Hamiltonian are its
-Sturm counts, and its lowest eigenvalue is a tridiagonal selection.  The
-two operator builders hand their fresh arrays to linop with the structure
-they know, so counts need not scan for it.
+linop runs every eigensolve and makes every count.  ``bs_count_and_top``
+counts above 1 the kernel's support-block spectrum, ``linop``'s checked
+full spectrum; the counts of the tridiagonal Hamiltonian are Sturm counts,
+and its lowest eigenvalue is a tridiagonal selection.
+``kernel_critical_strength`` and ``mu_scan`` read only the largest kernel
+eigenvalue, which linop finds in O(n) without a full spectrum: the support
+block is ``S T^-1 S``, with ``T`` tridiagonal, in closed form on
+gauss_legendre and the Schur complement of the banded ``H_0 + v_+ + eps``
+onto the support on uniform_fd2.  The two operator builders hand their
+fresh arrays to linop with the structure they know, so counts need not
+scan for it.
 The critical-coupling search asks only whether the Hamiltonian binds, which
 linop's O(n) positive-definiteness test of the tridiagonal matrix answers.
 """
@@ -34,8 +39,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .linop import (SymOperator, _checked_eigenvalues, _count, _tridiagonal_count,
-                    _tridiagonal_eigenvalues, _tridiagonal_positive_definite)
+from .linop import (SymOperator, _checked_eigenvalues, _count, _kernel_top_eigenvalue,
+                    _tridiagonal_count, _tridiagonal_eigenvalues,
+                    _tridiagonal_positive_definite)
 
 POTENTIAL_KINDS = ("yukawa", "exponential", "gaussian", "square_well", "table")
 
@@ -286,58 +292,172 @@ def _green_swave(eps: float, r: np.ndarray) -> np.ndarray:
     """Closed-form s-wave kernel of the semi-infinite domain, Dirichlet at 0.
 
     G(r, r') = exp(-k r_>) sinh(k r_<) / k with k = sqrt(eps), written in the
-    overflow-free form (exp(-k|r-r'|) - exp(-k(r+r'))) / (2k).
+    overflow-free form (exp(-k|r-r'|) - exp(-k(r+r'))) / (2k); at eps = 0 it
+    is min(r, r').
     """
+    if eps == 0:
+        return np.minimum(r[:, None], r[None, :])
     k = np.sqrt(eps)
     d = np.abs(r[:, None] - r[None, :])
     s = r[:, None] + r[None, :]
     return (np.exp(-k * d) - np.exp(-k * s)) / (2.0 * k)
 
 
-def _green_swave_zero(r: np.ndarray) -> np.ndarray:
-    """Zero-energy limit of the s-wave kernel: min(r, r')."""
-    return np.minimum(r[:, None], r[None, :])
+def _green_apply(eps: float, r: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``_green_swave(eps, r) @ u`` on sorted nodes ``r`` in O(n), by two
+    sweeps over the kernel's single pair.
+
+    With ``a_i = sinh(k r_i) exp(-k r_i) / k`` (``r_i`` at k = 0),
+    ``(G u)_i = F_i + a_i B_i`` for the forward sum
+    ``F_i = sum_(j <= i) exp(-k (r_i - r_j)) a_j u_j`` and the backward sum
+    ``B_i = sum_(j > i) exp(-k (r_j - r_i)) u_j``.  No factor grows, so
+    nothing overflows, and ``a`` has no cancellation at small ``k r``.
+    """
+    k = np.sqrt(eps)
+    a = -np.expm1(-2.0 * k * r) / (2.0 * k) if k > 0 else r
+    decay = np.exp(-k * np.diff(r)).tolist()
+    au, uu = (a * u).tolist(), u.tolist()
+    forward, backward = [au[0]], [0.0]
+    for d, v in zip(decay, au[1:]):
+        forward.append(d * forward[-1] + v)
+    for d, v in zip(decay[::-1], uu[:0:-1]):
+        backward.append(d * (backward[-1] + v))
+    return np.array(forward) + a * np.array(backward[::-1])
+
+
+def _green_inverse(eps: float, r: np.ndarray):
+    """Diagonal and off-diagonal of ``T``, the tridiagonal inverse of
+    ``_green_swave(eps, r)`` on sorted nodes ``r``.
+
+    The kernel is a single pair ``sinh(k r_<) / k * exp(-k r_>)``, so its
+    inverse is tridiagonal, in closed form (Gantmacher & Krein 1950).  With
+    ``D_i = r_(i+1) - r_i``, ``D_(-1) = r_0`` for the Dirichlet end and
+    ``c(D) = k coth(k D)`` (``1 / D`` at k = 0): the off-diagonal is
+    ``-k / sinh(k D_i)`` (``-1 / D_i``), the diagonal ``c(D_(i-1)) + c(D_i)``,
+    and the last diagonal entry ``c(D_(n-2)) + k`` for the decaying end.
+    """
+    k = np.sqrt(eps)
+    gaps = np.diff(r, prepend=0.0)
+    if k > 0:
+        c, off = k / np.tanh(k * gaps), -k / np.sinh(k * gaps[1:])
+    else:
+        c = 1.0 / gaps
+        off = -c[1:]
+    diag = c.copy()
+    diag[:-1] += c[1:]
+    diag[-1] += k
+    return diag, off
+
+
+def _support_inverse(ab: np.ndarray, supp: np.ndarray):
+    """Diagonal and off-diagonal of ``T``, the inverse of the ``supp`` block
+    of ``A^-1`` for the tridiagonal ``A`` in ``solveh_banded`` storage
+    ``ab``: the Schur complement of ``A`` onto ``supp``.
+
+    Each run of nodes outside ``supp`` is eliminated by one two-column
+    tridiagonal solve.  A run touches only the support nodes on either side
+    of it, so ``T`` stays tridiagonal, whatever gaps the support has.
+    """
+    import scipy.linalg
+
+    off_a = ab[0, 1:]  # off_a[i] couples nodes i and i + 1
+    diag = ab[1, supp].copy()
+    off = np.where(np.diff(supp) == 1, off_a[supp[:-1]], 0.0)
+    edges = np.concatenate(([-1], supp, [ab.shape[1]]))
+    for k in np.nonzero(np.diff(edges) > 1)[0]:
+        first, last = edges[k] + 1, edges[k + 1] - 1  # the run, between supp[k-1] and supp[k]
+        if first == last:  # f2py's ptsv takes no 1 x 1 matrix
+            inv = np.full((1, 2), 1.0 / ab[1, first])
+        else:
+            unit = np.zeros((last - first + 1, 2))
+            unit[0, 0] = unit[-1, 1] = 1.0
+            inv = scipy.linalg.solveh_banded(ab[:, first:last + 1], unit)
+        if k > 0:
+            diag[k - 1] -= off_a[first - 1] ** 2 * inv[0, 0]
+        if k < supp.size:
+            diag[k] -= off_a[last] ** 2 * inv[-1, 1]
+        if 0 < k < supp.size:
+            off[k - 1] = -off_a[first - 1] * off_a[last] * inv[-1, 0]
+    return diag, off
 
 
 # ---------------------------------------------------------------------------
 # the radial Birman-Schwinger kernel
 
 
-def _bs_block(pot: PotentialSpec, grid: RadialGrid, eps: float):
-    """``sqrt(v_-) (H_0 + v_+ + eps)^-1 sqrt(v_-)`` on the support of v_-.
+def _support_weights(pot: PotentialSpec, grid: RadialGrid):
+    """Indices where v_- > 0 and the kernel's squared weights there: v_-,
+    times the quadrature weight on gauss_legendre.
 
-    Returns the support indices and the block, for ``eps >= 0``.  On
-    gauss_legendre the closed-form half-space s-wave kernel is used, which
-    leaves no room for a repulsive part; on uniform_fd2 the box operator
-    is inverted by banded solves.  Either block is symmetrized, so it is
-    exactly symmetric.
+    The gauss_legendre route uses the closed-form half-space s-wave kernel,
+    which leaves no room for a repulsive part or a partial wave above 0.
     """
     r = grid.nodes
     v_minus = pot.v_minus(r)
     supp = np.nonzero(v_minus > 0)[0]
+    if grid.scheme == "uniform_fd2":
+        return supp, v_minus[supp]
+    if grid.ell != 0:
+        raise ValueError("gauss_legendre kernels are s-wave only")
+    if np.any(pot.v_plus(r) > 0):
+        raise ValueError(
+            "the gauss_legendre route absorbs no repulsive part; "
+            "use the uniform_fd2 scheme for potentials with v_+ > 0")
+    return supp, v_minus[supp] * grid.weights[supp]
+
+
+def _bs_block(pot: PotentialSpec, grid: RadialGrid, eps: float):
+    """``sqrt(v_-) (H_0 + v_+ + eps)^-1 sqrt(v_-)`` on the support of v_-.
+
+    Returns the support indices and the block, for ``eps >= 0``.  On
+    gauss_legendre the closed-form half-space s-wave kernel is used; on
+    uniform_fd2 the box operator is inverted by banded solves.  Either
+    block is symmetrized, so it is exactly symmetric.
+    """
+    supp, weight = _support_weights(pot, grid)
+    root = np.sqrt(weight)
     if grid.scheme == "gauss_legendre":
-        if grid.ell != 0:
-            raise ValueError("gauss_legendre kernels are s-wave only")
-        if np.any(pot.v_plus(r) > 0):
-            raise ValueError(
-                "the gauss_legendre route absorbs no repulsive part; "
-                "use the uniform_fd2 scheme for potentials with v_+ > 0")
-        root_vw = np.sqrt(v_minus[supp] * grid.weights[supp])
-        rs = r[supp]
-        g = _green_swave(eps, rs) if eps > 0 else _green_swave_zero(rs)
-        block = root_vw[:, None] * g * root_vw[None, :]
+        block = root[:, None] * _green_swave(eps, grid.nodes[supp]) * root[None, :]
     else:
         import scipy.linalg
-        root_v = np.sqrt(v_minus[supp])
         rhs = np.zeros((grid.n, supp.size), order="F")  # solved in place
-        rhs[supp, np.arange(supp.size)] = root_v
-        x = scipy.linalg.solveh_banded(_banded_hamiltonian(grid, pot.v_plus(r), eps), rhs,
-                                       overwrite_b=True)
+        rhs[supp, np.arange(supp.size)] = root
+        x = scipy.linalg.solveh_banded(
+            _banded_hamiltonian(grid, pot.v_plus(grid.nodes), eps), rhs, overwrite_b=True)
         block = x if supp.size == grid.n else x[supp, :]
-        block *= root_v[:, None]
+        block *= root[:, None]
     block = block + block.T
     block *= 0.5  # the bits of 0.5 * (block + block.T), without a second n x n array
     return supp, block
+
+
+def _kernel_top(pot: PotentialSpec, grid: RadialGrid, eps: float) -> float:
+    """Largest eigenvalue of the support block of ``_bs_block`` at ``eps >= 0``,
+    by linop's O(n) top eigenvalue of ``S T^-1 S``.
+
+    ``T`` is the tridiagonal inverse of the block's Green part: in closed
+    form on gauss_legendre, and on uniform_fd2 the Schur complement of the
+    banded ``H_0 + v_+ + eps`` onto the support.  The check applies the
+    Green part by another route: the closed-form kernel on gauss_legendre,
+    applied in O(n) by ``_green_apply``, and one full-grid banded solve on
+    uniform_fd2.
+    """
+    supp, weight = _support_weights(pot, grid)
+    if not supp.size:
+        raise ValueError("potential has no attractive part on the grid")
+    if grid.scheme == "gauss_legendre":
+        r = grid.nodes[supp]
+        return _kernel_top_eigenvalue(*_green_inverse(eps, r), weight,
+                                      lambda u: _green_apply(eps, r, u))
+    import scipy.linalg
+    ab = _banded_hamiltonian(grid, pot.v_plus(grid.nodes), eps)
+
+    def green(u):
+        rhs = np.zeros(grid.n)
+        rhs[supp] = u
+        return scipy.linalg.solveh_banded(ab, rhs, overwrite_b=True)[supp]
+
+    return _kernel_top_eigenvalue(*_support_inverse(ab, supp), weight, green)
 
 
 def bs_kernel_radial(pot: PotentialSpec, grid: RadialGrid, eps: float) -> SymOperator:
@@ -363,12 +483,6 @@ def bs_kernel_radial(pot: PotentialSpec, grid: RadialGrid, eps: float) -> SymOpe
     return SymOperator._built(out, support=supp)
 
 
-def _block_spectrum(pot: PotentialSpec, grid: RadialGrid, eps: float):
-    """Checked ascending eigenvalues of the support block and their guard
-    band: the nonzero spectrum and the Frobenius norm of the kernel."""
-    return _checked_eigenvalues(_bs_block(pot, grid, eps)[1])
-
-
 def bs_count_and_top(pot: PotentialSpec, grid: RadialGrid, eps: float) -> tuple[int, float]:
     """Kernel eigenvalues above 1 and the largest kernel eigenvalue at shift eps.
 
@@ -381,7 +495,7 @@ def bs_count_and_top(pot: PotentialSpec, grid: RadialGrid, eps: float) -> tuple[
         raise ValueError(f"eps must be positive and finite, got {eps}")
     if grid.scheme == "uniform_fd2":
         _warn_if_box_small(pot, grid)
-    lam, eta = _block_spectrum(pot, grid, eps)
+    lam, eta = _checked_eigenvalues(_bs_block(pot, grid, eps)[1])
     if not lam.size:
         return 0, 0.0
     return int(_count(lam, eta, ">", 1.0)), float(lam[-1])
@@ -392,15 +506,12 @@ def kernel_critical_strength(pot: PotentialSpec, grid: RadialGrid) -> float:
 
     The kernel is linear in the attractive coupling, so the strength that
     makes the discretized operator exactly critical is
-    ``strength / mu_0(strength)``.
+    ``strength / mu_0(strength)``.  ``mu_0``, the largest eigenvalue of the
+    kernel's support block at zero shift, comes from linop's O(n) route
+    through the block's tridiagonal inverse, checked by an eigenpair
+    residual and a certificate that no eigenvalue lies above it.
     """
-    lam, _ = _block_spectrum(pot, grid, 0.0)
-    if not lam.size:
-        raise ValueError("potential has no attractive part on the grid")
-    mu0 = float(lam[-1])
-    if mu0 <= 0:
-        raise ValueError("zero-shift kernel has no positive eigenvalue")
-    return pot.strength / mu0
+    return pot.strength / _kernel_top(pot, grid, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -686,8 +797,8 @@ def mu_scan(pot: PotentialSpec, grid: RadialGrid, eps_list, *,
             fit_window: tuple[float, float] = (1e-6, 1e-4)) -> MuScalingReport:
     """Near-threshold scan of mu(eps) for a potential tuned to criticality.
 
-    Computes the largest Birman-Schwinger eigenvalue over ``eps_list``,
-    checks monotonicity, and fits ``log(1 - mu)`` against ``log eps`` inside
+    Computes the largest Birman-Schwinger eigenvalue over ``eps_list`` by
+    the O(n) route of ``kernel_critical_strength``, checks monotonicity, and fits ``log(1 - mu)`` against ``log eps`` inside
     ``fit_window``.  A zero-energy resonance (s-wave criticality on the
     semi-infinite kernel) gives exponent 1/2; a square-integrable zero-energy
     state (ell >= 1) gives exponent 1.
@@ -701,7 +812,7 @@ def mu_scan(pot: PotentialSpec, grid: RadialGrid, eps_list, *,
         raise ValueError(
             f"potential is off criticality by {detune:.3e} relative "
             f"(strength {pot.strength:.12g}, critical {lam_star:.12g})")
-    mus = np.array([_block_spectrum(pot, grid, float(e))[0][-1] for e in eps_arr])
+    mus = np.array([_kernel_top(pot, grid, float(e)) for e in eps_arr])
     if np.any(mus >= 1.0):
         raise RuntimeError("mu(eps) >= 1 in the scan: supercritical tuning")
     if np.any(np.diff(mus) > 1e-12):

@@ -7,7 +7,7 @@ from bscount import efimov
 from bscount.bsengine import ThresholdCollisionError
 from bscount.linop import (SymOperator, _checked_eigenvalues, _spectral_decompose, count_evs,
                            sym)
-from bscount.radial import RadialGrid, _banded_hamiltonian, _green_swave
+from bscount.radial import RadialGrid, _banded_hamiltonian, _bs_block, _green_swave
 
 
 def checked_eigenvalues(a):
@@ -77,6 +77,13 @@ def green_kernel(eps: float, grid: RadialGrid) -> SymOperator:
     inv = scipy.linalg.solveh_banded(_banded_hamiltonian(grid, 0.0, eps),
                                      np.eye(grid.n))
     return SymOperator(0.5 * (inv + inv.T))
+
+
+def block_top_oracle(pot, grid: RadialGrid, eps: float) -> float:
+    """The largest kernel eigenvalue at shift ``eps >= 0`` by the route
+    ``kernel_critical_strength`` and ``mu_scan`` took before their O(n)
+    one: linop's checked dense spectrum of the support block."""
+    return float(_checked_eigenvalues(_bs_block(pot, grid, eps)[1])[0][-1])
 
 
 def stebz_binds(diag, off) -> bool:

@@ -1,5 +1,7 @@
 """Tests for the Birman-Schwinger counting machinery."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -428,6 +430,17 @@ def test_hs_bound_takes_one_vector_as_a_1d_array():
 def test_hs_bound_rejects_a_delta_that_is_not_positive(delta):
     with pytest.raises(ValueError, match="delta must be positive"):
         hs_count_bound_check(sym(np.eye(2)), delta, np.eye(2))
+
+
+@pytest.mark.parametrize("a", [np.zeros((2, 2)), np.eye(2)], ids=["zero", "identity"])
+@pytest.mark.parametrize("delta", [1e-200, 9.9e-13])
+def test_hs_bound_rejects_a_delta_below_the_slack_floor_without_a_warning(a, delta):
+    # 1e-200 used to give a NaN bound for the zero matrix and (True, inf) for
+    # the identity, each with a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="at least the expectation slack's floor 1e-12"):
+            hs_count_bound_check(sym(a), delta, np.eye(2))
 
 
 @pytest.mark.parametrize("stretch, accepted", [(1.5e-11, True), (1.5e-10, False)])

@@ -17,6 +17,7 @@ from bscount.linop import (
     _checked_eigenvalues,
     _collides,
     _count,
+    _kernel_top_eigenvalue,
     _spectral_decompose,
     _symmetrized,
     _tridiagonal_positive_definite,
@@ -24,7 +25,7 @@ from bscount.linop import (
     hs_norm,
     sym,
 )
-from bscount import bsengine, efimov, iterbs, radial
+from bscount import bsengine, cli, efimov, iterbs, radial
 from bscount.radial import PotentialSpec, RadialGrid, bs_kernel_radial, reduced_hamiltonian
 from oracles import checked_eigenvalues, op_function, spectral_decompose
 from test_acceptance import TWENTY_CASES
@@ -415,9 +416,10 @@ def test_count_random_symmetric_vs_sorted_list():
         assert count_evs(a, "<=", threshold) == int(np.sum(lam <= threshold + eta))
 
 
-def _eigh_count(a, relation, threshold):
-    """Oracle: the count from the full ``eigh`` eigenvalues, same guard band."""
-    lam = np.linalg.eigh(a.entries)[0]
+def _eigh_count(a, relation, threshold, lam=None):
+    """Oracle: the count from the full ``eigh`` eigenvalues ``lam`` of ``a``
+    (computed when not given), same guard band."""
+    lam = np.linalg.eigh(a.entries)[0] if lam is None else lam
     eta = 1e-10 * (1.0 + hs_norm(a))
     return dense_count(lam, eta, relation, threshold)
 
@@ -439,17 +441,31 @@ def radial_cases():
     return cases
 
 
-def test_count_matches_eigh_count_on_radial_cases(radial_cases):
-    for label, a, relation, threshold in radial_cases:
-        assert count_evs(a, relation, threshold) == _eigh_count(a, relation, threshold), label
+@pytest.fixture(scope="module")
+def radial_oracles(radial_cases):
+    """Per case of ``radial_cases``, its dense oracles, each computed once:
+    the ``eigh`` eigenvalues of its bytes, and the checked eigenvalues and
+    guard band of a ``SymOperator`` of its bytes, which records no
+    structure, so its spectrum is one ``eigvalsh`` of the whole matrix."""
+    oracles = []
+    for _, a, _, _ in radial_cases:
+        plain = SymOperator(np.array(a.entries))
+        oracles.append((np.linalg.eigh(a.entries)[0], plain, checked_eigenvalues(plain)))
+    return oracles
 
 
-def test_radial_cases_take_the_structured_routes_and_match_dense(radial_cases, solver_dims):
-    for label, a, relation, threshold in radial_cases:
+def test_count_matches_eigh_count_on_radial_cases(radial_cases, radial_oracles):
+    for (label, a, relation, threshold), (eigh_lam, _, _) in zip(radial_cases, radial_oracles):
+        assert count_evs(a, relation, threshold) == \
+            _eigh_count(a, relation, threshold, eigh_lam), label
+
+
+def test_radial_cases_take_the_structured_routes_and_match_dense(radial_cases, radial_oracles,
+                                                                solver_dims):
+    for (label, a, relation, threshold), (_, _, (ref, _)) in zip(radial_cases, radial_oracles):
         solver_dims["dense"].clear()
         solver_dims["tridiagonal"].clear()
         lam, eta = checked_eigenvalues(a)
-        ref = DENSE_EIGVALSH(a.entries)
         assert np.max(np.abs(lam - ref)) <= 1e-13 * np.max(np.abs(ref)), label
         assert dense_count(lam, eta, relation, threshold) == \
             dense_count(ref, eta, relation, threshold), label
@@ -460,13 +476,15 @@ def test_radial_cases_take_the_structured_routes_and_match_dense(radial_cases, s
             assert solver_dims == {"dense": [support], "tridiagonal": []}, label
 
 
-def test_recorded_structure_gives_the_counts_and_spectra_of_the_bytes(radial_cases):
-    for label, a, relation, threshold in radial_cases:
-        plain = SymOperator(np.array(a.entries))
+def test_recorded_structure_gives_the_counts_and_spectra_of_the_bytes(radial_cases,
+                                                                       radial_oracles):
+    for (label, a, relation, threshold), (_, plain, (lam_plain, eta_plain)) in zip(
+            radial_cases, radial_oracles):
         assert not plain._tridiagonal and plain._support is None
-        assert count_evs(a, relation, threshold) == count_evs(plain, relation, threshold), label
+        # count_evs of the plain operator is _count of its checked eigenvalues
+        assert count_evs(a, relation, threshold) == \
+            _count(lam_plain, eta_plain, relation, threshold), label
         lam, eta = checked_eigenvalues(a)
-        lam_plain, eta_plain = checked_eigenvalues(plain)
         assert np.max(np.abs(lam - lam_plain)) <= min(eta, eta_plain), label
 
 
@@ -883,13 +901,10 @@ def rank_one_problem():
 
 
 # (run, eigvalsh calls left unshifted) per full-spectrum route that called
-# LAPACK outside linop; in the mu_scan case the first two solves find the
-# critical strength, in the test and again in mu_scan, so the scan is shifted
+# LAPACK outside linop; kernel_critical_strength and mu_scan take the top
+# kernel eigenvalue instead, whose checks are tested below
 FULL_SPECTRUM_ROUTES = {
     "trimer_spectrum": (trimer_ladder, 0),
-    "kernel_critical_strength": (critical_square_well, 0),
-    "mu_scan": (lambda: radial.mu_scan(*critical_square_well(),
-                                       np.geomspace(1e-6, 1e-4, 5)), 2),
     "rank_one_domination": (rank_one_problem, 0),
 }
 
@@ -907,6 +922,96 @@ def test_eigenvalue_check_fires_on_every_full_spectrum_route(monkeypatch, route)
     monkeypatch.setattr(np.linalg, "eigvalsh", shifted)
     with pytest.raises(RuntimeError, match="trace"):
         run()
+
+
+def test_top_kernel_eigenvalue_routes_make_no_dense_solve(solver_dims):
+    well = PotentialSpec(kind="square_well", strength=1.0, range=1.0)
+    for grid in (RadialGrid(ell=0, r_max=1.0, n=64, scheme="gauss_legendre"),
+                 RadialGrid(ell=1, r_max=40.0, n=400)):
+        pot = well.with_strength(radial.kernel_critical_strength(well, grid))
+        radial.mu_scan(pot, grid, np.geomspace(1e-6, 1e-4, 5))
+    assert solver_dims == {"dense": [], "tridiagonal": []}
+    # the counts keep the dense route: bs_count_and_top, count_evs and twobody
+    grid = RadialGrid(ell=0, r_max=25.0, n=300)
+    pot = well.with_strength(10.0)
+    radial.bs_count_and_top(pot, grid, 0.5)
+    count_evs(bs_kernel_radial(pot, grid, 0.5), ">", 1.0)
+    text = 'command = "twobody"\ngrid.n = 600\nscan.epsilons = [0.05, 0.5]\n'
+    cli._PIPELINES["twobody"](cli.validate_config(*cli.parse_config_text(text), "twobody"), 1)
+    support = int(np.count_nonzero(pot.v_minus(grid.nodes) > 0))
+    # one support block each for bs_count_and_top and count_evs, one per eps for twobody
+    assert solver_dims["dense"][:2] == [support, support] and len(solver_dims["dense"]) == 4
+
+
+def pencil(n=6):
+    """A positive definite tridiagonal ``T``, its dense form, weights
+    ``S^2`` and ``K = S T^-1 S``'s ascending eigenvalues and eigenvectors."""
+    rng = np.random.default_rng(DEFAULT_SEED)
+    diag = np.array([1.0, 1.5, 10.0, 20.0, 40.0, 80.0])[:n]
+    off = rng.uniform(-0.3, -0.1, n - 1)
+    weight = rng.uniform(0.5, 2.0, n)
+    t = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    root = np.sqrt(weight)
+    lam, vec = np.linalg.eigh(root[:, None] * np.linalg.inv(t) * root[None, :])
+    return diag, off, weight, t, lam, vec
+
+
+def test_top_kernel_eigenvalue_matches_dense():
+    diag, off, weight, t, lam, _ = pencil()
+    mu = _kernel_top_eigenvalue(diag, off, weight, lambda u: np.linalg.solve(t, u))
+    assert mu == pytest.approx(lam[-1], rel=1e-13, abs=0)
+
+
+# (orthogonal residual, downward scale of K), in units of 1e-10 (1 + mu),
+# and the check that fails, if any
+KERNEL_DEFECTS = [(0.0, 0.0, None), (0.5, 0.0, None), (1.5, 0.0, "residual"),
+                  (0.0, 0.5, None), (0.0, 0.9, None), (0.0, 1.5, "above"), (0.9, 1.5, None)]
+
+
+@pytest.mark.parametrize("orthogonal,scale,fails", KERNEL_DEFECTS)
+def test_top_kernel_eigenvalue_checks_hold_their_bounds(orthogonal, scale, fails):
+    # K' = (1 - s) K + d (x v^T + v x^T), with x the top eigenvector and v
+    # the next: x is still an eigenvector of K' up to the residual d, and
+    # (1 - s) mu sits s mu below the top eigenvalue T certifies
+    diag, off, weight, t, lam, vec = pencil()
+    unit = 1e-10 * (1.0 + lam[-1])
+    d, s = orthogonal * unit, scale * unit / lam[-1]
+    x, v = vec[:, -1], vec[:, -2]
+    root = np.sqrt(weight)
+    extra = d * (np.outer(x, v) + np.outer(v, x)) / np.outer(root, root)
+
+    def green(u):
+        return (1.0 - s) * np.linalg.solve(t, u) + extra @ u
+
+    if fails is None:
+        assert _kernel_top_eigenvalue(diag, off, weight, green) == pytest.approx(
+            (1.0 - s) * lam[-1], rel=1e-14, abs=0)
+    else:
+        with pytest.raises(RuntimeError, match=fails):
+            _kernel_top_eigenvalue(diag, off, weight, green)
+
+
+def test_top_kernel_eigenvalue_certificate_catches_a_wrong_selection(monkeypatch):
+    # every solve loses its component along the top eigenvector, so the
+    # iteration settles on the second: a true eigenpair with a small residual
+    diag, off, weight, t, lam, vec = pencil()
+    top = vec[:, -1] / np.sqrt(weight)  # T y = (1/mu) S^2 y
+    solve = scipy.linalg.lapack.dpttrs
+
+    def deflated(d, e, b):
+        y, info = solve(d, e, b)
+        return y - (top @ (weight * y)) / (top @ (weight * top)) * top, info
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dpttrs", deflated)
+    with pytest.raises(RuntimeError, match="above the selected mu") as info:
+        _kernel_top_eigenvalue(diag, off, weight, lambda u: np.linalg.solve(t, u))
+    assert float(str(info.value).rpartition("= ")[2]) == pytest.approx(lam[-2], rel=1e-12)
+
+
+def test_top_kernel_eigenvalue_needs_a_positive_definite_inverse():
+    with pytest.raises(ValueError, match="not positive definite"):
+        _kernel_top_eigenvalue(np.array([1.0, -1.0]), np.array([0.5]), np.ones(2),
+                               lambda u: u)
 
 
 @pytest.mark.parametrize("run", [

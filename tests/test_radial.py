@@ -28,12 +28,18 @@ from bscount.radial import (
 from bscount import radial
 from bscount.radial import (
     _angular_reduced_kernel,
+    _banded_hamiltonian,
     _fd_diagonals,
     _gl_on_panels,
     _graded_panels,
+    _green_apply,
+    _green_inverse,
+    _green_swave,
+    _kernel_top,
     _segment_edges,
+    _support_inverse,
 )
-from oracles import green_kernel, op_function, stebz_binds
+from oracles import block_top_oracle, green_kernel, op_function, stebz_binds
 
 DEFAULT_SEED = 0xB5C0
 
@@ -790,3 +796,158 @@ def test_kernel_critical_strength_marks_threshold():
     h = quiet_hamiltonian(well.with_strength(lam), grid)
     low = np.linalg.eigvalsh(h.entries)[0]
     assert abs(low) < 1e-8
+
+
+def test_mu_scan_rejects_a_detuning_just_above_its_bound():
+    well = PotentialSpec(kind="square_well", strength=1.0, range=1.0)
+    grid = RadialGrid(ell=0, r_max=1.0, n=64, scheme="gauss_legendre")
+    lam = kernel_critical_strength(well, grid)
+    eps = np.geomspace(1e-6, 1e-4, 3)
+    for detune in (3e-9, -3e-9):
+        mu_scan(well.with_strength(lam * (1.0 + detune)), grid, eps)
+    for detune in (3e-8, -3e-8):
+        with pytest.raises(ValueError, match="criticality"):
+            mu_scan(well.with_strength(lam * (1.0 + detune)), grid, eps)
+
+
+def test_mu_scan_rejects_a_supercritical_scan():
+    # 9e-9 above criticality passes the detuning check, and 1 - mu(eps)
+    # falls below 9e-9 once sqrt(eps) is small enough: here at the first
+    # scan point only
+    well = PotentialSpec(kind="square_well", strength=1.0, range=1.0)
+    grid = RadialGrid(ell=0, r_max=1.0, n=64, scheme="gauss_legendre")
+    pot = well.with_strength(kernel_critical_strength(well, grid) * (1.0 + 9e-9))
+    with pytest.raises(RuntimeError, match="supercritical"):
+        mu_scan(pot, grid, [1e-22, 1e-4], fit_window=(1e-22, 1e-4))
+
+
+# mu at the four scan points, and the check that fails, if any
+SCAN_VALUES = {
+    "rise-5e-12": ([0.5, 0.5, 0.5 + 5e-12, 0.5], "nonincreasing"),
+    "rise-5e-13": ([0.5, 0.5, 0.5 + 5e-13, 0.5], None),
+    "rise-exactly-1e-12": ([2e-12, 0.0, 1e-12, 0.0], None),  # the tolerance is inclusive
+    "mu-exactly-1": ([1.0, 0.5, 0.5, 0.5], "supercritical"),
+}
+
+
+@pytest.mark.parametrize("case", SCAN_VALUES)
+def test_mu_scan_checks_of_the_scanned_values(monkeypatch, case):
+    values, fails = SCAN_VALUES[case]
+    well = PotentialSpec(kind="square_well", strength=1.0, range=1.0)
+    grid = RadialGrid(ell=0, r_max=1.0, n=64, scheme="gauss_legendre")
+    pot = well.with_strength(kernel_critical_strength(well, grid))
+    eps = [1e-6, 3e-6, 1e-5, 1e-4]
+    true_top = radial._kernel_top
+    monkeypatch.setattr(radial, "_kernel_top", lambda pot, grid, e: (
+        true_top(pot, grid, e) if e == 0.0 else values[eps.index(e)]))
+    if fails is None:
+        assert mu_scan(pot, grid, eps).mus.tolist() == values
+    else:
+        with pytest.raises(RuntimeError, match=fails):
+            mu_scan(pot, grid, eps)
+
+
+@pytest.mark.parametrize("factor,raises", [(1.5, True), (3.0, False)])
+def test_critical_coupling_refinement_gap_is_held_to_half_tol(factor, raises):
+    shape = PotentialSpec(kind="square_well", strength=1.0, range=1.0)
+    grid = RadialGrid(ell=0, r_max=30.0, n=600)
+    res = find_critical_coupling_radial(shape, grid, tol=1.0)
+    gap = 0.5 * (res.bracket[1] - res.bracket[0])  # the bracket's half-width is the gap
+    if raises:
+        with pytest.raises(RuntimeError, match="disagree"):
+            find_critical_coupling_radial(shape, grid, tol=factor * gap)
+    else:
+        find_critical_coupling_radial(shape, grid, tol=factor * gap)
+
+
+# ---------------------------------------------------------------------------
+# the top kernel eigenvalue in O(n)
+
+CRITERION_6_GRIDS = (
+    [RadialGrid(ell=0, r_max=1.0, n=n, scheme="gauss_legendre") for n in (200, 400)]
+    + [RadialGrid(ell=1, r_max=40.0, n=n) for n in (2000, 4000)])
+
+
+@pytest.mark.parametrize("grid", CRITERION_6_GRIDS, ids=lambda g: f"{g.scheme}-{g.n}")
+def test_top_eigenvalue_matches_the_dense_oracle_on_criterion_6(grid):
+    well = PotentialSpec(kind="square_well", strength=1.0, range=1.0)
+    lam = kernel_critical_strength(well, grid)
+    assert lam == pytest.approx(1.0 / block_top_oracle(well, grid, 0.0), rel=1e-10, abs=0)
+    pot = well.with_strength(lam)
+    for eps in [0.0, *np.geomspace(1e-6, 1e-4, 9), 0.5]:
+        mu, ref = _kernel_top(pot, grid, eps), block_top_oracle(pot, grid, eps)
+        assert mu == pytest.approx(ref, rel=1e-10, abs=0), eps
+        if eps > 0:  # at eps = 0 both are 1 to within rounding
+            assert 1.0 - mu == pytest.approx(1.0 - ref, rel=1e-7, abs=0), eps
+
+
+GAPPED_TABLE = PotentialSpec(kind="table", strength=3.0,
+                             table_r=np.array([0.0, 1.0, 1.5, 2.5, 3.0, 4.0]),
+                             table_v=np.array([1.0, 1.0, 0.0, 0.0, 1.0, 0.5]))
+CORED_WELL = PotentialSpec(kind="square_well", strength=6.0, range=1.0,
+                           repulsive_part=PotentialSpec(kind="gaussian", strength=20.0,
+                                                        range=0.3))
+
+
+@pytest.mark.parametrize("pot,grid", [
+    (GAPPED_TABLE, RadialGrid(ell=0, r_max=6.0, n=300)),
+    (GAPPED_TABLE, RadialGrid(ell=0, r_max=6.0, n=200, scheme="gauss_legendre")),
+    (CORED_WELL, RadialGrid(ell=0, r_max=12.0, n=600)),
+    (PotentialSpec(kind="gaussian", strength=5.0, range=1.0), RadialGrid(ell=0, r_max=40.0, n=800)),
+], ids=["gapped_table-fd", "gapped_table-gl", "cored_well-fd", "gaussian-fd-r40"])
+def test_top_eigenvalue_matches_the_dense_oracle_on_gapped_and_decaying_supports(pot, grid):
+    v_minus = pot.v_minus(grid.nodes)
+    supp = np.flatnonzero(v_minus > 0)
+    gapped, cut = bool(np.any(np.diff(supp) > 1)), bool(supp[0] > 0)
+    assert gapped or cut or v_minus[supp].min() < 1e-300  # where S^-1 T S^-1 overflows
+    for eps in (0.0, 0.05, 1.0):
+        assert _kernel_top(pot, grid, eps) == pytest.approx(
+            block_top_oracle(pot, grid, eps), rel=1e-10, abs=0), eps
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-2, 0.5, 1e3])
+def test_green_inverse_and_sweeps_match_the_closed_form_kernel(eps):
+    r = np.concatenate([np.linspace(0.01, 1.0, 12), np.linspace(2.0, 3.0, 7)])  # a gap
+    g = _green_swave(eps, r)
+    diag, off = _green_inverse(eps, r)
+    t = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    assert np.max(np.abs(t @ g - np.eye(r.size))) <= 1e-12
+    u = np.random.default_rng(DEFAULT_SEED).uniform(-1.0, 1.0, r.size)
+    assert np.allclose(_green_apply(eps, r, u), g @ u, rtol=0, atol=1e-13 * np.abs(g).sum(1).max())
+
+
+def test_support_inverse_is_the_inverse_of_the_support_block():
+    grid = RadialGrid(ell=1, r_max=5.0, n=60)
+    ab = _banded_hamiltonian(grid, np.linspace(0.0, 2.0, grid.n), 0.3)
+    a = np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[0, 1:], -1)
+    # a leading run, adjacent nodes, one-node and longer interior runs, a trailing run
+    supp = np.array([3, 4, 5, 7, 12, 13, 30, 31, 32, 50])
+    diag, off = _support_inverse(ab, supp)
+    t = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    ref = np.linalg.inv(np.linalg.inv(a)[np.ix_(supp, supp)])
+    assert np.max(np.abs(t - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("grid,builder", [
+    (RadialGrid(ell=0, r_max=1.0, n=64, scheme="gauss_legendre"), "_green_inverse"),
+    (RadialGrid(ell=1, r_max=40.0, n=400), "_support_inverse"),
+])
+def test_top_eigenvalue_residual_check_catches_a_corrupted_inverse(monkeypatch, grid, builder):
+    true_builder = getattr(radial, builder)
+
+    def corrupted(*args):
+        diag, off = true_builder(*args)
+        off = off.copy()
+        off[off.size // 2] *= 1.0 + 1e-6
+        return diag, off
+
+    monkeypatch.setattr(radial, builder, corrupted)
+    well = PotentialSpec(kind="square_well", strength=1.0, range=1.0)
+    with pytest.raises(RuntimeError, match="residual"):
+        kernel_critical_strength(well, grid)
+
+
+def test_kernel_critical_strength_needs_an_attractive_part():
+    pot = PotentialSpec(kind="square_well", strength=0.0, range=1.0)
+    with pytest.raises(ValueError, match="no attractive part"):
+        kernel_critical_strength(pot, RadialGrid(ell=0, r_max=20.0, n=100))
