@@ -9,11 +9,14 @@ lambda* a^2 = pi^2/4.
 
 Then the potential is tuned exactly to criticality of the discretized
 kernel and the largest Birman-Schwinger eigenvalue mu(eps) is scanned
-toward threshold.  Each mu comes in O(n) from the tridiagonal inverse of
-the kernel's Green part, without a full spectrum: by bisection on a
-positive-definiteness test, then inverse iteration, checked by the
-eigenpair's residual.  The decay of 1 - mu distinguishes the two kinds of
-zero-energy states:
+toward threshold.  Each mu comes in O(n), without a full spectrum: by
+bisection on the Birman-Schwinger binding test, whether
+``T - S^2 / sigma`` is positive definite, with ``S^2`` the attractive
+potential (times the quadrature weights on gauss_legendre) and ``T``
+tridiagonal: the grid operator ``H_0 + eps`` itself on uniform_fd2, the
+closed-form inverse of the Green part on gauss_legendre.  Inverse
+iteration follows, checked by the eigenpair's residual.  The decay of
+1 - mu distinguishes the two kinds of zero-energy states:
 
 * s-wave criticality leaves a zero-energy resonance (not square-integrable)
   and 1 - mu ~ sqrt(eps);

@@ -198,8 +198,8 @@ def hs_count_bound_check(a: SymOperator, delta: float, vectors: np.ndarray) -> t
     ``vectors`` holds the set as columns; every vector must satisfy
     ``|(phi_i, A phi_i)| >= delta``, within the rounding slack
     ``1e-12 (1 + delta + |A|_F)``, for ``delta`` finite and at least 1e-12,
-    the slack's floor; any other ``delta`` raises ValueError.
-    Returns (holds, bound).
+    the slack's floor; any other ``delta`` raises ValueError, and so does
+    a bound that overflows.  Returns (holds, bound).
     """
     a = sym(a)
     v = np.asarray(vectors, dtype=float)
@@ -236,7 +236,10 @@ def _hs_count_bound(a: np.ndarray, delta: np.ndarray, v: np.ndarray):
         return f"|(phi_{j}, A phi_{j})| = {abs(expectations[i][j]):.6e} < delta = {delta[i]:g}"
 
     _require(~small.any(axis=1), first_small, error=ValueError)
-    bound = fro**2 / delta**2
+    with np.errstate(over="ignore"):  # an overflowing bound is rejected below
+        bound = fro**2 / delta**2
+    _require(bound < np.inf, "the bound |A|_F^2 / delta^2 overflows: |A|_F = {:.3e}, "
+             "delta = {:g}", fro, delta, error=ValueError)
     return r <= bound + 1e-9 * (1.0 + bound), bound
 
 

@@ -64,11 +64,13 @@ radial's lowest eigenvalue, and ``_tridiagonal_positive_definite`` is the
 O(n) binding test of the radial critical-coupling search: LAPACK
 ``pttrf`` factors the tridiagonal matrix and reports whether every pivot
 is positive.  ``_kernel_top_eigenvalue`` is the largest eigenvalue of a
-kernel ``S T^-1 S`` with ``T`` tridiagonal, which radial's
-``kernel_critical_strength`` and ``mu_scan`` read: it brackets by that
-same test, refines by inverse iteration, and stands an eigenpair residual
-against the kernel applied by the caller's other route, and a certificate
-that no eigenvalue lies above, in for the trace and Frobenius checks.
+kernel ``S T^-1 S`` with ``T`` tridiagonal and ``S^2`` a nonnegative
+diagonal, which radial's ``kernel_critical_strength`` and ``mu_scan``
+read: it brackets by that same test on ``T - S^2 / sigma``, the
+Birman-Schwinger test, refines by inverse iteration, and stands an
+eigenpair residual against the kernel applied by the caller's other route,
+and a certificate that no eigenvalue lies above, in for the trace and
+Frobenius checks.
 """
 
 from __future__ import annotations
@@ -354,8 +356,9 @@ def _tridiagonal_factor(diag, off):
 def _kernel_top_eigenvalue(diag, off, weight, green) -> float:
     """The largest eigenvalue ``mu`` of ``K = S T^-1 S``, for the positive
     definite tridiagonal ``T`` with diagonal ``diag`` and off-diagonal
-    ``off`` and ``S = diag(sqrt(weight))``, ``weight > 0``, in O(n) per
-    step and without forming ``S^-1``, which overflows where the weight
+    ``off`` and ``S = diag(sqrt(weight))``, ``weight >= 0`` with at least
+    one positive entry, in O(n) per step and without forming ``S^-1``,
+    which does not exist where the weight vanishes and overflows where it
     underflows.
 
     By Sylvester's law of inertia, ``K`` has an eigenvalue at or above
@@ -384,7 +387,7 @@ def _kernel_top_eigenvalue(diag, off, weight, green) -> float:
 
     factors = _tridiagonal_factor(diag, off)
     if factors is None:
-        raise ValueError("the kernel's tridiagonal inverse T is not positive definite")
+        raise ValueError("the tridiagonal T of the kernel S T^-1 S is not positive definite")
     lo = hi = float(weight @ solve(factors, weight)) / float(np.sum(weight))
     while (factors := shifted(hi)) is None:
         hi *= 2.0

@@ -21,12 +21,14 @@ counts above 1 the kernel's support-block spectrum, ``linop``'s checked
 full spectrum; the counts of the tridiagonal Hamiltonian are Sturm counts,
 and its lowest eigenvalue is a tridiagonal selection.
 ``kernel_critical_strength`` and ``mu_scan`` read only the largest kernel
-eigenvalue, which linop finds in O(n) without a full spectrum: the support
-block is ``S T^-1 S``, with ``T`` tridiagonal, in closed form on
-gauss_legendre and the Schur complement of the banded ``H_0 + v_+ + eps``
-onto the support on uniform_fd2.  The two operator builders hand their
-fresh arrays to linop with the structure they know, so counts need not
-scan for it.
+eigenvalue, which linop finds in O(n) without a full spectrum: the kernel
+is ``S T^-1 S``, with ``T`` tridiagonal.  On gauss_legendre ``T`` is the
+closed-form inverse of the Green part on the support; on uniform_fd2 it is
+the banded ``H_0 + v_+ + eps`` itself, with ``S^2 = v_-`` on the whole
+grid, so uniform_fd2 has one Green representation for the block, the top
+eigenvalue, the critical coupling and the counts.  The two operator
+builders hand their fresh arrays to linop with the structure they know, so
+counts need not scan for it.
 The critical-coupling search asks only whether the Hamiltonian binds, which
 linop's O(n) positive-definiteness test of the tridiagonal matrix answers.
 """
@@ -288,33 +290,37 @@ def _banded_hamiltonian(grid: RadialGrid, v_plus, eps: float) -> np.ndarray:
 # Green kernels
 
 
+def _green_factor(eps: float, r: np.ndarray):
+    """``k = sqrt(eps)`` and ``a(r) = sinh(k r) exp(-k r) / k``, written
+    ``-expm1(-2 k r) / (2 k)`` so that it has no cancellation at small
+    ``k r`` (``a = r`` at k = 0): the s-wave kernel is
+    ``a(r_<) exp(-k |r - r'|)``."""
+    k = np.sqrt(eps)
+    return k, (-np.expm1(-2.0 * k * r) / (2.0 * k) if k > 0 else r)
+
+
 def _green_swave(eps: float, r: np.ndarray) -> np.ndarray:
     """Closed-form s-wave kernel of the semi-infinite domain, Dirichlet at 0.
 
-    G(r, r') = exp(-k r_>) sinh(k r_<) / k with k = sqrt(eps), written in the
-    overflow-free form (exp(-k|r-r'|) - exp(-k(r+r'))) / (2k); at eps = 0 it
-    is min(r, r').
+    G(r, r') = exp(-k r_>) sinh(k r_<) / k with k = sqrt(eps), written as
+    ``a(r_<) exp(-k |r - r'|)`` by ``_green_factor``, so nothing overflows or
+    cancels; at eps = 0 it is min(r, r').  ``a`` grows with r, so
+    ``a(r_<) = min(a(r), a(r'))``.
     """
-    if eps == 0:
-        return np.minimum(r[:, None], r[None, :])
-    k = np.sqrt(eps)
-    d = np.abs(r[:, None] - r[None, :])
-    s = r[:, None] + r[None, :]
-    return (np.exp(-k * d) - np.exp(-k * s)) / (2.0 * k)
+    k, a = _green_factor(eps, r)
+    return np.minimum(a[:, None], a[None, :]) * np.exp(-k * np.abs(r[:, None] - r[None, :]))
 
 
 def _green_apply(eps: float, r: np.ndarray, u: np.ndarray) -> np.ndarray:
     """``_green_swave(eps, r) @ u`` on sorted nodes ``r`` in O(n), by two
     sweeps over the kernel's single pair.
 
-    With ``a_i = sinh(k r_i) exp(-k r_i) / k`` (``r_i`` at k = 0),
-    ``(G u)_i = F_i + a_i B_i`` for the forward sum
-    ``F_i = sum_(j <= i) exp(-k (r_i - r_j)) a_j u_j`` and the backward sum
-    ``B_i = sum_(j > i) exp(-k (r_j - r_i)) u_j``.  No factor grows, so
-    nothing overflows, and ``a`` has no cancellation at small ``k r``.
+    With ``a`` of ``_green_factor``, ``(G u)_i = F_i + a_i B_i`` for the
+    forward sum ``F_i = sum_(j <= i) exp(-k (r_i - r_j)) a_j u_j`` and the
+    backward sum ``B_i = sum_(j > i) exp(-k (r_j - r_i)) u_j``.  No factor
+    grows, so nothing overflows.
     """
-    k = np.sqrt(eps)
-    a = -np.expm1(-2.0 * k * r) / (2.0 * k) if k > 0 else r
+    k, a = _green_factor(eps, r)
     decay = np.exp(-k * np.diff(r)).tolist()
     au, uu = (a * u).tolist(), u.tolist()
     forward, backward = [au[0]], [0.0]
@@ -346,38 +352,6 @@ def _green_inverse(eps: float, r: np.ndarray):
     diag = c.copy()
     diag[:-1] += c[1:]
     diag[-1] += k
-    return diag, off
-
-
-def _support_inverse(ab: np.ndarray, supp: np.ndarray):
-    """Diagonal and off-diagonal of ``T``, the inverse of the ``supp`` block
-    of ``A^-1`` for the tridiagonal ``A`` in ``solveh_banded`` storage
-    ``ab``: the Schur complement of ``A`` onto ``supp``.
-
-    Each run of nodes outside ``supp`` is eliminated by one two-column
-    tridiagonal solve.  A run touches only the support nodes on either side
-    of it, so ``T`` stays tridiagonal, whatever gaps the support has.
-    """
-    import scipy.linalg
-
-    off_a = ab[0, 1:]  # off_a[i] couples nodes i and i + 1
-    diag = ab[1, supp].copy()
-    off = np.where(np.diff(supp) == 1, off_a[supp[:-1]], 0.0)
-    edges = np.concatenate(([-1], supp, [ab.shape[1]]))
-    for k in np.nonzero(np.diff(edges) > 1)[0]:
-        first, last = edges[k] + 1, edges[k + 1] - 1  # the run, between supp[k-1] and supp[k]
-        if first == last:  # f2py's ptsv takes no 1 x 1 matrix
-            inv = np.full((1, 2), 1.0 / ab[1, first])
-        else:
-            unit = np.zeros((last - first + 1, 2))
-            unit[0, 0] = unit[-1, 1] = 1.0
-            inv = scipy.linalg.solveh_banded(ab[:, first:last + 1], unit)
-        if k > 0:
-            diag[k - 1] -= off_a[first - 1] ** 2 * inv[0, 0]
-        if k < supp.size:
-            diag[k] -= off_a[last] ** 2 * inv[-1, 1]
-        if 0 < k < supp.size:
-            off[k - 1] = -off_a[first - 1] * off_a[last] * inv[-1, 0]
     return diag, off
 
 
@@ -435,12 +409,13 @@ def _kernel_top(pot: PotentialSpec, grid: RadialGrid, eps: float) -> float:
     """Largest eigenvalue of the support block of ``_bs_block`` at ``eps >= 0``,
     by linop's O(n) top eigenvalue of ``S T^-1 S``.
 
-    ``T`` is the tridiagonal inverse of the block's Green part: in closed
-    form on gauss_legendre, and on uniform_fd2 the Schur complement of the
-    banded ``H_0 + v_+ + eps`` onto the support.  The check applies the
-    Green part by another route: the closed-form kernel on gauss_legendre,
-    applied in O(n) by ``_green_apply``, and one full-grid banded solve on
-    uniform_fd2.
+    On gauss_legendre ``T`` is the closed-form tridiagonal inverse of the
+    block's Green part on the support, and the check applies that part in
+    O(n) by ``_green_apply``.  On uniform_fd2 ``T`` is the banded
+    ``H_0 + v_+ + eps`` on the whole grid, with weights ``v_-`` that vanish
+    off the support, so the binding test is the Birman-Schwinger test on
+    ``H_0 + v_+ + eps - v_- / sigma``, and the check applies ``T^-1`` by a
+    banded solve.
     """
     supp, weight = _support_weights(pot, grid)
     if not supp.size:
@@ -451,13 +426,8 @@ def _kernel_top(pot: PotentialSpec, grid: RadialGrid, eps: float) -> float:
                                       lambda u: _green_apply(eps, r, u))
     import scipy.linalg
     ab = _banded_hamiltonian(grid, pot.v_plus(grid.nodes), eps)
-
-    def green(u):
-        rhs = np.zeros(grid.n)
-        rhs[supp] = u
-        return scipy.linalg.solveh_banded(ab, rhs, overwrite_b=True)[supp]
-
-    return _kernel_top_eigenvalue(*_support_inverse(ab, supp), weight, green)
+    return _kernel_top_eigenvalue(ab[1], ab[0, 1:], pot.v_minus(grid.nodes),
+                                  lambda u: scipy.linalg.solveh_banded(ab, u))
 
 
 def bs_kernel_radial(pot: PotentialSpec, grid: RadialGrid, eps: float) -> SymOperator:
@@ -508,8 +478,8 @@ def kernel_critical_strength(pot: PotentialSpec, grid: RadialGrid) -> float:
     makes the discretized operator exactly critical is
     ``strength / mu_0(strength)``.  ``mu_0``, the largest eigenvalue of the
     kernel's support block at zero shift, comes from linop's O(n) route
-    through the block's tridiagonal inverse, checked by an eigenpair
-    residual and a certificate that no eigenvalue lies above it.
+    (``_kernel_top``), checked by an eigenpair residual and a certificate
+    that no eigenvalue lies above it.
     """
     return pot.strength / _kernel_top(pot, grid, 0.0)
 
@@ -797,15 +767,17 @@ def mu_scan(pot: PotentialSpec, grid: RadialGrid, eps_list, *,
             fit_window: tuple[float, float] = (1e-6, 1e-4)) -> MuScalingReport:
     """Near-threshold scan of mu(eps) for a potential tuned to criticality.
 
-    Computes the largest Birman-Schwinger eigenvalue over ``eps_list`` by
-    the O(n) route of ``kernel_critical_strength``, checks monotonicity, and fits ``log(1 - mu)`` against ``log eps`` inside
-    ``fit_window``.  A zero-energy resonance (s-wave criticality on the
-    semi-infinite kernel) gives exponent 1/2; a square-integrable zero-energy
-    state (ell >= 1) gives exponent 1.
+    Computes the largest Birman-Schwinger eigenvalue over ``eps_list``, at
+    least two positive, finite values (ValueError otherwise), by the O(n)
+    route of ``kernel_critical_strength``, checks monotonicity, and fits
+    ``log(1 - mu)`` against ``log eps`` inside ``fit_window``.  A
+    zero-energy resonance (s-wave criticality on the semi-infinite kernel)
+    gives exponent 1/2; a square-integrable zero-energy state (ell >= 1)
+    gives exponent 1.
     """
     eps_arr = np.sort(np.asarray(list(eps_list), dtype=float))
-    if eps_arr.size < 2 or np.any(eps_arr <= 0):
-        raise ValueError("need at least two positive eps values")
+    if eps_arr.size < 2 or not np.all((eps_arr > 0) & (eps_arr < np.inf)):
+        raise ValueError(f"need at least two positive, finite eps values, got {eps_arr}")
     lam_star = kernel_critical_strength(pot, grid)
     detune = abs(pot.strength - lam_star) / lam_star
     if detune > 1e-8:

@@ -443,6 +443,18 @@ def test_hs_bound_rejects_a_delta_below_the_slack_floor_without_a_warning(a, del
             hs_count_bound_check(sym(a), delta, np.eye(2))
 
 
+def test_hs_bound_rejects_a_bound_that_overflows_without_a_warning():
+    # |A|_F^2 / delta^2 = 1e300 / 1e-24 overflows to inf, with a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflows"):
+            hs_count_bound_check(sym(np.diag([1e150, 0.0])), 1e-12, np.array([1.0, 0.0]))
+        a = np.array([np.eye(2), np.diag([1e150, 0.0]), np.eye(2)])
+        v = np.array([np.eye(2)[:, :1]] * 3)
+        with pytest.raises(ValueError, match=r"overflows.*\(stack member 1\)"):
+            bsengine._hs_count_bound(a, np.array([1.0, 1e-12, 1.0]), v)
+
+
 @pytest.mark.parametrize("stretch, accepted", [(1.5e-11, True), (1.5e-10, False)])
 def test_hs_bound_orthonormality_check_fires_at_its_tolerance(stretch, accepted):
     # the Gram defect of the one vector (1 + stretch) e1 is 2 stretch, against 1e-10

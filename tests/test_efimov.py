@@ -253,6 +253,30 @@ def test_angular_closed_form_matches_graded_quadrature(s, q, abs_e):
                                                        rel=1e-9, abs=0.0)
 
 
+@pytest.mark.parametrize("s", [TRIPLE_S, 0.999])
+@pytest.mark.parametrize("off", [1e-8, -1e-7, 1e-7, 3e-7, 1e-6])
+def test_angular_closed_form_holds_1e_12_near_the_triple_point(s, off):
+    # near s = beta, c - b is small against c + b, so a confluence test
+    # scaled by c - b would leave the limit for a divided difference that
+    # loses 1e-9
+    abs_e = 1.0 - s**2 + off
+    assert closed_form_j(s, s, abs_e) == pytest.approx(reference_j(s, s, abs_e),
+                                                       rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("off", [0.0, 3e-7, 1e-6, 1e-5])
+@pytest.mark.parametrize("scale", [2.0**-20, 2.0**20])
+def test_angular_closed_form_is_homogeneous_near_the_triple_point(off, scale):
+    # J is homogeneous of degree -3 in (c_i, b), and a power-of-two scale is
+    # exact, so the choice of the confluent limit must scale with the c_i
+    def j(lam):
+        s = TRIPLE_S * np.sqrt(lam)
+        terms = efimov._angle_terms(np.array([s]), np.array([s]), A11, lam * A12**2)
+        return float(efimov._angular_integral(terms, A12**2 * lam * (1.0 - TRIPLE_S**2 + off))[0])
+
+    assert j(scale) * scale**3 == pytest.approx(j(1.0), rel=1e-12, abs=0.0)
+
+
 def test_kernel_matches_fine_angular_quadrature():
     m = unitary_model(n_p=256)
     for energy in (-1.0, -1e-3, -1e-7):
@@ -405,6 +429,36 @@ def test_non_monotone_count_names_the_level(monkeypatch, level, miscount):
     monkeypatch.setattr(efimov, "_kernel_eigenvalues", miscounted)
     with pytest.raises(RuntimeError, match=f"trimer level {level}:"):
         trimer_spectrum(m, -1.0)
+
+
+@pytest.mark.parametrize("level", [1, 2])
+def test_monotone_check_rejects_two_levels_at_one_energy(monkeypatch, level):
+    # both roots at the log-midpoint, where the count is the right one: only
+    # the strict order of the roots fails
+    m = unitary_model(n_p=128)
+    energies = [l.energy for l in trimer_spectrum(m, -1.0)]
+    mid = -np.sqrt(energies[level - 1] * energies[level])
+    crossing = efimov._crossing
+    monkeypatch.setattr(efimov, "_crossing", lambda parts, k, lo, hi: (
+        mid if k in (level - 1, level) else crossing(parts, k, lo, hi)))
+    with pytest.raises(RuntimeError, match=f"trimer level {level}:"):
+        trimer_spectrum(m, -1.0)
+
+
+def test_monotone_check_counts_an_eigenvalue_of_exactly_one(monkeypatch):
+    m = unitary_model(n_p=128)
+    energies = [l.energy for l in trimer_spectrum(m, -1.0)]
+    mid = -np.sqrt(energies[0] * energies[1])
+    kernel_eigenvalues = efimov._kernel_eigenvalues
+
+    def at_one(parts, energy):
+        ev = kernel_eigenvalues(parts, energy)
+        if abs(energy / mid - 1.0) > 1e-9:
+            return ev
+        return np.where(np.arange(ev.size) == ev.size - 1, 1.0, 0.5)  # "at or above 1"
+
+    monkeypatch.setattr(efimov, "_kernel_eigenvalues", at_one)
+    assert [l.energy for l in trimer_spectrum(m, -1.0)] == energies
 
 
 def test_trimer_spectrum_thread_safe():

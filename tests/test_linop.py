@@ -960,6 +960,13 @@ def test_top_kernel_eigenvalue_matches_dense():
     diag, off, weight, t, lam, _ = pencil()
     mu = _kernel_top_eigenvalue(diag, off, weight, lambda u: np.linalg.solve(t, u))
     assert mu == pytest.approx(lam[-1], rel=1e-13, abs=0)
+    # zero weights in a leading, an interior and a trailing run, as where
+    # the weight is a potential's attractive part on a whole grid
+    weight = weight * np.array([0.0, 1.0, 0.0, 0.0, 1.0, 0.0])
+    root = np.sqrt(weight)
+    top = np.linalg.eigvalsh(root[:, None] * np.linalg.inv(t) * root[None, :])[-1]
+    mu = _kernel_top_eigenvalue(diag, off, weight, lambda u: np.linalg.solve(t, u))
+    assert mu == pytest.approx(top, rel=1e-13, abs=0)
 
 
 # (orthogonal residual, downward scale of K), in units of 1e-10 (1 + mu),

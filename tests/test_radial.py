@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.integrate import quad, solve_ivp
 from scipy.linalg import eigvalsh_tridiagonal
 from scipy.special import gamma as gamma_fn
@@ -28,7 +29,6 @@ from bscount.radial import (
 from bscount import radial
 from bscount.radial import (
     _angular_reduced_kernel,
-    _banded_hamiltonian,
     _fd_diagonals,
     _gl_on_panels,
     _graded_panels,
@@ -37,7 +37,6 @@ from bscount.radial import (
     _green_swave,
     _kernel_top,
     _segment_edges,
-    _support_inverse,
 )
 from oracles import block_top_oracle, green_kernel, op_function, stebz_binds
 
@@ -798,6 +797,19 @@ def test_kernel_critical_strength_marks_threshold():
     assert abs(low) < 1e-8
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("grid", [RadialGrid(ell=0, r_max=1.0, n=64, scheme="gauss_legendre"),
+                                  RadialGrid(ell=1, r_max=40.0, n=400)],
+                         ids=["gauss_legendre", "uniform_fd2"])
+def test_mu_scan_rejects_a_non_finite_eps_up_front(grid, bad):
+    well = PotentialSpec(kind="square_well", strength=1.0, range=1.0)
+    pot = well.with_strength(kernel_critical_strength(well, grid))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="positive, finite eps"):
+            mu_scan(pot, grid, [1e-6, bad, 1e-4])
+
+
 def test_mu_scan_rejects_a_detuning_just_above_its_bound():
     well = PotentialSpec(kind="square_well", strength=1.0, range=1.0)
     grid = RadialGrid(ell=0, r_max=1.0, n=64, scheme="gauss_legendre")
@@ -916,35 +928,54 @@ def test_green_inverse_and_sweeps_match_the_closed_form_kernel(eps):
     assert np.allclose(_green_apply(eps, r, u), g @ u, rtol=0, atol=1e-13 * np.abs(g).sum(1).max())
 
 
-def test_support_inverse_is_the_inverse_of_the_support_block():
-    grid = RadialGrid(ell=1, r_max=5.0, n=60)
-    ab = _banded_hamiltonian(grid, np.linspace(0.0, 2.0, grid.n), 0.3)
-    a = np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[0, 1:], -1)
-    # a leading run, adjacent nodes, one-node and longer interior runs, a trailing run
-    supp = np.array([3, 4, 5, 7, 12, 13, 30, 31, 32, 50])
-    diag, off = _support_inverse(ab, supp)
-    t = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-    ref = np.linalg.inv(np.linalg.inv(a)[np.ix_(supp, supp)])
-    assert np.max(np.abs(t - ref)) <= 1e-10 * np.max(np.abs(ref))
+@pytest.mark.parametrize("eps", [1e-6, 1e-2, 0.5, 1e3])
+def test_green_swave_rows_agree_with_the_sweeps_to_rounding(eps):
+    # the form (exp(-k|r-r'|) - exp(-k(r+r'))) / (2k) cancels at small k r,
+    # by 1e-10 relative in row 0 at eps = 1e-6
+    r = RadialGrid(ell=0, r_max=1.0, n=400, scheme="gauss_legendre").nodes
+    u = np.random.default_rng(DEFAULT_SEED).uniform(0.1, 1.0, r.size)
+    sweep = _green_apply(eps, r, u)
+    assert np.max(np.abs(_green_swave(eps, r) @ u - sweep) / sweep) <= 1e-14
 
 
 @pytest.mark.parametrize("grid,builder", [
     (RadialGrid(ell=0, r_max=1.0, n=64, scheme="gauss_legendre"), "_green_inverse"),
-    (RadialGrid(ell=1, r_max=40.0, n=400), "_support_inverse"),
+    (RadialGrid(ell=1, r_max=40.0, n=400), "solveh_banded"),
 ])
 def test_top_eigenvalue_residual_check_catches_a_corrupted_inverse(monkeypatch, grid, builder):
-    true_builder = getattr(radial, builder)
+    # gauss_legendre: one off-diagonal entry of T; uniform_fd2, where T is
+    # the banded Hamiltonian itself: one support entry of the check's solve
+    owner = radial if builder == "_green_inverse" else scipy.linalg
+    true_builder = getattr(owner, builder)
 
     def corrupted(*args):
-        diag, off = true_builder(*args)
-        off = off.copy()
-        off[off.size // 2] *= 1.0 + 1e-6
-        return diag, off
+        out = true_builder(*args)
+        if builder == "_green_inverse":
+            diag, off = out
+            off = off.copy()
+            off[off.size // 2] *= 1.0 + 1e-6
+            return diag, off
+        live = np.flatnonzero(args[1])
+        out[live[live.size // 2]] *= 1.0 + 1e-6
+        return out
 
-    monkeypatch.setattr(radial, builder, corrupted)
+    monkeypatch.setattr(owner, builder, corrupted)
     well = PotentialSpec(kind="square_well", strength=1.0, range=1.0)
     with pytest.raises(RuntimeError, match="residual"):
         kernel_critical_strength(well, grid)
+
+
+@pytest.mark.parametrize("pot,ell,match", [
+    (PotentialSpec(kind="square_well", strength=1.0, range=1.0), 1, "s-wave only"),
+    # a core whose v_+ peaks near 0.5, below 1
+    (PotentialSpec(kind="square_well", strength=1.0, range=1.0, repulsive_part=PotentialSpec(
+        kind="gaussian", strength=1.5, range=0.3)), 0, "absorbs no repulsive part"),
+], ids=["p-wave", "weak-core"])
+def test_gauss_legendre_kernels_reject_a_partial_wave_or_a_repulsive_part(pot, ell, match):
+    grid = RadialGrid(ell=ell, r_max=1.0, n=64, scheme="gauss_legendre")
+    for route in (kernel_critical_strength, lambda p, g: bs_count_and_top(p, g, 0.5)):
+        with pytest.raises(ValueError, match=match):
+            route(pot, grid)
 
 
 def test_kernel_critical_strength_needs_an_attractive_part():
