@@ -100,7 +100,10 @@ class ConfigError(Exception):
 
 _KEY_RE = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_.-]*$")
 
-# allowed keys per command: name -> default (None means required... none are)
+# allowed keys per command: name -> default, whose type is the key's type
+# (``_KEY_TYPES`` holds the exceptions); a key whose default is None is absent
+# unless set: ``command``, which the command line may give instead, and
+# ``potential.table``
 _COMMON_KEYS = {
     "command": None,
     "seed": DEFAULT_SEED,
@@ -141,6 +144,22 @@ _COMMAND_KEYS = {
         "efimov.e_floor": -1.0,
     },
 }
+
+
+# keys whose default does not give their type; model.coupling may also be "unitary"
+_KEY_TYPES = {"command": str, "potential.table": str, "model.coupling": float}
+
+_TYPE_NAMES = {int: "an integer", float: "a number", list: "a list of numbers", str: "a string"}
+
+
+def _has_type(value, kind) -> bool:
+    """Whether a config value has its key's type ``kind``: ``int`` takes an
+    int, ``float`` an int or a float, ``list`` a list of numbers and ``str``
+    a string; none of them takes a bool."""
+    if kind is list:
+        return isinstance(value, list) and all(_has_type(v, float) for v in value)
+    accepted = (int, float) if kind is float else kind
+    return isinstance(value, accepted) and not isinstance(value, bool)
 
 
 def _strip_comment(line: str) -> str:
@@ -210,7 +229,8 @@ def parse_config_text(text: str) -> tuple[dict, dict]:
 
 
 def validate_config(values: dict, positions: dict, command: str | None) -> dict:
-    """Merge defaults and reject unknown keys (strict parsing)."""
+    """Merge defaults and reject unknown keys and values of the wrong type
+    (strict parsing), at the key's line and column."""
     cfg_command = values.get("command", command)
     if cfg_command is None:
         raise ConfigError("no command given (config key 'command' or CLI)", 1, 1)
@@ -224,10 +244,15 @@ def validate_config(values: dict, positions: dict, command: str | None) -> dict:
             f"{command!r}", line, col)
     allowed = dict(_COMMON_KEYS)
     allowed.update(_COMMAND_KEYS[cfg_command])
-    for key in values:
+    for key, value in values.items():
+        line, col = positions.get(key, (1, 1))
         if key not in allowed:
-            line, col = positions[key]
             raise ConfigError(f"unknown key {key!r}", line, col)
+        kind = _KEY_TYPES.get(key, type(allowed[key]))
+        if not (_has_type(value, kind) or (key, value) == ("model.coupling", "unitary")):
+            unitary = '"unitary" or ' if key == "model.coupling" else ""
+            raise ConfigError(f"{key} must be {unitary}{_TYPE_NAMES[kind]}, got {value!r}",
+                              line, col)
     merged = {k: v for k, v in allowed.items() if v is not None}
     merged.update(values)
     merged["command"] = cfg_command

@@ -58,19 +58,18 @@ private ``_checked_eigenvalues``, ``_spectral_decompose`` and
 ``(k, n, n)`` of such matrices, solved by one dense stacked LAPACK call,
 with every check run on each matrix and a failure naming the member;
 ``_count_evs`` and ``_count`` take one threshold per member or one for
-all.  The private ``_tridiagonal_eigenvalues`` is the Sturm bisection of a
-tridiagonal matrix, which serves the Sturm count and the selection of
-radial's lowest eigenvalue, and ``_tridiagonal_positive_definite`` is the
-O(n) binding test of the radial critical-coupling search: LAPACK
-``pttrf`` factors the tridiagonal matrix and reports whether every pivot
-is positive.  ``_kernel_top_eigenvalue`` is the largest eigenvalue of a
-kernel ``S T^-1 S`` with ``T`` tridiagonal and ``S^2`` a nonnegative
-diagonal, which radial's ``kernel_critical_strength`` and ``mu_scan``
-read: it brackets by that same test on ``T - S^2 / sigma``, the
-Birman-Schwinger test, refines by inverse iteration, and stands an
-eigenpair residual against the kernel applied by the caller's other route,
-and a certificate that no eigenvalue lies above, in for the trace and
-Frobenius checks.
+all.  The tridiagonal layer is one Sturm count and one factorization:
+``_tridiagonal_count`` counts by LAPACK ``stebz``, and
+``_tridiagonal_positive_definite`` is the O(n) binding test of the radial
+critical-coupling search: LAPACK ``pttrf`` factors the tridiagonal matrix
+and reports whether every pivot is positive.  ``_kernel_top_eigenvalue``
+is the largest eigenvalue of a kernel ``S T^-1 S`` with ``T`` tridiagonal
+and ``S^2`` a nonnegative diagonal, which radial's
+``kernel_critical_strength`` and ``mu_scan`` read: it brackets by that
+same test on ``T - S^2 / sigma``, the Birman-Schwinger test, refines by
+inverse iteration, and stands an eigenpair residual against the kernel
+applied by the caller's other route, and a certificate that no eigenvalue
+lies above, in for the trace and Frobenius checks.
 """
 
 from __future__ import annotations
@@ -286,23 +285,6 @@ def _eigenvalues(m: np.ndarray, support) -> np.ndarray:
     return np.sort(np.concatenate([lam, np.zeros(m.shape[0] - support.size)]))
 
 
-def _tridiagonal_eigenvalues(diag, off, select, select_range, tol=0.0) -> np.ndarray:
-    """The eigenvalues of the symmetric tridiagonal matrix ``T`` with
-    diagonal ``diag`` and off-diagonal ``off`` that ``select`` and
-    ``select_range`` pick, as ``scipy.linalg.eigvalsh_tridiagonal`` reads
-    them: by index (``"i"``) or by value (``"v"``, the half-open range
-    ``(lo, hi]``), by Sturm bisection (LAPACK ``stebz``) to the absolute
-    tolerance ``tol``.  A LAPACK failure raises RuntimeError.
-    """
-    import scipy.linalg  # only here, so that importing bscount stays light
-
-    try:
-        return scipy.linalg.eigvalsh_tridiagonal(
-            diag, off, select=select, select_range=select_range, tol=tol)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"eigenvalue solver did not converge: {exc}") from exc
-
-
 def _tridiagonal_count(diag, off, relation: str, threshold: float) -> int:
     """``count_evs`` of the symmetric tridiagonal matrix ``T`` with diagonal
     ``diag`` and off-diagonal ``off``, by Sturm count in O(n).
@@ -314,15 +296,22 @@ def _tridiagonal_count(diag, off, relation: str, threshold: float) -> int:
     ``1e-10 (1 + |T|_F)``.  The count needs no eigenvalue, so the bisection
     tolerance is set wider than the spectrum (Gershgorin:
     ``4 (1 + |T|_F)``), and ``stebz`` stops at those two counts.  A matrix
-    whose ``|T|_F`` is not finite has no guard band and raises ValueError.
+    whose ``|T|_F`` is not finite has no guard band and raises ValueError; a
+    LAPACK failure raises RuntimeError.
     """
+    import scipy.linalg  # only here, so that importing bscount stays light
+
     with np.errstate(over="ignore"):  # an overflowing norm is reported below
         fro = math.sqrt(diag @ diag + 2.0 * (off @ off))
     if not math.isfinite(fro):
         raise ValueError("|T|_F of the tridiagonal matrix is not finite: no finite guard band")
     edge, above = _selection(relation, threshold, _guard(fro))
-    return _tridiagonal_eigenvalues(diag, off, "v", (edge, math.inf) if above else (-math.inf, edge),
-                                    tol=4.0 * (1.0 + fro)).size
+    try:
+        return scipy.linalg.eigvalsh_tridiagonal(
+            diag, off, select="v", select_range=(edge, math.inf) if above else (-math.inf, edge),
+            tol=4.0 * (1.0 + fro)).size
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError(f"eigenvalue solver did not converge: {exc}") from exc
 
 
 def _tridiagonal_positive_definite(diag, off) -> bool:

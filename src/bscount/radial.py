@@ -5,30 +5,30 @@ Units are hbar = 2m = 1 with H = -Laplacian + v, so energies carry
 
     -d^2/dr^2 + ell(ell+1)/r^2 + v(r)     on (0, r_max), Dirichlet ends.
 
-Two discretization schemes coexist:
+Two discretization schemes coexist, each with one job:
 
 * ``uniform_fd2`` -- second-order finite differences on a half-step-offset
   uniform mesh (nodes at (j - 1/2) h), which regularizes the centrifugal
-  term at the origin.  This is the route for Hamiltonian spectra, counting,
-  and critical couplings.
-* ``gauss_legendre`` -- quadrature nodes for integral kernels built from the
-  closed-form s-wave Green function of the *semi-infinite* domain.  This is
-  the route for near-threshold scaling, where any finite box would destroy
-  the square-root law of the resonance channel.
+  term at the origin.  This is the route for Hamiltonian spectra, counts,
+  critical couplings and the Birman-Schwinger kernel itself.
+* ``gauss_legendre`` -- quadrature nodes for the closed-form s-wave Green
+  function of the *semi-infinite* domain.  It serves only the largest
+  kernel eigenvalue, for the near-threshold scaling of ``mu_scan``, where
+  any finite box would destroy the square-root law of the resonance
+  channel; the kernel builders and the critical-coupling search reject it.
 
 linop runs every eigensolve and makes every count.  ``bs_count_and_top``
 counts above 1 the kernel's support-block spectrum, ``linop``'s checked
-full spectrum; the counts of the tridiagonal Hamiltonian are Sturm counts,
-and its lowest eigenvalue is a tridiagonal selection.
-``kernel_critical_strength`` and ``mu_scan`` read only the largest kernel
-eigenvalue, which linop finds in O(n) without a full spectrum: the kernel
-is ``S T^-1 S``, with ``T`` tridiagonal.  On gauss_legendre ``T`` is the
-closed-form inverse of the Green part on the support; on uniform_fd2 it is
-the banded ``H_0 + v_+ + eps`` itself, with ``S^2 = v_-`` on the whole
-grid, so uniform_fd2 has one Green representation for the block, the top
-eigenvalue, the critical coupling and the counts.  The two operator
-builders hand their fresh arrays to linop with the structure they know, so
-counts need not scan for it.
+full spectrum, and the counts of the tridiagonal Hamiltonian are Sturm
+counts.  ``kernel_critical_strength`` and ``mu_scan`` read only the largest
+kernel eigenvalue, which linop finds in O(n) without a full spectrum: the
+kernel is ``S T^-1 S`` on the whole grid, with ``T`` tridiagonal and
+``S^2`` exactly zero off the support of v_-.  On gauss_legendre ``T`` is
+the closed-form inverse of the Green function; on uniform_fd2 it is the
+banded ``H_0 + v_+ + eps`` itself, so uniform_fd2 has one Green
+representation for the block, the top eigenvalue, the critical coupling
+and the counts.  The two operator builders hand their fresh arrays to
+linop with the structure they know, so counts need not scan for it.
 The critical-coupling search asks only whether the Hamiltonian binds, which
 linop's O(n) positive-definiteness test of the tridiagonal matrix answers.
 """
@@ -42,13 +42,15 @@ from functools import cached_property
 import numpy as np
 
 from .linop import (SymOperator, _checked_eigenvalues, _count, _kernel_top_eigenvalue,
-                    _tridiagonal_count, _tridiagonal_eigenvalues,
-                    _tridiagonal_positive_definite)
+                    _tridiagonal_count, _tridiagonal_positive_definite)
 
 POTENTIAL_KINDS = ("yukawa", "exponential", "gaussian", "square_well", "table")
 
 # tail fraction above which a radial quadrature is declared divergent
 TAIL_LIMIT = 1e-3
+
+# mu_scan fits log(1 - mu) against log eps on the scan points in this window
+FIT_WINDOW = (1e-6, 1e-4)
 
 # schwinger_bound_check's grid size and the highest partial wave it visits
 SCHWINGER_N = 1500
@@ -168,8 +170,9 @@ class RadialGrid:
             raise ValueError(f"ell must be a nonnegative integer, got {self.ell}")
         if not 0 < self.r_max < np.inf:
             raise ValueError(f"r_max must be positive and finite, got {self.r_max}")
-        if self.n < 16:
-            raise ValueError(f"need n >= 16 interior points, got {self.n}")
+        if not (self.n >= 16 and float(self.n).is_integer()):
+            raise ValueError(f"need an integer n >= 16 interior points, got {self.n}")
+        object.__setattr__(self, "n", int(self.n))  # 200.0 counts as 200 points
         if self.scheme not in ("uniform_fd2", "gauss_legendre"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
 
@@ -204,7 +207,6 @@ class CriticalCouplingResult:
     lambda_star: float
     bracket: tuple[float, float]
     iterations: int
-    residual_min_eig: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,7 +216,6 @@ class MuScalingReport:
     epsilons: np.ndarray
     mus: np.ndarray
     fitted_exponent: float
-    fit_window: tuple[float, float]
     a_mu_estimate: float
 
 
@@ -225,7 +226,9 @@ class MuScalingReport:
 def _fd_diagonals(pot: PotentialSpec | None, grid: RadialGrid):
     """Main and off diagonal of the reduced operator on the uniform mesh."""
     if grid.scheme != "uniform_fd2":
-        raise ValueError("finite differences are defined on the uniform_fd2 scheme")
+        raise ValueError("the box Hamiltonian and its kernel are built by finite differences "
+                         "on the uniform_fd2 scheme; gauss_legendre serves only the top "
+                         "kernel eigenvalue")
     r = grid.nodes
     h = grid.h
     diag = np.full(grid.n, 2.0 / h**2)
@@ -254,17 +257,13 @@ def reduced_hamiltonian(pot: PotentialSpec, grid: RadialGrid) -> SymOperator:
     The operator records that it is tridiagonal, so ``count_evs`` counts it
     by Sturm sequences.
     """
+    diag, off = _fd_diagonals(pot, grid)  # rejects a grid other than uniform_fd2
     _warn_if_box_small(pot, grid)
-    diag, off = _fd_diagonals(pot, grid)
     m = np.diag(diag)
     idx = np.arange(grid.n - 1)
     m[idx, idx + 1] = off
     m[idx + 1, idx] = off
     return SymOperator._built(m, tridiagonal=True)
-
-
-def _lowest_eigenvalue(pot: PotentialSpec, grid: RadialGrid) -> float:
-    return float(_tridiagonal_eigenvalues(*_fd_diagonals(pot, grid), "i", (0, 0))[0])
 
 
 def negative_count(pot: PotentialSpec, grid: RadialGrid, eps: float = 0.0) -> int:
@@ -290,37 +289,21 @@ def _banded_hamiltonian(grid: RadialGrid, v_plus, eps: float) -> np.ndarray:
 # Green kernels
 
 
-def _green_factor(eps: float, r: np.ndarray):
-    """``k = sqrt(eps)`` and ``a(r) = sinh(k r) exp(-k r) / k``, written
-    ``-expm1(-2 k r) / (2 k)`` so that it has no cancellation at small
-    ``k r`` (``a = r`` at k = 0): the s-wave kernel is
-    ``a(r_<) exp(-k |r - r'|)``."""
-    k = np.sqrt(eps)
-    return k, (-np.expm1(-2.0 * k * r) / (2.0 * k) if k > 0 else r)
-
-
-def _green_swave(eps: float, r: np.ndarray) -> np.ndarray:
-    """Closed-form s-wave kernel of the semi-infinite domain, Dirichlet at 0.
-
-    G(r, r') = exp(-k r_>) sinh(k r_<) / k with k = sqrt(eps), written as
-    ``a(r_<) exp(-k |r - r'|)`` by ``_green_factor``, so nothing overflows or
-    cancels; at eps = 0 it is min(r, r').  ``a`` grows with r, so
-    ``a(r_<) = min(a(r), a(r'))``.
-    """
-    k, a = _green_factor(eps, r)
-    return np.minimum(a[:, None], a[None, :]) * np.exp(-k * np.abs(r[:, None] - r[None, :]))
-
-
 def _green_apply(eps: float, r: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``_green_swave(eps, r) @ u`` on sorted nodes ``r`` in O(n), by two
-    sweeps over the kernel's single pair.
+    """``G u`` on sorted nodes ``r`` in O(n), for the closed-form s-wave
+    kernel of the semi-infinite domain, Dirichlet at 0,
+    ``G(r, r') = exp(-k r_>) sinh(k r_<) / k`` with ``k = sqrt(eps)``
+    (``min(r, r')`` at k = 0), by two sweeps over its single pair.
 
-    With ``a`` of ``_green_factor``, ``(G u)_i = F_i + a_i B_i`` for the
-    forward sum ``F_i = sum_(j <= i) exp(-k (r_i - r_j)) a_j u_j`` and the
-    backward sum ``B_i = sum_(j > i) exp(-k (r_j - r_i)) u_j``.  No factor
-    grows, so nothing overflows.
+    ``G = a(r_<) exp(-k |r - r'|)`` with ``a(r) = -expm1(-2 k r) / (2 k)``,
+    which has no cancellation at small ``k r`` (``a = r`` at k = 0), so
+    ``(G u)_i = F_i + a_i B_i`` for the forward sum
+    ``F_i = sum_(j <= i) exp(-k (r_i - r_j)) a_j u_j`` and the backward sum
+    ``B_i = sum_(j > i) exp(-k (r_j - r_i)) u_j``.  No factor grows, so
+    nothing overflows.
     """
-    k, a = _green_factor(eps, r)
+    k = np.sqrt(eps)
+    a = -np.expm1(-2.0 * k * r) / (2.0 * k) if k > 0 else r
     decay = np.exp(-k * np.diff(r)).tolist()
     au, uu = (a * u).tolist(), u.tolist()
     forward, backward = [au[0]], [0.0]
@@ -332,8 +315,8 @@ def _green_apply(eps: float, r: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _green_inverse(eps: float, r: np.ndarray):
-    """Diagonal and off-diagonal of ``T``, the tridiagonal inverse of
-    ``_green_swave(eps, r)`` on sorted nodes ``r``.
+    """Diagonal and off-diagonal of ``T``, the tridiagonal inverse of the
+    s-wave kernel ``G`` of ``_green_apply`` on sorted nodes ``r``.
 
     The kernel is a single pair ``sinh(k r_<) / k * exp(-k r_>)``, so its
     inverse is tridiagonal, in closed form (Gantmacher & Krein 1950).  With
@@ -359,75 +342,61 @@ def _green_inverse(eps: float, r: np.ndarray):
 # the radial Birman-Schwinger kernel
 
 
-def _support_weights(pot: PotentialSpec, grid: RadialGrid):
-    """Indices where v_- > 0 and the kernel's squared weights there: v_-,
-    times the quadrature weight on gauss_legendre.
-
-    The gauss_legendre route uses the closed-form half-space s-wave kernel,
-    which leaves no room for a repulsive part or a partial wave above 0.
-    """
-    r = grid.nodes
-    v_minus = pot.v_minus(r)
-    supp = np.nonzero(v_minus > 0)[0]
-    if grid.scheme == "uniform_fd2":
-        return supp, v_minus[supp]
-    if grid.ell != 0:
-        raise ValueError("gauss_legendre kernels are s-wave only")
-    if np.any(pot.v_plus(r) > 0):
-        raise ValueError(
-            "the gauss_legendre route absorbs no repulsive part; "
-            "use the uniform_fd2 scheme for potentials with v_+ > 0")
-    return supp, v_minus[supp] * grid.weights[supp]
-
-
 def _bs_block(pot: PotentialSpec, grid: RadialGrid, eps: float):
     """``sqrt(v_-) (H_0 + v_+ + eps)^-1 sqrt(v_-)`` on the support of v_-.
 
-    Returns the support indices and the block, for ``eps >= 0``.  On
-    gauss_legendre the closed-form half-space s-wave kernel is used; on
-    uniform_fd2 the box operator is inverted by banded solves.  Either
-    block is symmetrized, so it is exactly symmetric.
+    Returns the support indices and the block, for ``eps >= 0``, on the
+    uniform_fd2 box (another scheme raises ValueError): the box operator is
+    inverted by banded solves, and the block is symmetrized, so it is
+    exactly symmetric.
     """
-    supp, weight = _support_weights(pot, grid)
-    root = np.sqrt(weight)
-    if grid.scheme == "gauss_legendre":
-        block = root[:, None] * _green_swave(eps, grid.nodes[supp]) * root[None, :]
-    else:
-        import scipy.linalg
-        rhs = np.zeros((grid.n, supp.size), order="F")  # solved in place
-        rhs[supp, np.arange(supp.size)] = root
-        x = scipy.linalg.solveh_banded(
-            _banded_hamiltonian(grid, pot.v_plus(grid.nodes), eps), rhs, overwrite_b=True)
-        block = x if supp.size == grid.n else x[supp, :]
-        block *= root[:, None]
+    import scipy.linalg
+    v_minus = pot.v_minus(grid.nodes)
+    supp = np.nonzero(v_minus > 0)[0]
+    root = np.sqrt(v_minus[supp])
+    rhs = np.zeros((grid.n, supp.size), order="F")  # solved in place
+    rhs[supp, np.arange(supp.size)] = root
+    x = scipy.linalg.solveh_banded(
+        _banded_hamiltonian(grid, pot.v_plus(grid.nodes), eps), rhs, overwrite_b=True)
+    block = x if supp.size == grid.n else x[supp, :]
+    block *= root[:, None]
     block = block + block.T
     block *= 0.5  # the bits of 0.5 * (block + block.T), without a second n x n array
     return supp, block
 
 
 def _kernel_top(pot: PotentialSpec, grid: RadialGrid, eps: float) -> float:
-    """Largest eigenvalue of the support block of ``_bs_block`` at ``eps >= 0``,
-    by linop's O(n) top eigenvalue of ``S T^-1 S``.
+    """Largest kernel eigenvalue at ``eps >= 0``, by linop's O(n) top
+    eigenvalue of ``S T^-1 S`` on the whole grid, with weights ``S^2`` that
+    are exactly zero off the support of v_-.
 
-    On gauss_legendre ``T`` is the closed-form tridiagonal inverse of the
-    block's Green part on the support, and the check applies that part in
-    O(n) by ``_green_apply``.  On uniform_fd2 ``T`` is the banded
-    ``H_0 + v_+ + eps`` on the whole grid, with weights ``v_-`` that vanish
-    off the support, so the binding test is the Birman-Schwinger test on
-    ``H_0 + v_+ + eps - v_- / sigma``, and the check applies ``T^-1`` by a
-    banded solve.
+    On gauss_legendre ``S^2`` is v_- times the quadrature weights and ``T``
+    the closed-form tridiagonal inverse of the semi-infinite s-wave Green
+    function, which the check applies in O(n) by ``_green_apply``; that
+    kernel leaves no room for a partial wave above 0 or a repulsive part,
+    and either raises ValueError.  On uniform_fd2 ``S^2`` is v_- and ``T``
+    the banded ``H_0 + v_+ + eps``, so the binding test is the
+    Birman-Schwinger test on ``H_0 + v_+ + eps - v_- / sigma``, and the
+    check applies ``T^-1`` by a banded solve.  A potential with no
+    attractive part on the grid raises ValueError.
     """
-    supp, weight = _support_weights(pot, grid)
-    if not supp.size:
+    r = grid.nodes
+    v_minus = pot.v_minus(r)
+    if not np.any(v_minus > 0):
         raise ValueError("potential has no attractive part on the grid")
-    if grid.scheme == "gauss_legendre":
-        r = grid.nodes[supp]
-        return _kernel_top_eigenvalue(*_green_inverse(eps, r), weight,
-                                      lambda u: _green_apply(eps, r, u))
-    import scipy.linalg
-    ab = _banded_hamiltonian(grid, pot.v_plus(grid.nodes), eps)
-    return _kernel_top_eigenvalue(ab[1], ab[0, 1:], pot.v_minus(grid.nodes),
-                                  lambda u: scipy.linalg.solveh_banded(ab, u))
+    if grid.scheme == "uniform_fd2":
+        import scipy.linalg
+        ab = _banded_hamiltonian(grid, pot.v_plus(r), eps)
+        return _kernel_top_eigenvalue(ab[1], ab[0, 1:], v_minus,
+                                      lambda u: scipy.linalg.solveh_banded(ab, u))
+    if grid.ell != 0:
+        raise ValueError("gauss_legendre kernels are s-wave only")
+    if np.any(pot.v_plus(r) > 0):
+        raise ValueError(
+            "the gauss_legendre route absorbs no repulsive part; "
+            "use the uniform_fd2 scheme for potentials with v_+ > 0")
+    return _kernel_top_eigenvalue(*_green_inverse(eps, r), v_minus * grid.weights,
+                                  lambda u: _green_apply(eps, r, u))
 
 
 def bs_kernel_radial(pot: PotentialSpec, grid: RadialGrid, eps: float) -> SymOperator:
@@ -440,12 +409,13 @@ def bs_kernel_radial(pot: PotentialSpec, grid: RadialGrid, eps: float) -> SymOpe
     ``(H_w + eps)^(-1/2) v_- (H_w + eps)^(-1/2)``.  Where that support is
     not the whole grid the operator records it, so ``count_evs`` solves the
     support block only; on full support the block is the kernel itself.
+    It is built on the uniform_fd2 box only: another scheme raises
+    ValueError before the small-box warning.
     """
     if not 0 < eps < np.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
-    if grid.scheme == "uniform_fd2":
-        _warn_if_box_small(pot, grid)
-    supp, block = _bs_block(pot, grid, eps)
+    supp, block = _bs_block(pot, grid, eps)  # rejects a grid other than uniform_fd2
+    _warn_if_box_small(pot, grid)
     if supp.size == grid.n:
         return SymOperator._built(block)
     out = np.zeros((grid.n, grid.n))
@@ -459,13 +429,15 @@ def bs_count_and_top(pot: PotentialSpec, grid: RadialGrid, eps: float) -> tuple[
     Both come from one checked eigensolve of the support block, which has
     the nonzero spectrum and the Frobenius norm of ``bs_kernel_radial``, so
     the count is ``count_evs(bs_kernel_radial(pot, grid, eps), ">", 1.0)``.
-    The largest eigenvalue is 0 when v_- vanishes on the grid.
+    The largest eigenvalue is 0 when v_- vanishes on the grid.  As for
+    ``bs_kernel_radial``, a scheme other than uniform_fd2 raises ValueError
+    before the small-box warning.
     """
     if not 0 < eps < np.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
-    if grid.scheme == "uniform_fd2":
-        _warn_if_box_small(pot, grid)
-    lam, eta = _checked_eigenvalues(_bs_block(pot, grid, eps)[1])
+    block = _bs_block(pot, grid, eps)[1]  # rejects a grid other than uniform_fd2
+    _warn_if_box_small(pot, grid)
+    lam, eta = _checked_eigenvalues(block)
     if not lam.size:
         return 0, 0.0
     return int(_count(lam, eta, ">", 1.0)), float(lam[-1])
@@ -724,15 +696,13 @@ def find_critical_coupling_radial(pot_shape: PotentialSpec, grid: RadialGrid,
     doubled (same mesh spacing); the two couplings must agree within
     ``tol / 2``.  The dominant error for a threshold state is the 1/r_max
     truncation of its flat tail, which the pair removes by extrapolation.
-    ``iterations`` counts every bracketing and bisection binding test;
-    ``residual_min_eig`` is the lowest eigenvalue of the fine-grid operator
-    at ``lambda_star``.  NeverBindsError is raised when no coupling up to
-    ``LAMBDA_CAP`` binds.
+    ``iterations`` counts every bracketing and bisection binding test, the
+    only eigenvalue question the search asks.  NeverBindsError is raised
+    when no coupling up to ``LAMBDA_CAP`` binds, and a grid other than
+    uniform_fd2 raises ValueError.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    if grid.scheme != "uniform_fd2":
-        raise ValueError("critical couplings are located on the uniform_fd2 scheme")
     shape = pot_shape.with_strength(1.0)
 
     def locate(g: RadialGrid) -> tuple[float, float, int]:
@@ -754,26 +724,24 @@ def find_critical_coupling_radial(pot_shape: PotentialSpec, grid: RadialGrid,
             f"(r_max={fine.r_max:g}, n={fine.n}); gap {gap:.3e} > tol/2")
     lam_star = 2.0 * lam_fine - lam_coarse  # error model c / r_max
     half = max(hi_f - lo_f, gap)
-    residual = _lowest_eigenvalue(shape.with_strength(lam_star), fine)
     return CriticalCouplingResult(
         lambda_star=lam_star,
         bracket=(lam_star - half, lam_star + half),
         iterations=calls_c + calls_f,
-        residual_min_eig=residual,
     )
 
 
-def mu_scan(pot: PotentialSpec, grid: RadialGrid, eps_list, *,
-            fit_window: tuple[float, float] = (1e-6, 1e-4)) -> MuScalingReport:
+def mu_scan(pot: PotentialSpec, grid: RadialGrid, eps_list) -> MuScalingReport:
     """Near-threshold scan of mu(eps) for a potential tuned to criticality.
 
     Computes the largest Birman-Schwinger eigenvalue over ``eps_list``, at
     least two positive, finite values (ValueError otherwise), by the O(n)
     route of ``kernel_critical_strength``, checks monotonicity, and fits
-    ``log(1 - mu)`` against ``log eps`` inside ``fit_window``.  A
-    zero-energy resonance (s-wave criticality on the semi-infinite kernel)
-    gives exponent 1/2; a square-integrable zero-energy state (ell >= 1)
-    gives exponent 1.
+    ``log(1 - mu)`` against ``log eps`` on the scan points inside
+    ``FIT_WINDOW``; ``a_mu_estimate`` is the fit's prefactor.  A
+    zero-energy resonance (s-wave criticality on the semi-infinite kernel
+    of gauss_legendre) gives exponent 1/2; a square-integrable zero-energy
+    state (ell >= 1, on uniform_fd2) gives exponent 1.
     """
     eps_arr = np.sort(np.asarray(list(eps_list), dtype=float))
     if eps_arr.size < 2 or not np.all((eps_arr > 0) & (eps_arr < np.inf)):
@@ -789,8 +757,8 @@ def mu_scan(pot: PotentialSpec, grid: RadialGrid, eps_list, *,
         raise RuntimeError("mu(eps) >= 1 in the scan: supercritical tuning")
     if np.any(np.diff(mus) > 1e-12):
         raise RuntimeError("mu(eps) is not nonincreasing along the scan")
-    in_window = (eps_arr >= fit_window[0] * (1 - 1e-12)) \
-        & (eps_arr <= fit_window[1] * (1 + 1e-12))
+    in_window = (eps_arr >= FIT_WINDOW[0] * (1 - 1e-12)) \
+        & (eps_arr <= FIT_WINDOW[1] * (1 + 1e-12))
     if np.sum(in_window) < 2:
         raise ValueError("fewer than two scan points inside the fit window")
     x = np.log(eps_arr[in_window])
@@ -800,6 +768,5 @@ def mu_scan(pot: PotentialSpec, grid: RadialGrid, eps_list, *,
         epsilons=eps_arr,
         mus=mus,
         fitted_exponent=float(slope),
-        fit_window=fit_window,
         a_mu_estimate=float(np.exp(intercept)),
     )

@@ -7,7 +7,7 @@ from bscount import efimov
 from bscount.bsengine import ThresholdCollisionError
 from bscount.linop import (SymOperator, _checked_eigenvalues, _spectral_decompose, count_evs,
                            sym)
-from bscount.radial import RadialGrid, _banded_hamiltonian, _bs_block, _green_swave
+from bscount.radial import RadialGrid, _banded_hamiltonian, _bs_block
 
 
 def checked_eigenvalues(a):
@@ -55,6 +55,21 @@ def op_function(a, f):
     return SymOperator((v * values) @ v.T)
 
 
+def _green_swave(eps: float, r: np.ndarray) -> np.ndarray:
+    """Closed-form s-wave kernel of the semi-infinite domain, Dirichlet at 0,
+    as a dense matrix on the nodes ``r``: the kernel ``radial._green_apply``
+    applies in O(n) and ``radial._green_inverse`` inverts.
+
+    G(r, r') = exp(-k r_>) sinh(k r_<) / k with k = sqrt(eps), written as
+    ``a(r_<) exp(-k |r - r'|)`` with ``a(r) = -expm1(-2 k r) / (2 k)``, so
+    nothing overflows or cancels; at eps = 0 it is min(r, r').  ``a`` grows
+    with r, so ``a(r_<) = min(a(r), a(r'))``.
+    """
+    k = np.sqrt(eps)
+    a = -np.expm1(-2.0 * k * r) / (2.0 * k) if k > 0 else r
+    return np.minimum(a[:, None], a[None, :]) * np.exp(-k * np.abs(r[:, None] - r[None, :]))
+
+
 def green_kernel(eps: float, grid: RadialGrid) -> SymOperator:
     """Weight-symmetrized matrix of the reduced free Green function.
 
@@ -82,8 +97,18 @@ def green_kernel(eps: float, grid: RadialGrid) -> SymOperator:
 def block_top_oracle(pot, grid: RadialGrid, eps: float) -> float:
     """The largest kernel eigenvalue at shift ``eps >= 0`` by the route
     ``kernel_critical_strength`` and ``mu_scan`` took before their O(n)
-    one: linop's checked dense spectrum of the support block."""
-    return float(_checked_eigenvalues(_bs_block(pot, grid, eps)[1])[0][-1])
+    one: linop's checked dense spectrum of the support block, built by
+    ``radial._bs_block`` on uniform_fd2 and from the closed-form
+    ``_green_swave`` times the quadrature weights on gauss_legendre."""
+    if grid.scheme == "uniform_fd2":
+        block = _bs_block(pot, grid, eps)[1]
+    else:
+        v_minus = pot.v_minus(grid.nodes)
+        supp = np.flatnonzero(v_minus > 0)
+        root = np.sqrt(v_minus[supp] * grid.weights[supp])
+        block = root[:, None] * _green_swave(eps, grid.nodes[supp]) * root[None, :]
+        block = 0.5 * (block + block.T)
+    return float(_checked_eigenvalues(block)[0][-1])
 
 
 def stebz_binds(diag, off) -> bool:

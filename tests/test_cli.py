@@ -80,6 +80,37 @@ def test_validate_defaults_seed():
     assert cfg["seed"] == 0xB5C0
 
 
+@pytest.mark.parametrize("command,line", [
+    ("twobody", "potential.strength = 2"),  # an int is a number
+    ("twobody", "scan.epsilons = [1, 0.5]"),
+    ("twobody", 'potential.table = "v.tsv"'),
+    ("efimov", "model.coupling = 0.05"),
+    ("efimov", 'model.coupling = "unitary"'),
+    ("kernelcheck", "kernel.gammas = []"),
+])
+def test_validate_accepts_each_value_of_its_keys_type(command, line):
+    values, positions = parse_config_text(f'command = "{command}"\n{line}\n')
+    assert validate_config(values, positions, None).items() >= values.items()
+
+
+@pytest.mark.parametrize("command,line,expected", [
+    ("twobody", "scan.epsilons = 0.5", "a list of numbers"),
+    ("twobody", 'scan.epsilons = [0.5, "x"]', "a list of numbers"),
+    ("twobody", "scan.epsilons = [true]", "a list of numbers"),
+    ("twobody", "potential.kind = 3", "a string"),
+    ("twobody", "potential.table = 1.0", "a string"),
+    ("twobody", "grid.ell = 1.0", "an integer"),
+    ("efimov", 'model.coupling = "half"', '"unitary" or a number'),
+    ("efimov", "model.beta = false", "a number"),
+    ("verify", "output_path = 1", "a string"),
+])
+def test_validate_rejects_a_value_of_the_wrong_type_at_its_key(command, line, expected):
+    values, positions = parse_config_text(f'command = "{command}"\n  {line}\n')
+    with pytest.raises(ConfigError, match=f"must be {expected}, got") as info:
+        validate_config(values, positions, None)
+    assert (info.value.line, info.value.column) == (2, 3)
+
+
 def test_validate_command_mismatch():
     values, positions = parse_config_text('command = "verify"\n')
     with pytest.raises(ConfigError, match="does not match"):
@@ -96,6 +127,22 @@ def test_unknown_key_exits_2_without_outputs(tmp_path, capsys):
     status = main(["twobody", "--config", cfg, "--out", str(out)])
     assert status == EXIT_PARSE_ERROR
     assert "line 2" in capsys.readouterr().err
+    assert not out.exists() or not list(out.iterdir())
+
+
+@pytest.mark.parametrize("command,line", [
+    ("twobody", "grid.n = 700.9"),  # ran n = 700 and recorded 700.9
+    ("verify", "verify.bs_instances = 2.5"),  # ran 2 cases
+    ("iterbs-demo", "iterbs.dim = true"),  # ran dim 1
+    ("twobody", 'potential.strength = "strong"'),  # failed as a numerical check
+])
+def test_value_of_the_wrong_type_exits_2_at_its_key_without_outputs(command, line, tmp_path,
+                                                                    capsys):
+    cfg = write(tmp_path, "c.conf", f'command = "{command}"\n  {line}\n')
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_PARSE_ERROR
+    err = capsys.readouterr().err
+    assert f"{line.partition(' ')[0]} must be" in err and "line 2, column 3" in err
     assert not out.exists() or not list(out.iterdir())
 
 

@@ -225,6 +225,19 @@ def test_trimer_route_builds_no_symoperator(monkeypatch):
     assert built == []
 
 
+@pytest.mark.parametrize("field,value", [
+    ("lam", np.nan), ("lam", np.inf), ("lam", -1.0),
+    ("beta", np.inf), ("beta", np.nan), ("beta", 0.0),
+    ("p_max", np.inf), ("p_max", -40.0),
+    ("grid_c", np.nan), ("grid_c", np.inf), ("grid_c", -2.0), ("grid_c", -1.0),
+    ("n_p", 100.5), ("n_p", np.nan), ("n_p", 32),
+])
+def test_model_rejects_a_field_out_of_range_when_it_is_built(field, value):
+    fields = {"beta": 1.0, "lam": LAM_U, "p_max": 40.0, "n_p": 128, "grid_c": 300.0}
+    with pytest.raises(ValueError, match={"lam": "coupling"}.get(field, field)):
+        SeparableModel(**{**fields, field: value})
+
+
 def test_kernel_rejects_nonnegative_energy():
     with pytest.raises(ValueError, match="energy"):
         three_boson_kernel(unitary_model(n_p=128), 0.0)
@@ -254,11 +267,12 @@ def test_angular_closed_form_matches_graded_quadrature(s, q, abs_e):
 
 
 @pytest.mark.parametrize("s", [TRIPLE_S, 0.999])
-@pytest.mark.parametrize("off", [1e-8, -1e-7, 1e-7, 3e-7, 1e-6])
+@pytest.mark.parametrize("off", [1e-8, -1e-7, 1e-7, 3e-7, 1e-6, 2e-6])
 def test_angular_closed_form_holds_1e_12_near_the_triple_point(s, off):
     # near s = beta, c - b is small against c + b, so a confluence test
     # scaled by c - b would leave the limit for a divided difference that
-    # loses 1e-9
+    # loses 1e-9; at off = 2e-6 (a relative gap of 1.4e-6 at s = 1/2) the
+    # divided difference loses 6e-11, and the confluent limit keeps 1e-12
     abs_e = 1.0 - s**2 + off
     assert closed_form_j(s, s, abs_e) == pytest.approx(reference_j(s, s, abs_e),
                                                        rel=1e-12, abs=0.0)

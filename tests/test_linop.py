@@ -1024,10 +1024,7 @@ def test_top_kernel_eigenvalue_needs_a_positive_definite_inverse():
 @pytest.mark.parametrize("run", [
     lambda: radial.negative_count(PotentialSpec(kind="square_well", strength=26.0),
                                   RadialGrid(ell=0, r_max=25.0, n=200)),
-    lambda: radial.find_critical_coupling_radial(
-        PotentialSpec(kind="square_well", strength=1.0), RadialGrid(ell=0, r_max=30.0, n=300),
-        tol=0.1),
-], ids=["negative_count", "find_critical_coupling_radial"])
+], ids=["negative_count"])
 def test_tridiagonal_selections_turn_lapack_failure_into_runtime_error(monkeypatch, run):
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")

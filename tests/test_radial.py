@@ -34,11 +34,10 @@ from bscount.radial import (
     _graded_panels,
     _green_apply,
     _green_inverse,
-    _green_swave,
     _kernel_top,
     _segment_edges,
 )
-from oracles import block_top_oracle, green_kernel, op_function, stebz_binds
+from oracles import _green_swave, block_top_oracle, green_kernel, op_function, stebz_binds
 
 DEFAULT_SEED = 0xB5C0
 
@@ -196,6 +195,20 @@ def test_grid_requires_enough_points():
         RadialGrid(ell=0, r_max=10.0, n=8)
 
 
+@pytest.mark.parametrize("n", [100.5, np.nan, np.inf])
+def test_grid_rejects_a_point_count_that_is_not_an_integer(n):
+    # n = 100.5 used to build 101 nodes with h = r_max / 100.5
+    with pytest.raises(ValueError, match="integer n >= 16"):
+        RadialGrid(ell=0, r_max=10.0, n=n)
+
+
+def test_grid_takes_an_integral_float_point_count_as_its_integer():
+    pot = PotentialSpec(kind="square_well", strength=26.0, range=1.0)
+    grid = RadialGrid(ell=0, r_max=25.0, n=200.0)
+    assert type(grid.n) is int and grid == RadialGrid(ell=0, r_max=25.0, n=200)
+    assert negative_count(pot, grid) == negative_count(pot, RadialGrid(ell=0, r_max=25.0, n=200))
+
+
 @pytest.mark.parametrize("field,build", [
     ("r_max", lambda x: RadialGrid(ell=0, r_max=x, n=100)),
     ("strength", lambda x: PotentialSpec(kind="gaussian", strength=x)),
@@ -315,7 +328,7 @@ def test_half_critical_depth_gives_half_mu():
     well = PotentialSpec(kind="square_well", strength=1.0, range=1.0)
     grid = RadialGrid(ell=0, r_max=1.0, n=200, scheme="gauss_legendre")
     lam_c = kernel_critical_strength(well, grid)
-    mu = bs_count_and_top(well.with_strength(lam_c / 2.0), grid, 1e-6)[1]
+    mu = _kernel_top(well.with_strength(lam_c / 2.0), grid, 1e-6)
     assert mu == pytest.approx(0.5, abs=5e-3)
 
 
@@ -342,13 +355,16 @@ def test_kernel_count_matches_direct_count(kind, lam, ell, eps):
 
 def test_kernel_forms_share_top_eigenvalue():
     pot = PotentialSpec(kind="gaussian", strength=12.0, range=1.0)
-    for grid in (RadialGrid(ell=0, r_max=25.0, n=500),
-                 RadialGrid(ell=0, r_max=8.0, n=200, scheme="gauss_legendre")):
-        k = bs_kernel_radial(pot, grid, 0.4)
-        calc = _calculus_kernel(pot, grid, 0.4)
-        assert_top_spectra_agree(k, calc, 10)
-        top = np.linalg.eigvalsh(calc.entries)[-1]
-        assert bs_count_and_top(pot, grid, 0.4)[1] == pytest.approx(top, rel=1e-8)
+    grid = RadialGrid(ell=0, r_max=25.0, n=500)
+    k = bs_kernel_radial(pot, grid, 0.4)
+    calc = _calculus_kernel(pot, grid, 0.4)
+    assert_top_spectra_agree(k, calc, 10)
+    top = np.linalg.eigvalsh(calc.entries)[-1]
+    assert bs_count_and_top(pot, grid, 0.4)[1] == pytest.approx(top, rel=1e-8)
+    # gauss_legendre builds no kernel, only its top eigenvalue
+    grid = RadialGrid(ell=0, r_max=8.0, n=200, scheme="gauss_legendre")
+    top = np.linalg.eigvalsh(_calculus_kernel(pot, grid, 0.4).entries)[-1]
+    assert _kernel_top(pot, grid, 0.4) == pytest.approx(top, rel=1e-8)
 
 
 @pytest.mark.parametrize("level", [0, 1])
@@ -363,6 +379,21 @@ def test_threshold_collision_excluded_from_counts(level):
     assert count_evs(quiet_hamiltonian(pot, grid), "<", -eps) == level
 
 
+# how the finite-difference routes reject a gauss_legendre grid
+FD_ONLY = "on the uniform_fd2 scheme; gauss_legendre serves only the top kernel eigenvalue"
+
+
+def assert_kernel_builders_reject(pot, grid, eps):
+    """The dense kernel builders reject a gauss_legendre grid, naming
+    uniform_fd2, before the small-box warning (r_max <= 10 ranges here)."""
+    assert grid.r_max <= 10.0 * pot.range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for build in (bs_kernel_radial, bs_count_and_top):
+            with pytest.raises(ValueError, match=FD_ONLY):
+                build(pot, grid, eps)
+
+
 @pytest.mark.parametrize("kind,lam,grid", [
     ("square_well", 26.0, RadialGrid(ell=0, r_max=25.0, n=700)),
     ("gaussian", 40.0, RadialGrid(ell=2, r_max=25.0, n=700)),
@@ -372,6 +403,9 @@ def test_threshold_collision_excluded_from_counts(level):
 def test_bs_count_and_top_matches_kernel(kind, lam, grid):
     pot = PotentialSpec(kind=kind, strength=lam, range=1.0)
     for eps in (0.05, 0.5, 2.0):
+        if grid.scheme == "gauss_legendre":
+            assert_kernel_builders_reject(pot, grid, eps)
+            continue
         count, top = bs_count_and_top(pot, grid, eps)
         kernel = bs_kernel_radial(pot, grid, eps)
         assert count == count_evs(kernel, ">", 1.0)
@@ -417,8 +451,9 @@ def test_gauss_legendre_route_rejects_repulsion():
         kind="square_well", strength=2.0, range=1.0,
         repulsive_part=PotentialSpec(kind="gaussian", strength=8.0, range=0.3))
     grid = RadialGrid(ell=0, r_max=1.0, n=64, scheme="gauss_legendre")
+    assert_kernel_builders_reject(pot, grid, 0.1)
     with pytest.raises(ValueError, match="repulsive"):
-        bs_kernel_radial(pot, grid, 0.1)
+        kernel_critical_strength(pot, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -632,24 +667,18 @@ def test_critical_coupling_range_rescaling():
 
 
 def test_critical_coupling_counts_every_eigensolve(monkeypatch):
-    tests, solves = [], []
-    binding_test, lowest = radial._tridiagonal_positive_definite, radial._lowest_eigenvalue
+    tests = []
+    binding_test = radial._tridiagonal_positive_definite
 
     def counted_test(diag, off):
         tests.append(diag.size)
         return binding_test(diag, off)
 
-    def counted_solve(pot, grid):
-        solves.append(grid.n)
-        return lowest(pot, grid)
-
     monkeypatch.setattr(radial, "_tridiagonal_positive_definite", counted_test)
-    monkeypatch.setattr(radial, "_lowest_eigenvalue", counted_solve)
     shape = PotentialSpec(kind="square_well", strength=1.0, range=1.0)
     res = find_critical_coupling_radial(
         shape, RadialGrid(ell=0, r_max=30.0, n=300), tol=0.1)
     assert res.iterations == len(tests)
-    assert solves == [600]  # one eigensolve, for the residual on the fine grid
 
 
 # (potential, grid) pairs whose critical coupling the oracle route re-derives
@@ -677,7 +706,6 @@ def test_critical_coupling_is_bit_identical_to_the_stebz_route(monkeypatch, case
     assert res.lambda_star.hex() == old.lambda_star.hex()
     assert [b.hex() for b in res.bracket] == [b.hex() for b in old.bracket]
     assert res.iterations == old.iterations
-    assert res.residual_min_eig.hex() == old.residual_min_eig.hex()
 
 
 @pytest.mark.parametrize("case", CRITICAL_CASES)
@@ -731,7 +759,7 @@ def test_mu_scan_resonance_richardson_cross_check():
     grid = RadialGrid(ell=0, r_max=1.0, n=200, scheme="gauss_legendre")
     pot = well.with_strength(kernel_critical_strength(well, grid))
     eps = np.geomspace(1e-7, 1e-4, 13)
-    report = mu_scan(pot, grid, eps, fit_window=(1e-7, 1e-4))
+    report = mu_scan(pot, grid, eps)
     x = np.log(report.epsilons)
     y = np.log(1.0 - report.mus)
     local = np.diff(y) / np.diff(x)
@@ -830,7 +858,7 @@ def test_mu_scan_rejects_a_supercritical_scan():
     grid = RadialGrid(ell=0, r_max=1.0, n=64, scheme="gauss_legendre")
     pot = well.with_strength(kernel_critical_strength(well, grid) * (1.0 + 9e-9))
     with pytest.raises(RuntimeError, match="supercritical"):
-        mu_scan(pot, grid, [1e-22, 1e-4], fit_window=(1e-22, 1e-4))
+        mu_scan(pot, grid, [1e-22, 1e-4])
 
 
 # mu at the four scan points, and the check that fails, if any
@@ -973,9 +1001,11 @@ def test_top_eigenvalue_residual_check_catches_a_corrupted_inverse(monkeypatch, 
 ], ids=["p-wave", "weak-core"])
 def test_gauss_legendre_kernels_reject_a_partial_wave_or_a_repulsive_part(pot, ell, match):
     grid = RadialGrid(ell=ell, r_max=1.0, n=64, scheme="gauss_legendre")
-    for route in (kernel_critical_strength, lambda p, g: bs_count_and_top(p, g, 0.5)):
-        with pytest.raises(ValueError, match=match):
-            route(pot, grid)
+    with pytest.raises(ValueError, match=match):
+        kernel_critical_strength(pot, grid)
+    # the dense kernel is built on uniform_fd2 only, whatever the potential
+    with pytest.raises(ValueError, match=FD_ONLY):
+        bs_count_and_top(pot, grid, 0.5)
 
 
 def test_kernel_critical_strength_needs_an_attractive_part():
