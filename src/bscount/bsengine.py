@@ -33,9 +33,8 @@ have stacked cores too, ``_hs_count_bound`` and ``_rank_one_domination``:
 the second returns each member's count of eigenvalues above ``c``, so a
 caller can count failed members, and ``hs_count_bound_check`` and
 ``rank_one_domination`` are those cores on a stack of one.  Stacks take
-linop's dense route, as does any matrix whose builder recorded nothing:
-the deflated route and the Sturm count serve only the radial builders'
-operators.
+linop's dense route, as does any matrix not recorded tridiagonal: the
+Sturm count serves only radial's reduced Hamiltonian.
 
 Sign convention: the leading minus is part of the definition here, so
 attractive perturbations ``B <= 0`` give ``K(eps) >= 0`` and binding shows
@@ -165,8 +164,8 @@ def _count_bs(s: _Stack) -> np.ndarray:
 def count_direct(p: BsProblem) -> int:
     """Number of eigenvalues of ``A + B`` below ``-eps``, multiplicities included.
 
-    The strict count of ``count_evs``: eigenvalues within the guard band of
-    ``-eps`` are not counted.
+    The count ``count_evs(A + B, "<", -eps)`` makes: an eigenvalue within
+    the guard band of ``-eps`` is not counted.
     """
     return int(_count_direct(p._stack)[0])
 

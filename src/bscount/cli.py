@@ -543,6 +543,9 @@ def run(config: dict, jobs: int | None = None, out_dir: str | None = None) -> in
     t0 = time.perf_counter()
     try:
         columns, rows, checks = _PIPELINES[command](config, jobs)
+    except OSError as exc:  # the potential table is the one file a pipeline reads
+        print(f"bscount {command}: cannot read potential table: {exc}", file=sys.stderr)
+        return EXIT_IO_ERROR
     except (ValueError, RuntimeError) as exc:
         print(f"bscount {command}: numerical check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED

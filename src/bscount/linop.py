@@ -18,15 +18,14 @@ within ``SYMMETRY_RTOL`` are averaged with their transpose, and entries
 symmetric bit for bit are stored as a copy, without the averaging that
 would return the same bits.  Library code that forms a matrix it knows to
 be exactly symmetric passes the ndarray on without wrapping it again:
-bsengine's sums of two operators' entries, radial's symmetrized support
-block and efimov's trimer kernel, mirrored from its upper triangle.
+bsengine's sums of two operators' entries, radial's symmetrized kernel
+on the support of v_- and efimov's trimer kernel, mirrored from its upper
+triangle.
 Builders that return an operator of such a fresh array, radial's reduced
 Hamiltonian and Birman-Schwinger kernel, hand it to the private
 ``SymOperator._built``, which freezes it in place with no copy and no
-check, and records one fact for each of its readers: that the
-Hamiltonian is tridiagonal, which ``count_evs`` reads, and the support
-outside which a kernel that does not fill the grid vanishes, which the
-eigenvalue solve reads.
+check, and records one fact, that the Hamiltonian is tridiagonal, which
+``count_evs`` reads.
 
 linop runs every eigensolve in the package, and makes every guarded count
 of a spectrum: no other module calls LAPACK for eigenvalues or compares an
@@ -40,17 +39,16 @@ none, so the trace and Frobenius checks have no spectrum to test.  The
 Sturm count is exact for a matrix within a few ulps of ``T`` (Kahan 1966),
 far inside the guard band, and tests hold it to the count of the full
 spectrum.  Every other count, and ``_checked_eigenvalues`` itself, takes
-checked eigenvalues: rows and columns outside a recorded support are
-deflated as exact zero eigenvalues and the rest come from ``eigvalsh`` on
-the support block, and any other matrix, or stack, goes to ``eigvalsh``
-whole, whatever zeros or band its entries hold; they are checked against
-the trace and Frobenius-norm invariants of the full matrix, both O(n^2).
-``_selection`` turns a relation and threshold into the guarded eigenvalue
-range and rejects a threshold that is not finite; ``_count`` applies it to
-a spectrum, for ``count_evs`` and for the callers that count a spectrum
-they also read, and ``_tridiagonal_count`` to a Sturm count.
-``_collides`` tells whether an eigenvalue lies within the guard band of a
-threshold, where a strict and a non-strict count differ.
+checked eigenvalues: any matrix, or stack, goes to ``eigvalsh`` whole,
+whatever zeros or band its entries hold, and its eigenvalues are checked
+against the trace and Frobenius-norm invariants, both O(n^2).  Counts are
+strict, ``">"`` or ``"<"``: an eigenvalue within the guard band of the
+threshold is never counted.  ``_selection`` turns a relation and threshold
+into the guarded eigenvalue range and rejects a threshold that is not
+finite; ``_count`` applies it to a spectrum, for ``count_evs`` and for the
+callers that count a spectrum they also read, and ``_tridiagonal_count``
+to a Sturm count.  ``_collides`` tells whether an eigenvalue lies within
+the guard band of a threshold, where neither relation counts it.
 ``_spectral_decompose`` returns eigenvectors too and checks their residual
 and orthonormality; it serves the callers that use eigenvectors.  The
 private ``_checked_eigenvalues``, ``_spectral_decompose`` and
@@ -85,7 +83,7 @@ SYMMETRY_RTOL = 1e-12
 # Default 64-bit seed threaded through every randomized routine.
 DEFAULT_SEED = 0xB5C0
 
-_RELATIONS = (">", ">=", "<", "<=")
+_RELATIONS = (">", "<")
 
 
 @dataclass(frozen=True)
@@ -108,28 +106,24 @@ class SymOperator:
         object.__setattr__(self, "entries", _symmetrized(a))
 
     # what a builder recorded with ``_built``: that the matrix is
-    # tridiagonal, which ``count_evs`` reads, and the indices outside which
-    # its rows and columns are exactly zero, which ``_eigenvalues`` reads
+    # tridiagonal, which ``count_evs`` reads
     _tridiagonal = False
-    _support = None
 
     @classmethod
-    def _built(cls, entries: np.ndarray, *, tridiagonal: bool = False,
-               support: np.ndarray | None = None) -> "SymOperator":
+    def _built(cls, entries: np.ndarray, *, tridiagonal: bool = False) -> "SymOperator":
         """The operator of an array a library builder has just made, finite
         and symmetric bit for bit, that no one else holds.
 
         The array is frozen in place, with no copy and no check, and what
         the builder knows is recorded: that the matrix is ``tridiagonal``,
-        so that ``count_evs`` makes a Sturm count of its diagonals, or the
-        indices ``support`` outside which its rows and columns are exactly
-        zero, so that its spectrum is solved on the support block.
+        so that ``count_evs`` makes a Sturm count of its diagonals.  The
+        array may be 0 x 0, as the kernel of a potential with no attractive
+        part on the grid is.
         """
         entries.setflags(write=False)
         op = object.__new__(cls)
         object.__setattr__(op, "entries", entries)
         object.__setattr__(op, "_tridiagonal", tridiagonal)
-        object.__setattr__(op, "_support", support)
         return op
 
     @property
@@ -177,18 +171,15 @@ def _spectral_decompose(m: np.ndarray, psd: bool = False) -> tuple[np.ndarray, n
     return lam, vec
 
 
-def _checked_eigenvalues(m: np.ndarray, support=None) -> tuple[np.ndarray, float | np.ndarray]:
+def _checked_eigenvalues(m: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
     """Ascending eigenvalues of a matrix already known to be symmetric and its
     count guard band; or those of every matrix of a stack ``(k, n, n)`` of
     them by one dense stacked ``eigvalsh``, each matrix checked on its own
     and with its own guard band in the array ``eta``.
 
-    When the builder of ``m`` recorded a ``support``, each row and column
-    outside it adds an exact zero eigenvalue, and the others come from
-    ``eigvalsh`` on the support block; any other matrix, a recorded
-    tridiagonal one too, goes to ``eigvalsh`` whole.  Whatever the route,
-    the eigenvalues are checked against the invariants ``sum(lam) = tr A``
-    and ``sum(lam^2) = |A|_F^2`` of the full matrix, within ``eta`` and
+    Every matrix, a recorded tridiagonal one too, goes to ``eigvalsh``
+    whole.  The eigenvalues are checked against the invariants
+    ``sum(lam) = tr A`` and ``sum(lam^2) = |A|_F^2``, within ``eta`` and
     ``eta * (1 + |A|_F)`` for the guard ``eta = 1e-10 (1 + |A|_F)``; a
     failed check or a LAPACK failure raises RuntimeError.  A matrix whose
     ``|A|_F`` is not finite has no guard band and raises ValueError before
@@ -196,7 +187,7 @@ def _checked_eigenvalues(m: np.ndarray, support=None) -> tuple[np.ndarray, float
     """
     fro = _finite_fro(m)
     try:
-        lam = _eigenvalues(m, support)
+        lam = np.linalg.eigvalsh(m)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigenvalue solver did not converge: {exc}") from exc
     eta = _guard(fro)
@@ -273,16 +264,6 @@ def _finite_fro(m: np.ndarray):
 
     _require(fro < math.inf, cause, error=ValueError)  # False where it overflows or is NaN
     return fro
-
-
-def _eigenvalues(m: np.ndarray, support) -> np.ndarray:
-    """Ascending eigenvalues of a symmetric matrix, or of each matrix of a
-    stack, by dense ``eigvalsh``, on the recorded ``support`` block unless
-    it is None."""
-    if support is None:
-        return np.linalg.eigvalsh(m)
-    lam = np.linalg.eigvalsh(m[np.ix_(support, support)])
-    return np.sort(np.concatenate([lam, np.zeros(m.shape[0] - support.size)]))
 
 
 def _tridiagonal_count(diag, off, relation: str, threshold: float) -> int:
@@ -425,7 +406,7 @@ def _count(lam: np.ndarray, eta, relation: str, threshold):
 
 def _collides(lam: np.ndarray, eta, threshold):
     """Whether an eigenvalue of ``lam`` lies within the guard band ``eta`` of
-    ``threshold``, where a strict and a non-strict count disagree; for the
+    ``threshold``, where neither ``">"`` nor ``"<"`` counts it; for the
     eigenvalues ``(k, n)`` of a stack, the array of it per member."""
     return np.min(np.abs(lam - np.expand_dims(threshold, -1)), axis=-1) < eta
 
@@ -433,50 +414,51 @@ def _collides(lam: np.ndarray, eta, threshold):
 def _selection(relation: str, threshold: float, eta: float) -> tuple[float, bool]:
     """The eigenvalues that satisfy ``relation threshold`` outside the guard
     band ``eta``, as ``(edge, above)``: those above ``edge`` when ``above``,
-    else those at most ``edge``.  Strict relations exclude the band around
-    the threshold and non-strict ones include it.  ``threshold`` and ``eta``
-    may be arrays over a stack, giving an array ``edge``.  An unknown
-    relation or a threshold that is not finite raises ValueError, naming the
+    else those at most ``edge``.  Both relations are strict and exclude the
+    band around the threshold.  ``threshold`` and ``eta`` may be arrays over
+    a stack, giving an array ``edge``.  A relation other than ``">"`` and
+    ``"<"`` or a threshold that is not finite raises ValueError, naming the
     stack member.
     """
     if relation not in _RELATIONS:
         raise ValueError(f"unknown relation {relation!r}, expected one of {_RELATIONS}")
     _require(np.isfinite(threshold), "count threshold must be finite, got {}", threshold,
              error=ValueError)
-    edge = threshold + eta if relation in (">", "<=") else threshold - eta
-    return edge, relation[0] == ">"
+    above = relation == ">"
+    return (threshold + eta if above else threshold - eta), above
 
 
 def count_evs(a: SymOperator, relation: str, threshold: float) -> int:
     """Count eigenvalues satisfying ``relation threshold``, with multiplicities.
 
-    Strict relations exclude a guard band around the threshold and non-strict
-    ones include it, so counts are exact whenever spectral gaps are large
-    compared to the band ``1e-10 * (1 + |A|_F)``.  A matrix whose builder
-    recorded it tridiagonal is counted by Sturm sequences (``stebz``) on its
-    diagonals, in O(n) and with no eigenvalue computed, so there is no
-    spectrum for the trace and Frobenius-norm checks to test: the Sturm
-    count is exact for a matrix within a few ulps of ``A``, and tests hold
-    it to the count of the full spectrum.  Every other matrix is counted
-    from ``_checked_eigenvalues``, on a recorded support or else whole,
-    whose trace and Frobenius-norm invariants stand in for eigenvector
-    residual checks.  On every route a matrix whose ``|A|_F`` is not finite
-    raises ValueError before any eigenvalue is counted.
+    ``relation`` is ``">"`` or ``"<"``; both are strict and exclude a guard
+    band around the threshold, so counts are exact whenever spectral gaps
+    are large compared to the band ``1e-10 * (1 + |A|_F)``.  Any other
+    relation raises ValueError.  A matrix whose builder recorded it
+    tridiagonal is counted by Sturm sequences (``stebz``) on its diagonals,
+    in O(n) and with no eigenvalue computed, so there is no spectrum for
+    the trace and Frobenius-norm checks to test: the Sturm count is exact
+    for a matrix within a few ulps of ``A``, and tests hold it to the count
+    of the full spectrum.  Every other matrix is counted from
+    ``_checked_eigenvalues`` of the whole matrix, whose trace and
+    Frobenius-norm invariants stand in for eigenvector residual checks.  On
+    every route a matrix whose ``|A|_F`` is not finite raises ValueError
+    before any eigenvalue is counted.
     """
     a = sym(a)
     if a._tridiagonal:
         return _tridiagonal_count(a.entries.diagonal(), a.entries.diagonal(-1),
                                   relation, threshold)
-    return int(_count_evs(a.entries, relation, threshold, a._support))
+    return int(_count_evs(a.entries, relation, threshold))
 
 
-def _count_evs(m: np.ndarray, relation: str, threshold, support=None):
+def _count_evs(m: np.ndarray, relation: str, threshold):
     """``count_evs`` of a matrix already known to be symmetric, by ``_count``
-    of its checked eigenvalues, solved on its recorded ``support``; or the
-    array of the counts of every matrix of a stack ``(k, n, n)`` of them,
-    each against the same ``threshold`` or its own entry of the array
-    ``threshold``, from one stacked ``eigvalsh``."""
-    return _count(*_checked_eigenvalues(m, support), relation, threshold)
+    of its checked eigenvalues; or the array of the counts of every matrix
+    of a stack ``(k, n, n)`` of them, each against the same ``threshold`` or
+    its own entry of the array ``threshold``, from one stacked
+    ``eigvalsh``."""
+    return _count(*_checked_eigenvalues(m), relation, threshold)
 
 
 def hs_norm(a: SymOperator) -> float:

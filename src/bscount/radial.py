@@ -17,20 +17,24 @@ Two discretization schemes coexist, each with one job:
   any finite box would destroy the square-root law of the resonance
   channel; the kernel builders and the critical-coupling search reject it.
 
-linop runs every eigensolve and makes every count.  ``bs_count_and_top``
-counts above 1 the kernel's support-block spectrum, ``linop``'s checked
-full spectrum, and the counts of the tridiagonal Hamiltonian are Sturm
-counts.  ``kernel_critical_strength`` and ``mu_scan`` read only the largest
-kernel eigenvalue, which linop finds in O(n) without a full spectrum: the
-kernel is ``S T^-1 S`` on the whole grid, with ``T`` tridiagonal and
-``S^2`` exactly zero off the support of v_-.  On gauss_legendre ``T`` is
-the closed-form inverse of the Green function; on uniform_fd2 it is the
-banded ``H_0 + v_+ + eps`` itself, so uniform_fd2 has one Green
-representation for the block, the top eigenvalue, the critical coupling
-and the counts.  The two operator builders hand their fresh arrays to
-linop with the structure they know, so counts need not scan for it.
-The critical-coupling search asks only whether the Hamiltonian binds, which
-linop's O(n) positive-definiteness test of the tridiagonal matrix answers.
+linop runs every eigensolve and makes every count.  The Birman-Schwinger
+kernel is an operator on the support of v_-, where the attractive part
+lives, so ``bs_kernel_radial`` returns the support block itself, of one row
+per node where v_- > 0, and ``bs_count_and_top`` counts above 1 that
+block's spectrum, linop's checked dense spectrum; the counts of the
+tridiagonal Hamiltonian are Sturm counts.  ``kernel_critical_strength``
+and ``mu_scan`` read only the largest kernel eigenvalue, which linop finds
+in O(n) without a full spectrum: there the kernel is ``S T^-1 S`` on the
+whole grid, with ``T`` tridiagonal and ``S^2`` exactly zero off the
+support of v_-.  On gauss_legendre ``T`` is the closed-form inverse of the
+Green function; on uniform_fd2 it is the banded ``H_0 + v_+ + eps``
+itself, so uniform_fd2 has one Green representation for the block, the
+top eigenvalue, the critical coupling and the counts.  The two operator
+builders hand their fresh arrays to linop unchecked, and the reduced
+Hamiltonian records that it is tridiagonal, so its counts need not scan
+for the band.  The critical-coupling search asks only whether the
+Hamiltonian binds, which linop's O(n) positive-definiteness test of the
+tridiagonal matrix answers.
 """
 
 from __future__ import annotations
@@ -98,6 +102,9 @@ class PotentialSpec:
             v = np.asarray(self.table_v, dtype=float)
             if r.ndim != 1 or r.shape != v.shape or r.size < 2:
                 raise ValueError("table potentials need matching 1-d r and v columns")
+            for name, column in (("table_r", r), ("table_v", v)):
+                if not np.isfinite(column).all():
+                    raise ValueError(f"table column {name} has non-finite entries")
             if np.any(np.diff(r) <= 0):
                 raise ValueError("table abscissas must be strictly increasing")
             if np.any(v < 0):
@@ -345,10 +352,10 @@ def _green_inverse(eps: float, r: np.ndarray):
 def _bs_block(pot: PotentialSpec, grid: RadialGrid, eps: float):
     """``sqrt(v_-) (H_0 + v_+ + eps)^-1 sqrt(v_-)`` on the support of v_-.
 
-    Returns the support indices and the block, for ``eps >= 0``, on the
-    uniform_fd2 box (another scheme raises ValueError): the box operator is
-    inverted by banded solves, and the block is symmetrized, so it is
-    exactly symmetric.
+    Returns the block, one row and column per node where v_- > 0 (0 x 0
+    where there is none), for ``eps >= 0``, on the uniform_fd2 box (another
+    scheme raises ValueError): the box operator is inverted by banded
+    solves, and the block is symmetrized, so it is exactly symmetric.
     """
     import scipy.linalg
     v_minus = pot.v_minus(grid.nodes)
@@ -362,7 +369,7 @@ def _bs_block(pot: PotentialSpec, grid: RadialGrid, eps: float):
     block *= root[:, None]
     block = block + block.T
     block *= 0.5  # the bits of 0.5 * (block + block.T), without a second n x n array
-    return supp, block
+    return block
 
 
 def _kernel_top(pot: PotentialSpec, grid: RadialGrid, eps: float) -> float:
@@ -404,38 +411,33 @@ def bs_kernel_radial(pot: PotentialSpec, grid: RadialGrid, eps: float) -> SymOpe
 
     The repulsive part of the potential is absorbed into the reference
     operator ``H_w = H_0 + v_+``, so the kernel is built from the attractive
-    part only: ``sqrt(v_-) (H_w + eps)^-1 sqrt(v_-)``, an n x n matrix that
-    vanishes outside the support of v_-.  Its nonzero spectrum is that of
-    ``(H_w + eps)^(-1/2) v_- (H_w + eps)^(-1/2)``.  Where that support is
-    not the whole grid the operator records it, so ``count_evs`` solves the
-    support block only; on full support the block is the kernel itself.
+    part only: ``sqrt(v_-) (H_w + eps)^-1 sqrt(v_-)``, the kernel on the
+    support of v_-.  Its ``dim`` is the number of grid nodes where
+    v_- > 0, and it is 0 x 0 when v_- vanishes on the grid.  Its spectrum
+    is the nonzero spectrum of ``(H_w + eps)^(-1/2) v_- (H_w + eps)^(-1/2)``.
     It is built on the uniform_fd2 box only: another scheme raises
     ValueError before the small-box warning.
     """
     if not 0 < eps < np.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
-    supp, block = _bs_block(pot, grid, eps)  # rejects a grid other than uniform_fd2
+    block = _bs_block(pot, grid, eps)  # rejects a grid other than uniform_fd2
     _warn_if_box_small(pot, grid)
-    if supp.size == grid.n:
-        return SymOperator._built(block)
-    out = np.zeros((grid.n, grid.n))
-    out[np.ix_(supp, supp)] = block
-    return SymOperator._built(out, support=supp)
+    return SymOperator._built(block)
 
 
 def bs_count_and_top(pot: PotentialSpec, grid: RadialGrid, eps: float) -> tuple[int, float]:
     """Kernel eigenvalues above 1 and the largest kernel eigenvalue at shift eps.
 
-    Both come from one checked eigensolve of the support block, which has
-    the nonzero spectrum and the Frobenius norm of ``bs_kernel_radial``, so
-    the count is ``count_evs(bs_kernel_radial(pot, grid, eps), ">", 1.0)``.
-    The largest eigenvalue is 0 when v_- vanishes on the grid.  As for
-    ``bs_kernel_radial``, a scheme other than uniform_fd2 raises ValueError
-    before the small-box warning.
+    Both come from one checked eigensolve of the kernel on the support of
+    v_-, the matrix ``bs_kernel_radial`` returns, so the count is
+    ``count_evs(bs_kernel_radial(pot, grid, eps), ">", 1.0)``.  The largest
+    eigenvalue is 0 when v_- vanishes on the grid, where the kernel is
+    0 x 0.  As for ``bs_kernel_radial``, a scheme other than uniform_fd2
+    raises ValueError before the small-box warning.
     """
     if not 0 < eps < np.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
-    block = _bs_block(pot, grid, eps)[1]  # rejects a grid other than uniform_fd2
+    block = _bs_block(pot, grid, eps)  # rejects a grid other than uniform_fd2
     _warn_if_box_small(pot, grid)
     lam, eta = _checked_eigenvalues(block)
     if not lam.size:
@@ -449,7 +451,7 @@ def kernel_critical_strength(pot: PotentialSpec, grid: RadialGrid) -> float:
     The kernel is linear in the attractive coupling, so the strength that
     makes the discretized operator exactly critical is
     ``strength / mu_0(strength)``.  ``mu_0``, the largest eigenvalue of the
-    kernel's support block at zero shift, comes from linop's O(n) route
+    kernel on the support of v_- at zero shift, comes from linop's O(n) route
     (``_kernel_top``), checked by an eigenpair residual and a certificate
     that no eigenvalue lies above it.
     """

@@ -12,9 +12,8 @@ from bscount.radial import RadialGrid, _banded_hamiltonian, _bs_block
 
 def checked_eigenvalues(a):
     """Checked ascending eigenvalues of an operator and its count guard band,
-    by linop's core, solved on the support its builder recorded."""
-    a = sym(a)
-    return _checked_eigenvalues(a.entries, a._support)
+    by linop's core."""
+    return _checked_eigenvalues(sym(a).entries)
 
 
 def spectral_decompose(a):
@@ -101,7 +100,7 @@ def block_top_oracle(pot, grid: RadialGrid, eps: float) -> float:
     ``radial._bs_block`` on uniform_fd2 and from the closed-form
     ``_green_swave`` times the quadrature weights on gauss_legendre."""
     if grid.scheme == "uniform_fd2":
-        block = _bs_block(pot, grid, eps)[1]
+        block = _bs_block(pot, grid, eps)
     else:
         v_minus = pot.v_minus(grid.nodes)
         supp = np.flatnonzero(v_minus > 0)

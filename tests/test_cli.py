@@ -297,6 +297,15 @@ def test_twobody_table_potential(tmp_path):
     assert int(cells[1]) >= 1    # the deep table well binds
 
 
+def test_missing_potential_table_exits_3(tmp_path, capsys):
+    missing = tmp_path / "nope" / "v.txt"
+    cfg = write(tmp_path, "tb.conf", f'command = "twobody"\npotential.table = "{missing}"\n')
+    out = tmp_path / "out"
+    assert main(["twobody", "--config", cfg, "--out", str(out)]) == EXIT_IO_ERROR
+    assert capsys.readouterr().err.startswith("bscount twobody: cannot read potential table: ")
+    assert not out.exists()
+
+
 def test_twobody_jobs_invariant_and_box_warning(tmp_path):
     cfg = write(tmp_path, "tb.conf",
                 'command = "twobody"\n'

@@ -80,14 +80,25 @@ def referenced_names(path):
     return names
 
 
+def public_definitions(path):
+    """``(qualified name, name)`` of each public module-level function and
+    class of the file, and of each public method or property of its public
+    classes."""
+    for stmt in ast.parse(path.read_text()).body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_"):
+            yield f"{path.stem}.{stmt.name}", stmt.name
+            if isinstance(stmt, ast.ClassDef):
+                for item in stmt.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield f"{path.stem}.{stmt.name}.{item.name}", item.name
+
+
 def test_every_public_function_and_class_has_a_caller_outside_the_tests():
     # a public name that only tests call is surface kept for the tests alone
     library = sorted((ROOT / "src" / "bscount").glob("*.py"))
     callers = [*library, *sorted((ROOT / "demos").glob("*.py")),
                *sorted((ROOT / "perfbench").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]
     used = set().union(*map(referenced_names, callers))
-    unused = [f"{path.stem}.{stmt.name}" for path in library
-              for stmt in ast.parse(path.read_text()).body
-              if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-              and not stmt.name.startswith("_") and stmt.name not in used]
+    unused = [qualified for path in library for qualified, name in public_definitions(path)
+              if name not in used]
     assert unused == []

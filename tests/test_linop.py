@@ -48,15 +48,6 @@ def random_tridiagonal(rng, dim, diagonal_only=False):
     return SymOperator._built(np.diag(d) + np.diag(e, 1) + np.diag(e, -1), tridiagonal=True)
 
 
-def with_zero_rows(a, rows):
-    """``a`` with the given rows and columns set to exactly zero, recording
-    the support of the others, as the radial kernel's builder does."""
-    m = a.entries.copy()
-    m[rows, :] = 0.0
-    m[:, rows] = 0.0
-    return SymOperator._built(m, support=np.setdiff1d(np.arange(len(m)), rows))
-
-
 # the solvers as imported, kept as oracles while tests spy on the routes
 DENSE_EIGVALSH = np.linalg.eigvalsh
 TRIDIAGONAL_EIGVALSH = scipy.linalg.eigvalsh_tridiagonal
@@ -339,14 +330,17 @@ def test_count_diagonal_strict():
 
 def test_count_identity_boundary_excluded():
     assert count_evs(sym(np.eye(5)), ">", 1.0) == 0
-    assert count_evs(sym(np.eye(5)), ">=", 1.0) == 5
+    assert count_evs(sym(np.eye(5)), "<", 1.0) == 0
 
 
 def test_count_unicode_relations():
-    a = sym(np.diag([-1.0, 0.0, 2.0]))
-    for relation in ("≥", "≤"):  # only the ASCII forms are relations
-        with pytest.raises(ValueError, match="unknown relation"):
-            count_evs(a, relation, 0.0)
+    # only the strict ASCII forms are relations, on the dense and the
+    # tridiagonal route
+    for a in (sym(np.diag([-1.0, 0.0, 2.0])),
+              random_tridiagonal(np.random.default_rng(DEFAULT_SEED), 3)):
+        for relation in ("≥", "≤", ">=", "<="):
+            with pytest.raises(ValueError, match="unknown relation"):
+                count_evs(a, relation, 0.0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -360,8 +354,6 @@ def test_count_matches_brute_force_scan(seed, threshold):
     lam = np.sort(diag)
     assert count_evs(a, ">", threshold) == int(np.sum(lam > threshold + eta))
     assert count_evs(a, "<", threshold) == int(np.sum(lam < threshold - eta))
-    assert count_evs(a, ">=", threshold) == int(np.sum(lam >= threshold - eta))
-    assert count_evs(a, "<=", threshold) == int(np.sum(lam <= threshold + eta))
 
 
 def guard_band_edges(threshold, eta):
@@ -373,8 +365,8 @@ def guard_band_edges(threshold, eta):
 
 
 # the count of ``guard_band_edges`` per relation: the band is (t - eta, t + eta],
-# so each strict relation and its non-strict complement count all 7
-EDGE_COUNTS = {">": 1, ">=": 5, "<": 2, "<=": 6}
+# so neither relation counts the 4 edges inside it
+EDGE_COUNTS = {">": 1, "<": 2}
 
 
 @pytest.mark.parametrize("relation", EDGE_COUNTS)
@@ -401,8 +393,10 @@ def test_collision_is_an_eigenvalue_strictly_inside_the_band():
 
 
 def test_count_rejects_unknown_relation():
-    with pytest.raises(ValueError, match="relation"):
-        count_evs(sym(np.eye(2)), "!=", 0.0)
+    for a in (sym(np.eye(2)), random_tridiagonal(np.random.default_rng(DEFAULT_SEED), 2)):
+        for relation in ("!=", ">=", "<="):
+            with pytest.raises(ValueError, match="unknown relation"):
+                count_evs(a, relation, 0.0)
 
 
 def test_count_random_symmetric_vs_sorted_list():
@@ -413,7 +407,7 @@ def test_count_random_symmetric_vs_sorted_list():
         lam = np.sort(np.linalg.eigvalsh(a.entries))
         eta = checked_eigenvalues(a)[1]
         assert count_evs(a, ">", threshold) == int(np.sum(lam > threshold + eta))
-        assert count_evs(a, "<=", threshold) == int(np.sum(lam <= threshold + eta))
+        assert count_evs(a, "<", threshold) == int(np.sum(lam < threshold - eta))
 
 
 def _eigh_count(a, relation, threshold, lam=None):
@@ -424,15 +418,19 @@ def _eigh_count(a, relation, threshold, lam=None):
     return dense_count(lam, eta, relation, threshold)
 
 
+RADIAL_GRID = {"r_max": 25.0, "n": 700}
+
+
 @pytest.fixture(scope="module")
 def radial_cases():
-    """The 40 matrices of acceptance criterion 5: for each case, the embedded
-    Birman-Schwinger kernel (counted above 1) and the tridiagonal reduced
-    Hamiltonian (counted below -eps), built once for the module."""
+    """The 40 matrices of acceptance criterion 5: for each case, the
+    Birman-Schwinger kernel on the support of v_- (counted above 1) and the
+    tridiagonal reduced Hamiltonian (counted below -eps), built once for
+    the module."""
     cases = []
     for kind, lam, ell, eps in TWENTY_CASES:
         pot = PotentialSpec(kind=kind, strength=lam, range=1.0)
-        grid = RadialGrid(ell=ell, r_max=25.0, n=700)
+        grid = RadialGrid(ell=ell, **RADIAL_GRID)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             label = (kind, lam, ell, eps)
@@ -441,16 +439,41 @@ def radial_cases():
     return cases
 
 
+def kernel_support(label):
+    """The grid nodes of criterion 5's case ``label`` where v_- > 0."""
+    kind, lam, ell, _ = label
+    grid = RadialGrid(ell=ell, **RADIAL_GRID)
+    return np.flatnonzero(PotentialSpec(kind=kind, strength=lam).v_minus(grid.nodes) > 0)
+
+
+def on_the_grid(label, a, relation):
+    """The bytes of case ``a`` on the whole grid: the Hamiltonian's own, and
+    the kernel's support block zero-padded to n x n."""
+    if relation == "<":
+        return np.array(a.entries)
+    supp = kernel_support(label)
+    m = np.zeros((RADIAL_GRID["n"],) * 2)
+    m[np.ix_(supp, supp)] = a.entries
+    return m
+
+
+def padded_spectrum(lam, n):
+    """Ascending eigenvalues ``lam`` with zeros added up to ``n``: the
+    spectrum of a support block zero-padded to ``n x n``."""
+    return np.sort(np.concatenate([lam, np.zeros(n - lam.size)]))
+
+
 @pytest.fixture(scope="module")
 def radial_oracles(radial_cases):
-    """Per case of ``radial_cases``, its dense oracles, each computed once:
-    the ``eigh`` eigenvalues of its bytes, and the checked eigenvalues and
-    guard band of a ``SymOperator`` of its bytes, which records no
-    structure, so its spectrum is one ``eigvalsh`` of the whole matrix."""
+    """Per case of ``radial_cases``, its dense oracles on the whole grid,
+    each computed once: the ``eigh`` eigenvalues of ``on_the_grid``, and the
+    checked eigenvalues and guard band of a ``SymOperator`` of those bytes,
+    which records no structure, so its spectrum is one ``eigvalsh`` of the
+    whole n x n matrix."""
     oracles = []
-    for _, a, _, _ in radial_cases:
-        plain = SymOperator(np.array(a.entries))
-        oracles.append((np.linalg.eigh(a.entries)[0], plain, checked_eigenvalues(plain)))
+    for label, a, relation, _ in radial_cases:
+        plain = SymOperator(on_the_grid(label, a, relation))
+        oracles.append((np.linalg.eigh(plain.entries)[0], plain, checked_eigenvalues(plain)))
     return oracles
 
 
@@ -466,39 +489,33 @@ def test_radial_cases_take_the_structured_routes_and_match_dense(radial_cases, r
         solver_dims["dense"].clear()
         solver_dims["tridiagonal"].clear()
         lam, eta = checked_eigenvalues(a)
-        assert np.max(np.abs(lam - ref)) <= 1e-13 * np.max(np.abs(ref)), label
+        assert np.max(np.abs(padded_spectrum(lam, ref.size) - ref)) <= \
+            1e-13 * np.max(np.abs(ref)), label
         assert dense_count(lam, eta, relation, threshold) == \
             dense_count(ref, eta, relation, threshold), label
-        support = int(np.count_nonzero(a.entries.any(axis=0)))
-        if relation == "<":  # the tridiagonal Hamiltonian's spectrum is solved dense
-            assert solver_dims == {"dense": [700], "tridiagonal": []}, label
-        else:  # the kernel is solved on the support of v_-
-            assert solver_dims == {"dense": [support], "tridiagonal": []}, label
+        # the tridiagonal Hamiltonian's spectrum is solved dense, and the
+        # kernel, which lives on the support of v_-, is solved whole
+        rows = RADIAL_GRID["n"] if relation == "<" else kernel_support(label).size
+        assert a.dim == rows, label
+        assert solver_dims == {"dense": [a.dim], "tridiagonal": []}, label
 
 
 def test_recorded_structure_gives_the_counts_and_spectra_of_the_bytes(radial_cases,
                                                                        radial_oracles):
     for (label, a, relation, threshold), (_, plain, (lam_plain, eta_plain)) in zip(
             radial_cases, radial_oracles):
-        assert not plain._tridiagonal and plain._support is None
+        assert not plain._tridiagonal
         # count_evs of the plain operator is _count of its checked eigenvalues
         assert count_evs(a, relation, threshold) == \
             _count(lam_plain, eta_plain, relation, threshold), label
         lam, eta = checked_eigenvalues(a)
-        assert np.max(np.abs(lam - lam_plain)) <= min(eta, eta_plain), label
+        assert np.max(np.abs(padded_spectrum(lam, plain.dim) - lam_plain)) <= \
+            min(eta, eta_plain), label
 
 
 def test_recorded_structure_is_read_from_the_frozen_entries(radial_cases):
     for label, a, relation, _ in radial_cases:
-        if relation == "<":
-            assert a._tridiagonal and a._support is None, label
-        else:  # a support that is the whole grid is not recorded
-            live = np.flatnonzero(a.entries.any(axis=0))
-            assert not a._tridiagonal, label
-            if live.size < a.dim:
-                assert np.array_equal(a._support, live), label
-            else:
-                assert a._support is None, label
+        assert a._tridiagonal == (relation == "<"), label
         with pytest.raises(ValueError, match="read-only"):
             a.entries[0, 0] = 1.0
 
@@ -517,7 +534,7 @@ def test_count_matches_eigh_count_on_random_corpus():
 def test_count_rejects_a_non_finite_threshold(threshold, route):
     rng = np.random.default_rng(DEFAULT_SEED)
     a = random_symmetric(rng, 5) if route == "dense" else random_tridiagonal(rng, 5)
-    for relation in (">", ">=", "<", "<="):
+    for relation in (">", "<"):
         with pytest.raises(ValueError, match="threshold"):
             count_evs(a, relation, threshold)
 
@@ -533,12 +550,12 @@ def test_kernel_whose_norm_overflows_is_rejected_before_its_solver():
         warnings.simplefilter("error")
         for run in (checked_eigenvalues, spectral_decompose, lambda k: count_evs(k, ">", 1.0),
                     lambda k: radial.bs_count_and_top(well, grid, 1.0),
-                    lambda k: _checked_eigenvalues(np.stack([np.eye(200), k.entries])),
-                    lambda k: _spectral_decompose(np.stack([np.eye(200), k.entries]))):
+                    lambda k: _checked_eigenvalues(np.stack([np.eye(k.dim), k.entries])),
+                    lambda k: _spectral_decompose(np.stack([np.eye(k.dim), k.entries]))):
             with pytest.raises(ValueError, match="its norm overflows"):
                 run(k)
     with pytest.raises(ValueError, match=r"\(stack member 1\)$"):
-        _checked_eigenvalues(np.stack([np.eye(200), k.entries]))
+        _checked_eigenvalues(np.stack([np.eye(k.dim), k.entries]))
 
 
 def test_tridiagonal_count_rejects_a_norm_that_overflows():
@@ -551,7 +568,7 @@ def test_tridiagonal_count_rejects_a_norm_that_overflows():
         with pytest.raises(ValueError, match="not finite"):
             radial.negative_count(well, grid)
         h = reduced_hamiltonian(well, grid)
-        for relation in (">", ">=", "<", "<="):
+        for relation in (">", "<"):
             with pytest.raises(ValueError, match="not finite"):
                 count_evs(h, relation, 0.0)
 
@@ -560,14 +577,12 @@ def sterf_count(diag, off, relation, threshold):
     """Oracle: the count from the full ``sterf`` spectrum, same guard band."""
     lam = TRIDIAGONAL_EIGVALSH(diag, off, lapack_driver="sterf")
     eta = 1e-10 * (1.0 + np.sqrt(diag @ diag + 2.0 * (off @ off)))
-    return int(np.sum({">": lam > threshold + eta, ">=": lam >= threshold - eta,
-                       "<": lam < threshold - eta, "<=": lam <= threshold + eta}[relation]))
+    return int(np.sum({">": lam > threshold + eta, "<": lam < threshold - eta}[relation]))
 
 
 def test_sturm_count_matches_the_sterf_count_across_the_guard_band(monkeypatch):
-    # thresholds 2 eta, 0.8 eta and eta/2 on either side of an eigenvalue: the
-    # strict relations count it only when it lies outside the band, the
-    # others whenever it lies inside the band or beyond it
+    # thresholds 2 eta, 0.8 eta and eta/2 on either side of an eigenvalue:
+    # each relation counts it only when it lies outside the band
     selections = []
     monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", lambda d, e, **kw: (
         selections.append(kw["select"]) or TRIDIAGONAL_EIGVALSH(d, e, **kw)))
@@ -586,7 +601,7 @@ def test_sturm_count_matches_the_sterf_count_across_the_guard_band(monkeypatch):
         for x in rng.choice(lam, size=min(dim, 4), replace=False):
             for shift in (-2.0, -0.8, -0.5, 0.5, 0.8, 2.0):
                 threshold = x + shift * eta
-                for relation in (">", ">=", "<", "<="):
+                for relation in (">", "<"):
                     expected = sterf_count(diag, off, relation, threshold)
                     assert count_evs(a, relation, threshold) == expected, (dim, relation, shift)
     assert set(selections) == {"v"}  # every count took the Sturm selection
@@ -600,38 +615,17 @@ def test_checked_eigenvalues_match_eigh_and_return_guard():
     assert eta == 1e-10 * (1.0 + hs_norm(a))
 
 
-def test_zero_matrix_has_exact_zero_eigenvalues(solver_dims):
-    a = SymOperator._built(np.zeros((6, 6)), support=np.array([], dtype=int))
-    lam, eta = checked_eigenvalues(a)
-    assert np.array_equal(lam, np.zeros(6)) and eta == 1e-10
-    assert count_evs(a, ">", 0.0) == 0 and count_evs(a, ">=", 0.0) == 6
-    assert not any(sum(solver_dims.values(), []))  # only empty blocks reach LAPACK
-
-
-@pytest.mark.parametrize("tiny", [1e-300, 5e-324])
-@pytest.mark.parametrize("where", [(2, 2), (0, 2)])
-def test_row_with_one_tiny_entry_is_not_deflated(solver_dims, tiny, where):
-    m = np.diag([2.0, 3.0, 0.0, 5.0])
-    m[where] = m[where[::-1]] = tiny
-    lam, _ = checked_eigenvalues(SymOperator._built(m, support=np.flatnonzero(m.any(axis=0))))
-    np.testing.assert_array_equal(lam, DENSE_EIGVALSH(m))
-    assert sum(solver_dims.values(), []) == [4]
-    if where == (2, 2):
-        assert lam[0] == tiny
-
-
 def test_routes_follow_the_recorded_structure(solver_dims):
     rng = np.random.default_rng(DEFAULT_SEED + 6)
     checked_eigenvalues(random_symmetric(rng, 9))
-    checked_eigenvalues(with_zero_rows(random_symmetric(rng, 9), [0, 4, 8]))
     checked_eigenvalues(random_tridiagonal(rng, 9))
-    checked_eigenvalues(with_zero_rows(random_tridiagonal(rng, 9), [3]))
-    checked_eigenvalues(with_zero_rows(random_symmetric(rng, 9), []))  # full support
     # with nothing recorded, zeros and bands are not looked for
     checked_eigenvalues(SymOperator(random_tridiagonal(rng, 9).entries))
-    checked_eigenvalues(SymOperator(with_zero_rows(random_symmetric(rng, 9), [2]).entries))
+    zero_row = random_symmetric(rng, 9).entries.copy()
+    zero_row[2, :] = zero_row[:, 2] = 0.0
+    checked_eigenvalues(SymOperator(zero_row))
     # a recorded tridiagonal operator is solved dense: its flag serves counts only
-    assert solver_dims == {"dense": [9, 6, 9, 8, 9, 9, 9], "tridiagonal": []}
+    assert solver_dims == {"dense": [9, 9, 9, 9], "tridiagonal": []}
 
 
 def test_spectrum_of_a_tridiagonal_operator_is_one_dense_solve(solver_dims):
@@ -639,16 +633,6 @@ def test_spectrum_of_a_tridiagonal_operator_is_one_dense_solve(solver_dims):
     lam, _ = checked_eigenvalues(a)
     assert solver_dims == {"dense": [12], "tridiagonal": []}
     assert lam.tobytes() == DENSE_EIGVALSH(a.entries).tobytes()
-
-
-def test_deflation_matches_dense_on_planted_zero_rows():
-    rng = np.random.default_rng(DEFAULT_SEED + 7)
-    for _ in range(150):
-        dim = int(rng.integers(1, 40))
-        rows = rng.choice(dim, size=int(rng.integers(0, dim + 1)), replace=False)
-        base = random_tridiagonal(rng, dim) if rng.random() < 0.3 else \
-            random_symmetric(rng, dim, scale=2.0)
-        assert_matches_dense(with_zero_rows(base, rows))
 
 
 def test_tridiagonal_route_matches_dense():
@@ -667,8 +651,6 @@ def test_tridiagonal_route_matches_dense():
 # each eigenvalue route: a matrix that takes it and the solver it ends in
 ROUTES = {
     "dense": (lambda rng: random_symmetric(rng, 12), np.linalg, "eigvalsh"),
-    "deflated": (lambda rng: with_zero_rows(random_symmetric(rng, 12), [3, 7]),
-                 np.linalg, "eigvalsh"),
     "tridiagonal": (lambda rng: random_tridiagonal(rng, 12),
                     scipy.linalg, "eigvalsh_tridiagonal"),
 }

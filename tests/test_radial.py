@@ -162,6 +162,20 @@ def test_potential_table_rejects_negative_shape():
                       table_v=np.array([1.0, -0.5]))
 
 
+@pytest.mark.parametrize("column,table_r,table_v", [
+    ("table_v", [0.0, 1.0], [np.nan, 1.0]),
+    ("table_v", [0.0, 1.0], [1.0, np.inf]),
+    ("table_r", [0.0, np.inf], [1.0, 1.0]),
+    ("table_r", [np.nan, 1.0], [1.0, 1.0]),
+])
+def test_potential_table_rejects_non_finite_columns(column, table_r, table_v):
+    # a NaN shape value passes the sign check and an infinite abscissa the
+    # ordering check, so finiteness is checked on its own
+    with pytest.raises(ValueError, match=f"table column {column} has non-finite entries"):
+        PotentialSpec(kind="table", strength=1.0, table_r=np.array(table_r),
+                      table_v=np.array(table_v))
+
+
 @pytest.mark.parametrize("kind", ["yukawa", "exponential", "gaussian", "square_well", "table"])
 def test_potential_construction_evaluates_no_shape(kind, monkeypatch):
     calls = []
@@ -320,7 +334,10 @@ def test_pure_repulsion_kernel_vanishes():
         kind="square_well", strength=0.0, range=1.0,
         repulsive_part=PotentialSpec(kind="gaussian", strength=5.0, range=1.0))
     k = bs_kernel_radial(pot, RadialGrid(ell=0, r_max=20.0, n=300), 0.5)
-    assert np.linalg.norm(k.entries) == 0.0
+    # the kernel on the empty support of v_- is 0 x 0, as is its spectrum
+    assert k.entries.shape == (0, 0)
+    for relation, threshold in ((">", 1.0), ("<", -1.0)):
+        assert count_evs(k, relation, threshold) == 0
 
 
 def test_half_critical_depth_gives_half_mu():
