@@ -6,7 +6,8 @@ projection-subtraction demo (``iterbs-demo``) and the trimer scan
 (``efimov``), writing a deterministic CSV data table plus a JSON summary
 per run.
 
-Configs are flat text with dotted keys, one ``key = value`` per line::
+Configs are TOML, read by the standard library's ``tomllib``, with
+dotted keys, one ``key = value`` per line::
 
     command = "twobody"
     seed = 0xB5C0
@@ -15,10 +16,11 @@ Configs are flat text with dotted keys, one ``key = value`` per line::
     grid.n = 1500
     scan.epsilons = [0.1, 0.5]
 
-Unknown keys are rejected with their line and column.  Identical configs
-(including the seed) produce byte-identical CSV bodies; all floats are
-serialized with 17 significant digits and timings are isolated in the JSON
-summary's ``timing`` key.
+Table headers, inline tables and quoted keys are rejected at their line,
+as TOML syntax errors and unknown keys are at their line and column.
+Identical configs (including the seed) produce byte-identical CSV bodies;
+all floats are serialized with 17 significant digits and timings are
+isolated in the JSON summary's ``timing`` key.
 
 CSV columns per command (every file starts with a ``# schema=1`` line):
 
@@ -98,8 +100,6 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------------------
 # config parsing
 
-_KEY_RE = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_.-]*$")
-
 # allowed keys per command: name -> default, whose type is the key's type
 # (``_KEY_TYPES`` holds the exceptions); a key whose default is None is absent
 # unless set: ``command``, which the command line may give instead, and
@@ -162,70 +162,47 @@ def _has_type(value, kind) -> bool:
     return isinstance(value, accepted) and not isinstance(value, bool)
 
 
-def _strip_comment(line: str) -> str:
-    in_string = False
-    for i, ch in enumerate(line):
-        if ch == '"':
-            in_string = not in_string
-        elif ch == "#" and not in_string:
-            return line[:i]
-    return line
-
-
-def _parse_scalar(text, line, column):
-    text = text.strip()
-    if not text:
-        raise ConfigError("missing value", line, column)
-    if text.startswith('"'):
-        if not (text.endswith('"') and len(text) >= 2):
-            raise ConfigError("unterminated string", line, column)
-        return text[1:-1]
-    if text in ("true", "false"):
-        return text == "true"
-    try:
-        return int(text, 0)  # base 0 accepts 0x.. hex literals
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"cannot parse value {text!r}", line, column) from None
-
-
-def _parse_value(text, line, column):
-    text = text.strip()
-    if text.startswith("["):
-        if not text.endswith("]"):
-            raise ConfigError("unterminated list", line, column)
-        body = text[1:-1].strip()
-        if not body:
-            return []
-        return [_parse_scalar(part, line, column) for part in body.split(",")]
-    return _parse_scalar(text, line, column)
-
-
 def parse_config_text(text: str) -> tuple[dict, dict]:
-    """Parse flat dotted-key config text into {key: value}, {key: (line, col)}."""
-    values: dict = {}
-    positions: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw)
-        if not line.strip():
+    """Parse TOML config text into {dotted.key: value}, {key: (line, col)}.
+
+    ``tomllib`` reads the text, and the tables its dotted keys make are
+    flattened back to dotted keys, in the order of their lines.  Each key
+    is located by a scan for its ``key =`` line.  A table header, an inline
+    table or a quoted key is rejected at its line, and a TOML error at the
+    line and column ``tomllib`` names.
+    """
+    import tomllib  # here, so that importing the package does not load it
+
+    try:
+        tree = tomllib.loads(text)
+    except tomllib.TOMLDecodeError as exc:
+        message, line, column = re.fullmatch(
+            r"(.*) \(at (?:line (\d+), column (\d+)|end of document)\)", str(exc)).groups()
+        if line is None:  # the column after the last character
+            line, column = text.count("\n") + 1, len(text) - text.rfind("\n")
+        raise ConfigError(message, int(line), int(column)) from None
+    positions = {}
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        if raw.lstrip().startswith("["):
+            raise ConfigError("table headers are not supported", lineno, raw.index("[") + 1)
+        key = re.match(r"\s*([\w.\s\"'-]+?)\s*=\s*", raw, re.ASCII)
+        if not key:
             continue
-        if "=" not in line:
-            raise ConfigError("expected 'key = value'", lineno,
-                              len(line) - len(line.lstrip()) + 1)
-        key_part, _, value_part = line.partition("=")
-        key = key_part.strip()
-        key_col = raw.index(key) + 1 if key and key in raw else 1
-        if not key or not _KEY_RE.match(key):
-            raise ConfigError(f"malformed key {key!r}", lineno, 1)
-        if key in values:
-            raise ConfigError(f"duplicate key {key!r}", lineno, key_col)
-        value_col = raw.index("=") + 2
-        values[key] = _parse_value(value_part, lineno, value_col)
-        positions[key] = (lineno, key_col)
-    return values, positions
+        if re.search("[\"']", key[1]):
+            raise ConfigError("quoted keys are not supported", lineno, key.start(1) + 1)
+        if raw[key.end():].startswith("{"):
+            raise ConfigError("inline tables are not supported", lineno, key.end() + 1)
+        positions[re.sub(r"\s", "", key[1])] = (lineno, key.start(1) + 1)
+    return dict(sorted(_flattened(tree), key=lambda item: positions[item[0]])), positions
+
+
+def _flattened(table: dict, prefix: str = ""):
+    """The ``(dotted.key, value)`` pairs of a table that ``tomllib`` read."""
+    for name, value in table.items():
+        if isinstance(value, dict):
+            yield from _flattened(value, f"{prefix}{name}.")
+        else:
+            yield prefix + name, value
 
 
 def validate_config(values: dict, positions: dict, command: str | None) -> dict:
@@ -598,7 +575,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--config", default=None, help="flat dotted-key config file")
+        p.add_argument("--config", default=None, help="TOML config file of dotted keys")
         p.add_argument("--jobs", type=_positive_int, default=None,
                        help="worker pool size for scan points (default: cores)")
         p.add_argument("--seed", type=_seed, default=None,

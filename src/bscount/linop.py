@@ -92,7 +92,8 @@ class SymOperator:
 
     Entries are validated at construction (finite Frobenius norm,
     symmetric) and frozen; use ``entries`` for the raw ndarray and ``dim``
-    for the dimension.
+    for the dimension.  A 0 x 0 matrix is the operator on the zero space,
+    as the radial kernel of a potential with no attractive part is.
     """
 
     entries: np.ndarray
@@ -101,8 +102,6 @@ class SymOperator:
         a = np.asarray(self.entries, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        if a.shape[0] < 1:
-            raise ValueError("operator dimension must be at least 1")
         object.__setattr__(self, "entries", _symmetrized(a))
 
     # what a builder recorded with ``_built``: that the matrix is
@@ -405,10 +404,13 @@ def _count(lam: np.ndarray, eta, relation: str, threshold):
 
 
 def _collides(lam: np.ndarray, eta, threshold):
-    """Whether an eigenvalue of ``lam`` lies within the guard band ``eta`` of
-    ``threshold``, where neither ``">"`` nor ``"<"`` counts it; for the
-    eigenvalues ``(k, n)`` of a stack, the array of it per member."""
-    return np.min(np.abs(lam - np.expand_dims(threshold, -1)), axis=-1) < eta
+    """Whether an eigenvalue of ``lam`` lies in the guard band ``(threshold -
+    eta, threshold + eta]``, between the edges of ``_selection``, where
+    neither ``">"`` nor ``"<"`` counts it; for the eigenvalues ``(k, n)`` of
+    a stack, the array of it per member."""
+    below, above = (np.expand_dims(_selection(relation, threshold, eta)[0], -1)
+                    for relation in ("<", ">"))
+    return np.any((lam > below) & (lam <= above), axis=-1)
 
 
 def _selection(relation: str, threshold: float, eta: float) -> tuple[float, bool]:

@@ -3,6 +3,7 @@
 import copy
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from bscount.cli import (
 )
 from bscount.linop import DEFAULT_SEED
 from oracles import verify_sections_oracle
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write(tmp_path, name, text):
@@ -56,8 +59,34 @@ def test_parse_reports_line_and_column():
 
 
 def test_parse_rejects_duplicate_keys():
-    with pytest.raises(ConfigError, match="duplicate"):
+    with pytest.raises(ConfigError, match="Cannot overwrite a value") as info:
         parse_config_text("seed = 1\nseed = 2\n")
+    assert (info.value.line, info.value.column) == (2, 9)
+
+
+def test_parse_reads_the_readme_config():
+    readme = (ROOT / "README.md").read_text()
+    block = readme.partition("```toml\n")[2].partition("```")[0]
+    values, positions = parse_config_text(block)
+    assert values == {
+        "command": "twobody", "seed": 0xB5C0, "potential.kind": "square_well",
+        "potential.strength": 10.0, "potential.range": 1.0, "grid.ell": 0,
+        "grid.r_max": 60.0, "grid.n": 1500, "scan.epsilons": [0.05, 0.5, 2.0]}
+    assert list(positions) == list(values)
+    assert validate_config(values, positions, None).items() >= values.items()
+
+
+def test_parse_flattens_dotted_keys_in_line_order():
+    values, positions = parse_config_text(
+        'potential.kind = "yukawa"\n'
+        "grid . n = 600\n"
+        "\tpotential.strength = 2\n"
+        "scan.epsilons = [\n  0.1,\n  0.5,\n]\n")
+    assert values == {"potential.kind": "yukawa", "grid.n": 600, "potential.strength": 2,
+                      "scan.epsilons": [0.1, 0.5]}
+    assert list(positions.items()) == [("potential.kind", (1, 1)), ("grid.n", (2, 1)),
+                                       ("potential.strength", (3, 2)),
+                                       ("scan.epsilons", (4, 1))]
 
 
 def test_validate_rejects_unknown_key_with_position():
@@ -144,6 +173,25 @@ def test_value_of_the_wrong_type_exits_2_at_its_key_without_outputs(command, lin
     err = capsys.readouterr().err
     assert f"{line.partition(' ')[0]} must be" in err and "line 2, column 3" in err
     assert not out.exists() or not list(out.iterdir())
+
+
+@pytest.mark.parametrize("text,message,line,column", [
+    ('seed = 1\ngrid.n = 600 600\n', "Expected newline or end of document", 2, 14),
+    ("grid.n = 600\nseed = 1.\n", "Expected newline or end of document", 2, 9),
+    ("grid.n = 600\nscan.epsilons = [0.5,\n", "Invalid value", 3, 1),
+    ('seed = 1\ngrid.n = 600\n  grid.n = 700\n', "Cannot overwrite a value", 3, 15),
+    ('seed = 1\n  [grid]\nn = 600\n', "table headers are not supported", 2, 3),
+    ("seed = 1\ngrid = { n = 600 }\n", "inline tables are not supported", 2, 8),
+    ('seed = 1\n"grid.n" = 600\n', "quoted keys are not supported", 2, 1),
+])
+def test_config_syntax_error_exits_2_at_its_line_and_column(text, message, line, column,
+                                                            tmp_path, capsys):
+    cfg = write(tmp_path, "c.conf", 'command = "twobody"\n' + text)
+    out = tmp_path / "out"
+    assert main(["twobody", "--config", cfg, "--out", str(out)]) == EXIT_PARSE_ERROR
+    err = capsys.readouterr().err
+    assert f"line {line + 1}, column {column}: {message}" in err
+    assert not out.exists()
 
 
 def test_twobody_grid_scheme_is_an_unknown_key(tmp_path, capsys):

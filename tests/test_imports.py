@@ -47,6 +47,13 @@ def test_import_loads_no_scipy(module):
     assert out.strip() == "[]"
 
 
+@pytest.mark.parametrize("module", ["bscount", "bscount.cli"])
+def test_import_loads_no_tomllib(module):
+    # the config reader imports tomllib on the first config it reads
+    out = python("-c", f"import sys, {module}\nprint('tomllib' in sys.modules)")
+    assert out.strip() == "False"
+
+
 def test_kernelcheck_loads_no_scipy_integrate(tmp_path):
     # the resolvent-power kernel is a closed form in scipy.special
     out = python("-c", "import sys\nfrom bscount.cli import main\n"

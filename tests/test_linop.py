@@ -364,9 +364,10 @@ def guard_band_edges(threshold, eta):
                      np.nextafter(hi, -np.inf), hi, np.nextafter(hi, np.inf)])
 
 
-# the count of ``guard_band_edges`` per relation: the band is (t - eta, t + eta],
-# so neither relation counts the 4 edges inside it
-EDGE_COUNTS = {">": 1, "<": 2}
+# where each of ``guard_band_edges`` lies: counted by ``">"`` or by ``"<"``, or
+# in the band (t - eta, t + eta], where neither relation counts it and it collides
+EDGE_SIDES = ["<", "<", None, None, None, None, ">"]
+EDGE_COUNTS = {relation: EDGE_SIDES.count(relation) for relation in (">", "<")}
 
 
 @pytest.mark.parametrize("relation", EDGE_COUNTS)
@@ -383,13 +384,17 @@ def test_count_applies_the_guard_band_rule_at_its_edges(relation):
         [EDGE_COUNTS[relation], 0 if relation[0] == ">" else 7, 7 if relation[0] == ">" else 0]
 
 
-def test_collision_is_an_eigenvalue_strictly_inside_the_band():
+def test_collision_is_an_eigenvalue_that_neither_relation_counts():
     threshold, eta = -1.5, 1e-10 * 4.0
     edges = guard_band_edges(threshold, eta)
-    inside = [False, False, True, True, True, False, False]
-    assert [bool(_collides(edges[i:i + 1], eta, threshold)) for i in range(7)] == inside
-    assert _collides(np.array([edges[[0, 3]], edges[[0, 6]]]), np.full(2, eta),
-                     np.full(2, threshold)).tolist() == [True, False]
+    # t - eta is counted by "<"; t + eta by neither, so it collides
+    for lam, side in zip(edges, EDGE_SIDES):
+        lam = np.array([lam])
+        assert bool(_collides(lam, eta, threshold)) is (side is None)
+        assert [_count(lam, eta, r, threshold) for r in (">", "<")] == \
+            [int(side == ">"), int(side == "<")]
+    assert _collides(np.array([edges[[0, 3]], edges[[0, 6]], edges[[1, 5]]]), np.full(3, eta),
+                     np.full(3, threshold)).tolist() == [True, False, True]
 
 
 def test_count_rejects_unknown_relation():

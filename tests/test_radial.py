@@ -9,7 +9,7 @@ from scipy.integrate import quad, solve_ivp
 from scipy.linalg import eigvalsh_tridiagonal
 from scipy.special import gamma as gamma_fn
 
-from bscount.linop import SymOperator, count_evs
+from bscount.linop import SymOperator, count_evs, hs_norm, sym
 from bscount.radial import (
     MuScalingReport,
     NeverBindsError,
@@ -336,8 +336,11 @@ def test_pure_repulsion_kernel_vanishes():
     k = bs_kernel_radial(pot, RadialGrid(ell=0, r_max=20.0, n=300), 0.5)
     # the kernel on the empty support of v_- is 0 x 0, as is its spectrum
     assert k.entries.shape == (0, 0)
+    # and it round-trips through the public constructor
+    rebuilt = sym(np.array(k.entries))
+    assert rebuilt.dim == 0 and hs_norm(rebuilt) == 0.0
     for relation, threshold in ((">", 1.0), ("<", -1.0)):
-        assert count_evs(k, relation, threshold) == 0
+        assert count_evs(k, relation, threshold) == count_evs(rebuilt, relation, threshold) == 0
 
 
 def test_half_critical_depth_gives_half_mu():
