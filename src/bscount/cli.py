@@ -167,9 +167,10 @@ def parse_config_text(text: str) -> tuple[dict, dict]:
 
     ``tomllib`` reads the text, and the tables its dotted keys make are
     flattened back to dotted keys, in the order of their lines.  Each key
-    is located by a scan for its ``key =`` line.  A table header, an inline
-    table or a quoted key is rejected at its line, and a TOML error at the
-    line and column ``tomllib`` names.
+    is located by a scan for its ``key =`` line, which passes over the
+    lines of a list or a string that goes on over several.  A table header,
+    an inline table or a quoted key is rejected at its line, and a TOML
+    error at the line and column ``tomllib`` names.
     """
     import tomllib  # here, so that importing the package does not load it
 
@@ -182,7 +183,11 @@ def parse_config_text(text: str) -> tuple[dict, dict]:
             line, column = text.count("\n") + 1, len(text) - text.rfind("\n")
         raise ConfigError(message, int(line), int(column)) from None
     positions = {}
-    for lineno, raw in enumerate(text.split("\n"), start=1):
+    lines = text.split("\n")
+    lineno = 0  # of the line read last, counted from 1
+    while lineno < len(lines):
+        raw = lines[lineno]
+        lineno += 1
         if raw.lstrip().startswith("["):
             raise ConfigError("table headers are not supported", lineno, raw.index("[") + 1)
         key = re.match(r"\s*([\w.\s\"'-]+?)\s*=\s*", raw, re.ASCII)
@@ -193,7 +198,23 @@ def parse_config_text(text: str) -> tuple[dict, dict]:
         if raw[key.end():].startswith("{"):
             raise ConfigError("inline tables are not supported", lineno, key.end() + 1)
         positions[re.sub(r"\s", "", key[1])] = (lineno, key.start(1) + 1)
+        # a list or a multi-line string goes on over the next lines, up to
+        # the first line at which its key-value pair parses on its own
+        start = lineno - 1
+        while lineno < len(lines) and not _is_toml("\n".join(lines[start:lineno])):
+            lineno += 1
     return dict(sorted(_flattened(tree), key=lambda item: positions[item[0]])), positions
+
+
+def _is_toml(text: str) -> bool:
+    """Whether ``tomllib`` reads ``text`` without error."""
+    import tomllib
+
+    try:
+        tomllib.loads(text)
+    except tomllib.TOMLDecodeError:
+        return False
+    return True
 
 
 def _flattened(table: dict, prefix: str = ""):

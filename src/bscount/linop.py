@@ -38,12 +38,17 @@ A count of an operator recorded tridiagonal is a Sturm count: LAPACK
 none, so the trace and Frobenius checks have no spectrum to test.  The
 Sturm count is exact for a matrix within a few ulps of ``T`` (Kahan 1966),
 far inside the guard band, and tests hold it to the count of the full
-spectrum.  Every other count, and ``_checked_eigenvalues`` itself, takes
-checked eigenvalues: any matrix, or stack, goes to ``eigvalsh`` whole,
-whatever zeros or band its entries hold, and its eigenvalues are checked
-against the trace and Frobenius-norm invariants, both O(n^2).  Counts are
-strict, ``">"`` or ``"<"``: an eigenvalue within the guard band of the
-threshold is never counted.  ``_selection`` turns a relation and threshold
+spectrum.  ``count_evs`` of any other matrix of more than 8 rows is first
+proved on an 8-column compression by ``_compressed_count``, from the
+matrix's own entries in O(n^2): the Schur complement onto the compression
+keeps the inertia of ``A - tau``, and the count stands when the part it
+leaves out is too small to move an eigenvalue across ``tau``.  Every other
+count, one that proof does not settle, and ``_checked_eigenvalues`` itself,
+takes checked eigenvalues: any matrix, or stack, goes to ``eigvalsh``
+whole, whatever zeros or band its entries hold, and its eigenvalues are
+checked against the trace and Frobenius-norm invariants, both O(n^2).
+Counts are strict, ``">"`` or ``"<"``: an eigenvalue within the guard band
+of the threshold is never counted.  ``_selection`` turns a relation and threshold
 into the guarded eigenvalue range and rejects a threshold that is not
 finite; ``_count`` applies it to a spectrum, for ``count_evs`` and for the
 callers that count a spectrum they also read, and ``_tridiagonal_count``
@@ -84,6 +89,11 @@ SYMMETRY_RTOL = 1e-12
 DEFAULT_SEED = 0xB5C0
 
 _RELATIONS = (">", "<")
+
+# columns of the compression on which count_evs first tries to prove a count
+_COMPRESSION_RANK = 8
+
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -441,7 +451,12 @@ def count_evs(a: SymOperator, relation: str, threshold: float) -> int:
     in O(n) and with no eigenvalue computed, so there is no spectrum for
     the trace and Frobenius-norm checks to test: the Sturm count is exact
     for a matrix within a few ulps of ``A``, and tests hold it to the count
-    of the full spectrum.  Every other matrix is counted from
+    of the full spectrum.  Any other matrix of more than 8 rows is first
+    counted on an 8-column compression by ``_compressed_count``, which
+    proves the count of the exact eigenvalues outside the guard band, and
+    proves that none lies on its edge, from the entries of ``A`` alone, or
+    gives up; tests hold it to the count of the full spectrum.  A count it
+    gives up on, and that of a smaller matrix, is made from
     ``_checked_eigenvalues`` of the whole matrix, whose trace and
     Frobenius-norm invariants stand in for eigenvector residual checks.  On
     every route a matrix whose ``|A|_F`` is not finite raises ValueError
@@ -451,7 +466,72 @@ def count_evs(a: SymOperator, relation: str, threshold: float) -> int:
     if a._tridiagonal:
         return _tridiagonal_count(a.entries.diagonal(), a.entries.diagonal(-1),
                                   relation, threshold)
+    if (count := _compressed_count(a.entries, relation, threshold)) is not None:
+        return count
     return int(_count_evs(a.entries, relation, threshold))
+
+
+def _compressed_count(m: np.ndarray, relation: str, threshold: float) -> int | None:
+    """``count_evs`` of a matrix already known to be symmetric, proved on a
+    compression onto ``_COMPRESSION_RANK = k`` columns, or None where the
+    proof fails or ``n <= k``; ``count_evs`` then counts the full spectrum.
+
+    The count of ``A`` above ``tau = threshold + eta`` for ``">"`` is made;
+    for ``"<"`` that of ``-A`` above ``-(threshold - eta)``, with ``eta`` the
+    guard band ``1e-10 (1 + |A|_F)``.  ``Q`` (n x k, orthonormal) is the QR of
+    the k columns of ``A`` of largest norm, then of ``A Q`` twice (block
+    subspace iteration, Halko, Martinsson & Tropp 2011), by numpy alone, so
+    that no call into scipy's BLAS is interleaved; an orthonormality defect
+    ``|Q^T Q - I|_F`` above 1e-12 raises RuntimeError.  In the basis
+    ``[Q, Q_perp]``, ``A = [[B, C^T], [C, D]]`` with ``B = Q^T A Q``, ``c =
+    |C|_F = |A Q - Q B|_F`` and ``d^2 = |D|_F^2 = |A|_F^2 - |B|_F^2 - 2 c^2``.
+    Where ``d < tau``, ``D - tau`` is negative definite, so by the inertia
+    additivity of the Schur complement (Haynsworth 1968) ``A - tau`` has as
+    many positive eigenvalues as ``S = B - tau + C^T (tau - D)^-1 C``, and
+    ``B - tau <= S <= B - tau + w`` for ``w = c^2 / (tau - d)``.  So the count
+    is the number of eigenvalues of ``B`` above ``tau`` when none lies in
+    ``[tau - w, tau]``, and no eigenvalue of ``A`` then sits at ``tau``.
+
+    Every norm is taken relative to ``scale = 1 + |A|_F``, so that no square
+    overflows where ``|A|_F^2`` nearly does.  Rounding allowances, with
+    ``u = 2^-53``: each eigenvalue of ``B`` and ``c`` may be off by
+    ``e = k (4e-12 + 2 (n + k) u) scale`` (the defect of ``Q`` moves the
+    compression by about ``2e-12 |A|``, and each product rounds by
+    ``(n + k) u |A|`` per column); ``d^2`` is raised by
+    ``(n^2 u scale + 2 k e) scale``, for the rounding of ``|A|_F^2``, a sum
+    of ``n^2`` squares, and the error ``e`` in ``|B|_F^2 + 2 c^2``; ``c`` is
+    raised by ``e`` in ``w``; and the excluded window widens to
+    ``[tau - w - e, tau + e]``.  ``B``'s eigenvalues are
+    ``_checked_eigenvalues``'.
+    """
+    n, k = m.shape[0], _COMPRESSION_RANK
+    if n <= k:
+        return None
+    fro = _finite_fro(m)
+    edge, above = _selection(relation, threshold, _guard(fro))
+    a, tau = (m, edge) if above else (-m, -edge)
+    q = np.linalg.qr(a[:, np.argsort(np.einsum("ij,ij->j", a, a), kind="stable")[-k:]])[0]
+    for _ in range(2):
+        q = np.linalg.qr(a @ q)[0]
+    defect = _fro(q.T @ q - np.eye(k))
+    _require(defect <= 1e-12, "compression basis orthonormality defect {:.3e} exceeds 1e-12",
+             defect)
+    scale = 1.0 + fro  # B, c, d, e, w and tau below are in units of it
+    aq = (a @ q) / scale
+    b = q.T @ aq
+    b = 0.5 * (b + b.T)
+    c = _fro(aq - q @ b)
+    e = k * (4e-12 + 2.0 * (n + k) * _UNIT_ROUNDOFF)
+    d = math.sqrt(max((fro / scale) ** 2 - _fro(b) ** 2 - 2.0 * c**2
+                      + n * n * _UNIT_ROUNDOFF + 2.0 * k * e, 0.0))
+    tau /= scale
+    if d >= tau:
+        return None
+    lam = _checked_eigenvalues(b)[0]
+    w = (c + e) ** 2 / (tau - d)
+    if np.any((lam >= tau - w - e) & (lam <= tau + e)):
+        return None
+    return int(np.count_nonzero(lam > tau))
 
 
 def _count_evs(m: np.ndarray, relation: str, threshold):

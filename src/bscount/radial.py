@@ -19,29 +19,31 @@ Two discretization schemes coexist, each with one job:
 
 linop runs every eigensolve and makes every count.  The Birman-Schwinger
 kernel is an operator on the support of v_-, where the attractive part
-lives, so ``bs_kernel_radial`` returns the support block itself, of one row
-per node where v_- > 0, and ``bs_count_and_top`` counts above 1 that
-block's spectrum, linop's checked dense spectrum; the counts of the
-tridiagonal Hamiltonian are Sturm counts.  ``kernel_critical_strength``
-and ``mu_scan`` read only the largest kernel eigenvalue, which linop finds
-in O(n) without a full spectrum: there the kernel is ``S T^-1 S`` on the
-whole grid, with ``T`` tridiagonal and ``S^2`` exactly zero off the
-support of v_-.  On gauss_legendre ``T`` is the closed-form inverse of the
-Green function; on uniform_fd2 it is the banded ``H_0 + v_+ + eps``
-itself, so uniform_fd2 has one Green representation for the block, the
-top eigenvalue, the critical coupling and the counts.  The two operator
-builders hand their fresh arrays to linop unchecked, and the reduced
-Hamiltonian records that it is tridiagonal, so its counts need not scan
-for the band.  The critical-coupling search asks only whether the
-Hamiltonian binds, which linop's O(n) positive-definiteness test of the
-tridiagonal matrix answers.
+lives, so ``bs_kernel_radial`` returns the support block itself, of one
+row per node where v_- > 0, and ``bs_count_and_top`` counts above 1 that
+block's spectrum, linop's checked dense spectrum, which also gives the top
+eigenvalue.  ``count_evs`` of the block proves its count on an 8-column
+compression where it can, which the kernel's fast-falling spectrum allows;
+the counts of the tridiagonal Hamiltonian are Sturm counts.
+``kernel_critical_strength`` and ``mu_scan`` read only the largest kernel
+eigenvalue, which linop finds in O(n) without a full spectrum: there the
+kernel is ``S T^-1 S`` on the whole grid, with ``T`` tridiagonal and
+``S^2`` exactly zero off the support of v_-.  On gauss_legendre ``T`` is
+the closed-form inverse of the Green function; on uniform_fd2 it is the
+banded ``H_0 + v_+ + eps`` itself, so uniform_fd2 has one Green
+representation for the block, the top eigenvalue, the critical coupling
+and the counts.  The two operator builders hand their fresh arrays to
+linop unchecked, and the reduced Hamiltonian records that it is
+tridiagonal, so its counts need not scan for the band.  The
+critical-coupling search asks only whether the Hamiltonian binds, which
+linop's O(n) positive-definiteness test of the tridiagonal matrix answers.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -61,6 +63,10 @@ SCHWINGER_N = 1500
 SCHWINGER_ELL_MAX = 25
 
 LAMBDA_CAP = 1e6  # largest coupling probed before declaring "never binds"
+
+# outer nodes whose inner Rollnik sums are evaluated together, which bounds
+# the temporaries of one vectorized integrand evaluation
+_ROLLNIK_ROWS = 64
 
 
 class NeverBindsError(RuntimeError):
@@ -488,9 +494,19 @@ def _graded_panels(a, b, singular_at_a, levels=9):
     return np.unique(edges)
 
 
-def _gl_on_panels(edges, m=10):
+@cache
+def _unit_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m-point Gauss-Legendre nodes and weights on [-1, 1], computed once
+    per ``m`` and frozen, since every caller shares them."""
     from scipy.special import roots_legendre
-    x, w = roots_legendre(m)
+    rule = roots_legendre(m)
+    for array in rule:
+        array.setflags(write=False)
+    return rule
+
+
+def _gl_on_panels(edges, m=10):
+    x, w = _unit_legendre(m)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
@@ -515,8 +531,9 @@ def _rollnik_integral(pot: PotentialSpec, gamma: float, r_cut: float) -> float:
     The inner integral is split at the shape breaks and at the singular
     diagonal point r' = r, with panels graded toward r on both sides.  Outer
     nodes between the same breaks share that layout, so each such group gets
-    its inner nodes and weights as one (outer x inner) array, mapped from
-    unit-interval templates, and one vectorized integrand evaluation.
+    its inner nodes and weights as (outer x inner) arrays, mapped from
+    unit-interval templates, and vectorized integrand evaluations over
+    blocks of ``_ROLLNIK_ROWS`` outer nodes, each row summed as a whole.
     """
     t = 8.0 * gamma
     breaks = pot.breakpoints()
@@ -536,16 +553,19 @@ def _rollnik_integral(pot: PotentialSpec, gamma: float, r_cut: float) -> float:
         group = (r_out > a) & (r_out < b) & (wf_out != 0.0)
         if not np.any(group):
             continue
-        r0 = r_out[group][:, None]
+        r_group = r_out[group]
         rp_far = np.delete(rp_seg, k, axis=0).ravel()
         wp_far = np.delete(wp_seg, k, axis=0).ravel()
-        shape = (r0.size, rp_far.size)
-        rp = np.concatenate([np.broadcast_to(rp_far, shape),
-                             a + (r0 - a) * x_up, r0 + (b - r0) * x_down], axis=1)
-        wp = np.concatenate([np.broadcast_to(wp_far, shape),
-                             (r0 - a) * w_up, (b - r0) * w_down], axis=1)
-        inner = np.sum(wp * pot.v_minus(rp) * rp * _angular_reduced_kernel(r0, rp, t),
-                       axis=1)
+        inner = np.empty(r_group.size)
+        for start in range(0, r_group.size, _ROLLNIK_ROWS):
+            r0 = r_group[start:start + _ROLLNIK_ROWS, None]
+            shape = (r0.size, rp_far.size)
+            rp = np.concatenate([np.broadcast_to(rp_far, shape),
+                                 a + (r0 - a) * x_up, r0 + (b - r0) * x_down], axis=1)
+            wp = np.concatenate([np.broadcast_to(wp_far, shape),
+                                 (r0 - a) * w_up, (b - r0) * w_down], axis=1)
+            inner[start:start + r0.size] = np.sum(
+                wp * pot.v_minus(rp) * rp * _angular_reduced_kernel(r0, rp, t), axis=1)
         total += float(wf_out[group] @ inner)
     return (4.0 * np.pi) ** 2 * total
 

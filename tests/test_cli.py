@@ -89,6 +89,24 @@ def test_parse_flattens_dotted_keys_in_line_order():
                                        ("scan.epsilons", (4, 1))]
 
 
+def test_parse_skips_the_lines_inside_a_multi_line_string():
+    # "[x]" and "seed = 5" are the string's, not a table header or a key
+    values, positions = parse_config_text(
+        'potential.table = """\n[x]\nseed = 5\n"""\nseed = 1\n')
+    assert values == {"potential.table": "[x]\nseed = 5\n", "seed": 1}
+    assert positions == {"potential.table": (1, 1), "seed": (5, 1)}
+    assert validate_config(values, positions, "twobody")["potential.table"] == "[x]\nseed = 5\n"
+
+
+def test_nested_list_exits_2_with_its_type_error(tmp_path, capsys):
+    cfg = write(tmp_path, "c.conf", 'command = "twobody"\n  scan.epsilons = [\n  [1, 2],\n]\n')
+    out = tmp_path / "out"
+    assert main(["twobody", "--config", cfg, "--out", str(out)]) == EXIT_PARSE_ERROR
+    err = capsys.readouterr().err
+    assert "line 2, column 3: scan.epsilons must be a list of numbers, got [[1, 2]]" in err
+    assert not out.exists()
+
+
 def test_validate_rejects_unknown_key_with_position():
     values, positions = parse_config_text(
         'command = "twobody"\npotential.kidn = "yukawa"\n')

@@ -14,9 +14,12 @@ from bscount.linop import (
     DEFAULT_SEED,
     SYMMETRY_RTOL,
     SymOperator,
+    _COMPRESSION_RANK,
     _checked_eigenvalues,
     _collides,
+    _compressed_count,
     _count,
+    _count_evs,
     _kernel_top_eigenvalue,
     _spectral_decompose,
     _symmetrized,
@@ -488,6 +491,125 @@ def test_count_matches_eigh_count_on_radial_cases(radial_cases, radial_oracles):
             _eigh_count(a, relation, threshold, eigh_lam), label
 
 
+def test_compressed_count_proves_every_criterion_5_kernel_count(radial_cases, radial_oracles):
+    for (label, a, relation, threshold), (_, _, (ref, eta)) in zip(radial_cases, radial_oracles):
+        count = _compressed_count(a.entries, relation, threshold)
+        # the 20 kernels, above 1, never fall back to the full spectrum; a
+        # Hamiltonian, counted by Sturm sequences, may
+        assert count is not None or relation == "<", label
+        if count is not None:
+            assert count == int(_count_evs(a.entries, relation, threshold)) == \
+                dense_count(ref, eta, relation, threshold), label
+
+
+def planted(lam, n=40):
+    """An exactly symmetric ``n x n`` matrix whose nonzero eigenvalues are
+    ``lam``, in a random orthonormal basis."""
+    q = random_orthogonal(np.random.default_rng(DEFAULT_SEED), n)[:, :len(lam)]
+    m = (q * lam) @ q.T
+    return 0.5 * (m + m.T)
+
+
+def rounding_allowance(n, fro):
+    """``e``, the allowance ``_compressed_count`` gives each eigenvalue of its
+    compression, for an ``n x n`` matrix of Frobenius norm ``fro``."""
+    k = _COMPRESSION_RANK
+    return k * (4e-12 + 2.0 * (n + k) * 2.0**-53) * (1.0 + fro)
+
+
+# an eigenvalue planted at tau + offset * e, with tau = 1 + eta: (offset,
+# count above 1, or None where it lies in the window [tau - w - e, tau + e])
+PLANTED_OFFSETS = [(-3.0, 1), (-1.05, 1), (-0.95, None), (0.0, None), (0.95, None),
+                   (1.05, 2), (3.0, 2)]
+
+
+@pytest.mark.parametrize("offset,expected", PLANTED_OFFSETS)
+def test_compressed_count_excludes_exactly_its_window_on_a_planted_spectrum(offset, expected):
+    # the rank-3 matrix lies in the compression, so c and the window's
+    # Schur part w = (c + e)^2 / (tau - d) are at rounding level, and the
+    # window is [tau - e, tau + e] to within 1e-20
+    x = 1.0
+    for _ in range(2):  # eta and e of |A|_F with x planted, settled to 1e-20
+        fro = np.linalg.norm([3.0, x, 0.5])
+        eta, e = 1e-10 * (1.0 + fro), rounding_allowance(40, fro)
+        x = 1.0 + eta + offset * e
+    m = planted([3.0, x, 0.5])
+    assert abs(np.linalg.norm(m) - fro) <= 1e-3 * e
+    # "<" makes the same test on -A, against -(threshold - eta)
+    assert _compressed_count(m, ">", 1.0) == _compressed_count(-m, "<", -1.0) == expected
+    if expected is not None:  # inside the window the two dense counts may differ
+        assert count_evs(sym(m), ">", 1.0) == count_evs(sym(-m), "<", -1.0) == \
+            int(_count_evs(m, ">", 1.0)) == int(_count_evs(-m, "<", -1.0)) == expected
+
+
+def test_compressed_count_window_covers_a_ritz_value_below_an_eigenvalue_above_tau():
+    # with a slowly falling tail the compression's top eigenvalue lies about
+    # 8.5e-6 below A's, so at 1 + 1e-6 it sits in the Schur part w = 2e-3 of
+    # the window, below tau; 0.01 above 1 it is proved
+    tail = 0.9 * 0.8 ** np.arange(39)
+    m = planted(np.concatenate([[1.0 + 1e-6], tail]))
+    assert _compressed_count(m, ">", 1.0) is None
+    assert count_evs(sym(m), ">", 1.0) == 1
+    assert _compressed_count(planted(np.concatenate([[1.01], tail])), ">", 1.0) == 1
+
+
+def test_compressed_count_takes_a_norm_near_the_largest_accepted():
+    # |A|_F = 1.3e154: |A|_F^2 = 1.6e308 is finite, twice it is not
+    m = 4e153 * planted([3.0, 0.9, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _compressed_count(m, ">", 4e153) == _compressed_count(-m, "<", -4e153) == 1
+        assert _compressed_count(m, ">", 3e153) == count_evs(sym(m), ">", 3e153) == 2
+
+
+def test_compressed_count_is_the_dense_count_or_none_on_spectra_with_tails():
+    rng = np.random.default_rng(DEFAULT_SEED + 11)
+    proved = 0
+    for _ in range(60):
+        n = int(rng.integers(9, 60))
+        top = rng.uniform(-4.0, 4.0, size=int(rng.integers(1, 6)))
+        tail = rng.choice([-1.0, 1.0], n - top.size) * 0.3 * rng.uniform(0.2, 0.8) ** np.arange(
+            n - top.size)
+        m = planted(np.concatenate([top, tail]), n)
+        for threshold in rng.uniform(-2.0, 2.0, size=3):
+            for relation in (">", "<"):
+                count = _compressed_count(m, relation, threshold)
+                if count is not None:
+                    proved += 1
+                    assert count == int(_count_evs(m, relation, threshold)), (n, relation)
+    assert proved >= 120  # a third of the 360 counts
+
+
+@pytest.mark.parametrize("m,relation,threshold", [
+    (2.0 * np.eye(20), ">", 1.0),  # the complement's norm 2 sqrt(12) exceeds tau
+    (planted([3.0, 0.5]), ">", 0.0),  # d, zero but for rounding, cannot prove tau = eta
+    (planted([3.0, 0.5]), ">", 1e-6),  # tau / (1 + |A|_F) lies below the allowance on d
+    (planted([3.0, 0.5]), ">", -1.0),
+    (planted([-3.0, -0.5]), "<", 0.0),
+    (planted([3.0, 0.5], n=_COMPRESSION_RANK), ">", 1.0),  # n <= k
+], ids=["2I", "threshold-0", "threshold-1e-6", "threshold-negative", "less-than-0",
+        "n-at-most-k"])
+def test_compressed_count_falls_back_to_the_full_spectrum(solver_dims, m, relation, threshold):
+    assert _compressed_count(m, relation, threshold) is None
+    solver_dims["dense"].clear()
+    dense = int(_count_evs(m, relation, threshold))
+    assert count_evs(sym(m), relation, threshold) == dense
+    assert solver_dims["dense"] == [len(m), len(m)]  # count_evs solved the whole matrix
+
+
+@pytest.mark.parametrize("scale,fails", [(1.0 + 1e-13, False), (1.0 + 1e-11, True)])
+def test_compressed_count_checks_its_basis_is_orthonormal(monkeypatch, scale, fails):
+    # |Q^T Q - I|_F = (scale^2 - 1) sqrt(k): 5.7e-13 and 5.7e-11 against 1e-12
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda a: (scale * qr(a)[0], qr(a)[1]))
+    m = planted([3.0, 0.9, 0.5])
+    if fails:
+        with pytest.raises(RuntimeError, match="orthonormality defect .* exceeds 1e-12"):
+            count_evs(sym(m), ">", 1.0)
+    else:
+        assert _compressed_count(m, ">", 1.0) == count_evs(sym(m), ">", 1.0) == 1
+
+
 def test_radial_cases_take_the_structured_routes_and_match_dense(radial_cases, radial_oracles,
                                                                 solver_dims):
     for (label, a, relation, threshold), (_, _, (ref, _)) in zip(radial_cases, radial_oracles):
@@ -918,7 +1040,8 @@ def test_top_kernel_eigenvalue_routes_make_no_dense_solve(solver_dims):
         pot = well.with_strength(radial.kernel_critical_strength(well, grid))
         radial.mu_scan(pot, grid, np.geomspace(1e-6, 1e-4, 5))
     assert solver_dims == {"dense": [], "tridiagonal": []}
-    # the counts keep the dense route: bs_count_and_top, count_evs and twobody
+    # bs_count_and_top and twobody, which read the top eigenvalue too, keep
+    # the dense route; count_evs proves its count on the k x k compression
     grid = RadialGrid(ell=0, r_max=25.0, n=300)
     pot = well.with_strength(10.0)
     radial.bs_count_and_top(pot, grid, 0.5)
@@ -926,8 +1049,11 @@ def test_top_kernel_eigenvalue_routes_make_no_dense_solve(solver_dims):
     text = 'command = "twobody"\ngrid.n = 600\nscan.epsilons = [0.05, 0.5]\n'
     cli._PIPELINES["twobody"](cli.validate_config(*cli.parse_config_text(text), "twobody"), 1)
     support = int(np.count_nonzero(pot.v_minus(grid.nodes) > 0))
-    # one support block each for bs_count_and_top and count_evs, one per eps for twobody
-    assert solver_dims["dense"][:2] == [support, support] and len(solver_dims["dense"]) == 4
+    assert support > _COMPRESSION_RANK
+    # one support block for bs_count_and_top, the compression for count_evs,
+    # one support block per eps for twobody
+    assert solver_dims["dense"][:2] == [support, _COMPRESSION_RANK] and \
+        len(solver_dims["dense"]) == 4
 
 
 def pencil(n=6):

@@ -554,6 +554,30 @@ def test_rollnik_batched_matches_loop_oracle(pot, gamma):
     assert rollnik_norm(pot, gamma) == pytest.approx(np.sqrt(oracle), rel=1e-12)
 
 
+@pytest.mark.parametrize("pot", ROLLNIK_CASES, ids=lambda p: f"{p.kind}-{p.strength:g}")
+def test_rollnik_row_blocks_give_the_whole_group_sums_bit_for_bit(monkeypatch, pot):
+    blocked = [radial._rollnik_integral(pot, gamma, 2.0 * pot.support_radius())
+               for gamma in (0.0, 0.05)]
+    monkeypatch.setattr(radial, "_ROLLNIK_ROWS", 10**6)  # each group in one block
+    assert blocked == [radial._rollnik_integral(pot, gamma, 2.0 * pot.support_radius())
+                       for gamma in (0.0, 0.05)]
+
+
+def test_rollnik_norm_computes_each_unit_rule_once(monkeypatch):
+    import scipy.special
+
+    calls = []
+    rule = scipy.special.roots_legendre
+    monkeypatch.setattr(scipy.special, "roots_legendre", lambda m: calls.append(m) or rule(m))
+    radial._unit_legendre.cache_clear()
+    try:
+        for pot in ROLLNIK_CASES:
+            rollnik_norm(pot, 0.0)
+    finally:
+        radial._unit_legendre.cache_clear()  # holds no rule made by the spy
+    assert sorted(calls) == [10, 12]
+
+
 def test_rollnik_batched_and_loop_vanish_on_pure_repulsion():
     pot = PotentialSpec(
         kind="square_well", strength=0.0, range=1.0,
