@@ -31,7 +31,7 @@ UNITARITY_RTOL = 1e-8
 # gives the general-mass formula)
 A11 = -0.5
 A12 = math.sqrt(0.75)
-# trimer_spectrum: the brentq tolerance on log|E| (relative tolerance on the
+# trimer_spectrum: the _brentq tolerance on log|E| (relative tolerance on the
 # energy)
 LEVEL_REL_TOL = 1e-10
 # widest gap between the c_i, relative to the largest, below which J takes
@@ -256,13 +256,75 @@ class TrimerLevel:
     cutoff_stable: bool
 
 
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float = 4 * 2.0**-52,
+            maxiter: int = 100) -> float:
+    """A zero of ``f`` between ``xa`` and ``xb`` by Brent's method (Brent,
+    *Algorithms for Minimization Without Derivatives*, 1973, ch. 4).
+
+    A line-for-line port of scipy's C ``brentq``, with its defaults (``rtol``
+    of 4 machine epsilons, 100 iterations): it makes the same float
+    operations, so its iterates and its root are ``scipy.optimize.brentq``'s
+    bit for bit.  Ends whose values have the same sign, or a NaN value, raise
+    ValueError; no convergence in ``maxiter`` steps raises RuntimeError.
+    """
+
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN; brentq cannot continue")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                denominator = dblk * dpre * (fblk - fpre)
+                # where the denominator underflows to 0, C's step is inf or
+                # NaN, and either fails the test below, as inf does here
+                stry = (-fcur * (fblk * dblk - fpre * dpre) / denominator
+                        if denominator else math.inf)
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"brentq failed to converge after {maxiter} iterations, value is {xcur}")
+
+
 def _crossing(parts: _KernelParts, level: int, lo, hi) -> float:
-    """Energy where eigenvalue ``level`` (0 = largest) crosses 1.
+    """Energy where eigenvalue ``level`` (0 = largest) crosses 1, by
+    ``_brentq`` on that eigenvalue minus 1 in ``log |E|`` to
+    ``LEVEL_REL_TOL``.
 
     ``lo`` and ``hi`` are ``(log|E|, eigenvalues)`` at the shallow and deep
     ends of the bracket; their eigenvalues are reused, not recomputed.
     """
-    import scipy.optimize
     known = dict([lo, hi])
 
     def excess(log_abs_e):
@@ -271,8 +333,7 @@ def _crossing(parts: _KernelParts, level: int, lo, hi) -> float:
             ev = _kernel_eigenvalues(parts, -np.exp(log_abs_e))
         return ev[-1 - level] - 1.0
 
-    return -float(np.exp(scipy.optimize.brentq(excess, lo[0], hi[0],
-                                               xtol=LEVEL_REL_TOL)))
+    return -float(np.exp(_brentq(excess, lo[0], hi[0], LEVEL_REL_TOL)))
 
 
 def trimer_spectrum(model: SeparableModel, e_floor: float) -> list[TrimerLevel]:
@@ -281,9 +342,10 @@ def trimer_spectrum(model: SeparableModel, e_floor: float) -> list[TrimerLevel]:
     Eigenvalues of the kernel grow as ``|E|`` falls (the Birman-Schwinger
     principle), so eigenvalue ``level`` crosses 1 once, and the count of
     eigenvalues at or above 1 at the shallow end ``e_stop`` is the number of
-    levels.  Each crossing is found by ``brentq`` on that eigenvalue minus 1
-    in ``log |E|`` over the one bracket ``[e_stop, |e_floor|]``, to
-    ``LEVEL_REL_TOL`` relative, reusing the spectra at its ends.
+    levels.  Each crossing is found by ``_crossing``, Brent's method on that
+    eigenvalue minus 1 in ``log |E|`` over the one bracket ``[e_stop,
+    |e_floor|]``, to ``LEVEL_REL_TOL`` relative, reusing the spectra at its
+    ends.
 
     The monotone count is checked, not assumed: the roots must grow shallower
     with the level index, and at the log-midpoint between consecutive roots

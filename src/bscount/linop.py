@@ -38,7 +38,7 @@ A count of an operator recorded tridiagonal is a Sturm count: LAPACK
 none, so the trace and Frobenius checks have no spectrum to test.  The
 Sturm count is exact for a matrix within a few ulps of ``T`` (Kahan 1966),
 far inside the guard band, and tests hold it to the count of the full
-spectrum.  ``count_evs`` of any other matrix of more than 8 rows is first
+spectrum.  ``count_evs`` of any other matrix of more than 64 rows is first
 proved on an 8-column compression by ``_compressed_count``, from the
 matrix's own entries in O(n^2): the Schur complement onto the compression
 keeps the inertia of ``A - tau``, and the count stands when the part it
@@ -92,6 +92,11 @@ _RELATIONS = (">", "<")
 
 # columns of the compression on which count_evs first tries to prove a count
 _COMPRESSION_RANK = 8
+# count_evs counts a matrix of at most this many rows from its full spectrum,
+# which up to about 8 compression ranks is the cheaper route: a dense count
+# took 0.07 ms at 14 rows and 0.20 ms at 64, the compression 0.21-0.24 ms at
+# both (median of 200, 2 cores, OpenBLAS 0.3.31)
+_DENSE_COUNT_ROWS = 8 * _COMPRESSION_RANK
 
 _UNIT_ROUNDOFF = 2.0**-53
 
@@ -451,8 +456,9 @@ def count_evs(a: SymOperator, relation: str, threshold: float) -> int:
     in O(n) and with no eigenvalue computed, so there is no spectrum for
     the trace and Frobenius-norm checks to test: the Sturm count is exact
     for a matrix within a few ulps of ``A``, and tests hold it to the count
-    of the full spectrum.  Any other matrix of more than 8 rows is first
-    counted on an 8-column compression by ``_compressed_count``, which
+    of the full spectrum.  Any other matrix of more than
+    ``_DENSE_COUNT_ROWS = 64`` rows, where the full spectrum costs more, is
+    first counted on an 8-column compression by ``_compressed_count``, which
     proves the count of the exact eigenvalues outside the guard band, and
     proves that none lies on its edge, from the entries of ``A`` alone, or
     gives up; tests hold it to the count of the full spectrum.  A count it
@@ -466,7 +472,8 @@ def count_evs(a: SymOperator, relation: str, threshold: float) -> int:
     if a._tridiagonal:
         return _tridiagonal_count(a.entries.diagonal(), a.entries.diagonal(-1),
                                   relation, threshold)
-    if (count := _compressed_count(a.entries, relation, threshold)) is not None:
+    if a.dim > _DENSE_COUNT_ROWS and \
+            (count := _compressed_count(a.entries, relation, threshold)) is not None:
         return count
     return int(_count_evs(a.entries, relation, threshold))
 

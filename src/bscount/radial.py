@@ -22,9 +22,10 @@ kernel is an operator on the support of v_-, where the attractive part
 lives, so ``bs_kernel_radial`` returns the support block itself, of one
 row per node where v_- > 0, and ``bs_count_and_top`` counts above 1 that
 block's spectrum, linop's checked dense spectrum, which also gives the top
-eigenvalue.  ``count_evs`` of the block proves its count on an 8-column
-compression where it can, which the kernel's fast-falling spectrum allows;
-the counts of the tridiagonal Hamiltonian are Sturm counts.
+eigenvalue.  ``count_evs`` of a block of more than 64 rows proves its count
+on an 8-column compression where it can, which the kernel's fast-falling
+spectrum allows, and counts a smaller block's full spectrum, the cheaper
+there; the counts of the tridiagonal Hamiltonian are Sturm counts.
 ``kernel_critical_strength`` and ``mu_scan`` read only the largest kernel
 eigenvalue, which linop finds in O(n) without a full spectrum: there the
 kernel is ``S T^-1 S`` on the whole grid, with ``T`` tridiagonal and

@@ -1,12 +1,15 @@
 """Tests for the three-boson separable-force solver."""
 
 import functools
+import inspect
+import math
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.optimize
 from scipy.special import roots_legendre
 
 from bscount import efimov
@@ -22,7 +25,7 @@ from bscount.efimov import (
     trimer_spectrum,
     two_body_loop,
 )
-from bscount.linop import SymOperator, sym
+from bscount.linop import DEFAULT_SEED, SymOperator, sym
 from oracles import full_three_boson_kernel, ladder_spectrum
 
 LAM_U = lambda_unitary(1.0)
@@ -422,6 +425,105 @@ def test_one_bracket_matches_ladder_oracle(n_p, coupling):
 @pytest.mark.parametrize("n_p, coupling, most", [(512, 1.0, 32), (256, 0.9, 12)])
 def test_kernel_eigensolves_per_spectrum(n_p, coupling, most):
     assert counted_spectrum(n_p, coupling)[1] <= most
+
+
+def scipy_brentq(f, xa, xb, xtol, **kwargs):
+    """``scipy.optimize.brentq`` in ``efimov._brentq``'s signature: the oracle
+    the port is held to."""
+    return scipy.optimize.brentq(f, xa, xb, xtol=xtol, **kwargs)
+
+
+@pytest.mark.parametrize("n_p, coupling", [
+    (128, 1.0), (128, 0.9), (256, 1.0), (256, 0.9), (512, 1.0), (256, 1.001)])
+def test_brentq_port_gives_scipy_roots_and_eigensolves(n_p, coupling):
+    with mock.patch.object(efimov, "_brentq", scipy_brentq):
+        oracle = counted_spectrum.__wrapped__(n_p, coupling)
+    assert counted_spectrum(n_p, coupling) == oracle  # energies under ==, and solve counts
+
+
+def brentq_corpus(seed=DEFAULT_SEED, per_family=40):
+    """``(f, a, b)`` brackets of smooth, steep, flat-sided, oscillating,
+    quantized and tiny-valued functions.  The tiny ones (values near 1e-150)
+    make the extrapolation step's denominator underflow to 0, where C's
+    quotient is inf or NaN and Python's raises."""
+    rng = np.random.default_rng(seed)
+    families = [
+        lambda r, p: lambda x: math.tanh(p * (x - r)),
+        lambda r, p: lambda x: (x - r) ** 3 + 0.01 * p * (x - r),
+        lambda r, p: lambda x: math.expm1(p * (x - r)),
+        lambda r, p: lambda x: math.atan(x - r) * p + 1e-3 * math.sin(50.0 * x) * (x - r),
+        lambda r, p: lambda x: (math.floor((x - r) * 16.0) + p / 20.0) / 16.0,
+        lambda r, p: lambda x: 1e-150 * ((x - r) ** 3 + 0.01 * p * (x - r)),
+    ]
+    for family in families:
+        for _ in range(per_family):
+            a, b = np.sort(rng.uniform(-10.0, 10.0, 2))
+            yield family(float(rng.uniform(a, b)), float(rng.uniform(0.1, 20.0))), a, b
+
+
+def iterates(solve, f, a, b, xtol):
+    """The root ``solve`` returns, or the type of error it raises, and every
+    point at which it evaluated ``f``."""
+    points = []
+
+    def traced(x):
+        points.append(x)
+        return f(x)
+
+    try:
+        return solve(traced, a, b, xtol), points
+    except (ValueError, RuntimeError) as error:
+        return type(error), points
+
+
+@pytest.mark.parametrize("xtol", [1e-10, 1e-12, 1e-4])
+def test_brentq_port_makes_scipy_iterates_bit_for_bit(xtol):
+    runs = 0
+    for f, a, b in brentq_corpus():
+        root, points = iterates(efimov._brentq, f, a, b, xtol)
+        assert (root, points) == iterates(scipy_brentq, f, a, b, xtol), (a, b)
+        runs += isinstance(root, float)
+    assert runs >= 200  # of the 240 brackets; the quantized ones may miss a sign change
+
+
+@pytest.mark.parametrize("f, root", [
+    (lambda x: x + 1.5, -1.5),
+    (lambda x: x - 2.5, 2.5),
+    (lambda x: -0.0 if x < 0 else 1.0, -1.5),  # -0.0 is a zero, not a sign
+], ids=["lower-end", "upper-end", "negative-zero"])
+def test_brentq_port_returns_an_exact_zero_at_either_end(f, root):
+    assert efimov._brentq(f, -1.5, 2.5, 1e-12) == scipy_brentq(f, -1.5, 2.5, 1e-12) == root
+
+
+@pytest.mark.parametrize("f, match", [
+    (lambda x: x * x + 1.0, "different signs"),
+    (lambda x: math.nan if x > 0 else -1.0, "NaN"),
+    (lambda x: math.nan if 0 < x < 2 else x - 1.0, "NaN"),  # at the first iterate, 1
+], ids=["same-sign", "nan-end", "nan-iterate"])
+def test_brentq_port_raises_where_scipy_raises(f, match):
+    for solve in (efimov._brentq, scipy_brentq):
+        with pytest.raises(ValueError, match=match):
+            solve(f, -1.0, 2.0, 1e-12)
+
+
+def test_brentq_port_takes_scipys_defaults():
+    # rtol is 4 machine epsilons: the corpus, whose xtol dominates, cannot
+    # tell it from 4 * 2.22e-16
+    ours, theirs = (inspect.signature(solve).parameters
+                    for solve in (efimov._brentq, scipy.optimize.brentq))
+    for name in ("rtol", "maxiter"):
+        assert ours[name].default == theirs[name].default
+
+
+def test_brentq_port_raises_when_it_does_not_converge():
+    def f(x):
+        return math.tanh(x - 0.3)
+
+    with pytest.raises(RuntimeError, match="failed to converge after 3 iterations"):
+        efimov._brentq(f, -10.0, 10.0, 1e-12, maxiter=3)
+    with pytest.raises(RuntimeError):
+        scipy_brentq(f, -10.0, 10.0, 1e-12, maxiter=3)
+    assert efimov._brentq(f, -10.0, 10.0, 1e-12) == scipy_brentq(f, -10.0, 10.0, 1e-12)
 
 
 @pytest.mark.parametrize("level", [1, 2])

@@ -62,6 +62,28 @@ def test_kernelcheck_loads_no_scipy_integrate(tmp_path):
     assert out.strip().splitlines()[-1] == "[]"
 
 
+def test_efimov_loads_no_scipy_optimize(tmp_path):
+    # the trimer levels are found by efimov._brentq, a port of scipy's brentq
+    cfg = tmp_path / "efimov.toml"
+    cfg.write_text('command = "efimov"\nmodel.n_p = 128\n')
+    out = python("-c", "import sys\nfrom bscount.cli import main\n"
+                 f"assert main(['efimov', '--config', {str(cfg)!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+                 "print([m for m in sys.modules if m.startswith('scipy.optimize')])")
+    assert out.strip().splitlines()[-1] == "[]"
+    assert (tmp_path / "efimov.csv").read_text().count("\n") >= 5  # three levels or more
+
+
+def test_no_library_module_imports_scipy_optimize():
+    imported = set()
+    for path in (ROOT / "src" / "bscount").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+    assert [name for name in imported if name.startswith("scipy.optimize")] == []
+
+
 def test_twobody_csv_bytes_do_not_depend_on_jobs_in_fresh_interpreters(tmp_path):
     csv = []
     for jobs in ("1", "4"):

@@ -15,6 +15,7 @@ from bscount.linop import (
     SYMMETRY_RTOL,
     SymOperator,
     _COMPRESSION_RANK,
+    _DENSE_COUNT_ROWS,
     _checked_eigenvalues,
     _collides,
     _compressed_count,
@@ -602,12 +603,19 @@ def test_compressed_count_checks_its_basis_is_orthonormal(monkeypatch, scale, fa
     # |Q^T Q - I|_F = (scale^2 - 1) sqrt(k): 5.7e-13 and 5.7e-11 against 1e-12
     qr = np.linalg.qr
     monkeypatch.setattr(np.linalg, "qr", lambda a: (scale * qr(a)[0], qr(a)[1]))
-    m = planted([3.0, 0.9, 0.5])
+    m = planted([3.0, 0.9, 0.5], n=2 * _DENSE_COUNT_ROWS)  # count_evs tries the compression
     if fails:
         with pytest.raises(RuntimeError, match="orthonormality defect .* exceeds 1e-12"):
             count_evs(sym(m), ">", 1.0)
     else:
         assert _compressed_count(m, ">", 1.0) == count_evs(sym(m), ">", 1.0) == 1
+
+
+@pytest.mark.parametrize("n,dims", [(_DENSE_COUNT_ROWS, [_DENSE_COUNT_ROWS]),
+                                    (_DENSE_COUNT_ROWS + 1, [_COMPRESSION_RANK])])
+def test_count_evs_tries_the_compression_only_above_its_row_floor(solver_dims, n, dims):
+    assert count_evs(sym(planted([3.0, 0.9, 0.5], n)), ">", 1.0) == 1
+    assert solver_dims["dense"] == dims
 
 
 def test_radial_cases_take_the_structured_routes_and_match_dense(radial_cases, radial_oracles,
@@ -1041,19 +1049,23 @@ def test_top_kernel_eigenvalue_routes_make_no_dense_solve(solver_dims):
         radial.mu_scan(pot, grid, np.geomspace(1e-6, 1e-4, 5))
     assert solver_dims == {"dense": [], "tridiagonal": []}
     # bs_count_and_top and twobody, which read the top eigenvalue too, keep
-    # the dense route; count_evs proves its count on the k x k compression
-    grid = RadialGrid(ell=0, r_max=25.0, n=300)
+    # the dense route; count_evs solves a block of at most _DENSE_COUNT_ROWS
+    # rows whole, the cheaper route there, and proves the count of a larger
+    # one on the k x k compression
+    grid, fine = (RadialGrid(ell=0, r_max=25.0, n=n) for n in (300, 1800))
     pot = well.with_strength(10.0)
     radial.bs_count_and_top(pot, grid, 0.5)
     count_evs(bs_kernel_radial(pot, grid, 0.5), ">", 1.0)
+    count_evs(bs_kernel_radial(pot, fine, 0.5), ">", 1.0)
     text = 'command = "twobody"\ngrid.n = 600\nscan.epsilons = [0.05, 0.5]\n'
     cli._PIPELINES["twobody"](cli.validate_config(*cli.parse_config_text(text), "twobody"), 1)
-    support = int(np.count_nonzero(pot.v_minus(grid.nodes) > 0))
-    assert support > _COMPRESSION_RANK
-    # one support block for bs_count_and_top, the compression for count_evs,
-    # one support block per eps for twobody
-    assert solver_dims["dense"][:2] == [support, _COMPRESSION_RANK] and \
-        len(solver_dims["dense"]) == 4
+    support, fine_support = (int(np.count_nonzero(pot.v_minus(g.nodes) > 0))
+                             for g in (grid, fine))
+    assert _COMPRESSION_RANK < support <= _DENSE_COUNT_ROWS < fine_support
+    # one support block each for bs_count_and_top and count_evs, the
+    # compression of the finer block, one support block per eps for twobody
+    assert solver_dims["dense"][:3] == [support, support, _COMPRESSION_RANK] and \
+        len(solver_dims["dense"]) == 5
 
 
 def pencil(n=6):
