@@ -17,13 +17,14 @@ asserted.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .linop import _checked_eigenvalues
+from .linop import _checked_eigenvalues, _legendre_rule
 
 UNITARITY_RTOL = 1e-8
 # a11 and a12 of the Jacobi rotation between the spectator frames of three
@@ -38,6 +39,9 @@ LEVEL_REL_TOL = 1e-10
 # its confluent limit: near the triple point the divided difference loses
 # up to 7e-11 relative at gaps of 1e-6 to 1e-5, where the limit is closer
 CONFLUENT_RTOL = 1e-5
+# entries of the kernel's triangle that _kernel_parts and _assemble evaluate at
+# once: the temporaries of a block then take about 1 MiB at any n_p
+_BLOCK_ENTRIES = 8192
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,9 +70,9 @@ class SeparableModel:
             raise ValueError(f"need an integer n_p >= 64 quadrature points, got {self.n_p}")
 
     def momentum_grid(self) -> tuple[np.ndarray, np.ndarray]:
-        """Mapped Gauss-Legendre nodes and weights on (0, p_max)."""
-        from scipy.special import roots_legendre
-        x, w = roots_legendre(self.n_p)
+        """Mapped Gauss-Legendre nodes and weights on (0, p_max), from linop's
+        ``n_p``-point rule."""
+        x, w = _legendre_rule(self.n_p)
         t = 0.5 * (x + 1.0)
         wt = 0.5 * w
         denom = 1.0 + self.grid_c * (1.0 - t)
@@ -181,8 +185,10 @@ class _KernelParts(NamedTuple):
     """Everything in the kernel of ``_assemble`` that does not depend on the energy.
 
     ``J`` is symmetric in ``(s, q)``, so its terms are kept for the upper
-    triangle ``i <= j`` of the grid only, and each value is written to its
-    entry and to the mirror entry.
+    triangle ``i <= j`` of the grid only, row after row, and each value is
+    written to its entry and to the mirror entry.  Row ``i`` of the triangle
+    is ``offsets[i]:offsets[i + 1]`` of the term arrays, and ``upper`` marks
+    its entries in the rows of the ``n x n`` kernel.
     """
 
     model: SeparableModel
@@ -190,19 +196,44 @@ class _KernelParts(NamedTuple):
     ws2: np.ndarray     # w_i p_i^2
     a12_sq: float       # multiplies |E| in c3
     constant: float     # C = 4 pi lam a12^3
-    pairs: np.ndarray   # (i, j) of each triangle entry, shape (2, m)
-    flat: np.ndarray    # (i n + j, j n + i): its flat n x n positions
+    offsets: tuple      # where each row of the triangle starts, then its size
+    upper: np.ndarray   # n x n bool, True where i <= j
     terms: _AngleTerms  # at (p_i, p_j) on the triangle
+
+
+def _row_blocks(offsets: tuple):
+    """``(r0, r1, entries)`` of consecutive blocks of whole rows ``r0:r1`` of
+    the triangle, each of at most ``_BLOCK_ENTRIES`` entries or of one row,
+    with the slice ``entries`` of the term arrays that holds them."""
+    r0, last = 0, len(offsets) - 1
+    while r0 < last:
+        r1 = max(bisect.bisect_right(offsets, offsets[r0] + _BLOCK_ENTRIES) - 1, r0 + 1)
+        yield r0, r1, slice(offsets[r0], offsets[r1])
+        r0 = r1
+
+
+def _on_block(values: np.ndarray, upper: np.ndarray, r0: int, r1: int):
+    """``values`` at the row and at the column of each triangle entry of rows
+    ``r0:r1``, in the triangle's order."""
+    shape, block = (r1 - r0, values.size), upper[r0:r1]
+    return (np.broadcast_to(values[r0:r1, None], shape)[block],
+            np.broadcast_to(values, shape)[block])
 
 
 def _kernel_parts(model: SeparableModel) -> _KernelParts:
     p, w = model.momentum_grid()
-    pairs = np.array(np.triu_indices(p.size))
+    n = p.size
+    offsets = tuple(i * n - i * (i - 1) // 2 for i in range(n + 1))
+    upper = np.triu(np.ones((n, n), dtype=bool))
+    terms = _AngleTerms(*np.empty((5, offsets[-1])))
+    for r0, r1, entries in _row_blocks(offsets):
+        block = _angle_terms(*_on_block(p, upper, r0, r1), A11, A12**2 * model.beta**2)
+        for whole, part in zip(terms, block):
+            whole[entries] = part
     return _KernelParts(
         model=model, p=p, ws2=w * p**2, a12_sq=A12**2,
         constant=4.0 * np.pi * model.lam * A12**3,
-        pairs=pairs, flat=pairs * p.size + pairs[::-1],
-        terms=_angle_terms(*p[pairs], A11, A12**2 * model.beta**2))
+        offsets=offsets, upper=upper, terms=terms)
 
 
 def _assemble(parts: _KernelParts, energy: float) -> np.ndarray:
@@ -220,8 +251,9 @@ def _assemble(parts: _KernelParts, energy: float) -> np.ndarray:
     system and ``D`` the two-body pair amplitude denominator.  ``J`` is
     evaluated in closed form as a divided difference (see
     docs/trimer_kernel.md), from the prebuilt ``parts``, on the upper
-    triangle; it is scaled and mirrored into both halves, so the array is
-    symmetric bit for bit and needs no ``SymOperator`` check.
+    triangle, a block of whole rows at a time, so that its temporaries stay
+    the size of a block; each block is scaled and mirrored into both halves,
+    so the array is symmetric bit for bit and needs no ``SymOperator`` check.
     """
     if not energy < 0:
         raise ValueError(f"trimer search needs energy < 0, got {energy}")
@@ -233,14 +265,16 @@ def _assemble(parts: _KernelParts, energy: float) -> np.ndarray:
             "pair amplitude denominator vanishes: energy is above the "
             "two-body threshold for this coupling")
     prefactor = np.sqrt(parts.ws2 / d)  # sqrt(w_i) p_i / sqrt(D_i)
-    j = _angular_integral(parts.terms, parts.a12_sq * abs_e)
-    pre_i, pre_j = prefactor[parts.pairs]
     n = parts.p.size
-    values = parts.constant * (pre_i * j * pre_j)
-    k = np.empty(n * n)
-    k[parts.flat[0]] = values
-    k[parts.flat[1]] = values
-    return k.reshape(n, n)
+    k = np.empty((n, n))
+    for r0, r1, entries in _row_blocks(parts.offsets):
+        j = _angular_integral(_AngleTerms(*(t[entries] for t in parts.terms)),
+                              parts.a12_sq * abs_e)
+        pre_i, pre_j = _on_block(prefactor, parts.upper, r0, r1)
+        values = parts.constant * (pre_i * j * pre_j)
+        k[r0:r1][parts.upper[r0:r1]] = values
+        k.T[r0:r1][parts.upper[r0:r1]] = values
+    return k
 
 
 def _kernel_eigenvalues(parts: _KernelParts, energy: float) -> np.ndarray:

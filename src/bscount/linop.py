@@ -73,12 +73,22 @@ same test on ``T - S^2 / sigma``, the Birman-Schwinger test, refines by
 inverse iteration, and stands an eigenpair residual against the kernel
 applied by the caller's other route, and a certificate that no eigenvalue
 lies above, in for the trace and Frobenius checks.
+
+The Gauss-Legendre rules of the package, efimov's momentum grid and
+radial's ``gauss_legendre`` grid and Rollnik panels, are eigensolves too:
+``_legendre_rule`` takes the nodes from the Jacobi matrix of the Legendre
+recurrence (Golub & Welsch 1969) by ``eigvals_banded``, as scipy's
+``roots_legendre`` does, and ports the rest of that routine, so that its
+arrays are scipy's bit for bit without loading ``scipy.special`` but at the
+middle node of an odd order.  Each rule is computed once per order and
+frozen.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -400,6 +410,82 @@ def _kernel_top_eigenvalue(diag, off, weight, green) -> float:
     return mu
 
 
+@cache
+def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the ``n``-point Gauss-Legendre rule on [-1, 1],
+    computed once per ``n`` and frozen, since every caller shares them.
+
+    The nodes are the eigenvalues of the Jacobi matrix of the Legendre
+    recurrence (Golub & Welsch 1969), by LAPACK ``sbevd`` through
+    ``scipy.linalg.eigvals_banded``.  The rest is a line-for-line port of
+    scipy's ``roots_legendre``: one Newton step on ``P_n``, weights
+    ``1 / (P_{n-1} P_n')`` with both factors normalized by the geometric
+    mean of their extreme magnitudes, then symmetrized and scaled to sum to
+    2.  It makes the same float operations, so its arrays are
+    ``scipy.special.roots_legendre(n)``'s bit for bit.
+    """
+    from scipy.linalg import eigvals_banded  # only here, so that importing bscount stays light
+
+    k = np.arange(n, dtype=float)
+    band = np.zeros((2, n))
+    band[0, 1:] = k[1:] * np.sqrt(1.0 / (4 * k[1:] * k[1:] - 1))
+    x = eigvals_banded(band, overwrite_a_band=True)
+    p_prev, p_n = _legendre_values(n, x)
+    dy = (-n * x * p_n + n * p_prev) / (1 - x**2)
+    x -= p_n / dy
+    fm = _legendre_values(n, x)[0]
+    log_fm = np.log(np.abs(fm))
+    log_dy = np.log(np.abs(dy))
+    fm /= np.exp((log_fm.max() + log_fm.min()) / 2.0)
+    dy /= np.exp((log_dy.max() + log_dy.min()) / 2.0)
+    w = 1.0 / (fm * dy)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
+    for array in (x, w):
+        array.setflags(write=False)
+    return x, w
+
+
+def _legendre_values(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(P_{n-1}(x), P_n(x))`` as scipy's ``eval_legendre`` computes them:
+    its forward recurrence on the difference ``d = P_k - P_{k-1}``,
+    vectorized over ``x``, whose step ``k`` gives ``P_{k+1}``, so one run
+    gives both; and its power series where ``|x| < 1e-5``, only the middle
+    node of an odd order here, for orders of at least 2."""
+    p_prev, p = np.ones_like(x), x.copy()
+    d = x_1 = x - 1
+    for k in range(1, n):
+        d = ((2 * k + 1) / (k + 1)) * x_1 * p + (k / (k + 1)) * d
+        p_prev, p = p, p + d
+    for i in np.flatnonzero(np.abs(x) < 1e-5):
+        if n >= 3:
+            p_prev[i] = _legendre_series(n - 1, float(x[i]))
+        if n >= 2:
+            p[i] = _legendre_series(n, float(x[i]))
+    return p_prev, p
+
+
+def _legendre_series(n: int, x: float) -> float:
+    """``P_n(x)`` near 0 by scipy's power series, ``n >= 2``.  Its leading
+    constant comes from cephes' ``beta``, which is not correctly rounded, so
+    scipy's is used: no constant computed here has its bits."""
+    from scipy.special import beta  # only here: the package needs it nowhere else
+
+    a = n // 2
+    d = -2 / beta(a + 1, -0.5) if n % 2 == 0 else 2 * x / beta(a + 1, 0.5)
+    if a % 2 == 1:
+        d = -d
+    p = 0.0
+    for kk in range(a + 1):
+        p += d
+        d *= (-2 * x**2 * (a - kk) * (2 * n + 1 - 2 * a + 2 * kk)
+              / ((n + 1 - 2 * a + 2 * kk) * (n + 2 - 2 * a + 2 * kk)))
+        if d == 0.0:  # every later term is 0 too
+            break
+    return p
+
+
 def _guard(fro: float) -> float:
     """Count guard band ``1e-10 (1 + |A|_F)`` of a matrix of Frobenius norm ``fro``."""
     return 1e-10 * (1.0 + fro)
@@ -479,9 +565,10 @@ def count_evs(a: SymOperator, relation: str, threshold: float) -> int:
 
 
 def _compressed_count(m: np.ndarray, relation: str, threshold: float) -> int | None:
-    """``count_evs`` of a matrix already known to be symmetric, proved on a
-    compression onto ``_COMPRESSION_RANK = k`` columns, or None where the
-    proof fails or ``n <= k``; ``count_evs`` then counts the full spectrum.
+    """``count_evs`` of a matrix already known to be symmetric, of more than
+    ``_COMPRESSION_RANK = k`` rows, proved on a compression onto ``k``
+    columns, or None where the proof fails; ``count_evs`` then counts the
+    full spectrum.
 
     The count of ``A`` above ``tau = threshold + eta`` for ``">"`` is made;
     for ``"<"`` that of ``-A`` above ``-(threshold - eta)``, with ``eta`` the
@@ -512,8 +599,6 @@ def _compressed_count(m: np.ndarray, relation: str, threshold: float) -> int | N
     ``_checked_eigenvalues``'.
     """
     n, k = m.shape[0], _COMPRESSION_RANK
-    if n <= k:
-        return None
     fro = _finite_fro(m)
     edge, above = _selection(relation, threshold, _guard(fro))
     a, tau = (m, edge) if above else (-m, -edge)

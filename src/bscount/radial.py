@@ -44,12 +44,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from functools import cache, cached_property
 
 import numpy as np
 
 from .linop import (SymOperator, _checked_eigenvalues, _count, _kernel_top_eigenvalue,
-                    _tridiagonal_count, _tridiagonal_positive_definite)
+                    _legendre_rule, _tridiagonal_count, _tridiagonal_positive_definite)
 
 POTENTIAL_KINDS = ("yukawa", "exponential", "gaussian", "square_well", "table")
 
@@ -195,23 +194,17 @@ class RadialGrid:
         """Mesh spacing of the uniform scheme; nodes sit at cell midpoints."""
         return self.r_max / self.n
 
-    @cached_property
-    def _legendre(self) -> tuple[np.ndarray, np.ndarray]:
-        """Gauss-Legendre nodes and weights on [-1, 1], computed once per grid."""
-        from scipy.special import roots_legendre
-        return roots_legendre(self.n)
-
     @property
     def nodes(self) -> np.ndarray:
         if self.scheme == "uniform_fd2":
             return (np.arange(1, self.n + 1) - 0.5) * self.h
-        return 0.5 * self.r_max * (self._legendre[0] + 1.0)
+        return 0.5 * self.r_max * (_legendre_rule(self.n)[0] + 1.0)
 
     @property
     def weights(self) -> np.ndarray:
         if self.scheme == "uniform_fd2":
             return np.full(self.n, self.h)
-        return 0.5 * self.r_max * self._legendre[1]
+        return 0.5 * self.r_max * _legendre_rule(self.n)[1]
 
 
 @dataclass(frozen=True)
@@ -495,19 +488,8 @@ def _graded_panels(a, b, singular_at_a, levels=9):
     return np.unique(edges)
 
 
-@cache
-def _unit_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The m-point Gauss-Legendre nodes and weights on [-1, 1], computed once
-    per ``m`` and frozen, since every caller shares them."""
-    from scipy.special import roots_legendre
-    rule = roots_legendre(m)
-    for array in rule:
-        array.setflags(write=False)
-    return rule
-
-
 def _gl_on_panels(edges, m=10):
-    x, w = _unit_legendre(m)
+    x, w = _legendre_rule(m)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()

@@ -1,12 +1,14 @@
 """Test-side oracles shared by several test modules."""
 
+from typing import NamedTuple
+
 import numpy as np
 import scipy.linalg
 
 from bscount import efimov
 from bscount.bsengine import ThresholdCollisionError
-from bscount.linop import (SymOperator, _checked_eigenvalues, _spectral_decompose, count_evs,
-                           sym)
+from bscount.linop import (SymOperator, _checked_eigenvalues, _legendre_rule, _spectral_decompose,
+                           count_evs, sym)
 from bscount.radial import RadialGrid, _banded_hamiltonian, _bs_block
 
 
@@ -141,6 +143,72 @@ def full_three_boson_kernel(model, energy: float) -> SymOperator:
     j = efimov._angular_integral(terms, -a12**2 * energy)
     return SymOperator(4.0 * np.pi * model.lam * a12**3
                        * (prefactor[:, None] * j * prefactor[None, :]))
+
+
+class TriangleParts(NamedTuple):
+    """``efimov._KernelParts`` of the whole-triangle assembly: the ``(i, j)``
+    of every entry of the upper triangle and its two flat positions, in
+    place of the row offsets and the triangle mask."""
+
+    model: efimov.SeparableModel
+    p: np.ndarray
+    ws2: np.ndarray
+    a12_sq: float
+    constant: float
+    pairs: np.ndarray   # (i, j) of each triangle entry, shape (2, m)
+    flat: np.ndarray    # (i n + j, j n + i): its flat n x n positions
+    terms: efimov._AngleTerms
+
+
+def triangle_kernel_parts(model) -> TriangleParts:
+    """``efimov._kernel_parts`` by the route that preceded the row blocks:
+    the terms of the whole triangle from one ``_angle_terms`` call."""
+    p, w = model.momentum_grid()
+    pairs = np.array(np.triu_indices(p.size))
+    return TriangleParts(
+        model=model, p=p, ws2=w * p**2, a12_sq=efimov.A12**2,
+        constant=4.0 * np.pi * model.lam * efimov.A12**3,
+        pairs=pairs, flat=pairs * p.size + pairs[::-1],
+        terms=efimov._angle_terms(*p[pairs], efimov.A11, efimov.A12**2 * model.beta**2))
+
+
+def triangle_kernel(parts: TriangleParts, energy: float) -> np.ndarray:
+    """``efimov._assemble`` by the route that preceded the row blocks: ``J``
+    on the whole triangle at once, scattered to both halves through the flat
+    positions."""
+    if not energy < 0:
+        raise ValueError(f"trimer search needs energy < 0, got {energy}")
+    abs_e = -float(energy)
+    d = 1.0 - parts.model.lam * efimov.two_body_loop(np.sqrt(parts.p**2 + abs_e),
+                                                      parts.model.beta)
+    if np.any(d <= 0):
+        raise ValueError(
+            "pair amplitude denominator vanishes: energy is above the "
+            "two-body threshold for this coupling")
+    prefactor = np.sqrt(parts.ws2 / d)
+    j = efimov._angular_integral(parts.terms, parts.a12_sq * abs_e)
+    pre_i, pre_j = prefactor[parts.pairs]
+    n = parts.p.size
+    values = parts.constant * (pre_i * j * pre_j)
+    k = np.empty(n * n)
+    k[parts.flat[0]] = values
+    k[parts.flat[1]] = values
+    return k.reshape(n, n)
+
+
+def legendre_rules_computed(monkeypatch, run):
+    """The orders of the Gauss-Legendre rules that ``run()`` computes, from
+    an empty rule cache: each computation makes one Jacobi eigensolve."""
+    orders = []
+    solver = scipy.linalg.eigvals_banded
+    monkeypatch.setattr(scipy.linalg, "eigvals_banded",
+                        lambda band, **kw: orders.append(band.shape[1]) or solver(band, **kw))
+    _legendre_rule.cache_clear()
+    try:
+        run()
+    finally:
+        _legendre_rule.cache_clear()  # holds no rule made under the spy
+    return orders
 
 
 def ladder_spectrum(model, e_floor: float) -> list[float]:

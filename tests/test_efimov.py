@@ -26,7 +26,7 @@ from bscount.efimov import (
     two_body_loop,
 )
 from bscount.linop import DEFAULT_SEED, SymOperator, sym
-from oracles import full_three_boson_kernel, ladder_spectrum
+from oracles import full_three_boson_kernel, ladder_spectrum, triangle_kernel, triangle_kernel_parts
 
 LAM_U = lambda_unitary(1.0)
 
@@ -205,6 +205,72 @@ def test_triangle_kernel_matches_full_grid_assembly(n_p):
         assert np.array_equal(SymOperator(k).entries, k)
         assert np.linalg.norm(k - oracle) <= 1e-13 * np.linalg.norm(oracle)
         np.testing.assert_allclose(k, oracle, rtol=1e-9, atol=0.0)
+
+
+def confluent_energy(parts):
+    """An energy at which ``J`` takes its confluent limit on the diagonal:
+    ``s^2 + |E| = beta^2`` at the first node ``s >= 1/2``."""
+    s = parts.p[np.searchsorted(parts.p, 0.5)]
+    return -(1.0 - s * s)
+
+
+def assert_kernels_equal_bit_for_bit(parts, oracle, energies):
+    for energy in energies:
+        try:
+            expected = triangle_kernel(oracle, energy)
+        except ValueError as exc:  # above the dimer threshold
+            with pytest.raises(ValueError, match=str(exc)):
+                efimov._assemble(parts, energy)
+        else:
+            assert np.array_equal(efimov._assemble(parts, energy), expected), energy
+
+
+@pytest.mark.parametrize("coupling", [0.9, 1.0, 1.05])
+@pytest.mark.parametrize("n_p", [64, 65, 127, 256, 300, 512])
+def test_row_block_kernel_is_the_whole_triangle_kernel_bit_for_bit(n_p, coupling):
+    model = unitary_model(n_p=n_p, lam=coupling * LAM_U)
+    parts, oracle = efimov._kernel_parts(model), triangle_kernel_parts(model)
+    assert all(np.array_equal(a, b) for a, b in zip(parts.terms, oracle.terms))
+    energies = [float(e) for e in -np.geomspace(1.0, 1e-7, 8)] + [confluent_energy(parts)]
+    assert_kernels_equal_bit_for_bit(parts, oracle, energies)
+
+
+@pytest.mark.parametrize("n_p", [64, 65, 256])
+def test_blocks_of_one_row_give_the_whole_triangle_kernel_bit_for_bit(monkeypatch, n_p):
+    monkeypatch.setattr(efimov, "_BLOCK_ENTRIES", 1)
+    model = unitary_model(n_p=n_p)
+    parts, oracle = efimov._kernel_parts(model), triangle_kernel_parts(model)
+    blocks = [(r0, r1) for r0, r1, _ in efimov._row_blocks(parts.offsets)]
+    assert blocks == [(i, i + 1) for i in range(n_p)]
+    assert all(np.array_equal(a, b) for a, b in zip(parts.terms, oracle.terms))
+    assert_kernels_equal_bit_for_bit(parts, oracle, [-1.0, -1e-4, confluent_energy(parts)])
+
+
+@pytest.mark.parametrize("n_p,entries", [(64, 8192), (256, 8192), (512, 8192), (65, 100),
+                                         (65, 65), (65, 64)])
+def test_row_blocks_cover_the_triangle_within_the_budget(monkeypatch, n_p, entries):
+    monkeypatch.setattr(efimov, "_BLOCK_ENTRIES", entries)
+    offsets = efimov._kernel_parts(unitary_model(n_p=n_p)).offsets
+    assert offsets[0] == 0 and offsets[-1] == n_p * (n_p + 1) // 2
+    assert np.array_equal(np.diff(offsets), np.arange(n_p, 0, -1))  # row i has n_p - i entries
+    blocks = list(efimov._row_blocks(offsets))
+    assert [r0 for r0, _, _ in blocks[1:]] == [r1 for _, r1, _ in blocks[:-1]]
+    assert blocks[0][0] == 0 and blocks[-1][1] == n_p
+    for r0, r1, held in blocks:
+        assert held == slice(offsets[r0], offsets[r1])
+        size = offsets[r1] - offsets[r0]
+        assert size <= entries or r1 == r0 + 1
+        # the block is as long as the budget allows
+        assert r1 == n_p or offsets[r1 + 1] - offsets[r0] > entries
+
+
+def test_confluent_energy_reaches_the_confluent_limit(monkeypatch):
+    parts = efimov._kernel_parts(unitary_model(n_p=256))
+    energy = confluent_energy(parts)
+    k = efimov._assemble(parts, energy)
+    monkeypatch.setattr(efimov, "CONFLUENT_RTOL", -1.0)  # never take the limit
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert not np.array_equal(efimov._assemble(parts, energy), k)
 
 
 def test_ladder_matches_full_grid_assembly(monkeypatch):

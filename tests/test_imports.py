@@ -62,15 +62,28 @@ def test_kernelcheck_loads_no_scipy_integrate(tmp_path):
     assert out.strip().splitlines()[-1] == "[]"
 
 
-def test_efimov_loads_no_scipy_optimize(tmp_path):
-    # the trimer levels are found by efimov._brentq, a port of scipy's brentq
+def efimov_loads(tmp_path, prefix):
+    """The modules starting with ``prefix`` that ``bscount efimov`` at
+    ``model.n_p = 128`` loads in a fresh interpreter."""
     cfg = tmp_path / "efimov.toml"
     cfg.write_text('command = "efimov"\nmodel.n_p = 128\n')
     out = python("-c", "import sys\nfrom bscount.cli import main\n"
                  f"assert main(['efimov', '--config', {str(cfg)!r}, '--out', {str(tmp_path)!r}]) == 0\n"
-                 "print([m for m in sys.modules if m.startswith('scipy.optimize')])")
-    assert out.strip().splitlines()[-1] == "[]"
+                 f"print([m for m in sys.modules if m.startswith({prefix!r})])")
     assert (tmp_path / "efimov.csv").read_text().count("\n") >= 5  # three levels or more
+    return out.strip().splitlines()[-1]
+
+
+def test_efimov_loads_no_scipy_optimize(tmp_path):
+    # the trimer levels are found by efimov._brentq, a port of scipy's brentq
+    assert efimov_loads(tmp_path, "scipy.optimize") == "[]"
+
+
+def test_efimov_loads_no_scipy_special(tmp_path):
+    # the momentum grid is linop._legendre_rule, a port of scipy's
+    # roots_legendre that calls into scipy.special only at the middle node of
+    # an odd order
+    assert efimov_loads(tmp_path, "scipy.special") == "[]"
 
 
 def test_no_library_module_imports_scipy_optimize():

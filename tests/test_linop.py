@@ -22,6 +22,7 @@ from bscount.linop import (
     _count,
     _count_evs,
     _kernel_top_eigenvalue,
+    _legendre_rule,
     _spectral_decompose,
     _symmetrized,
     _tridiagonal_positive_definite,
@@ -31,7 +32,7 @@ from bscount.linop import (
 )
 from bscount import bsengine, cli, efimov, iterbs, radial
 from bscount.radial import PotentialSpec, RadialGrid, bs_kernel_radial, reduced_hamiltonian
-from oracles import checked_eigenvalues, op_function, spectral_decompose
+from oracles import checked_eigenvalues, legendre_rules_computed, op_function, spectral_decompose
 from test_acceptance import TWENTY_CASES
 
 
@@ -587,9 +588,7 @@ def test_compressed_count_is_the_dense_count_or_none_on_spectra_with_tails():
     (planted([3.0, 0.5]), ">", 1e-6),  # tau / (1 + |A|_F) lies below the allowance on d
     (planted([3.0, 0.5]), ">", -1.0),
     (planted([-3.0, -0.5]), "<", 0.0),
-    (planted([3.0, 0.5], n=_COMPRESSION_RANK), ">", 1.0),  # n <= k
-], ids=["2I", "threshold-0", "threshold-1e-6", "threshold-negative", "less-than-0",
-        "n-at-most-k"])
+], ids=["2I", "threshold-0", "threshold-1e-6", "threshold-negative", "less-than-0"])
 def test_compressed_count_falls_back_to_the_full_spectrum(solver_dims, m, relation, threshold):
     assert _compressed_count(m, relation, threshold) is None
     solver_dims["dense"].clear()
@@ -967,7 +966,7 @@ def test_a_stack_of_two_error_names_its_member():
 # ---------------------------------------------------------------------------
 # linop runs every eigensolve
 
-EIGENSOLVER_NAMES = {"eigh", "eigvalsh", "eigvalsh_tridiagonal", "lapack"}
+EIGENSOLVER_NAMES = {"eigh", "eigvalsh", "eigvalsh_tridiagonal", "eigvals_banded", "lapack"}
 
 
 def nodes_outside_linop():
@@ -1210,6 +1209,36 @@ def test_positive_definite_turns_an_illegal_argument_into_runtime_error(monkeypa
     monkeypatch.setattr(scipy.linalg.lapack, "dpttrf", lambda d, e: (d, e, info))
     with pytest.raises(RuntimeError, match=f"rejected argument {-info}"):
         _tridiagonal_positive_definite(np.full(3, 2.0), np.full(2, -1.0))
+
+
+# ---------------------------------------------------------------------------
+# the Gauss-Legendre rule
+
+
+@pytest.mark.parametrize("orders", [range(1, 101), range(101, 201), range(201, 301), [1001]],
+                         ids=["1-100", "101-200", "201-300", "1001"])
+def test_legendre_rule_is_scipys_bit_for_bit(orders):
+    # odd orders take the power series at the middle node
+    from scipy.special import roots_legendre
+
+    for n in orders:
+        x, w = _legendre_rule(n)
+        expected_x, expected_w = roots_legendre(n)
+        assert np.array_equal(x, expected_x) and np.array_equal(w, expected_w), n
+
+
+def test_legendre_rule_is_frozen_and_computed_once_per_order(monkeypatch):
+    rules = []
+
+    def run():
+        rules.extend(_legendre_rule(n) for n in (7, 8, 7, 8, 7))
+
+    assert legendre_rules_computed(monkeypatch, run) == [7, 8]
+    assert rules[2] is rules[0] and rules[3] is rules[1]
+    for array in rules[0] + rules[1]:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,8 @@ from bscount.radial import (
     _kernel_top,
     _segment_edges,
 )
-from oracles import _green_swave, block_top_oracle, green_kernel, op_function, stebz_binds
+from oracles import (_green_swave, block_top_oracle, green_kernel, legendre_rules_computed,
+                     op_function, stebz_binds)
 
 DEFAULT_SEED = 0xB5C0
 
@@ -564,18 +565,11 @@ def test_rollnik_row_blocks_give_the_whole_group_sums_bit_for_bit(monkeypatch, p
 
 
 def test_rollnik_norm_computes_each_unit_rule_once(monkeypatch):
-    import scipy.special
-
-    calls = []
-    rule = scipy.special.roots_legendre
-    monkeypatch.setattr(scipy.special, "roots_legendre", lambda m: calls.append(m) or rule(m))
-    radial._unit_legendre.cache_clear()
-    try:
+    def run():
         for pot in ROLLNIK_CASES:
             rollnik_norm(pot, 0.0)
-    finally:
-        radial._unit_legendre.cache_clear()  # holds no rule made by the spy
-    assert sorted(calls) == [10, 12]
+
+    assert sorted(legendre_rules_computed(monkeypatch, run)) == [10, 12]
 
 
 def test_rollnik_batched_and_loop_vanish_on_pure_repulsion():
@@ -830,22 +824,17 @@ def test_mu_scan_rejects_detuned_potential():
 
 
 def test_mu_scan_computes_the_legendre_rule_once_per_grid(monkeypatch):
-    import scipy.special
-
-    calls = []
-    rule = scipy.special.roots_legendre
-
-    def counted(n):
-        calls.append(n)
-        return rule(n)
-
-    monkeypatch.setattr(scipy.special, "roots_legendre", counted)
+    # once per order: the third grid shares the second one's rule
     well = PotentialSpec(kind="square_well", strength=1.0, range=1.0)
-    grids = [RadialGrid(ell=0, r_max=1.0, n=n, scheme="gauss_legendre") for n in (96, 128)]
-    for grid in grids:
-        pot = well.with_strength(kernel_critical_strength(well, grid))
-        mu_scan(pot, grid, np.geomspace(1e-6, 1e-4, 5))
-    assert calls == [96, 128]
+    grids = [RadialGrid(ell=0, r_max=r_max, n=n, scheme="gauss_legendre")
+             for r_max, n in ((1.0, 96), (1.0, 128), (1.5, 128))]
+
+    def run():
+        for grid in grids:
+            pot = well.with_strength(kernel_critical_strength(well, grid))
+            mu_scan(pot, grid, np.geomspace(1e-6, 1e-4, 5))
+
+    assert legendre_rules_computed(monkeypatch, run) == [96, 128]
 
 
 def test_counts_stable_under_mesh_refinement():
