@@ -52,6 +52,7 @@ import numpy as np
 from .linop import (
     DEFAULT_SEED,
     SymOperator,
+    ThresholdCollisionError,
     _checked_eigenvalues,
     _collides,
     _count,
@@ -65,10 +66,6 @@ from .linop import (
 
 # Smallest vector norm rank_one_domination will normalize away.
 MIN_PROJECTION_NORM = 1e-8
-
-
-class ThresholdCollisionError(RuntimeError):
-    """An eigenvalue of ``A + B`` sits on the counting threshold ``-eps``."""
 
 
 @dataclass(frozen=True)

@@ -70,9 +70,9 @@ from .linop import count_evs
 from .radial import (
     PotentialSpec,
     RadialGrid,
+    _negative_count_off_threshold,
     _resolvent_power_bound,
     bs_count_and_top,
-    negative_count,
     resolvent_power_kernel,
 )
 
@@ -418,8 +418,8 @@ def _run_twobody(cfg, jobs):
     if not epsilons:
         raise ValueError("scan.epsilons is empty")
 
-    def one(eps):
-        return (negative_count(pot, grid, eps), *bs_count_and_top(pot, grid, eps))
+    def one(eps):  # a level on the threshold raises on either side
+        return (_negative_count_off_threshold(pot, grid, eps), *bs_count_and_top(pot, grid, eps))
 
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         results = list(pool.map(one, epsilons))

@@ -6,6 +6,10 @@ subsystem, in mass-scaled Jacobi coordinates that keep the kinetic operator
 a flat Laplacian.  Projecting the bound-state problem on the form factor
 reduces it to a one-dimensional integral kernel in the spectator momentum;
 trimer energies are the points where an eigenvalue of that kernel crosses 1.
+``trimer_spectrum`` finds them from one table of solved spectra and counts
+by linop's rule alone: every count of eigenvalues against 1 is linop's
+``_count``, strict outside the guard band, and an eigenvalue within the band
+of 1 at a bracket end is a threshold collision, which it refuses to count.
 
 The kernel's mass coefficients ``A11``, ``A12`` come from the orthogonal
 Jacobi rotation between spectator frames (see docs/trimer_kernel.md
@@ -24,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linop import _checked_eigenvalues, _legendre_rule
+from .linop import ThresholdCollisionError, _checked_eigenvalues, _collides, _count, _legendre_rule
 
 UNITARITY_RTOL = 1e-8
 # a11 and a12 of the Jacobi rotation between the spectator frames of three
@@ -108,9 +112,7 @@ def dimer_energy(model: SeparableModel) -> float:
     once the coupling exceeds the zero-binding value.
     """
     kappa = np.sqrt(model.lam * np.pi**2 / model.beta) - model.beta
-    if kappa <= 0:
-        return 0.0
-    return -float(kappa**2)
+    return -float(kappa**2) if kappa > 0 else 0.0
 
 
 class _AngleTerms(NamedTuple):
@@ -277,9 +279,10 @@ def _assemble(parts: _KernelParts, energy: float) -> np.ndarray:
     return k
 
 
-def _kernel_eigenvalues(parts: _KernelParts, energy: float) -> np.ndarray:
-    """Checked ascending eigenvalues of the kernel at ``energy``."""
-    return _checked_eigenvalues(_assemble(parts, energy))[0]
+def _kernel_spectrum(parts: _KernelParts, energy: float) -> tuple[np.ndarray, float]:
+    """Checked ascending eigenvalues of the kernel at ``energy`` and their
+    guard band."""
+    return _checked_eigenvalues(_assemble(parts, energy))
 
 
 @dataclass(frozen=True, eq=False)
@@ -351,40 +354,32 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float = 4 * 2.0**-52,
     raise RuntimeError(f"brentq failed to converge after {maxiter} iterations, value is {xcur}")
 
 
-def _crossing(parts: _KernelParts, level: int, lo, hi) -> float:
-    """Energy where eigenvalue ``level`` (0 = largest) crosses 1, by
-    ``_brentq`` on that eigenvalue minus 1 in ``log |E|`` to
-    ``LEVEL_REL_TOL``.
-
-    ``lo`` and ``hi`` are ``(log|E|, eigenvalues)`` at the shallow and deep
-    ends of the bracket; their eigenvalues are reused, not recomputed.
-    """
-    known = dict([lo, hi])
-
-    def excess(log_abs_e):
-        ev = known.get(log_abs_e)
-        if ev is None:
-            ev = _kernel_eigenvalues(parts, -np.exp(log_abs_e))
-        return ev[-1 - level] - 1.0
-
-    return -float(np.exp(_brentq(excess, lo[0], hi[0], LEVEL_REL_TOL)))
-
-
 def trimer_spectrum(model: SeparableModel, e_floor: float) -> list[TrimerLevel]:
     """All kernel-eigenvalue-1 crossings between ``e_floor`` and the grid floor.
 
     Eigenvalues of the kernel grow as ``|E|`` falls (the Birman-Schwinger
-    principle), so eigenvalue ``level`` crosses 1 once, and the count of
-    eigenvalues at or above 1 at the shallow end ``e_stop`` is the number of
-    levels.  Each crossing is found by ``_crossing``, Brent's method on that
+    principle), so eigenvalue ``level`` (0 = largest) crosses 1 once, and
+    linop's count of eigenvalues above 1 at the shallow end ``e_stop`` is the
+    number of levels.  Each crossing is found by ``_brentq`` on that
     eigenvalue minus 1 in ``log |E|`` over the one bracket ``[e_stop,
-    |e_floor|]``, to ``LEVEL_REL_TOL`` relative, reusing the spectra at its
-    ends.
+    |e_floor|]``, to ``LEVEL_REL_TOL`` relative.  Every spectrum is solved
+    once, by ``_kernel_spectrum``, and held in one table ``log|E| ->
+    (eigenvalues, eta)`` that the bracket ends, every iterate of every
+    search and the monotone check read.
 
-    The monotone count is checked, not assumed: the roots must grow shallower
-    with the level index, and at the log-midpoint between consecutive roots
-    the count must equal the shallower root's level; otherwise
-    ``RuntimeError`` names that level.
+    A kernel eigenvalue within linop's guard band of 1 at either end raises
+    ``ThresholdCollisionError`` naming that energy, since a level on a
+    bracket end is neither counted nor bracketed; one above 1 at ``e_floor``
+    raises ValueError.  The monotone count is checked, not assumed, by
+    linop's counting rule, without a tolerance of its own: the roots must
+    grow strictly shallower with the level index, and on every held
+    spectrum with ``k`` roots deeper than its energy the count above 1 must
+    be at most ``k`` and the count below 1 at most ``n - k``, so that an
+    eigenvalue inside the band, as at Brent's iterates next to a root, may
+    lie on either side of 1.  An interval between two roots that holds no
+    spectrum free of a collision gets one at its log-midpoint.  A failure
+    raises ``RuntimeError`` naming the level whose eigenvalue is on the
+    wrong side of 1.
 
     ``e_stop`` is where the momentum grid can no longer resolve the states
     (binding momentum within a decade of the smallest node) or, above the
@@ -398,27 +393,39 @@ def trimer_spectrum(model: SeparableModel, e_floor: float) -> list[TrimerLevel]:
     stable_floor = (10.0 * float(parts.p[0])) ** 2
     # above two-body binding, stop 1% above the dimer threshold: the pair
     # amplitude denominator vanishes there and eigenvalues pile up
-    e_stop = max(stable_floor, abs(e_floor) * 1e-18,
-                 abs(dimer_energy(model)) * 1.01)
+    e_stop = max(stable_floor, abs(e_floor) * 1e-18, abs(dimer_energy(model)) * 1.01)
     if e_stop >= abs(e_floor):
-        raise ValueError("e_floor is already inside the grid-limited region; "
-                         "raise n_p or lower |e_floor|")
-    ev_floor = _kernel_eigenvalues(parts, e_floor)
-    if np.any(ev_floor >= 1.0):
-        raise ValueError(
-            f"levels exist below e_floor = {e_floor:g}; deepen the floor")
-    ev_stop = _kernel_eigenvalues(parts, -e_stop)
-    lo, hi = (np.log(e_stop), ev_stop), (np.log(abs(e_floor)), ev_floor)
-    energies = [_crossing(parts, level, lo, hi)
-                for level in range(int(np.sum(ev_stop >= 1.0)))]
-    for level, (deeper, shallower) in enumerate(zip(energies, energies[1:]), 1):
-        if not (deeper < shallower and np.sum(_kernel_eigenvalues(
-                parts, -math.sqrt(deeper * shallower)) >= 1.0) == level):
-            raise RuntimeError(
-                f"trimer level {level}: the count of kernel eigenvalues >= 1 "
-                "is not monotone in |E|")
-    return [TrimerLevel(energy=e, cutoff_stable=abs(e) >= stable_floor)
-            for e in energies]
+        raise ValueError("e_floor is inside the grid-limited region; raise n_p or lower |e_floor|")
+    x_stop, x_floor = np.log(e_stop), np.log(abs(e_floor))
+    table = {}  # log|E| -> (eigenvalues, eta); the ends solved at their own energies
+    for x, energy in ((x_floor, e_floor), (x_stop, -e_stop)):
+        table[x] = _kernel_spectrum(parts, energy)
+        if _collides(*table[x], 1.0):
+            raise ThresholdCollisionError(
+                f"kernel eigenvalue within the guard band of 1 at the bracket end E = {energy!r}")
+    if _count(*table[x_floor], ">", 1.0):
+        raise ValueError(f"levels exist below e_floor = {e_floor:g}; deepen the floor")
+
+    def spectrum(x):  # solved on first use only
+        return table[x] if x in table else table.setdefault(x, _kernel_spectrum(parts, -np.exp(x)))
+
+    roots = [_brentq(lambda x: spectrum(x)[0][-1 - level] - 1.0, x_stop, x_floor, LEVEL_REL_TOL)
+             for level in range(_count(*table[x_stop], ">", 1.0))]
+    energies = [-float(np.exp(x)) for x in roots]
+    for level in range(1, len(roots)):
+        if not energies[level - 1] < energies[level]:
+            raise RuntimeError(f"trimer level {level}: root not shallower than level {level - 1}")
+        if not any(roots[level] < x < roots[level - 1] and not _collides(*table[x], 1.0)
+                   for x in table):
+            spectrum(0.5 * (roots[level] + roots[level - 1]))
+    for x, (lam, eta) in table.items():
+        deeper = sum(root > x for root in roots)
+        above, below = _count(lam, eta, ">", 1.0), _count(lam, eta, "<", 1.0)
+        if above > deeper or below > lam.size - deeper:
+            level = deeper if above > deeper else deeper - 1  # its eigenvalue is across 1
+            raise RuntimeError(f"trimer level {level}: the count above 1 at E = "
+                               f"{-float(np.exp(x))!r} is not monotone in |E|")
+    return [TrimerLevel(e, abs(e) >= stable_floor) for e in energies]
 
 
 def efimov_spectrum(model: SeparableModel, e_floor: float) -> list[TrimerLevel]:

@@ -53,7 +53,16 @@ into the guarded eigenvalue range and rejects a threshold that is not
 finite; ``_count`` applies it to a spectrum, for ``count_evs`` and for the
 callers that count a spectrum they also read, and ``_tridiagonal_count``
 to a Sturm count.  ``_collides`` tells whether an eigenvalue lies within
-the guard band of a threshold, where neither relation counts it.
+the guard band of a threshold, where neither relation counts it, and
+``_tridiagonal_collides`` tells it by one Sturm count over the band.  A
+count leaves such an eigenvalue out; a caller that compares two counts, or
+brackets a level by a count, asks first and raises
+``ThresholdCollisionError``, defined here: a level on the threshold is the
+case the paper's finiteness theorem excludes (no subsystem with an
+eigenvalue or resonance at zero energy), so it is refused, not counted.
+bsengine's ``count_bs`` (which re-exports the error), radial's
+``schwinger_bound_check`` and the counts of the ``twobody`` command, and
+efimov's trimer levels ask.
 ``_spectral_decompose`` returns eigenvectors too and checks their residual
 and orthonormality; it serves the callers that use eigenvectors.  The
 private ``_checked_eigenvalues``, ``_spectral_decompose`` and
@@ -62,7 +71,8 @@ private ``_checked_eigenvalues``, ``_spectral_decompose`` and
 with every check run on each matrix and a failure naming the member;
 ``_count_evs`` and ``_count`` take one threshold per member or one for
 all.  The tridiagonal layer is one Sturm count and one factorization:
-``_tridiagonal_count`` counts by LAPACK ``stebz``, and
+``_sturm_count`` counts by LAPACK ``stebz`` for ``_tridiagonal_count``
+and ``_tridiagonal_collides``, and
 ``_tridiagonal_positive_definite`` is the O(n) binding test of the radial
 critical-coupling search: LAPACK ``pttrf`` factors the tridiagonal matrix
 and reports whether every pivot is positive.  ``_kernel_top_eigenvalue``
@@ -109,6 +119,11 @@ _COMPRESSION_RANK = 8
 _DENSE_COUNT_ROWS = 8 * _COMPRESSION_RANK
 
 _UNIT_ROUNDOFF = 2.0**-53
+
+
+class ThresholdCollisionError(RuntimeError):
+    """An eigenvalue lies within the guard band of a counting threshold, where
+    no count is exact: the level sits on the threshold."""
 
 
 @dataclass(frozen=True)
@@ -292,17 +307,40 @@ def _finite_fro(m: np.ndarray):
 
 def _tridiagonal_count(diag, off, relation: str, threshold: float) -> int:
     """``count_evs`` of the symmetric tridiagonal matrix ``T`` with diagonal
-    ``diag`` and off-diagonal ``off``, by Sturm count in O(n).
+    ``diag`` and off-diagonal ``off``, by ``_sturm_count`` over the guarded
+    range of ``_selection``, ``(edge, inf)`` or ``(-inf, edge]``."""
+    def interval(eta):
+        edge, above = _selection(relation, threshold, eta)
+        return (edge, math.inf) if above else (-math.inf, edge)
 
-    LAPACK ``stebz`` counts the eigenvalues in the guarded range of
-    ``_selection``, ``(edge, inf)`` or ``(-inf, edge]``, from the Sturm
-    sequences at its two ends, which are exact for a matrix within a few
-    ulps of ``T`` (Kahan 1966), far inside the guard band
-    ``1e-10 (1 + |T|_F)``.  The count needs no eigenvalue, so the bisection
-    tolerance is set wider than the spectrum (Gershgorin:
-    ``4 (1 + |T|_F)``), and ``stebz`` stops at those two counts.  A matrix
-    whose ``|T|_F`` is not finite has no guard band and raises ValueError; a
-    LAPACK failure raises RuntimeError.
+    return _sturm_count(diag, off, interval)
+
+
+def _tridiagonal_collides(diag, off, threshold: float) -> bool:
+    """``_collides`` of the symmetric tridiagonal matrix ``T`` with diagonal
+    ``diag`` and off-diagonal ``off``: whether an eigenvalue lies in the
+    guard band ``(threshold - eta, threshold + eta]``, by one
+    ``_sturm_count`` over that band."""
+    def band(eta):
+        return _selection("<", threshold, eta)[0], _selection(">", threshold, eta)[0]
+
+    return _sturm_count(diag, off, band) > 0
+
+
+def _sturm_count(diag, off, interval) -> int:
+    """The number of eigenvalues of the symmetric tridiagonal matrix ``T``
+    with diagonal ``diag`` and off-diagonal ``off`` in the half-open range
+    ``(lo, hi] = interval(eta)``, for its guard band ``eta = 1e-10 (1 +
+    |T|_F)``, in O(n).
+
+    LAPACK ``stebz`` with ``RANGE='V'`` counts the eigenvalues in exactly
+    that range from the Sturm sequences at its two ends, which are exact for
+    a matrix within a few ulps of ``T`` (Kahan 1966), far inside the guard
+    band.  The count needs no eigenvalue, so the bisection tolerance is set
+    wider than the spectrum (Gershgorin: ``4 (1 + |T|_F)``), and ``stebz``
+    stops at those two counts.  A matrix whose ``|T|_F`` is not finite has
+    no guard band and raises ValueError; a LAPACK failure raises
+    RuntimeError.
     """
     import scipy.linalg  # only here, so that importing bscount stays light
 
@@ -310,10 +348,9 @@ def _tridiagonal_count(diag, off, relation: str, threshold: float) -> int:
         fro = math.sqrt(diag @ diag + 2.0 * (off @ off))
     if not math.isfinite(fro):
         raise ValueError("|T|_F of the tridiagonal matrix is not finite: no finite guard band")
-    edge, above = _selection(relation, threshold, _guard(fro))
     try:
         return scipy.linalg.eigvalsh_tridiagonal(
-            diag, off, select="v", select_range=(edge, math.inf) if above else (-math.inf, edge),
+            diag, off, select="v", select_range=interval(_guard(fro)),
             tol=4.0 * (1.0 + fro)).size
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigenvalue solver did not converge: {exc}") from exc

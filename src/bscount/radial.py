@@ -47,8 +47,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linop import (SymOperator, _checked_eigenvalues, _count, _kernel_top_eigenvalue,
-                    _legendre_rule, _tridiagonal_count, _tridiagonal_positive_definite)
+from .linop import (SymOperator, ThresholdCollisionError, _checked_eigenvalues, _collides,
+                    _count, _kernel_top_eigenvalue, _legendre_rule, _tridiagonal_collides,
+                    _tridiagonal_count, _tridiagonal_positive_definite)
 
 POTENTIAL_KINDS = ("yukawa", "exponential", "gaussian", "square_well", "table")
 
@@ -283,6 +284,22 @@ def negative_count(pot: PotentialSpec, grid: RadialGrid, eps: float = 0.0) -> in
     return _tridiagonal_count(*_fd_diagonals(pot, grid), "<", -eps)
 
 
+def _negative_count_off_threshold(pot: PotentialSpec, grid: RadialGrid, eps: float) -> int:
+    """``negative_count``, refused where it is not exact.
+
+    An eigenvalue of the reduced operator within the guard band of ``-eps``,
+    which the count leaves out, raises ThresholdCollisionError naming
+    ``eps``; one more Sturm count, over the band, tells it.  At ``eps = 0``
+    that eigenvalue is a zero-energy level, the case the paper's finiteness
+    theorem excludes.
+    """
+    if _tridiagonal_collides(*_fd_diagonals(pot, grid), -eps):
+        raise ThresholdCollisionError(
+            f"an eigenvalue of the reduced Hamiltonian at ell = {grid.ell} lies within the "
+            f"guard band of -eps at eps = {eps:.17g}: a level sits on the counting threshold")
+    return negative_count(pot, grid, eps)
+
+
 def _banded_hamiltonian(grid: RadialGrid, v_plus, eps: float) -> np.ndarray:
     """``H_0 + v_+ + eps`` on the uniform mesh, in ``solveh_banded`` storage."""
     diag, off = _fd_diagonals(None, grid)
@@ -433,7 +450,9 @@ def bs_count_and_top(pot: PotentialSpec, grid: RadialGrid, eps: float) -> tuple[
     ``count_evs(bs_kernel_radial(pot, grid, eps), ">", 1.0)``.  The largest
     eigenvalue is 0 when v_- vanishes on the grid, where the kernel is
     0 x 0.  As for ``bs_kernel_radial``, a scheme other than uniform_fd2
-    raises ValueError before the small-box warning.
+    raises ValueError before the small-box warning.  A kernel eigenvalue
+    within the guard band of 1, which the count leaves out, raises
+    ThresholdCollisionError naming ``eps``.
     """
     if not 0 < eps < np.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
@@ -442,6 +461,10 @@ def bs_count_and_top(pot: PotentialSpec, grid: RadialGrid, eps: float) -> tuple[
     lam, eta = _checked_eigenvalues(block)
     if not lam.size:
         return 0, 0.0
+    if _collides(lam, eta, 1.0):
+        raise ThresholdCollisionError(
+            f"a Birman-Schwinger kernel eigenvalue lies within the guard band {eta:.3e} of 1 "
+            f"at eps = {eps:.17g}: a level sits on the counting threshold")
     return int(_count(lam, eta, ">", 1.0)), float(lam[-1])
 
 
@@ -586,12 +609,16 @@ def schwinger_bound_check(pot: PotentialSpec) -> tuple[int, float]:
     ``(4 pi)^-2 c_0^2`` with ``c_0`` the Rollnik norm of ``v_-``.  Each wave
     is counted on ``SCHWINGER_N`` points in a box of radius
     ``max(25 range, 12)``; bound states still present at
-    ``SCHWINGER_ELL_MAX`` raise RuntimeError.
+    ``SCHWINGER_ELL_MAX`` raise RuntimeError.  An eigenvalue within the
+    guard band of zero at a wave visited, a zero-energy level that the
+    count would leave out and that the bound assumes away, raises
+    ThresholdCollisionError.
     """
     r_max = max(25.0 * pot.range, 12.0)
     total = 0
     for ell in range(SCHWINGER_ELL_MAX + 1):
-        count = negative_count(pot, RadialGrid(ell=ell, r_max=r_max, n=SCHWINGER_N))
+        count = _negative_count_off_threshold(
+            pot, RadialGrid(ell=ell, r_max=r_max, n=SCHWINGER_N), 0.0)
         if count == 0:
             break
         total += (2 * ell + 1) * count

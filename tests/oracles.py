@@ -4,6 +4,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
+import scipy.optimize
 
 from bscount import efimov
 from bscount.bsengine import ThresholdCollisionError
@@ -216,8 +217,11 @@ def ladder_spectrum(model, e_floor: float) -> list[float]:
 
     Scans ``|E|`` down from ``|e_floor|`` on a quarter-decade ladder to the
     same ``e_stop``; a rise in the count of kernel eigenvalues at or above 1
-    between two ladder points brackets a level, which ``efimov._crossing``
-    refines on that bracket alone.  Returns the energies ascending.
+    between two ladder points brackets a level, which ``scipy.optimize.brentq``
+    refines on that bracket alone, on that eigenvalue minus 1 in ``log |E|``,
+    reusing the spectra at the bracket's ends.  Only the kernel and its
+    checked eigensolve, ``efimov._kernel_spectrum``, are the route's own.
+    Returns the energies ascending.
     """
     parts = efimov._kernel_parts(model)
     e_stop = max((10.0 * parts.p[0]) ** 2, abs(e_floor) * 1e-18,
@@ -225,16 +229,23 @@ def ladder_spectrum(model, e_floor: float) -> list[float]:
     ratio = 10.0 ** (1.0 / 4)
     energies = []
     abs_hi = abs(e_floor)
-    ev_hi = efimov._kernel_eigenvalues(parts, e_floor)
+    ev_hi = efimov._kernel_spectrum(parts, e_floor)[0]
     assert not np.any(ev_hi >= 1.0), "levels exist below e_floor"
     count_hi = 0
     while abs_hi > e_stop * (1.0 + 1e-9):
         abs_lo = max(abs_hi / ratio, e_stop)
-        ev_lo = efimov._kernel_eigenvalues(parts, -abs_lo)
+        ev_lo = efimov._kernel_spectrum(parts, -abs_lo)[0]
         count_lo = int(np.sum(ev_lo >= 1.0))
+        known = {np.log(abs_lo): ev_lo, np.log(abs_hi): ev_hi}
         for level in range(count_hi, count_lo):
-            energies.append(efimov._crossing(parts, level, (np.log(abs_lo), ev_lo),
-                                             (np.log(abs_hi), ev_hi)))
+            def excess(log_abs_e, level=level):
+                ev = known.get(log_abs_e)
+                if ev is None:
+                    ev = efimov._kernel_spectrum(parts, -np.exp(log_abs_e))[0]
+                return ev[-1 - level] - 1.0
+
+            energies.append(-float(np.exp(scipy.optimize.brentq(
+                excess, np.log(abs_lo), np.log(abs_hi), xtol=efimov.LEVEL_REL_TOL))))
         count_hi, abs_hi, ev_hi = count_lo, abs_lo, ev_lo
     return sorted(energies)
 

@@ -390,6 +390,23 @@ def test_twobody_jobs_invariant_and_box_warning(tmp_path):
     assert csv[0] == csv[1]
 
 
+@pytest.mark.parametrize("jobs", ["1", "4"])
+def test_twobody_threshold_collision_exits_1_naming_eps(jobs, tmp_path, capsys):
+    # -eps at the lowest eigenvalue of the reduced Hamiltonian: both counts
+    # would leave the level out and agree at 0
+    cfg = write(tmp_path, "tb.conf",
+                'command = "twobody"\n'
+                "potential.strength = 10.0\n"
+                "scan.epsilons = [4.6299783264587742, 0.5]\n")
+    out = tmp_path / "out"
+    assert main(["twobody", "--config", cfg, "--out", str(out), "--jobs", jobs]) == \
+        EXIT_CHECK_FAILED
+    assert capsys.readouterr().err.startswith(
+        "bscount twobody: numerical check failed: an eigenvalue of the reduced Hamiltonian "
+        "at ell = 0 lies within the guard band of -eps at eps = 4.6299783264587742: ")
+    assert not out.exists()
+
+
 def test_iterbs_demo_columns_and_invariance(tmp_path):
     status = main(["iterbs-demo", "--out", str(tmp_path)])
     assert status == EXIT_OK

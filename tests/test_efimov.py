@@ -25,10 +25,14 @@ from bscount.efimov import (
     trimer_spectrum,
     two_body_loop,
 )
-from bscount.linop import DEFAULT_SEED, SymOperator, sym
+from bscount.linop import DEFAULT_SEED, SymOperator, ThresholdCollisionError, _collides, sym
 from oracles import full_three_boson_kernel, ladder_spectrum, triangle_kernel, triangle_kernel_parts
 
 LAM_U = lambda_unitary(1.0)
+
+# the level search and the solve as imported, kept while tests patch them
+BRENTQ = efimov._brentq
+KERNEL_SPECTRUM = efimov._kernel_spectrum
 
 
 def three_boson_kernel(model, energy):
@@ -38,7 +42,7 @@ def three_boson_kernel(model, energy):
 
 def kernel_top_eigenvalue(model, energy):
     """Largest eigenvalue of the three-boson kernel at ``energy``."""
-    return float(efimov._kernel_eigenvalues(efimov._kernel_parts(model), energy)[-1])
+    return float(efimov._kernel_spectrum(efimov._kernel_parts(model), energy)[0][-1])
 
 
 def unitary_model(n_p=256, p_max=40.0, grid_c=300.0, lam=LAM_U):
@@ -471,8 +475,8 @@ def counted_spectrum(n_p, coupling):
     """``trimer_spectrum`` energies of ``unitary_model(n_p, coupling * LAM_U)``
     and the number of kernel eigensolves it made."""
     model = unitary_model(n_p=n_p, lam=coupling * LAM_U)
-    with mock.patch.object(efimov, "_kernel_eigenvalues",
-                           wraps=efimov._kernel_eigenvalues) as solve:
+    with mock.patch.object(efimov, "_kernel_spectrum",
+                           wraps=efimov._kernel_spectrum) as solve:
         energies = [l.energy for l in trimer_spectrum(model, -1.0)]
     return energies, solve.call_count
 
@@ -487,8 +491,9 @@ def test_one_bracket_matches_ladder_oracle(n_p, coupling):
     np.testing.assert_allclose(energies, oracle, rtol=efimov.LEVEL_REL_TOL, atol=0.0)
 
 
-# criterion 9's unitary model, and the detuned model of trimer_ladder
-@pytest.mark.parametrize("n_p, coupling, most", [(512, 1.0, 32), (256, 0.9, 12)])
+# criterion 9's unitary model, and the two models of trimer_ladder: every
+# spectrum is solved once, and the monotone check reads the ones held
+@pytest.mark.parametrize("n_p, coupling, most", [(512, 1.0, 28), (256, 0.9, 11), (256, 1.0, 22)])
 def test_kernel_eigensolves_per_spectrum(n_p, coupling, most):
     assert counted_spectrum(n_p, coupling)[1] <= most
 
@@ -592,55 +597,102 @@ def test_brentq_port_raises_when_it_does_not_converge():
     assert efimov._brentq(f, -10.0, 10.0, 1e-12) == scipy_brentq(f, -10.0, 10.0, 1e-12)
 
 
+def brentq_roots(model):
+    """The roots in ``log |E|`` that ``trimer_spectrum`` finds, level by level."""
+    roots = []
+    with mock.patch.object(efimov, "_brentq", lambda *args: roots.append(
+            BRENTQ(*args)) or roots[-1]):
+        trimer_spectrum(model, -1.0)
+    return roots
+
+
 @pytest.mark.parametrize("level", [1, 2])
 @pytest.mark.parametrize("miscount", [1, -1], ids=["gains", "loses"])
 def test_non_monotone_count_names_the_level(monkeypatch, level, miscount):
+    # the root of one level moved by a third of the gap to a neighbour, with
+    # its search's spectra kept: the spectra held between the true and the
+    # moved root count one more ("gains", root moved shallower) or one fewer
+    # eigenvalue above 1 than the roots deeper than them
     m = unitary_model(n_p=128)
-    energies = [l.energy for l in trimer_spectrum(m, -1.0)]
-    assert len(energies) >= 3
-    mid = -np.sqrt(energies[level - 1] * energies[level])
-    kernel_eigenvalues = efimov._kernel_eigenvalues
-
-    def miscounted(parts, energy):
-        ev = kernel_eigenvalues(parts, energy)
-        if abs(energy / mid - 1.0) > 1e-9:
-            return ev
-        # a spectrum whose count at or above 1 is off by one at the midpoint
-        return np.where(np.arange(ev.size) >= ev.size - (level + miscount), 1.5, 0.5)
-
-    monkeypatch.setattr(efimov, "_kernel_eigenvalues", miscounted)
-    with pytest.raises(RuntimeError, match=f"trimer level {level}:"):
+    roots = brentq_roots(m)
+    assert len(roots) >= 3
+    step = min(-np.diff(roots)) / 3.0
+    calls = iter(range(len(roots)))
+    monkeypatch.setattr(efimov, "_brentq", lambda *args: BRENTQ(*args) - (
+        miscount * step if next(calls) == level else 0.0))
+    with pytest.raises(RuntimeError, match=f"trimer level {level}: the count above 1 at E = "):
         trimer_spectrum(m, -1.0)
 
 
 @pytest.mark.parametrize("level", [1, 2])
 def test_monotone_check_rejects_two_levels_at_one_energy(monkeypatch, level):
-    # both roots at the log-midpoint, where the count is the right one: only
-    # the strict order of the roots fails
+    # both roots at their log-midpoint, where the count is the right one:
+    # only the strict order of the roots fails
     m = unitary_model(n_p=128)
-    energies = [l.energy for l in trimer_spectrum(m, -1.0)]
-    mid = -np.sqrt(energies[level - 1] * energies[level])
-    crossing = efimov._crossing
-    monkeypatch.setattr(efimov, "_crossing", lambda parts, k, lo, hi: (
-        mid if k in (level - 1, level) else crossing(parts, k, lo, hi)))
-    with pytest.raises(RuntimeError, match=f"trimer level {level}:"):
+    roots = brentq_roots(m)
+    mid = 0.5 * (roots[level - 1] + roots[level])
+    calls = iter(range(len(roots)))
+    monkeypatch.setattr(efimov, "_brentq", lambda *args: (
+        mid if next(calls) in (level - 1, level) else BRENTQ(*args)))
+    with pytest.raises(RuntimeError, match=f"trimer level {level}: root not shallower"):
         trimer_spectrum(m, -1.0)
 
 
-def test_monotone_check_counts_an_eigenvalue_of_exactly_one(monkeypatch):
+def test_monotone_check_solves_a_midpoint_only_where_no_spectrum_is_held(monkeypatch):
+    # roots handed over by a search that reads only two spectra 1e-12 to
+    # either side of its root, which collide: every interval between roots
+    # holds spectra, none free of a collision, so each gets its log-midpoint
     m = unitary_model(n_p=128)
-    energies = [l.energy for l in trimer_spectrum(m, -1.0)]
-    mid = -np.sqrt(energies[0] * energies[1])
-    kernel_eigenvalues = efimov._kernel_eigenvalues
+    energies, roots = counted_spectrum(128, 1.0)[0], brentq_roots(m)
+    calls = iter(roots)
+    monkeypatch.setattr(efimov, "_brentq", lambda f, *args: (
+        root := next(calls), f(root - 1e-12), f(root + 1e-12))[0])
+    solved = []
+    monkeypatch.setattr(efimov, "_kernel_spectrum", lambda parts, energy: (
+        solved.append(energy) or KERNEL_SPECTRUM(parts, energy)))
+    assert [l.energy for l in trimer_spectrum(m, -1.0)] == energies
+    middles = [-np.exp(0.5 * (a + b)) for a, b in zip(roots, roots[1:])]
+    assert solved[2 + 2 * len(roots):] == middles and len(middles) >= 2
+
+
+def test_monotone_check_reads_held_spectra_inside_the_band(monkeypatch):
+    # Brent's last iterates of a level put its eigenvalue within the guard
+    # band of 1, where it may lie on either side of 1: the check passes them
+    held = []
+    monkeypatch.setattr(efimov, "_kernel_spectrum", lambda parts, energy: (
+        held.append(KERNEL_SPECTRUM(parts, energy)) or held[-1]))
+    energies = [l.energy for l in trimer_spectrum(unitary_model(n_p=128), -1.0)]
+    assert energies == counted_spectrum(128, 1.0)[0]
+    assert sum(bool(_collides(lam, eta, 1.0)) for lam, eta in held) >= len(energies)
+
+
+@pytest.mark.parametrize("end", [0, 1], ids=["e_floor", "e_stop"])
+def test_an_eigenvalue_of_exactly_one_at_a_bracket_end_is_a_collision(monkeypatch, end):
+    # the ends are solved first, e_floor then e_stop; neither relation counts
+    # an eigenvalue of exactly 1, so no level can be bracketed there
+    solved = []
 
     def at_one(parts, energy):
-        ev = kernel_eigenvalues(parts, energy)
-        if abs(energy / mid - 1.0) > 1e-9:
-            return ev
-        return np.where(np.arange(ev.size) == ev.size - 1, 1.0, 0.5)  # "at or above 1"
+        lam, eta = KERNEL_SPECTRUM(parts, energy)
+        solved.append(energy)
+        if len(solved) == end + 1:
+            lam = np.where(np.arange(lam.size) == lam.size - 1, 1.0, 0.5)
+        return lam, eta
 
-    monkeypatch.setattr(efimov, "_kernel_eigenvalues", at_one)
-    assert [l.energy for l in trimer_spectrum(m, -1.0)] == energies
+    monkeypatch.setattr(efimov, "_kernel_spectrum", at_one)
+    with pytest.raises(ThresholdCollisionError, match="at the bracket end E = ") as raised:
+        trimer_spectrum(unitary_model(n_p=128), -1.0)
+    assert str(raised.value).endswith(f"E = {solved[end]!r}")
+
+
+def test_a_floor_on_a_level_names_the_collision():
+    # e_floor exactly at the detuned model's one level: its eigenvalue sits
+    # within the guard band of 1 there, which no count may bracket
+    m = unitary_model(n_p=256, lam=0.9 * LAM_U)
+    e_floor = -0.021102264483425375
+    assert counted_spectrum(256, 0.9)[0] == [e_floor]
+    with pytest.raises(ThresholdCollisionError, match=f"bracket end E = {e_floor!r}$"):
+        trimer_spectrum(m, e_floor)
 
 
 def test_trimer_spectrum_thread_safe():

@@ -25,7 +25,9 @@ from bscount.linop import (
     _legendre_rule,
     _spectral_decompose,
     _symmetrized,
+    _tridiagonal_collides,
     _tridiagonal_positive_definite,
+    ThresholdCollisionError,
     count_evs,
     hs_norm,
     sym,
@@ -741,6 +743,52 @@ def test_sturm_count_matches_the_sterf_count_across_the_guard_band(monkeypatch):
     assert set(selections) == {"v"}  # every count took the Sturm selection
 
 
+def test_sturm_collision_matches_the_sterf_spectrum_across_the_guard_band():
+    # thresholds 2 eta, 0.8 eta and eta/2 on either side of an eigenvalue:
+    # it collides only when it lies inside the band
+    rng = np.random.default_rng(DEFAULT_SEED + 10)
+    for _ in range(40):
+        dim = int(rng.integers(3, 60))
+        m = random_tridiagonal(rng, dim, diagonal_only=rng.random() < 0.2).entries
+        m = m * 10.0 ** rng.uniform(-3, 3)
+        diag, off = m.diagonal().copy(), m.diagonal(-1).copy()
+        lam = TRIDIAGONAL_EIGVALSH(diag, off, lapack_driver="sterf")
+        eta = 1e-10 * (1.0 + hs_norm(sym(m)))
+        for x in rng.choice(lam, size=min(dim, 4), replace=False):
+            for shift in (-2.0, -0.8, -0.5, 0.5, 0.8, 2.0):
+                threshold = x + shift * eta
+                assert _tridiagonal_collides(diag, off, threshold) is (abs(shift) < 1.0), \
+                    (dim, shift)
+                assert _tridiagonal_collides(diag, off, threshold) == \
+                    bool(_collides(lam, eta, threshold))
+
+
+def test_sturm_collision_takes_the_half_open_band_to_the_ulp():
+    # a diagonal T has its entries for eigenvalues, exact to the bit, and the
+    # Sturm count over (t - eta, t + eta] holds them to _collides' edges: a
+    # threshold walked one ulp at a time across the band's two edges
+    diag, off = np.array([-3.0, 0.25, 2.0]), np.zeros(2)
+    eta = 1e-10 * (1.0 + np.sqrt(diag @ diag))
+    seen = set()
+    for edge in (0.25 - eta, 0.25 + eta):
+        threshold = edge
+        for _ in range(4):
+            threshold = np.nextafter(threshold, -np.inf)
+        for _ in range(9):
+            collides = bool(_collides(diag, eta, threshold))
+            assert _tridiagonal_collides(diag, off, threshold) is collides, threshold
+            seen.add(collides)
+            threshold = np.nextafter(threshold, np.inf)
+    assert seen == {True, False}
+
+
+def test_threshold_collision_error_is_one_class_re_exported():
+    import bscount
+    assert bsengine.ThresholdCollisionError is bscount.ThresholdCollisionError is \
+        ThresholdCollisionError
+    assert issubclass(ThresholdCollisionError, RuntimeError)
+
+
 def test_checked_eigenvalues_match_eigh_and_return_guard():
     a = random_symmetric(np.random.default_rng(7), 30)
     lam, eta = checked_eigenvalues(a)
@@ -995,6 +1043,17 @@ def test_no_module_but_linop_compares_with_a_guard_band():
              if isinstance(node, ast.Compare) and any(
                  isinstance(name, ast.Name) and name.id == "eta"
                  for operand in (node.left, *node.comparators) for name in ast.walk(operand))]
+    assert not found
+
+
+def test_no_module_but_linop_counts_a_comparison():
+    # linop's _count holds the counting rule; np.sum or np.count_nonzero of a
+    # comparison elsewhere would be a second rule, without its guard band
+    found = [f"{file}:{node.lineno}" for file, node in nodes_outside_linop()
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"
+             and node.func.attr in ("sum", "count_nonzero")
+             and any(isinstance(arg, ast.Compare) for arg in node.args)]
     assert not found
 
 

@@ -5,10 +5,12 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 from scipy.integrate import quad, solve_ivp
 from scipy.linalg import eigvalsh_tridiagonal
 from scipy.special import gamma as gamma_fn
 
+from bscount import ThresholdCollisionError
 from bscount.linop import SymOperator, count_evs, hs_norm, sym
 from bscount.radial import (
     MuScalingReport,
@@ -35,6 +37,7 @@ from bscount.radial import (
     _green_apply,
     _green_inverse,
     _kernel_top,
+    _negative_count_off_threshold,
     _segment_edges,
 )
 from oracles import (_green_swave, block_top_oracle, green_kernel, legendre_rules_computed,
@@ -398,6 +401,48 @@ def test_threshold_collision_excluded_from_counts(level):
     assert eps > 0
     assert negative_count(pot, grid, eps) == level
     assert count_evs(quiet_hamiltonian(pot, grid), "<", -eps) == level
+
+
+@pytest.mark.parametrize("level", [0, 1])
+def test_counts_of_twobody_refuse_a_threshold_collision(level):
+    # the same collision: negative_count keeps its contract and drops the
+    # level, while the counts twobody makes, on both sides, name eps
+    pot = PotentialSpec(kind="square_well", strength=26.0, range=1.0)
+    grid = RadialGrid(ell=0, r_max=25.0, n=700)
+    diag, off = _fd_diagonals(pot, grid)
+    lam = eigvalsh_tridiagonal(diag, off)
+    eps = -lam[level]
+    for count in (_negative_count_off_threshold, bs_count_and_top):
+        with pytest.raises(ThresholdCollisionError, match=f"at eps = {eps:.17g}: "):
+            count(pot, grid, eps)
+    # -eps walked across both edges of the Hamiltonian's guard band
+    eta = 1e-10 * (1.0 + np.sqrt(diag @ diag + 2.0 * (off @ off)))
+    for shift, below in ((-2.0, level), (-0.8, None), (0.8, None), (2.0, level + 1)):
+        eps = -(lam[level] + shift * eta)
+        if below is None:
+            with pytest.raises(ThresholdCollisionError, match="reduced Hamiltonian at ell = 0"):
+                _negative_count_off_threshold(pot, grid, eps)
+        else:
+            assert _negative_count_off_threshold(pot, grid, eps) == below == \
+                negative_count(pot, grid, eps)
+
+
+def test_schwinger_bound_refuses_a_zero_energy_level():
+    # the coupling at which the s-wave ground state of the bound check's grid
+    # sits at zero energy, the case the paper's theorem excludes: the count
+    # there leaves it out, and the check refuses to count
+    grid = RadialGrid(ell=0, r_max=25.0, n=radial.SCHWINGER_N)
+
+    def ground(strength):
+        pot = PotentialSpec(kind="square_well", strength=strength, range=1.0)
+        return eigvalsh_tridiagonal(*_fd_diagonals(pot, grid), select="i",
+                                    select_range=(0, 0))[0]
+
+    pot = PotentialSpec(kind="square_well", range=1.0,
+                        strength=scipy.optimize.brentq(ground, 2.0, 8.0, xtol=1e-15))
+    assert negative_count(pot, grid) == 0
+    with pytest.raises(ThresholdCollisionError, match="at ell = 0 .* at eps = 0: "):
+        schwinger_bound_check(pot)
 
 
 # how the finite-difference routes reject a gauss_legendre grid
