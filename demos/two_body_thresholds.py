@@ -1,16 +1,17 @@
 """Two-body thresholds on a radial grid: where binding starts, and how fast
 the kernel eigenvalue leaves 1.
 
-First the critical coupling of the s-wave square well is located by
-bisection against a binding test (is the grid Hamiltonian no longer
-positive definite?), with a box-doubling refinement removing the long
-1/r_max tail error of the threshold state; the exact answer is
+First the critical coupling of the s-wave square well is located by the
+Birman-Schwinger principle: the grid Hamiltonian ``H_0 - lambda shape``
+first binds at ``lambda = 1 / mu_0``, with ``mu_0`` the largest zero-shift
+kernel eigenvalue of the unit well, and a box-doubling refinement removes
+the long 1/r_max tail error of the threshold state; the exact answer is
 lambda* a^2 = pi^2/4.
 
 Then the potential is tuned exactly to criticality of the discretized
 kernel and the largest Birman-Schwinger eigenvalue mu(eps) is scanned
-toward threshold.  Each mu comes in O(n), without a full spectrum: by
-bisection on the Birman-Schwinger binding test, whether
+toward threshold.  Each mu, mu_0 too, comes in O(n), without a full
+spectrum: by bisection on the Birman-Schwinger binding test, whether
 ``T - S^2 / sigma`` is positive definite, with ``S^2`` the attractive
 potential (times the quadrature weights on gauss_legendre) and ``T``
 tridiagonal: the grid operator ``H_0 + eps`` itself on uniform_fd2, the

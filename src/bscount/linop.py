@@ -72,17 +72,17 @@ with every check run on each matrix and a failure naming the member;
 ``_count_evs`` and ``_count`` take one threshold per member or one for
 all.  The tridiagonal layer is one Sturm count and one factorization:
 ``_sturm_count`` counts by LAPACK ``stebz`` for ``_tridiagonal_count``
-and ``_tridiagonal_collides``, and
-``_tridiagonal_positive_definite`` is the O(n) binding test of the radial
-critical-coupling search: LAPACK ``pttrf`` factors the tridiagonal matrix
-and reports whether every pivot is positive.  ``_kernel_top_eigenvalue``
-is the largest eigenvalue of a kernel ``S T^-1 S`` with ``T`` tridiagonal
-and ``S^2`` a nonnegative diagonal, which radial's
-``kernel_critical_strength`` and ``mu_scan`` read: it brackets by that
-same test on ``T - S^2 / sigma``, the Birman-Schwinger test, refines by
-inverse iteration, and stands an eigenpair residual against the kernel
-applied by the caller's other route, and a certificate that no eigenvalue
-lies above, in for the trace and Frobenius checks.
+and ``_tridiagonal_collides``, and ``_tridiagonal_factor`` factors the
+tridiagonal matrix by LAPACK ``pttrf`` in O(n), which succeeds exactly
+when the matrix is positive definite.  ``_kernel_top_eigenvalue`` is the
+largest eigenvalue of a kernel ``S T^-1 S`` with ``T`` tridiagonal and
+``S^2`` a nonnegative diagonal, which radial's critical coupling and
+``mu_scan`` read: it brackets by factoring ``T - S^2 / sigma``, which
+fails exactly where the kernel has an eigenvalue at or above ``sigma``,
+the Birman-Schwinger test, refines by inverse iteration, and stands an
+eigenpair residual against the kernel applied by the caller's other route,
+and a certificate that no eigenvalue lies above, in for the trace and
+Frobenius checks.  It reports how many factorizations it made.
 
 The Gauss-Legendre rules of the package, efimov's momentum grid and
 radial's ``gauss_legendre`` grid and Rollnik panels, are eigensolves too:
@@ -356,12 +356,6 @@ def _sturm_count(diag, off, interval) -> int:
         raise RuntimeError(f"eigenvalue solver did not converge: {exc}") from exc
 
 
-def _tridiagonal_positive_definite(diag, off) -> bool:
-    """Whether the symmetric tridiagonal matrix with diagonal ``diag`` and
-    off-diagonal ``off`` is positive definite, by ``_tridiagonal_factor``."""
-    return _tridiagonal_factor(diag, off) is not None
-
-
 def _tridiagonal_factor(diag, off):
     """The ``L D L^T`` factors of the symmetric tridiagonal matrix with
     diagonal ``diag`` and off-diagonal ``off``, or None where it is not
@@ -384,7 +378,7 @@ def _tridiagonal_factor(diag, off):
     return (d, e) if info == 0 else None
 
 
-def _kernel_top_eigenvalue(diag, off, weight, green) -> float:
+def _kernel_top_eigenvalue(diag, off, weight, green) -> tuple[float, int]:
     """The largest eigenvalue ``mu`` of ``K = S T^-1 S``, for the positive
     definite tridiagonal ``T`` with diagonal ``diag`` and off-diagonal
     ``off`` and ``S = diag(sqrt(weight))``, ``weight >= 0`` with at least
@@ -407,16 +401,25 @@ def _kernel_top_eigenvalue(diag, off, weight, green) -> float:
     definite at ``sigma = mu + residual + 1e-10 (1 + mu)``, so that no
     eigenvalue lies above the one selected.  Either failure raises
     RuntimeError; a ``T`` that is not positive definite raises ValueError.
+    Returns ``mu`` and the number of ``_tridiagonal_factor`` calls made,
+    certificate included.
     """
     from scipy.linalg import lapack
 
+    calls = 0
+
+    def factor(d):  # factors of the tridiagonal (d, off), None where not positive definite
+        nonlocal calls
+        calls += 1
+        return _tridiagonal_factor(d, off)
+
     def shifted(sigma):  # factors of T - S^2/sigma, None where mu >= sigma
-        return _tridiagonal_factor(diag - weight / sigma, off)
+        return factor(diag - weight / sigma)
 
     def solve(factors, b):
         return lapack.dpttrs(*factors, b)[0]
 
-    factors = _tridiagonal_factor(diag, off)
+    factors = factor(diag)
     if factors is None:
         raise ValueError("the tridiagonal T of the kernel S T^-1 S is not positive definite")
     lo = hi = float(weight @ solve(factors, weight)) / float(np.sum(weight))
@@ -444,7 +447,7 @@ def _kernel_top_eigenvalue(diag, off, weight, green) -> float:
              "top kernel eigenpair residual {:.3e} exceeds 1e-10*(1+mu)", residual)
     _require(shifted(mu + residual + 1e-10 * (1.0 + mu)) is not None,
              "a kernel eigenvalue lies above the selected mu = {:.15g}", mu)
-    return mu
+    return mu, calls
 
 
 @cache

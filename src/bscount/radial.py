@@ -26,18 +26,24 @@ eigenvalue.  ``count_evs`` of a block of more than 64 rows proves its count
 on an 8-column compression where it can, which the kernel's fast-falling
 spectrum allows, and counts a smaller block's full spectrum, the cheaper
 there; the counts of the tridiagonal Hamiltonian are Sturm counts.
-``kernel_critical_strength`` and ``mu_scan`` read only the largest kernel
+The critical coupling and ``mu_scan`` read only the largest kernel
 eigenvalue, which linop finds in O(n) without a full spectrum: there the
 kernel is ``S T^-1 S`` on the whole grid, with ``T`` tridiagonal and
-``S^2`` exactly zero off the support of v_-.  On gauss_legendre ``T`` is
-the closed-form inverse of the Green function; on uniform_fd2 it is the
-banded ``H_0 + v_+ + eps`` itself, so uniform_fd2 has one Green
-representation for the block, the top eigenvalue, the critical coupling
-and the counts.  The two operator builders hand their fresh arrays to
+``S^2`` exactly zero off the support of the attractive part.  On
+gauss_legendre ``T`` is the closed-form inverse of the Green function; on
+uniform_fd2 it is the banded ``H_0 + v_+ + eps`` itself, so uniform_fd2
+has one Green representation for the block, the top eigenvalue and the
+counts.  ``mu_scan`` reads the top of the block's spectrum, of the split
+``v_+ - v_-``.  The critical coupling has one route, the Birman-Schwinger
+principle: ``H_0 + R - lam * shape``, with the repulsive part ``R`` held
+at its own strength, binds exactly when ``lam mu_0 > 1``, for ``mu_0``
+the top eigenvalue at zero shift of ``T = H_0 + R`` and ``S^2 = shape``,
+the split linear in ``lam``.  ``kernel_critical_strength`` returns that
+coupling, and ``find_critical_coupling_radial`` extrapolates it from a box
+and its double.  Without a repulsive part the two splits are the same
+arrays.  The two operator builders hand their fresh arrays to
 linop unchecked, and the reduced Hamiltonian records that it is
-tridiagonal, so its counts need not scan for the band.  The
-critical-coupling search asks only whether the Hamiltonian binds, which
-linop's O(n) positive-definiteness test of the tridiagonal matrix answers.
+tridiagonal, so its counts need not scan for the band.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ import numpy as np
 
 from .linop import (SymOperator, ThresholdCollisionError, _checked_eigenvalues, _collides,
                     _count, _kernel_top_eigenvalue, _legendre_rule, _tridiagonal_collides,
-                    _tridiagonal_count, _tridiagonal_positive_definite)
+                    _tridiagonal_count)
 
 POTENTIAL_KINDS = ("yukawa", "exponential", "gaussian", "square_well", "table")
 
@@ -63,7 +69,7 @@ FIT_WINDOW = (1e-6, 1e-4)
 SCHWINGER_N = 1500
 SCHWINGER_ELL_MAX = 25
 
-LAMBDA_CAP = 1e6  # largest coupling probed before declaring "never binds"
+LAMBDA_CAP = 1e6  # largest critical coupling accepted; above it a shape "never binds"
 
 # outer nodes whose inner Rollnik sums are evaluated together, which bounds
 # the temporaries of one vectorized integrand evaluation
@@ -231,12 +237,16 @@ class MuScalingReport:
 # finite-difference Hamiltonian
 
 
-def _fd_diagonals(pot: PotentialSpec | None, grid: RadialGrid):
-    """Main and off diagonal of the reduced operator on the uniform mesh."""
+def _require_box(grid: RadialGrid):
     if grid.scheme != "uniform_fd2":
         raise ValueError("the box Hamiltonian and its kernel are built by finite differences "
                          "on the uniform_fd2 scheme; gauss_legendre serves only the top "
                          "kernel eigenvalue")
+
+
+def _fd_diagonals(pot: PotentialSpec | None, grid: RadialGrid):
+    """Main and off diagonal of the reduced operator on the uniform mesh."""
+    _require_box(grid)
     r = grid.nodes
     h = grid.h
     diag = np.full(grid.n, 2.0 / h**2)
@@ -274,30 +284,24 @@ def reduced_hamiltonian(pot: PotentialSpec, grid: RadialGrid) -> SymOperator:
     return SymOperator._built(m, tridiagonal=True)
 
 
-def negative_count(pot: PotentialSpec, grid: RadialGrid, eps: float = 0.0) -> int:
-    """Number of eigenvalues of the reduced operator below ``-eps``.
+def _negative_count_off_threshold(pot: PotentialSpec, grid: RadialGrid, eps: float) -> int:
+    """Number of eigenvalues of the reduced operator below ``-eps``, refused
+    where it is not exact.
 
     Counts by Sturm sequence on the tridiagonal matrix, as ``count_evs``
-    counts ``reduced_hamiltonian(pot, grid)`` below ``-eps``: eigenvalues
-    within ``1e-10 * (1 + |H|_F)`` of ``-eps`` are not counted.
+    counts ``reduced_hamiltonian(pot, grid)`` below ``-eps``, which leaves
+    out eigenvalues within ``1e-10 * (1 + |H|_F)`` of ``-eps``.  Such an
+    eigenvalue raises ThresholdCollisionError naming ``eps`` instead; one
+    more Sturm count, over the band, tells it, from the same diagonals.  At
+    ``eps = 0`` that eigenvalue is a zero-energy level, the case the paper's
+    finiteness theorem excludes.
     """
-    return _tridiagonal_count(*_fd_diagonals(pot, grid), "<", -eps)
-
-
-def _negative_count_off_threshold(pot: PotentialSpec, grid: RadialGrid, eps: float) -> int:
-    """``negative_count``, refused where it is not exact.
-
-    An eigenvalue of the reduced operator within the guard band of ``-eps``,
-    which the count leaves out, raises ThresholdCollisionError naming
-    ``eps``; one more Sturm count, over the band, tells it.  At ``eps = 0``
-    that eigenvalue is a zero-energy level, the case the paper's finiteness
-    theorem excludes.
-    """
-    if _tridiagonal_collides(*_fd_diagonals(pot, grid), -eps):
+    diag, off = _fd_diagonals(pot, grid)
+    if _tridiagonal_collides(diag, off, -eps):
         raise ThresholdCollisionError(
             f"an eigenvalue of the reduced Hamiltonian at ell = {grid.ell} lies within the "
             f"guard band of -eps at eps = {eps:.17g}: a level sits on the counting threshold")
-    return negative_count(pot, grid, eps)
+    return _tridiagonal_count(diag, off, "<", -eps)
 
 
 def _banded_hamiltonian(grid: RadialGrid, v_plus, eps: float) -> np.ndarray:
@@ -389,38 +393,57 @@ def _bs_block(pot: PotentialSpec, grid: RadialGrid, eps: float):
     return block
 
 
-def _kernel_top(pot: PotentialSpec, grid: RadialGrid, eps: float) -> float:
-    """Largest kernel eigenvalue at ``eps >= 0``, by linop's O(n) top
-    eigenvalue of ``S T^-1 S`` on the whole grid, with weights ``S^2`` that
-    are exactly zero off the support of v_-.
+def _split_kernel_top(grid: RadialGrid, eps: float, repulsive, weight) -> tuple[float, int]:
+    """Largest eigenvalue of the kernel ``S T^-1 S`` at ``eps >= 0`` of one
+    split of the potential, ``repulsive - weight`` with both parts
+    nonnegative, by linop's O(n) top eigenvalue on the whole grid, and the
+    number of factorizations it made.  ``S^2`` is ``weight``, exactly zero
+    off its support; a weight with no positive entry is the zero kernel,
+    whose largest eigenvalue is 0, found with no factorization.
 
-    On gauss_legendre ``S^2`` is v_- times the quadrature weights and ``T``
-    the closed-form tridiagonal inverse of the semi-infinite s-wave Green
-    function, which the check applies in O(n) by ``_green_apply``; that
-    kernel leaves no room for a partial wave above 0 or a repulsive part,
-    and either raises ValueError.  On uniform_fd2 ``S^2`` is v_- and ``T``
-    the banded ``H_0 + v_+ + eps``, so the binding test is the
-    Birman-Schwinger test on ``H_0 + v_+ + eps - v_- / sigma``, and the
-    check applies ``T^-1`` by a banded solve.  A potential with no
-    attractive part on the grid raises ValueError.
+    On uniform_fd2 ``T`` is the banded ``H_0 + repulsive + eps``, so the
+    binding test is the Birman-Schwinger test on
+    ``H_0 + repulsive + eps - weight / sigma``, and the check applies
+    ``T^-1`` by a banded solve.  On gauss_legendre ``S^2`` is the weight
+    times the quadrature weights and ``T`` the closed-form tridiagonal
+    inverse of the semi-infinite s-wave Green function, which the check
+    applies in O(n) by ``_green_apply``; that kernel leaves no room for a
+    partial wave above 0 or a repulsive part, and either raises ValueError.
     """
-    r = grid.nodes
-    v_minus = pot.v_minus(r)
-    if not np.any(v_minus > 0):
-        raise ValueError("potential has no attractive part on the grid")
+    if not np.any(weight > 0):
+        return 0.0, 0
     if grid.scheme == "uniform_fd2":
         import scipy.linalg
-        ab = _banded_hamiltonian(grid, pot.v_plus(r), eps)
-        return _kernel_top_eigenvalue(ab[1], ab[0, 1:], v_minus,
+        ab = _banded_hamiltonian(grid, repulsive, eps)
+        return _kernel_top_eigenvalue(ab[1], ab[0, 1:], weight,
                                       lambda u: scipy.linalg.solveh_banded(ab, u))
     if grid.ell != 0:
         raise ValueError("gauss_legendre kernels are s-wave only")
-    if np.any(pot.v_plus(r) > 0):
+    if np.any(repulsive > 0):
         raise ValueError(
             "the gauss_legendre route absorbs no repulsive part; "
-            "use the uniform_fd2 scheme for potentials with v_+ > 0")
-    return _kernel_top_eigenvalue(*_green_inverse(eps, r), v_minus * grid.weights,
+            "use the uniform_fd2 scheme for potentials with a repulsive part")
+    r = grid.nodes
+    return _kernel_top_eigenvalue(*_green_inverse(eps, r), weight * grid.weights,
                                   lambda u: _green_apply(eps, r, u))
+
+
+def _kernel_top(pot: PotentialSpec, grid: RadialGrid, eps: float) -> float:
+    """``mu_scan``'s largest kernel eigenvalue at ``eps >= 0``:
+    ``_split_kernel_top`` of the pointwise split ``v_+ - v_-``, whose kernel
+    on uniform_fd2 is ``bs_kernel_radial``'s."""
+    r = grid.nodes
+    return _split_kernel_top(grid, eps, pot.v_plus(r), pot.v_minus(r))[0]
+
+
+def _critical_top(pot: PotentialSpec, grid: RadialGrid) -> tuple[float, int]:
+    """``_split_kernel_top`` at zero shift of the split that is linear in the
+    coupling: the repulsive part at its own strength, and the weight
+    ``strength * shape``."""
+    r = grid.nodes
+    core = pot.repulsive_part
+    repulsive = 0.0 if core is None else core.strength * core.shape(r)
+    return _split_kernel_top(grid, 0.0, repulsive, pot.strength * pot.shape(r))
 
 
 def bs_kernel_radial(pot: PotentialSpec, grid: RadialGrid, eps: float) -> SymOperator:
@@ -445,20 +468,15 @@ def bs_kernel_radial(pot: PotentialSpec, grid: RadialGrid, eps: float) -> SymOpe
 def bs_count_and_top(pot: PotentialSpec, grid: RadialGrid, eps: float) -> tuple[int, float]:
     """Kernel eigenvalues above 1 and the largest kernel eigenvalue at shift eps.
 
-    Both come from one checked eigensolve of the kernel on the support of
-    v_-, the matrix ``bs_kernel_radial`` returns, so the count is
-    ``count_evs(bs_kernel_radial(pot, grid, eps), ">", 1.0)``.  The largest
-    eigenvalue is 0 when v_- vanishes on the grid, where the kernel is
-    0 x 0.  As for ``bs_kernel_radial``, a scheme other than uniform_fd2
-    raises ValueError before the small-box warning.  A kernel eigenvalue
-    within the guard band of 1, which the count leaves out, raises
-    ThresholdCollisionError naming ``eps``.
+    Both come from one checked eigensolve of ``bs_kernel_radial(pot, grid,
+    eps)``, the kernel on the support of v_-, so the count is
+    ``count_evs`` of that kernel above 1, and the arguments are checked and
+    the small box is warned of as there.  The largest eigenvalue is 0 when
+    v_- vanishes on the grid, where the kernel is 0 x 0.  A kernel
+    eigenvalue within the guard band of 1, which the count leaves out,
+    raises ThresholdCollisionError naming ``eps``.
     """
-    if not 0 < eps < np.inf:
-        raise ValueError(f"eps must be positive and finite, got {eps}")
-    block = _bs_block(pot, grid, eps)  # rejects a grid other than uniform_fd2
-    _warn_if_box_small(pot, grid)
-    lam, eta = _checked_eigenvalues(block)
+    lam, eta = _checked_eigenvalues(bs_kernel_radial(pot, grid, eps).entries)
     if not lam.size:
         return 0, 0.0
     if _collides(lam, eta, 1.0):
@@ -471,14 +489,25 @@ def bs_count_and_top(pot: PotentialSpec, grid: RadialGrid, eps: float) -> tuple[
 def kernel_critical_strength(pot: PotentialSpec, grid: RadialGrid) -> float:
     """Coupling at which the zero-shift kernel reaches eigenvalue one.
 
-    The kernel is linear in the attractive coupling, so the strength that
-    makes the discretized operator exactly critical is
-    ``strength / mu_0(strength)``.  ``mu_0``, the largest eigenvalue of the
-    kernel on the support of v_- at zero shift, comes from linop's O(n) route
-    (``_kernel_top``), checked by an eigenpair residual and a certificate
-    that no eigenvalue lies above it.
+    The potential is split as ``R - strength * shape``, with ``R`` its
+    repulsive part at its own strength, and the kernel is
+    ``S (H_0 + R)^-1 S`` with ``S^2 = strength * shape``.  That kernel is
+    linear in the coupling, so by the Birman-Schwinger principle the
+    discretized ``H_0 + R - lam * shape`` is exactly critical at
+    ``lam = strength / mu_0``, whatever the strength passed in, also where
+    the repulsive part overlaps the well.  Without a repulsive part the
+    split is ``v_+ - v_-`` bit for bit.  ``mu_0``, the kernel's largest
+    eigenvalue, comes from linop's O(n) route (``_split_kernel_top``),
+    checked by an eigenpair residual and a certificate that no eigenvalue
+    lies above it, so that the true ``mu_0`` lies in
+    ``[mu, mu + 2e-10 (1 + mu)]`` and the coupling is exact to the relative
+    width ``2e-10 (1 + mu) / mu``.  A potential with no attractive part on
+    the grid raises ValueError.
     """
-    return pot.strength / _kernel_top(pot, grid, 0.0)
+    mu = _critical_top(pot, grid)[0]
+    if mu == 0.0:
+        raise ValueError("potential has no attractive part on the grid")
+    return pot.strength / mu
 
 
 # ---------------------------------------------------------------------------
@@ -689,65 +718,36 @@ def resolvent_power_kernel(gamma: float, eps: float, r_dist: float) -> float:
 # critical coupling and the near-threshold scan
 
 
-def _bisect_coupling(binds, tol: float, rel_tol: float) -> tuple[float, float, int]:
-    """Bracket ``(lo, hi]`` of the smallest coupling for which ``binds`` holds.
-
-    Doubles the coupling from 1 until ``binds`` holds, raising
-    NeverBindsError past ``LAMBDA_CAP``, then bisects until the bracket is
-    no wider than ``max(tol, rel_tol * hi)`` (``hi`` as found by doubling).
-    Returns ``(lo, hi, calls)``, ``calls`` counting every ``binds`` call.
-    """
-    calls = 1
-    lo, hi = 0.0, 1.0
-    while not binds(hi):
-        lo = hi
-        hi *= 2.0
-        if hi > LAMBDA_CAP:
-            raise NeverBindsError(f"no coupling up to {LAMBDA_CAP:g} binds")
-        calls += 1
-    width = max(tol, rel_tol * hi)
-    while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        calls += 1
-        if binds(mid):
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi, calls
-
-
 def find_critical_coupling_radial(pot_shape: PotentialSpec, grid: RadialGrid,
                                   tol: float) -> CriticalCouplingResult:
     """Coupling at which the first negative eigenvalue appears on the box.
 
-    Bisects the coupling of the attractive shape (the strength field of
-    ``pot_shape`` is treated as the unit of the family) against a binding
-    test: the discretized operator binds when its tridiagonal matrix is not
-    positive definite, which one O(n) factorization decides.  The search
-    runs on the given grid and on the grid with box and point count both
-    doubled (same mesh spacing); the two couplings must agree within
-    ``tol / 2``.  The dominant error for a threshold state is the 1/r_max
-    truncation of its flat tail, which the pair removes by extrapolation.
-    ``iterations`` counts every bracketing and bisection binding test, the
-    only eigenvalue question the search asks.  NeverBindsError is raised
-    when no coupling up to ``LAMBDA_CAP`` binds, and a grid other than
-    uniform_fd2 raises ValueError.
+    The strength field of ``pot_shape`` is treated as the unit of the family
+    ``R - lam * shape``, with any repulsive part ``R`` held at its own
+    strength, and the critical coupling on a grid is
+    ``kernel_critical_strength`` of the unit shape, ``1 / mu_0`` of the
+    split linear in ``lam``.  It is found on the given grid and on the grid
+    with box and point count both doubled (same mesh spacing); the two
+    couplings must agree within ``tol / 2``.  The dominant error for a
+    threshold state is the 1/r_max truncation of its flat tail, which the
+    pair removes by extrapolation.  The bracket's half-width is the larger
+    of that gap and the finer grid's width ``2e-10 (1 + mu_0) / mu_0``
+    relative, which the top eigenvalue's residual check and certificate
+    guarantee.  ``iterations`` counts the ``pttrf`` factorizations of both
+    top eigenvalues, the only eigenvalue work the search does.
+    NeverBindsError is raised when no coupling up to ``LAMBDA_CAP`` binds,
+    a shape with no attractive part on the grid among them, and a grid
+    other than uniform_fd2 raises ValueError.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
+    _require_box(grid)
     shape = pot_shape.with_strength(1.0)
-
-    def locate(g: RadialGrid) -> tuple[float, float, int]:
-        # bisect far below tol so the refinement comparison is not noise-limited
-        return _bisect_coupling(
-            lambda lam: not _tridiagonal_positive_definite(
-                *_fd_diagonals(shape.with_strength(lam), g)),
-            min(tol, 1e-4) * 1e-6, 1e-13)
-
     fine = replace(grid, n=2 * grid.n, r_max=2.0 * grid.r_max)
-    lo_c, hi_c, calls_c = locate(grid)
-    lo_f, hi_f, calls_f = locate(fine)
-    lam_coarse, lam_fine = 0.5 * (lo_c + hi_c), 0.5 * (lo_f + hi_f)
+    (mu_c, calls_c), (mu_f, calls_f) = _critical_top(shape, grid), _critical_top(shape, fine)
+    if min(mu_c, mu_f) < 1.0 / LAMBDA_CAP:
+        raise NeverBindsError(f"no coupling up to {LAMBDA_CAP:g} binds")
+    lam_coarse, lam_fine = 1.0 / mu_c, 1.0 / mu_f
     gap = abs(lam_fine - lam_coarse)
     if gap > tol / 2.0:
         raise RuntimeError(
@@ -755,7 +755,7 @@ def find_critical_coupling_radial(pot_shape: PotentialSpec, grid: RadialGrid,
             f"(r_max={grid.r_max:g}, n={grid.n}) vs {lam_fine:.10g} on "
             f"(r_max={fine.r_max:g}, n={fine.n}); gap {gap:.3e} > tol/2")
     lam_star = 2.0 * lam_fine - lam_coarse  # error model c / r_max
-    half = max(hi_f - lo_f, gap)
+    half = max(gap, 2e-10 * (1.0 + mu_f) / mu_f * lam_fine)
     return CriticalCouplingResult(
         lambda_star=lam_star,
         bracket=(lam_star - half, lam_star + half),
@@ -767,8 +767,10 @@ def mu_scan(pot: PotentialSpec, grid: RadialGrid, eps_list) -> MuScalingReport:
     """Near-threshold scan of mu(eps) for a potential tuned to criticality.
 
     Computes the largest Birman-Schwinger eigenvalue over ``eps_list``, at
-    least two positive, finite values (ValueError otherwise), by the O(n)
-    route of ``kernel_critical_strength``, checks monotonicity, and fits
+    least two positive, finite values (ValueError otherwise), as the top of
+    ``bs_kernel_radial``'s spectrum by linop's O(n) route, after
+    ``kernel_critical_strength`` has confirmed the tuning, checks
+    monotonicity, and fits
     ``log(1 - mu)`` against ``log eps`` on the scan points inside
     ``FIT_WINDOW``; ``a_mu_estimate`` is the fit's prefactor.  A
     zero-energy resonance (s-wave criticality on the semi-infinite kernel

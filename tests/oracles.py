@@ -10,7 +10,8 @@ from bscount import efimov
 from bscount.bsengine import ThresholdCollisionError
 from bscount.linop import (SymOperator, _checked_eigenvalues, _legendre_rule, _spectral_decompose,
                            count_evs, sym)
-from bscount.radial import RadialGrid, _banded_hamiltonian, _bs_block
+from bscount.radial import (LAMBDA_CAP, NeverBindsError, RadialGrid, _banded_hamiltonian,
+                            _bs_block, _fd_diagonals)
 
 
 def checked_eigenvalues(a):
@@ -114,12 +115,51 @@ def block_top_oracle(pot, grid: RadialGrid, eps: float) -> float:
 
 
 def stebz_binds(diag, off) -> bool:
-    """The binding test ``find_critical_coupling_radial`` bisected against
-    before its O(n) factorization: is the lowest eigenvalue of the
-    tridiagonal matrix, selected by LAPACK ``stebz``, below 0?"""
+    """A binding test by another LAPACK route than ``pttrf``: is the lowest
+    eigenvalue of the tridiagonal matrix, selected by LAPACK ``stebz``,
+    below 0?"""
     lowest = scipy.linalg.eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0),
                                                lapack_driver="stebz")[0]
     return bool(lowest < 0.0)
+
+
+def bisect_coupling(binds, tol: float, rel_tol: float) -> tuple[float, float, int]:
+    """Bracket ``(lo, hi]`` of the smallest coupling for which ``binds`` holds.
+
+    Doubles the coupling from 1 until ``binds`` holds, raising
+    NeverBindsError past ``LAMBDA_CAP``, then bisects until the bracket is
+    no wider than ``max(tol, rel_tol * hi)`` (``hi`` as found by doubling).
+    Returns ``(lo, hi, calls)``, ``calls`` counting every ``binds`` call.
+    """
+    calls = 1
+    lo, hi = 0.0, 1.0
+    while not binds(hi):
+        lo = hi
+        hi *= 2.0
+        if hi > LAMBDA_CAP:
+            raise NeverBindsError(f"no coupling up to {LAMBDA_CAP:g} binds")
+        calls += 1
+    width = max(tol, rel_tol * hi)
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        calls += 1
+        if binds(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi, calls
+
+
+def bisected_coupling(shape, grid: RadialGrid) -> float:
+    """The critical coupling of the family ``R - lam * shape`` on one box by
+    the route ``find_critical_coupling_radial`` took before the kernel's top
+    eigenvalue: the midpoint of the bracket, 1e-10 wide, that
+    ``bisect_coupling`` finds against the binding test ``stebz_binds`` of
+    the reduced Hamiltonian, with any repulsive part ``R`` at its own
+    strength."""
+    lo, hi, _ = bisect_coupling(
+        lambda lam: stebz_binds(*_fd_diagonals(shape.with_strength(lam), grid)), 1e-10, 1e-13)
+    return 0.5 * (lo + hi)
 
 
 def full_three_boson_kernel(model, energy: float) -> SymOperator:

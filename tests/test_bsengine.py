@@ -21,6 +21,7 @@ from bscount.bsengine import (
 )
 from bscount.linop import DEFAULT_SEED, count_evs, hs_norm, sym
 from oracles import (
+    bisect_coupling,
     checked_eigenvalues,
     counts_oracle,
     hs_count_bound_oracle,
@@ -354,13 +355,13 @@ def test_inf_spec_monotone_in_coupling():
 
 
 # ---------------------------------------------------------------------------
-# the critical-coupling bisection, on pencils A + lam*B with a dense binding test
+# the critical-coupling bisection oracle, on pencils A + lam*B with a dense binding test
 
 
 def coupling_bracket(a, b, tol):
-    """The bracket ``(lo, hi]`` that radial's bisection finds for the smallest
+    """The bracket ``(lo, hi]`` that the bisection oracle finds for the smallest
     coupling at which ``A + lam*B`` has an eigenvalue below 0."""
-    lo, hi, _ = radial._bisect_coupling(
+    lo, hi, _ = bisect_coupling(
         lambda lam: count_evs(sym(a.entries + lam * b.entries), "<", 0.0) > 0, tol, 0.0)
     return lo, hi
 

@@ -26,7 +26,7 @@ from bscount.linop import (
     _spectral_decompose,
     _symmetrized,
     _tridiagonal_collides,
-    _tridiagonal_positive_definite,
+    _tridiagonal_factor,
     ThresholdCollisionError,
     count_evs,
     hs_norm,
@@ -506,6 +506,13 @@ def test_compressed_count_proves_every_criterion_5_kernel_count(radial_cases, ra
                 dense_count(ref, eta, relation, threshold), label
 
 
+def test_no_criterion_5_matrix_has_an_eigenvalue_in_the_guard_band(radial_cases, radial_oracles):
+    # criterion 5 compares count_evs of each pair, and a count leaves an
+    # eigenvalue in the guard band out; the held spectra show none is there
+    for (label, _, _, threshold), (_, _, (ref, eta)) in zip(radial_cases, radial_oracles):
+        assert not _collides(ref, eta, threshold), label
+
+
 def planted(lam, n=40):
     """An exactly symmetric ``n x n`` matrix whose nonzero eigenvalues are
     ``lam``, in a random orthonormal basis."""
@@ -702,7 +709,7 @@ def test_tridiagonal_count_rejects_a_norm_that_overflows():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="not finite"):
-            radial.negative_count(well, grid)
+            radial._negative_count_off_threshold(well, grid, 0.0)
         h = reduced_hamiltonian(well, grid)
         for relation in (">", "<"):
             with pytest.raises(ValueError, match="not finite"):
@@ -1141,14 +1148,14 @@ def pencil(n=6):
 
 def test_top_kernel_eigenvalue_matches_dense():
     diag, off, weight, t, lam, _ = pencil()
-    mu = _kernel_top_eigenvalue(diag, off, weight, lambda u: np.linalg.solve(t, u))
+    mu, _ = _kernel_top_eigenvalue(diag, off, weight, lambda u: np.linalg.solve(t, u))
     assert mu == pytest.approx(lam[-1], rel=1e-13, abs=0)
     # zero weights in a leading, an interior and a trailing run, as where
     # the weight is a potential's attractive part on a whole grid
     weight = weight * np.array([0.0, 1.0, 0.0, 0.0, 1.0, 0.0])
     root = np.sqrt(weight)
     top = np.linalg.eigvalsh(root[:, None] * np.linalg.inv(t) * root[None, :])[-1]
-    mu = _kernel_top_eigenvalue(diag, off, weight, lambda u: np.linalg.solve(t, u))
+    mu, _ = _kernel_top_eigenvalue(diag, off, weight, lambda u: np.linalg.solve(t, u))
     assert mu == pytest.approx(top, rel=1e-13, abs=0)
 
 
@@ -1174,7 +1181,7 @@ def test_top_kernel_eigenvalue_checks_hold_their_bounds(orthogonal, scale, fails
         return (1.0 - s) * np.linalg.solve(t, u) + extra @ u
 
     if fails is None:
-        assert _kernel_top_eigenvalue(diag, off, weight, green) == pytest.approx(
+        assert _kernel_top_eigenvalue(diag, off, weight, green)[0] == pytest.approx(
             (1.0 - s) * lam[-1], rel=1e-14, abs=0)
     else:
         with pytest.raises(RuntimeError, match=fails):
@@ -1205,8 +1212,8 @@ def test_top_kernel_eigenvalue_needs_a_positive_definite_inverse():
 
 
 @pytest.mark.parametrize("run", [
-    lambda: radial.negative_count(PotentialSpec(kind="square_well", strength=26.0),
-                                  RadialGrid(ell=0, r_max=25.0, n=200)),
+    lambda: radial._negative_count_off_threshold(PotentialSpec(kind="square_well", strength=26.0),
+                                                 RadialGrid(ell=0, r_max=25.0, n=200), 0.0),
 ], ids=["negative_count"])
 def test_tridiagonal_selections_turn_lapack_failure_into_runtime_error(monkeypatch, run):
     def fail(*args, **kwargs):
@@ -1226,7 +1233,7 @@ def test_positive_definite_matches_the_lowest_dense_eigenvalue(seed):
     rng = np.random.default_rng(seed)
     diag, off = rng.uniform(0.5, 3.0, 9), rng.normal(size=8)
     lowest = DENSE_EIGVALSH(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))[0]
-    assert _tridiagonal_positive_definite(diag, off) == (lowest > 0.0)
+    assert (_tridiagonal_factor(diag, off) is not None) == (lowest > 0.0)
 
 
 @pytest.mark.parametrize("diag,off,expected", [
@@ -1240,7 +1247,7 @@ def test_positive_definite_matches_the_lowest_dense_eigenvalue(seed):
     ([-3.0], [], False),
 ])
 def test_positive_definite_on_small_matrices(diag, off, expected):
-    assert _tridiagonal_positive_definite(np.array(diag), np.array(off)) is expected
+    assert (_tridiagonal_factor(np.array(diag), np.array(off)) is not None) is expected
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -1249,7 +1256,7 @@ def test_positive_definite_matches_dense_eigvalsh_below_dimension_three(dim):
     for _ in range(50):
         diag, off = rng.normal(size=dim), rng.normal(size=dim - 1)
         lowest = DENSE_EIGVALSH(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))[0]
-        assert _tridiagonal_positive_definite(diag, off) == (lowest > 0.0)
+        assert (_tridiagonal_factor(diag, off) is not None) == (lowest > 0.0)
 
 
 @pytest.mark.parametrize("diag,off", [
@@ -1260,14 +1267,14 @@ def test_positive_definite_matches_dense_eigvalsh_below_dimension_three(dim):
 ])
 def test_positive_definite_rejects_non_finite_entries(diag, off):
     with pytest.raises(ValueError, match="non-finite"):
-        _tridiagonal_positive_definite(np.array(diag), np.array(off))
+        _tridiagonal_factor(np.array(diag), np.array(off))
 
 
 @pytest.mark.parametrize("info", [-1, -2])
 def test_positive_definite_turns_an_illegal_argument_into_runtime_error(monkeypatch, info):
     monkeypatch.setattr(scipy.linalg.lapack, "dpttrf", lambda d, e: (d, e, info))
     with pytest.raises(RuntimeError, match=f"rejected argument {-info}"):
-        _tridiagonal_positive_definite(np.full(3, 2.0), np.full(2, -1.0))
+        _tridiagonal_factor(np.full(3, 2.0), np.full(2, -1.0))
 
 
 # ---------------------------------------------------------------------------

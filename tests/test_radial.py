@@ -11,7 +11,7 @@ from scipy.linalg import eigvalsh_tridiagonal
 from scipy.special import gamma as gamma_fn
 
 from bscount import ThresholdCollisionError
-from bscount.linop import SymOperator, count_evs, hs_norm, sym
+from bscount.linop import SymOperator, _tridiagonal_count, count_evs, hs_norm, sym
 from bscount.radial import (
     MuScalingReport,
     NeverBindsError,
@@ -22,13 +22,12 @@ from bscount.radial import (
     find_critical_coupling_radial,
     kernel_critical_strength,
     mu_scan,
-    negative_count,
     reduced_hamiltonian,
     resolvent_power_kernel,
     rollnik_norm,
     schwinger_bound_check,
 )
-from bscount import radial
+from bscount import linop, radial
 from bscount.radial import (
     _angular_reduced_kernel,
     _fd_diagonals,
@@ -40,8 +39,8 @@ from bscount.radial import (
     _negative_count_off_threshold,
     _segment_edges,
 )
-from oracles import (_green_swave, block_top_oracle, green_kernel, legendre_rules_computed,
-                     op_function, stebz_binds)
+from oracles import (_green_swave, bisected_coupling, block_top_oracle, green_kernel,
+                     legendre_rules_computed, op_function, stebz_binds)
 
 DEFAULT_SEED = 0xB5C0
 
@@ -224,7 +223,8 @@ def test_grid_takes_an_integral_float_point_count_as_its_integer():
     pot = PotentialSpec(kind="square_well", strength=26.0, range=1.0)
     grid = RadialGrid(ell=0, r_max=25.0, n=200.0)
     assert type(grid.n) is int and grid == RadialGrid(ell=0, r_max=25.0, n=200)
-    assert negative_count(pot, grid) == negative_count(pot, RadialGrid(ell=0, r_max=25.0, n=200))
+    assert _negative_count_off_threshold(pot, grid, 0.0) == \
+        _negative_count_off_threshold(pot, RadialGrid(ell=0, r_max=25.0, n=200), 0.0)
 
 
 @pytest.mark.parametrize("field,build", [
@@ -374,7 +374,7 @@ def test_kernel_count_matches_direct_count(kind, lam, ell, eps):
     direct = count_evs(h, "<", -eps)
     assert count_evs(k, ">", 1.0) == direct
     assert count_evs(calc, ">", 1.0) == direct
-    assert negative_count(pot, grid, eps) == direct
+    assert _negative_count_off_threshold(pot, grid, eps) == direct
 
 
 def test_kernel_forms_share_top_eigenvalue():
@@ -399,14 +399,14 @@ def test_threshold_collision_excluded_from_counts(level):
     lam = eigvalsh_tridiagonal(*_fd_diagonals(pot, grid))
     eps = -lam[level]
     assert eps > 0
-    assert negative_count(pot, grid, eps) == level
+    assert _tridiagonal_count(*_fd_diagonals(pot, grid), "<", -eps) == level
     assert count_evs(quiet_hamiltonian(pot, grid), "<", -eps) == level
 
 
 @pytest.mark.parametrize("level", [0, 1])
 def test_counts_of_twobody_refuse_a_threshold_collision(level):
-    # the same collision: negative_count keeps its contract and drops the
-    # level, while the counts twobody makes, on both sides, name eps
+    # the same collision: count_evs keeps its contract and drops the level,
+    # while the counts twobody makes, on both sides, name eps
     pot = PotentialSpec(kind="square_well", strength=26.0, range=1.0)
     grid = RadialGrid(ell=0, r_max=25.0, n=700)
     diag, off = _fd_diagonals(pot, grid)
@@ -424,7 +424,7 @@ def test_counts_of_twobody_refuse_a_threshold_collision(level):
                 _negative_count_off_threshold(pot, grid, eps)
         else:
             assert _negative_count_off_threshold(pot, grid, eps) == below == \
-                negative_count(pot, grid, eps)
+                count_evs(quiet_hamiltonian(pot, grid), "<", -eps)
 
 
 def test_schwinger_bound_refuses_a_zero_energy_level():
@@ -440,7 +440,7 @@ def test_schwinger_bound_refuses_a_zero_energy_level():
 
     pot = PotentialSpec(kind="square_well", range=1.0,
                         strength=scipy.optimize.brentq(ground, 2.0, 8.0, xtol=1e-15))
-    assert negative_count(pot, grid) == 0
+    assert count_evs(quiet_hamiltonian(pot, grid), "<", 0.0) == 0
     with pytest.raises(ThresholdCollisionError, match="at ell = 0 .* at eps = 0: "):
         schwinger_bound_check(pot)
 
@@ -496,7 +496,7 @@ def test_counts_reject_a_non_finite_eps(eps):
     well = PotentialSpec(kind="square_well", strength=26.0, range=1.0)
     grid = RadialGrid(ell=0, r_max=25.0, n=200)
     with pytest.raises(ValueError, match="threshold"):
-        negative_count(well, grid, eps)
+        _negative_count_off_threshold(well, grid, eps)
     for kernel in (bs_kernel_radial, bs_count_and_top):
         with pytest.raises(ValueError, match="eps"):
             kernel(well, grid, eps)
@@ -750,18 +750,19 @@ def test_critical_coupling_range_rescaling():
 
 
 def test_critical_coupling_counts_every_eigensolve(monkeypatch):
-    tests = []
-    binding_test = radial._tridiagonal_positive_definite
+    factorizations = []
+    factor = linop._tridiagonal_factor
 
-    def counted_test(diag, off):
-        tests.append(diag.size)
-        return binding_test(diag, off)
+    def counted_factor(diag, off):
+        factorizations.append(diag.size)
+        return factor(diag, off)
 
-    monkeypatch.setattr(radial, "_tridiagonal_positive_definite", counted_test)
+    monkeypatch.setattr(linop, "_tridiagonal_factor", counted_factor)
     shape = PotentialSpec(kind="square_well", strength=1.0, range=1.0)
     res = find_critical_coupling_radial(
         shape, RadialGrid(ell=0, r_max=30.0, n=300), tol=0.1)
-    assert res.iterations == len(tests)
+    assert res.iterations == len(factorizations)
+    assert sorted(set(factorizations)) == [300, 600]  # both grids, nothing else
 
 
 # (potential, grid) pairs whose critical coupling the oracle route re-derives
@@ -780,15 +781,15 @@ CRITICAL_CASES = {
 
 
 @pytest.mark.parametrize("case", CRITICAL_CASES)
-def test_critical_coupling_is_bit_identical_to_the_stebz_route(monkeypatch, case):
+def test_critical_coupling_matches_the_bisection_oracle(case):
+    # the same extrapolation from couplings bisected against the stebz
+    # binding test on both grids, each to 1e-10
     shape, grid = CRITICAL_CASES[case]
     res = find_critical_coupling_radial(shape, grid, tol=0.05)
-    monkeypatch.setattr(radial, "_tridiagonal_positive_definite",
-                        lambda diag, off: not stebz_binds(diag, off))
-    old = find_critical_coupling_radial(shape, grid, tol=0.05)
-    assert res.lambda_star.hex() == old.lambda_star.hex()
-    assert [b.hex() for b in res.bracket] == [b.hex() for b in old.bracket]
-    assert res.iterations == old.iterations
+    fine = RadialGrid(ell=grid.ell, r_max=2.0 * grid.r_max, n=2 * grid.n)
+    oracle = 2.0 * bisected_coupling(shape, fine) - bisected_coupling(shape, grid)
+    assert res.lambda_star == pytest.approx(oracle, rel=1e-9, abs=0)
+    assert res.bracket[0] <= oracle <= res.bracket[1]
 
 
 @pytest.mark.parametrize("case", CRITICAL_CASES)
@@ -800,9 +801,26 @@ def test_binding_tests_agree_in_sign_through_the_critical_coupling(case):
     for lam in lam_star * np.concatenate([1.0 - offsets, [1.0], 1.0 + offsets]):
         diag, off = _fd_diagonals(shape.with_strength(lam), grid)
         binds = stebz_binds(diag, off)
-        assert binds == (not radial._tridiagonal_positive_definite(diag, off)), lam
+        assert binds == (linop._tridiagonal_factor(diag, off) is None), lam
         signs.append(binds)
     assert signs[0] is False and signs[-1] is True  # the sweep crosses binding
+
+
+CORED_GAUSSIAN = PotentialSpec(kind="gaussian", strength=1.0, range=1.0,
+                               repulsive_part=PotentialSpec(kind="gaussian", strength=5.0,
+                                                            range=0.3))
+
+
+def test_kernel_critical_strength_is_exact_where_a_core_overlaps_the_well():
+    # the pointwise split v_+ - v_- is not linear in the coupling where the
+    # core overlaps the well; on it the strengths 1, 3 and 10 gave 3.3274,
+    # 3.0098 and 2.8346
+    grid = RadialGrid(ell=0, r_max=40.0, n=800)
+    lam = [kernel_critical_strength(CORED_GAUSSIAN.with_strength(s), grid)
+           for s in (1.0, 3.0, 10.0)]
+    assert lam[1] == pytest.approx(lam[0], rel=1e-12, abs=0)
+    assert lam[2] == pytest.approx(lam[0], rel=1e-12, abs=0)
+    assert lam[0] == pytest.approx(bisected_coupling(CORED_GAUSSIAN, grid), rel=1e-9, abs=0)
 
 
 def test_critical_coupling_never_binds():
@@ -810,6 +828,15 @@ def test_critical_coupling_never_binds():
                          table_r=np.array([0.5, 1.0]), table_v=np.zeros(2))
     with pytest.raises(NeverBindsError, match="1e\\+06"):
         find_critical_coupling_radial(flat, RadialGrid(ell=0, r_max=20.0, n=64),
+                                      tol=0.05)
+
+
+def test_critical_coupling_above_the_cap_never_binds():
+    # a shape 1e-9 deep binds only above a coupling of about 1e9
+    faint = PotentialSpec(kind="table", strength=1.0,
+                          table_r=np.array([0.5, 1.0]), table_v=np.full(2, 1e-9))
+    with pytest.raises(NeverBindsError, match="1e\\+06"):
+        find_critical_coupling_radial(faint, RadialGrid(ell=0, r_max=20.0, n=64),
                                       tol=0.05)
 
 
@@ -976,6 +1003,18 @@ def test_critical_coupling_refinement_gap_is_held_to_half_tol(factor, raises):
             find_critical_coupling_radial(shape, grid, tol=factor * gap)
     else:
         find_critical_coupling_radial(shape, grid, tol=factor * gap)
+
+
+def test_critical_coupling_bracket_is_at_least_the_certified_width(monkeypatch):
+    # where both grids agree, the bracket is the width the top eigenvalue's
+    # residual check and certificate leave: mu_0 in [mu, mu + 2e-10 (1 + mu)]
+    monkeypatch.setattr(radial, "_critical_top", lambda shape, grid: (0.4, 31))
+    shape = PotentialSpec(kind="square_well", strength=1.0, range=1.0)
+    res = find_critical_coupling_radial(shape, RadialGrid(ell=0, r_max=30.0, n=600), tol=1.0)
+    assert res.lambda_star == 2.5 and res.iterations == 62
+    lo, hi = 1.0 / (0.4 + 2e-10 * 1.4), 1.0 / 0.4  # the couplings mu_0 allows
+    assert res.bracket[0] <= lo and res.bracket[1] >= hi
+    assert res.bracket[1] - res.bracket[0] == pytest.approx(2.0 * (hi - lo), rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
