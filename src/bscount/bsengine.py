@@ -12,20 +12,22 @@ merely has a kernel).  This module realizes the operator, both counts, and
 the Hilbert-Schmidt and rank-one-domination bounds as checkable procedures.
 
 Every count runs on a stack: ``k`` problems of one dimension ``n``, with
-``A`` and ``B`` as ``(k, n, n)`` arrays and the shifts as an array.  Each
-spectrum is one stacked call into linop, which runs every eigensolve and
-checks each matrix of a stack on its own: the checked eigendecomposition
-of every ``A`` (its positivity check, and the square root in ``K(eps)``)
-when the stack is built, the checked eigenvalues of every ``A + B`` on
-first use, and those of every ``K(eps)``.  The symmetry checks of the
-built ``A``, ``B`` and ``K(eps)`` run per matrix too.  The ``eps`` jitter,
-the threshold-collision check and both counts are array operations over
-the stack, made by linop's ``_collides`` and ``_count``, which hold the
-guard-band rule, and a failing member raises with its index.
+``A`` and ``B`` as ``(k, n, n)`` arrays, and on an array of shifts, the
+one input that is not an operator.  Each spectrum is one stacked call into
+linop, which runs every eigensolve and checks each matrix of a stack on
+its own.  Building a stack solves what does not depend on the shifts: the
+checked eigendecomposition of every ``A`` (its positivity check, and the
+square root in ``K(eps)``) and the checked eigenvalues of every
+``A + B``.  Counting solves those of every ``K(eps)``.  The symmetry
+checks of the built ``A``, ``B`` and ``K(eps)`` run per matrix too.  The
+``eps`` jitter, the threshold-collision check and both counts are array
+operations over the stack, made by linop's ``_collides`` and ``_count``,
+which hold the guard-band rule, and a failing member raises with its
+index.
 
 ``random_corpus`` draws a property corpus first, in the RNG order of
-drawing its problems one by one, then builds one stack per dimension, and
-``corpus_counts`` counts it.  ``BsProblem``, ``count_bs``,
+drawing its problems one by one, then builds one stack and its shifts per
+dimension, and ``corpus_counts`` counts it.  ``BsProblem``, ``count_bs``,
 ``count_direct``, ``mu_max`` and ``random_problem`` run the same code on a
 stack of one, so there is one route; the per-problem route it replaced is
 kept in the tests as the oracle.  The Hilbert-Schmidt and rank-one bounds
@@ -45,7 +47,7 @@ signed form everywhere, including the ``eps = 0`` bounded case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,9 +74,9 @@ MIN_PROJECTION_NORM = 1e-8
 class BsProblem:
     """A counting problem ``(A, B, eps)`` with ``A >= 0`` and ``eps > 0`` finite.
 
-    Construction checks ``eps`` and runs the checked eigendecomposition of
-    ``A``, its positivity check, on a stack of one problem; the checked
-    eigenvalues of ``A + B``, which both counts read, follow on first use.
+    Construction checks ``eps``, then builds a stack of one problem: the
+    checked eigendecomposition of ``A``, its positivity check, and the
+    checked eigenvalues of ``A + B``, which both counts read.
     """
 
     a: SymOperator
@@ -85,15 +87,16 @@ class BsProblem:
         a, b = sym(self.a), sym(self.b)
         if a.dim != b.dim:
             raise ValueError(f"dimension mismatch: A is {a.dim}, B is {b.dim}")
-        self.__dict__.update(a=a, b=b, _stack=_Stack(a.entries[None], b.entries[None],
-                                                     self.epsilon))
+        self.__dict__.update(a=a, b=b, _eps=_shifts(self.epsilon),
+                             _stack=_Stack(a.entries[None], b.entries[None]))
 
     @classmethod
-    def _of(cls, s: "_Stack") -> "BsProblem":
-        """The problem of a stack of one, whose matrices are checked already."""
+    def _of(cls, s: "_Stack", eps: np.ndarray) -> "BsProblem":
+        """The problem of a stack of one, whose matrices are checked already,
+        and of its checked shift."""
         p = object.__new__(cls)
         p.__dict__.update(a=SymOperator._built(s.a[0]), b=SymOperator._built(s.b[0]),
-                          epsilon=float(s.epsilon[0]), _stack=s)
+                          epsilon=float(eps[0]), _eps=eps, _stack=s)
         return p
 
     @property
@@ -106,56 +109,51 @@ class _Stack:
     """``k`` counting problems of one dimension ``n``, solved together.
 
     ``a`` and ``b`` are ``(k, n, n)`` stacks of symmetric matrices, or
-    ``(1, n, n)`` shared by all ``k`` shifts ``epsilon``.  Unless given,
-    construction solves the checked decomposition of each ``A``, with its
-    positivity check, by one stacked call into ``a_eigh``.  Neither it nor
-    ``h_spectrum`` depends on the shifts, so ``replace`` keeps both.
+    ``(1, n, n)`` shared by any number of shifts.  Construction solves, by
+    one stacked call each, the checked decomposition ``a_decomposition`` of
+    each ``A``, with its positivity check, and the checked eigenvalues of
+    each ``A + B`` with their guard bands, ``h_eigenvalues``.  The sum of
+    two symmetric stacks is exactly symmetric.
     """
 
     a: np.ndarray
     b: np.ndarray
-    epsilon: np.ndarray
-    a_eigh: tuple | None = None
-    h: tuple | None = None
 
     def __post_init__(self):
-        eps = np.array(self.epsilon, dtype=float, ndmin=1)
-        _require(np.isfinite(eps) & (eps > 0), "epsilon must be positive and finite, got {}",
-                 eps, error=ValueError)
-        eps.setflags(write=False)
-        object.__setattr__(self, "epsilon", eps)
-        if self.a_eigh is None:
-            object.__setattr__(self, "a_eigh", _spectral_decompose(self.a, psd=True))
-
-    def h_spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """Checked eigenvalues of each ``A + B`` and their guard bands, by
-        one stacked call on first use, kept in ``h``.  The sum of two
-        symmetric stacks is exactly symmetric."""
-        if self.h is None:
-            object.__setattr__(self, "h", _checked_eigenvalues(self.a + self.b))
-        return self.h
+        self.__dict__.update(a_decomposition=_spectral_decompose(self.a, psd=True),
+                             h_eigenvalues=_checked_eigenvalues(self.a + self.b))
 
 
-def _kernels(s: _Stack) -> np.ndarray:
+def _shifts(epsilon) -> np.ndarray:
+    """The frozen ``(k,)`` array of the shifts ``epsilon``, each checked
+    positive and finite."""
+    eps = np.array(epsilon, dtype=float, ndmin=1)
+    _require(np.isfinite(eps) & (eps > 0), "epsilon must be positive and finite, got {}",
+             eps, error=ValueError)
+    eps.setflags(write=False)
+    return eps
+
+
+def _kernels(s: _Stack, eps: np.ndarray) -> np.ndarray:
     """The stack of ``K(eps) = -(A+eps)^(-1/2) B (A+eps)^(-1/2)``, symmetrized."""
-    lam, v = s.a_eigh
-    shifted = lam + s.epsilon[:, None]
+    lam, v = s.a_decomposition
+    shifted = lam + eps[:, None]
     _require(shifted[:, 0] > 0, "A + eps*I is not positive definite: min shifted "
-             "eigenvalue {:.3e} with eps={:g}", shifted[:, 0], s.epsilon, error=ValueError)
+             "eigenvalue {:.3e} with eps={:g}", shifted[:, 0], eps, error=ValueError)
     root = (v * shifted[:, None, :] ** -0.5) @ v.swapaxes(1, 2)
     return _symmetrized(-root @ s.b @ root)
 
 
-def _count_direct(s: _Stack) -> np.ndarray:
-    return _count(*s.h_spectrum(), "<", -s.epsilon)
+def _count_direct(s: _Stack, eps: np.ndarray) -> np.ndarray:
+    return _count(*s.h_eigenvalues, "<", -eps)
 
 
-def _count_bs(s: _Stack) -> np.ndarray:
-    lam, eta = s.h_spectrum()
-    _require(~_collides(lam, eta, -s.epsilon), "an eigenvalue of A+B lies within the guard "
+def _count_bs(s: _Stack, eps: np.ndarray) -> np.ndarray:
+    lam, eta = s.h_eigenvalues
+    _require(~_collides(lam, eta, -eps), "an eigenvalue of A+B lies within the guard "
              "band {:.3e} of -eps; perturb eps (e.g. by a factor 1 +/- 1e-6) and retry", eta,
              error=ThresholdCollisionError)
-    return _count_evs(_kernels(s), ">", 1.0)
+    return _count_evs(_kernels(s, eps), ">", 1.0)
 
 
 def count_direct(p: BsProblem) -> int:
@@ -164,7 +162,7 @@ def count_direct(p: BsProblem) -> int:
     The count ``count_evs(A + B, "<", -eps)`` makes: an eigenvalue within
     the guard band of ``-eps`` is not counted.
     """
-    return int(_count_direct(p._stack)[0])
+    return int(_count_direct(p._stack, p._eps)[0])
 
 
 def count_bs(p: BsProblem) -> int:
@@ -174,7 +172,7 @@ def count_bs(p: BsProblem) -> int:
     within the guard band of ``-eps``; the identity with count_direct is
     only asserted off thresholds, so the caller should perturb ``eps``.
     """
-    return int(_count_bs(p._stack)[0])
+    return int(_count_bs(p._stack, p._eps)[0])
 
 
 def mu_max(p: BsProblem, epsilons=None):
@@ -183,8 +181,8 @@ def mu_max(p: BsProblem, epsilons=None):
     With ``epsilons``, the array of it at each of those shifts instead, all
     from the problem's one decomposition of ``A`` and one stacked eigensolve.
     """
-    s = p._stack if epsilons is None else replace(p._stack, epsilon=epsilons)
-    top = _checked_eigenvalues(_kernels(s))[0][:, -1]
+    eps = p._eps if epsilons is None else _shifts(epsilons)
+    top = _checked_eigenvalues(_kernels(p._stack, eps))[0][:, -1]
     return float(top[0]) if epsilons is None else top
 
 
@@ -307,21 +305,21 @@ def _draw(rng, dim: int, singular_a: bool, indefinite_b: bool) -> tuple:
     return x, d, b, rng.uniform(0.05, 1.0)
 
 
-def _random_stack(draws: list) -> _Stack:
+def _random_stack(draws: list) -> tuple[_Stack, np.ndarray]:
     """The stack of the problems of ``draws`` (one dimension), ``A`` built
-    from one stacked QR as ``random_problem`` describes, with every ``eps``
-    that collides with the spectrum of its ``A + B`` jittered by 1e-6
-    relative until the guard band clears, at most 64 times."""
+    from one stacked QR as ``random_problem`` describes, and its checked
+    shifts: every ``eps`` that collides with the spectrum of its ``A + B``
+    is jittered by 1e-6 relative until the guard band clears, at most 64
+    times."""
     x, d, b, eps = (np.array([draw[i] for draw in draws]) for i in range(4))
     q = np.linalg.qr(x)[0]
-    s = _Stack(_symmetrized((q.swapaxes(1, 2) * d[:, None, :]) @ q), _symmetrized(b), eps)
-    lam, eta = s.h_spectrum()
+    s = _Stack(_symmetrized((q.swapaxes(1, 2) * d[:, None, :]) @ q), _symmetrized(b))
     for _ in range(64):
-        near = _collides(lam, eta, -eps)
+        near = _collides(*s.h_eigenvalues, -eps)
         if not near.any():
             break
         eps[near] *= 1.0 + 1e-6
-    return replace(s, epsilon=eps)
+    return s, _shifts(eps)
 
 
 def random_problem(dim: int, rng=DEFAULT_SEED, *, singular_a: bool = False,
@@ -332,11 +330,11 @@ def random_problem(dim: int, rng=DEFAULT_SEED, *, singular_a: bool = False,
     ``singular_a``), ``B = -G^T G`` with optional symmetric noise of weight
     0.3 making it sign-indefinite, and ``eps`` uniform on [0.05, 1].  When
     ``eps`` collides with the spectrum of ``A + B`` it is jittered by 1e-6
-    relative until the guard band clears.  The returned problem has that
-    spectrum computed already.
+    relative until the guard band clears; the counts of the returned
+    problem read the spectrum that the jitter solved.
     """
     rng = np.random.default_rng(rng)
-    return BsProblem._of(_random_stack([_draw(rng, dim, singular_a, indefinite_b)]))
+    return BsProblem._of(*_random_stack([_draw(rng, dim, singular_a, indefinite_b)]))
 
 
 def random_corpus(size: int, rng, *, singular_a: bool = False):
@@ -346,10 +344,10 @@ def random_corpus(size: int, rng, *, singular_a: bool = False):
     is indefinite (probability 1/2), and then the problem as
     ``random_problem`` does, in the RNG order of drawing the problems one
     at a time; every draw is made before this returns.  Returns an iterator
-    over the stacks, in ascending dimension, each holding its problems in
-    draw order.  Each stack is built when the iterator reaches it, and its
-    draws are freed then, so that a pass over the corpus holds the arrays
-    of one dimension at a time.
+    over the pairs of a stack and its shifts, in ascending dimension, each
+    holding its problems in draw order.  Each stack is built when the
+    iterator reaches it, and its draws are freed then, so that a pass over
+    the corpus holds the arrays of one dimension at a time.
     """
     def draw():
         dim = int(rng.integers(2, 21))
@@ -375,5 +373,6 @@ def corpus_counts(corpus) -> tuple[np.ndarray, np.ndarray]:
     """``count_direct`` and ``count_bs`` of every problem of a
     ``random_corpus``, in its order, from one stacked eigensolve of the
     kernels per stack."""
-    counts = [(_count_direct(s), _count_bs(s)) for s in corpus] or [(np.zeros(0, int),) * 2]
+    counts = ([(_count_direct(s, eps), _count_bs(s, eps)) for s, eps in corpus]
+              or [(np.zeros(0, int),) * 2])
     return tuple(np.concatenate(c) for c in zip(*counts))

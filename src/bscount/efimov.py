@@ -72,6 +72,7 @@ class SeparableModel:
             raise ValueError(f"grid_c must be finite and > -1, got {self.grid_c}")
         if not (self.n_p >= 64 and float(self.n_p).is_integer()):
             raise ValueError(f"need an integer n_p >= 64 quadrature points, got {self.n_p}")
+        object.__setattr__(self, "n_p", int(self.n_p))  # 128.0 counts as 128 points
 
     def momentum_grid(self) -> tuple[np.ndarray, np.ndarray]:
         """Mapped Gauss-Legendre nodes and weights on (0, p_max), from linop's
@@ -196,7 +197,6 @@ class _KernelParts(NamedTuple):
     model: SeparableModel
     p: np.ndarray       # momentum nodes
     ws2: np.ndarray     # w_i p_i^2
-    a12_sq: float       # multiplies |E| in c3
     constant: float     # C = 4 pi lam a12^3
     offsets: tuple      # where each row of the triangle starts, then its size
     upper: np.ndarray   # n x n bool, True where i <= j
@@ -233,7 +233,7 @@ def _kernel_parts(model: SeparableModel) -> _KernelParts:
         for whole, part in zip(terms, block):
             whole[entries] = part
     return _KernelParts(
-        model=model, p=p, ws2=w * p**2, a12_sq=A12**2,
+        model=model, p=p, ws2=w * p**2,
         constant=4.0 * np.pi * model.lam * A12**3,
         offsets=offsets, upper=upper, terms=terms)
 
@@ -270,8 +270,7 @@ def _assemble(parts: _KernelParts, energy: float) -> np.ndarray:
     n = parts.p.size
     k = np.empty((n, n))
     for r0, r1, entries in _row_blocks(parts.offsets):
-        j = _angular_integral(_AngleTerms(*(t[entries] for t in parts.terms)),
-                              parts.a12_sq * abs_e)
+        j = _angular_integral(_AngleTerms(*(t[entries] for t in parts.terms)), A12**2 * abs_e)
         pre_i, pre_j = _on_block(prefactor, parts.upper, r0, r1)
         values = parts.constant * (pre_i * j * pre_j)
         k[r0:r1][parts.upper[r0:r1]] = values
@@ -367,7 +366,8 @@ def trimer_spectrum(model: SeparableModel, e_floor: float) -> list[TrimerLevel]:
     (eigenvalues, eta)`` that the bracket ends, every iterate of every
     search and the monotone check read.
 
-    A kernel eigenvalue within linop's guard band of 1 at either end raises
+    ``e_floor`` must be negative and finite, or ValueError is raised.  A
+    kernel eigenvalue within linop's guard band of 1 at either end raises
     ``ThresholdCollisionError`` naming that energy, since a level on a
     bracket end is neither counted nor bracketed; one above 1 at ``e_floor``
     raises ValueError.  The monotone count is checked, not assumed, by
@@ -387,8 +387,8 @@ def trimer_spectrum(model: SeparableModel, e_floor: float) -> list[TrimerLevel]:
     infrared node are flagged cutoff-unstable.  Energies come back ascending
     (deepest first).
     """
-    if not e_floor < 0:
-        raise ValueError(f"e_floor must be negative, got {e_floor}")
+    if not -math.inf < e_floor < 0:
+        raise ValueError(f"e_floor must be negative and finite, got {e_floor}")
     parts = _kernel_parts(model)
     stable_floor = (10.0 * float(parts.p[0])) ** 2
     # above two-body binding, stop 1% above the dimer threshold: the pair

@@ -117,10 +117,6 @@ class ProjectionStep:
                              l_part=SymOperator._built(s.l_part[0]), _steps=s)
         return step
 
-    @property
-    def _inv_sqrt(self) -> np.ndarray:
-        return self._steps.inv_sqrt[0]
-
 
 @dataclass(frozen=True)
 class StageResult:

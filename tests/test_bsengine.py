@@ -65,19 +65,20 @@ def test_problem_rejects_non_finite_epsilon(epsilon):
 
 def test_bs_operator_scalar_case():
     p = BsProblem(a=sym(np.eye(3)), b=sym(-np.eye(3)), epsilon=1.0)
-    np.testing.assert_allclose(bsengine._kernels(p._stack)[0], 0.5 * np.eye(3), atol=1e-12)
+    np.testing.assert_allclose(bsengine._kernels(p._stack, p._eps)[0], 0.5 * np.eye(3), atol=1e-12)
 
 
 def test_bs_operator_diagonal_case():
     p = BsProblem(a=sym(np.diag([0.0, 3.0])), b=sym(-2.0 * np.eye(2)), epsilon=1.0)
-    np.testing.assert_allclose(bsengine._kernels(p._stack)[0], np.diag([2.0, 0.5]), atol=1e-12)
+    np.testing.assert_allclose(bsengine._kernels(p._stack, p._eps)[0], np.diag([2.0, 0.5]),
+                               atol=1e-12)
 
 
 def test_bs_eigenvalues_match_generalized_problem():
     # oracle: mu solves the generalized problem -B x = mu (A + eps) x
     rng = np.random.default_rng(7)
     p = random_problem(9, rng=rng)
-    k_eigs, _ = spectral_decompose(bsengine._kernels(p._stack)[0])
+    k_eigs, _ = spectral_decompose(bsengine._kernels(p._stack, p._eps)[0])
     gen = scipy.linalg.eigh(-p.b.entries,
                             p.a.entries + p.epsilon * np.eye(p.dim),
                             eigvals_only=True)
@@ -167,14 +168,16 @@ def test_eigenvalue_check_fires_in_counts(monkeypatch, procedure):
     p = random_problem(8, rng=np.random.default_rng(11))
     true_eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: true_eigvalsh(m) + 1e-6)
-    # a fresh problem: random_problem's one has its spectrum of A+B already
-    fresh = BsProblem(a=p.a, b=p.b, epsilon=p.epsilon)
+    # building a problem solves the spectrum of A + B, which both counts read
     with pytest.raises(RuntimeError, match="trace"):
-        procedure(fresh)
+        procedure(BsProblem(a=p.a, b=p.b, epsilon=p.epsilon))
+    if procedure is not count_direct:  # these solve K(eps) on each call
+        with pytest.raises(RuntimeError, match="trace"):
+            procedure(p)
 
 
-def test_bs_equality_problem_costs_three_eigensolves(monkeypatch):
-    # eigh(A) at construction, eigvalsh(A+B) once for both counts, eigvalsh(K)
+def counted_eigensolves(monkeypatch) -> dict:
+    """The numbers of ``np.linalg.eigh`` and ``eigvalsh`` calls from now on."""
     calls = {"eigh": 0, "eigvalsh": 0}
     for name in calls:
         def counted(*args, _name=name, _solver=getattr(np.linalg, name), **kwargs):
@@ -182,9 +185,28 @@ def test_bs_equality_problem_costs_three_eigensolves(monkeypatch):
             return _solver(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_bs_equality_problem_costs_three_eigensolves(monkeypatch):
+    # eigh(A) and eigvalsh(A+B) at construction, both counts read, eigvalsh(K)
+    calls = counted_eigensolves(monkeypatch)
     p = random_problem(9, rng=np.random.default_rng(61), indefinite_b=True)
     assert count_bs(p) == count_direct(p)
     assert calls == {"eigh": 1, "eigvalsh": 2}
+
+
+def test_problem_construction_solves_a_and_a_plus_b_once_each(monkeypatch):
+    calls = counted_eigensolves(monkeypatch)
+    BsProblem(a=sym(np.diag([0.0, 1.0, 2.0])), b=sym(-np.eye(3)), epsilon=0.3)
+    assert calls == {"eigh": 1, "eigvalsh": 1}
+
+
+def test_mu_max_over_shifts_is_one_stacked_eigensolve(monkeypatch):
+    p = BsProblem(a=sym(np.diag([0.0, 1.0, 2.0])), b=sym(-np.eye(3)), epsilon=0.3)
+    calls = counted_eigensolves(monkeypatch)
+    assert mu_max(p, np.linspace(0.05, 2.0, 10)).shape == (10,)
+    assert calls == {"eigh": 0, "eigvalsh": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -206,12 +228,12 @@ def test_corpus_matches_the_per_problem_oracle_bit_for_bit(seed):
                 indefinite_b=bool(oracle_rng.integers(0, 2))))
         # the corpus order: ascending dimension, then draw order
         problems.sort(key=lambda problem: problem[0].dim)
-        members = [(s, j) for s in corpus for j in range(len(s.epsilon))]
+        members = [(s, shifts, j) for s, shifts in corpus for j in range(len(shifts))]
         assert len(members) == len(problems) == 500
-        for i, ((s, j), (a, b, eps)) in enumerate(zip(members, problems)):
+        for i, ((s, shifts, j), (a, b, eps)) in enumerate(zip(members, problems)):
             assert s.a[j].tobytes() == a.entries.tobytes()
             assert s.b[j].tobytes() == b.entries.tobytes()
-            assert s.epsilon[j] == eps
+            assert shifts[j] == eps
             assert (direct[i], via_kernel[i]) == counts_oracle(a, b, eps)
 
 
@@ -219,9 +241,9 @@ def test_count_direct_is_the_strict_count_of_a_plus_b_across_the_verify_corpus()
     # verify's bs_equality and bs_inequality corpora, one after the other
     rng = np.random.default_rng(DEFAULT_SEED)
     for singular_a in (False, True):
-        for s in random_corpus(500, rng, singular_a=singular_a):
-            direct = bsengine._count_direct(s)
-            for j, eps in enumerate(s.epsilon):
+        for s, shifts in random_corpus(500, rng, singular_a=singular_a):
+            direct = bsengine._count_direct(s, shifts)
+            for j, eps in enumerate(shifts):
                 assert direct[j] == count_evs(sym(s.a[j] + s.b[j]), "<", -eps)
 
 
@@ -242,13 +264,13 @@ def test_mu_max_over_shifts_matches_the_per_problem_oracle_bit_for_bit():
 
 
 def three_problems(**bad):
-    """A stack of three 2x2 problems; ``bad`` replaces member 1's ``a``, ``b``
-    or ``eps``."""
+    """A stack of three 2x2 problems and its shifts; ``bad`` replaces member
+    1's ``a``, ``b`` or ``eps``."""
     a, b, eps = [np.eye(2)] * 3, [-0.5 * np.eye(2)] * 3, [1.0, 0.7, 0.4]
     member = {"a": a, "b": b, "eps": eps}
     for name, value in bad.items():
         member[name][1] = value
-    return bsengine._Stack(np.array(a), np.array(b), eps)
+    return bsengine._Stack(np.array(a), np.array(b)), bsengine._shifts(eps)
 
 
 def test_stack_member_breaking_the_trace_check_fails_loudly(monkeypatch):
@@ -261,7 +283,7 @@ def test_stack_member_breaking_the_trace_check_fails_loudly(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", off_in_member_one)
     with pytest.raises(RuntimeError, match=r"trace.*\(stack member 1\)"):
-        bsengine._count_direct(three_problems())
+        bsengine._count_direct(*three_problems())
 
 
 @pytest.mark.parametrize("gap", [0.0, 0.75])
@@ -269,9 +291,9 @@ def test_stack_member_on_the_threshold_fails_loudly(gap):
     # A + B = diag(-1.5 + gap * eta, 1) has an eigenvalue within the band of -eps
     eta = 1e-10 * (1.0 + np.sqrt(1.5**2 + 1.0))
     s = three_problems(a=np.diag([0.0, 1.0]), b=np.diag([-1.5 + gap * eta, 0.0]), eps=1.5)
-    assert bsengine._count_direct(s).tolist() == [0, 0, 0]
+    assert bsengine._count_direct(*s).tolist() == [0, 0, 0]
     with pytest.raises(ThresholdCollisionError, match=r"\(stack member 1\)"):
-        bsengine._count_bs(s)
+        bsengine._count_bs(*s)
 
 
 def test_stack_kernel_eigenvalue_inside_the_band_of_one_is_not_counted():
@@ -279,7 +301,7 @@ def test_stack_kernel_eigenvalue_inside_the_band_of_one_is_not_counted():
     # -1 - 1e-4 of A + B lies clear of -eps = -1; both counts as count_evs has them
     a, b = np.diag([1e6, 1.0]), np.diag([-(1.0 + 1e-10) * (1e6 + 1.0), -1.0])
     s = three_problems(a=a, b=b, eps=1.0)
-    direct, via_kernel = bsengine._count_direct(s), bsengine._count_bs(s)
+    direct, via_kernel = bsengine._count_direct(*s), bsengine._count_bs(*s)
     assert (direct[1], via_kernel[1]) == counts_oracle(sym(a), sym(b), 1.0) == (1, 0)
 
 
@@ -288,12 +310,12 @@ def test_random_stack_jitters_a_colliding_eps_as_the_oracle_does():
     # moves eps by about 1e-10, inside the guard band, so it takes more
     d, b, eps = [[0.5, 1.0], [0.0, 1.0], [0.5, 1.0]], [-0.25, -1e-4, -0.25], [0.3, 1e-4, 0.7]
     draws = [(np.eye(2), np.array(d[i]), np.diag([b[i], 0.0]), eps[i]) for i in range(3)]
-    s = bsengine._random_stack(draws)
+    s, shifts = bsengine._random_stack(draws)
     expected = [jittered_oracle(sym(s.a[i]), sym(s.b[i]), eps[i]) for i in range(3)]
-    assert s.epsilon.tolist() == expected
+    assert shifts.tolist() == expected
     assert expected[0] == 0.3 and expected[1] > 1e-4 * (1.0 + 1e-6)  # two jitters or more
     oracle = [counts_oracle(sym(s.a[i]), sym(s.b[i]), expected[i]) for i in range(3)]
-    assert bsengine._count_bs(s).tolist() == [via_kernel for _, via_kernel in oracle]
+    assert bsengine._count_bs(s, shifts).tolist() == [via_kernel for _, via_kernel in oracle]
 
 
 def test_stack_member_with_no_positive_shift_fails_loudly():
@@ -301,7 +323,7 @@ def test_stack_member_with_no_positive_shift_fails_loudly():
     # lift its lowest eigenvalue above 0
     s = three_problems(a=np.diag([-1e-11, 1.0]), eps=1e-12)
     with pytest.raises(ValueError, match=r"not positive definite.*\(stack member 1\)"):
-        bsengine._count_bs(s)
+        bsengine._count_bs(*s)
 
 
 def test_stack_member_with_a_non_psd_a_fails_loudly():

@@ -463,9 +463,9 @@ def test_verify_bs_sections_solve_one_stack_per_dimension(tmp_path, monkeypatch)
         monkeypatch.setattr(np.linalg, name, counted)
 
     def corpus(*args, **kwargs):
-        for s in bsengine.random_corpus(*args, **kwargs):
-            stacks.append(s)
-            yield s
+        for s, shifts in bsengine.random_corpus(*args, **kwargs):
+            stacks.append(shifts)
+            yield s, shifts
 
     def corpus_counts(corpus):
         counting[0] = True
@@ -482,8 +482,22 @@ def test_verify_bs_sections_solve_one_stack_per_dimension(tmp_path, monkeypatch)
                 "verify.iterbs_instances = 2\n"
                 "verify.bound_instances = 2\n")
     assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
-    assert sum(len(s.epsilon) for s in stacks) == 80 > len(stacks)
+    assert sum(len(shifts) for shifts in stacks) == 80 > len(stacks)
     assert calls == {"eigh": len(stacks), "eigvalsh": 2 * len(stacks)}
+
+
+def test_verify_at_seed_901_makes_its_pinned_eigensolves(tmp_path, monkeypatch):
+    # every section of the default config: a section that solves a spectrum
+    # twice, or falls back to solves per problem, raises these counts
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        def counted(*args, _name=name, _solver=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _solver(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    assert main(["verify", "--seed", "901", "--out", str(tmp_path)]) == EXIT_OK
+    assert calls == {"eigh": 68, "eigvalsh": 216}
 
 
 def test_verify_iterbs_and_bound_sections_solve_one_stack_per_group(tmp_path, monkeypatch):
@@ -590,6 +604,12 @@ def test_efimov_detuned_run(tmp_path):
     summary = json.loads((tmp_path / "efimov.summary.json").read_text())
     assert summary["checks"]["scan_complete"]["pass"]
 
+
+
+def test_efimov_rejects_an_infinite_floor(tmp_path, capsys):
+    cfg = write(tmp_path, "e.conf", 'command = "efimov"\nefimov.e_floor = -inf\n')
+    assert main(["efimov", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CHECK_FAILED
+    assert "e_floor must be negative and finite, got -inf" in capsys.readouterr().err
 
 SMALL_CONFIGS = {
     "verify": "verify.bs_instances = 10\nverify.iterbs_instances = 2\n"

@@ -311,6 +311,18 @@ def test_model_rejects_a_field_out_of_range_when_it_is_built(field, value):
         SeparableModel(**{**fields, field: value})
 
 
+def test_model_takes_an_integral_float_n_p_as_that_many_points():
+    as_float, as_int = unitary_model(n_p=128.0), unitary_model(n_p=128)
+    assert type(as_float.n_p) is int
+    for got, want in zip(as_float.momentum_grid(), as_int.momentum_grid()):
+        assert got.tobytes() == want.tobytes()
+
+    def levels(model):
+        return [(l.energy, l.cutoff_stable) for l in trimer_spectrum(model, -1.0)]
+
+    assert levels(as_float) == levels(as_int)
+
+
 def test_kernel_rejects_nonnegative_energy():
     with pytest.raises(ValueError, match="energy"):
         three_boson_kernel(unitary_model(n_p=128), 0.0)
@@ -722,6 +734,12 @@ def test_trimer_floor_validation():
     m = unitary_model(n_p=128)
     with pytest.raises(ValueError, match="below e_floor"):
         trimer_spectrum(m, -1e-4)
+
+
+@pytest.mark.parametrize("e_floor", [-np.inf, np.nan, 0.0])
+def test_trimer_floor_must_be_negative_and_finite(e_floor):
+    with pytest.raises(ValueError, match=f"e_floor must be negative and finite, got {e_floor}$"):
+        trimer_spectrum(unitary_model(n_p=128), e_floor)
 
 
 def test_shallow_ratios_stable_under_cutoff_doubling():

@@ -1015,7 +1015,7 @@ def test_a_single_problem_error_names_no_stack_member(check):
 
 def test_a_stack_of_two_error_names_its_member():
     with pytest.raises(ValueError, match=r"got nan \(stack member 1\)$"):
-        bsengine._Stack(np.array([np.eye(2)] * 2), np.array([-np.eye(2)] * 2), [1.0, np.nan])
+        bsengine._shifts([1.0, np.nan])
 
 
 # ---------------------------------------------------------------------------
