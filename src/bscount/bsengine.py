@@ -70,7 +70,7 @@ from .linop import (
 MIN_PROJECTION_NORM = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BsProblem:
     """A counting problem ``(A, B, eps)`` with ``A >= 0`` and ``eps > 0`` finite.
 
@@ -104,7 +104,7 @@ class BsProblem:
         return self.a.dim
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Stack:
     """``k`` counting problems of one dimension ``n``, solved together.
 

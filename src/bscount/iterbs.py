@@ -49,7 +49,7 @@ def _check_projection(p: np.ndarray) -> None:
              error=ValueError)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Steps:
     """One subtraction stage of each of ``k`` problems of one dimension.
 
@@ -86,7 +86,7 @@ class _Steps:
         return _symmetrized(w @ (t - self.mu[:, None, None] * self.p) @ w)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProjectionStep:
     """One subtraction stage: projection, weight, and the K/L splitting.
 
@@ -118,7 +118,7 @@ class ProjectionStep:
         return step
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StageResult:
     """Stage-k transform, recurrence remainder, and their agreement residual."""
 

@@ -48,15 +48,17 @@ takes checked eigenvalues: any matrix, or stack, goes to ``eigvalsh``
 whole, whatever zeros or band its entries hold, and its eigenvalues are
 checked against the trace and Frobenius-norm invariants, both O(n^2).
 Counts are strict, ``">"`` or ``"<"``: an eigenvalue within the guard band
-of the threshold is never counted.  ``_selection`` turns a relation and threshold
-into the guarded eigenvalue range and rejects a threshold that is not
-finite; ``_count`` applies it to a spectrum, for ``count_evs`` and for the
+of the threshold is never counted.  The two relations and the band, the
+private relation ``"="``, are three half-open intervals that partition the
+real line, ``(t + eta, inf)``, ``(-inf, t - eta]`` and ``(t - eta, t +
+eta]``; ``_interval`` makes them, and rejects a threshold that is not
+finite.  ``_count`` counts a spectrum in one, for ``count_evs`` and for the
 callers that count a spectrum they also read, and ``_tridiagonal_count``
-to a Sturm count.  ``_collides`` tells whether an eigenvalue lies within
-the guard band of a threshold, where neither relation counts it, and
-``_tridiagonal_collides`` tells it by one Sturm count over the band.  A
-count leaves such an eigenvalue out; a caller that compares two counts, or
-brackets a level by a count, asks first and raises
+makes a Sturm count in one.  ``_collides`` tells whether an eigenvalue lies
+within the guard band of a threshold, where neither relation counts it,
+as the count of ``"="``, which the Sturm count of ``"="`` tells of a
+tridiagonal matrix.  A count leaves such an eigenvalue out; a caller that
+compares two counts, or brackets a level by a count, asks first and raises
 ``ThresholdCollisionError``, defined here: a level on the threshold is the
 case the paper's finiteness theorem excludes (no subsystem with an
 eigenvalue or resonance at zero energy), so it is refused, not counted.
@@ -71,10 +73,10 @@ private ``_checked_eigenvalues``, ``_spectral_decompose`` and
 with every check run on each matrix and a failure naming the member;
 ``_count_evs`` and ``_count`` take one threshold per member or one for
 all.  The tridiagonal layer is one Sturm count and one factorization:
-``_sturm_count`` counts by LAPACK ``stebz`` for ``_tridiagonal_count``
-and ``_tridiagonal_collides``, and ``_tridiagonal_factor`` factors the
-tridiagonal matrix by LAPACK ``pttrf`` in O(n), which succeeds exactly
-when the matrix is positive definite.  ``_kernel_top_eigenvalue`` is the
+``_tridiagonal_count`` counts by LAPACK ``stebz``, and
+``_tridiagonal_factor`` factors the tridiagonal matrix by LAPACK ``pttrf``
+in O(n), which succeeds exactly when the matrix is positive definite.
+``_kernel_top_eigenvalue`` is the
 largest eigenvalue of a kernel ``S T^-1 S`` with ``T`` tridiagonal and
 ``S^2`` a nonnegative diagonal, which radial's critical coupling and
 ``mu_scan`` read: it brackets by factoring ``T - S^2 / sigma``, which
@@ -86,11 +88,13 @@ Frobenius checks.  It reports how many factorizations it made.
 
 The Gauss-Legendre rules of the package, efimov's momentum grid and
 radial's ``gauss_legendre`` grid and Rollnik panels, are eigensolves too:
-``_legendre_rule`` takes the nodes from the Jacobi matrix of the Legendre
-recurrence (Golub & Welsch 1969) by ``eigvals_banded``, as scipy's
-``roots_legendre`` does, and ports the rest of that routine, so that its
-arrays are scipy's bit for bit without loading ``scipy.special`` but at the
-middle node of an odd order.  Each rule is computed once per order and
+``_legendre_rule`` takes the nodes of an even order from the Jacobi matrix
+of the Legendre recurrence (Golub & Welsch 1969) by ``eigvals_banded``, as
+scipy's ``roots_legendre`` does, and ports the rest of that routine, so
+that its arrays are scipy's bit for bit without loading ``scipy.special``.
+An odd order, which no default run uses, is ``roots_legendre``'s own:
+scipy evaluates ``P_n`` at its middle node, 0, by a power series that
+needs ``scipy.special`` anyway.  Each rule is computed once per order and
 frozen.
 """
 
@@ -126,7 +130,7 @@ class ThresholdCollisionError(RuntimeError):
     no count is exact: the level sits on the threshold."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymOperator:
     """A dense real symmetric matrix standing for a self-adjoint operator.
 
@@ -306,41 +310,21 @@ def _finite_fro(m: np.ndarray):
 
 
 def _tridiagonal_count(diag, off, relation: str, threshold: float) -> int:
-    """``count_evs`` of the symmetric tridiagonal matrix ``T`` with diagonal
-    ``diag`` and off-diagonal ``off``, by ``_sturm_count`` over the guarded
-    range of ``_selection``, ``(edge, inf)`` or ``(-inf, edge]``."""
-    def interval(eta):
-        edge, above = _selection(relation, threshold, eta)
-        return (edge, math.inf) if above else (-math.inf, edge)
-
-    return _sturm_count(diag, off, interval)
-
-
-def _tridiagonal_collides(diag, off, threshold: float) -> bool:
-    """``_collides`` of the symmetric tridiagonal matrix ``T`` with diagonal
-    ``diag`` and off-diagonal ``off``: whether an eigenvalue lies in the
-    guard band ``(threshold - eta, threshold + eta]``, by one
-    ``_sturm_count`` over that band."""
-    def band(eta):
-        return _selection("<", threshold, eta)[0], _selection(">", threshold, eta)[0]
-
-    return _sturm_count(diag, off, band) > 0
-
-
-def _sturm_count(diag, off, interval) -> int:
     """The number of eigenvalues of the symmetric tridiagonal matrix ``T``
-    with diagonal ``diag`` and off-diagonal ``off`` in the half-open range
-    ``(lo, hi] = interval(eta)``, for its guard band ``eta = 1e-10 (1 +
-    |T|_F)``, in O(n).
+    with diagonal ``diag`` and off-diagonal ``off`` in the half-open
+    ``_interval`` of ``relation threshold``, for its guard band ``eta = 1e-10
+    (1 + |T|_F)``, in O(n): ``count_evs`` of ``T`` for ``">"`` and ``"<"``,
+    and for ``"="`` the eigenvalues in the band, which ``_collides`` tells
+    of a spectrum.
 
     LAPACK ``stebz`` with ``RANGE='V'`` counts the eigenvalues in exactly
-    that range from the Sturm sequences at its two ends, which are exact for
-    a matrix within a few ulps of ``T`` (Kahan 1966), far inside the guard
-    band.  The count needs no eigenvalue, so the bisection tolerance is set
-    wider than the spectrum (Gershgorin: ``4 (1 + |T|_F)``), and ``stebz``
-    stops at those two counts.  A matrix whose ``|T|_F`` is not finite has
-    no guard band and raises ValueError; a LAPACK failure raises
-    RuntimeError.
+    that half-open range from the Sturm sequences at its two ends, which are
+    exact for a matrix within a few ulps of ``T`` (Kahan 1966), far inside
+    the guard band.  The count needs no eigenvalue, so the bisection
+    tolerance is set wider than the spectrum (Gershgorin: ``4 (1 +
+    |T|_F)``), and ``stebz`` stops at those two counts.  A matrix whose
+    ``|T|_F`` is not finite has no guard band and raises ValueError; a
+    LAPACK failure raises RuntimeError.
     """
     import scipy.linalg  # only here, so that importing bscount stays light
 
@@ -350,7 +334,7 @@ def _sturm_count(diag, off, interval) -> int:
         raise ValueError("|T|_F of the tridiagonal matrix is not finite: no finite guard band")
     try:
         return scipy.linalg.eigvalsh_tridiagonal(
-            diag, off, select="v", select_range=interval(_guard(fro)),
+            diag, off, select="v", select_range=_interval(relation, threshold, _guard(fro)),
             tol=4.0 * (1.0 + fro)).size
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigenvalue solver did not converge: {exc}") from exc
@@ -455,75 +439,59 @@ def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the ``n``-point Gauss-Legendre rule on [-1, 1],
     computed once per ``n`` and frozen, since every caller shares them.
 
-    The nodes are the eigenvalues of the Jacobi matrix of the Legendre
-    recurrence (Golub & Welsch 1969), by LAPACK ``sbevd`` through
-    ``scipy.linalg.eigvals_banded``.  The rest is a line-for-line port of
-    scipy's ``roots_legendre``: one Newton step on ``P_n``, weights
-    ``1 / (P_{n-1} P_n')`` with both factors normalized by the geometric
-    mean of their extreme magnitudes, then symmetrized and scaled to sum to
-    2.  It makes the same float operations, so its arrays are
-    ``scipy.special.roots_legendre(n)``'s bit for bit.
+    An odd order is ``scipy.special.roots_legendre(n)`` itself: scipy
+    evaluates ``P_n`` at the middle node, 0, by a power series whose leading
+    constant comes from cephes' ``beta``, so no port of it would save the
+    ``scipy.special`` import.  For an even order the nodes are the
+    eigenvalues of the Jacobi matrix of the Legendre recurrence (Golub &
+    Welsch 1969), by LAPACK ``sbevd`` through ``scipy.linalg.eigvals_banded``.
+    The rest is a line-for-line port of ``roots_legendre``: one Newton step
+    on ``P_n``, weights ``1 / (P_{n-1} P_n')`` with both factors normalized
+    by the geometric mean of their extreme magnitudes, then symmetrized and
+    scaled to sum to 2.  It makes the same float operations, so its arrays
+    are ``roots_legendre(n)``'s bit for bit while no node lies within 1e-5 of
+    0, where scipy too would take the power series: up to n of about 1.5e5.
+    Either route makes one ``eigvals_banded`` call.
     """
-    from scipy.linalg import eigvals_banded  # only here, so that importing bscount stays light
+    if n % 2:
+        from scipy.special import roots_legendre  # only here: the package needs it nowhere else
 
-    k = np.arange(n, dtype=float)
-    band = np.zeros((2, n))
-    band[0, 1:] = k[1:] * np.sqrt(1.0 / (4 * k[1:] * k[1:] - 1))
-    x = eigvals_banded(band, overwrite_a_band=True)
-    p_prev, p_n = _legendre_values(n, x)
-    dy = (-n * x * p_n + n * p_prev) / (1 - x**2)
-    x -= p_n / dy
-    fm = _legendre_values(n, x)[0]
-    log_fm = np.log(np.abs(fm))
-    log_dy = np.log(np.abs(dy))
-    fm /= np.exp((log_fm.max() + log_fm.min()) / 2.0)
-    dy /= np.exp((log_dy.max() + log_dy.min()) / 2.0)
-    w = 1.0 / (fm * dy)
-    w = (w + w[::-1]) / 2
-    x = (x - x[::-1]) / 2
-    w *= 2.0 / w.sum()
+        x, w = roots_legendre(n)
+    else:
+        from scipy.linalg import eigvals_banded  # only here, so that importing bscount stays light
+
+        k = np.arange(n, dtype=float)
+        band = np.zeros((2, n))
+        band[0, 1:] = k[1:] * np.sqrt(1.0 / (4 * k[1:] * k[1:] - 1))
+        x = eigvals_banded(band, overwrite_a_band=True)
+        p_prev, p_n = _legendre_values(n, x)
+        dy = (-n * x * p_n + n * p_prev) / (1 - x**2)
+        x -= p_n / dy
+        fm = _legendre_values(n, x)[0]
+        log_fm = np.log(np.abs(fm))
+        log_dy = np.log(np.abs(dy))
+        fm /= np.exp((log_fm.max() + log_fm.min()) / 2.0)
+        dy /= np.exp((log_dy.max() + log_dy.min()) / 2.0)
+        w = 1.0 / (fm * dy)
+        w = (w + w[::-1]) / 2
+        x = (x - x[::-1]) / 2
+        w *= 2.0 / w.sum()
     for array in (x, w):
         array.setflags(write=False)
     return x, w
 
 
 def _legendre_values(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(P_{n-1}(x), P_n(x))`` as scipy's ``eval_legendre`` computes them:
-    its forward recurrence on the difference ``d = P_k - P_{k-1}``,
-    vectorized over ``x``, whose step ``k`` gives ``P_{k+1}``, so one run
-    gives both; and its power series where ``|x| < 1e-5``, only the middle
-    node of an odd order here, for orders of at least 2."""
+    """``(P_{n-1}(x), P_n(x))`` as scipy's ``eval_legendre`` computes them
+    where ``|x| >= 1e-5``: its forward recurrence on the difference ``d =
+    P_k - P_{k-1}``, vectorized over ``x``, whose step ``k`` gives
+    ``P_{k+1}``, so one run gives both."""
     p_prev, p = np.ones_like(x), x.copy()
     d = x_1 = x - 1
     for k in range(1, n):
         d = ((2 * k + 1) / (k + 1)) * x_1 * p + (k / (k + 1)) * d
         p_prev, p = p, p + d
-    for i in np.flatnonzero(np.abs(x) < 1e-5):
-        if n >= 3:
-            p_prev[i] = _legendre_series(n - 1, float(x[i]))
-        if n >= 2:
-            p[i] = _legendre_series(n, float(x[i]))
     return p_prev, p
-
-
-def _legendre_series(n: int, x: float) -> float:
-    """``P_n(x)`` near 0 by scipy's power series, ``n >= 2``.  Its leading
-    constant comes from cephes' ``beta``, which is not correctly rounded, so
-    scipy's is used: no constant computed here has its bits."""
-    from scipy.special import beta  # only here: the package needs it nowhere else
-
-    a = n // 2
-    d = -2 / beta(a + 1, -0.5) if n % 2 == 0 else 2 * x / beta(a + 1, 0.5)
-    if a % 2 == 1:
-        d = -d
-    p = 0.0
-    for kk in range(a + 1):
-        p += d
-        d *= (-2 * x**2 * (a - kk) * (2 * n + 1 - 2 * a + 2 * kk)
-              / ((n + 1 - 2 * a + 2 * kk) * (n + 2 - 2 * a + 2 * kk)))
-        if d == 0.0:  # every later term is 0 too
-            break
-    return p
 
 
 def _guard(fro: float) -> float:
@@ -532,43 +500,38 @@ def _guard(fro: float) -> float:
 
 
 def _count(lam: np.ndarray, eta, relation: str, threshold):
-    """The number of the eigenvalues ``lam`` that satisfy ``relation
-    threshold`` outside the guard band ``eta``, by the rule of
-    ``_selection``; or, for the eigenvalues ``(k, n)`` of a stack, the array
-    of each member's count, against the same ``threshold`` or its own entry
-    of the array ``threshold``, with its own entry of the array ``eta``.
-    Every guarded count of a computed spectrum in the package is made
-    here."""
-    edge, above = _selection(relation, threshold, eta)
-    edge = np.expand_dims(edge, -1)
-    return np.count_nonzero(lam > edge if above else lam <= edge, axis=-1)
+    """The number of the eigenvalues ``lam`` in the half-open ``_interval``
+    ``(lo, hi]`` of ``relation threshold`` and the guard band ``eta``; or,
+    for the eigenvalues ``(k, n)`` of a stack, the array of each member's
+    count, against the same ``threshold`` or its own entry of the array
+    ``threshold``, with its own entry of the array ``eta``.  Every guarded
+    count of a computed spectrum in the package is made here."""
+    lo, hi = (np.expand_dims(edge, -1) for edge in _interval(relation, threshold, eta))
+    return np.count_nonzero((lam > lo) & (lam <= hi), axis=-1)
 
 
 def _collides(lam: np.ndarray, eta, threshold):
     """Whether an eigenvalue of ``lam`` lies in the guard band ``(threshold -
-    eta, threshold + eta]``, between the edges of ``_selection``, where
-    neither ``">"`` nor ``"<"`` counts it; for the eigenvalues ``(k, n)`` of
-    a stack, the array of it per member."""
-    below, above = (np.expand_dims(_selection(relation, threshold, eta)[0], -1)
-                    for relation in ("<", ">"))
-    return np.any((lam > below) & (lam <= above), axis=-1)
+    eta, threshold + eta]``, the ``_interval`` of ``"="``, where neither
+    ``">"`` nor ``"<"`` counts it; for the eigenvalues ``(k, n)`` of a
+    stack, the array of it per member."""
+    return _count(lam, eta, "=", threshold) > 0
 
 
-def _selection(relation: str, threshold: float, eta: float) -> tuple[float, bool]:
+def _interval(relation: str, threshold, eta) -> tuple:
     """The eigenvalues that satisfy ``relation threshold`` outside the guard
-    band ``eta``, as ``(edge, above)``: those above ``edge`` when ``above``,
-    else those at most ``edge``.  Both relations are strict and exclude the
-    band around the threshold.  ``threshold`` and ``eta`` may be arrays over
-    a stack, giving an array ``edge``.  A relation other than ``">"`` and
-    ``"<"`` or a threshold that is not finite raises ValueError, naming the
-    stack member.
+    band ``eta``, as the half-open range ``(lo, hi]``: ``(threshold + eta,
+    inf)`` for ``">"``, ``(-inf, threshold - eta]`` for ``"<"``, and for the
+    private relation ``"="`` the band ``(threshold - eta, threshold + eta]``
+    between them, where neither strict relation counts an eigenvalue.  The
+    three partition the real line.  ``threshold`` and ``eta`` may be arrays
+    over a stack, giving array edges.  A threshold that is not finite raises
+    ValueError, naming the stack member.
     """
-    if relation not in _RELATIONS:
-        raise ValueError(f"unknown relation {relation!r}, expected one of {_RELATIONS}")
     _require(np.isfinite(threshold), "count threshold must be finite, got {}", threshold,
              error=ValueError)
-    above = relation == ">"
-    return (threshold + eta if above else threshold - eta), above
+    below, above = threshold - eta, threshold + eta
+    return {">": (above, math.inf), "<": (-math.inf, below), "=": (below, above)}[relation]
 
 
 def count_evs(a: SymOperator, relation: str, threshold: float) -> int:
@@ -576,8 +539,10 @@ def count_evs(a: SymOperator, relation: str, threshold: float) -> int:
 
     ``relation`` is ``">"`` or ``"<"``; both are strict and exclude a guard
     band around the threshold, so counts are exact whenever spectral gaps
-    are large compared to the band ``1e-10 * (1 + |A|_F)``.  Any other
-    relation raises ValueError.  A matrix whose builder recorded it
+    are large compared to the band ``1e-10 * (1 + |A|_F)``.  Each counts
+    the eigenvalues in its half-open ``_interval``, ``(t + eta, inf)`` or
+    ``(-inf, t - eta]``.  Any other relation raises ValueError, the band's
+    own private ``"="`` too.  A matrix whose builder recorded it
     tridiagonal is counted by Sturm sequences (``stebz``) on its diagonals,
     in O(n) and with no eigenvalue computed, so there is no spectrum for
     the trace and Frobenius-norm checks to test: the Sturm count is exact
@@ -595,6 +560,8 @@ def count_evs(a: SymOperator, relation: str, threshold: float) -> int:
     before any eigenvalue is counted.
     """
     a = sym(a)
+    if relation not in _RELATIONS:
+        raise ValueError(f"unknown relation {relation!r}, expected one of {_RELATIONS}")
     if a._tridiagonal:
         return _tridiagonal_count(a.entries.diagonal(), a.entries.diagonal(-1),
                                   relation, threshold)
@@ -610,9 +577,10 @@ def _compressed_count(m: np.ndarray, relation: str, threshold: float) -> int | N
     columns, or None where the proof fails; ``count_evs`` then counts the
     full spectrum.
 
-    The count of ``A`` above ``tau = threshold + eta`` for ``">"`` is made;
-    for ``"<"`` that of ``-A`` above ``-(threshold - eta)``, with ``eta`` the
-    guard band ``1e-10 (1 + |A|_F)``.  ``Q`` (n x k, orthonormal) is the QR of
+    For ``">"``, whose ``_interval`` is ``(lo, inf)``, the count of ``A``
+    above ``tau = lo`` is made; for ``"<"``, whose interval is ``(-inf,
+    hi]``, that of ``-A`` above ``tau = -hi``, for the guard band ``eta =
+    1e-10 (1 + |A|_F)``.  ``Q`` (n x k, orthonormal) is the QR of
     the k columns of ``A`` of largest norm, then of ``A Q`` twice (block
     subspace iteration, Halko, Martinsson & Tropp 2011), by numpy alone, so
     that no call into scipy's BLAS is interleaved; an orthonormality defect
@@ -640,8 +608,8 @@ def _compressed_count(m: np.ndarray, relation: str, threshold: float) -> int | N
     """
     n, k = m.shape[0], _COMPRESSION_RANK
     fro = _finite_fro(m)
-    edge, above = _selection(relation, threshold, _guard(fro))
-    a, tau = (m, edge) if above else (-m, -edge)
+    lo, hi = _interval(relation, threshold, _guard(fro))
+    a, tau = (m, lo) if relation == ">" else (-m, -hi)
     q = np.linalg.qr(a[:, np.argsort(np.einsum("ij,ij->j", a, a), kind="stable")[-k:]])[0]
     for _ in range(2):
         q = np.linalg.qr(a @ q)[0]
@@ -677,5 +645,5 @@ def _count_evs(m: np.ndarray, relation: str, threshold):
 
 def hs_norm(a: SymOperator) -> float:
     """Hilbert-Schmidt (Frobenius) norm of the operator."""
-    return float(np.linalg.norm(sym(a).entries))
+    return _fro(sym(a).entries)
 

@@ -54,8 +54,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .linop import (SymOperator, ThresholdCollisionError, _checked_eigenvalues, _collides,
-                    _count, _kernel_top_eigenvalue, _legendre_rule, _tridiagonal_collides,
-                    _tridiagonal_count)
+                    _count, _kernel_top_eigenvalue, _legendre_rule, _tridiagonal_count)
 
 POTENTIAL_KINDS = ("yukawa", "exponential", "gaussian", "square_well", "table")
 
@@ -292,12 +291,12 @@ def _negative_count_off_threshold(pot: PotentialSpec, grid: RadialGrid, eps: flo
     counts ``reduced_hamiltonian(pot, grid)`` below ``-eps``, which leaves
     out eigenvalues within ``1e-10 * (1 + |H|_F)`` of ``-eps``.  Such an
     eigenvalue raises ThresholdCollisionError naming ``eps`` instead; one
-    more Sturm count, over the band, tells it, from the same diagonals.  At
-    ``eps = 0`` that eigenvalue is a zero-energy level, the case the paper's
-    finiteness theorem excludes.
+    more Sturm count, of the band ``"="``, tells it, from the same
+    diagonals.  At ``eps = 0`` that eigenvalue is a zero-energy level, the
+    case the paper's finiteness theorem excludes.
     """
     diag, off = _fd_diagonals(pot, grid)
-    if _tridiagonal_collides(diag, off, -eps):
+    if _tridiagonal_count(diag, off, "=", -eps):
         raise ThresholdCollisionError(
             f"an eigenvalue of the reduced Hamiltonian at ell = {grid.ell} lies within the "
             f"guard band of -eps at eps = {eps:.17g}: a level sits on the counting threshold")

@@ -81,8 +81,8 @@ def test_efimov_loads_no_scipy_optimize(tmp_path):
 
 def test_efimov_loads_no_scipy_special(tmp_path):
     # the momentum grid is linop._legendre_rule, a port of scipy's
-    # roots_legendre that calls into scipy.special only at the middle node of
-    # an odd order
+    # roots_legendre at even orders, which n_p is; only an odd order calls
+    # scipy.special's own
     assert efimov_loads(tmp_path, "scipy.special") == "[]"
 
 

@@ -25,7 +25,7 @@ from bscount.linop import (
     _legendre_rule,
     _spectral_decompose,
     _symmetrized,
-    _tridiagonal_collides,
+    _tridiagonal_count,
     _tridiagonal_factor,
     ThresholdCollisionError,
     count_evs,
@@ -260,6 +260,33 @@ def test_stored_entries_do_not_alias_the_callers_array():
         assert op.entries[0, 0] == 1.0
 
 
+def spectral_stage():
+    k = sym(np.diag([2.0, 0.5, 0.3, 0.1]))
+    step = iterbs.random_spectral_step(k, np.random.default_rng(DEFAULT_SEED))
+    return step, iterbs.iterate(k, [step])[0]
+
+
+# each package value that holds arrays, built afresh by each call
+ARRAY_VALUES = {
+    "SymOperator": lambda: sym(np.eye(3)),
+    "BsProblem": lambda: bsengine.BsProblem(sym(np.eye(2)), sym(-0.5 * np.eye(2)), 0.25),
+    "_Stack": lambda: ARRAY_VALUES["BsProblem"]()._stack,
+    "ProjectionStep": lambda: spectral_stage()[0],
+    "_Steps": lambda: spectral_stage()[0]._steps,
+    "StageResult": lambda: spectral_stage()[1],
+}
+
+
+@pytest.mark.parametrize("name", ARRAY_VALUES)
+def test_values_holding_arrays_compare_and_hash_by_identity(name):
+    # a dataclass's own __eq__ would compare its arrays, whose truth value is
+    # ambiguous, and its own __hash__ would hash them, which fails
+    first, second = ARRAY_VALUES[name](), ARRAY_VALUES[name]()
+    assert type(first).__name__ == name
+    assert first == first and first != second
+    assert len({first, first, second}) == 2
+
+
 # ---------------------------------------------------------------------------
 # spectral_decompose
 
@@ -372,9 +399,25 @@ def guard_band_edges(threshold, eta):
 
 
 # where each of ``guard_band_edges`` lies: counted by ``">"`` or by ``"<"``, or
-# in the band (t - eta, t + eta], where neither relation counts it and it collides
-EDGE_SIDES = ["<", "<", None, None, None, None, ">"]
+# in the band (t - eta, t + eta], linop's private relation "=", where neither
+# relation counts it and it collides
+EDGE_SIDES = ["<", "<", "=", "=", "=", "=", ">"]
 EDGE_COUNTS = {relation: EDGE_SIDES.count(relation) for relation in (">", "<")}
+# the three half-open intervals of linop._interval, which partition the line
+INTERVALS = (">", "<", "=")
+
+
+def own_band_edge(threshold, j):
+    """The ``j``-th of ``guard_band_edges(threshold, eta)`` for the guard band
+    ``eta`` of the 1 x 1 tridiagonal matrix it makes, as linop computes that
+    band, found by fixed-point iteration: the point sits on the edge of its
+    own Sturm count's band."""
+    x = threshold
+    for _ in range(4):
+        eta = 1e-10 * (1.0 + abs(x))  # |T|_F = sqrt(x^2), which rounds to |x| exactly
+        x = guard_band_edges(threshold, eta)[j]
+    assert 1e-10 * (1.0 + abs(x)) == eta
+    return x
 
 
 @pytest.mark.parametrize("relation", EDGE_COUNTS)
@@ -395,18 +438,24 @@ def test_collision_is_an_eigenvalue_that_neither_relation_counts():
     threshold, eta = -1.5, 1e-10 * 4.0
     edges = guard_band_edges(threshold, eta)
     # t - eta is counted by "<"; t + eta by neither, so it collides
-    for lam, side in zip(edges, EDGE_SIDES):
+    for j, (lam, side) in enumerate(zip(edges, EDGE_SIDES)):
         lam = np.array([lam])
-        assert bool(_collides(lam, eta, threshold)) is (side is None)
-        assert [_count(lam, eta, r, threshold) for r in (">", "<")] == \
-            [int(side == ">"), int(side == "<")]
+        assert bool(_collides(lam, eta, threshold)) is (side == "=")
+        # exactly one of the three intervals holds each point, on the dense
+        # and on the Sturm count
+        assert [_count(lam, eta, r, threshold) for r in INTERVALS] == \
+            [int(side == r) for r in INTERVALS]
+        own = np.array([own_band_edge(threshold, j)])
+        assert [_tridiagonal_count(own, np.zeros(0), r, threshold) for r in INTERVALS] == \
+            [int(side == r) for r in INTERVALS], j
     assert _collides(np.array([edges[[0, 3]], edges[[0, 6]], edges[[1, 5]]]), np.full(3, eta),
                      np.full(3, threshold)).tolist() == [True, False, True]
 
 
 def test_count_rejects_unknown_relation():
+    # "=", the guard band, is a relation private to linop
     for a in (sym(np.eye(2)), random_tridiagonal(np.random.default_rng(DEFAULT_SEED), 2)):
-        for relation in ("!=", ">=", "<="):
+        for relation in ("!=", ">=", "<=", "="):
             with pytest.raises(ValueError, match="unknown relation"):
                 count_evs(a, relation, 0.0)
 
@@ -764,10 +813,9 @@ def test_sturm_collision_matches_the_sterf_spectrum_across_the_guard_band():
         for x in rng.choice(lam, size=min(dim, 4), replace=False):
             for shift in (-2.0, -0.8, -0.5, 0.5, 0.8, 2.0):
                 threshold = x + shift * eta
-                assert _tridiagonal_collides(diag, off, threshold) is (abs(shift) < 1.0), \
-                    (dim, shift)
-                assert _tridiagonal_collides(diag, off, threshold) == \
-                    bool(_collides(lam, eta, threshold))
+                collides = _tridiagonal_count(diag, off, "=", threshold) > 0
+                assert collides is (abs(shift) < 1.0), (dim, shift)
+                assert collides == bool(_collides(lam, eta, threshold))
 
 
 def test_sturm_collision_takes_the_half_open_band_to_the_ulp():
@@ -783,8 +831,14 @@ def test_sturm_collision_takes_the_half_open_band_to_the_ulp():
             threshold = np.nextafter(threshold, -np.inf)
         for _ in range(9):
             collides = bool(_collides(diag, eta, threshold))
-            assert _tridiagonal_collides(diag, off, threshold) is collides, threshold
+            assert (_tridiagonal_count(diag, off, "=", threshold) > 0) is collides, threshold
             seen.add(collides)
+            # exactly one of the three intervals holds each eigenvalue, on the
+            # dense and on the Sturm count
+            for lam in diag:
+                assert sum(_count(np.array([lam]), eta, r, threshold) for r in INTERVALS) == 1
+            assert [_tridiagonal_count(diag, off, r, threshold) for r in INTERVALS] == \
+                [_count(diag, eta, r, threshold) for r in INTERVALS], threshold
             threshold = np.nextafter(threshold, np.inf)
     assert seen == {True, False}
 
@@ -1054,13 +1108,22 @@ def test_no_module_but_linop_compares_with_a_guard_band():
 
 
 def test_no_module_but_linop_counts_a_comparison():
-    # linop's _count holds the counting rule; np.sum or np.count_nonzero of a
-    # comparison elsewhere would be a second rule, without its guard band
+    # linop's _count holds the counting rule and linop._interval its edges;
+    # np.sum or np.count_nonzero of a comparison elsewhere would be a second
+    # rule, without its guard band, and a threshold plus or minus eta a second
+    # edge of the band
     found = [f"{file}:{node.lineno}" for file, node in nodes_outside_linop()
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
              and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"
              and node.func.attr in ("sum", "count_nonzero")
              and any(isinstance(arg, ast.Compare) for arg in node.args)]
+    found += [f"{file}:{node.lineno} +/- eta" for file, node in nodes_outside_linop()
+              if isinstance(node, (ast.BinOp, ast.AugAssign))
+              and isinstance(node.op, (ast.Add, ast.Sub)) and any(
+                  isinstance(name, ast.Name) and name.id == "eta"
+                  for operand in ((node.left, node.right) if isinstance(node, ast.BinOp)
+                                  else (node.target, node.value))
+                  for name in ast.walk(operand))]
     assert not found
 
 
@@ -1284,7 +1347,7 @@ def test_positive_definite_turns_an_illegal_argument_into_runtime_error(monkeypa
 @pytest.mark.parametrize("orders", [range(1, 101), range(101, 201), range(201, 301), [1001]],
                          ids=["1-100", "101-200", "201-300", "1001"])
 def test_legendre_rule_is_scipys_bit_for_bit(orders):
-    # odd orders take the power series at the middle node
+    # odd orders are scipy's own; even ones are ported bit for bit
     from scipy.special import roots_legendre
 
     for n in orders:
