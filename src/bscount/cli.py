@@ -59,6 +59,7 @@ from .bsengine import (
 )
 from .efimov import (
     SeparableModel,
+    _require_floor,
     lambda_unitary,
     s0_oracle,
     trimer_spectrum,
@@ -226,9 +227,53 @@ def _flattened(table: dict, prefix: str = ""):
             yield prefix + name, value
 
 
+def _radial_grid(cfg) -> RadialGrid:
+    """The radial grid of a ``twobody`` config."""
+    return RadialGrid(ell=int(cfg["grid.ell"]), r_max=float(cfg["grid.r_max"]),
+                      n=int(cfg["grid.n"]))
+
+
+def _potential(cfg, table=None) -> PotentialSpec:
+    """The pair potential of a ``twobody`` config: of ``potential.kind``, or
+    of the columns ``(r, v)`` of a potential table read into ``table``."""
+    strength, width = float(cfg["potential.strength"]), float(cfg["potential.range"])
+    if table is None:
+        return PotentialSpec(kind=cfg["potential.kind"], strength=strength, range=width)
+    return PotentialSpec(kind="table", strength=strength, range=width,
+                         table_r=table[:, 0], table_v=table[:, 1])
+
+
+def _model(cfg) -> SeparableModel:
+    """The three-boson model of an ``efimov`` config."""
+    beta, coupling = float(cfg["model.beta"]), cfg["model.coupling"]
+    return SeparableModel(beta=beta,
+                          lam=lambda_unitary(beta) if coupling == "unitary" else float(coupling),
+                          p_max=float(cfg["model.p_max"]), n_p=int(cfg["model.n_p"]),
+                          grid_c=float(cfg["model.grid_c"]))
+
+
+# the config keys whose range rule the library owns: key -> a function of a
+# merged config that builds, or checks, what owns the rule
+_RANGE_OWNERS = {
+    **dict.fromkeys(("grid.ell", "grid.r_max", "grid.n"), _radial_grid),
+    **dict.fromkeys(("potential.kind", "potential.strength", "potential.range"), _potential),
+    **dict.fromkeys(("model.beta", "model.coupling", "model.p_max", "model.n_p",
+                     "model.grid_c"), _model),
+    "efimov.e_floor": lambda cfg: _require_floor(float(cfg["efimov.e_floor"])),
+}
+
+
 def validate_config(values: dict, positions: dict, command: str | None) -> dict:
-    """Merge defaults and reject unknown keys and values of the wrong type
-    (strict parsing), at the key's line and column."""
+    """Merge defaults and reject unknown keys, values of the wrong type
+    (strict parsing) and values out of their key's range, at the key's line
+    and column.
+
+    A range rule is the library's own: a key of ``_RANGE_OWNERS`` is checked
+    by building what owns its rule, with that value and every other key at
+    its default, so that an error names the key.  (``potential.kind`` is not
+    read, nor checked, where a potential table is given.)  None of them
+    loads scipy.
+    """
     cfg_command = values.get("command", command)
     if cfg_command is None:
         raise ConfigError("no command given (config key 'command' or CLI)", 1, 1)
@@ -252,6 +297,12 @@ def validate_config(values: dict, positions: dict, command: str | None) -> dict:
             raise ConfigError(f"{key} must be {unitary}{_TYPE_NAMES[kind]}, got {value!r}",
                               line, col)
     merged = {k: v for k, v in allowed.items() if v is not None}
+    for key, value in values.items():  # each value in range, the others at their defaults
+        if key in _RANGE_OWNERS and not (key == "potential.kind" and "potential.table" in values):
+            try:
+                _RANGE_OWNERS[key]({**merged, key: value})
+            except ValueError as exc:
+                raise ConfigError(f"{key}: {exc}", *positions.get(key, (1, 1))) from None
     merged.update(values)
     merged["command"] = cfg_command
     if not _is_seed(merged["seed"]):
@@ -398,22 +449,16 @@ def _verify_rank_one(rng, size):
 
 
 def _load_potential(cfg) -> PotentialSpec:
-    if cfg.get("potential.table"):
-        table = np.loadtxt(cfg["potential.table"])
-        if table.ndim != 2 or table.shape[1] != 2:
-            raise ValueError("potential table files need two columns (r, v)")
-        return PotentialSpec(kind="table", strength=float(cfg["potential.strength"]),
-                             range=float(cfg["potential.range"]),
-                             table_r=table[:, 0], table_v=table[:, 1])
-    return PotentialSpec(kind=cfg["potential.kind"],
-                         strength=float(cfg["potential.strength"]),
-                         range=float(cfg["potential.range"]))
+    if not cfg.get("potential.table"):
+        return _potential(cfg)
+    table = np.loadtxt(cfg["potential.table"])
+    if table.ndim != 2 or table.shape[1] != 2:
+        raise ValueError("potential table files need two columns (r, v)")
+    return _potential(cfg, table)
 
 
 def _run_twobody(cfg, jobs):
-    pot = _load_potential(cfg)
-    grid = RadialGrid(ell=int(cfg["grid.ell"]), r_max=float(cfg["grid.r_max"]),
-                      n=int(cfg["grid.n"]))
+    pot, grid = _load_potential(cfg), _radial_grid(cfg)
     epsilons = [float(e) for e in cfg["scan.epsilons"]]
     if not epsilons:
         raise ValueError("scan.epsilons is empty")
@@ -474,14 +519,8 @@ def _run_iterbs_demo(cfg, jobs):
 
 
 def _run_efimov(cfg, jobs):
-    beta = float(cfg["model.beta"])
-    coupling = cfg["model.coupling"]
-    at_unitarity = coupling == "unitary"
-    lam = lambda_unitary(beta) if at_unitarity else float(coupling)
-    model = SeparableModel(beta=beta, lam=lam, p_max=float(cfg["model.p_max"]),
-                           n_p=int(cfg["model.n_p"]),
-                           grid_c=float(cfg["model.grid_c"]))
-    levels = trimer_spectrum(model, float(cfg["efimov.e_floor"]))
+    at_unitarity = cfg["model.coupling"] == "unitary"
+    levels = trimer_spectrum(_model(cfg), float(cfg["efimov.e_floor"]))
     rows = []
     for n, level in enumerate(levels):
         ratio = (levels[n].energy / levels[n + 1].energy

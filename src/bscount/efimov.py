@@ -353,6 +353,12 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float = 4 * 2.0**-52,
     raise RuntimeError(f"brentq failed to converge after {maxiter} iterations, value is {xcur}")
 
 
+def _require_floor(e_floor: float) -> None:
+    """Reject a scan floor ``e_floor`` that is not negative and finite."""
+    if not -math.inf < e_floor < 0:
+        raise ValueError(f"e_floor must be negative and finite, got {e_floor}")
+
+
 def trimer_spectrum(model: SeparableModel, e_floor: float) -> list[TrimerLevel]:
     """All kernel-eigenvalue-1 crossings between ``e_floor`` and the grid floor.
 
@@ -387,8 +393,7 @@ def trimer_spectrum(model: SeparableModel, e_floor: float) -> list[TrimerLevel]:
     infrared node are flagged cutoff-unstable.  Energies come back ascending
     (deepest first).
     """
-    if not -math.inf < e_floor < 0:
-        raise ValueError(f"e_floor must be negative and finite, got {e_floor}")
+    _require_floor(e_floor)
     parts = _kernel_parts(model)
     stable_floor = (10.0 * float(parts.p[0])) ** 2
     # above two-body binding, stop 1% above the dimer threshold: the pair

@@ -1,4 +1,4 @@
-"""Dense self-adjoint operator algebra on a finite-dimensional state space.
+"""Self-adjoint operator algebra on a finite-dimensional state space.
 
 Everything downstream (counting identities, projection subtraction, radial
 kernels) is built from the primitives here: spectral decomposition, checked
@@ -20,12 +20,15 @@ would return the same bits.  Library code that forms a matrix it knows to
 be exactly symmetric passes the ndarray on without wrapping it again:
 bsengine's sums of two operators' entries, radial's symmetrized kernel
 on the support of v_- and efimov's trimer kernel, mirrored from its upper
-triangle.
-Builders that return an operator of such a fresh array, radial's reduced
-Hamiltonian and Birman-Schwinger kernel, hand it to the private
-``SymOperator._built``, which freezes it in place with no copy and no
-check, and records one fact, that the Hamiltonian is tridiagonal, which
-``count_evs`` reads.
+triangle.  Builders that return an operator of such a fresh array hand it
+to the private ``SymOperator._built``, which freezes it in place with no
+copy and no check.  radial's two builders record what they know instead,
+by ``SymOperator._structured``: the reduced Hamiltonian is a
+``_Tridiagonal`` matrix, its two diagonals, and the Birman-Schwinger kernel
+is a ``_Kernel`` ``S T^-1 S``, the two diagonals of the banded ``T`` and
+``S^2`` on the whole grid.  ``count_evs`` reads the record; the dense
+entries are built by the builder's own code, bit for bit the array it
+would have made, only when they are first read, once, under a lock.
 
 linop runs every eigensolve in the package, and makes every guarded count
 of a spectrum: no other module calls LAPACK for eigenvalues or compares an
@@ -33,20 +36,24 @@ eigenvalue with a guard band.  The solver choice, the count guard band
 ``1e-10 (1 + |A|_F)``, the counting rule, the checks and the conversion of
 a LAPACK failure into RuntimeError live here.
 
-A count of an operator recorded tridiagonal is a Sturm count: LAPACK
-``stebz`` counts the eigenvalues in the guarded range in O(n) and computes
-none, so the trace and Frobenius checks have no spectrum to test.  The
-Sturm count is exact for a matrix within a few ulps of ``T`` (Kahan 1966),
-far inside the guard band, and tests hold it to the count of the full
-spectrum.  ``count_evs`` of any other matrix of more than 64 rows is first
-proved on an 8-column compression by ``_compressed_count``, from the
-matrix's own entries in O(n^2): the Schur complement onto the compression
-keeps the inertia of ``A - tau``, and the count stands when the part it
-leaves out is too small to move an eigenvalue across ``tau``.  Every other
-count, one that proof does not settle, and ``_checked_eigenvalues`` itself,
-takes checked eigenvalues: any matrix, or stack, goes to ``eigvalsh``
-whole, whatever zeros or band its entries hold, and its eigenvalues are
-checked against the trace and Frobenius-norm invariants, both O(n^2).
+A count of an operator recorded tridiagonal is a Sturm count on its
+diagonals: LAPACK ``stebz`` counts the eigenvalues in the guarded range in
+O(n) and computes none, so the trace and Frobenius checks have no
+spectrum to test.  The Sturm count is exact for a matrix within a few ulps
+of ``T`` (Kahan 1966), far inside the guard band, and tests hold it to the
+count of the full spectrum.  ``count_evs`` of any other matrix of more
+than 64 rows is first proved on an 8-column compression by
+``_compressed_count``: the Schur complement onto the compression keeps the
+inertia of ``A - tau``, and the count stands when the part it leaves out
+is too small to move an eigenvalue across ``tau``.  The proof reads only
+products with ``A``, ``|A|_F`` and the column norms, of the entries in
+O(n^2) (``_dense_products``), or of a recorded kernel in O(n) from the
+``pttrf`` factors of ``T`` (``_kernel_products``), with no dense kernel
+built.  Every other count, one that proof does not settle, and
+``_checked_eigenvalues`` itself, takes checked eigenvalues: any matrix, or
+stack, goes to ``eigvalsh`` whole, whatever zeros or band its entries
+hold, and its eigenvalues are checked against the trace and
+Frobenius-norm invariants, both O(n^2).
 Counts are strict, ``">"`` or ``"<"``: an eigenvalue within the guard band
 of the threshold is never counted.  The two relations and the band, the
 private relation ``"="``, are three half-open intervals that partition the
@@ -75,7 +82,8 @@ with every check run on each matrix and a failure naming the member;
 all.  The tridiagonal layer is one Sturm count and one factorization:
 ``_tridiagonal_count`` counts by LAPACK ``stebz``, and
 ``_tridiagonal_factor`` factors the tridiagonal matrix by LAPACK ``pttrf``
-in O(n), which succeeds exactly when the matrix is positive definite.
+in O(n), which succeeds exactly when the matrix is positive definite; its
+factors serve ``_kernel_products`` and ``_kernel_top_eigenvalue``.
 ``_kernel_top_eigenvalue`` is the
 largest eigenvalue of a kernel ``S T^-1 S`` with ``T`` tridiagonal and
 ``S^2`` a nonnegative diagonal, which radial's critical coupling and
@@ -101,8 +109,10 @@ frozen.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -132,15 +142,25 @@ class ThresholdCollisionError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class SymOperator:
-    """A dense real symmetric matrix standing for a self-adjoint operator.
+    """A real symmetric matrix standing for a self-adjoint operator.
 
     Entries are validated at construction (finite Frobenius norm,
     symmetric) and frozen; use ``entries`` for the raw ndarray and ``dim``
     for the dimension.  A 0 x 0 matrix is the operator on the zero space,
     as the radial kernel of a potential with no attractive part is.
+
+    An operator a library builder made may instead record its structure
+    (``_structured``): a ``_Tridiagonal`` matrix or a ``_Kernel`` ``S T^-1
+    S``, which ``count_evs`` reads without the dense matrix.  Its
+    ``entries`` are built, by the builder's own code and once, when they are
+    first read; threads that read them together wait for the one build.
     """
 
     entries: np.ndarray
+
+    # what a builder recorded with ``_structured``, which ``count_evs``
+    # reads; None for a plain matrix
+    _structure = None
 
     def __post_init__(self):
         a = np.asarray(self.entries, dtype=float)
@@ -148,33 +168,86 @@ class SymOperator:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
         object.__setattr__(self, "entries", _symmetrized(a))
 
-    # what a builder recorded with ``_built``: that the matrix is
-    # tridiagonal, which ``count_evs`` reads
-    _tridiagonal = False
-
     @classmethod
-    def _built(cls, entries: np.ndarray, *, tridiagonal: bool = False) -> "SymOperator":
+    def _built(cls, entries: np.ndarray) -> "SymOperator":
         """The operator of an array a library builder has just made, finite
         and symmetric bit for bit, that no one else holds.
 
-        The array is frozen in place, with no copy and no check, and what
-        the builder knows is recorded: that the matrix is ``tridiagonal``,
-        so that ``count_evs`` makes a Sturm count of its diagonals.  The
-        array may be 0 x 0, as the kernel of a potential with no attractive
-        part on the grid is.
+        The array is frozen in place, with no copy and no check.
         """
         entries.setflags(write=False)
         op = object.__new__(cls)
         object.__setattr__(op, "entries", entries)
-        object.__setattr__(op, "_tridiagonal", tridiagonal)
         return op
+
+    @classmethod
+    def _structured(cls, structure, build) -> "SymOperator":
+        """The operator of the ``structure`` a library builder records, a
+        ``_Tridiagonal`` or a ``_Kernel`` of arrays no one else holds, frozen
+        in place.  ``build()`` returns its dense entries, a fresh array,
+        finite and symmetric bit for bit, which is frozen with no check when
+        ``entries`` is first read; it is 0 x 0 for a kernel whose weight has
+        no positive entry."""
+        for array in structure:
+            array.setflags(write=False)
+        op = object.__new__(cls)
+        object.__setattr__(op, "_structure", structure)
+        object.__setattr__(op, "_build", build)
+        object.__setattr__(op, "_lock", threading.Lock())
+        return op
+
+    def __getattr__(self, name):
+        # reached only for an attribute that is not set: a structured
+        # operator's entries, until they are first read
+        build = self.__dict__.get("_build")
+        if name != "entries" or build is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        with self._lock:
+            if "entries" not in self.__dict__:
+                entries = build()
+                entries.setflags(write=False)
+                object.__setattr__(self, "entries", entries)
+        return self.__dict__["entries"]
 
     @property
     def dim(self) -> int:
-        return self.entries.shape[0]
+        if self._structure is None:
+            return self.entries.shape[0]
+        return self._structure.dim
 
     def __repr__(self):
         return f"SymOperator(dim={self.dim})"
+
+
+class _Tridiagonal(NamedTuple):
+    """The symmetric tridiagonal matrix of diagonal ``diag`` and
+    off-diagonal ``off``."""
+
+    diag: np.ndarray
+    off: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.diag.size
+
+
+class _Kernel(NamedTuple):
+    """The kernel ``S T^-1 S`` on the support of ``weight = S^2 >= 0``, one
+    row per entry where the weight is positive, for the positive definite
+    tridiagonal ``T`` of diagonal ``diag`` and off-diagonal ``off``: all
+    three on the whole grid."""
+
+    diag: np.ndarray
+    off: np.ndarray
+    weight: np.ndarray
+
+    @property
+    def support(self) -> np.ndarray:
+        return np.flatnonzero(self.weight > 0)
+
+    @property
+    def dim(self) -> int:
+        return self.support.size
 
 
 def sym(entries) -> SymOperator:
@@ -543,87 +616,178 @@ def count_evs(a: SymOperator, relation: str, threshold: float) -> int:
     the eigenvalues in its half-open ``_interval``, ``(t + eta, inf)`` or
     ``(-inf, t - eta]``.  Any other relation raises ValueError, the band's
     own private ``"="`` too.  A matrix whose builder recorded it
-    tridiagonal is counted by Sturm sequences (``stebz``) on its diagonals,
-    in O(n) and with no eigenvalue computed, so there is no spectrum for
-    the trace and Frobenius-norm checks to test: the Sturm count is exact
-    for a matrix within a few ulps of ``A``, and tests hold it to the count
-    of the full spectrum.  Any other matrix of more than
-    ``_DENSE_COUNT_ROWS = 64`` rows, where the full spectrum costs more, is
-    first counted on an 8-column compression by ``_compressed_count``, which
-    proves the count of the exact eigenvalues outside the guard band, and
-    proves that none lies on its edge, from the entries of ``A`` alone, or
-    gives up; tests hold it to the count of the full spectrum.  A count it
-    gives up on, and that of a smaller matrix, is made from
-    ``_checked_eigenvalues`` of the whole matrix, whose trace and
-    Frobenius-norm invariants stand in for eigenvector residual checks.  On
-    every route a matrix whose ``|A|_F`` is not finite raises ValueError
-    before any eigenvalue is counted.
+    ``_Tridiagonal`` is counted by Sturm sequences (``stebz``) on its
+    diagonals, in O(n), with no n x n matrix formed and no eigenvalue
+    computed, so there is no spectrum for the trace and Frobenius-norm
+    checks to test: the Sturm count is exact for a matrix within a few ulps
+    of ``A``, and tests hold it to the count of the full spectrum.  Any
+    other matrix of more than ``_DENSE_COUNT_ROWS = 64`` rows, where the
+    full spectrum costs more, is first counted on an 8-column compression by
+    ``_compressed_count``, which proves the count of the exact eigenvalues
+    outside the guard band, and proves that none lies on its edge, or gives
+    up; tests hold it to the count of the full spectrum.  It reads products
+    with ``A``, ``|A|_F`` and the column norms: those of the entries
+    (``_dense_products``), or, for a recorded ``_Kernel``, those of
+    ``_kernel_products``, in O(n) from the factors of ``T``, with no dense
+    kernel built.  A count it gives up on, and that of a smaller matrix, is
+    made from ``_checked_eigenvalues`` of the whole matrix, built first
+    where it was recorded, whose trace and Frobenius-norm invariants stand
+    in for eigenvector residual checks.  On every route a matrix whose
+    ``|A|_F`` is not finite raises ValueError before any eigenvalue is
+    counted.
     """
     a = sym(a)
     if relation not in _RELATIONS:
         raise ValueError(f"unknown relation {relation!r}, expected one of {_RELATIONS}")
-    if a._tridiagonal:
-        return _tridiagonal_count(a.entries.diagonal(), a.entries.diagonal(-1),
-                                  relation, threshold)
-    if a.dim > _DENSE_COUNT_ROWS and \
-            (count := _compressed_count(a.entries, relation, threshold)) is not None:
-        return count
+    structure = a._structure
+    if isinstance(structure, _Tridiagonal):
+        return _tridiagonal_count(*structure, relation, threshold)
+    if a.dim > _DENSE_COUNT_ROWS:
+        products = _dense_products(a.entries) if structure is None else \
+            _kernel_products(structure)
+        if (count := _compressed_count(products, relation, threshold)) is not None:
+            return count
     return int(_count_evs(a.entries, relation, threshold))
 
 
-def _compressed_count(m: np.ndarray, relation: str, threshold: float) -> int | None:
-    """``count_evs`` of a matrix already known to be symmetric, of more than
+def _dense_products(m: np.ndarray) -> tuple:
+    """What ``_compressed_count`` reads of a matrix already known to be
+    symmetric: ``X -> A X``, ``|A|_F`` (``_finite_fro``), the squared
+    column norms, the length ``n`` of the sums behind them, and no error
+    beyond the rounding of those sums."""
+    return m.__matmul__, _finite_fro(m), np.einsum("ij,ij->j", m, m), m.shape[0], 0.0
+
+
+def _kernel_products(kernel: _Kernel) -> tuple:
+    """What ``_compressed_count`` reads of the ``_Kernel`` ``K = S T^-1 S``
+    on the support of ``weight = S^2``, in O(n) on the grid of ``n`` nodes
+    from the ``pttrf`` factors ``T~ = L D L^T`` of ``T`` (``d``, and ``l``
+    below the diagonal of ``L``), with no dense kernel formed (Meurant,
+    SIAM J. Matrix Anal. Appl. 13 (1992) 707-728).
+
+    - ``X -> K X`` is ``S T^-1 (S X)``, one ``pttrs`` solve.
+    - ``G = T~^-1`` has ``G_ij = -l_i G_(i+1)j`` for ``i < j`` and the
+      diagonal ``G_nn = 1/d_n``, ``G_jj = 1/d_j + l_j^2 G_(j+1)(j+1)``.  With
+      the forward sum ``P_1 = 0``, ``P_j = l_(j-1)^2 (w_(j-1) + P_(j-1))``
+      and the backward sum ``Q_n = 0``, ``Q_j = l_j^2 (w_(j+1)
+      G_(j+1)(j+1)^2 + Q_(j+1))``, column ``j`` of ``K~ = S T~^-1 S`` has
+      the squared norm ``w_j (G_jj^2 (w_j + P_j) + Q_j)``, and ``|K~|_F^2``
+      is their sum, ``sum_j w_j G_jj^2 (w_j + 2 P_j)``.  Every term is
+      positive, so the sums do not cancel: their rounding is below ``10 n
+      u`` relative, inside ``_compressed_count``'s ``n^2 u`` allowance on
+      ``d^2``.
+    - The proof is made for ``K~``.  The solves have a backward error of
+      about ``5 u |T~|``, and ``|L| D |L^T| = |T~|``, so a product is within
+      ``5 u (1 + 2 cond_inf(T)) |K| |X|`` of ``K~ X`` to first order, and
+      the two scalings by ``S`` add ``2 u``; the factorization's backward
+      error, about ``4 u |T|``, moves each eigenvalue of ``K~`` from ``K``'s
+      by at most ``4 u (1 + 2 cond_inf(T)) |K|`` (Higham, *Accuracy and
+      Stability of Numerical Algorithms*, 2002, ch. 9).
+      The error passed on, ``20 u cond_inf(T)`` since the condition number is
+      at least 1, and the factor ``k`` of ``e`` cover both.  ``cond_inf(T)
+      = |T|_inf max(|T^-1| 1)`` is exact and costs one more ``pttrs``:
+      ``|T^-1|`` is the inverse of the tridiagonal with off-diagonal
+      ``-|off|``, an M-matrix, whose factors are ``d`` and ``-|l|``.
+
+    A ``T`` that is not positive definite raises ValueError, and so does a
+    ``|K~|_F`` that is not finite.
+    """
+    from scipy.linalg import lapack
+
+    diag, off, weight = kernel
+    factors = _tridiagonal_factor(diag, off)
+    if factors is None:
+        raise ValueError("the tridiagonal T of the kernel S T^-1 S is not positive definite")
+    d, l = factors
+    n, support = d.size, kernel.support
+    root = np.sqrt(weight[support])[:, None]
+
+    def product(x):
+        b = np.zeros((n, x.shape[1]))
+        b[support] = root * x
+        return root * lapack.dpttrs(d, l, b)[0][support]
+
+    row = np.abs(diag)
+    row[1:] += np.abs(off)
+    row[:-1] += np.abs(off)
+    cond = float(row.max() * lapack.dpttrs(d, -np.abs(l), np.ones(n))[0].max())
+    pivots, l2, w = d.tolist(), (l * l).tolist(), weight.tolist()
+    g, p, q = [0.0] * n, [0.0] * n, [0.0] * n
+    g[-1] = 1.0 / pivots[-1]
+    for j in range(n - 2, -1, -1):
+        g[j] = 1.0 / pivots[j] + l2[j] * g[j + 1]
+        q[j] = l2[j] * (w[j + 1] * g[j + 1] * g[j + 1] + q[j + 1])
+    for j in range(1, n):
+        p[j] = l2[j - 1] * (w[j - 1] + p[j - 1])
+    g, p, q, w = (np.array(v)[support] for v in (g, p, q, w))
+    with np.errstate(over="ignore"):  # an overflowing norm is rejected below
+        columns = w * (g * g * (w + p) + q)
+        fro = math.sqrt(columns.sum())
+    if not fro < math.inf:
+        raise ValueError("the kernel S T^-1 S has no finite Frobenius norm: its norm overflows")
+    return product, fro, columns, n, 20.0 * _UNIT_ROUNDOFF * cond
+
+
+def _compressed_count(products: tuple, relation: str, threshold: float) -> int | None:
+    """``count_evs`` of a symmetric matrix ``A`` of more than
     ``_COMPRESSION_RANK = k`` rows, proved on a compression onto ``k``
     columns, or None where the proof fails; ``count_evs`` then counts the
     full spectrum.
 
-    For ``">"``, whose ``_interval`` is ``(lo, inf)``, the count of ``A``
-    above ``tau = lo`` is made; for ``"<"``, whose interval is ``(-inf,
-    hi]``, that of ``-A`` above ``tau = -hi``, for the guard band ``eta =
-    1e-10 (1 + |A|_F)``.  ``Q`` (n x k, orthonormal) is the QR of
-    the k columns of ``A`` of largest norm, then of ``A Q`` twice (block
-    subspace iteration, Halko, Martinsson & Tropp 2011), by numpy alone, so
-    that no call into scipy's BLAS is interleaved; an orthonormality defect
-    ``|Q^T Q - I|_F`` above 1e-12 raises RuntimeError.  In the basis
-    ``[Q, Q_perp]``, ``A = [[B, C^T], [C, D]]`` with ``B = Q^T A Q``, ``c =
-    |C|_F = |A Q - Q B|_F`` and ``d^2 = |D|_F^2 = |A|_F^2 - |B|_F^2 - 2 c^2``.
-    Where ``d < tau``, ``D - tau`` is negative definite, so by the inertia
-    additivity of the Schur complement (Haynsworth 1968) ``A - tau`` has as
-    many positive eigenvalues as ``S = B - tau + C^T (tau - D)^-1 C``, and
-    ``B - tau <= S <= B - tau + w`` for ``w = c^2 / (tau - d)``.  So the count
-    is the number of eigenvalues of ``B`` above ``tau`` when none lies in
-    ``[tau - w, tau]``, and no eigenvalue of ``A`` then sits at ``tau``.
+    ``A`` is read only through ``products = (product, fro, columns, terms,
+    error)``, from ``_dense_products`` of a matrix or ``_kernel_products`` of
+    a kernel: ``product(X)`` is ``A X`` for an ``n x j`` block ``X``,
+    ``fro`` is ``|A|_F``, ``columns`` the squared column norms, ``terms``
+    the length of the sums behind a product and ``|A|_F``, and ``error`` the
+    relative error of a product beyond their rounding.  For ``">"``, whose
+    ``_interval`` is ``(lo, inf)``, the count of ``A`` above ``tau = lo`` is
+    made; for ``"<"``, whose interval is ``(-inf, hi]``, that of ``-A``
+    above ``tau = -hi``, for the guard band ``eta = 1e-10 (1 + |A|_F)``.
+    ``Q`` (n x k, orthonormal) is the QR of the k columns of ``A`` of
+    largest norm, then of ``A Q`` twice (block subspace iteration, Halko,
+    Martinsson & Tropp 2011), by numpy alone, so that no call into scipy's
+    BLAS is interleaved; an orthonormality defect ``|Q^T Q - I|_F`` above
+    1e-12 raises RuntimeError.  In the basis ``[Q, Q_perp]``, ``A = [[B,
+    C^T], [C, D]]`` with ``B = Q^T A Q``, ``c = |C|_F = |A Q - Q B|_F`` and
+    ``d^2 = |D|_F^2 = |A|_F^2 - |B|_F^2 - 2 c^2``.  Where ``d < tau``, ``D -
+    tau`` is negative definite, so by the inertia additivity of the Schur
+    complement (Haynsworth 1968) ``A - tau`` has as many positive
+    eigenvalues as ``S = B - tau + C^T (tau - D)^-1 C``, and ``B - tau <= S
+    <= B - tau + w`` for ``w = c^2 / (tau - d)``.  So the count is the
+    number of eigenvalues of ``B`` above ``tau`` when none lies in ``[tau -
+    w, tau]``, and no eigenvalue of ``A`` then sits at ``tau``.
 
     Every norm is taken relative to ``scale = 1 + |A|_F``, so that no square
     overflows where ``|A|_F^2`` nearly does.  Rounding allowances, with
-    ``u = 2^-53``: each eigenvalue of ``B`` and ``c`` may be off by
-    ``e = k (4e-12 + 2 (n + k) u) scale`` (the defect of ``Q`` moves the
-    compression by about ``2e-12 |A|``, and each product rounds by
-    ``(n + k) u |A|`` per column); ``d^2`` is raised by
-    ``(n^2 u scale + 2 k e) scale``, for the rounding of ``|A|_F^2``, a sum
-    of ``n^2`` squares, and the error ``e`` in ``|B|_F^2 + 2 c^2``; ``c`` is
-    raised by ``e`` in ``w``; and the excluded window widens to
-    ``[tau - w - e, tau + e]``.  ``B``'s eigenvalues are
+    ``u = 2^-53`` and ``N = terms``: each eigenvalue of ``B`` and ``c`` may
+    be off by ``e = k (4e-12 + 2 (N + k) u + error) scale`` (the defect of
+    ``Q`` moves the compression by about ``2e-12 |A|``, each product rounds
+    by ``(N + k) u |A|`` per column, and carries ``error |A|`` more);
+    ``d^2`` is raised by ``(N^2 u scale + 2 k e) scale``, for the rounding of
+    ``|A|_F^2``, a sum of ``N^2`` squares, and the error ``e`` in ``|B|_F^2
+    + 2 c^2``; ``c`` is raised by ``e`` in ``w``; and the excluded window
+    widens to ``[tau - w - e, tau + e]``.  ``B``'s eigenvalues are
     ``_checked_eigenvalues``'.
     """
-    n, k = m.shape[0], _COMPRESSION_RANK
-    fro = _finite_fro(m)
+    product, fro, columns, terms, error = products
+    n, k = columns.size, _COMPRESSION_RANK
     lo, hi = _interval(relation, threshold, _guard(fro))
-    a, tau = (m, lo) if relation == ">" else (-m, -hi)
-    q = np.linalg.qr(a[:, np.argsort(np.einsum("ij,ij->j", a, a), kind="stable")[-k:]])[0]
-    for _ in range(2):
-        q = np.linalg.qr(a @ q)[0]
+    sign, tau = (1.0, lo) if relation == ">" else (-1.0, -hi)
+    q = np.zeros((n, k))
+    q[np.argsort(columns, kind="stable")[-k:], np.arange(k)] = 1.0
+    for _ in range(3):  # QR of -A X is that of A X, with R negated
+        q = np.linalg.qr(product(q))[0]
     defect = _fro(q.T @ q - np.eye(k))
     _require(defect <= 1e-12, "compression basis orthonormality defect {:.3e} exceeds 1e-12",
              defect)
     scale = 1.0 + fro  # B, c, d, e, w and tau below are in units of it
-    aq = (a @ q) / scale
+    aq = sign * product(q) / scale
     b = q.T @ aq
     b = 0.5 * (b + b.T)
     c = _fro(aq - q @ b)
-    e = k * (4e-12 + 2.0 * (n + k) * _UNIT_ROUNDOFF)
+    e = k * (4e-12 + 2.0 * (terms + k) * _UNIT_ROUNDOFF + error)
     d = math.sqrt(max((fro / scale) ** 2 - _fro(b) ** 2 - 2.0 * c**2
-                      + n * n * _UNIT_ROUNDOFF + 2.0 * k * e, 0.0))
+                      + terms * terms * _UNIT_ROUNDOFF + 2.0 * k * e, 0.0))
     tau /= scale
     if d >= tau:
         return None

@@ -19,13 +19,17 @@ Two discretization schemes coexist, each with one job:
 
 linop runs every eigensolve and makes every count.  The Birman-Schwinger
 kernel is an operator on the support of v_-, where the attractive part
-lives, so ``bs_kernel_radial`` returns the support block itself, of one
-row per node where v_- > 0, and ``bs_count_and_top`` counts above 1 that
-block's spectrum, linop's checked dense spectrum, which also gives the top
-eigenvalue.  ``count_evs`` of a block of more than 64 rows proves its count
-on an 8-column compression where it can, which the kernel's fast-falling
-spectrum allows, and counts a smaller block's full spectrum, the cheaper
-there; the counts of the tridiagonal Hamiltonian are Sturm counts.
+lives, of one row per node where v_- > 0.  ``bs_kernel_radial`` records it
+as ``S T^-1 S`` with ``T = H_0 + v_+ + eps`` banded and ``S^2 = v_-``, and
+builds the support block, ``_bs_block``, only when its entries are read;
+``bs_count_and_top`` counts above 1 that block's spectrum, linop's checked
+dense spectrum, which also gives the top eigenvalue.  ``count_evs`` of a
+kernel of more than 64 rows proves its count on an 8-column compression
+where it can, which the kernel's fast-falling spectrum allows, from
+products with the kernel by banded solves with the factors of ``T``, in
+O(n) and with no block built, and counts a smaller block's full spectrum,
+the cheaper there; the counts of the tridiagonal Hamiltonian are Sturm
+counts on its two diagonals, with no n x n matrix formed.
 The critical coupling and ``mu_scan`` read only the largest kernel
 eigenvalue, which linop finds in O(n) without a full spectrum: there the
 kernel is ``S T^-1 S`` on the whole grid, with ``T`` tridiagonal and
@@ -41,20 +45,22 @@ the top eigenvalue at zero shift of ``T = H_0 + R`` and ``S^2 = shape``,
 the split linear in ``lam``.  ``kernel_critical_strength`` returns that
 coupling, and ``find_critical_coupling_radial`` extrapolates it from a box
 and its double.  Without a repulsive part the two splits are the same
-arrays.  The two operator builders hand their fresh arrays to
-linop unchecked, and the reduced Hamiltonian records that it is
-tridiagonal, so its counts need not scan for the band.
+arrays.  The two operator builders record their structure with linop
+unchecked, and the dense matrix of either is built by its own code, here,
+on its first read.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
-from .linop import (SymOperator, ThresholdCollisionError, _checked_eigenvalues, _collides,
-                    _count, _kernel_top_eigenvalue, _legendre_rule, _tridiagonal_count)
+from .linop import (SymOperator, ThresholdCollisionError, _Kernel, _Tridiagonal,
+                    _checked_eigenvalues, _collides, _count, _kernel_top_eigenvalue,
+                    _legendre_rule, _tridiagonal_count)
 
 POTENTIAL_KINDS = ("yukawa", "exponential", "gaussian", "square_well", "table")
 
@@ -269,18 +275,24 @@ def _warn_if_box_small(pot: PotentialSpec, grid: RadialGrid):
 
 
 def reduced_hamiltonian(pot: PotentialSpec, grid: RadialGrid) -> SymOperator:
-    """Dense second-order discretization of the reduced radial operator.
+    """Second-order discretization of the reduced radial operator.
 
-    The operator records that it is tridiagonal, so ``count_evs`` counts it
-    by Sturm sequences.
+    The operator records that it is tridiagonal, by its two diagonals, so
+    ``count_evs`` counts it by Sturm sequences on them; its dense
+    ``entries`` are built, by ``_dense_tridiagonal``, only when read.
     """
     diag, off = _fd_diagonals(pot, grid)  # rejects a grid other than uniform_fd2
     _warn_if_box_small(pot, grid)
+    return SymOperator._structured(_Tridiagonal(diag, off), partial(_dense_tridiagonal, diag, off))
+
+
+def _dense_tridiagonal(diag, off) -> np.ndarray:
+    """The n x n symmetric tridiagonal matrix of ``diag`` and ``off``."""
     m = np.diag(diag)
-    idx = np.arange(grid.n - 1)
+    idx = np.arange(diag.size - 1)
     m[idx, idx + 1] = off
     m[idx + 1, idx] = off
-    return SymOperator._built(m, tridiagonal=True)
+    return m
 
 
 def _negative_count_off_threshold(pot: PotentialSpec, grid: RadialGrid, eps: float) -> int:
@@ -456,12 +468,20 @@ def bs_kernel_radial(pot: PotentialSpec, grid: RadialGrid, eps: float) -> SymOpe
     is the nonzero spectrum of ``(H_w + eps)^(-1/2) v_- (H_w + eps)^(-1/2)``.
     It is built on the uniform_fd2 box only: another scheme raises
     ValueError before the small-box warning.
+
+    The operator records the kernel as linop's ``_Kernel``: the banded
+    ``T = H_w + eps`` and ``v_-`` on the whole grid, from which
+    ``count_evs`` proves a count of a support of more than 64 nodes without
+    the dense block.  The block, ``_bs_block``, is built only when
+    ``entries`` is read, as it is by ``bs_count_and_top``.
     """
     if not 0 < eps < np.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
-    block = _bs_block(pot, grid, eps)  # rejects a grid other than uniform_fd2
+    r = grid.nodes
+    ab = _banded_hamiltonian(grid, pot.v_plus(r), eps)  # rejects a grid other than uniform_fd2
     _warn_if_box_small(pot, grid)
-    return SymOperator._built(block)
+    return SymOperator._structured(_Kernel(ab[1], ab[0, 1:], pot.v_minus(r)),
+                                   partial(_bs_block, pot, grid, eps))
 
 
 def bs_count_and_top(pot: PotentialSpec, grid: RadialGrid, eps: float) -> tuple[int, float]:

@@ -607,9 +607,41 @@ def test_efimov_detuned_run(tmp_path):
 
 
 def test_efimov_rejects_an_infinite_floor(tmp_path, capsys):
-    cfg = write(tmp_path, "e.conf", 'command = "efimov"\nefimov.e_floor = -inf\n')
-    assert main(["efimov", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CHECK_FAILED
-    assert "e_floor must be negative and finite, got -inf" in capsys.readouterr().err
+    # trimer_spectrum's own rule, checked when the config is read
+    cfg = write(tmp_path, "e.conf", 'command = "efimov"\n  efimov.e_floor = -inf\n')
+    out = tmp_path / "out"
+    assert main(["efimov", "--config", cfg, "--out", str(out)]) == EXIT_PARSE_ERROR
+    assert "line 2, column 3: efimov.e_floor: e_floor must be negative and finite, got -inf" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,line,message", [
+    ("efimov", "model.n_p = 32", "need an integer n_p >= 64 quadrature points, got 32"),
+    ("twobody", "grid.n = 8", "need an integer n >= 16 interior points, got 8"),
+    ("twobody", "potential.range = -1.0", "range must be positive and finite, got -1.0"),
+], ids=["model.n_p", "grid.n", "potential.range"])
+def test_value_out_of_its_range_exits_2_at_its_key_without_outputs(command, line, message,
+                                                                   tmp_path, capsys):
+    # each rule is its owner's (SeparableModel, RadialGrid, PotentialSpec),
+    # checked when the config is read, not as a failed numerical check
+    cfg = write(tmp_path, "c.conf", f'command = "{command}"\nseed = 1\n  {line}\n')
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_PARSE_ERROR
+    key = line.partition(" ")[0]
+    assert f"config error: line 3, column 3: {key}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_range_check_leaves_the_kind_of_a_table_potential_unread():
+    # with a table, the run reads no potential.kind, so kind "table" passes
+    values, positions = parse_config_text(
+        'command = "twobody"\npotential.kind = "table"\npotential.table = "v.tsv"\n')
+    assert validate_config(values, positions, None)["potential.kind"] == "table"
+    del values["potential.table"]
+    with pytest.raises(ConfigError, match="potential.kind: table potentials need") as info:
+        validate_config(values, positions, None)
+    assert (info.value.line, info.value.column) == (2, 1)
 
 SMALL_CONFIGS = {
     "verify": "verify.bs_instances = 10\nverify.iterbs_instances = 2\n"

@@ -54,6 +54,18 @@ def test_import_loads_no_tomllib(module):
     assert out.strip() == "False"
 
 
+def test_range_checks_of_a_config_load_no_scipy():
+    # validate_config builds the grid, potential and model of a config to
+    # check its ranges; none of them loads scipy, so setup stays light
+    script = ("import sys\nfrom bscount.cli import parse_config_text, validate_config\n"
+              "for text in ('command = \"twobody\"\\ngrid.n = 600\\ngrid.ell = 1\\n"
+              "potential.range = 2.0\\n', 'command = \"efimov\"\\nmodel.n_p = 128\\n"
+              "efimov.e_floor = -2.0\\n'):\n"
+              "    validate_config(*parse_config_text(text), None)\n"
+              "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    assert python("-c", script).strip() == "[]"
+
+
 def test_kernelcheck_loads_no_scipy_integrate(tmp_path):
     # the resolvent-power kernel is a closed form in scipy.special
     out = python("-c", "import sys\nfrom bscount.cli import main\n"

@@ -16,11 +16,15 @@ from bscount.linop import (
     SymOperator,
     _COMPRESSION_RANK,
     _DENSE_COUNT_ROWS,
+    _Kernel,
+    _Tridiagonal,
     _checked_eigenvalues,
     _collides,
     _compressed_count,
     _count,
     _count_evs,
+    _dense_products,
+    _kernel_products,
     _kernel_top_eigenvalue,
     _legendre_rule,
     _spectral_decompose,
@@ -47,12 +51,25 @@ def random_orthogonal(rng, dim):
     return np.linalg.qr(rng.standard_normal((dim, dim)))[0]
 
 
+def tridiagonal_operator(m):
+    """The operator of the tridiagonal matrix ``m`` that records its
+    structure, as the reduced Hamiltonian's builder does; its entries, when
+    read, are a copy of ``m``."""
+    return SymOperator._structured(_Tridiagonal(m.diagonal().copy(), m.diagonal(-1).copy()),
+                                   m.copy)
+
+
 def random_tridiagonal(rng, dim, diagonal_only=False):
-    """A random tridiagonal operator that records its structure, as the
-    reduced Hamiltonian's builder does."""
+    """A random tridiagonal operator that records its structure."""
     d = rng.standard_normal(dim)
     e = np.zeros(dim - 1) if diagonal_only else rng.standard_normal(dim - 1)
-    return SymOperator._built(np.diag(d) + np.diag(e, 1) + np.diag(e, -1), tridiagonal=True)
+    return tridiagonal_operator(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+
+
+def dense_compressed_count(m, relation, threshold):
+    """``_compressed_count`` of the matrix ``m`` from its entries, as
+    ``count_evs`` makes it of a matrix that records no structure."""
+    return _compressed_count(_dense_products(m), relation, threshold)
 
 
 # the solvers as imported, kept as oracles while tests spy on the routes
@@ -527,15 +544,17 @@ def padded_spectrum(lam, n):
 @pytest.fixture(scope="module")
 def radial_oracles(radial_cases):
     """Per case of ``radial_cases``, its dense oracles on the whole grid,
-    each computed once: the ``eigh`` eigenvalues of ``on_the_grid``, and the
-    checked eigenvalues and guard band of a ``SymOperator`` of those bytes,
-    which records no structure, so its spectrum is one ``eigvalsh`` of the
-    whole n x n matrix."""
-    oracles = []
-    for label, a, relation, _ in radial_cases:
-        plain = SymOperator(on_the_grid(label, a, relation))
-        oracles.append((np.linalg.eigh(plain.entries)[0], plain, checked_eigenvalues(plain)))
-    return oracles
+    each computed once: the eigenvalues of ``on_the_grid`` by scipy's
+    ``eigh`` with ``eigvals_only``, a LAPACK route of its own that computes
+    no eigenvectors, and the checked eigenvalues and guard band of a
+    ``SymOperator`` of those bytes, which records no structure, so its
+    spectrum is one numpy ``eigvalsh`` of the whole n x n matrix."""
+    plains = [SymOperator(on_the_grid(label, a, relation))
+              for label, a, relation, _ in radial_cases]
+    # all of scipy's solves first: calls that alternate between the OpenBLAS
+    # builds of scipy and numpy are slow
+    lams = [scipy.linalg.eigh(plain.entries, eigvals_only=True) for plain in plains]
+    return [(lam, plain, checked_eigenvalues(plain)) for lam, plain in zip(lams, plains)]
 
 
 def test_count_matches_eigh_count_on_radial_cases(radial_cases, radial_oracles):
@@ -546,7 +565,7 @@ def test_count_matches_eigh_count_on_radial_cases(radial_cases, radial_oracles):
 
 def test_compressed_count_proves_every_criterion_5_kernel_count(radial_cases, radial_oracles):
     for (label, a, relation, threshold), (_, _, (ref, eta)) in zip(radial_cases, radial_oracles):
-        count = _compressed_count(a.entries, relation, threshold)
+        count = dense_compressed_count(a.entries, relation, threshold)
         # the 20 kernels, above 1, never fall back to the full spectrum; a
         # Hamiltonian, counted by Sturm sequences, may
         assert count is not None or relation == "<", label
@@ -596,7 +615,7 @@ def test_compressed_count_excludes_exactly_its_window_on_a_planted_spectrum(offs
     m = planted([3.0, x, 0.5])
     assert abs(np.linalg.norm(m) - fro) <= 1e-3 * e
     # "<" makes the same test on -A, against -(threshold - eta)
-    assert _compressed_count(m, ">", 1.0) == _compressed_count(-m, "<", -1.0) == expected
+    assert dense_compressed_count(m, ">", 1.0) == dense_compressed_count(-m, "<", -1.0) == expected
     if expected is not None:  # inside the window the two dense counts may differ
         assert count_evs(sym(m), ">", 1.0) == count_evs(sym(-m), "<", -1.0) == \
             int(_count_evs(m, ">", 1.0)) == int(_count_evs(-m, "<", -1.0)) == expected
@@ -608,9 +627,9 @@ def test_compressed_count_window_covers_a_ritz_value_below_an_eigenvalue_above_t
     # the window, below tau; 0.01 above 1 it is proved
     tail = 0.9 * 0.8 ** np.arange(39)
     m = planted(np.concatenate([[1.0 + 1e-6], tail]))
-    assert _compressed_count(m, ">", 1.0) is None
+    assert dense_compressed_count(m, ">", 1.0) is None
     assert count_evs(sym(m), ">", 1.0) == 1
-    assert _compressed_count(planted(np.concatenate([[1.01], tail])), ">", 1.0) == 1
+    assert dense_compressed_count(planted(np.concatenate([[1.01], tail])), ">", 1.0) == 1
 
 
 def test_compressed_count_takes_a_norm_near_the_largest_accepted():
@@ -618,8 +637,8 @@ def test_compressed_count_takes_a_norm_near_the_largest_accepted():
     m = 4e153 * planted([3.0, 0.9, 0.5])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert _compressed_count(m, ">", 4e153) == _compressed_count(-m, "<", -4e153) == 1
-        assert _compressed_count(m, ">", 3e153) == count_evs(sym(m), ">", 3e153) == 2
+        assert dense_compressed_count(m, ">", 4e153) == dense_compressed_count(-m, "<", -4e153) == 1
+        assert dense_compressed_count(m, ">", 3e153) == count_evs(sym(m), ">", 3e153) == 2
 
 
 def test_compressed_count_is_the_dense_count_or_none_on_spectra_with_tails():
@@ -633,7 +652,7 @@ def test_compressed_count_is_the_dense_count_or_none_on_spectra_with_tails():
         m = planted(np.concatenate([top, tail]), n)
         for threshold in rng.uniform(-2.0, 2.0, size=3):
             for relation in (">", "<"):
-                count = _compressed_count(m, relation, threshold)
+                count = dense_compressed_count(m, relation, threshold)
                 if count is not None:
                     proved += 1
                     assert count == int(_count_evs(m, relation, threshold)), (n, relation)
@@ -648,7 +667,7 @@ def test_compressed_count_is_the_dense_count_or_none_on_spectra_with_tails():
     (planted([-3.0, -0.5]), "<", 0.0),
 ], ids=["2I", "threshold-0", "threshold-1e-6", "threshold-negative", "less-than-0"])
 def test_compressed_count_falls_back_to_the_full_spectrum(solver_dims, m, relation, threshold):
-    assert _compressed_count(m, relation, threshold) is None
+    assert dense_compressed_count(m, relation, threshold) is None
     solver_dims["dense"].clear()
     dense = int(_count_evs(m, relation, threshold))
     assert count_evs(sym(m), relation, threshold) == dense
@@ -665,7 +684,7 @@ def test_compressed_count_checks_its_basis_is_orthonormal(monkeypatch, scale, fa
         with pytest.raises(RuntimeError, match="orthonormality defect .* exceeds 1e-12"):
             count_evs(sym(m), ">", 1.0)
     else:
-        assert _compressed_count(m, ">", 1.0) == count_evs(sym(m), ">", 1.0) == 1
+        assert dense_compressed_count(m, ">", 1.0) == count_evs(sym(m), ">", 1.0) == 1
 
 
 @pytest.mark.parametrize("n,dims", [(_DENSE_COUNT_ROWS, [_DENSE_COUNT_ROWS]),
@@ -696,7 +715,7 @@ def test_recorded_structure_gives_the_counts_and_spectra_of_the_bytes(radial_cas
                                                                        radial_oracles):
     for (label, a, relation, threshold), (_, plain, (lam_plain, eta_plain)) in zip(
             radial_cases, radial_oracles):
-        assert not plain._tridiagonal
+        assert plain._structure is None
         # count_evs of the plain operator is _count of its checked eigenvalues
         assert count_evs(a, relation, threshold) == \
             _count(lam_plain, eta_plain, relation, threshold), label
@@ -707,9 +726,155 @@ def test_recorded_structure_gives_the_counts_and_spectra_of_the_bytes(radial_cas
 
 def test_recorded_structure_is_read_from_the_frozen_entries(radial_cases):
     for label, a, relation, _ in radial_cases:
-        assert a._tridiagonal == (relation == "<"), label
+        assert type(a._structure) is (_Tridiagonal if relation == "<" else _Kernel), label
         with pytest.raises(ValueError, match="read-only"):
             a.entries[0, 0] = 1.0
+
+
+def fresh_kernel(pot, eps, grid=None):
+    """A structured kernel whose entries no one has read yet."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return bs_kernel_radial(pot, grid or RadialGrid(ell=0, **RADIAL_GRID), eps)
+
+
+def case_kernel(label):
+    """A fresh structured kernel of criterion 5's case ``label``."""
+    kind, lam, ell, eps = label
+    return fresh_kernel(PotentialSpec(kind=kind, strength=lam), eps,
+                        RadialGrid(ell=ell, **RADIAL_GRID))
+
+
+def structured_count(k, relation, threshold):
+    """``_compressed_count`` of the recorded kernel ``k`` from its factors."""
+    return _compressed_count(_kernel_products(k._structure), relation, threshold)
+
+
+def test_structured_count_proves_every_criterion_5_kernel_count(radial_cases, radial_oracles,
+                                                                solver_dims):
+    for (label, a, relation, threshold), (_, _, (ref, eta)) in zip(radial_cases, radial_oracles):
+        if relation == "<":
+            continue
+        k = case_kernel(label)
+        solver_dims["dense"].clear()
+        assert structured_count(k, relation, threshold) == dense_count(ref, eta, relation,
+                                                                       threshold), label
+        # count_evs proves a kernel of more than 64 rows the same way, from
+        # the 8 x 8 compression alone, and never builds the dense kernel
+        assert count_evs(k, relation, threshold) == dense_count(ref, eta, relation, threshold)
+        if k.dim > _DENSE_COUNT_ROWS:
+            assert solver_dims["dense"] == [_COMPRESSION_RANK] * 2, label
+            assert "entries" not in vars(k), label
+
+
+def test_kernel_frobenius_recurrence_is_the_dense_norm_within_its_allowance(radial_cases):
+    # |K|_F^2 from the recurrences differs from that of the built entries by
+    # less than _compressed_count's allowance on d^2: (N^2 u + 2 k e) scale^2
+    u, k = 2.0**-53, _COMPRESSION_RANK
+    for label, a, relation, _ in radial_cases:
+        if relation == "<":
+            continue
+        _, fro, columns, terms, error = _kernel_products(a._structure)
+        dense = hs_norm(a)
+        e = k * (4e-12 + 2.0 * (terms + k) * u + error)
+        assert abs(fro**2 - dense**2) <= (terms * terms * u + 2.0 * k * e) * (1.0 + dense) ** 2
+        assert abs(fro - dense) <= 1e-13 * dense, label  # 4.5e-15 measured
+        np.testing.assert_allclose(columns, np.einsum("ij,ij->j", a.entries, a.entries),
+                                   rtol=1e-12, err_msg=str(label))
+
+
+@pytest.mark.parametrize("relation", [">", "<"])
+def test_structured_count_at_the_guard_band_edges_is_the_dense_count_or_none(
+        radial_cases, radial_oracles, relation):
+    # thresholds that put a kernel eigenvalue just inside and just outside
+    # either edge of the band, and 1e4 bands away: the proof gives the dense
+    # count or falls back (to the dense count, as the fallback test shows)
+    proved = 0
+    for (label, a, kind, _), (_, _, (ref, eta)) in zip(radial_cases, radial_oracles):
+        # a kernel of full support, where the oracle spectrum is K's own
+        if kind == "<" or a.dim != RADIAL_GRID["n"]:
+            continue
+        for x in ref[-3:]:
+            for edge in (-1.0, 1.0):
+                for shift in (1.0 - 1e-3, 1.0 + 1e-3, 1e4):
+                    threshold = x + edge * shift * eta
+                    expected = dense_count(ref, eta, relation, threshold)
+                    count = structured_count(a, relation, threshold)
+                    assert count in (None, expected), (label, edge, shift)
+                    proved += count is not None
+    assert proved or relation == "<"  # the top of K is proved 1e4 bands below it
+
+
+def test_structured_count_on_a_table_potential_with_a_gap_in_its_support():
+    # v_- vanishes on (2.5, 4): the support is two runs of nodes, 126 rows
+    pot = PotentialSpec(kind="table", strength=2.0, table_r=np.array([0, 2, 2.5, 4, 4.5, 6.0]),
+                        table_v=np.array([1, 1, 0, 0, 1, 1.0]))
+    for eps, expected in ((0.05, 2), (0.2, 2), (1.0, 1)):
+        k = fresh_kernel(pot, eps)
+        assert k.dim == 126 and np.count_nonzero(np.diff(k._structure.support) > 1) == 1
+        assert structured_count(k, ">", 1.0) == count_evs(k, ">", 1.0) == expected
+        assert "entries" not in vars(k)
+        assert int(_count_evs(k.entries, ">", 1.0)) == expected
+
+
+def test_fallback_of_a_structured_count_makes_one_dense_solve_of_the_built_entries(
+        monkeypatch, solver_dims):
+    # eigenvalues 0.92 and 3.5 at strength 4: the proof fails, and count_evs
+    # builds the kernel once and solves it once
+    builds = []
+    block = radial._bs_block
+    monkeypatch.setattr(radial, "_bs_block", lambda *args: builds.append(args) or block(*args))
+    pot = PotentialSpec(kind="table", strength=4.0, table_r=np.array([0, 2, 2.5, 4, 4.5, 6.0]),
+                        table_v=np.array([1, 1, 0, 0, 1, 1.0]))
+    k = fresh_kernel(pot, 0.2)
+    assert structured_count(k, ">", 1.0) is None
+    solver_dims["dense"].clear()
+    assert count_evs(k, ">", 1.0) == 2
+    assert [n for n in solver_dims["dense"] if n != _COMPRESSION_RANK] == [k.dim]
+    assert len(builds) == 1
+    assert k.entries is k.entries and len(builds) == 1
+
+
+def test_structured_entries_are_the_bytes_of_the_dense_builders(radial_cases):
+    for label, a, relation, _ in radial_cases:
+        kind, lam, ell, eps = label
+        pot, grid = PotentialSpec(kind=kind, strength=lam), RadialGrid(ell=ell, **RADIAL_GRID)
+        if relation == ">":
+            expected = radial._bs_block(pot, grid, eps)
+        else:
+            diag, off = radial._fd_diagonals(pot, grid)
+            expected = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        assert a.entries.tobytes() == expected.tobytes(), label
+        assert a.dim == len(expected), label
+
+
+def test_threads_sharing_a_structured_kernel_read_one_build(monkeypatch):
+    # four threads read the entries of one kernel and count it at once; they
+    # see the bytes and counts of a single thread, from one build
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+    from threading import Barrier
+
+    pot = PotentialSpec(kind="exponential", strength=18.0)
+    alone = fresh_kernel(pot, 0.1)
+    expected = (alone.entries.tobytes(), count_evs(alone, ">", 1.0), count_evs(alone, "<", 0.5))
+    builds = []
+    block = radial._bs_block
+    monkeypatch.setattr(radial, "_bs_block", lambda *args: builds.append(args) or block(*args))
+    shared, start = fresh_kernel(pot, 0.1), Barrier(4, timeout=60)
+
+    def read(_):
+        start.wait()
+        return shared.entries.tobytes(), count_evs(shared, ">", 1.0), count_evs(shared, "<", 0.5)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            assert list(pool.map(read, range(4), timeout=120)) == [expected] * 4
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(builds) == 1
 
 
 def test_count_matches_eigh_count_on_random_corpus():
@@ -786,7 +951,7 @@ def test_sturm_count_matches_the_sterf_count_across_the_guard_band(monkeypatch):
         if rng.random() < 0.3:  # split into unreduced blocks
             k = int(rng.integers(1, dim))
             m[k, k - 1] = m[k - 1, k] = 0.0
-        a = SymOperator._built(m, tridiagonal=True)
+        a = tridiagonal_operator(m)
         diag, off = m.diagonal().copy(), m.diagonal(-1).copy()
         lam = TRIDIAGONAL_EIGVALSH(diag, off, lapack_driver="sterf")
         eta = 1e-10 * (1.0 + hs_norm(a))
@@ -887,7 +1052,7 @@ def test_tridiagonal_route_matches_dense():
             m = a.entries.copy()
             k = int(rng.integers(1, dim))
             m[k, k - 1] = m[k - 1, k] = 0.0
-            a = SymOperator._built(m, tridiagonal=True)
+            a = tridiagonal_operator(m)
         assert_matches_dense(a)
 
 
