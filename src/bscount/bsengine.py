@@ -21,9 +21,9 @@ square root in ``K(eps)``) and the checked eigenvalues of every
 ``A + B``.  Counting solves those of every ``K(eps)``.  The symmetry
 checks of the built ``A``, ``B`` and ``K(eps)`` run per matrix too.  The
 ``eps`` jitter, the threshold-collision check and both counts are array
-operations over the stack, made by linop's ``_collides`` and ``_count``,
-which hold the guard-band rule, and a failing member raises with its
-index.
+operations over the stack, made by linop's ``_collides``, ``_guarded_count``
+and ``_count``, which hold the guard-band rule, and a failing member
+raises with its index.
 
 ``random_corpus`` draws a property corpus first, in the RNG order of
 drawing its problems one by one, then builds one stack and its shifts per
@@ -54,12 +54,13 @@ import numpy as np
 from .linop import (
     DEFAULT_SEED,
     SymOperator,
-    ThresholdCollisionError,
+    ThresholdCollisionError,  # re-exported: count_bs raises it
     _checked_eigenvalues,
     _collides,
     _count,
     _count_evs,
     _fro,
+    _guarded_count,
     _require,
     _spectral_decompose,
     _symmetrized,
@@ -149,10 +150,10 @@ def _count_direct(s: _Stack, eps: np.ndarray) -> np.ndarray:
 
 
 def _count_bs(s: _Stack, eps: np.ndarray) -> np.ndarray:
-    lam, eta = s.h_eigenvalues
-    _require(~_collides(lam, eta, -eps), "an eigenvalue of A+B lies within the guard "
-             "band {:.3e} of -eps; perturb eps (e.g. by a factor 1 +/- 1e-6) and retry", eta,
-             error=ThresholdCollisionError)
+    # refused on the spectrum of A+B, counted on the kernel's
+    _guarded_count(_count, s.h_eigenvalues, "<", -eps, "an eigenvalue of A+B lies within the "
+                   "guard band {:.3e} of -eps; perturb eps (e.g. by a factor 1 +/- 1e-6) and retry",
+                   s.h_eigenvalues[1])
     return _count_evs(_kernels(s, eps), ">", 1.0)
 
 
@@ -361,12 +362,20 @@ def _grouped(size: int, draw):
     problem's group key and its draws; every draw is made before this
     returns.  Returns an iterator over the groups in ascending key order,
     each as its key and the list of its members' draws in draw order, which
-    frees a group's draws when it reaches them."""
+    frees a group's draws when it reaches them.  A negative ``size`` raises
+    ValueError (``_require_draws``)."""
+    _require_draws(size)
     groups = {}
     for _ in range(size):
         key, member = draw()
         groups.setdefault(key, []).append(member)
     return ((key, groups.pop(key)) for key in sorted(groups))
+
+
+def _require_draws(n: int) -> None:
+    """Reject a number of random draws that is negative."""
+    if n < 0:
+        raise ValueError(f"need a nonnegative number of draws, got {n}")
 
 
 def corpus_counts(corpus) -> tuple[np.ndarray, np.ndarray]:

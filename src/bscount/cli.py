@@ -52,6 +52,7 @@ from .bsengine import (
     _grouped,
     _hs_count_bound,
     _rank_one_domination,
+    _require_draws,
     corpus_counts,
     mu_max,
     random_corpus,
@@ -64,7 +65,7 @@ from .efimov import (
     s0_oracle,
     trimer_spectrum,
 )
-from .iterbs import _draw_split, _iterate, _random_steps, _spectral_stack
+from .iterbs import _draw_split, _iterate, _random_steps, _require_dim, _spectral_stack
 from .linop import DEFAULT_SEED, _count_evs, _fro, _symmetrized
 # unused here; perfbench/tests/test_tracing.py patches and restores cli.count_evs
 from .linop import count_evs
@@ -72,6 +73,8 @@ from .radial import (
     PotentialSpec,
     RadialGrid,
     _negative_count_off_threshold,
+    _require_shift,
+    _resolvent_power,
     _resolvent_power_bound,
     bs_count_and_top,
     resolvent_power_kernel,
@@ -252,11 +255,40 @@ def _model(cfg) -> SeparableModel:
                           grid_c=float(cfg["model.grid_c"]))
 
 
+def _scan_epsilons(cfg) -> list[float]:
+    """The shifts of a ``twobody`` config's scan, each checked by radial's
+    rule for the kernel's shift; an empty scan raises ValueError."""
+    epsilons = [float(e) for e in cfg["scan.epsilons"]]
+    if not epsilons:
+        raise ValueError("the scan needs at least one shift")
+    for eps in epsilons:
+        _require_shift(eps)
+    return epsilons
+
+
+def _kernel_points(cfg) -> list[tuple]:
+    """The points ``(gamma, eps, r)`` of a ``kernelcheck`` config, each
+    checked by ``resolvent_power_kernel``'s argument rules."""
+    points = [(float(g), float(e), float(r)) for g in cfg["kernel.gammas"]
+              for e in cfg["kernel.epsilons"] for r in cfg["kernel.r_values"]]
+    for point in points:
+        _resolvent_power(*point)
+    return points
+
+
+_VERIFY_SIZES = ("verify.bs_instances", "verify.iterbs_instances", "verify.bound_instances")
+
 # the config keys whose range rule the library owns: key -> a function of a
 # merged config that builds, or checks, what owns the rule
 _RANGE_OWNERS = {
+    **dict.fromkeys(_VERIFY_SIZES, lambda cfg: [_require_draws(int(cfg[key]))
+                                                for key in _VERIFY_SIZES]),
     **dict.fromkeys(("grid.ell", "grid.r_max", "grid.n"), _radial_grid),
     **dict.fromkeys(("potential.kind", "potential.strength", "potential.range"), _potential),
+    "scan.epsilons": _scan_epsilons,
+    **dict.fromkeys(("kernel.gammas", "kernel.epsilons", "kernel.r_values"), _kernel_points),
+    "iterbs.dim": lambda cfg: _require_dim(int(cfg["iterbs.dim"])),
+    "iterbs.steps": lambda cfg: _require_draws(int(cfg["iterbs.steps"])),
     **dict.fromkeys(("model.beta", "model.coupling", "model.p_max", "model.n_p",
                      "model.grid_c"), _model),
     "efimov.e_floor": lambda cfg: _require_floor(float(cfg["efimov.e_floor"])),
@@ -458,10 +490,7 @@ def _load_potential(cfg) -> PotentialSpec:
 
 
 def _run_twobody(cfg, jobs):
-    pot, grid = _load_potential(cfg), _radial_grid(cfg)
-    epsilons = [float(e) for e in cfg["scan.epsilons"]]
-    if not epsilons:
-        raise ValueError("scan.epsilons is empty")
+    pot, grid, epsilons = _load_potential(cfg), _radial_grid(cfg), _scan_epsilons(cfg)
 
     def one(eps):  # a level on the threshold raises on either side
         return (_negative_count_off_threshold(pot, grid, eps), *bs_count_and_top(pot, grid, eps))
@@ -476,13 +505,8 @@ def _run_twobody(cfg, jobs):
 
 
 def _run_kernelcheck(cfg, jobs):
-    gammas = [float(g) for g in cfg["kernel.gammas"]]
-    epsilons = [float(e) for e in cfg["kernel.epsilons"]]
-    r_values = [float(r) for r in cfg["kernel.r_values"]]
-    points = [(g, e, r) for g in gammas for e in epsilons for r in r_values]
-
     rows = []
-    for gamma, eps, r_dist in points:
+    for gamma, eps, r_dist in _kernel_points(cfg):
         try:  # raises on a value that is not finite or exceeds the bound
             value, within = resolvent_power_kernel(gamma, eps, r_dist), True
         except RuntimeError:

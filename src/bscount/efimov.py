@@ -8,8 +8,9 @@ reduces it to a one-dimensional integral kernel in the spectator momentum;
 trimer energies are the points where an eigenvalue of that kernel crosses 1.
 ``trimer_spectrum`` finds them from one table of solved spectra and counts
 by linop's rule alone: every count of eigenvalues against 1 is linop's
-``_count``, strict outside the guard band, and an eigenvalue within the band
-of 1 at a bracket end is a threshold collision, which it refuses to count.
+``_count``, strict outside the guard band, and the counts at the bracket
+ends are linop's guarded count, which refuses an eigenvalue within the band
+of 1 there, a threshold collision.
 
 The kernel's mass coefficients ``A11``, ``A12`` come from the orthogonal
 Jacobi rotation between spectator frames (see docs/trimer_kernel.md
@@ -28,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linop import ThresholdCollisionError, _checked_eigenvalues, _collides, _count, _legendre_rule
+from .linop import _checked_eigenvalues, _collides, _count, _guarded_count, _legendre_rule
 
 UNITARITY_RTOL = 1e-8
 # a11 and a12 of the Jacobi rotation between the spectator frames of three
@@ -372,13 +373,14 @@ def trimer_spectrum(model: SeparableModel, e_floor: float) -> list[TrimerLevel]:
     (eigenvalues, eta)`` that the bracket ends, every iterate of every
     search and the monotone check read.
 
-    ``e_floor`` must be negative and finite, or ValueError is raised.  A
-    kernel eigenvalue within linop's guard band of 1 at either end raises
+    ``e_floor`` must be negative and finite, or ValueError is raised.  The
+    count above 1 at either end is linop's guarded count, ``e_floor``'s
+    first: a kernel eigenvalue within the guard band of 1 there raises
     ``ThresholdCollisionError`` naming that energy, since a level on a
-    bracket end is neither counted nor bracketed; one above 1 at ``e_floor``
-    raises ValueError.  The monotone count is checked, not assumed, by
-    linop's counting rule, without a tolerance of its own: the roots must
-    grow strictly shallower with the level index, and on every held
+    bracket end is neither counted nor bracketed; one above 1 at
+    ``e_floor`` raises ValueError.  The monotone count is checked, not
+    assumed, by linop's counting rule, without a tolerance of its own: the
+    roots must grow strictly shallower with the level index, and on every held
     spectrum with ``k`` roots deeper than its energy the count above 1 must
     be at most ``k`` and the count below 1 at most ``n - k``, so that an
     eigenvalue inside the band, as at Brent's iterates next to a root, may
@@ -403,19 +405,18 @@ def trimer_spectrum(model: SeparableModel, e_floor: float) -> list[TrimerLevel]:
         raise ValueError("e_floor is inside the grid-limited region; raise n_p or lower |e_floor|")
     x_stop, x_floor = np.log(e_stop), np.log(abs(e_floor))
     table = {}  # log|E| -> (eigenvalues, eta); the ends solved at their own energies
-    for x, energy in ((x_floor, e_floor), (x_stop, -e_stop)):
-        table[x] = _kernel_spectrum(parts, energy)
-        if _collides(*table[x], 1.0):
-            raise ThresholdCollisionError(
-                f"kernel eigenvalue within the guard band of 1 at the bracket end E = {energy!r}")
-    if _count(*table[x_floor], ">", 1.0):
+    deep, n_levels = [_guarded_count(  # the counts above 1 at the ends, e_floor's first
+        _count, table.setdefault(x, _kernel_spectrum(parts, energy)), ">", 1.0,
+        "kernel eigenvalue within the guard band of 1 at the bracket end E = {!r}", energy)
+        for x, energy in ((x_floor, e_floor), (x_stop, -e_stop))]
+    if deep:
         raise ValueError(f"levels exist below e_floor = {e_floor:g}; deepen the floor")
 
     def spectrum(x):  # solved on first use only
         return table[x] if x in table else table.setdefault(x, _kernel_spectrum(parts, -np.exp(x)))
 
     roots = [_brentq(lambda x: spectrum(x)[0][-1 - level] - 1.0, x_stop, x_floor, LEVEL_REL_TOL)
-             for level in range(_count(*table[x_stop], ">", 1.0))]
+             for level in range(n_levels)]
     energies = [-float(np.exp(x)) for x in roots]
     for level in range(1, len(roots)):
         if not energies[level - 1] < energies[level]:

@@ -134,9 +134,17 @@ def _spectral_stack(x: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndar
     return _symmetrized((q * lam[:, None, :]) @ q.mT), q
 
 
+def _require_dim(dim: int) -> None:
+    """Reject a dimension of a random split below 1, which has no top eigenvalue."""
+    if dim < 1:
+        raise ValueError(f"need a dimension >= 1, got {dim}")
+
+
 def _draw_split(rng, dim: int) -> tuple:
     """One ``random_spectral_step`` drawn in its RNG order, before any QR:
-    the QR input, ``mu`` and the spectrum of ``K_part``."""
+    the QR input, ``mu`` and the spectrum of ``K_part``.  A ``dim`` below 1
+    raises ValueError (``_require_dim``)."""
+    _require_dim(dim)
     x = rng.standard_normal((dim, dim))
     mu = float(rng.uniform(0.3, 0.95))
     lam = rng.uniform(-0.5, mu - 0.1, size=dim)

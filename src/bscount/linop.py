@@ -63,15 +63,14 @@ finite.  ``_count`` counts a spectrum in one, for ``count_evs`` and for the
 callers that count a spectrum they also read, and ``_tridiagonal_count``
 makes a Sturm count in one.  ``_collides`` tells whether an eigenvalue lies
 within the guard band of a threshold, where neither relation counts it,
-as the count of ``"="``, which the Sturm count of ``"="`` tells of a
-tridiagonal matrix.  A count leaves such an eigenvalue out; a caller that
-compares two counts, or brackets a level by a count, asks first and raises
-``ThresholdCollisionError``, defined here: a level on the threshold is the
-case the paper's finiteness theorem excludes (no subsystem with an
-eigenvalue or resonance at zero energy), so it is refused, not counted.
-bsengine's ``count_bs`` (which re-exports the error), radial's
-``schwinger_bound_check`` and the counts of the ``twobody`` command, and
-efimov's trimer levels ask.
+as the count of ``"="``.  A count leaves such an eigenvalue out; a count
+that must be exact there is the one guarded count, ``_guarded_count``: it
+counts by either route, a spectrum, a stack or a tridiagonal matrix, and
+where the count of ``"="`` is not 0 it raises ``ThresholdCollisionError``,
+defined here, with the caller's message, naming the stack member.  A
+level on the threshold is the case the paper's finiteness theorem excludes
+(no subsystem with an eigenvalue or resonance at zero energy), so it is
+refused, not counted; no other module raises the error.
 ``_spectral_decompose`` returns eigenvectors too and checks their residual
 and orthonormality; it serves the callers that use eigenvectors.  The
 private ``_checked_eigenvalues``, ``_spectral_decompose`` and
@@ -589,6 +588,18 @@ def _collides(lam: np.ndarray, eta, threshold):
     ``">"`` nor ``"<"`` counts it; for the eigenvalues ``(k, n)`` of a
     stack, the array of it per member."""
     return _count(lam, eta, "=", threshold) > 0
+
+
+def _guarded_count(route, operand, relation: str, threshold, message: str, *values):
+    """``route(*operand, relation, threshold)``, the count of ``_count`` over
+    a spectrum ``(lam, eta)``, or of a stack, or of ``_tridiagonal_count``
+    over a ``_Tridiagonal``, refused where it is not exact: an eigenvalue
+    in the guard band of ``threshold``, the count of ``"="``, raises
+    ``ThresholdCollisionError`` by ``_require`` with the caller's
+    ``message`` and ``values``, naming the member of a stack.  Every
+    refusal of a threshold collision in the package is made here."""
+    _require(route(*operand, "=", threshold) == 0, message, *values, error=ThresholdCollisionError)
+    return route(*operand, relation, threshold)
 
 
 def _interval(relation: str, threshold, eta) -> tuple:

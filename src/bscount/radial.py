@@ -17,9 +17,12 @@ Two discretization schemes coexist, each with one job:
   any finite box would destroy the square-root law of the resonance
   channel; the kernel builders and the critical-coupling search reject it.
 
-linop runs every eigensolve and makes every count.  The Birman-Schwinger
-kernel is an operator on the support of v_-, where the attractive part
-lives, of one row per node where v_- > 0.  ``bs_kernel_radial`` records it
+linop runs every eigensolve and makes every count; the counts that must be
+exact at their threshold, on both sides of ``twobody`` and in
+``schwinger_bound_check``, are linop's one guarded count, which refuses a
+level on the threshold.  The Birman-Schwinger kernel is an operator on the
+support of v_-, where the attractive part lives, of one row per node where
+v_- > 0.  ``bs_kernel_radial`` records it
 as ``S T^-1 S`` with ``T = H_0 + v_+ + eps`` banded and ``S^2 = v_-``, and
 builds the support block, ``_bs_block``, only when its entries are read;
 ``bs_count_and_top`` counts above 1 that block's spectrum, linop's checked
@@ -58,9 +61,8 @@ from functools import partial
 
 import numpy as np
 
-from .linop import (SymOperator, ThresholdCollisionError, _Kernel, _Tridiagonal,
-                    _checked_eigenvalues, _collides, _count, _kernel_top_eigenvalue,
-                    _legendre_rule, _tridiagonal_count)
+from .linop import (SymOperator, _Kernel, _Tridiagonal, _checked_eigenvalues, _count,
+                    _guarded_count, _kernel_top_eigenvalue, _legendre_rule, _tridiagonal_count)
 
 POTENTIAL_KINDS = ("yukawa", "exponential", "gaussian", "square_well", "table")
 
@@ -299,20 +301,17 @@ def _negative_count_off_threshold(pot: PotentialSpec, grid: RadialGrid, eps: flo
     """Number of eigenvalues of the reduced operator below ``-eps``, refused
     where it is not exact.
 
-    Counts by Sturm sequence on the tridiagonal matrix, as ``count_evs``
-    counts ``reduced_hamiltonian(pot, grid)`` below ``-eps``, which leaves
-    out eigenvalues within ``1e-10 * (1 + |H|_F)`` of ``-eps``.  Such an
-    eigenvalue raises ThresholdCollisionError naming ``eps`` instead; one
-    more Sturm count, of the band ``"="``, tells it, from the same
-    diagonals.  At ``eps = 0`` that eigenvalue is a zero-energy level, the
-    case the paper's finiteness theorem excludes.
+    linop's guarded count of the tridiagonal matrix, by Sturm sequence, as
+    ``count_evs`` counts ``reduced_hamiltonian(pot, grid)`` below ``-eps``:
+    an eigenvalue within ``1e-10 * (1 + |H|_F)`` of ``-eps``, which that
+    count leaves out, raises ThresholdCollisionError naming ``ell`` and
+    ``eps`` instead.  At ``eps = 0`` that eigenvalue is a zero-energy
+    level, the case the paper's finiteness theorem excludes.
     """
-    diag, off = _fd_diagonals(pot, grid)
-    if _tridiagonal_count(diag, off, "=", -eps):
-        raise ThresholdCollisionError(
-            f"an eigenvalue of the reduced Hamiltonian at ell = {grid.ell} lies within the "
-            f"guard band of -eps at eps = {eps:.17g}: a level sits on the counting threshold")
-    return _tridiagonal_count(diag, off, "<", -eps)
+    return _guarded_count(_tridiagonal_count, _Tridiagonal(*_fd_diagonals(pot, grid)), "<", -eps,
+                          "an eigenvalue of the reduced Hamiltonian at ell = {} lies within the "
+                          "guard band of -eps at eps = {:.17g}: a level sits on the counting "
+                          "threshold", grid.ell, eps)
 
 
 def _banded_hamiltonian(grid: RadialGrid, v_plus, eps: float) -> np.ndarray:
@@ -457,6 +456,13 @@ def _critical_top(pot: PotentialSpec, grid: RadialGrid) -> tuple[float, int]:
     return _split_kernel_top(grid, 0.0, repulsive, pot.strength * pot.shape(r))
 
 
+def _require_shift(eps: float) -> None:
+    """Reject a shift ``eps`` of the Birman-Schwinger kernel that is not
+    positive and finite."""
+    if not 0 < eps < np.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
+
+
 def bs_kernel_radial(pot: PotentialSpec, grid: RadialGrid, eps: float) -> SymOperator:
     """Birman-Schwinger kernel of the radial problem at spectral shift eps.
 
@@ -475,8 +481,7 @@ def bs_kernel_radial(pot: PotentialSpec, grid: RadialGrid, eps: float) -> SymOpe
     the dense block.  The block, ``_bs_block``, is built only when
     ``entries`` is read, as it is by ``bs_count_and_top``.
     """
-    if not 0 < eps < np.inf:
-        raise ValueError(f"eps must be positive and finite, got {eps}")
+    _require_shift(eps)
     r = grid.nodes
     ab = _banded_hamiltonian(grid, pot.v_plus(r), eps)  # rejects a grid other than uniform_fd2
     _warn_if_box_small(pot, grid)
@@ -491,18 +496,18 @@ def bs_count_and_top(pot: PotentialSpec, grid: RadialGrid, eps: float) -> tuple[
     eps)``, the kernel on the support of v_-, so the count is
     ``count_evs`` of that kernel above 1, and the arguments are checked and
     the small box is warned of as there.  The largest eigenvalue is 0 when
-    v_- vanishes on the grid, where the kernel is 0 x 0.  A kernel
-    eigenvalue within the guard band of 1, which the count leaves out,
-    raises ThresholdCollisionError naming ``eps``.
+    v_- vanishes on the grid, where the kernel is 0 x 0.  The count is
+    linop's guarded count: a kernel eigenvalue within the guard band of 1,
+    which ``count_evs`` leaves out, raises ThresholdCollisionError naming
+    ``eps``.
     """
     lam, eta = _checked_eigenvalues(bs_kernel_radial(pot, grid, eps).entries)
     if not lam.size:
         return 0, 0.0
-    if _collides(lam, eta, 1.0):
-        raise ThresholdCollisionError(
-            f"a Birman-Schwinger kernel eigenvalue lies within the guard band {eta:.3e} of 1 "
-            f"at eps = {eps:.17g}: a level sits on the counting threshold")
-    return int(_count(lam, eta, ">", 1.0)), float(lam[-1])
+    count = _guarded_count(_count, (lam, eta), ">", 1.0, "a Birman-Schwinger kernel eigenvalue "
+                           "lies within the guard band {:.3e} of 1 at eps = {:.17g}: a level "
+                           "sits on the counting threshold", eta, eps)
+    return int(count), float(lam[-1])
 
 
 def kernel_critical_strength(pot: PotentialSpec, grid: RadialGrid) -> float:
@@ -657,10 +662,11 @@ def schwinger_bound_check(pot: PotentialSpec) -> tuple[int, float]:
     ``(4 pi)^-2 c_0^2`` with ``c_0`` the Rollnik norm of ``v_-``.  Each wave
     is counted on ``SCHWINGER_N`` points in a box of radius
     ``max(25 range, 12)``; bound states still present at
-    ``SCHWINGER_ELL_MAX`` raise RuntimeError.  An eigenvalue within the
-    guard band of zero at a wave visited, a zero-energy level that the
-    count would leave out and that the bound assumes away, raises
-    ThresholdCollisionError.
+    ``SCHWINGER_ELL_MAX`` raise RuntimeError.  Each wave's count is
+    linop's guarded count (``_negative_count_off_threshold`` at ``eps =
+    0``), so an eigenvalue within the guard band of zero at a wave visited,
+    a zero-energy level that the bound assumes away, raises
+    ThresholdCollisionError naming the wave.
     """
     r_max = max(25.0 * pot.range, 12.0)
     total = 0
@@ -694,6 +700,18 @@ def _resolvent_power_bound(p: float, r_dist: float) -> float:
     return 2.0 ** (-2.0 * p) * gamma(1.5 - p) / (np.pi**1.5 * gamma(p)) * r_dist ** (2.0 * p - 3.0)
 
 
+def _resolvent_power(gamma: float, eps: float, r_dist: float) -> float:
+    """The power ``p = 1 + 2 gamma`` of ``resolvent_power_kernel`` at its
+    arguments, checked: ``p`` outside [1, 3/2), or ``eps`` or ``R`` not
+    positive and finite, raises ValueError."""
+    p = 1.0 + 2.0 * gamma
+    if not 1.0 <= p < 1.5:
+        raise ValueError(f"power p = 1 + 2*gamma = {p:g} outside [1, 3/2)")
+    if not (0 < eps < np.inf and 0 < r_dist < np.inf):
+        raise ValueError(f"eps and R must be positive and finite, got {eps}, {r_dist}")
+    return p
+
+
 def resolvent_power_kernel(gamma: float, eps: float, r_dist: float) -> float:
     """Diagonal-distance kernel of ``(-Laplacian + eps)^(-(1+2 gamma))`` in 3-d.
 
@@ -712,11 +730,7 @@ def resolvent_power_kernel(gamma: float, eps: float, r_dist: float) -> float:
     ``2^(-2p) Gamma(3/2-p) / (pi^(3/2) Gamma(p)) R^(2p-3)``, raises
     RuntimeError.
     """
-    p = 1.0 + 2.0 * gamma
-    if not 1.0 <= p < 1.5:
-        raise ValueError(f"power p = 1 + 2*gamma = {p:g} outside [1, 3/2)")
-    if not (0 < eps < np.inf and 0 < r_dist < np.inf):
-        raise ValueError(f"eps and R must be positive and finite, got {eps}, {r_dist}")
+    p = _resolvent_power(gamma, eps, r_dist)
     from scipy.special import gamma as gamma_fn, kv
 
     nu = 1.5 - p

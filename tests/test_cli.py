@@ -616,14 +616,35 @@ def test_efimov_rejects_an_infinite_floor(tmp_path, capsys):
     assert not out.exists()
 
 
+DRAWS = "need a nonnegative number of draws, got "
+NO_SHIFT = "eps must be positive and finite, got "
+NO_POINT = "eps and R must be positive and finite, got "
+
+
 @pytest.mark.parametrize("command,line,message", [
     ("efimov", "model.n_p = 32", "need an integer n_p >= 64 quadrature points, got 32"),
     ("twobody", "grid.n = 8", "need an integer n >= 16 interior points, got 8"),
     ("twobody", "potential.range = -1.0", "range must be positive and finite, got -1.0"),
-], ids=["model.n_p", "grid.n", "potential.range"])
+    ("verify", "verify.bs_instances = -3", DRAWS + "-3"),
+    ("verify", "verify.iterbs_instances = -3", DRAWS + "-3"),
+    ("verify", "verify.bound_instances = -3", DRAWS + "-3"),
+    ("iterbs-demo", "iterbs.dim = 0", "need a dimension >= 1, got 0"),
+    ("iterbs-demo", "iterbs.steps = -1", DRAWS + "-1"),
+    ("twobody", "scan.epsilons = [-0.5]", NO_SHIFT + "-0.5"),
+    ("twobody", "scan.epsilons = [0.0]", NO_SHIFT + "0.0"),
+    ("twobody", "scan.epsilons = []", "the scan needs at least one shift"),
+    ("twobody", "scan.epsilons = [0.5, nan]", NO_SHIFT + "nan"),
+    ("kernelcheck", "kernel.gammas = [0.9]", "power p = 1 + 2*gamma = 2.8 outside [1, 3/2)"),
+    ("kernelcheck", "kernel.epsilons = [-1.0]", NO_POINT + "-1.0, 0.2"),
+    ("kernelcheck", "kernel.r_values = [0.0]", NO_POINT + "0.01, 0.0"),
+], ids=["model.n_p", "grid.n", "potential.range", "verify.bs_instances",
+        "verify.iterbs_instances", "verify.bound_instances", "iterbs.dim", "iterbs.steps",
+        "scan.epsilons-negative", "scan.epsilons-zero", "scan.epsilons-empty",
+        "scan.epsilons-nan", "kernel.gammas", "kernel.epsilons", "kernel.r_values"])
 def test_value_out_of_its_range_exits_2_at_its_key_without_outputs(command, line, message,
                                                                    tmp_path, capsys):
-    # each rule is its owner's (SeparableModel, RadialGrid, PotentialSpec),
+    # each rule is its owner's (SeparableModel, RadialGrid, PotentialSpec,
+    # bsengine's draws, iterbs' split, radial's shift and resolvent power),
     # checked when the config is read, not as a failed numerical check
     cfg = write(tmp_path, "c.conf", f'command = "{command}"\nseed = 1\n  {line}\n')
     out = tmp_path / "out"

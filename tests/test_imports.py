@@ -55,12 +55,14 @@ def test_import_loads_no_tomllib(module):
 
 
 def test_range_checks_of_a_config_load_no_scipy():
-    # validate_config builds the grid, potential and model of a config to
-    # check its ranges; none of them loads scipy, so setup stays light
+    # validate_config builds the grid, potential and model of a config, and
+    # checks its shifts and kernel points, to check its ranges; none of them
+    # loads scipy, so setup stays light
     script = ("import sys\nfrom bscount.cli import parse_config_text, validate_config\n"
               "for text in ('command = \"twobody\"\\ngrid.n = 600\\ngrid.ell = 1\\n"
               "potential.range = 2.0\\n', 'command = \"efimov\"\\nmodel.n_p = 128\\n"
-              "efimov.e_floor = -2.0\\n'):\n"
+              "efimov.e_floor = -2.0\\n', 'command = \"twobody\"\\nscan.epsilons = [0.1]\\n', "
+              "'command = \"kernelcheck\"\\nkernel.gammas = [0.1]\\n'):\n"
               "    validate_config(*parse_config_text(text), None)\n"
               "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
     assert python("-c", script).strip() == "[]"

@@ -1,6 +1,7 @@
 """Tests for the dense operator algebra primitives."""
 
 import ast
+import re
 import warnings
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from bscount.linop import (
     _count,
     _count_evs,
     _dense_products,
+    _guarded_count,
     _kernel_products,
     _kernel_top_eigenvalue,
     _legendre_rule,
@@ -1008,6 +1010,46 @@ def test_sturm_collision_takes_the_half_open_band_to_the_ulp():
     assert seen == {True, False}
 
 
+@pytest.mark.parametrize("relation", [">", "<"])
+def test_guarded_count_counts_off_the_guard_band_and_refuses_in_it(relation):
+    # eigenvalue 4 of a spectrum, of member 1 of a stack and of a tridiagonal
+    # matrix walked across both edges of its guard band: 2 eta off the
+    # threshold it is counted as _count and count_evs count it, on its side,
+    # and 0.8 eta off it is refused, in a stack naming the member
+    rng = np.random.default_rng(DEFAULT_SEED + 11)
+    a, t = random_symmetric(rng, 9), random_tridiagonal(rng, 9)
+    stack = np.stack([random_symmetric(rng, 9).entries for _ in range(3)])
+    tri = _Tridiagonal(t.entries.diagonal().copy(), t.entries.diagonal(-1).copy())
+    lam, eta = _checked_eigenvalues(a.entries)
+    lams, etas = _checked_eigenvalues(stack)
+    tri_lam, tri_eta = TRIDIAGONAL_EIGVALSH(*tri), 1e-10 * (1.0 + hs_norm(t))
+    member_1 = np.arange(3) == 1
+    for shift in (-2.0, -0.8, 0.8, 2.0):
+        cases = {  # route, operand, threshold and the count_evs oracle
+            "spectrum": (_count, (lam, eta), lam[4] + shift * eta, count_evs, a),
+            "stack": (_count, (lams, etas), np.where(member_1, lams[:, 4] + shift * etas,
+                                                       lams[:, 0] - 1.0), _count_evs, stack),
+            "tridiagonal": (_tridiagonal_count, tri, tri_lam[4] + shift * tri_eta, count_evs, t),
+        }
+        for name, (route, operand, threshold, oracle, matrix) in cases.items():
+            message = "collision in the {} at t = {:.17g}"
+            if abs(shift) < 1.0:
+                named = threshold[1] if name == "stack" else threshold
+                member = " (stack member 1)" if name == "stack" else ""
+                with pytest.raises(ThresholdCollisionError, match="^" + re.escape(
+                        f"collision in the {name} at t = {named:.17g}{member}") + "$"):
+                    _guarded_count(route, operand, relation, threshold, message, name, threshold)
+                continue
+            got = _guarded_count(route, operand, relation, threshold, message, name, threshold)
+            below = 4 + (shift > 0)  # eigenvalue 4 is counted on its side of the threshold
+            want = below if relation == "<" else 9 - below
+            if name == "stack":
+                want = np.where(member_1, want, 9 if relation == ">" else 0)
+            assert np.array_equal(got, want), (name, shift)
+            assert np.array_equal(got, route(*operand, relation, threshold)), (name, shift)
+            assert np.array_equal(got, oracle(matrix, relation, threshold)), (name, shift)
+
+
 def test_threshold_collision_error_is_one_class_re_exported():
     import bscount
     assert bsengine.ThresholdCollisionError is bscount.ThresholdCollisionError is \
@@ -1289,6 +1331,21 @@ def test_no_module_but_linop_counts_a_comparison():
                   for operand in ((node.left, node.right) if isinstance(node, ast.BinOp)
                                   else (node.target, node.value))
                   for name in ast.walk(operand))]
+    assert not found
+
+
+def test_no_module_but_linop_refuses_a_threshold_collision():
+    # linop's _guarded_count makes every refusal; bsengine and bscount only
+    # re-export the error class, by import
+    def names_error(node):
+        return (isinstance(node, ast.Name) and node.id == "ThresholdCollisionError"
+                or isinstance(node, ast.Attribute) and node.attr == "ThresholdCollisionError")
+
+    found = [f"{file}:{node.lineno}" for file, node in nodes_outside_linop()
+             if isinstance(node, ast.Call) and (names_error(node.func) or any(
+                 keyword.arg == "error" and names_error(keyword.value)
+                 for keyword in node.keywords))
+             or isinstance(node, ast.Raise) and node.exc is not None and names_error(node.exc)]
     assert not found
 
 
