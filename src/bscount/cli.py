@@ -268,12 +268,25 @@ def _scan_epsilons(cfg) -> list[float]:
 
 def _kernel_points(cfg) -> list[tuple]:
     """The points ``(gamma, eps, r)`` of a ``kernelcheck`` config, each
-    checked by ``resolvent_power_kernel``'s argument rules."""
+    checked by ``resolvent_power_kernel``'s argument rules; an empty list of
+    any of the three raises ValueError."""
     points = [(float(g), float(e), float(r)) for g in cfg["kernel.gammas"]
               for e in cfg["kernel.epsilons"] for r in cfg["kernel.r_values"]]
+    if not points:
+        raise ValueError("the check needs at least one gamma, one eps and one R")
     for point in points:
         _resolvent_power(*point)
     return points
+
+
+def _demo_steps(cfg) -> int:
+    """The number of stages of an ``iterbs-demo`` config, checked by
+    bsengine's rule for a number of draws; no stage raises ValueError."""
+    steps = int(cfg["iterbs.steps"])
+    _require_draws(steps)
+    if not steps:
+        raise ValueError("the demo needs at least one step")
+    return steps
 
 
 _VERIFY_SIZES = ("verify.bs_instances", "verify.iterbs_instances", "verify.bound_instances")
@@ -288,7 +301,7 @@ _RANGE_OWNERS = {
     "scan.epsilons": _scan_epsilons,
     **dict.fromkeys(("kernel.gammas", "kernel.epsilons", "kernel.r_values"), _kernel_points),
     "iterbs.dim": lambda cfg: _require_dim(int(cfg["iterbs.dim"])),
-    "iterbs.steps": lambda cfg: _require_draws(int(cfg["iterbs.steps"])),
+    "iterbs.steps": _demo_steps,
     **dict.fromkeys(("model.beta", "model.coupling", "model.p_max", "model.n_p",
                      "model.grid_c"), _model),
     "efimov.e_floor": lambda cfg: _require_floor(float(cfg["efimov.e_floor"])),
@@ -528,7 +541,7 @@ def _run_iterbs_demo(cfg, jobs):
     its RNG order: ``K``, then each stage's split."""
     rng = np.random.default_rng(cfg["seed"])
     dim = int(cfg["iterbs.dim"])
-    n_steps = int(cfg["iterbs.steps"])
+    n_steps = _demo_steps(cfg)
     x = rng.standard_normal((dim, dim))
     k_total = _spectral_stack(x[None], rng.uniform(-0.8, 1.6, size=(1, dim)))[0]
     base = int(_count_evs(k_total, ">", 1.0)[0])

@@ -82,16 +82,21 @@ all.  The tridiagonal layer is one Sturm count and one factorization:
 ``_tridiagonal_count`` counts by LAPACK ``stebz``, and
 ``_tridiagonal_factor`` factors the tridiagonal matrix by LAPACK ``pttrf``
 in O(n), which succeeds exactly when the matrix is positive definite; its
-factors serve ``_kernel_products`` and ``_kernel_top_eigenvalue``.
+factors serve ``_kernel_products`` and ``_kernel_top_eigenvalue``.  A
+first-order linear recurrence over the grid, a unit bidiagonal solve, is
+``_recurrence``, by LAPACK ``tbtrs``: ``_kernel_products`` runs three and
+radial's ``_green_apply`` two, with no Python loop over the nodes.
 ``_kernel_top_eigenvalue`` is the
 largest eigenvalue of a kernel ``S T^-1 S`` with ``T`` tridiagonal and
 ``S^2`` a nonnegative diagonal, which radial's critical coupling and
 ``mu_scan`` read: it brackets by factoring ``T - S^2 / sigma``, which
 fails exactly where the kernel has an eigenvalue at or above ``sigma``,
-the Birman-Schwinger test, refines by inverse iteration, and stands an
-eigenpair residual against the kernel applied by the caller's other route,
-and a certificate that no eigenvalue lies above, in for the trace and
-Frobenius checks.  It reports how many factorizations it made.
+the Birman-Schwinger test, to relative width 1e-3, refines by inverse
+iteration, and stands an eigenpair residual against the kernel applied by
+the caller's other route, and a certificate that no eigenvalue lies above,
+in for the trace and Frobenius checks; only where either fails does it
+bisect on to 1e-8 and iterate again.  It reports how many factorizations
+it made.
 
 The Gauss-Legendre rules of the package, efimov's momentum grid and
 radial's ``gauss_legendre`` grid and Rollnik panels, are eigensolves too:
@@ -434,6 +439,28 @@ def _tridiagonal_factor(diag, off):
     return (d, e) if info == 0 else None
 
 
+def _recurrence(c, b, forward: bool = False) -> np.ndarray:
+    """The solution of the first-order linear recurrence ``x_j = b_j + c_j
+    x_(j+1)``, run back from ``x_(n-1) = b_(n-1)``, or with ``forward``
+    ``x_j = b_j + c_(j-1) x_(j-1)``, run on from ``x_0 = b_0``, for ``n``
+    entries of ``b`` and ``n - 1`` of ``c``, in O(n).
+
+    Either is a solve with a unit bidiagonal matrix ``U = I - diag(c, 1)``,
+    ``U x = b`` backward and ``U^T x = b`` forward, made by LAPACK ``tbtrs``
+    with the loop's one multiply and one add per step, which the BLAS may
+    fuse, so the result is the loop's within rounding.  An argument LAPACK
+    rejects raises RuntimeError.
+    """
+    from scipy.linalg import lapack
+
+    band = np.zeros((2, b.size))  # U in upper band storage; its unit diagonal is not read
+    band[0, 1:] = -c
+    x, info = lapack.dtbtrs(band, b, trans="T" if forward else "N", diag="U")
+    if info < 0:
+        raise RuntimeError(f"LAPACK tbtrs rejected argument {-info}")
+    return x
+
+
 def _kernel_top_eigenvalue(diag, off, weight, green) -> tuple[float, int]:
     """The largest eigenvalue ``mu`` of ``K = S T^-1 S``, for the positive
     definite tridiagonal ``T`` with diagonal ``diag`` and off-diagonal
@@ -446,9 +473,12 @@ def _kernel_top_eigenvalue(diag, off, weight, green) -> tuple[float, int]:
     ``sigma > 0`` exactly when ``T - S^2 / sigma`` is not positive definite,
     which ``_tridiagonal_factor`` decides.  The Rayleigh quotient of
     ``S 1``, at most ``mu``, starts a bracket ``[lo, hi)``, bisected to
-    relative width 1e-8.  Inverse iteration with ``T - S^2 / hi``, factored
-    once, then converges to the top eigenvector ``x``, and ``mu`` is its
-    Rayleigh quotient.
+    relative width 1e-3.  Inverse iteration with ``T - S^2 / hi``, factored
+    once, then converges to the top eigenvector ``x`` in at most 40 steps,
+    and ``mu`` is its Rayleigh quotient.  Where the eigenvalue next below
+    lies so close that those steps leave either check below failing, the
+    same bracket is bisected on to relative width 1e-8 and the iteration
+    runs again, from the same start; only a failure there raises.
 
     ``green(u)`` applies ``T^-1`` by another route than ``T``, so
     ``K x = S green(S x)`` tests the result in place of the trace and
@@ -481,28 +511,31 @@ def _kernel_top_eigenvalue(diag, off, weight, green) -> tuple[float, int]:
     lo = hi = float(weight @ solve(factors, weight)) / float(np.sum(weight))
     while (factors := shifted(hi)) is None:
         hi *= 2.0
-    while hi - lo > 1e-8 * hi:
-        mid = 0.5 * (lo + hi)
-        if (mid_factors := shifted(mid)) is None:
-            lo = mid
-        else:
-            hi, factors = mid, mid_factors
     root = np.sqrt(weight)
-    x = root / np.linalg.norm(root)
-    for _ in range(20):  # x <- S (T - S^2/hi)^-1 S x
-        new = root * solve(factors, root * x)
-        new /= np.linalg.norm(new)
-        step = np.linalg.norm(new - x)
-        x = new
-        if step <= 1e-12:
+    for width in (1e-3, 1e-8):  # the fine bracket only where the coarse one misses
+        while hi - lo > width * hi:
+            mid = 0.5 * (lo + hi)
+            if (mid_factors := shifted(mid)) is None:
+                lo = mid
+            else:
+                hi, factors = mid, mid_factors
+        x = root / np.linalg.norm(root)
+        for _ in range(40):  # x <- S (T - S^2/hi)^-1 S x
+            new = root * solve(factors, root * x)
+            new /= np.linalg.norm(new)
+            step = np.linalg.norm(new - x)
+            x = new
+            if step <= 1e-12:
+                break
+        kx = root * green(root * x)
+        mu = float(x @ kx)
+        residual = float(np.linalg.norm(kx - mu * x))
+        bound = 1e-10 * (1.0 + mu)
+        if certified := residual <= bound and shifted(mu + residual + bound) is not None:
             break
-    kx = root * green(root * x)
-    mu = float(x @ kx)
-    residual = float(np.linalg.norm(kx - mu * x))
-    _require(residual <= 1e-10 * (1.0 + mu),
-             "top kernel eigenpair residual {:.3e} exceeds 1e-10*(1+mu)", residual)
-    _require(shifted(mu + residual + 1e-10 * (1.0 + mu)) is not None,
-             "a kernel eigenvalue lies above the selected mu = {:.15g}", mu)
+    _require(residual <= bound, "top kernel eigenpair residual {:.3e} exceeds 1e-10*(1+mu)",
+             residual)
+    _require(certified, "a kernel eigenvalue lies above the selected mu = {:.15g}", mu)
     return mu, calls
 
 
@@ -679,14 +712,15 @@ def _kernel_products(kernel: _Kernel) -> tuple:
     - ``X -> K X`` is ``S T^-1 (S X)``, one ``pttrs`` solve.
     - ``G = T~^-1`` has ``G_ij = -l_i G_(i+1)j`` for ``i < j`` and the
       diagonal ``G_nn = 1/d_n``, ``G_jj = 1/d_j + l_j^2 G_(j+1)(j+1)``.  With
-      the forward sum ``P_1 = 0``, ``P_j = l_(j-1)^2 (w_(j-1) + P_(j-1))``
-      and the backward sum ``Q_n = 0``, ``Q_j = l_j^2 (w_(j+1)
-      G_(j+1)(j+1)^2 + Q_(j+1))``, column ``j`` of ``K~ = S T~^-1 S`` has
-      the squared norm ``w_j (G_jj^2 (w_j + P_j) + Q_j)``, and ``|K~|_F^2``
-      is their sum, ``sum_j w_j G_jj^2 (w_j + 2 P_j)``.  Every term is
-      positive, so the sums do not cancel: their rounding is below ``10 n
-      u`` relative, inside ``_compressed_count``'s ``n^2 u`` allowance on
-      ``d^2``.
+      the forward sum ``P_1 = 0``, ``P_j = l_(j-1)^2 w_(j-1) + l_(j-1)^2
+      P_(j-1)`` and the backward sum ``Q_n = 0``, ``Q_j = l_j^2 w_(j+1)
+      G_(j+1)(j+1)^2 + l_j^2 Q_(j+1)``, column ``j`` of ``K~ = S T~^-1 S``
+      has the squared norm ``w_j (G_jj^2 (w_j + P_j) + Q_j)``, and
+      ``|K~|_F^2`` is their sum, ``sum_j w_j G_jj^2 (w_j + 2 P_j)``.  The
+      three recurrences are ``_recurrence``'s, each one LAPACK call.  Every
+      term is positive, so the sums do not cancel: their rounding is below
+      ``10 n u`` relative, inside ``_compressed_count``'s ``n^2 u``
+      allowance on ``d^2``.
     - The proof is made for ``K~``.  The solves have a backward error of
       about ``5 u |T~|``, and ``|L| D |L^T| = |T~|``, so a product is within
       ``5 u (1 + 2 cond_inf(T)) |K| |X|`` of ``K~ X`` to first order, and
@@ -722,16 +756,12 @@ def _kernel_products(kernel: _Kernel) -> tuple:
     row[1:] += np.abs(off)
     row[:-1] += np.abs(off)
     cond = float(row.max() * lapack.dpttrs(d, -np.abs(l), np.ones(n))[0].max())
-    pivots, l2, w = d.tolist(), (l * l).tolist(), weight.tolist()
-    g, p, q = [0.0] * n, [0.0] * n, [0.0] * n
-    g[-1] = 1.0 / pivots[-1]
-    for j in range(n - 2, -1, -1):
-        g[j] = 1.0 / pivots[j] + l2[j] * g[j + 1]
-        q[j] = l2[j] * (w[j + 1] * g[j + 1] * g[j + 1] + q[j + 1])
-    for j in range(1, n):
-        p[j] = l2[j - 1] * (w[j - 1] + p[j - 1])
-    g, p, q, w = (np.array(v)[support] for v in (g, p, q, w))
+    l2 = l[:n - 1] ** 2  # pttrf returns one entry at n = 1, where it reads none
     with np.errstate(over="ignore"):  # an overflowing norm is rejected below
+        g = _recurrence(l2, 1.0 / d)
+        q = _recurrence(l2, np.append(l2 * weight[1:] * g[1:] * g[1:], 0.0))
+        p = _recurrence(l2, np.insert(l2 * weight[:-1], 0, 0.0), forward=True)
+        g, p, q, w = g[support], p[support], q[support], weight[support]
         columns = w * (g * g * (w + p) + q)
         fro = math.sqrt(columns.sum())
     if not fro < math.inf:

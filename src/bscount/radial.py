@@ -62,7 +62,8 @@ from functools import partial
 import numpy as np
 
 from .linop import (SymOperator, _Kernel, _Tridiagonal, _checked_eigenvalues, _count,
-                    _guarded_count, _kernel_top_eigenvalue, _legendre_rule, _tridiagonal_count)
+                    _guarded_count, _kernel_top_eigenvalue, _legendre_rule, _recurrence,
+                    _tridiagonal_count)
 
 POTENTIAL_KINDS = ("yukawa", "exponential", "gaussian", "square_well", "table")
 
@@ -338,18 +339,18 @@ def _green_apply(eps: float, r: np.ndarray, u: np.ndarray) -> np.ndarray:
     ``(G u)_i = F_i + a_i B_i`` for the forward sum
     ``F_i = sum_(j <= i) exp(-k (r_i - r_j)) a_j u_j`` and the backward sum
     ``B_i = sum_(j > i) exp(-k (r_j - r_i)) u_j``.  No factor grows, so
-    nothing overflows.
+    nothing overflows.  With ``c_i = exp(-k (r_(i+1) - r_i))`` the two are
+    the recurrences ``F_i = a_i u_i + c_(i-1) F_(i-1)`` and ``B_i = c_i
+    u_(i+1) + c_i B_(i+1)``, which linop's ``_recurrence`` runs.  They read
+    only the nodes, not the factors of ``T``, so they stay a route of their
+    own for the check of the top eigenvalue.
     """
     k = np.sqrt(eps)
     a = -np.expm1(-2.0 * k * r) / (2.0 * k) if k > 0 else r
-    decay = np.exp(-k * np.diff(r)).tolist()
-    au, uu = (a * u).tolist(), u.tolist()
-    forward, backward = [au[0]], [0.0]
-    for d, v in zip(decay, au[1:]):
-        forward.append(d * forward[-1] + v)
-    for d, v in zip(decay[::-1], uu[:0:-1]):
-        backward.append(d * (backward[-1] + v))
-    return np.array(forward) + a * np.array(backward[::-1])
+    decay = np.exp(-k * np.diff(r))
+    forward = _recurrence(decay, a * u, forward=True)
+    backward = _recurrence(decay, np.append(decay * u[1:], 0.0))
+    return forward + a * backward
 
 
 def _green_inverse(eps: float, r: np.ndarray):

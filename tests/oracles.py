@@ -9,7 +9,7 @@ import scipy.optimize
 from bscount import efimov
 from bscount.bsengine import ThresholdCollisionError
 from bscount.linop import (SymOperator, _checked_eigenvalues, _legendre_rule, _spectral_decompose,
-                           count_evs, sym)
+                           _tridiagonal_factor, count_evs, sym)
 from bscount.radial import (LAMBDA_CAP, NeverBindsError, RadialGrid, _banded_hamiltonian,
                             _bs_block, _fd_diagonals)
 
@@ -112,6 +112,53 @@ def block_top_oracle(pot, grid: RadialGrid, eps: float) -> float:
         block = root[:, None] * _green_swave(eps, grid.nodes[supp]) * root[None, :]
         block = 0.5 * (block + block.T)
     return float(_checked_eigenvalues(block)[0][-1])
+
+
+def fine_bracket_top(diag, off, weight, green) -> tuple[float, int]:
+    """``linop._kernel_top_eigenvalue`` as it was before its coarse bracket:
+    the bracket from the Rayleigh quotient of ``S 1`` bisected by the
+    Birman-Schwinger test to relative width 1e-8, then at most 20 steps of
+    inverse iteration, the same residual check and certificate.  Returns
+    ``mu`` and the number of factorizations made."""
+    calls = 0
+
+    def shifted(d):
+        nonlocal calls
+        calls += 1
+        return _tridiagonal_factor(d, off)
+
+    def solve(factors, b):
+        return scipy.linalg.lapack.dpttrs(*factors, b)[0]
+
+    factors = shifted(diag)
+    if factors is None:
+        raise ValueError("the tridiagonal T of the kernel S T^-1 S is not positive definite")
+    lo = hi = float(weight @ solve(factors, weight)) / float(np.sum(weight))
+    while (factors := shifted(diag - weight / hi)) is None:
+        hi *= 2.0
+    while hi - lo > 1e-8 * hi:
+        mid = 0.5 * (lo + hi)
+        if (mid_factors := shifted(diag - weight / mid)) is None:
+            lo = mid
+        else:
+            hi, factors = mid, mid_factors
+    root = np.sqrt(weight)
+    x = root / np.linalg.norm(root)
+    for _ in range(20):
+        new = root * solve(factors, root * x)
+        new /= np.linalg.norm(new)
+        step = np.linalg.norm(new - x)
+        x = new
+        if step <= 1e-12:
+            break
+    kx = root * green(root * x)
+    mu = float(x @ kx)
+    residual = float(np.linalg.norm(kx - mu * x))
+    if residual > 1e-10 * (1.0 + mu):
+        raise RuntimeError(f"top kernel eigenpair residual {residual:.3e} exceeds 1e-10*(1+mu)")
+    if shifted(diag - weight / (mu + residual + 1e-10 * (1.0 + mu))) is None:
+        raise RuntimeError(f"a kernel eigenvalue lies above the selected mu = {mu:.15g}")
+    return mu, calls
 
 
 def stebz_binds(diag, off) -> bool:

@@ -133,7 +133,7 @@ def test_validate_defaults_seed():
     ("twobody", 'potential.table = "v.tsv"'),
     ("efimov", "model.coupling = 0.05"),
     ("efimov", 'model.coupling = "unitary"'),
-    ("kernelcheck", "kernel.gammas = []"),
+    ("kernelcheck", "kernel.gammas = [0, 0.2]"),  # an int in a list of numbers
 ])
 def test_validate_accepts_each_value_of_its_keys_type(command, line):
     values, positions = parse_config_text(f'command = "{command}"\n{line}\n')
@@ -619,6 +619,7 @@ def test_efimov_rejects_an_infinite_floor(tmp_path, capsys):
 DRAWS = "need a nonnegative number of draws, got "
 NO_SHIFT = "eps must be positive and finite, got "
 NO_POINT = "eps and R must be positive and finite, got "
+NO_POINTS = "the check needs at least one gamma, one eps and one R"
 
 
 @pytest.mark.parametrize("command,line,message", [
@@ -637,10 +638,16 @@ NO_POINT = "eps and R must be positive and finite, got "
     ("kernelcheck", "kernel.gammas = [0.9]", "power p = 1 + 2*gamma = 2.8 outside [1, 3/2)"),
     ("kernelcheck", "kernel.epsilons = [-1.0]", NO_POINT + "-1.0, 0.2"),
     ("kernelcheck", "kernel.r_values = [0.0]", NO_POINT + "0.01, 0.0"),
+    ("iterbs-demo", "iterbs.steps = 0", "the demo needs at least one step"),
+    ("kernelcheck", "kernel.gammas = []", NO_POINTS),
+    ("kernelcheck", "kernel.epsilons = []", NO_POINTS),
+    ("kernelcheck", "kernel.r_values = []", NO_POINTS),
 ], ids=["model.n_p", "grid.n", "potential.range", "verify.bs_instances",
         "verify.iterbs_instances", "verify.bound_instances", "iterbs.dim", "iterbs.steps",
         "scan.epsilons-negative", "scan.epsilons-zero", "scan.epsilons-empty",
-        "scan.epsilons-nan", "kernel.gammas", "kernel.epsilons", "kernel.r_values"])
+        "scan.epsilons-nan", "kernel.gammas", "kernel.epsilons", "kernel.r_values",
+        "iterbs.steps-zero", "kernel.gammas-empty", "kernel.epsilons-empty",
+        "kernel.r_values-empty"])
 def test_value_out_of_its_range_exits_2_at_its_key_without_outputs(command, line, message,
                                                                    tmp_path, capsys):
     # each rule is its owner's (SeparableModel, RadialGrid, PotentialSpec,

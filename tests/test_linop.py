@@ -29,6 +29,7 @@ from bscount.linop import (
     _kernel_products,
     _kernel_top_eigenvalue,
     _legendre_rule,
+    _recurrence,
     _spectral_decompose,
     _symmetrized,
     _tridiagonal_count,
@@ -40,7 +41,8 @@ from bscount.linop import (
 )
 from bscount import bsengine, cli, efimov, iterbs, radial
 from bscount.radial import PotentialSpec, RadialGrid, bs_kernel_radial, reduced_hamiltonian
-from oracles import checked_eigenvalues, legendre_rules_computed, op_function, spectral_decompose
+from oracles import (checked_eigenvalues, fine_bracket_top, legendre_rules_computed, op_function,
+                     spectral_decompose)
 from test_acceptance import TWENTY_CASES
 
 
@@ -1488,6 +1490,48 @@ def test_top_kernel_eigenvalue_certificate_catches_a_wrong_selection(monkeypatch
     with pytest.raises(RuntimeError, match="above the selected mu") as info:
         _kernel_top_eigenvalue(diag, off, weight, lambda u: np.linalg.solve(t, u))
     assert float(str(info.value).rpartition("= ")[2]) == pytest.approx(lam[-2], rel=1e-12)
+
+
+@pytest.mark.parametrize("gap,fine", [(1e-3, False), (1e-5, True)])
+def test_top_kernel_eigenvalue_bisects_on_where_the_coarse_bracket_misses(gap, fine):
+    # the top two eigenvalues of T^-1 are 1 and about 1 - gap; where the gap
+    # is far below the 1e-3 bracket, 40 steps leave the residual above its
+    # bound, and the bracket is bisected on to 1e-8, as the fine-bracket
+    # oracle bisects it, so both make the same factorizations
+    diag = np.array([1.0, 1.0 + gap, 10.0, 20.0, 40.0, 80.0])
+    off = np.array([-1e-12, -1e-4, -0.15, -0.1, -0.3])
+    t = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    top = DENSE_EIGVALSH(np.linalg.inv(t))[-1]
+    args = diag, off, np.ones(6), lambda u: np.linalg.solve(t, u)
+    (mu, calls), (_, fine_calls) = _kernel_top_eigenvalue(*args), fine_bracket_top(*args)
+    assert mu == pytest.approx(top, rel=1e-13, abs=0)
+    assert (calls == fine_calls) is fine
+    assert calls == (32 if fine else 16)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 300])
+def test_recurrence_is_the_loop_it_replaces(n):
+    # the loops of _kernel_products (G_jj and Q_j backward, P_j forward) and
+    # of radial._green_apply's two sweeps, within the rounding of the sums
+    rng = np.random.default_rng(DEFAULT_SEED + n)
+    c, b = rng.uniform(0.0, 1.0, n - 1), rng.standard_normal(n)
+    back, fwd = b.copy(), b.copy()
+    back_scale, fwd_scale = np.abs(b), np.abs(b)  # the same sums of the terms' magnitudes
+    for j in range(n - 2, -1, -1):
+        back[j] = b[j] + c[j] * back[j + 1]
+        back_scale[j] += c[j] * back_scale[j + 1]
+    for j in range(1, n):
+        fwd[j] = b[j] + c[j - 1] * fwd[j - 1]
+        fwd_scale[j] += c[j - 1] * fwd_scale[j - 1]
+    bound = 2.0 * n * 2.0**-53
+    assert np.all(np.abs(_recurrence(c, b) - back) <= bound * back_scale)
+    assert np.all(np.abs(_recurrence(c, b, forward=True) - fwd) <= bound * fwd_scale)
+
+
+def test_recurrence_turns_an_illegal_argument_into_runtime_error(monkeypatch):
+    monkeypatch.setattr(scipy.linalg.lapack, "dtbtrs", lambda *args, **kwargs: (args[1], -2))
+    with pytest.raises(RuntimeError, match="tbtrs rejected argument 2"):
+        _recurrence(np.ones(2), np.ones(3))
 
 
 def test_top_kernel_eigenvalue_needs_a_positive_definite_inverse():

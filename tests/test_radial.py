@@ -39,8 +39,8 @@ from bscount.radial import (
     _negative_count_off_threshold,
     _segment_edges,
 )
-from oracles import (_green_swave, bisected_coupling, block_top_oracle, green_kernel,
-                     legendre_rules_computed, op_function, stebz_binds)
+from oracles import (_green_swave, bisected_coupling, block_top_oracle, fine_bracket_top,
+                     green_kernel, legendre_rules_computed, op_function, stebz_binds)
 
 DEFAULT_SEED = 0xB5C0
 
@@ -1036,6 +1036,56 @@ def test_top_eigenvalue_matches_the_dense_oracle_on_criterion_6(grid):
         assert mu == pytest.approx(ref, rel=1e-10, abs=0), eps
         if eps > 0:  # at eps = 0 both are 1 to within rounding
             assert 1.0 - mu == pytest.approx(1.0 - ref, rel=1e-7, abs=0), eps
+
+
+def criteria_5_and_6_top_eigenvalues(monkeypatch):
+    """Criterion 5's critical-coupling search and criterion 6's tunings and
+    scans, as tests/test_acceptance.py runs them, with every top kernel
+    eigenvalue recorded.  Returns criterion 5's result and, per top
+    eigenvalue in order, its arguments, ``mu``, the factorizations it
+    reports and those counted at ``linop._tridiagonal_factor``."""
+    counted, tops = [], []
+    factor, top = linop._tridiagonal_factor, radial._kernel_top_eigenvalue
+
+    def counted_factor(diag, off):
+        counted.append(diag.size)
+        return factor(diag, off)
+
+    def recorded_top(*args):
+        before = len(counted)
+        mu, calls = top(*args)
+        tops.append((args, mu, calls, len(counted) - before))
+        return mu, calls
+
+    monkeypatch.setattr(linop, "_tridiagonal_factor", counted_factor)
+    monkeypatch.setattr(radial, "_kernel_top_eigenvalue", recorded_top)
+    well = PotentialSpec(kind="square_well", strength=1.0, range=1.0)
+    res = find_critical_coupling_radial(well, RadialGrid(ell=0, r_max=100.0, n=2000), tol=0.05)
+    for grid in CRITERION_6_GRIDS:
+        mu_scan(well.with_strength(kernel_critical_strength(well, grid)), grid,
+                np.geomspace(1e-6, 1e-4, 9))
+    return res, tops
+
+
+def test_top_eigenvalues_of_criteria_5_and_6_make_their_pinned_factorizations(monkeypatch):
+    # T, the doubling and bisection to the 1e-3 bracket, and the certificate,
+    # with no fallback; the 1e-8 bracket made 31 each, 62 and 1,364 in all
+    res, tops = criteria_5_and_6_top_eigenvalues(monkeypatch)
+    assert len(tops) == 2 + 4 * 11  # per criterion 6 grid: two tunings, nine scan points
+    assert [(calls, counted) for _, _, calls, counted in tops] == [(14, 14)] * len(tops)
+    assert res.iterations == 28
+    assert sum(counted for *_, counted in tops[2:]) == 616
+
+
+def test_top_eigenvalues_of_criteria_5_and_6_are_the_fine_bracket_oracle(monkeypatch):
+    res, tops = criteria_5_and_6_top_eigenvalues(monkeypatch)
+    for args, mu, _, _ in tops:
+        assert mu == pytest.approx(fine_bracket_top(*args)[0], rel=1e-14, abs=0)
+    monkeypatch.setattr(radial, "_kernel_top_eigenvalue", fine_bracket_top)
+    oracle = find_critical_coupling_radial(PotentialSpec(kind="square_well", strength=1.0),
+                                           RadialGrid(ell=0, r_max=100.0, n=2000), tol=0.05)
+    assert oracle.iterations == 62
+    assert res.lambda_star == pytest.approx(oracle.lambda_star, rel=1e-14, abs=0)
 
 
 GAPPED_TABLE = PotentialSpec(kind="table", strength=3.0,
