@@ -101,6 +101,10 @@ class ConfigError(Exception):
         self.column = column
 
 
+class _TableError(Exception):
+    """A potential table file whose content a ``twobody`` run rejects."""
+
+
 # ---------------------------------------------------------------------------
 # config parsing
 
@@ -494,12 +498,22 @@ def _verify_rank_one(rng, size):
 
 
 def _load_potential(cfg) -> PotentialSpec:
+    """The pair potential of a ``twobody`` run, read from its potential
+    table file where one is given.  Every rejection of the file's content,
+    a cell that is no number, a count of columns other than two, or columns
+    ``PotentialSpec`` refuses, raises ``_TableError`` naming the file and
+    the fault: a table that cannot be read, not a failed check.  The
+    config's own values are checked before the run, so nothing else is
+    rejected here."""
     if not cfg.get("potential.table"):
         return _potential(cfg)
-    table = np.loadtxt(cfg["potential.table"])
-    if table.ndim != 2 or table.shape[1] != 2:
-        raise ValueError("potential table files need two columns (r, v)")
-    return _potential(cfg, table)
+    try:
+        table = np.loadtxt(cfg["potential.table"], ndmin=2)
+        if table.shape[1] != 2:
+            raise ValueError(f"need two columns (r, v), got a table of shape {table.shape}")
+        return _potential(cfg, table)
+    except ValueError as exc:
+        raise _TableError(f"{cfg['potential.table']}: {exc}") from exc
 
 
 def _run_twobody(cfg, jobs):
@@ -617,7 +631,7 @@ def run(config: dict, jobs: int | None = None, out_dir: str | None = None) -> in
     t0 = time.perf_counter()
     try:
         columns, rows, checks = _PIPELINES[command](config, jobs)
-    except OSError as exc:  # the potential table is the one file a pipeline reads
+    except (OSError, _TableError) as exc:  # the potential table is the one file a pipeline reads
         print(f"bscount {command}: cannot read potential table: {exc}", file=sys.stderr)
         return EXIT_IO_ERROR
     except (ValueError, RuntimeError) as exc:

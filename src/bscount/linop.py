@@ -11,24 +11,29 @@ is built, by ``_symmetrized``, the one check for a matrix or a stack.  The
 Frobenius norm must be finite: it vouches for finite entries, and every
 count's guard band is made from it, so finite entries whose norm overflows
 are rejected too.  Checked eigenvalues and decompositions check the norm
-again, by the same ``_finite_fro``, before their solver runs, and the
-Sturm count checks ``|T|_F``, so an unchecked ``_built`` operator or a
-stack whose norm is not finite raises ValueError too.  Entries symmetric
-within ``SYMMETRY_RTOL`` are averaged with their transpose, and entries
-symmetric bit for bit are stored as a copy, without the averaging that
-would return the same bits.  Library code that forms a matrix it knows to
-be exactly symmetric passes the ndarray on without wrapping it again:
-bsengine's sums of two operators' entries, radial's symmetrized kernel
-on the support of v_- and efimov's trimer kernel, mirrored from its upper
+again, by the same ``_finite_fro``, before their solver runs, and the Sturm
+count checks ``|T|_F``, so an unchecked ``_built`` operator or a stack
+whose norm is not finite raises ValueError too.  Entries symmetric within
+``SYMMETRY_RTOL`` are averaged with their transpose, and entries symmetric
+bit for bit are stored as a copy, without the averaging that would return
+the same bits.  Library code that forms a matrix it knows to be exactly
+symmetric passes the ndarray on without wrapping it again: bsengine's sums
+of two operators' entries, the symmetrized kernel a ``_Kernel`` record
+builds on its support and efimov's trimer kernel, mirrored from its upper
 triangle.  Builders that return an operator of such a fresh array hand it
 to the private ``SymOperator._built``, which freezes it in place with no
-copy and no check.  radial's two builders record what they know instead,
-by ``SymOperator._structured``: the reduced Hamiltonian is a
-``_Tridiagonal`` matrix, its two diagonals, and the Birman-Schwinger kernel
-is a ``_Kernel`` ``S T^-1 S``, the two diagonals of the banded ``T`` and
-``S^2`` on the whole grid.  ``count_evs`` reads the record; the dense
-entries are built by the builder's own code, bit for bit the array it
-would have made, only when they are first read, once, under a lock.
+copy and no check.  radial's two builders record what they know instead, by
+``SymOperator._structured``: the reduced Hamiltonian is a ``_Tridiagonal``
+matrix, its two diagonals, and the Birman-Schwinger kernel is a ``_Kernel``
+``S T^-1 S``, the two diagonals of the tridiagonal ``T`` and ``S^2`` on the
+whole grid.  ``count_evs`` reads the record, and the record is the only
+description of the operator: its ``dense()`` builds the entries, only when
+they are first read, once, under a lock.  A ``_Kernel`` also owns the
+package's one banded solve, ``_Kernel.solve``, ``solveh_banded`` of ``T``
+in band storage, which factors ``T`` afresh and reads none of the ``pttrf``
+factors the counts and the top eigenvalue use; its ``dense()`` and the
+check of the top kernel eigenvalue on the box use it, and no other module
+solves with a band.
 
 linop runs every eigensolve in the package, and makes every guarded count
 of a spectrum: no other module calls LAPACK for eigenvalues or compares an
@@ -156,7 +161,7 @@ class SymOperator:
     An operator a library builder made may instead record its structure
     (``_structured``): a ``_Tridiagonal`` matrix or a ``_Kernel`` ``S T^-1
     S``, which ``count_evs`` reads without the dense matrix.  Its
-    ``entries`` are built, by the builder's own code and once, when they are
+    ``entries`` are built by the record's ``dense()``, once, when they are
     first read; threads that read them together wait for the one build.
     """
 
@@ -185,30 +190,29 @@ class SymOperator:
         return op
 
     @classmethod
-    def _structured(cls, structure, build) -> "SymOperator":
+    def _structured(cls, structure) -> "SymOperator":
         """The operator of the ``structure`` a library builder records, a
         ``_Tridiagonal`` or a ``_Kernel`` of arrays no one else holds, frozen
-        in place.  ``build()`` returns its dense entries, a fresh array,
-        finite and symmetric bit for bit, which is frozen with no check when
-        ``entries`` is first read; it is 0 x 0 for a kernel whose weight has
-        no positive entry."""
+        in place.  Its ``entries`` are the record's own ``dense()``, a fresh
+        array, finite and symmetric bit for bit, built and frozen with no
+        check when they are first read; they are 0 x 0 for a kernel whose
+        weight has no positive entry."""
         for array in structure:
             array.setflags(write=False)
         op = object.__new__(cls)
         object.__setattr__(op, "_structure", structure)
-        object.__setattr__(op, "_build", build)
         object.__setattr__(op, "_lock", threading.Lock())
         return op
 
     def __getattr__(self, name):
         # reached only for an attribute that is not set: a structured
         # operator's entries, until they are first read
-        build = self.__dict__.get("_build")
-        if name != "entries" or build is None:
+        structure = self.__dict__.get("_structure")
+        if name != "entries" or structure is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         with self._lock:
             if "entries" not in self.__dict__:
-                entries = build()
+                entries = structure.dense()
                 entries.setflags(write=False)
                 object.__setattr__(self, "entries", entries)
         return self.__dict__["entries"]
@@ -234,6 +238,13 @@ class _Tridiagonal(NamedTuple):
     def dim(self) -> int:
         return self.diag.size
 
+    def dense(self) -> np.ndarray:
+        """The n x n matrix, a fresh array."""
+        m = np.diag(self.diag)
+        idx = np.arange(self.diag.size - 1)
+        m[idx, idx + 1] = m[idx + 1, idx] = self.off
+        return m
+
 
 class _Kernel(NamedTuple):
     """The kernel ``S T^-1 S`` on the support of ``weight = S^2 >= 0``, one
@@ -252,6 +263,44 @@ class _Kernel(NamedTuple):
     @property
     def dim(self) -> int:
         return self.support.size
+
+    def factors(self):
+        """The ``pttrf`` factors of ``T`` (``_tridiagonal_factor``); a ``T``
+        that is not positive definite raises ValueError."""
+        factors = _tridiagonal_factor(self.diag, self.off)
+        if factors is None:
+            raise ValueError("the tridiagonal T of the kernel S T^-1 S is not positive definite")
+        return factors
+
+    def solve(self, b: np.ndarray, overwrite_b: bool = False) -> np.ndarray:
+        """``T^-1 b`` for a vector or a block of columns ``b``, by
+        ``scipy.linalg.solveh_banded`` of ``T`` in upper band storage, the
+        package's one banded solve (LAPACK ``ptsv``, which factors ``T``
+        afresh).  It reads ``T`` itself, not the factors of ``factors()``,
+        so it is a route of its own for the check of the top eigenvalue.
+        With ``overwrite_b`` a Fortran-ordered ``b`` is solved in place."""
+        import scipy.linalg  # only here, so that importing bscount stays light
+
+        band = np.array([np.insert(self.off, 0, 0.0), self.diag])  # upper band storage of T
+        return scipy.linalg.solveh_banded(band, b, overwrite_b=overwrite_b)
+
+    def dense(self) -> np.ndarray:
+        """The kernel's entries on its support, a fresh array, 0 x 0 where
+        the weight has no positive entry: ``T^-1 S`` by one ``solve`` of the
+        columns of ``S`` on the support, in place, its rows on the support
+        times ``S``, symmetrized, so exactly symmetric.  The right-hand side
+        is made before the band of ``T``, which keeps the peak memory of a
+        build where it was."""
+        support = self.support
+        root = np.sqrt(self.weight[support])
+        rhs = np.zeros((self.diag.size, support.size), order="F")
+        rhs[support, np.arange(support.size)] = root
+        x = self.solve(rhs, overwrite_b=True)
+        block = x if support.size == self.diag.size else x[support, :]
+        block *= root[:, None]
+        block = block + block.T
+        block *= 0.5  # the bits of 0.5 * (block + block.T), without a second n x n array
+        return block
 
 
 def sym(entries) -> SymOperator:
@@ -461,13 +510,13 @@ def _recurrence(c, b, forward: bool = False) -> np.ndarray:
     return x
 
 
-def _kernel_top_eigenvalue(diag, off, weight, green) -> tuple[float, int]:
-    """The largest eigenvalue ``mu`` of ``K = S T^-1 S``, for the positive
-    definite tridiagonal ``T`` with diagonal ``diag`` and off-diagonal
-    ``off`` and ``S = diag(sqrt(weight))``, ``weight >= 0`` with at least
-    one positive entry, in O(n) per step and without forming ``S^-1``,
-    which does not exist where the weight vanishes and overflows where it
-    underflows.
+def _kernel_top_eigenvalue(kernel: _Kernel, green) -> tuple[float, int]:
+    """The largest eigenvalue ``mu`` of the ``_Kernel`` ``K = S T^-1 S``,
+    for the positive definite tridiagonal ``T`` with diagonal ``diag`` and
+    off-diagonal ``off`` and ``S = diag(sqrt(weight))``, ``weight >= 0``
+    with at least one positive entry, in O(n) per step and without forming
+    ``S^-1``, which does not exist where the weight vanishes and overflows
+    where it underflows.
 
     By Sylvester's law of inertia, ``K`` has an eigenvalue at or above
     ``sigma > 0`` exactly when ``T - S^2 / sigma`` is not positive definite,
@@ -492,22 +541,18 @@ def _kernel_top_eigenvalue(diag, off, weight, green) -> tuple[float, int]:
     """
     from scipy.linalg import lapack
 
-    calls = 0
-
-    def factor(d):  # factors of the tridiagonal (d, off), None where not positive definite
-        nonlocal calls
-        calls += 1
-        return _tridiagonal_factor(d, off)
+    diag, off, weight = kernel
+    calls = 1  # the factorization of T itself
 
     def shifted(sigma):  # factors of T - S^2/sigma, None where mu >= sigma
-        return factor(diag - weight / sigma)
+        nonlocal calls
+        calls += 1
+        return _tridiagonal_factor(diag - weight / sigma, off)
 
     def solve(factors, b):
         return lapack.dpttrs(*factors, b)[0]
 
-    factors = factor(diag)
-    if factors is None:
-        raise ValueError("the tridiagonal T of the kernel S T^-1 S is not positive definite")
+    factors = kernel.factors()
     lo = hi = float(weight @ solve(factors, weight)) / float(np.sum(weight))
     while (factors := shifted(hi)) is None:
         hi *= 2.0
@@ -740,10 +785,7 @@ def _kernel_products(kernel: _Kernel) -> tuple:
     from scipy.linalg import lapack
 
     diag, off, weight = kernel
-    factors = _tridiagonal_factor(diag, off)
-    if factors is None:
-        raise ValueError("the tridiagonal T of the kernel S T^-1 S is not positive definite")
-    d, l = factors
+    d, l = kernel.factors()
     n, support = d.size, kernel.support
     root = np.sqrt(weight[support])[:, None]
 

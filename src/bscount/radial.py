@@ -22,14 +22,14 @@ exact at their threshold, on both sides of ``twobody`` and in
 ``schwinger_bound_check``, are linop's one guarded count, which refuses a
 level on the threshold.  The Birman-Schwinger kernel is an operator on the
 support of v_-, where the attractive part lives, of one row per node where
-v_- > 0.  ``bs_kernel_radial`` records it
-as ``S T^-1 S`` with ``T = H_0 + v_+ + eps`` banded and ``S^2 = v_-``, and
-builds the support block, ``_bs_block``, only when its entries are read;
+v_- > 0.  ``bs_kernel_radial`` records it as linop's ``_Kernel``
+``S T^-1 S``, with ``T = H_0 + v_+ + eps`` tridiagonal and ``S^2 = v_-``,
+and the record builds the support block only when its entries are read;
 ``bs_count_and_top`` counts above 1 that block's spectrum, linop's checked
 dense spectrum, which also gives the top eigenvalue.  ``count_evs`` of a
 kernel of more than 64 rows proves its count on an 8-column compression
 where it can, which the kernel's fast-falling spectrum allows, from
-products with the kernel by banded solves with the factors of ``T``, in
+products with the kernel by solves with the factors of ``T``, in
 O(n) and with no block built, and counts a smaller block's full spectrum,
 the cheaper there; the counts of the tridiagonal Hamiltonian are Sturm
 counts on its two diagonals, with no n x n matrix formed.
@@ -38,26 +38,26 @@ eigenvalue, which linop finds in O(n) without a full spectrum: there the
 kernel is ``S T^-1 S`` on the whole grid, with ``T`` tridiagonal and
 ``S^2`` exactly zero off the support of the attractive part.  On
 gauss_legendre ``T`` is the closed-form inverse of the Green function; on
-uniform_fd2 it is the banded ``H_0 + v_+ + eps`` itself, so uniform_fd2
-has one Green representation for the block, the top eigenvalue and the
-counts.  ``mu_scan`` reads the top of the block's spectrum, of the split
-``v_+ - v_-``.  The critical coupling has one route, the Birman-Schwinger
-principle: ``H_0 + R - lam * shape``, with the repulsive part ``R`` held
-at its own strength, binds exactly when ``lam mu_0 > 1``, for ``mu_0``
-the top eigenvalue at zero shift of ``T = H_0 + R`` and ``S^2 = shape``,
-the split linear in ``lam``.  ``kernel_critical_strength`` returns that
-coupling, and ``find_critical_coupling_radial`` extrapolates it from a box
-and its double.  Without a repulsive part the two splits are the same
-arrays.  The two operator builders record their structure with linop
-unchecked, and the dense matrix of either is built by its own code, here,
-on its first read.
+uniform_fd2 it is the tridiagonal ``H_0 + v_+ + eps`` itself, in one
+``_Kernel`` record, so uniform_fd2 has one Green representation for the
+block, the top eigenvalue and the counts.  ``mu_scan`` reads the top of
+the block's spectrum, of the split ``v_+ - v_-``.  The critical coupling
+has one route, the Birman-Schwinger principle: ``H_0 + R - lam * shape``,
+with the repulsive part ``R`` held at its own strength, binds exactly when
+``lam mu_0 > 1``, for ``mu_0`` the top eigenvalue at zero shift of ``T =
+H_0 + R`` and ``S^2 = shape``, the split linear in ``lam``.
+``kernel_critical_strength`` returns that coupling, and
+``find_critical_coupling_radial`` extrapolates it from a box and its
+double.  Without a repulsive part the two splits are the same arrays.
+The two operator builders record their structure with linop unchecked,
+and the record builds the dense matrix of either on its first read;
+radial forms no dense matrix and no band storage of its own.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -121,8 +121,10 @@ class PotentialSpec:
         if self.kind == "table":
             r = np.asarray(self.table_r, dtype=float)
             v = np.asarray(self.table_v, dtype=float)
-            if r.ndim != 1 or r.shape != v.shape or r.size < 2:
+            if r.ndim != 1 or r.shape != v.shape:
                 raise ValueError("table potentials need matching 1-d r and v columns")
+            if r.size < 2:
+                raise ValueError(f"table potentials need at least two points, got {r.size}")
             for name, column in (("table_r", r), ("table_v", v)):
                 if not np.isfinite(column).all():
                     raise ValueError(f"table column {name} has non-finite entries")
@@ -280,22 +282,14 @@ def _warn_if_box_small(pot: PotentialSpec, grid: RadialGrid):
 def reduced_hamiltonian(pot: PotentialSpec, grid: RadialGrid) -> SymOperator:
     """Second-order discretization of the reduced radial operator.
 
-    The operator records that it is tridiagonal, by its two diagonals, so
-    ``count_evs`` counts it by Sturm sequences on them; its dense
-    ``entries`` are built, by ``_dense_tridiagonal``, only when read.
+    The operator records that it is tridiagonal, by its two diagonals, as
+    linop's ``_Tridiagonal``, so ``count_evs`` counts it by Sturm sequences
+    on them; the record builds its dense ``entries`` only when they are
+    read.
     """
     diag, off = _fd_diagonals(pot, grid)  # rejects a grid other than uniform_fd2
     _warn_if_box_small(pot, grid)
-    return SymOperator._structured(_Tridiagonal(diag, off), partial(_dense_tridiagonal, diag, off))
-
-
-def _dense_tridiagonal(diag, off) -> np.ndarray:
-    """The n x n symmetric tridiagonal matrix of ``diag`` and ``off``."""
-    m = np.diag(diag)
-    idx = np.arange(diag.size - 1)
-    m[idx, idx + 1] = off
-    m[idx + 1, idx] = off
-    return m
+    return SymOperator._structured(_Tridiagonal(diag, off))
 
 
 def _negative_count_off_threshold(pot: PotentialSpec, grid: RadialGrid, eps: float) -> int:
@@ -315,13 +309,12 @@ def _negative_count_off_threshold(pot: PotentialSpec, grid: RadialGrid, eps: flo
                           "threshold", grid.ell, eps)
 
 
-def _banded_hamiltonian(grid: RadialGrid, v_plus, eps: float) -> np.ndarray:
-    """``H_0 + v_+ + eps`` on the uniform mesh, in ``solveh_banded`` storage."""
+def _box_kernel(grid: RadialGrid, repulsive, weight, eps: float) -> _Kernel:
+    """linop's ``_Kernel`` ``S T^-1 S`` on the uniform mesh, for ``T = H_0 +
+    repulsive + eps`` and ``S^2 = weight``; another scheme raises
+    ValueError."""
     diag, off = _fd_diagonals(None, grid)
-    ab = np.zeros((2, grid.n))
-    ab[0, 1:] = off
-    ab[1, :] = diag + v_plus + eps
-    return ab
+    return _Kernel(diag + repulsive + eps, off, weight)
 
 
 # ---------------------------------------------------------------------------
@@ -381,29 +374,6 @@ def _green_inverse(eps: float, r: np.ndarray):
 # the radial Birman-Schwinger kernel
 
 
-def _bs_block(pot: PotentialSpec, grid: RadialGrid, eps: float):
-    """``sqrt(v_-) (H_0 + v_+ + eps)^-1 sqrt(v_-)`` on the support of v_-.
-
-    Returns the block, one row and column per node where v_- > 0 (0 x 0
-    where there is none), for ``eps >= 0``, on the uniform_fd2 box (another
-    scheme raises ValueError): the box operator is inverted by banded
-    solves, and the block is symmetrized, so it is exactly symmetric.
-    """
-    import scipy.linalg
-    v_minus = pot.v_minus(grid.nodes)
-    supp = np.nonzero(v_minus > 0)[0]
-    root = np.sqrt(v_minus[supp])
-    rhs = np.zeros((grid.n, supp.size), order="F")  # solved in place
-    rhs[supp, np.arange(supp.size)] = root
-    x = scipy.linalg.solveh_banded(
-        _banded_hamiltonian(grid, pot.v_plus(grid.nodes), eps), rhs, overwrite_b=True)
-    block = x if supp.size == grid.n else x[supp, :]
-    block *= root[:, None]
-    block = block + block.T
-    block *= 0.5  # the bits of 0.5 * (block + block.T), without a second n x n array
-    return block
-
-
 def _split_kernel_top(grid: RadialGrid, eps: float, repulsive, weight) -> tuple[float, int]:
     """Largest eigenvalue of the kernel ``S T^-1 S`` at ``eps >= 0`` of one
     split of the potential, ``repulsive - weight`` with both parts
@@ -412,22 +382,21 @@ def _split_kernel_top(grid: RadialGrid, eps: float, repulsive, weight) -> tuple[
     off its support; a weight with no positive entry is the zero kernel,
     whose largest eigenvalue is 0, found with no factorization.
 
-    On uniform_fd2 ``T`` is the banded ``H_0 + repulsive + eps``, so the
-    binding test is the Birman-Schwinger test on
-    ``H_0 + repulsive + eps - weight / sigma``, and the check applies
-    ``T^-1`` by a banded solve.  On gauss_legendre ``S^2`` is the weight
-    times the quadrature weights and ``T`` the closed-form tridiagonal
-    inverse of the semi-infinite s-wave Green function, which the check
-    applies in O(n) by ``_green_apply``; that kernel leaves no room for a
-    partial wave above 0 or a repulsive part, and either raises ValueError.
+    On uniform_fd2 ``T`` is the tridiagonal ``H_0 + repulsive + eps`` of
+    one ``_Kernel`` record, so the binding test is the Birman-Schwinger test
+    on ``H_0 + repulsive + eps - weight / sigma``, and the check applies
+    ``T^-1`` by the record's banded solve, ``_Kernel.solve``.  On
+    gauss_legendre ``S^2`` is the weight times the quadrature weights and
+    ``T`` the closed-form tridiagonal inverse of the semi-infinite s-wave
+    Green function, which the check applies in O(n) by ``_green_apply``;
+    that kernel leaves no room for a partial wave above 0 or a repulsive
+    part, and either raises ValueError.
     """
     if not np.any(weight > 0):
         return 0.0, 0
     if grid.scheme == "uniform_fd2":
-        import scipy.linalg
-        ab = _banded_hamiltonian(grid, repulsive, eps)
-        return _kernel_top_eigenvalue(ab[1], ab[0, 1:], weight,
-                                      lambda u: scipy.linalg.solveh_banded(ab, u))
+        kernel = _box_kernel(grid, repulsive, weight, eps)
+        return _kernel_top_eigenvalue(kernel, kernel.solve)
     if grid.ell != 0:
         raise ValueError("gauss_legendre kernels are s-wave only")
     if np.any(repulsive > 0):
@@ -435,7 +404,7 @@ def _split_kernel_top(grid: RadialGrid, eps: float, repulsive, weight) -> tuple[
             "the gauss_legendre route absorbs no repulsive part; "
             "use the uniform_fd2 scheme for potentials with a repulsive part")
     r = grid.nodes
-    return _kernel_top_eigenvalue(*_green_inverse(eps, r), weight * grid.weights,
+    return _kernel_top_eigenvalue(_Kernel(*_green_inverse(eps, r), weight * grid.weights),
                                   lambda u: _green_apply(eps, r, u))
 
 
@@ -479,15 +448,14 @@ def bs_kernel_radial(pot: PotentialSpec, grid: RadialGrid, eps: float) -> SymOpe
     The operator records the kernel as linop's ``_Kernel``: the banded
     ``T = H_w + eps`` and ``v_-`` on the whole grid, from which
     ``count_evs`` proves a count of a support of more than 64 nodes without
-    the dense block.  The block, ``_bs_block``, is built only when
-    ``entries`` is read, as it is by ``bs_count_and_top``.
+    the dense block.  The record builds the block, by a banded solve, only
+    when ``entries`` is read, as it is by ``bs_count_and_top``.
     """
     _require_shift(eps)
     r = grid.nodes
-    ab = _banded_hamiltonian(grid, pot.v_plus(r), eps)  # rejects a grid other than uniform_fd2
+    kernel = _box_kernel(grid, pot.v_plus(r), pot.v_minus(r), eps)  # uniform_fd2 only
     _warn_if_box_small(pot, grid)
-    return SymOperator._structured(_Kernel(ab[1], ab[0, 1:], pot.v_minus(r)),
-                                   partial(_bs_block, pot, grid, eps))
+    return SymOperator._structured(kernel)
 
 
 def bs_count_and_top(pot: PotentialSpec, grid: RadialGrid, eps: float) -> tuple[int, float]:

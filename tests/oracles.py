@@ -10,8 +10,7 @@ from bscount import efimov
 from bscount.bsengine import ThresholdCollisionError
 from bscount.linop import (SymOperator, _checked_eigenvalues, _legendre_rule, _spectral_decompose,
                            _tridiagonal_factor, count_evs, sym)
-from bscount.radial import (LAMBDA_CAP, NeverBindsError, RadialGrid, _banded_hamiltonian,
-                            _bs_block, _fd_diagonals)
+from bscount.radial import LAMBDA_CAP, NeverBindsError, RadialGrid, _fd_diagonals
 
 
 def checked_eigenvalues(a):
@@ -58,6 +57,35 @@ def op_function(a, f):
     return SymOperator((v * values) @ v.T)
 
 
+def banded_hamiltonian(grid: RadialGrid, v_plus, eps: float) -> np.ndarray:
+    """``H_0 + v_+ + eps`` on the uniform mesh, in ``solveh_banded`` storage."""
+    diag, off = _fd_diagonals(None, grid)
+    ab = np.zeros((2, grid.n))
+    ab[0, 1:] = off
+    ab[1, :] = diag + v_plus + eps
+    return ab
+
+
+def bs_block(pot, grid: RadialGrid, eps: float) -> np.ndarray:
+    """``sqrt(v_-) (H_0 + v_+ + eps)^-1 sqrt(v_-)`` on the support of v_-,
+    by the builder radial had before ``linop._Kernel.dense``: the box
+    operator in band storage, inverted by ``solveh_banded`` on the columns
+    of ``sqrt(v_-)``, the block symmetrized.  One row and column per node
+    where v_- > 0, 0 x 0 where there is none; uniform_fd2 only."""
+    v_minus = pot.v_minus(grid.nodes)
+    supp = np.nonzero(v_minus > 0)[0]
+    root = np.sqrt(v_minus[supp])
+    rhs = np.zeros((grid.n, supp.size), order="F")  # solved in place
+    rhs[supp, np.arange(supp.size)] = root
+    x = scipy.linalg.solveh_banded(
+        banded_hamiltonian(grid, pot.v_plus(grid.nodes), eps), rhs, overwrite_b=True)
+    block = x if supp.size == grid.n else x[supp, :]
+    block *= root[:, None]
+    block = block + block.T
+    block *= 0.5  # the bits of 0.5 * (block + block.T), without a second n x n array
+    return block
+
+
 def _green_swave(eps: float, r: np.ndarray) -> np.ndarray:
     """Closed-form s-wave kernel of the semi-infinite domain, Dirichlet at 0,
     as a dense matrix on the nodes ``r``: the kernel ``radial._green_apply``
@@ -92,7 +120,7 @@ def green_kernel(eps: float, grid: RadialGrid) -> SymOperator:
         raise ValueError(
             "ell > 0 kernels are computed by inverting the discretized operator, "
             "which needs the uniform_fd2 scheme")
-    inv = scipy.linalg.solveh_banded(_banded_hamiltonian(grid, 0.0, eps),
+    inv = scipy.linalg.solveh_banded(banded_hamiltonian(grid, 0.0, eps),
                                      np.eye(grid.n))
     return SymOperator(0.5 * (inv + inv.T))
 
@@ -101,10 +129,10 @@ def block_top_oracle(pot, grid: RadialGrid, eps: float) -> float:
     """The largest kernel eigenvalue at shift ``eps >= 0`` by the route
     ``kernel_critical_strength`` and ``mu_scan`` took before their O(n)
     one: linop's checked dense spectrum of the support block, built by
-    ``radial._bs_block`` on uniform_fd2 and from the closed-form
+    ``bs_block`` on uniform_fd2 and from the closed-form
     ``_green_swave`` times the quadrature weights on gauss_legendre."""
     if grid.scheme == "uniform_fd2":
-        block = _bs_block(pot, grid, eps)
+        block = bs_block(pot, grid, eps)
     else:
         v_minus = pot.v_minus(grid.nodes)
         supp = np.flatnonzero(v_minus > 0)
@@ -114,12 +142,13 @@ def block_top_oracle(pot, grid: RadialGrid, eps: float) -> float:
     return float(_checked_eigenvalues(block)[0][-1])
 
 
-def fine_bracket_top(diag, off, weight, green) -> tuple[float, int]:
+def fine_bracket_top(kernel, green) -> tuple[float, int]:
     """``linop._kernel_top_eigenvalue`` as it was before its coarse bracket:
     the bracket from the Rayleigh quotient of ``S 1`` bisected by the
     Birman-Schwinger test to relative width 1e-8, then at most 20 steps of
     inverse iteration, the same residual check and certificate.  Returns
     ``mu`` and the number of factorizations made."""
+    diag, off, weight = kernel
     calls = 0
 
     def shifted(d):

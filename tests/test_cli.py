@@ -372,6 +372,24 @@ def test_missing_potential_table_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text,fault", [
+    ("0.5 1.0\n", "need at least two points, got 1"),
+    ("0 1\n1 abc\n", "could not convert string 'abc'"),
+    ("0 1 2\n1 1 2\n", "need two columns (r, v), got a table of shape (2, 3)"),
+    ("1 1\n0 1\n", "abscissas must be strictly increasing"),
+], ids=["one-row", "non-numeric", "three-columns", "decreasing-r"])
+def test_malformed_potential_table_exits_3(tmp_path, capsys, text, fault):
+    table = tmp_path / "v.txt"
+    table.write_text(text)
+    cfg = write(tmp_path, "tb.conf", f'command = "twobody"\npotential.table = "{table}"\n')
+    out = tmp_path / "out"
+    assert main(["twobody", "--config", cfg, "--out", str(out)]) == EXIT_IO_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"bscount twobody: cannot read potential table: {table}: ")
+    assert fault in err
+    assert not out.exists()
+
+
 def test_twobody_jobs_invariant_and_box_warning(tmp_path):
     cfg = write(tmp_path, "tb.conf",
                 'command = "twobody"\n'

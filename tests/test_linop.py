@@ -41,8 +41,8 @@ from bscount.linop import (
 )
 from bscount import bsengine, cli, efimov, iterbs, radial
 from bscount.radial import PotentialSpec, RadialGrid, bs_kernel_radial, reduced_hamiltonian
-from oracles import (checked_eigenvalues, fine_bracket_top, legendre_rules_computed, op_function,
-                     spectral_decompose)
+from oracles import (bs_block, checked_eigenvalues, fine_bracket_top, legendre_rules_computed,
+                     op_function, spectral_decompose)
 from test_acceptance import TWENTY_CASES
 
 
@@ -58,9 +58,8 @@ def random_orthogonal(rng, dim):
 def tridiagonal_operator(m):
     """The operator of the tridiagonal matrix ``m`` that records its
     structure, as the reduced Hamiltonian's builder does; its entries, when
-    read, are a copy of ``m``."""
-    return SymOperator._structured(_Tridiagonal(m.diagonal().copy(), m.diagonal(-1).copy()),
-                                   m.copy)
+    read, are the record's ``dense()``, the values of ``m``."""
+    return SymOperator._structured(_Tridiagonal(m.diagonal().copy(), m.diagonal(-1).copy()))
 
 
 def random_tridiagonal(rng, dim, diagonal_only=False):
@@ -809,12 +808,20 @@ def test_structured_count_at_the_guard_band_edges_is_the_dense_count_or_none(
     assert proved or relation == "<"  # the top of K is proved 1e4 bands below it
 
 
+# v_- vanishes on (2.5, 4): the support is two runs of nodes
+GAPPED_TABLE = PotentialSpec(kind="table", strength=2.0,
+                             table_r=np.array([0, 2, 2.5, 4, 4.5, 6.0]),
+                             table_v=np.array([1, 1, 0, 0, 1, 1.0]))
+CORED_WELL = PotentialSpec(kind="square_well", strength=6.0, repulsive_part=PotentialSpec(
+    kind="gaussian", strength=20.0, range=0.3))
+PURE_REPULSION = PotentialSpec(kind="square_well", strength=0.0, repulsive_part=PotentialSpec(
+    kind="gaussian", strength=5.0))
+
+
 def test_structured_count_on_a_table_potential_with_a_gap_in_its_support():
-    # v_- vanishes on (2.5, 4): the support is two runs of nodes, 126 rows
-    pot = PotentialSpec(kind="table", strength=2.0, table_r=np.array([0, 2, 2.5, 4, 4.5, 6.0]),
-                        table_v=np.array([1, 1, 0, 0, 1, 1.0]))
+    # 126 rows on the criterion 5 grid
     for eps, expected in ((0.05, 2), (0.2, 2), (1.0, 1)):
-        k = fresh_kernel(pot, eps)
+        k = fresh_kernel(GAPPED_TABLE, eps)
         assert k.dim == 126 and np.count_nonzero(np.diff(k._structure.support) > 1) == 1
         assert structured_count(k, ">", 1.0) == count_evs(k, ">", 1.0) == expected
         assert "entries" not in vars(k)
@@ -826,11 +833,9 @@ def test_fallback_of_a_structured_count_makes_one_dense_solve_of_the_built_entri
     # eigenvalues 0.92 and 3.5 at strength 4: the proof fails, and count_evs
     # builds the kernel once and solves it once
     builds = []
-    block = radial._bs_block
-    monkeypatch.setattr(radial, "_bs_block", lambda *args: builds.append(args) or block(*args))
-    pot = PotentialSpec(kind="table", strength=4.0, table_r=np.array([0, 2, 2.5, 4, 4.5, 6.0]),
-                        table_v=np.array([1, 1, 0, 0, 1, 1.0]))
-    k = fresh_kernel(pot, 0.2)
+    dense = _Kernel.dense
+    monkeypatch.setattr(_Kernel, "dense", lambda kernel: builds.append(kernel) or dense(kernel))
+    k = fresh_kernel(GAPPED_TABLE.with_strength(4.0), 0.2)
     assert structured_count(k, ">", 1.0) is None
     solver_dims["dense"].clear()
     assert count_evs(k, ">", 1.0) == 2
@@ -840,16 +845,30 @@ def test_fallback_of_a_structured_count_makes_one_dense_solve_of_the_built_entri
 
 
 def test_structured_entries_are_the_bytes_of_the_dense_builders(radial_cases):
-    for label, a, relation, _ in radial_cases:
-        kind, lam, ell, eps = label
-        pot, grid = PotentialSpec(kind=kind, strength=lam), RadialGrid(ell=ell, **RADIAL_GRID)
+    # each record's dense() is the oracle builders' bytes: criterion 5's
+    # kernels, on part of the grid and on all of it, and its Hamiltonians,
+    # then kernels with a gap in the support, cut by a repulsive core, and
+    # of no support, 0 x 0
+    cases = [(PotentialSpec(kind=kind, strength=lam), RadialGrid(ell=ell, **RADIAL_GRID), eps, a,
+              relation) for (kind, lam, ell, eps), a, relation, _ in radial_cases]
+    cases += [(pot, RadialGrid(ell=0, **RADIAL_GRID), eps, fresh_kernel(pot, eps), ">")
+              for pot, eps in ((GAPPED_TABLE, 0.2), (CORED_WELL, 0.5), (PURE_REPULSION, 0.5))]
+    supports = []
+    for pot, grid, eps, a, relation in cases:
+        label = (pot.kind, pot.strength, grid.ell, eps)
         if relation == ">":
-            expected = radial._bs_block(pot, grid, eps)
+            expected = bs_block(pot, grid, eps)
+            supports.append(a._structure.support)
         else:
             diag, off = radial._fd_diagonals(pot, grid)
             expected = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        assert a.entries.shape == expected.shape, label
         assert a.entries.tobytes() == expected.tobytes(), label
         assert a.dim == len(expected), label
+    sizes = [support.size for support in supports]
+    assert RADIAL_GRID["n"] in sizes[:20] and min(sizes[:20]) < RADIAL_GRID["n"]
+    gapped, cored, empty = supports[20:]
+    assert np.count_nonzero(np.diff(gapped) > 1) == 1 and cored[0] > 0 and empty.size == 0
 
 
 def test_threads_sharing_a_structured_kernel_read_one_build(monkeypatch):
@@ -863,8 +882,8 @@ def test_threads_sharing_a_structured_kernel_read_one_build(monkeypatch):
     alone = fresh_kernel(pot, 0.1)
     expected = (alone.entries.tobytes(), count_evs(alone, ">", 1.0), count_evs(alone, "<", 0.5))
     builds = []
-    block = radial._bs_block
-    monkeypatch.setattr(radial, "_bs_block", lambda *args: builds.append(args) or block(*args))
+    dense = _Kernel.dense
+    monkeypatch.setattr(_Kernel, "dense", lambda kernel: builds.append(kernel) or dense(kernel))
     shared, start = fresh_kernel(pot, 0.1), Barrier(4, timeout=60)
 
     def read(_):
@@ -1296,14 +1315,30 @@ def nodes_outside_linop():
                 yield path.name, node
 
 
+def node_name(node):
+    """The name a node names: a variable, an attribute or an imported name."""
+    return (node.id if isinstance(node, ast.Name) else
+            node.attr if isinstance(node, ast.Attribute) else
+            node.name.rpartition(".")[2] if isinstance(node, ast.alias) else None)
+
+
 def test_no_module_but_linop_names_an_eigensolver():
+    found = [f"{file}:{node.lineno} {node_name(node)}" for file, node in nodes_outside_linop()
+             if node_name(node) in EIGENSOLVER_NAMES]
+    assert not found
+
+
+def test_no_module_but_linop_imports_scipy_linalg_or_names_a_banded_solve():
+    # linop._Kernel.solve is the package's one banded solve
     found = []
     for file, node in nodes_outside_linop():
-        name = (node.id if isinstance(node, ast.Name) else
-                node.attr if isinstance(node, ast.Attribute) else
-                node.name.rpartition(".")[2] if isinstance(node, ast.alias) else None)
-        if name in EIGENSOLVER_NAMES:
-            found.append(f"{file}:{node.lineno} {name}")
+        imported = ([alias.name for alias in node.names] if isinstance(node, ast.Import) else
+                    [f"{node.module}.{alias.name}" for alias in node.names]
+                    if isinstance(node, ast.ImportFrom) and not node.level else [])
+        if any(f"{name}.".startswith("scipy.linalg.") for name in imported):
+            found.append(f"{file}:{node.lineno} import scipy.linalg")
+        if node_name(node) == "solveh_banded":
+            found.append(f"{file}:{node.lineno} solveh_banded")
     assert not found
 
 
@@ -1435,14 +1470,14 @@ def pencil(n=6):
 
 def test_top_kernel_eigenvalue_matches_dense():
     diag, off, weight, t, lam, _ = pencil()
-    mu, _ = _kernel_top_eigenvalue(diag, off, weight, lambda u: np.linalg.solve(t, u))
+    mu, _ = _kernel_top_eigenvalue(_Kernel(diag, off, weight), lambda u: np.linalg.solve(t, u))
     assert mu == pytest.approx(lam[-1], rel=1e-13, abs=0)
     # zero weights in a leading, an interior and a trailing run, as where
     # the weight is a potential's attractive part on a whole grid
     weight = weight * np.array([0.0, 1.0, 0.0, 0.0, 1.0, 0.0])
     root = np.sqrt(weight)
     top = np.linalg.eigvalsh(root[:, None] * np.linalg.inv(t) * root[None, :])[-1]
-    mu, _ = _kernel_top_eigenvalue(diag, off, weight, lambda u: np.linalg.solve(t, u))
+    mu, _ = _kernel_top_eigenvalue(_Kernel(diag, off, weight), lambda u: np.linalg.solve(t, u))
     assert mu == pytest.approx(top, rel=1e-13, abs=0)
 
 
@@ -1468,11 +1503,11 @@ def test_top_kernel_eigenvalue_checks_hold_their_bounds(orthogonal, scale, fails
         return (1.0 - s) * np.linalg.solve(t, u) + extra @ u
 
     if fails is None:
-        assert _kernel_top_eigenvalue(diag, off, weight, green)[0] == pytest.approx(
+        assert _kernel_top_eigenvalue(_Kernel(diag, off, weight), green)[0] == pytest.approx(
             (1.0 - s) * lam[-1], rel=1e-14, abs=0)
     else:
         with pytest.raises(RuntimeError, match=fails):
-            _kernel_top_eigenvalue(diag, off, weight, green)
+            _kernel_top_eigenvalue(_Kernel(diag, off, weight), green)
 
 
 def test_top_kernel_eigenvalue_certificate_catches_a_wrong_selection(monkeypatch):
@@ -1488,7 +1523,7 @@ def test_top_kernel_eigenvalue_certificate_catches_a_wrong_selection(monkeypatch
 
     monkeypatch.setattr(scipy.linalg.lapack, "dpttrs", deflated)
     with pytest.raises(RuntimeError, match="above the selected mu") as info:
-        _kernel_top_eigenvalue(diag, off, weight, lambda u: np.linalg.solve(t, u))
+        _kernel_top_eigenvalue(_Kernel(diag, off, weight), lambda u: np.linalg.solve(t, u))
     assert float(str(info.value).rpartition("= ")[2]) == pytest.approx(lam[-2], rel=1e-12)
 
 
@@ -1502,7 +1537,7 @@ def test_top_kernel_eigenvalue_bisects_on_where_the_coarse_bracket_misses(gap, f
     off = np.array([-1e-12, -1e-4, -0.15, -0.1, -0.3])
     t = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     top = DENSE_EIGVALSH(np.linalg.inv(t))[-1]
-    args = diag, off, np.ones(6), lambda u: np.linalg.solve(t, u)
+    args = _Kernel(diag, off, np.ones(6)), lambda u: np.linalg.solve(t, u)
     (mu, calls), (_, fine_calls) = _kernel_top_eigenvalue(*args), fine_bracket_top(*args)
     assert mu == pytest.approx(top, rel=1e-13, abs=0)
     assert (calls == fine_calls) is fine
@@ -1536,7 +1571,7 @@ def test_recurrence_turns_an_illegal_argument_into_runtime_error(monkeypatch):
 
 def test_top_kernel_eigenvalue_needs_a_positive_definite_inverse():
     with pytest.raises(ValueError, match="not positive definite"):
-        _kernel_top_eigenvalue(np.array([1.0, -1.0]), np.array([0.5]), np.ones(2),
+        _kernel_top_eigenvalue(_Kernel(np.array([1.0, -1.0]), np.array([0.5]), np.ones(2)),
                                lambda u: u)
 
 

@@ -1143,8 +1143,8 @@ def test_top_eigenvalue_residual_check_catches_a_corrupted_inverse(monkeypatch, 
     owner = radial if builder == "_green_inverse" else scipy.linalg
     true_builder = getattr(owner, builder)
 
-    def corrupted(*args):
-        out = true_builder(*args)
+    def corrupted(*args, **kwargs):
+        out = true_builder(*args, **kwargs)
         if builder == "_green_inverse":
             diag, off = out
             off = off.copy()
