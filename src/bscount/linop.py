@@ -28,12 +28,11 @@ matrix, its two diagonals, and the Birman-Schwinger kernel is a ``_Kernel``
 ``S T^-1 S``, the two diagonals of the tridiagonal ``T`` and ``S^2`` on the
 whole grid.  ``count_evs`` reads the record, and the record is the only
 description of the operator: its ``dense()`` builds the entries, only when
-they are first read, once, under a lock.  A ``_Kernel`` also owns the
-package's one banded solve, ``_Kernel.solve``, ``solveh_banded`` of ``T``
-in band storage, which factors ``T`` afresh and reads none of the ``pttrf``
-factors the counts and the top eigenvalue use; its ``dense()`` and the
-check of the top kernel eigenvalue on the box use it, and no other module
-solves with a band.
+they are first read, once, under a lock.  A ``_Kernel`` reaches ``T`` only
+through ``_Kernel.factors()``, the ``pttrf`` factors of ``T``, which checks
+the record's three arrays for finite entries once per use; its ``dense()``,
+its products and its top eigenvalue solve with those factors, and no other
+module solves with a band.
 
 linop runs every eigensolve in the package, and makes every guarded count
 of a spectrum: no other module calls LAPACK for eigenvalues or compares an
@@ -46,19 +45,18 @@ diagonals: LAPACK ``stebz`` counts the eigenvalues in the guarded range in
 O(n) and computes none, so the trace and Frobenius checks have no
 spectrum to test.  The Sturm count is exact for a matrix within a few ulps
 of ``T`` (Kahan 1966), far inside the guard band, and tests hold it to the
-count of the full spectrum.  ``count_evs`` of any other matrix of more
-than 64 rows is first proved on an 8-column compression by
+count of the full spectrum.  ``count_evs`` of a recorded ``_Kernel`` of
+more than 64 rows is first proved on an 8-column compression by
 ``_compressed_count``: the Schur complement onto the compression keeps the
-inertia of ``A - tau``, and the count stands when the part it leaves out
+inertia of ``K - tau``, and the count stands when the part it leaves out
 is too small to move an eigenvalue across ``tau``.  The proof reads only
-products with ``A``, ``|A|_F`` and the column norms, of the entries in
-O(n^2) (``_dense_products``), or of a recorded kernel in O(n) from the
+products with ``K``, ``|K|_F`` and the column norms, in O(n) from the
 ``pttrf`` factors of ``T`` (``_kernel_products``), with no dense kernel
-built.  Every other count, one that proof does not settle, and
-``_checked_eigenvalues`` itself, takes checked eigenvalues: any matrix, or
-stack, goes to ``eigvalsh`` whole, whatever zeros or band its entries
-hold, and its eigenvalues are checked against the trace and
-Frobenius-norm invariants, both O(n^2).
+built.  Every other count, of a plain matrix, of a smaller kernel or one
+that proof does not settle, and ``_checked_eigenvalues`` itself, takes
+checked eigenvalues: any matrix, or stack, goes to ``eigvalsh`` whole,
+whatever zeros or band its entries hold, and its eigenvalues are checked
+against the trace and Frobenius-norm invariants, both O(n^2).
 Counts are strict, ``">"`` or ``"<"``: an eigenvalue within the guard band
 of the threshold is never counted.  The two relations and the band, the
 private relation ``"="``, are three half-open intervals that partition the
@@ -83,14 +81,16 @@ private ``_checked_eigenvalues``, ``_spectral_decompose`` and
 ``(k, n, n)`` of such matrices, solved by one dense stacked LAPACK call,
 with every check run on each matrix and a failure naming the member;
 ``_count_evs`` and ``_count`` take one threshold per member or one for
-all.  The tridiagonal layer is one Sturm count and one factorization:
-``_tridiagonal_count`` counts by LAPACK ``stebz``, and
+all.  The tridiagonal layer is one Sturm count, one factorization and one
+solve: ``_tridiagonal_count`` counts by LAPACK ``stebz``,
 ``_tridiagonal_factor`` factors the tridiagonal matrix by LAPACK ``pttrf``
-in O(n), which succeeds exactly when the matrix is positive definite; its
-factors serve ``_kernel_products`` and ``_kernel_top_eigenvalue``.  A
-first-order linear recurrence over the grid, a unit bidiagonal solve, is
-``_recurrence``, by LAPACK ``tbtrs``: ``_kernel_products`` runs three and
-radial's ``_green_apply`` two, with no Python loop over the nodes.
+in O(n), which succeeds exactly when the matrix is positive definite, and
+``_tridiagonal_solve`` solves with those factors by LAPACK ``pttrs``; they
+serve ``_Kernel.dense``, ``_kernel_products`` and
+``_kernel_top_eigenvalue``.  A first-order linear recurrence over the grid,
+a unit bidiagonal solve, is ``_recurrence``, by LAPACK ``tbtrs``:
+``_kernel_products`` runs three and radial's ``_green_apply`` two, with no
+Python loop over the nodes.
 ``_kernel_top_eigenvalue`` is the
 largest eigenvalue of a kernel ``S T^-1 S`` with ``T`` tridiagonal and
 ``S^2`` a nonnegative diagonal, which radial's critical coupling and
@@ -98,10 +98,10 @@ largest eigenvalue of a kernel ``S T^-1 S`` with ``T`` tridiagonal and
 fails exactly where the kernel has an eigenvalue at or above ``sigma``,
 the Birman-Schwinger test, to relative width 1e-3, refines by inverse
 iteration, and stands an eigenpair residual against the kernel applied by
-the caller's other route, and a certificate that no eigenvalue lies above,
-in for the trace and Frobenius checks; only where either fails does it
-bisect on to 1e-8 and iterate again.  It reports how many factorizations
-it made.
+the caller's other route, or by the factors of ``T`` itself, and a
+certificate that no eigenvalue lies above, in for the trace and Frobenius
+checks; only where either fails does it bisect on to 1e-8 and iterate
+again.  It reports how many factorizations it made.
 
 The Gauss-Legendre rules of the package, efimov's momentum grid and
 radial's ``gauss_legendre`` grid and Rollnik panels, are eigensolves too:
@@ -135,10 +135,10 @@ _RELATIONS = (">", "<")
 
 # columns of the compression on which count_evs first tries to prove a count
 _COMPRESSION_RANK = 8
-# count_evs counts a matrix of at most this many rows from its full spectrum,
-# which up to about 8 compression ranks is the cheaper route: a dense count
-# took 0.07 ms at 14 rows and 0.20 ms at 64, the compression 0.21-0.24 ms at
-# both (median of 200, 2 cores, OpenBLAS 0.3.31)
+# count_evs counts a recorded kernel of at most this many rows from its full
+# spectrum, which up to about 8 compression ranks is the cheaper route: a
+# dense count took 0.07 ms at 14 rows and 0.20 ms at 64, the compression
+# 0.21-0.24 ms at both (median of 200, 2 cores, OpenBLAS 0.3.31)
 _DENSE_COUNT_ROWS = 8 * _COMPRESSION_RANK
 
 _UNIT_ROUNDOFF = 2.0**-53
@@ -250,7 +250,9 @@ class _Kernel(NamedTuple):
     """The kernel ``S T^-1 S`` on the support of ``weight = S^2 >= 0``, one
     row per entry where the weight is positive, for the positive definite
     tridiagonal ``T`` of diagonal ``diag`` and off-diagonal ``off``: all
-    three on the whole grid."""
+    three on the whole grid.  Every solve with ``T`` is
+    ``_tridiagonal_solve`` with the factors of ``factors()``, the one place
+    that checks the three arrays."""
 
     diag: np.ndarray
     off: np.ndarray
@@ -265,37 +267,29 @@ class _Kernel(NamedTuple):
         return self.support.size
 
     def factors(self):
-        """The ``pttrf`` factors of ``T`` (``_tridiagonal_factor``); a ``T``
-        that is not positive definite raises ValueError."""
+        """The ``pttrf`` factors of ``T`` (``_tridiagonal_factor``), once the
+        record's ``diag``, ``off`` and ``weight`` are checked for finite
+        entries, since ``pttrf`` would report a NaN diagonal as positive
+        definite.  A non-finite entry, or a ``T`` that is not positive
+        definite, raises ValueError."""
+        if not all(np.isfinite(array).all() for array in self):
+            raise ValueError("tridiagonal matrix or kernel weight has non-finite entries")
         factors = _tridiagonal_factor(self.diag, self.off)
         if factors is None:
             raise ValueError("the tridiagonal T of the kernel S T^-1 S is not positive definite")
         return factors
 
-    def solve(self, b: np.ndarray, overwrite_b: bool = False) -> np.ndarray:
-        """``T^-1 b`` for a vector or a block of columns ``b``, by
-        ``scipy.linalg.solveh_banded`` of ``T`` in upper band storage, the
-        package's one banded solve (LAPACK ``ptsv``, which factors ``T``
-        afresh).  It reads ``T`` itself, not the factors of ``factors()``,
-        so it is a route of its own for the check of the top eigenvalue.
-        With ``overwrite_b`` a Fortran-ordered ``b`` is solved in place."""
-        import scipy.linalg  # only here, so that importing bscount stays light
-
-        band = np.array([np.insert(self.off, 0, 0.0), self.diag])  # upper band storage of T
-        return scipy.linalg.solveh_banded(band, b, overwrite_b=overwrite_b)
-
     def dense(self) -> np.ndarray:
         """The kernel's entries on its support, a fresh array, 0 x 0 where
-        the weight has no positive entry: ``T^-1 S`` by one ``solve`` of the
-        columns of ``S`` on the support, in place, its rows on the support
-        times ``S``, symmetrized, so exactly symmetric.  The right-hand side
-        is made before the band of ``T``, which keeps the peak memory of a
-        build where it was."""
+        the weight has no positive entry: ``T^-1 S`` by one
+        ``_tridiagonal_solve`` of the columns of ``S`` on the support with
+        the factors of ``T``, in place, its rows on the support times ``S``,
+        symmetrized, so exactly symmetric."""
         support = self.support
         root = np.sqrt(self.weight[support])
         rhs = np.zeros((self.diag.size, support.size), order="F")
         rhs[support, np.arange(support.size)] = root
-        x = self.solve(rhs, overwrite_b=True)
+        x = _tridiagonal_solve(self.factors(), rhs, overwrite_b=True)
         block = x if support.size == self.diag.size else x[support, :]
         block *= root[:, None]
         block = block + block.T
@@ -473,19 +467,29 @@ def _tridiagonal_factor(diag, off):
 
     LAPACK ``pttrf`` answers in O(n) by attempting the factorization, which
     succeeds exactly when every pivot is positive; the factors feed
-    ``pttrs``.  Non-finite entries raise ValueError, since ``pttrf`` would
-    report a NaN diagonal as positive definite; an argument LAPACK rejects
-    raises RuntimeError.
+    ``_tridiagonal_solve``.  The entries must be finite, since ``pttrf``
+    would report a NaN diagonal as positive definite, and are not checked
+    here: ``_Kernel.factors`` checks a record's once, and
+    ``_kernel_top_eigenvalue`` keeps every shifted diagonal finite.  An
+    argument LAPACK rejects raises RuntimeError.
     """
     from scipy.linalg import lapack  # only here, so that importing bscount stays light
 
-    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
-        raise ValueError("tridiagonal matrix has non-finite entries")
     # f2py wants one off-diagonal entry even at n = 1, where pttrf reads none
     d, e, info = lapack.dpttrf(diag, off if len(off) else np.zeros(1))
     if info < 0:
         raise RuntimeError(f"LAPACK pttrf rejected argument {-info}")
     return (d, e) if info == 0 else None
+
+
+def _tridiagonal_solve(factors, b: np.ndarray, overwrite_b: bool = False) -> np.ndarray:
+    """``T^-1 b`` for a vector or a block of columns ``b``, from the factors
+    of ``T`` that ``_tridiagonal_factor`` made, by LAPACK ``pttrs`` in O(n)
+    per column: the package's one tridiagonal solve.  With ``overwrite_b`` a
+    Fortran-ordered ``b`` is solved in place."""
+    from scipy.linalg import lapack
+
+    return lapack.dpttrs(*factors, b, overwrite_b=overwrite_b)[0]
 
 
 def _recurrence(c, b, forward: bool = False) -> np.ndarray:
@@ -510,7 +514,7 @@ def _recurrence(c, b, forward: bool = False) -> np.ndarray:
     return x
 
 
-def _kernel_top_eigenvalue(kernel: _Kernel, green) -> tuple[float, int]:
+def _kernel_top_eigenvalue(kernel: _Kernel, green=None) -> tuple[float, int]:
     """The largest eigenvalue ``mu`` of the ``_Kernel`` ``K = S T^-1 S``,
     for the positive definite tridiagonal ``T`` with diagonal ``diag`` and
     off-diagonal ``off`` and ``S = diag(sqrt(weight))``, ``weight >= 0``
@@ -529,18 +533,20 @@ def _kernel_top_eigenvalue(kernel: _Kernel, green) -> tuple[float, int]:
     same bracket is bisected on to relative width 1e-8 and the iteration
     runs again, from the same start; only a failure there raises.
 
-    ``green(u)`` applies ``T^-1`` by another route than ``T``, so
     ``K x = S green(S x)`` tests the result in place of the trace and
-    Frobenius checks of a full spectrum: the residual ``|K x - mu x|`` must
-    be at most ``1e-10 (1 + mu)``, and ``T - S^2 / sigma`` must be positive
-    definite at ``sigma = mu + residual + 1e-10 (1 + mu)``, so that no
-    eigenvalue lies above the one selected.  Either failure raises
-    RuntimeError; a ``T`` that is not positive definite raises ValueError.
+    Frobenius checks of a full spectrum, where ``green(u)`` applies ``T^-1``
+    by another route than ``T``; without ``green`` it is ``T^-1`` by the
+    factors of ``T`` itself, which no step of the iteration uses.  The
+    residual ``|K x - mu x|`` must be at most ``1e-10 (1 + mu)``, and ``T -
+    S^2 / sigma`` must be positive definite at ``sigma = mu + residual +
+    1e-10 (1 + mu)``, so that no eigenvalue lies above the one selected.
+    Either failure raises RuntimeError.  A ``T`` that is not positive
+    definite, a non-finite entry (``_Kernel.factors``), and a Rayleigh
+    quotient of ``S 1`` that underflows to 0, where ``S^2 / sigma`` would
+    not be finite, raise ValueError before any shifted factorization.
     Returns ``mu`` and the number of ``_tridiagonal_factor`` calls made,
     certificate included.
     """
-    from scipy.linalg import lapack
-
     diag, off, weight = kernel
     calls = 1  # the factorization of T itself
 
@@ -549,11 +555,11 @@ def _kernel_top_eigenvalue(kernel: _Kernel, green) -> tuple[float, int]:
         calls += 1
         return _tridiagonal_factor(diag - weight / sigma, off)
 
-    def solve(factors, b):
-        return lapack.dpttrs(*factors, b)[0]
-
-    factors = kernel.factors()
-    lo = hi = float(weight @ solve(factors, weight)) / float(np.sum(weight))
+    t = kernel.factors()
+    lo = hi = float(weight @ _tridiagonal_solve(t, weight)) / float(np.sum(weight))
+    if not lo > 0.0:  # every S^2/sigma below is finite, as pttrf needs, for sigma >= lo > 0
+        raise ValueError("the Rayleigh quotient of S 1 underflows to 0: the weight S^2 is "
+                         "too small to bracket the top kernel eigenvalue")
     while (factors := shifted(hi)) is None:
         hi *= 2.0
     root = np.sqrt(weight)
@@ -566,13 +572,13 @@ def _kernel_top_eigenvalue(kernel: _Kernel, green) -> tuple[float, int]:
                 hi, factors = mid, mid_factors
         x = root / np.linalg.norm(root)
         for _ in range(40):  # x <- S (T - S^2/hi)^-1 S x
-            new = root * solve(factors, root * x)
+            new = root * _tridiagonal_solve(factors, root * x)
             new /= np.linalg.norm(new)
             step = np.linalg.norm(new - x)
             x = new
             if step <= 1e-12:
                 break
-        kx = root * green(root * x)
+        kx = root * (_tridiagonal_solve(t, root * x) if green is None else green(root * x))
         mu = float(x @ kx)
         residual = float(np.linalg.norm(kx - mu * x))
         bound = 1e-10 * (1.0 + mu)
@@ -709,19 +715,18 @@ def count_evs(a: SymOperator, relation: str, threshold: float) -> int:
     diagonals, in O(n), with no n x n matrix formed and no eigenvalue
     computed, so there is no spectrum for the trace and Frobenius-norm
     checks to test: the Sturm count is exact for a matrix within a few ulps
-    of ``A``, and tests hold it to the count of the full spectrum.  Any
-    other matrix of more than ``_DENSE_COUNT_ROWS = 64`` rows, where the
-    full spectrum costs more, is first counted on an 8-column compression by
-    ``_compressed_count``, which proves the count of the exact eigenvalues
-    outside the guard band, and proves that none lies on its edge, or gives
-    up; tests hold it to the count of the full spectrum.  It reads products
-    with ``A``, ``|A|_F`` and the column norms: those of the entries
-    (``_dense_products``), or, for a recorded ``_Kernel``, those of
-    ``_kernel_products``, in O(n) from the factors of ``T``, with no dense
-    kernel built.  A count it gives up on, and that of a smaller matrix, is
-    made from ``_checked_eigenvalues`` of the whole matrix, built first
-    where it was recorded, whose trace and Frobenius-norm invariants stand
-    in for eigenvector residual checks.  On every route a matrix whose
+    of ``A``, and tests hold it to the count of the full spectrum.  A
+    recorded ``_Kernel`` of more than ``_DENSE_COUNT_ROWS = 64`` rows, where
+    the full spectrum costs more, is first counted on an 8-column
+    compression by ``_compressed_count``, which proves the count of the
+    exact eigenvalues outside the guard band, and proves that none lies on
+    its edge, or gives up; tests hold it to the count of the full spectrum.
+    It reads the products of ``_kernel_products``, in O(n) from the factors
+    of ``T``, with no dense kernel built.  A count it gives up on, that of a
+    smaller kernel and that of a plain matrix are made from
+    ``_checked_eigenvalues`` of the whole matrix, built first where it was
+    recorded, whose trace and Frobenius-norm invariants stand in for
+    eigenvector residual checks.  On every route a matrix whose
     ``|A|_F`` is not finite raises ValueError before any eigenvalue is
     counted.
     """
@@ -731,20 +736,11 @@ def count_evs(a: SymOperator, relation: str, threshold: float) -> int:
     structure = a._structure
     if isinstance(structure, _Tridiagonal):
         return _tridiagonal_count(*structure, relation, threshold)
-    if a.dim > _DENSE_COUNT_ROWS:
-        products = _dense_products(a.entries) if structure is None else \
-            _kernel_products(structure)
-        if (count := _compressed_count(products, relation, threshold)) is not None:
+    if structure is not None and a.dim > _DENSE_COUNT_ROWS:  # a _Kernel
+        if (count := _compressed_count(_kernel_products(structure), relation,
+                                       threshold)) is not None:
             return count
     return int(_count_evs(a.entries, relation, threshold))
-
-
-def _dense_products(m: np.ndarray) -> tuple:
-    """What ``_compressed_count`` reads of a matrix already known to be
-    symmetric: ``X -> A X``, ``|A|_F`` (``_finite_fro``), the squared
-    column norms, the length ``n`` of the sums behind them, and no error
-    beyond the rounding of those sums."""
-    return m.__matmul__, _finite_fro(m), np.einsum("ij,ij->j", m, m), m.shape[0], 0.0
 
 
 def _kernel_products(kernel: _Kernel) -> tuple:
@@ -754,7 +750,7 @@ def _kernel_products(kernel: _Kernel) -> tuple:
     below the diagonal of ``L``), with no dense kernel formed (Meurant,
     SIAM J. Matrix Anal. Appl. 13 (1992) 707-728).
 
-    - ``X -> K X`` is ``S T^-1 (S X)``, one ``pttrs`` solve.
+    - ``X -> K X`` is ``S T^-1 (S X)``, one ``_tridiagonal_solve``.
     - ``G = T~^-1`` has ``G_ij = -l_i G_(i+1)j`` for ``i < j`` and the
       diagonal ``G_nn = 1/d_n``, ``G_jj = 1/d_j + l_j^2 G_(j+1)(j+1)``.  With
       the forward sum ``P_1 = 0``, ``P_j = l_(j-1)^2 w_(j-1) + l_(j-1)^2
@@ -775,15 +771,14 @@ def _kernel_products(kernel: _Kernel) -> tuple:
       Stability of Numerical Algorithms*, 2002, ch. 9).
       The error passed on, ``20 u cond_inf(T)`` since the condition number is
       at least 1, and the factor ``k`` of ``e`` cover both.  ``cond_inf(T)
-      = |T|_inf max(|T^-1| 1)`` is exact and costs one more ``pttrs``:
+      = |T|_inf max(|T^-1| 1)`` is exact and costs one more solve:
       ``|T^-1|`` is the inverse of the tridiagonal with off-diagonal
       ``-|off|``, an M-matrix, whose factors are ``d`` and ``-|l|``.
 
-    A ``T`` that is not positive definite raises ValueError, and so does a
-    ``|K~|_F`` that is not finite.
+    A non-finite entry or a ``T`` that is not positive definite raises
+    ValueError (``_Kernel.factors``), and so does a ``|K~|_F`` that is not
+    finite.
     """
-    from scipy.linalg import lapack
-
     diag, off, weight = kernel
     d, l = kernel.factors()
     n, support = d.size, kernel.support
@@ -792,12 +787,12 @@ def _kernel_products(kernel: _Kernel) -> tuple:
     def product(x):
         b = np.zeros((n, x.shape[1]))
         b[support] = root * x
-        return root * lapack.dpttrs(d, l, b)[0][support]
+        return root * _tridiagonal_solve((d, l), b)[support]
 
     row = np.abs(diag)
     row[1:] += np.abs(off)
     row[:-1] += np.abs(off)
-    cond = float(row.max() * lapack.dpttrs(d, -np.abs(l), np.ones(n))[0].max())
+    cond = float(row.max() * _tridiagonal_solve((d, -np.abs(l)), np.ones(n)).max())
     l2 = l[:n - 1] ** 2  # pttrf returns one entry at n = 1, where it reads none
     with np.errstate(over="ignore"):  # an overflowing norm is rejected below
         g = _recurrence(l2, 1.0 / d)
@@ -818,8 +813,9 @@ def _compressed_count(products: tuple, relation: str, threshold: float) -> int |
     full spectrum.
 
     ``A`` is read only through ``products = (product, fro, columns, terms,
-    error)``, from ``_dense_products`` of a matrix or ``_kernel_products`` of
-    a kernel: ``product(X)`` is ``A X`` for an ``n x j`` block ``X``,
+    error)``, which ``count_evs`` takes from ``_kernel_products`` of a
+    recorded kernel (tests also pass those of a matrix's entries):
+    ``product(X)`` is ``A X`` for an ``n x j`` block ``X``,
     ``fro`` is ``|A|_F``, ``columns`` the squared column norms, ``terms``
     the length of the sums behind a product and ``|A|_F``, and ``error`` the
     relative error of a product beyond their rounding.  For ``">"``, whose

@@ -48,7 +48,8 @@ with the repulsive part ``R`` held at its own strength, binds exactly when
 H_0 + R`` and ``S^2 = shape``, the split linear in ``lam``.
 ``kernel_critical_strength`` returns that coupling, and
 ``find_critical_coupling_radial`` extrapolates it from a box and its
-double.  Without a repulsive part the two splits are the same arrays.
+double.  Without a repulsive part the two splits are the same arrays at
+unit strength.
 The two operator builders record their structure with linop unchecked,
 and the record builds the dense matrix of either on its first read;
 radial forms no dense matrix and no band storage of its own.
@@ -385,18 +386,18 @@ def _split_kernel_top(grid: RadialGrid, eps: float, repulsive, weight) -> tuple[
     On uniform_fd2 ``T`` is the tridiagonal ``H_0 + repulsive + eps`` of
     one ``_Kernel`` record, so the binding test is the Birman-Schwinger test
     on ``H_0 + repulsive + eps - weight / sigma``, and the check applies
-    ``T^-1`` by the record's banded solve, ``_Kernel.solve``.  On
-    gauss_legendre ``S^2`` is the weight times the quadrature weights and
-    ``T`` the closed-form tridiagonal inverse of the semi-infinite s-wave
-    Green function, which the check applies in O(n) by ``_green_apply``;
+    ``T^-1`` by the factors of ``T`` itself, which linop makes first and no
+    step of its iteration uses.  On gauss_legendre ``S^2`` is the weight
+    times the quadrature weights and ``T`` the closed-form tridiagonal
+    inverse of the semi-infinite s-wave Green function, which the check
+    applies in O(n) by ``_green_apply``;
     that kernel leaves no room for a partial wave above 0 or a repulsive
     part, and either raises ValueError.
     """
     if not np.any(weight > 0):
         return 0.0, 0
     if grid.scheme == "uniform_fd2":
-        kernel = _box_kernel(grid, repulsive, weight, eps)
-        return _kernel_top_eigenvalue(kernel, kernel.solve)
+        return _kernel_top_eigenvalue(_box_kernel(grid, repulsive, weight, eps))
     if grid.ell != 0:
         raise ValueError("gauss_legendre kernels are s-wave only")
     if np.any(repulsive > 0):
@@ -418,12 +419,12 @@ def _kernel_top(pot: PotentialSpec, grid: RadialGrid, eps: float) -> float:
 
 def _critical_top(pot: PotentialSpec, grid: RadialGrid) -> tuple[float, int]:
     """``_split_kernel_top`` at zero shift of the split that is linear in the
-    coupling: the repulsive part at its own strength, and the weight
-    ``strength * shape``."""
+    coupling, at unit coupling: the repulsive part at its own strength, and
+    the weight ``shape``, whatever ``pot.strength`` is."""
     r = grid.nodes
     core = pot.repulsive_part
     repulsive = 0.0 if core is None else core.strength * core.shape(r)
-    return _split_kernel_top(grid, 0.0, repulsive, pot.strength * pot.shape(r))
+    return _split_kernel_top(grid, 0.0, repulsive, pot.shape(r))
 
 
 def _require_shift(eps: float) -> None:
@@ -448,8 +449,8 @@ def bs_kernel_radial(pot: PotentialSpec, grid: RadialGrid, eps: float) -> SymOpe
     The operator records the kernel as linop's ``_Kernel``: the banded
     ``T = H_w + eps`` and ``v_-`` on the whole grid, from which
     ``count_evs`` proves a count of a support of more than 64 nodes without
-    the dense block.  The record builds the block, by a banded solve, only
-    when ``entries`` is read, as it is by ``bs_count_and_top``.
+    the dense block.  The record builds the block, by a tridiagonal solve,
+    only when ``entries`` is read, as it is by ``bs_count_and_top``.
     """
     _require_shift(eps)
     r = grid.nodes
@@ -484,23 +485,22 @@ def kernel_critical_strength(pot: PotentialSpec, grid: RadialGrid) -> float:
 
     The potential is split as ``R - strength * shape``, with ``R`` its
     repulsive part at its own strength, and the kernel is
-    ``S (H_0 + R)^-1 S`` with ``S^2 = strength * shape``.  That kernel is
-    linear in the coupling, so by the Birman-Schwinger principle the
+    ``S (H_0 + R)^-1 S`` with ``S^2 = shape``, the unit coupling.  The split
+    is linear in the coupling, so by the Birman-Schwinger principle the
     discretized ``H_0 + R - lam * shape`` is exactly critical at
-    ``lam = strength / mu_0``, whatever the strength passed in, also where
-    the repulsive part overlaps the well.  Without a repulsive part the
-    split is ``v_+ - v_-`` bit for bit.  ``mu_0``, the kernel's largest
-    eigenvalue, comes from linop's O(n) route (``_split_kernel_top``),
-    checked by an eigenpair residual and a certificate that no eigenvalue
-    lies above it, so that the true ``mu_0`` lies in
-    ``[mu, mu + 2e-10 (1 + mu)]`` and the coupling is exact to the relative
-    width ``2e-10 (1 + mu) / mu``.  A potential with no attractive part on
-    the grid raises ValueError.
+    ``lam = 1 / mu_0``, also where the repulsive part overlaps the well.  The
+    strength passed in only has to be positive: every positive strength
+    gives the same bits, and no small strength underflows the kernel.
+    ``mu_0``, the kernel's largest eigenvalue, comes from linop's O(n) route
+    (``_split_kernel_top``), checked by an eigenpair residual and a
+    certificate that no eigenvalue lies above it, so that the true ``mu_0``
+    lies in ``[mu, mu + 2e-10 (1 + mu)]`` and the coupling is exact to the
+    relative width ``2e-10 (1 + mu) / mu``.  A potential with no attractive
+    part on the grid, strength 0 among them, raises ValueError.
     """
-    mu = _critical_top(pot, grid)[0]
-    if mu == 0.0:
+    if pot.strength == 0.0 or (mu := _critical_top(pot, grid)[0]) == 0.0:
         raise ValueError("potential has no attractive part on the grid")
-    return pot.strength / mu
+    return 1.0 / mu
 
 
 # ---------------------------------------------------------------------------
@@ -724,29 +724,28 @@ def find_critical_coupling_radial(pot_shape: PotentialSpec, grid: RadialGrid,
                                   tol: float) -> CriticalCouplingResult:
     """Coupling at which the first negative eigenvalue appears on the box.
 
-    The strength field of ``pot_shape`` is treated as the unit of the family
-    ``R - lam * shape``, with any repulsive part ``R`` held at its own
-    strength, and the critical coupling on a grid is
-    ``kernel_critical_strength`` of the unit shape, ``1 / mu_0`` of the
-    split linear in ``lam``.  It is found on the given grid and on the grid
-    with box and point count both doubled (same mesh spacing); the two
-    couplings must agree within ``tol / 2``.  The dominant error for a
-    threshold state is the 1/r_max truncation of its flat tail, which the
-    pair removes by extrapolation.  The bracket's half-width is the larger
-    of that gap and the finer grid's width ``2e-10 (1 + mu_0) / mu_0``
-    relative, which the top eigenvalue's residual check and certificate
-    guarantee.  ``iterations`` counts the ``pttrf`` factorizations of both
-    top eigenvalues, the only eigenvalue work the search does.
-    NeverBindsError is raised when no coupling up to ``LAMBDA_CAP`` binds,
-    a shape with no attractive part on the grid among them, and a grid
-    other than uniform_fd2 raises ValueError.
+    The strength field of ``pot_shape`` is not read: the family is ``R - lam
+    * shape``, with any repulsive part ``R`` held at its own strength, and
+    the critical coupling on a grid is ``1 / mu_0`` of the split linear in
+    ``lam``, as ``kernel_critical_strength`` returns it.  It is found on the
+    given grid and on the grid with box and point count both doubled (same
+    mesh spacing); the two couplings must agree within ``tol / 2``.  The
+    dominant error for a threshold state is the 1/r_max truncation of its
+    flat tail, which the pair removes by extrapolation.  The bracket's
+    half-width is the larger of that gap and the finer grid's width
+    ``2e-10 (1 + mu_0) / mu_0`` relative, which the top eigenvalue's
+    residual check and certificate guarantee.  ``iterations`` counts the
+    ``pttrf`` factorizations of both top eigenvalues, the only eigenvalue
+    work the search does.  NeverBindsError is raised when no coupling up to
+    ``LAMBDA_CAP`` binds, a shape with no attractive part on the grid among
+    them, and a grid other than uniform_fd2 raises ValueError.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     _require_box(grid)
-    shape = pot_shape.with_strength(1.0)
     fine = replace(grid, n=2 * grid.n, r_max=2.0 * grid.r_max)
-    (mu_c, calls_c), (mu_f, calls_f) = _critical_top(shape, grid), _critical_top(shape, fine)
+    mu_c, calls_c = _critical_top(pot_shape, grid)
+    mu_f, calls_f = _critical_top(pot_shape, fine)
     if min(mu_c, mu_f) < 1.0 / LAMBDA_CAP:
         raise NeverBindsError(f"no coupling up to {LAMBDA_CAP:g} binds")
     lam_coarse, lam_fine = 1.0 / mu_c, 1.0 / mu_f

@@ -142,11 +142,12 @@ def block_top_oracle(pot, grid: RadialGrid, eps: float) -> float:
     return float(_checked_eigenvalues(block)[0][-1])
 
 
-def fine_bracket_top(kernel, green) -> tuple[float, int]:
+def fine_bracket_top(kernel, green=None) -> tuple[float, int]:
     """``linop._kernel_top_eigenvalue`` as it was before its coarse bracket:
     the bracket from the Rayleigh quotient of ``S 1`` bisected by the
     Birman-Schwinger test to relative width 1e-8, then at most 20 steps of
-    inverse iteration, the same residual check and certificate.  Returns
+    inverse iteration, the same residual check and certificate, which
+    without ``green`` applies ``T^-1`` by the factors of ``T``.  Returns
     ``mu`` and the number of factorizations made."""
     diag, off, weight = kernel
     calls = 0
@@ -159,7 +160,7 @@ def fine_bracket_top(kernel, green) -> tuple[float, int]:
     def solve(factors, b):
         return scipy.linalg.lapack.dpttrs(*factors, b)[0]
 
-    factors = shifted(diag)
+    factors = t = shifted(diag)
     if factors is None:
         raise ValueError("the tridiagonal T of the kernel S T^-1 S is not positive definite")
     lo = hi = float(weight @ solve(factors, weight)) / float(np.sum(weight))
@@ -180,7 +181,7 @@ def fine_bracket_top(kernel, green) -> tuple[float, int]:
         x = new
         if step <= 1e-12:
             break
-    kx = root * green(root * x)
+    kx = root * (solve(t, root * x) if green is None else green(root * x))
     mu = float(x @ kx)
     residual = float(np.linalg.norm(kx - mu * x))
     if residual > 1e-10 * (1.0 + mu):

@@ -24,7 +24,7 @@ from bscount.linop import (
     _compressed_count,
     _count,
     _count_evs,
-    _dense_products,
+    _finite_fro,
     _guarded_count,
     _kernel_products,
     _kernel_top_eigenvalue,
@@ -34,6 +34,7 @@ from bscount.linop import (
     _symmetrized,
     _tridiagonal_count,
     _tridiagonal_factor,
+    _tridiagonal_solve,
     ThresholdCollisionError,
     count_evs,
     hs_norm,
@@ -69,10 +70,18 @@ def random_tridiagonal(rng, dim, diagonal_only=False):
     return tridiagonal_operator(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
 
 
+def dense_products(m):
+    """What ``_compressed_count`` reads of a matrix already known to be
+    symmetric, from its entries: ``X -> A X``, ``|A|_F`` (``_finite_fro``),
+    the squared column norms, the length ``n`` of the sums behind them, and
+    no error beyond the rounding of those sums."""
+    return m.__matmul__, _finite_fro(m), np.einsum("ij,ij->j", m, m), m.shape[0], 0.0
+
+
 def dense_compressed_count(m, relation, threshold):
-    """``_compressed_count`` of the matrix ``m`` from its entries, as
-    ``count_evs`` makes it of a matrix that records no structure."""
-    return _compressed_count(_dense_products(m), relation, threshold)
+    """``_compressed_count`` of the matrix ``m`` from its entries, the test
+    input for the proof that ``count_evs`` makes of a recorded kernel."""
+    return _compressed_count(dense_products(m), relation, threshold)
 
 
 # the solvers as imported, kept as oracles while tests spy on the routes
@@ -682,18 +691,23 @@ def test_compressed_count_checks_its_basis_is_orthonormal(monkeypatch, scale, fa
     # |Q^T Q - I|_F = (scale^2 - 1) sqrt(k): 5.7e-13 and 5.7e-11 against 1e-12
     qr = np.linalg.qr
     monkeypatch.setattr(np.linalg, "qr", lambda a: (scale * qr(a)[0], qr(a)[1]))
-    m = planted([3.0, 0.9, 0.5], n=2 * _DENSE_COUNT_ROWS)  # count_evs tries the compression
+    m = planted([3.0, 0.9, 0.5], n=2 * _DENSE_COUNT_ROWS)
     if fails:
         with pytest.raises(RuntimeError, match="orthonormality defect .* exceeds 1e-12"):
-            count_evs(sym(m), ">", 1.0)
+            dense_compressed_count(m, ">", 1.0)
     else:
-        assert dense_compressed_count(m, ">", 1.0) == count_evs(sym(m), ">", 1.0) == 1
+        assert dense_compressed_count(m, ">", 1.0) == 1
+    assert count_evs(sym(m), ">", 1.0) == 1  # a plain matrix counts by its checked spectrum
 
 
 @pytest.mark.parametrize("n,dims", [(_DENSE_COUNT_ROWS, [_DENSE_COUNT_ROWS]),
                                     (_DENSE_COUNT_ROWS + 1, [_COMPRESSION_RANK])])
 def test_count_evs_tries_the_compression_only_above_its_row_floor(solver_dims, n, dims):
-    assert count_evs(sym(planted([3.0, 0.9, 0.5], n)), ">", 1.0) == 1
+    # a recorded kernel of n support rows: a well of range 1 on a mesh of 1/n
+    k = fresh_kernel(PotentialSpec(kind="square_well", strength=10.0), 0.5,
+                     RadialGrid(ell=0, r_max=25.0, n=25 * n))
+    assert k.dim == n
+    assert count_evs(k, ">", 1.0) == 1
     assert solver_dims["dense"] == dims
 
 
@@ -1329,7 +1343,7 @@ def test_no_module_but_linop_names_an_eigensolver():
 
 
 def test_no_module_but_linop_imports_scipy_linalg_or_names_a_banded_solve():
-    # linop._Kernel.solve is the package's one banded solve
+    # linop's _tridiagonal_solve is the package's one banded solve
     found = []
     for file, node in nodes_outside_linop():
         imported = ([alias.name for alias in node.names] if isinstance(node, ast.Import) else
@@ -1339,6 +1353,39 @@ def test_no_module_but_linop_imports_scipy_linalg_or_names_a_banded_solve():
             found.append(f"{file}:{node.lineno} import scipy.linalg")
         if node_name(node) == "solveh_banded":
             found.append(f"{file}:{node.lineno} solveh_banded")
+    assert not found
+
+
+def named_with_owner():
+    """Every name an AST node of a package module names, a string constant
+    too, with its file, line and the qualified name of the function or class
+    it lies in ("" at module level)."""
+    package = Path(bsengine.__file__).parent
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            owner = f"{owner}.{node.name}" if owner else node.name
+        name = node_name(node) or (node.value if isinstance(node, ast.Constant)
+                                   and isinstance(node.value, str) else None)
+        if name:
+            yield name, node.lineno, owner
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, owner)
+
+    for path in sorted(package.glob("*.py")):
+        for name, line, owner in visit(ast.parse(path.read_text(), filename=str(path)), ""):
+            yield path.name, line, name, owner
+
+
+def test_linop_factors_and_solves_a_tridiagonal_matrix_in_one_place_each():
+    # pttrf in _tridiagonal_factor, which leaves the finite check to
+    # _Kernel.factors, pttrs in _tridiagonal_solve, and no second solver
+    # (ptsv is pttrf then pttrs)
+    only_in = {"dpttrf": "_tridiagonal_factor", "dpttrs": "_tridiagonal_solve"}
+    found = [f"{file}:{line} {name} in {owner}" for file, line, name, owner in named_with_owner()
+             if name in only_in and owner != only_in[name]
+             or name in ("solveh_banded", "ptsv", "dptsv")
+             or name == "isfinite" and owner == "_tridiagonal_factor"]
     assert not found
 
 
@@ -1517,8 +1564,8 @@ def test_top_kernel_eigenvalue_certificate_catches_a_wrong_selection(monkeypatch
     top = vec[:, -1] / np.sqrt(weight)  # T y = (1/mu) S^2 y
     solve = scipy.linalg.lapack.dpttrs
 
-    def deflated(d, e, b):
-        y, info = solve(d, e, b)
+    def deflated(d, e, b, **kwargs):
+        y, info = solve(d, e, b, **kwargs)
         return y - (top @ (weight * y)) / (top @ (weight * top)) * top, info
 
     monkeypatch.setattr(scipy.linalg.lapack, "dpttrs", deflated)
@@ -1630,8 +1677,28 @@ def test_positive_definite_matches_dense_eigvalsh_below_dimension_three(dim):
     ([2.0, 2.0, 2.0], [-np.inf, -1.0]),
 ])
 def test_positive_definite_rejects_non_finite_entries(diag, off):
+    # a kernel record checks its arrays once, when it is factored
     with pytest.raises(ValueError, match="non-finite"):
-        _tridiagonal_factor(np.array(diag), np.array(off))
+        _Kernel(np.array(diag), np.array(off), np.ones(3)).factors()
+
+
+def test_kernel_factors_reject_a_non_finite_weight():
+    with pytest.raises(ValueError, match="non-finite"):
+        _Kernel(np.full(3, 2.0), np.full(2, -1.0), np.array([1.0, np.inf, 1.0])).factors()
+
+
+def test_tridiagonal_solve_gives_the_bits_of_ptsv_in_place_or_not():
+    # LAPACK ptsv, which solveh_banded calls, is pttrf then pttrs
+    diag, off, _, t, _, _ = pencil()
+    b = np.asfortranarray(np.random.default_rng(DEFAULT_SEED).standard_normal((6, 3)))
+    expected = scipy.linalg.solveh_banded(np.array([np.insert(off, 0, 0.0), diag]), b)
+    factors = _tridiagonal_factor(diag, off)
+    x = _tridiagonal_solve(factors, b)
+    assert np.array_equal(x, expected) and not np.shares_memory(x, b)
+    assert np.max(np.abs(t @ x - b)) <= 1e-13
+    assert np.array_equal(_tridiagonal_solve(factors, b[:, 0]), expected[:, 0])
+    x = _tridiagonal_solve(factors, b, overwrite_b=True)
+    assert np.array_equal(x, expected) and np.shares_memory(x, b)
 
 
 @pytest.mark.parametrize("info", [-1, -2])

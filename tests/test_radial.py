@@ -4,7 +4,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.linalg
 import scipy.optimize
 from scipy.integrate import quad, solve_ivp
 from scipy.linalg import eigvalsh_tridiagonal
@@ -1135,12 +1134,13 @@ def test_green_swave_rows_agree_with_the_sweeps_to_rounding(eps):
 
 @pytest.mark.parametrize("grid,builder", [
     (RadialGrid(ell=0, r_max=1.0, n=64, scheme="gauss_legendre"), "_green_inverse"),
-    (RadialGrid(ell=1, r_max=40.0, n=400), "solveh_banded"),
+    (RadialGrid(ell=1, r_max=40.0, n=400), "factors"),
 ])
 def test_top_eigenvalue_residual_check_catches_a_corrupted_inverse(monkeypatch, grid, builder):
     # gauss_legendre: one off-diagonal entry of T; uniform_fd2, where T is
-    # the banded Hamiltonian itself: one support entry of the check's solve
-    owner = radial if builder == "_green_inverse" else scipy.linalg
+    # the banded Hamiltonian itself and the check solves with its factors:
+    # one support entry of the pivots d of those factors
+    owner = radial if builder == "_green_inverse" else linop._Kernel
     true_builder = getattr(owner, builder)
 
     def corrupted(*args, **kwargs):
@@ -1150,9 +1150,10 @@ def test_top_eigenvalue_residual_check_catches_a_corrupted_inverse(monkeypatch, 
             off = off.copy()
             off[off.size // 2] *= 1.0 + 1e-6
             return diag, off
-        live = np.flatnonzero(args[1])
-        out[live[live.size // 2]] *= 1.0 + 1e-6
-        return out
+        d, l = out
+        live = args[0].support
+        d[live[live.size // 2]] *= 1.0 + 1e-6
+        return d, l
 
     monkeypatch.setattr(owner, builder, corrupted)
     well = PotentialSpec(kind="square_well", strength=1.0, range=1.0)
@@ -1173,6 +1174,35 @@ def test_gauss_legendre_kernels_reject_a_partial_wave_or_a_repulsive_part(pot, e
     # the dense kernel is built on uniform_fd2 only, whatever the potential
     with pytest.raises(ValueError, match=FD_ONLY):
         bs_count_and_top(pot, grid, 0.5)
+
+
+BOTH_SCHEMES = [RadialGrid(ell=0, r_max=25.0, n=200),
+                RadialGrid(ell=0, r_max=25.0, n=200, scheme="gauss_legendre")]
+
+
+@pytest.mark.parametrize("grid", BOTH_SCHEMES, ids=["uniform_fd2", "gauss_legendre"])
+@pytest.mark.parametrize("strength", [1e-300, 1e-200, 1e-160, 3.0])
+def test_kernel_critical_strength_is_strength_ones_value_at_every_strength(grid, strength):
+    # the split is linear in the coupling, so the kernel is read at unit
+    # coupling and no strength scales S^2 toward underflow, where the top
+    # eigenvalue loses digits (near 1e-160) and its bracket cannot start
+    well = PotentialSpec(kind="square_well", strength=1.0, range=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert kernel_critical_strength(well.with_strength(strength), grid) == \
+            kernel_critical_strength(well, grid)
+
+
+@pytest.mark.parametrize("grid", BOTH_SCHEMES, ids=["uniform_fd2", "gauss_legendre"])
+def test_kernel_critical_strength_refuses_a_shape_whose_kernel_underflows(grid):
+    # S^2 of 1e-170 gives a Rayleigh quotient of S 1 that underflows to 0,
+    # where S^2 / sigma is not finite: refused before any shifted factorization
+    tiny = PotentialSpec(kind="table", strength=1.0, table_r=np.array([0.0, 1.0]),
+                         table_v=np.full(2, 1e-170))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="underflows to 0"):
+            kernel_critical_strength(tiny, grid)
 
 
 def test_kernel_critical_strength_needs_an_attractive_part():
